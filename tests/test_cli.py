@@ -1,11 +1,14 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from ribbon_embed import schema_from_json, verify_schema
+from ribbon_embed import format_graph, schema_from_json, verify_schema
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
+from helpers import random_multigraph
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -186,3 +189,84 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
+
+
+# Golden lock: exit code and sha256 of stdout for every command on the demo
+# graphs and two loop-carrying random multigraphs.  Seed 3 stalls the greedy
+# descent and seed 14 the greedy ascent, so with --restarts 0 both
+# enumeration fallbacks run.  Refactors of the search and tracing code must
+# leave every entry unchanged; the values are the essential genera, used for
+# the genus=<g_e + 1> target.
+DEMO_GRAPHS = Path(__file__).resolve().parent.parent / "demos" / "graphs"
+LOCKED_GRAPHS = {
+    "bouquet2": 2, "dumbbell": 2, "k4": 3, "k5": 4, "theta": 2, "random3": 3, "random14": 3,
+}  # fmt: skip
+
+
+def _locked_graph_text(name):
+    if name.startswith("random"):
+        return format_graph(random_multigraph(int(name[len("random"):])))
+    return (DEMO_GRAPHS / f"{name}.graph").read_text()
+
+
+def _golden_cases():
+    for name, g_e in LOCKED_GRAPHS.items():
+        yield f"{name} analyze", ["analyze", "--json"]
+        yield f"{name} oracle", ["oracle"]
+        for target in ("minimal", "maximal", f"genus={g_e + 1}"):
+            yield f"{name} embed {target}", ["embed", "--target", target]
+        if name.startswith("random"):
+            for target in ("minimal", "maximal"):
+                yield f"{name} embed {target} restarts0", ["embed", "--target", target, "--restarts", "0"]
+
+
+GOLDEN = {
+    "bouquet2 analyze": (0, "63607a0ccea278841d4248438b9c44b47561cb91dd0ef7dfaa8520b42cfae6e4"),
+    "bouquet2 oracle": (0, "4bc55a270abdc19ca7d50375dbf6c8e5cfe050c66bef70552d3a7ff8436648b4"),
+    "bouquet2 embed minimal": (0, "08984b213bbf5129a4a0f239398eeda52a464c43401bcd3cc57f6ccb18edc9d1"),
+    "bouquet2 embed maximal": (0, "a55b5d284fb28fa77fafbe5f479edffce3d286bdc837111c50a8a3db3a06638f"),
+    "bouquet2 embed genus=3": (0, "25b9d89238699b9b7732af628464da71e65916a569c42c7cdd10e2ed9a022dcd"),
+    "dumbbell analyze": (0, "94375dc11fc5fea67c095bf17d4b559503ca47839a9b4cbe71ea950b1045ee54"),
+    "dumbbell oracle": (0, "0c1a15567619a5c199b7df2a245c17aea945606d77ef5c2f38ab77a1a215afd9"),
+    "dumbbell embed minimal": (0, "6c57575e9fa9b66585b87709514b34e26a5650f9f6af45cdaf13f4914a3f2a77"),
+    "dumbbell embed maximal": (0, "6c57575e9fa9b66585b87709514b34e26a5650f9f6af45cdaf13f4914a3f2a77"),
+    "dumbbell embed genus=3": (0, "09f02a12ede0d84087f500887e613390f18afa6b778f3a0b7c5b52179eaa831c"),
+    "k4 analyze": (0, "6369394f360243cfa58e12195597263e6b586fb23f852f8b440d7f2b803e0fde"),
+    "k4 oracle": (0, "dfb8ca86b3a196da84e16b4f6a5411a64645c19879c32a520b564ce7bc8c9c23"),
+    "k4 embed minimal": (0, "9935a7f00f3a102093d9e81474c69ad5881efe89b91ded8a7add0f67d5ae981f"),
+    "k4 embed maximal": (0, "9e5311e13e583a7037942a39e67acd21dadd33d24ba3329ad95484b720eb1cb7"),
+    "k4 embed genus=4": (0, "e05abd498388fc4a8a98617d09b49366b65febf4bf6327c5ad3636543a93cb24"),
+    "k5 analyze": (0, "475be1606840e5160798a5f830969fac314097c2e93b6b8cabde42abf0ecc428"),
+    "k5 oracle": (0, "d60892ba41e0dcee2af850a2f0b8ea379318e0c846397d1c85d5a8030c0a2365"),
+    "k5 embed minimal": (0, "430117b0c6f815b5e8c3de850bc396196f40402f3826ac3b650abed7603c86dd"),
+    "k5 embed maximal": (0, "cb2f704aac4701c60f1a7290fa537aed7f588bcf6ea04c3d174a8156b37ea1c8"),
+    "k5 embed genus=5": (0, "442cc66c36e2a8cb5f0af6aabd278013714a6b8f3e105f40ae4a696e9c2d91ad"),
+    "theta analyze": (0, "ebfa2f2cfd22c6ebffd71ed42799a9edc02c142c72f8aaedcdfe840e23b119ef"),
+    "theta oracle": (0, "fd6cfe93da7533d938d58ea1e0d621282dfde4daae2322bd8b6e8671165a917e"),
+    "theta embed minimal": (0, "b759bb77a7734df3ef2c58f2c22a82337e666938f3e6d03c09a107c7d72a1a9f"),
+    "theta embed maximal": (0, "a96dc8e9a16aa9f203b7a6a560235062141d0d6c5c3e58028abba20132ac01d1"),
+    "theta embed genus=3": (0, "25e4f19ba27f1c28ac12b184c7e93b7ba5fde887bc2c3bde024a77f4a57fb76f"),
+    "random3 analyze": (0, "64254f53390cd3368b838b826df332220be6e3e5d2af2331cfee87fea03e4641"),
+    "random3 oracle": (0, "75b187d17fe6e178cd1f698635337f8e14d25f2c69130f8c4458389105cd63c1"),
+    "random3 embed minimal": (0, "c486d03140844f4c00352a5d362f8e5d368646f5da2511070d75a43ff329a62e"),
+    "random3 embed maximal": (0, "8ce442352b793c555fa444cfccb0da9454077a82cbe6100aa09ebc648b96bba8"),
+    "random3 embed genus=4": (0, "df83d24cb72e525b32c738625777685d15139116b964b17f5b3771aa34b69dc8"),
+    "random3 embed minimal restarts0": (0, "17d25e4ed30f05cb3da4ead6b8234b9cd472e24d6a27eb8c063ca9ed476d398a"),
+    "random3 embed maximal restarts0": (0, "8ce442352b793c555fa444cfccb0da9454077a82cbe6100aa09ebc648b96bba8"),
+    "random14 analyze": (0, "631e58d081592b312b2054cebe022de72ea8e71f770e582c6d714b699c683b98"),
+    "random14 oracle": (0, "343af9659fed8def329d25493786b3840aeb860c9c12ba5d433137a4be6ff744"),
+    "random14 embed minimal": (0, "9d36bb784053a12f896d79766b7ea5d9b3d0aa236cc2b2ad32486c4d55daecd5"),
+    "random14 embed maximal": (0, "8e832ab1056143bc211ad3ea8f68b7e64892b4b6ca71b3476c2e3a7c96c6b0bf"),
+    "random14 embed genus=4": (0, "eb19a8826b850d115e840d1582ef05707fdf427c53913429bcda4bce3b2c247e"),
+    "random14 embed minimal restarts0": (0, "9d36bb784053a12f896d79766b7ea5d9b3d0aa236cc2b2ad32486c4d55daecd5"),
+    "random14 embed maximal restarts0": (0, "f6ab068d54638b6209660892e608ad5d4a4d806a82fc497a3436d0fc9cec1b33"),
+}
+
+
+@pytest.mark.parametrize("case", [case for case, _ in _golden_cases()])
+def test_golden_stdout(case, graph_file, capsys):
+    args = dict(_golden_cases())[case]
+    path = graph_file(_locked_graph_text(case.split()[0]))
+    rc = main([args[0], path, *args[1:]])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (rc, digest) == GOLDEN[case]
