@@ -26,6 +26,7 @@ capped constructions rather than an approximate story.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -707,6 +708,21 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _finite(value):
+    """``value`` unchanged if it is a finite number; NaN and infinities are
+    rejected, since every comparison the verifier makes with them is false."""
+    if not math.isfinite(value):
+        raise SchemaFormatError(f"non-finite number {value!r}")
+    return value
+
+
+def _payload(block: dict) -> dict:
+    payload = block.get("payload", {})
+    if not isinstance(payload, dict):
+        raise SchemaFormatError(f"block {block['id']!r}: payload is not an object")
+    return payload
+
+
 def _graph_from_meta(meta: dict) -> MetricGraph:
     vertex_ids: dict[str, int] = {}
     vertex_of: list[int] = []
@@ -716,7 +732,7 @@ def _graph_from_meta(meta: dict) -> MetricGraph:
         name, u, v, length = record
         for endpoint in (u, v):
             vertex_of.append(vertex_ids.setdefault(endpoint, len(vertex_ids)))
-        lengths.append(float(length))
+        lengths.append(_finite(float(length)))
         edge_names.append(name)
     names = [""] * len(vertex_ids)
     for vname, vid in vertex_ids.items():
@@ -744,12 +760,12 @@ def schema_from_json(text: str) -> SurfaceSchema:
             else None
         )
         scale = ScaleParams(
-            t=float(meta["t"]),
-            margin=float(meta["margin"]),
-            f_floor=float(meta["f_min"]),
-            foot={vertex_ids[k]: float(v) for k, v in meta["foot"].items()},
-            clearance={edge_ids[k]: float(v) for k, v in meta["clearance"].items()},
-            waist={edge_ids[k]: float(v) for k, v in meta["waist"].items()},
+            t=_finite(float(meta["t"])),
+            margin=_finite(float(meta["margin"])),
+            f_floor=_finite(float(meta["f_min"])),
+            foot={vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
+            clearance={edge_ids[k]: _finite(float(v)) for k, v in meta["clearance"].items()},
+            waist={edge_ids[k]: _finite(float(v)) for k, v in meta["waist"].items()},
         )
         blocks = tuple(
             Block(
@@ -758,14 +774,18 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 genus=int(b["genus"]),
                 layer=b["layer"],
                 boundaries=tuple(
-                    Boundary(bd["label"], bd["length"]) for bd in b["boundaries"]
+                    Boundary(
+                        bd["label"],
+                        bd["length"] if isinstance(bd["length"], str) else _finite(bd["length"]),
+                    )
+                    for bd in b["boundaries"]
                 ),
-                payload=b.get("payload", {}),
+                payload=_payload(b),
             )
             for b in doc["blocks"]
         )
         gluings = tuple(
-            Gluing(tuple(g["a"]), tuple(g["b"]), float(g.get("twist", 0.0)))
+            Gluing(tuple(g["a"]), tuple(g["b"]), _finite(float(g.get("twist", 0.0))))
             for g in doc["gluings"]
         )
         s = doc["summary"]

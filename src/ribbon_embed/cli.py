@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .assembly import (
@@ -48,13 +47,13 @@ from .invariants import (
     betti_deficiency,
     essential_genus,
 )
-from .moves import _descend, maximize_boundaries, minimize_boundaries, reduce_move
+from .moves import _climb, _no_reducing_move, _relocate, maximize_boundaries, minimize_boundaries
 from .rotation import (
     DEFAULT_ROTATION_CAP,
-    _walk_count,
+    _faces,
+    _incidence,
     boundary_profile,
     enumerate_rotations,
-    vertex_boundary_incidence,
 )
 
 OK = 0
@@ -64,14 +63,6 @@ CYCLE_GRAPH = 3
 TARGET_UNREACHABLE = 4
 CAP_EXCEEDED = 5
 INVARIANT_VIOLATION = 6
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("RIBBON_EMBED_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _say(message: str) -> None:
@@ -104,7 +95,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         graph,
         tree_cap=args.max_trees,
         rotation_cap=args.max_rotations,
-        threads=args.threads,
     )
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -175,7 +165,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     graph = smooth(_load_graph(args.graph))
     failures: list[str] = []
 
-    profile = boundary_profile(graph, cap=args.max_rotations, threads=args.threads)
+    profile = boundary_profile(graph, cap=args.max_rotations)
     total = sum(profile.values())
     print(f"rotations enumerated: {total}")
     print(f"boundary profile: {profile}")
@@ -197,21 +187,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     move_cases = 0
     stalls = 0
     for rotation in enumerate_rotations(graph, cap=args.max_rotations):
-        base = _walk_count(graph.dart_count, rotation.cycles)
-        incidence = vertex_boundary_incidence(graph, rotation)
-        for v in range(graph.vertex_count):
-            if incidence[v] < 3:
+        face, base, _ = _faces(graph.dart_count, rotation.cycles)
+        for v, cycle in enumerate(rotation.cycles):
+            walks = _incidence(cycle, face)
+            if walks < 3:
                 continue
             move_cases += 1
-            # reduce_move raises InternalInvariantError itself if no -2
-            # relocation exists; recount anyway, double entry is the point
-            moved, _ = reduce_move(graph, rotation, v)
-            got = _walk_count(graph.dart_count, moved.cycles)
+            step = _relocate(graph, rotation, v, -2, base)
+            if step is None:
+                raise _no_reducing_move(graph, v, walks)
+            # recount anyway, double entry is the point
+            got = _faces(graph.dart_count, step[0].cycles)[1]
             if got != base - 2:
                 failures.append(
                     f"reduce_move at vertex {v} changed {base} -> {got}, not -2"
                 )
-        _, count, _ = _descend(graph, rotation)
+        _, count, _ = _climb(graph, rotation, -2)
         if count != lo:
             stalls += 1
     print(
@@ -281,10 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("graph", help="graph file (edge lines)")
     p_analyze.add_argument("--json", action="store_true", help="emit JSON")
     add_caps(p_analyze)
-    p_analyze.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker processes for the rotation sweep",
-    )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_embed = sub.add_parser("embed", help="emit a verified embedding schema")
@@ -310,10 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("graph", help="graph file (edge lines)")
     add_caps(p_oracle)
-    p_oracle.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker processes for the rotation sweep",
-    )
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="recheck a schema document")

@@ -206,11 +206,11 @@ def girth(graph: MetricGraph) -> int | float:
     length 2.  Computed as min over edges e=(u,v) of dist(u,v) in G-e plus
     one, which handles multigraphs uniformly.
     """
+    ends = [graph.endpoints(e) for e in range(graph.edge_count)]
+    if any(u == v for u, v in ends):
+        return 1
     best: int | float = math.inf
-    for e in range(graph.edge_count):
-        u, v = graph.endpoints(e)
-        if u == v:
-            return 1
+    for e, (u, v) in enumerate(ends):
         d = _distance_avoiding(graph, u, v, e)
         if d is not None and d + 1 < best:
             best = d + 1

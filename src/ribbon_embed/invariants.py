@@ -159,16 +159,16 @@ def ge_max_bound(graph: MetricGraph) -> Fraction:
     return Fraction(betti(graph) + 1, 2) + Fraction(graph.edge_count, int(t))
 
 
-def ge_max_exact(graph: MetricGraph, cap: int = 10**6, threads: int = 1) -> int:
+def ge_max_exact(graph: MetricGraph, cap: int = 10**6) -> int:
     """Adversarial genus: max of :func:`capped_genus` over all rotations."""
-    profile = boundary_profile(graph, cap, threads)
+    profile = boundary_profile(graph, cap)
     return max(capped_genus(graph, b) for b in profile)
 
 
-def min_capped_genus(graph: MetricGraph, cap: int = 10**6, threads: int = 1) -> int:
+def min_capped_genus(graph: MetricGraph, cap: int = 10**6) -> int:
     """Min of :func:`capped_genus` over all rotations; equals the essential
     genus whenever the graph has minimum degree 3."""
-    profile = boundary_profile(graph, cap, threads)
+    profile = boundary_profile(graph, cap)
     return min(capped_genus(graph, b) for b in profile)
 
 
@@ -234,7 +234,6 @@ def analyze(
     graph: MetricGraph,
     tree_cap: int = DEFAULT_TREE_CAP,
     rotation_cap: int = 10**6,
-    threads: int = 1,
 ) -> InvariantReport:
     """Compute the full invariant report for one connected graph.
 
@@ -253,7 +252,7 @@ def analyze(
     bound = ge_max_bound(smoothed_graph)
     rotation_count = count_rotations(smoothed_graph)
     try:
-        exact = ge_max_exact(smoothed_graph, rotation_cap, threads)
+        exact = ge_max_exact(smoothed_graph, rotation_cap)
     except CapExceededError:
         exact = None
 

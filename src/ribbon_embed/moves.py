@@ -27,14 +27,13 @@ from .invariants import DEFAULT_TREE_CAP, betti_deficiency
 from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
-    _walk_count,
+    _faces,
+    _incidence,
     boundary_profile,
     canonical_cycle,
     dart_label,
     default_rotation,
     enumerate_rotations,
-    find_rotation_with_count,
-    vertex_boundary_incidence,
 )
 
 
@@ -77,6 +76,26 @@ def _with_cycle(rotation: RotationSystem, vertex: int, cycle: tuple[int, ...]) -
     return RotationSystem(tuple(cycles))
 
 
+def _relocate(
+    graph: MetricGraph, rotation: RotationSystem, vertex: int, delta: int, base: int
+) -> tuple[RotationSystem, MoveRecord] | None:
+    """The first relocation at ``vertex`` taking the walk count from ``base``
+    to ``base + delta``, in :func:`single_dart_relocations` order, or None."""
+    old_cycle = rotation.cycles[vertex]
+    for candidate in single_dart_relocations(old_cycle):
+        trial = _with_cycle(rotation, vertex, candidate)
+        if _faces(graph.dart_count, trial.cycles)[1] == base + delta:
+            return trial, MoveRecord(vertex, old_cycle, candidate, delta)
+    return None
+
+
+def _no_reducing_move(graph: MetricGraph, vertex: int, walks: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"no reducing relocation at vertex {graph.vertex_names[vertex]} although it "
+        f"meets {walks} walks"
+    )
+
+
 def reduce_move(
     graph: MetricGraph, rotation: RotationSystem, vertex: int
 ) -> tuple[RotationSystem, MoveRecord]:
@@ -86,35 +105,28 @@ def reduce_move(
     that precondition a reducing relocation always exists at the vertex
     itself; not finding one is reported as an internal error.
     """
-    incidence = vertex_boundary_incidence(graph, rotation)
-    if incidence[vertex] < 3:
+    face, base, _ = _faces(graph.dart_count, rotation.cycles)
+    walks = _incidence(rotation.cycles[vertex], face)
+    if walks < 3:
         raise MovePreconditionError(
-            f"vertex {graph.vertex_names[vertex]} meets {incidence[vertex]} walks; "
+            f"vertex {graph.vertex_names[vertex]} meets {walks} walks; "
             "a reducing move needs at least 3"
         )
-    base = _walk_count(graph.dart_count, rotation.cycles)
-    old_cycle = rotation.cycles[vertex]
-    for candidate in single_dart_relocations(old_cycle):
-        trial = _with_cycle(rotation, vertex, candidate)
-        if _walk_count(graph.dart_count, trial.cycles) == base - 2:
-            return trial, MoveRecord(vertex, old_cycle, candidate, -2)
-    raise InternalInvariantError(
-        f"no reducing relocation at vertex {graph.vertex_names[vertex]} although it "
-        f"meets {incidence[vertex]} walks"
-    )
+    step = _relocate(graph, rotation, vertex, -2, base)
+    if step is None:
+        raise _no_reducing_move(graph, vertex, walks)
+    return step
 
 
 def increase_move(
     graph: MetricGraph, rotation: RotationSystem
 ) -> tuple[RotationSystem, MoveRecord]:
     """Raise the boundary-walk count by exactly 2, scanning vertices by id."""
-    base = _walk_count(graph.dart_count, rotation.cycles)
+    base = _faces(graph.dart_count, rotation.cycles)[1]
     for vertex in range(graph.vertex_count):
-        old_cycle = rotation.cycles[vertex]
-        for candidate in single_dart_relocations(old_cycle):
-            trial = _with_cycle(rotation, vertex, candidate)
-            if _walk_count(graph.dart_count, trial.cycles) == base + 2:
-                return trial, MoveRecord(vertex, old_cycle, candidate, +2)
+        step = _relocate(graph, rotation, vertex, +2, base)
+        if step is not None:
+            return step
     raise NoIncreasingMoveError("no single-dart relocation increases the walk count")
 
 
@@ -138,29 +150,99 @@ class SearchResult:
     enumerated: bool
 
 
-def _descend(graph, rotation):
+def _climb(
+    graph: MetricGraph, rotation: RotationSystem, delta: int
+) -> tuple[RotationSystem, int, list[MoveRecord]]:
+    """Apply relocations changing the walk count by ``delta`` (-2 or +2)
+    until none is found; return the final rotation, its count and the moves.
+
+    Descending tries only the first vertex meeting three or more walks,
+    where a reducing relocation must exist; ascending scans every vertex by
+    id, as :func:`increase_move` does.
+    """
     records = []
-    count = _walk_count(graph.dart_count, rotation.cycles)
     while True:
-        incidence = vertex_boundary_incidence(graph, rotation)
-        eligible = [v for v in range(graph.vertex_count) if incidence[v] >= 3]
-        if not eligible:
+        face, count, _ = _faces(graph.dart_count, rotation.cycles)
+        for v, cycle in enumerate(rotation.cycles):
+            if delta < 0 and _incidence(cycle, face) < 3:
+                continue
+            step = _relocate(graph, rotation, v, delta, count)
+            if step is not None:
+                break
+            if delta < 0:
+                raise _no_reducing_move(graph, v, _incidence(cycle, face))
+        else:
             return rotation, count, records
-        rotation, record = reduce_move(graph, rotation, eligible[0])
+        rotation, record = step
         records.append(record)
-        count -= 2
 
 
-def _ascend(graph, rotation):
-    records = []
-    count = _walk_count(graph.dart_count, rotation.cycles)
-    while True:
+def _search(
+    graph: MetricGraph,
+    start: RotationSystem | None,
+    restarts: int,
+    seed: int,
+    delta: int,
+    target: int | None,
+    rotation_cap: int,
+) -> SearchResult:
+    """Greedy climb in direction ``delta`` towards ``target``, then seeded
+    restarts, then a scan of the full enumeration.
+
+    The scan keeps the first rotation, in enumeration order, that beats the
+    best so far and stops at the target; with an unknown target it runs to
+    the end.  Finishing the scan certifies the result, and a finished scan
+    that misses a known target disproves the theory.
+    """
+
+    def beats(a: int, b: int) -> bool:
+        return a * delta > b * delta
+
+    if start is None:
+        start = default_rotation(graph, 0)
+    rotation, count, records = _climb(graph, start, delta)
+    initial = count - delta * len(records)  # every move changes the count by delta
+    greedy_count = count
+    best = (count, rotation, tuple(records))
+    restarts_used = 0
+    enumerated = False
+
+    if target is None or beats(target, best[0]):
+        rng = random.Random(seed)
+        for _ in range(restarts):
+            if target is not None and best[0] == target:
+                break
+            restarts_used += 1
+            retry_start = default_rotation(graph, rng.randrange(1, 2**30))
+            rotation, count, records = _climb(graph, retry_start, delta)
+            if beats(count, best[0]):
+                best = (count, rotation, tuple(records))
+    if target is None or beats(target, best[0]):
         try:
-            rotation, record = increase_move(graph, rotation)
-        except NoIncreasingMoveError:
-            return rotation, count, records
-        records.append(record)
-        count += 2
+            for candidate in enumerate_rotations(graph, rotation_cap):
+                count = _faces(graph.dart_count, candidate.cycles)[1]
+                if beats(count, best[0]):
+                    best = (count, candidate, ())
+                if count == target:
+                    break
+            enumerated = True
+        except CapExceededError:
+            pass
+    if enumerated and target is not None and best[0] != target:
+        raise InternalInvariantError(
+            f"exhaustive optimum {best[0]} disagrees with the target {target}"
+        )
+
+    return SearchResult(
+        rotation=best[1],
+        boundary_count=best[0],
+        certified=(target is not None and best[0] == target) or enumerated,
+        initial_count=initial,
+        greedy_count=greedy_count,
+        moves=best[2],
+        restarts_used=restarts_used,
+        enumerated=enumerated,
+    )
 
 
 def minimize_boundaries(
@@ -180,57 +262,11 @@ def minimize_boundaries(
     full enumeration scan; if that is also capped out, the best rotation
     found is returned uncertified.
     """
-    if start is None:
-        start = default_rotation(graph, 0)
-    initial = _walk_count(graph.dart_count, start.cycles)
     try:
         target = 1 + betti_deficiency(graph, tree_cap)
     except CapExceededError:
         target = None
-
-    rotation, count, records = _descend(graph, start)
-    greedy_count = count
-    best = (count, rotation, tuple(records))
-    restarts_used = 0
-    enumerated = False
-
-    if target is None or best[0] > target:
-        rng = random.Random(seed)
-        for _ in range(restarts):
-            if target is not None and best[0] == target:
-                break
-            restarts_used += 1
-            retry_start = default_rotation(graph, rng.randrange(1, 2**30))
-            rotation, count, records = _descend(graph, retry_start)
-            if count < best[0]:
-                best = (count, rotation, tuple(records))
-    if target is None or best[0] > target:
-        try:
-            for candidate in enumerate_rotations(graph, rotation_cap):
-                count = _walk_count(graph.dart_count, candidate.cycles)
-                if count < best[0]:
-                    best = (count, candidate, ())
-                if target is not None and count == target:
-                    break
-            enumerated = True
-        except CapExceededError:
-            pass
-    if enumerated and target is not None and best[0] != target:
-        raise InternalInvariantError(
-            f"exhaustive minimum {best[0]} disagrees with 1 + zeta = {target}"
-        )
-
-    certified = (target is not None and best[0] == target) or enumerated
-    return SearchResult(
-        rotation=best[1],
-        boundary_count=best[0],
-        certified=certified,
-        initial_count=initial,
-        greedy_count=greedy_count,
-        moves=best[2],
-        restarts_used=restarts_used,
-        enumerated=enumerated,
-    )
+    return _search(graph, start, restarts, seed, -2, target, rotation_cap)
 
 
 def maximize_boundaries(
@@ -241,47 +277,11 @@ def maximize_boundaries(
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
     """Greedy walk-count maximization, certified against the enumeration
-    profile when that fits under the cap."""
-    if start is None:
-        start = default_rotation(graph, 0)
-    initial = _walk_count(graph.dart_count, start.cycles)
+    profile when that fits under the cap.  When the greedy ascent and the
+    restarts fall short, the result is the first rotation in enumeration
+    order that attains the profile maximum."""
     try:
-        profile = boundary_profile(graph, rotation_cap)
-        target = max(profile)
+        target = max(boundary_profile(graph, rotation_cap))
     except CapExceededError:
         target = None
-
-    rotation, count, records = _ascend(graph, start)
-    greedy_count = count
-    best = (count, rotation, tuple(records))
-    restarts_used = 0
-    enumerated = False
-
-    if target is None or best[0] < target:
-        rng = random.Random(seed)
-        for _ in range(restarts):
-            if target is not None and best[0] == target:
-                break
-            restarts_used += 1
-            retry_start = default_rotation(graph, rng.randrange(1, 2**30))
-            rotation, count, records = _ascend(graph, retry_start)
-            if count > best[0]:
-                best = (count, rotation, tuple(records))
-    if target is not None and best[0] < target:
-        witness = find_rotation_with_count(graph, target, rotation_cap)
-        if witness is None:
-            raise InternalInvariantError("profile maximum vanished on re-enumeration")
-        best = (target, witness, ())
-        enumerated = True
-
-    certified = target is not None and best[0] == target
-    return SearchResult(
-        rotation=best[1],
-        boundary_count=best[0],
-        certified=certified,
-        initial_count=initial,
-        greedy_count=greedy_count,
-        moves=best[2],
-        restarts_used=restarts_used,
-        enumerated=enumerated,
-    )
+    return _search(graph, start, restarts, seed, +2, target, rotation_cap)

@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -91,28 +90,30 @@ def default_rotation(graph: MetricGraph, seed: int = 0) -> RotationSystem:
     return RotationSystem(tuple(cycles))
 
 
-def _prev_in_cycles(dart_count: int, cycles: Sequence[Sequence[int]]) -> list[int]:
-    prev = [0] * dart_count
+def _faces(dart_count: int, cycles: Sequence[Sequence[int]]) -> tuple[list[int], int, list[int]]:
+    """Trace the face permutation: (face id per dart, walk count, successor).
+
+    The successor of dart ``d`` is ``mate(prev(d))``; this is the only place
+    it is built.  Faces are numbered from 0 in the order of their smallest
+    dart.  The cycles are trusted: rotations are validated where they enter,
+    in :func:`make_rotation`, not here in the hot loop.
+    """
+    succ = [0] * dart_count
     for cycle in cycles:
-        for i, d in enumerate(cycle):
-            prev[d] = cycle[i - 1]
-    return prev
-
-
-def _walk_count(dart_count: int, cycles: Sequence[Sequence[int]]) -> int:
-    """Orbit count of the boundary traversal, without building walk objects."""
-    prev = _prev_in_cycles(dart_count, cycles)
-    seen = bytearray(dart_count)
+        p = cycle[-1]
+        for d in cycle:
+            succ[d] = p ^ 1
+            p = d
+    face = [-1] * dart_count
     count = 0
     for start in range(dart_count):
-        if seen[start]:
-            continue
-        count += 1
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            d = prev[d] ^ 1
-    return count
+        if face[start] < 0:
+            d = start
+            while face[d] < 0:
+                face[d] = count
+                d = succ[d]
+            count += 1
+    return face, count, succ
 
 
 def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[BoundaryWalk]:
@@ -121,45 +122,41 @@ def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[Boundar
     Walks are returned sorted by their smallest dart, each starting at that
     dart, so the list (and the labels derived from it) is canonical.
     """
-    validate_rotation(graph, rotation)
-    prev = _prev_in_cycles(graph.dart_count, rotation.cycles)
-    seen = bytearray(graph.dart_count)
-    walks: list[BoundaryWalk] = []
-    for start in range(graph.dart_count):
-        if seen[start]:
-            continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            orbit.append(d)
-            d = prev[d] ^ 1
-        walks.append(BoundaryWalk(tuple(orbit)))
-    slack = 2 - euler_char(graph) - len(walks)
+    face, count, succ = _faces(graph.dart_count, rotation.cycles)
+    slack = 2 - euler_char(graph) - count
     if slack < 0 or slack % 2:
         raise InternalInvariantError(
-            f"walk count {len(walks)} breaks Euler parity for chi={euler_char(graph)}"
+            f"walk count {count} breaks Euler parity for chi={euler_char(graph)}"
         )
+    sizes = Counter(face)
+    walks: list[BoundaryWalk] = []
+    for start, f in enumerate(face):
+        if f == len(walks):  # the smallest dart of the next face
+            orbit = [start]
+            for _ in range(sizes[f] - 1):
+                orbit.append(succ[orbit[-1]])
+            walks.append(BoundaryWalk(tuple(orbit)))
     return walks
 
 
 def boundary_count(graph: MetricGraph, rotation: RotationSystem) -> int:
-    return len(boundary_walks(graph, rotation))
+    return _faces(graph.dart_count, rotation.cycles)[1]
 
 
 def fat_genus(graph: MetricGraph, rotation: RotationSystem) -> int:
     """Genus of the closed surface the fat graph fills: (2 - chi - walks)/2."""
-    b = len(boundary_walks(graph, rotation))
-    return (2 - euler_char(graph) - b) // 2
+    return (2 - euler_char(graph) - boundary_count(graph, rotation)) // 2
+
+
+def _incidence(cycle: Sequence[int], face: Sequence[int]) -> int:
+    """How many distinct faces the darts of one vertex cycle lie on."""
+    return len({face[d] for d in cycle})
 
 
 def vertex_boundary_incidence(graph: MetricGraph, rotation: RotationSystem) -> dict[int, int]:
     """How many distinct boundary walks pass through each vertex."""
-    incidence = dict.fromkeys(range(graph.vertex_count), 0)
-    for walk in boundary_walks(graph, rotation):
-        for v in {graph.vertex_of[d] for d in walk.darts}:
-            incidence[v] += 1
-    return incidence
+    face = _faces(graph.dart_count, rotation.cycles)[0]
+    return {v: _incidence(cycle, face) for v, cycle in enumerate(rotation.cycles)}
 
 
 def count_rotations(graph: MetricGraph) -> int:
@@ -194,72 +191,13 @@ def enumerate_rotations(
         yield RotationSystem(combo)
 
 
-def _nth_permutation(items: Sequence[int], index: int) -> tuple[int, ...]:
-    pool = list(items)
-    out = []
-    for i in range(len(pool), 0, -1):
-        j, index = divmod(index, math.factorial(i - 1))
-        out.append(pool.pop(j))
-    return tuple(out)
-
-
-def rotation_by_index(graph: MetricGraph, index: int) -> RotationSystem:
-    """The ``index``-th rotation in :func:`enumerate_rotations` order.
-
-    Indices decompose in mixed radix over the per-vertex tail counts, most
-    significant digit at vertex 0.  This lets disjoint index ranges be
-    processed independently.
-    """
-    total = count_rotations(graph)
-    if not 0 <= index < total:
-        raise IndexError(f"rotation index {index} out of range({total})")
-    radices = [math.factorial(graph.degree(v) - 1) for v in range(graph.vertex_count)]
-    digits = [0] * len(radices)
-    for v in range(len(radices) - 1, -1, -1):
-        index, digits[v] = divmod(index, radices[v])
-    cycles = []
-    for v in range(graph.vertex_count):
-        head, tail = _pinned_tails(graph, v)
-        cycles.append((head, *_nth_permutation(tail, digits[v])))
-    return RotationSystem(tuple(cycles))
-
-
-def _profile_range(args: tuple[MetricGraph, int, int]) -> Counter:
-    graph, lo, hi = args
+def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
+    """Histogram {walk count: rotation count} over all rotation systems."""
     counts: Counter = Counter()
     dart_count = graph.dart_count
-    for i in range(lo, hi):
-        counts[_walk_count(dart_count, rotation_by_index(graph, i).cycles)] += 1
-    return counts
-
-
-def boundary_profile(
-    graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP, threads: int = 1
-) -> dict[int, int]:
-    """Histogram {walk count: rotation count} over all rotation systems.
-
-    With ``threads > 1`` the enumeration index space is split into that many
-    contiguous ranges and processed in worker processes; the merge is a
-    commutative sum, so results are identical to the sequential run.
-    """
-    total = count_rotations(graph)
-    if total > cap:
-        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    if threads == 1 or total < 4 * threads:
-        counts: Counter = Counter()
-        dart_count = graph.dart_count
-        for rotation in enumerate_rotations(graph, cap):
-            counts[_walk_count(dart_count, rotation.cycles)] += 1
-        return dict(sorted(counts.items()))
-    bounds = [total * k // threads for k in range(threads + 1)]
-    jobs = [(graph, bounds[k], bounds[k + 1]) for k in range(threads)]
-    merged: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_profile_range, jobs):
-            merged.update(part)
-    return dict(sorted(merged.items()))
+    for rotation in enumerate_rotations(graph, cap):
+        counts[_faces(dart_count, rotation.cycles)[1]] += 1
+    return dict(sorted(counts.items()))
 
 
 def find_rotation_with_count(
@@ -268,7 +206,7 @@ def find_rotation_with_count(
     """First rotation in enumeration order with the given walk count."""
     dart_count = graph.dart_count
     for rotation in enumerate_rotations(graph, cap):
-        if _walk_count(dart_count, rotation.cycles) == walk_count:
+        if _faces(dart_count, rotation.cycles)[1] == walk_count:
             return rotation
     return None
 

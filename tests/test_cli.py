@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,50 @@ def test_verify_malformed(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
 
 
+def _first_numeric_boundary(doc):
+    return next(
+        bd for b in doc["blocks"] for bd in b["boundaries"] if not isinstance(bd["length"], str)
+    )
+
+
+NON_FINITE_MUTATIONS = {
+    "t": lambda doc: doc["meta"].update(t=math.nan),
+    "margin": lambda doc: doc["meta"].update(margin=math.inf),
+    "f_min": lambda doc: doc["meta"].update(f_min=-math.inf),
+    "foot": lambda doc: doc["meta"]["foot"].update(u=math.nan),
+    "clearance": lambda doc: doc["meta"]["clearance"].update(a=math.nan),
+    "waist": lambda doc: doc["meta"]["waist"].update(a=math.inf),
+    "edge length": lambda doc: doc["meta"]["graph"]["edges"][0].__setitem__(3, math.nan),
+    "boundary length": lambda doc: _first_numeric_boundary(doc).update(length=math.nan),
+    "twist": lambda doc: doc["gluings"][0].update(twist=math.nan),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_MUTATIONS))
+def test_verify_rejects_non_finite_numbers(field, graph_file, tmp_path, capsys):
+    # every comparison with NaN is false, so a NaN would slip past each check
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    NON_FINITE_MUTATIONS[field](doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_object_payload(graph_file, tmp_path, capsys):
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    spine = next(b for b in doc["blocks"] if b["kind"] == "spine_surface")
+    spine["payload"] = list(spine["payload"].values())
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert "payload is not an object" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -253,7 +298,9 @@ GOLDEN = {
     "random3 embed genus=4": (0, "df83d24cb72e525b32c738625777685d15139116b964b17f5b3771aa34b69dc8"),
     "random3 embed minimal restarts0": (0, "17d25e4ed30f05cb3da4ead6b8234b9cd472e24d6a27eb8c063ca9ed476d398a"),
     "random3 embed maximal restarts0": (0, "8ce442352b793c555fa444cfccb0da9454077a82cbe6100aa09ebc648b96bba8"),
-    "random14 analyze": (0, "631e58d081592b312b2054cebe022de72ea8e71f770e582c6d714b699c683b98"),
+    # the one entry re-recorded since the lock: the parent reported girth 2
+    # (and ge_max_bound 5) for this graph, whose parallel pair precedes its loop
+    "random14 analyze": (0, "c6eca71cfed2c1c66fbe717572722018392e52283b347f7de9996062af9cfc0c"),
     "random14 oracle": (0, "343af9659fed8def329d25493786b3840aeb860c9c12ba5d433137a4be6ff744"),
     "random14 embed minimal": (0, "9d36bb784053a12f896d79766b7ea5d9b3d0aa236cc2b2ad32486c4d55daecd5"),
     "random14 embed maximal": (0, "8e832ab1056143bc211ad3ea8f68b7e64892b4b6ca71b3476c2e3a7c96c6b0bf"),

@@ -107,6 +107,11 @@ def test_girth(theta, bouquet2, k4, k5, dumbbell):
     assert girth(k4) == 3
     assert girth(k5) == 3
     assert girth(dumbbell) == 1
+    # a parallel pair listed before a loop: the loop still wins
+    pair_then_loop = parse_graph(
+        "edge a x y 1.0\nedge b x y 1.0\nedge c x z 1.0\nedge l z z 1.0\nedge d y z 1.0\n"
+    )
+    assert girth(pair_then_loop) == 1
     tree = parse_graph("edge a u v 1.0\nedge b v w 1.0")
     assert girth(tree) == math.inf
 

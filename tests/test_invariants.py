@@ -126,6 +126,12 @@ def test_ge_max_bound(theta, bouquet2, k4, k5):
     assert ge_max_bound(bouquet2) == Fraction(7, 2)
     assert ge_max_bound(k4) == Fraction(4)
     assert ge_max_bound(k5) == Fraction(41, 6)
+    # (beta + 1)/2 + |E|/girth = 4/2 + 5/1: girth 1 from the loop, not 2
+    # from the parallel pair listed before it
+    pair_then_loop = parse_graph(
+        "edge a x y 1.0\nedge b x y 1.0\nedge c x z 1.0\nedge l z z 1.0\nedge d y z 1.0\n"
+    )
+    assert ge_max_bound(pair_then_loop) == Fraction(7)
 
 
 def test_ge_max_bound_needs_a_cycle():

@@ -17,7 +17,7 @@ from ribbon_embed import (
     reduce_move,
     vertex_boundary_incidence,
 )
-from ribbon_embed.moves import _descend
+from ribbon_embed.moves import _climb, single_dart_relocations
 
 from helpers import random_multigraph
 
@@ -119,7 +119,7 @@ def test_descent_can_stall_above_minimum():
     stalled = 0
     reached = 0
     for rot in enumerate_rotations(g, 10**6):
-        _, count, _ = _descend(g, rot)
+        _, count, _ = _climb(g, rot, -2)
         if count == target:
             reached += 1
         else:
@@ -156,7 +156,7 @@ def test_uncertified_when_stalled_and_capped():
     g = STALLING
     stalled_start = None
     for rot in enumerate_rotations(g, 10**6):
-        _, count, _ = _descend(g, rot)
+        _, count, _ = _climb(g, rot, -2)
         if count > 1:
             stalled_start = rot
             break
@@ -173,3 +173,44 @@ def test_certified_by_parity_floor_despite_tree_cap(k5):
     res = minimize_boundaries(k5, restarts=0, tree_cap=10, rotation_cap=10)
     assert res.certified
     assert res.boundary_count == 1
+
+
+def _climb_by_single_moves(g, rot, delta):
+    """Reference climb built from the public one-move functions."""
+    records = []
+    while True:
+        if delta < 0:
+            incidence = vertex_boundary_incidence(g, rot)
+            crowded = [v for v in range(g.vertex_count) if incidence[v] >= 3]
+            if not crowded:
+                break
+            rot, record = reduce_move(g, rot, crowded[0])
+        else:
+            try:
+                rot, record = increase_move(g, rot)
+            except NoIncreasingMoveError:
+                break
+        records.append(record)
+    return rot, boundary_count(g, rot), records
+
+
+def test_climb_matches_single_moves(theta, bouquet2, k4):
+    for g in (theta, bouquet2, k4, STALLING, random_multigraph(3), random_multigraph(5)):
+        for rot in enumerate_rotations(g, 10**6):
+            for delta in (-2, 2):
+                assert _climb(g, rot, delta) == _climb_by_single_moves(g, rot, delta)
+
+
+def test_no_reducing_relocation_where_fewer_than_three_walks_meet(theta, bouquet2, k4):
+    # why the descent tries only vertices meeting >= 3 walks; the converse,
+    # that a reducing relocation exists there, is test_reduce_move_sweep_fixtures
+    for g in (theta, bouquet2, k4, STALLING, *map(random_multigraph, range(8))):
+        for rot in enumerate_rotations(g, 10**6):
+            base = boundary_count(g, rot)
+            incidence = vertex_boundary_incidence(g, rot)
+            for v, cycle in enumerate(rot.cycles):
+                if incidence[v] >= 3:
+                    continue
+                for c in single_dart_relocations(cycle):
+                    moved = make_rotation(g, rot.cycles[:v] + (c,) + rot.cycles[v + 1 :])
+                    assert boundary_count(g, moved) != base - 2

@@ -12,7 +12,6 @@ from ribbon_embed import (
     fat_genus,
     find_rotation_with_count,
     make_rotation,
-    rotation_by_index,
     vertex_boundary_incidence,
 )
 from ribbon_embed.rotation import canonical_cycle, rotation_from_lines, rotation_to_lines, validate_rotation
@@ -105,32 +104,11 @@ def test_enumeration_cap(k5):
         list(enumerate_rotations(k5, 100))
 
 
-def test_rotation_by_index_matches_enumeration(k4, k5):
-    listed = list(enumerate_rotations(k4, 10**6))
-    for i, rot in enumerate(listed):
-        assert rotation_by_index(k4, i) == rot
-    for i in (0, 1, 5000, 7775):
-        rot = rotation_by_index(k5, i)
-        validate_rotation(k5, rot)
-    assert rotation_by_index(k5, 0) == next(iter(enumerate_rotations(k5, 10**4 * 10)))
-
-
-def test_rotation_by_index_bounds(k4):
-    with pytest.raises(IndexError):
-        rotation_by_index(k4, 16)
-    with pytest.raises(IndexError):
-        rotation_by_index(k4, -1)
-
-
 def test_boundary_profiles(theta, bouquet2, k4, k5):
     assert boundary_profile(theta, 10**6) == PROFILES["theta"]
     assert boundary_profile(bouquet2, 10**6) == PROFILES["bouquet2"]
     assert boundary_profile(k4, 10**6) == PROFILES["k4"]
     assert boundary_profile(k5, 10**6) == PROFILES["k5"]
-
-
-def test_boundary_profile_threads_agree(k5):
-    assert boundary_profile(k5, 10**6, threads=2) == PROFILES["k5"]
 
 
 def test_boundary_profile_cap(k5):
