@@ -579,7 +579,14 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
                 f"edge {graph.edge_names[e]}: scaled length leaves gap {gap:.12g} <= f_min"
             )
             continue
-        if abs(waist_distance(scale.waist[e]) - gap) > LENGTH_TOLERANCE:
+        try:
+            distance = waist_distance(scale.waist[e])
+        except OverflowError:
+            errors.append(
+                f"edge {graph.edge_names[e]}: waist {scale.waist[e]:.12g} is too long to invert"
+            )
+            continue
+        if abs(distance - gap) > LENGTH_TOLERANCE:
             errors.append(
                 f"edge {graph.edge_names[e]}: waist does not invert the cuff distance"
             )
@@ -716,11 +723,51 @@ def _finite(value):
     return value
 
 
+def _name(value, what: str) -> str:
+    """``value`` unchanged if it is a string; names and labels are compared
+    and hashed, and a list or an object cannot be hashed."""
+    if not isinstance(value, str):
+        raise SchemaFormatError(f"{what} is not a string: {value!r}")
+    return value
+
+
+def _side(value) -> tuple[str, str]:
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and isinstance(value[0], str)
+        and isinstance(value[1], str)
+    ):
+        return value[0], value[1]
+    raise SchemaFormatError(f"gluing side {value!r} is not a [block id, label] pair of strings")
+
+
+def _is_dart_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(walk, list) and all(isinstance(d, int) for d in walk) for walk in value
+    )
+
+
 def _payload(block: dict) -> dict:
     payload = block.get("payload", {})
     if not isinstance(payload, dict):
         raise SchemaFormatError(f"block {block['id']!r}: payload is not an object")
+    for key in ("vertex", "edge"):
+        if key in payload:
+            _name(payload[key], f"payload {key}")
+    walks = payload.get("walks")
+    if block["kind"] == "spine_surface" and walks is not None and not _is_dart_lists(walks):
+        raise SchemaFormatError(f"block {block['id']!r}: payload walks are not lists of darts")
     return payload
+
+
+def _per_edge(meta: dict, key: str, edge_ids: dict[str, int]) -> dict[int, float]:
+    """One finite number per edge, from the ``key`` object of ``meta``."""
+    values = {edge_ids[k]: _finite(float(v)) for k, v in meta[key].items()}
+    missing = [name for name, e in edge_ids.items() if e not in values]
+    if missing:
+        raise SchemaFormatError(f"{key} has no entry for edge(s) {missing}")
+    return values
 
 
 def _graph_from_meta(meta: dict) -> MetricGraph:
@@ -764,18 +811,18 @@ def schema_from_json(text: str) -> SurfaceSchema:
             margin=_finite(float(meta["margin"])),
             f_floor=_finite(float(meta["f_min"])),
             foot={vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
-            clearance={edge_ids[k]: _finite(float(v)) for k, v in meta["clearance"].items()},
-            waist={edge_ids[k]: _finite(float(v)) for k, v in meta["waist"].items()},
+            clearance=_per_edge(meta, "clearance", edge_ids),
+            waist=_per_edge(meta, "waist", edge_ids),
         )
         blocks = tuple(
             Block(
-                id=b["id"],
+                id=_name(b["id"], "block id"),
                 kind=b["kind"],
                 genus=int(b["genus"]),
                 layer=b["layer"],
                 boundaries=tuple(
                     Boundary(
-                        bd["label"],
+                        _name(bd["label"], "boundary label"),
                         bd["length"] if isinstance(bd["length"], str) else _finite(bd["length"]),
                     )
                     for bd in b["boundaries"]
@@ -785,7 +832,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             for b in doc["blocks"]
         )
         gluings = tuple(
-            Gluing(tuple(g["a"]), tuple(g["b"]), _finite(float(g.get("twist", 0.0))))
+            Gluing(_side(g["a"]), _side(g["b"]), _finite(float(g.get("twist", 0.0))))
             for g in doc["gluings"]
         )
         s = doc["summary"]
@@ -795,7 +842,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             minimal=s["minimal"],
             construction=s["construction"],
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         if isinstance(exc, SchemaFormatError):
             raise
         raise SchemaFormatError(f"malformed schema document: {exc!r}") from None

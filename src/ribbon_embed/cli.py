@@ -41,12 +41,7 @@ from .errors import (
     TargetGenusError,
 )
 from .graph import MetricGraph, euler_char, parse_graph, smooth
-from .invariants import (
-    DEFAULT_TREE_CAP,
-    analyze,
-    betti_deficiency,
-    essential_genus,
-)
+from .invariants import DEFAULT_TREE_CAP, _genus_from_zeta, analyze, betti_deficiency
 from .moves import _climb, _no_reducing_move, _relocate, maximize_boundaries, minimize_boundaries
 from .rotation import (
     DEFAULT_ROTATION_CAP,
@@ -174,7 +169,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     lo, hi = min(profile), max(profile)
     print(f"min boundaries: {lo}  (1 + zeta = {1 + z})")
     print(f"max boundaries: {hi}")
-    print(f"essential genus: {essential_genus(graph, args.max_trees)}")
+    print(f"essential genus: {_genus_from_zeta(graph, z)}")
     if lo != 1 + z:
         failures.append(f"minimum {lo} differs from 1 + zeta = {1 + z}")
 

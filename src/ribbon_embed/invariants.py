@@ -5,7 +5,10 @@ deficiency ``zeta``: the minimum, over spanning trees, of the number of
 odd-size components of the co-tree subgraph.  Rotation-system enumeration
 gives boundary-walk counts.  The two sides are tied together by the
 identity ``min walks = 1 + zeta``, which the test-suite and the oracle
-command check on every graph they touch.
+command check on every graph they touch.  The number of spanning trees is
+not enumerated: it is Kirchhoff's Laplacian cofactor, an exact integer
+determinant, and :func:`analyze` checks it against the tree cap before it
+runs the one zeta search it needs.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -32,9 +35,11 @@ SpanningTree = frozenset  # edge-id sets; loops never qualify
 def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[frozenset[int]]:
     """Enumerate all spanning trees as frozensets of edge ids.
 
-    Straightforward include/exclude recursion over edges with a union-find
-    acyclicity check; fine for the desk-scale graphs this package targets.
-    Parallel edges give distinct trees, loops are skipped.  Raises
+    Include/exclude search over edges in id order with a union-find
+    acyclicity check, including an edge before excluding it.  The search
+    keeps its pending exclude branches on an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit.  Parallel edges
+    give distinct trees, loops are skipped.  Raises
     :class:`CapExceededError` as soon as more than ``cap`` trees have been
     produced.
     """
@@ -49,27 +54,31 @@ def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[
             x = parent[x]
         return x
 
-    def rec(i: int, parent: list[int], chosen: list[int]) -> Iterator[frozenset[int]]:
-        nonlocal produced
-        if len(chosen) == need:
+    chosen: list[int] = []
+    # (next edge, union-find parents, edges chosen so far) of each branch
+    # still to run; ``chosen[:k]`` is intact when a branch is popped
+    # because everything run since it was pushed chose edges after the k-th
+    stack = [(0, list(range(n)), 0)]
+    while stack:
+        i, parent, k = stack.pop()
+        del chosen[k:]
+        while k < need:
+            if m - i < need - k:
+                break
+            u, v = endpoints[i]
+            ru, rv = find(parent, u), find(parent, v)
+            if ru != rv:
+                stack.append((i + 1, parent, k))
+                parent = list(parent)
+                parent[ru] = rv
+                chosen.append(i)
+                k += 1
+            i += 1
+        else:
             produced += 1
             if produced > cap:
                 raise CapExceededError(f"spanning tree count exceeds the cap of {cap}")
             yield frozenset(chosen)
-            return
-        if i == m or m - i < need - len(chosen):
-            return
-        u, v = endpoints[i]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            child = list(parent)
-            child[ru] = rv
-            chosen.append(i)
-            yield from rec(i + 1, child, chosen)
-            chosen.pop()
-        yield from rec(i + 1, parent, chosen)
-
-    yield from rec(0, list(range(n)), [])
 
 
 def xi(graph: MetricGraph, tree: frozenset[int]) -> int:
@@ -98,6 +107,61 @@ def xi(graph: MetricGraph, tree: frozenset[int]) -> int:
         root = find(graph.endpoints(e)[0])
         sizes[root] = sizes.get(root, 0) + 1
     return sum(1 for k in sizes.values() if k % 2)
+
+
+def _tree_count(graph: MetricGraph, cap: int) -> int:
+    """Number of spanning trees, or some number above ``cap`` as soon as the
+    count is known to exceed it.
+
+    Kirchhoff's matrix-tree theorem: the count is the Laplacian with the
+    row and column of vertex 0 deleted, as a determinant.  Loops are
+    skipped; parallel edges accumulate.  The determinant is taken exactly,
+    by Bareiss's fraction-free elimination (Math. Comp. 22, 1968), whose
+    k-th pivot is the leading k x k minor: the number of spanning forests
+    rooted at vertex 0 and the vertices not yet eliminated.  Vertices are
+    eliminated in reverse breadth-first order from vertex 0, so each one
+    still has its parent among the roots; adding that edge maps forests
+    injectively, the pivots never decrease, and the first pivot above
+    ``cap`` settles the comparison.
+    """
+    n = graph.vertex_count
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for e in range(graph.edge_count):
+        u, v = graph.endpoints(e)
+        if u != v:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    order = [0]
+    seen = [False] * n
+    seen[0] = True
+    for u in order:
+        for v in neighbours[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    if len(order) < n:
+        return 0  # disconnected
+    position = {v: i for i, v in enumerate(reversed(order[1:]))}
+    matrix = [[0] * (n - 1) for _ in range(n - 1)]
+    for u, i in position.items():
+        matrix[i][i] = len(neighbours[u])
+        for v in neighbours[u]:
+            if v:
+                matrix[i][position[v]] -= 1
+    previous = 1
+    for c, pivot_row in enumerate(matrix):
+        pivot = pivot_row[c]
+        if pivot > cap:
+            return pivot
+        tail = pivot_row[c + 1 :]
+        for row in matrix[c + 1 :]:
+            lead, rest = row[c], row[c + 1 :]
+            if lead:
+                row[c + 1 :] = [(x * pivot - lead * y) // previous for x, y in zip(rest, tail)]
+            else:
+                row[c + 1 :] = [x * pivot // previous for x in rest]
+        previous = pivot
+    return previous
 
 
 def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
@@ -137,6 +201,13 @@ def capped_genus(graph: MetricGraph, walk_count: int) -> int:
     return slack // 2 + 2 * q + r
 
 
+def _genus_from_zeta(graph: MetricGraph, z: int) -> int:
+    """Essential genus (beta - zeta)/2 + 2q + r, with 1 + zeta = 3q + r, of a
+    smoothed graph whose Betti deficiency ``z`` is already known."""
+    q, r = qr_split(z + 1)
+    return (betti(graph) - z) // 2 + 2 * q + r
+
+
 def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     """Least genus of a closed surface carrying an essential embedding.
 
@@ -145,9 +216,7 @@ def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     embedding.  Cycle graphs are rejected (they embed everywhere).
     """
     graph = smooth(graph)
-    z = betti_deficiency(graph, cap)
-    q, r = qr_split(z + 1)
-    return (betti(graph) - z) // 2 + 2 * q + r
+    return _genus_from_zeta(graph, betti_deficiency(graph, cap))
 
 
 def ge_max_bound(graph: MetricGraph) -> Fraction:
@@ -238,17 +307,22 @@ def analyze(
     """Compute the full invariant report for one connected graph.
 
     Smooths degree-2 vertices first, so subdividing edges never changes the
-    report.  The cheap identities between the fields are re-checked and any
-    disagreement raises :class:`InternalInvariantError`; the expensive
+    report.  The tree count is checked against ``tree_cap`` first, so a
+    graph with too many trees fails before any search; each exhaustive
+    search (zeta, the rotation sweep) then runs once.  The cheap identities
+    between the fields are re-checked and any disagreement raises
+    :class:`InternalInvariantError`; the expensive
     cross-check (min boundary count vs 1 + zeta) lives in the oracle
     command and the test-suite.
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
+    tree_count = _tree_count(smoothed_graph, tree_cap)
+    if tree_count > tree_cap:
+        raise CapExceededError(f"spanning tree count exceeds the cap of {tree_cap}")
     z = betti_deficiency(smoothed_graph, tree_cap)
-    tree_count = sum(1 for _ in spanning_trees(smoothed_graph, tree_cap))
     q, r = qr_split(z + 1)
-    g_e = essential_genus(smoothed_graph, tree_cap)
+    g_e = _genus_from_zeta(smoothed_graph, z)
     bound = ge_max_bound(smoothed_graph)
     rotation_count = count_rotations(smoothed_graph)
     try:

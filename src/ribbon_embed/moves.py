@@ -29,11 +29,11 @@ from .rotation import (
     RotationSystem,
     _faces,
     _incidence,
+    _sweep,
     boundary_profile,
     canonical_cycle,
     dart_label,
     default_rotation,
-    enumerate_rotations,
 )
 
 
@@ -219,10 +219,9 @@ def _search(
                 best = (count, rotation, tuple(records))
     if target is None or beats(target, best[0]):
         try:
-            for candidate in enumerate_rotations(graph, rotation_cap):
-                count = _faces(graph.dart_count, candidate.cycles)[1]
+            for cycles, count in _sweep(graph, rotation_cap):
                 if beats(count, best[0]):
-                    best = (count, candidate, ())
+                    best = (count, RotationSystem(tuple(cycles)), ())
                 if count == target:
                     break
             enumerated = True

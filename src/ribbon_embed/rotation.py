@@ -11,6 +11,13 @@ the genus bookkeeping consumes.
 
 Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
+
+One tracer, :func:`_trace`, follows the orbits of the successor table.
+Exhaustive sweeps (:func:`boundary_profile`, :func:`find_rotation_with_count`
+and the enumeration fallback of the move search) go through :func:`_sweep`,
+which visits rotations in :func:`enumerate_rotations` order and, between
+consecutive rotations, rewrites only the successor entries of the vertices
+whose cyclic order changed.
 """
 
 from __future__ import annotations
@@ -90,29 +97,43 @@ def default_rotation(graph: MetricGraph, seed: int = 0) -> RotationSystem:
     return RotationSystem(tuple(cycles))
 
 
-def _faces(dart_count: int, cycles: Sequence[Sequence[int]]) -> tuple[list[int], int, list[int]]:
-    """Trace the face permutation: (face id per dart, walk count, successor).
-
-    The successor of dart ``d`` is ``mate(prev(d))``; this is the only place
-    it is built.  Faces are numbered from 0 in the order of their smallest
-    dart.  The cycles are trusted: rotations are validated where they enter,
-    in :func:`make_rotation`, not here in the hot loop.
-    """
+def _succ(dart_count: int, cycles: Sequence[Sequence[int]]) -> list[int]:
+    """The face permutation ``succ[d] = mate(prev(d))`` of a rotation."""
     succ = [0] * dart_count
     for cycle in cycles:
         p = cycle[-1]
         for d in cycle:
             succ[d] = p ^ 1
             p = d
-    face = [-1] * dart_count
+    return succ
+
+
+def _trace(succ: Sequence[int]) -> tuple[list[int], int]:
+    """Trace the orbits of ``succ``: (face id per dart, walk count).
+
+    This is the one walk tracer of the package.  Faces are numbered from 0
+    in the order of their smallest dart.
+    """
+    face = [-1] * len(succ)
     count = 0
-    for start in range(dart_count):
+    for start in range(len(succ)):
         if face[start] < 0:
             d = start
             while face[d] < 0:
                 face[d] = count
                 d = succ[d]
             count += 1
+    return face, count
+
+
+def _faces(dart_count: int, cycles: Sequence[Sequence[int]]) -> tuple[list[int], int, list[int]]:
+    """Trace the faces of a rotation: (face id per dart, walk count, successor).
+
+    The cycles are trusted: rotations are validated where they enter, in
+    :func:`make_rotation`, not here in the hot loop.
+    """
+    succ = _succ(dart_count, cycles)
+    face, count = _trace(succ)
     return face, count, succ
 
 
@@ -164,9 +185,18 @@ def count_rotations(graph: MetricGraph) -> int:
     return math.prod(math.factorial(graph.degree(v) - 1) for v in range(graph.vertex_count))
 
 
-def _pinned_tails(graph: MetricGraph, vertex: int) -> tuple[int, tuple[int, ...]]:
-    darts = graph.darts_at(vertex)
-    return darts[0], darts[1:]
+def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
+    """Every cyclic order at each vertex, smallest dart pinned first, tails
+    in lexicographic order.  Raises :class:`CapExceededError` when the
+    product of their counts exceeds ``cap``."""
+    total = count_rotations(graph)
+    if total > cap:
+        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
+    orders = []
+    for v in range(graph.vertex_count):
+        head, *tail = graph.darts_at(v)
+        orders.append([(head, *p) for p in itertools.permutations(tail)])
+    return orders
 
 
 def enumerate_rotations(
@@ -180,23 +210,49 @@ def enumerate_rotations(
     last vertex varying fastest.  Raises :class:`CapExceededError` up front
     when the total exceeds ``cap``.
     """
-    total = count_rotations(graph)
-    if total > cap:
-        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
-    per_vertex = []
-    for v in range(graph.vertex_count):
-        head, tail = _pinned_tails(graph, v)
-        per_vertex.append([(head, *p) for p in itertools.permutations(tail)])
-    for combo in itertools.product(*per_vertex):
+    for combo in itertools.product(*_vertex_orders(graph, cap)):
         yield RotationSystem(combo)
+
+
+def _sweep(graph: MetricGraph, cap: int) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+    """(cycles, walk count) of every rotation, in :func:`enumerate_rotations`
+    order.
+
+    An odometer over the per-vertex orders: when a vertex's order changes,
+    only its darts' ``succ`` entries are rewritten, from tables built once.
+    ``cycles`` is one list updated in place; copy it to keep a rotation.
+    """
+    orders = _vertex_orders(graph, cap)
+    cycles = [order[0] for order in orders]
+    succ = _succ(graph.dart_count, cycles)
+    wheels = [v for v, order in enumerate(orders) if len(order) > 1]
+    writes = [
+        [tuple(zip(cycle, (p ^ 1 for p in cycle[-1:] + cycle[:-1]))) for cycle in orders[v]]
+        for v in wheels
+    ]
+    position = [0] * len(wheels)
+    while True:
+        yield cycles, _trace(succ)[1]
+        k = len(wheels) - 1
+        while k >= 0:
+            v = wheels[k]
+            i = position[k] + 1
+            if i == len(orders[v]):
+                i = 0
+            position[k] = i
+            cycles[v] = orders[v][i]
+            for d, s in writes[k][i]:
+                succ[d] = s
+            if i:
+                break
+            k -= 1
+        else:
+            return
 
 
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
     """Histogram {walk count: rotation count} over all rotation systems."""
-    counts: Counter = Counter()
-    dart_count = graph.dart_count
-    for rotation in enumerate_rotations(graph, cap):
-        counts[_faces(dart_count, rotation.cycles)[1]] += 1
+    counts = Counter(count for _, count in _sweep(graph, cap))
     return dict(sorted(counts.items()))
 
 
@@ -204,10 +260,9 @@ def find_rotation_with_count(
     graph: MetricGraph, walk_count: int, cap: int = DEFAULT_ROTATION_CAP
 ) -> RotationSystem | None:
     """First rotation in enumeration order with the given walk count."""
-    dart_count = graph.dart_count
-    for rotation in enumerate_rotations(graph, cap):
-        if _faces(dart_count, rotation.cycles)[1] == walk_count:
-            return rotation
+    for cycles, count in _sweep(graph, cap):
+        if count == walk_count:
+            return RotationSystem(tuple(cycles))
     return None
 
 
@@ -216,15 +271,13 @@ def dart_label(graph: MetricGraph, dart: int) -> str:
     return graph.edge_names[edge_of(dart)] + ("+" if dart % 2 == 0 else "-")
 
 
-def _dart_from_label(graph: MetricGraph, label: str) -> int:
+def _dart_from_label(edge_ids: dict[str, int], label: str) -> int:
     if len(label) < 2 or label[-1] not in "+-":
         raise GraphFormatError(f"bad dart label {label!r}")
     name = label[:-1]
-    try:
-        e = graph.edge_names.index(name)
-    except ValueError:
-        raise GraphFormatError(f"unknown edge {name!r} in dart label") from None
-    return 2 * e + (0 if label[-1] == "+" else 1)
+    if name not in edge_ids:
+        raise GraphFormatError(f"unknown edge {name!r} in dart label")
+    return 2 * edge_ids[name] + (0 if label[-1] == "+" else 1)
 
 
 def rotation_to_lines(graph: MetricGraph, rotation: RotationSystem) -> list[str]:
@@ -239,6 +292,9 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
     """Parse the output of :func:`rotation_to_lines`."""
     cycles: dict[int, tuple[int, ...]] = {}
     vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
+    edge_ids: dict[str, int] = {}
+    for e, name in enumerate(graph.edge_names):
+        edge_ids.setdefault(name, e)  # the first edge of a repeated name
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,7 +307,7 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
         v = vertex_ids[parts[1]]
         if v in cycles:
             raise GraphFormatError(f"vertex {parts[1]!r} listed twice")
-        cycles[v] = tuple(_dart_from_label(graph, lab) for lab in parts[2:])
+        cycles[v] = tuple(_dart_from_label(edge_ids, lab) for lab in parts[2:])
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
         raise GraphFormatError(f"missing rotation for vertices {missing}")

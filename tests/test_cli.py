@@ -230,6 +230,53 @@ def test_verify_rejects_non_object_payload(graph_file, tmp_path, capsys):
     assert "payload is not an object" in capsys.readouterr().err
 
 
+def _spine(doc):
+    return next(b for b in doc["blocks"] if b["kind"] == "spine_surface")
+
+
+def _sphere(doc):
+    return next(b for b in doc["blocks"] if b["kind"] == "vertex_sphere")
+
+
+# Each mutation left verify_schema to raise (KeyError or TypeError) before
+# schema_from_json checked the document's shape.
+MALFORMED_MUTATIONS = {
+    "missing clearance": (lambda doc: doc["meta"]["clearance"].pop("a"), "clearance has no entry"),
+    "missing waist": (lambda doc: doc["meta"]["waist"].pop("b"), "waist has no entry"),
+    "walks a number": (lambda doc: _spine(doc)["payload"].update(walks=3), "payload walks"),
+    "walk a number": (lambda doc: _spine(doc)["payload"]["walks"].append(4), "payload walks"),
+    "gluing side": (lambda doc: doc["gluings"][0]["a"].__setitem__(1, ["x"]), "gluing side"),
+    "boundary label": (
+        lambda doc: _sphere(doc)["boundaries"][0].update(label=["dart:0"]), "boundary label"
+    ),
+    "payload vertex": (lambda doc: _sphere(doc)["payload"].update(vertex=["u"]), "payload vertex"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MUTATIONS))
+def test_verify_rejects_malformed_shapes(case, graph_file, tmp_path, capsys):
+    mutate, message = MALFORMED_MUTATIONS[case]
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_reports_a_waist_too_long_to_invert(graph_file, tmp_path, capsys):
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    doc["meta"]["waist"]["a"] = 1000.0  # cosh(1000) overflows a float
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 1
+    assert "fail: edge a: waist 1000 is too long to invert" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

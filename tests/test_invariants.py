@@ -16,6 +16,7 @@ from ribbon_embed import (
     min_capped_genus,
     parse_graph,
     qr_split,
+    smooth,
     spanning_trees,
     subdivide,
     xi,
@@ -47,6 +48,78 @@ def test_spanning_trees_match_kirchhoff():
     for seed in range(15):
         g = random_multigraph(seed)
         assert tree_count(g) == kirchhoff_tree_count(g), f"seed {seed}"
+
+
+def _recursive_spanning_trees(graph):
+    """The include/exclude recursion that the explicit-stack enumeration
+    replaced, kept as the reference for its order."""
+    n, m = graph.vertex_count, graph.edge_count
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(i, parent, chosen):
+        if len(chosen) == n - 1:
+            yield frozenset(chosen)
+            return
+        if i == m or m - i < n - 1 - len(chosen):
+            return
+        u, v = graph.endpoints(i)
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            child = list(parent)
+            child[ru] = rv
+            yield from rec(i + 1, child, chosen + [i])
+        yield from rec(i + 1, parent, chosen)
+
+    yield from rec(0, list(range(n)), [])
+
+
+def test_spanning_tree_order_matches_recursion(theta, bouquet2, k4, k5, dumbbell):
+    graphs = [theta, bouquet2, k4, k5, dumbbell]
+    graphs += [random_multigraph(seed, max_edges=16) for seed in range(30)]
+    for g in graphs:
+        assert list(spanning_trees(g, 10**6)) == list(_recursive_spanning_trees(g))
+
+
+def prism(rungs):
+    """The circular ladder: two rungs-cycles joined by rungs, 3 * rungs edges."""
+    lines = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        lines += [
+            f"edge a{i} x{i} x{j} 1.0", f"edge b{i} y{i} y{j} 1.0", f"edge r{i} x{i} y{i} 1.0"
+        ]
+    return parse_graph("\n".join(lines))
+
+
+def test_spanning_trees_run_on_1200_edges():
+    # deeper than the interpreter's recursion limit
+    g = prism(400)
+    assert g.edge_count == 1200
+    trees = spanning_trees(g, 1000)
+    assert len(next(trees)) == g.vertex_count - 1
+    with pytest.raises(CapExceededError):
+        for _ in trees:
+            pass
+
+
+def test_analyze_tree_count_matches_enumeration(theta, bouquet2, k4, k5, dumbbell):
+    # the oracle is plain enumeration, not a determinant
+    graphs = [theta, bouquet2, k4, k5, dumbbell]
+    graphs += [random_multigraph(seed) for seed in range(30)]
+    for g in graphs:
+        assert analyze(g, rotation_cap=0).tree_count == tree_count(smooth(g))
+
+
+def test_analyze_tree_cap_is_exact(k5, monkeypatch):
+    assert analyze(k5, tree_cap=125, rotation_cap=0).tree_count == 125
+    # the count is checked before the zeta search runs
+    monkeypatch.setattr("ribbon_embed.invariants.betti_deficiency", None)
+    with pytest.raises(CapExceededError, match="spanning tree count exceeds the cap of 124"):
+        analyze(k5, tree_cap=124)
 
 
 def test_spanning_tree_cap(k5):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ribbon_embed import (
@@ -14,7 +16,13 @@ from ribbon_embed import (
     make_rotation,
     vertex_boundary_incidence,
 )
-from ribbon_embed.rotation import canonical_cycle, rotation_from_lines, rotation_to_lines, validate_rotation
+from ribbon_embed.rotation import (
+    _faces,
+    canonical_cycle,
+    rotation_from_lines,
+    rotation_to_lines,
+    validate_rotation,
+)
 
 from helpers import random_multigraph
 
@@ -144,6 +152,19 @@ def test_find_rotation_with_count(k4):
     rot = find_rotation_with_count(k4, 4, 10**6)
     assert boundary_count(k4, rot) == 4
     assert find_rotation_with_count(k4, 3, 10**6) is None
+
+
+def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
+    # the reference traces every rotation of enumerate_rotations from scratch
+    graphs = [theta, bouquet2, k4, k5, dumbbell]
+    graphs += [random_multigraph(seed) for seed in range(30)]
+    for g in graphs:
+        counts = [_faces(g.dart_count, r.cycles)[1] for r in enumerate_rotations(g, 10**6)]
+        assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
+        rotations = list(enumerate_rotations(g, 10**6))
+        for walks in range(max(counts) + 2):
+            first = next((r for r, c in zip(rotations, counts) if c == walks), None)
+            assert find_rotation_with_count(g, walks, 10**6) == first
 
 
 def test_rotation_lines_round_trip(k4, bouquet2):
