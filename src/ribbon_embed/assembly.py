@@ -44,7 +44,7 @@ from .graph import (
     is_cycle_graph,
 )
 from .hyperbolic import F_MIN, ScaleParams, choose_scale, waist_distance
-from .invariants import DEFAULT_TREE_CAP, betti_deficiency, capped_genus, qr_split
+from .invariants import DEFAULT_TREE_CAP, betti_deficiency, capped_genus, qr_split, zeta_floor
 from .rotation import (
     RotationSystem,
     boundary_walks,
@@ -344,7 +344,9 @@ def cap_target_genus(
     """Close the minimal-boundary bordered schema at an exact chosen genus.
 
     Requires the schema's boundary count to be 1 + zeta, so the standard
-    capping realizes the essential genus g_e.  For target > g_e one cap is
+    capping realizes the essential genus g_e.  A count of 1 plus the bridge
+    floor of zeta is accepted without a tree search; only another count
+    is checked against the spanning-tree search.  For target > g_e one cap is
     upgraded: when b is a multiple of 3, a three-holed cap becomes a
     three-holed surface of genus g' = target - g_e; otherwise a torus cap
     becomes a one-holed surface of genus g' + 1.  Only the target g_e
@@ -353,12 +355,13 @@ def cap_target_genus(
     b = schema.summary.boundary_count
     if b < 1:
         raise ValueError("schema is already closed; nothing to cap")
-    z = betti_deficiency(schema.graph, tree_cap)
-    if b != 1 + z:
-        raise ValueError(
-            f"target-genus capping needs the minimal-boundary surface: "
-            f"boundary count is {b}, 1 + zeta is {1 + z}"
-        )
+    if b != 1 + zeta_floor(schema.graph):
+        z = betti_deficiency(schema.graph, tree_cap)
+        if b != 1 + z:
+            raise ValueError(
+                f"target-genus capping needs the minimal-boundary surface: "
+                f"boundary count is {b}, 1 + zeta is {1 + z}"
+            )
     g_e = capped_genus(schema.graph, b)
     if target < g_e:
         raise TargetGenusError(
@@ -731,6 +734,14 @@ def _name(value, what: str) -> str:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` unchanged if it is a JSON integer; ``int()`` would truncate a
+    genus of 2.9 to 2, and a JSON ``true`` is an int to Python."""
+    if type(value) is not int:
+        raise SchemaFormatError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 def _side(value) -> tuple[str, str]:
     if (
         isinstance(value, list)
@@ -818,7 +829,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             Block(
                 id=_name(b["id"], "block id"),
                 kind=b["kind"],
-                genus=int(b["genus"]),
+                genus=_integer(b["genus"], "block genus"),
                 layer=b["layer"],
                 boundaries=tuple(
                     Boundary(
@@ -837,8 +848,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
         )
         s = doc["summary"]
         summary = Summary(
-            genus=int(s["genus"]),
-            boundary_count=int(s["boundary_count"]),
+            genus=_integer(s["genus"], "summary genus"),
+            boundary_count=_integer(s["boundary_count"], "summary boundary_count"),
             minimal=s["minimal"],
             construction=s["construction"],
         )

@@ -249,13 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-trees",
-            type=int,
-            default=DEFAULT_TREE_CAP,
-            help="abort if the graph has more spanning trees than this",
-        )
+    def add_caps(p: argparse.ArgumentParser, trees_help: str) -> None:
+        p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP, help=trees_help)
         p.add_argument(
             "--max-rotations",
             type=int,
@@ -266,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="print the invariant report")
     p_analyze.add_argument("graph", help="graph file (edge lines)")
     p_analyze.add_argument("--json", action="store_true", help="emit JSON")
-    add_caps(p_analyze)
+    add_caps(p_analyze, "abort if the graph has more spanning trees than this")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_embed = sub.add_parser("embed", help="emit a verified embedding schema")
@@ -284,14 +279,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--restarts", type=int, default=8,
         help="random restarts before falling back to enumeration",
     )
-    add_caps(p_embed)
+    add_caps(
+        p_embed,
+        "spanning trees the zeta search may visit when the bridge floor does not "
+        "certify the minimum; past it the rotation sweep is tried",
+    )
     p_embed.set_defaults(func=cmd_embed)
 
     p_oracle = sub.add_parser(
         "oracle", help="re-verify the boundary-walk theory by brute force"
     )
     p_oracle.add_argument("graph", help="graph file (edge lines)")
-    add_caps(p_oracle)
+    add_caps(p_oracle, "abort if the graph has more spanning trees than this")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="recheck a schema document")

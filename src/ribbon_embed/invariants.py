@@ -8,7 +8,10 @@ identity ``min walks = 1 + zeta``, which the test-suite and the oracle
 command check on every graph they touch.  The number of spanning trees is
 not enumerated: it is Kirchhoff's Laplacian cofactor, an exact integer
 determinant, and :func:`analyze` checks it against the tree cap before it
-runs the one zeta search it needs.
+runs the one zeta search it needs.  That search stops at
+:func:`zeta_floor`, a linear-time lower bound from the bridges: a tree
+meeting it, or a rotation with 1 + floor walks, pins zeta with no further
+enumeration.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -19,6 +22,7 @@ rotation when each boundary walk is capped off as cheaply as possible.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -164,17 +168,91 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
     return previous
 
 
+def zeta_floor(graph: MetricGraph) -> int:
+    """A lower bound on zeta in linear time: the number of pieces with an odd
+    Betti number left after deleting every bridge.
+
+    Nebesky (Czech. Math. J. 31, 1981) gives zeta as the maximum over edge
+    sets A of c(G - A) + b_odd(G - A) - |A| - 1, where b_odd counts the
+    components with odd Betti number.  Deleting the k bridges leaves k + 1
+    pieces, so A = the bridges scores b_odd exactly: zeta is additive over
+    bridges (Xuong, J. Combin. Theory B 26, 1979), and each piece needs at
+    least its own Betti parity.  Bridges come from one depth-first search on
+    an explicit stack; the parent edge is skipped by id, so loops and
+    parallel edges are never bridges.  On a bridgeless graph the floor is
+    beta mod 2.
+    """
+    n, m = graph.vertex_count, graph.edge_count
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in range(m):
+        u, v = graph.endpoints(e)
+        incident[u].append((e, v))
+        incident[v].append((e, u))
+    order = [-1] * n  # discovery time
+    low = [0] * n  # earliest discovery time reachable without the parent edge
+    bridge = [False] * m
+    clock = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            u, via, edges = stack[-1]
+            for e, v in edges:
+                if e == via:
+                    continue
+                if order[v] < 0:
+                    order[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, e, iter(incident[v])))
+                    break
+                low[u] = min(low[u], order[v])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] > order[p]:
+                        bridge[via] = True
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = [e for e in range(m) if not bridge[e]]
+    for e in kept:
+        ru, rv = (find(x) for x in graph.endpoints(e))
+        if ru != rv:
+            parent[ru] = rv
+    root = [find(v) for v in range(n)]
+    edges = Counter(root[graph.endpoints(e)[0]] for e in kept)
+    return sum((edges[r] - size + 1) % 2 for r, size in Counter(root).items())
+
+
 def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
-    """zeta(G): minimum of :func:`xi` over all spanning trees."""
+    """zeta(G): minimum of :func:`xi` over all spanning trees.
+
+    The search stops at the first tree whose value meets :func:`zeta_floor`,
+    since no tree can do better.
+    """
+    floor = zeta_floor(graph)
     best: int | None = None
     for tree in spanning_trees(graph, cap):
         value = xi(graph, tree)
         if best is None or value < best:
             best = value
-            if best == betti(graph) % 2:
-                break  # parity floor reached; no tree can do better
+            if best == floor:
+                break
     if best is None:
         raise GraphValidationError("graph has no spanning tree; is it connected?")
+    if best < floor:
+        raise InternalInvariantError(f"zeta {best} lies below its bridge floor {floor}")
     return best
 
 

@@ -9,12 +9,20 @@ implementation searches all relocations at the vertex and verifies the
 recount, which is immune to orientation bookkeeping mistakes; the search
 failing at an eligible vertex would disprove the underlying theory and
 raises :class:`InternalInvariantError`.
+
+One search climbs in either direction and certifies its result by a ladder
+of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
+floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
+optimal on sight; above it the spanning-tree search supplies 1 + zeta; the
+scan of every rotation comes last.  Maximizing, the target is the maximum
+of the rotation profile when the sweep fits under its cap.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     CapExceededError,
@@ -23,7 +31,7 @@ from .errors import (
     NoIncreasingMoveError,
 )
 from .graph import MetricGraph
-from .invariants import DEFAULT_TREE_CAP, betti_deficiency
+from .invariants import DEFAULT_TREE_CAP, betti_deficiency, zeta_floor
 from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
@@ -137,7 +145,8 @@ class SearchResult:
     ``greedy_count`` is the count where the first descent (or ascent) from
     the given start stalled; ``boundary_count`` the best found overall.
     ``certified`` is True only when the result provably attains the global
-    optimum, via the spanning-tree identity or exhaustive enumeration.
+    optimum: a minimum at the bridge floor, at 1 + zeta from the
+    spanning-tree search, or found by exhaustive enumeration.
     """
 
     rotation: RotationSystem
@@ -183,16 +192,23 @@ def _search(
     restarts: int,
     seed: int,
     delta: int,
-    target: int | None,
+    bound: int | None,
+    exact: Callable[[], int | None],
     rotation_cap: int,
 ) -> SearchResult:
-    """Greedy climb in direction ``delta`` towards ``target``, then seeded
+    """Greedy climb in direction ``delta`` towards ``bound``, then seeded
     restarts, then a scan of the full enumeration.
 
-    The scan keeps the first rotation, in enumeration order, that beats the
-    best so far and stops at the target; with an unknown target it runs to
-    the end.  Finishing the scan certifies the result, and a finished scan
-    that misses a known target disproves the theory.
+    ``bound`` is a count no rotation can beat, so reaching it certifies the
+    result at once.  Only when the climb and the restarts end short of it
+    is ``exact()`` asked for the optimum itself (None when unknown); a best
+    count at the optimum is certified too.  Short of that, the scan keeps
+    the first rotation, in enumeration order, that beats the best so far and
+    stops at the optimum; with an unknown optimum it runs to the end.
+    Finishing the scan certifies the result, and a finished scan that misses
+    a known optimum, or any count beyond the bound, disproves the theory.
+    Every stage keeps only strict improvements and nothing beats the
+    optimum, so where the optimum is first asked for changes no rotation.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -207,16 +223,19 @@ def _search(
     restarts_used = 0
     enumerated = False
 
-    if target is None or beats(target, best[0]):
+    if bound is None or beats(bound, best[0]):
         rng = random.Random(seed)
         for _ in range(restarts):
-            if target is not None and best[0] == target:
+            if best[0] == bound:
                 break
             restarts_used += 1
             retry_start = default_rotation(graph, rng.randrange(1, 2**30))
             rotation, count, records = _climb(graph, retry_start, delta)
             if beats(count, best[0]):
                 best = (count, rotation, tuple(records))
+    if bound is not None and beats(best[0], bound):
+        raise InternalInvariantError(f"count {best[0]} lies beyond the bound {bound}")
+    target = bound if best[0] == bound else exact()
     if target is None or beats(target, best[0]):
         try:
             for cycles, count in _sweep(graph, rotation_cap):
@@ -252,20 +271,26 @@ def minimize_boundaries(
     tree_cap: int = DEFAULT_TREE_CAP,
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
-    """Greedy walk-count minimization with verified fallbacks.
+    """Greedy walk-count minimization, certified by the cheapest rung of a
+    ladder that reaches.
 
-    Applies reducing moves until no vertex meets three walks.  If the stall
-    is above the spanning-tree target 1 + zeta, retries from seeded random
-    rotations, then falls back to scanning the full enumeration.  When the
-    target is unknown (tree cap exceeded) certification comes only from a
-    full enumeration scan; if that is also capped out, the best rotation
-    found is returned uncertified.
+    Applies reducing moves until no vertex meets three walks, then retries
+    from seeded random rotations; reaching 1 + :func:`zeta_floor` stops
+    both and certifies the result with no tree search.  Ending above the
+    floor, the spanning-tree search gives the target 1 + zeta (within
+    ``tree_cap`` trees), and a result at the target is certified.  Last
+    comes the scan of the full enumeration, which certifies whatever it
+    finishes with.  When the target is unknown (tree cap exceeded) and the
+    scan is capped out too, the best rotation found is returned uncertified.
     """
-    try:
-        target = 1 + betti_deficiency(graph, tree_cap)
-    except CapExceededError:
-        target = None
-    return _search(graph, start, restarts, seed, -2, target, rotation_cap)
+
+    def target() -> int | None:
+        try:
+            return 1 + betti_deficiency(graph, tree_cap)
+        except CapExceededError:
+            return None
+
+    return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, rotation_cap)
 
 
 def maximize_boundaries(
@@ -283,4 +308,4 @@ def maximize_boundaries(
         target = max(boundary_profile(graph, rotation_cap))
     except CapExceededError:
         target = None
-    return _search(graph, start, restarts, seed, +2, target, rotation_cap)
+    return _search(graph, start, restarts, seed, +2, target, lambda: target, rotation_cap)

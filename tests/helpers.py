@@ -8,7 +8,7 @@ over exact rationals, and the random graphs are built by stub pairing.
 import random
 from fractions import Fraction
 
-from ribbon_embed import MetricGraph, connected_components, is_cycle_graph
+from ribbon_embed import MetricGraph, connected_components, is_cycle_graph, parse_graph
 
 
 def kirchhoff_tree_count(graph: MetricGraph) -> int:
@@ -83,3 +83,14 @@ def random_multigraph(seed: int, max_edges: int = 12) -> MetricGraph:
         if min(graph.degree(v) for v in range(nv)) < 3:
             continue
         return graph
+
+
+def prism(rungs: int) -> MetricGraph:
+    """The circular ladder: two rungs-cycles joined by rungs, 3 * rungs edges."""
+    lines = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        lines += [
+            f"edge a{i} x{i} x{j} 1.0", f"edge b{i} y{i} y{j} 1.0", f"edge r{i} x{i} y{i} 1.0"
+        ]
+    return parse_graph("\n".join(lines))

@@ -9,7 +9,7 @@ from ribbon_embed import format_graph, schema_from_json, verify_schema
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
-from helpers import random_multigraph
+from helpers import prism, random_multigraph
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -99,6 +99,29 @@ def test_embed_genus_targets(graph_file, capsys):
         assert schema.summary.genus == g
         assert schema.summary.minimal is (g == 2)
         assert verify_schema(schema).ok
+
+
+def test_embed_genus_target_certified_by_the_bridge_floor(graph_file, tmp_path, capsys):
+    # 2 walks on a prism meet 1 + its bridge floor, so no spanning tree is
+    # needed to certify them or to cap at a chosen genus
+    path = graph_file(format_graph(prism(20)))
+    out_path = tmp_path / "schema.json"
+    g_e = 12  # beta 21, zeta 1: 10 + 2
+    assert main(["embed", path, "--target", f"genus={g_e + 1}", "--max-trees", "1",
+                 "-o", str(out_path)]) == 0  # fmt: skip
+    assert capsys.readouterr().err.endswith(", certified\n")
+    assert main(["verify", str(out_path)]) == 0
+    assert f"ok: genus {g_e + 1}, 0 boundary circle(s)" in capsys.readouterr().out
+
+
+def test_embed_genus_target_refused_above_the_floor_without_certificate(graph_file, capsys):
+    # zeta exceeds the bridge floor here; with the tree search and the
+    # sweep both capped, nothing certifies the minimum
+    path = graph_file(format_graph(random_multigraph(27)))
+    argv = ["embed", path, "--target", "genus=5", "--max-trees", "1", "--restarts", "0",
+            "--max-rotations", "1"]  # fmt: skip
+    assert main(argv) == 5
+    assert "not certified" in capsys.readouterr().err
 
 
 def test_embed_genus_unreachable(graph_file, capsys):
@@ -250,6 +273,14 @@ MALFORMED_MUTATIONS = {
         lambda doc: _sphere(doc)["boundaries"][0].update(label=["dart:0"]), "boundary label"
     ),
     "payload vertex": (lambda doc: _sphere(doc)["payload"].update(vertex=["u"]), "payload vertex"),
+    # int() would truncate these, and a genus of 2.9 verified as genus 2
+    "summary genus float": (lambda doc: doc["summary"].update(genus=2.9), "summary genus"),
+    "summary genus bool": (lambda doc: doc["summary"].update(genus=True), "summary genus"),
+    "summary boundary count string": (
+        lambda doc: doc["summary"].update(boundary_count="0"), "summary boundary_count"
+    ),
+    "block genus float": (lambda doc: _sphere(doc).update(genus=0.5), "block genus"),
+    "block genus string": (lambda doc: _sphere(doc).update(genus="0"), "block genus"),
 }
 
 

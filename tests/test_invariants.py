@@ -20,9 +20,11 @@ from ribbon_embed import (
     spanning_trees,
     subdivide,
     xi,
+    zeta_floor,
 )
 
-from helpers import kirchhoff_tree_count, random_multigraph
+from conftest import K4
+from helpers import kirchhoff_tree_count, prism, random_multigraph
 
 
 def tree_count(graph, cap=10**6):
@@ -84,17 +86,6 @@ def test_spanning_tree_order_matches_recursion(theta, bouquet2, k4, k5, dumbbell
         assert list(spanning_trees(g, 10**6)) == list(_recursive_spanning_trees(g))
 
 
-def prism(rungs):
-    """The circular ladder: two rungs-cycles joined by rungs, 3 * rungs edges."""
-    lines = []
-    for i in range(rungs):
-        j = (i + 1) % rungs
-        lines += [
-            f"edge a{i} x{i} x{j} 1.0", f"edge b{i} y{i} y{j} 1.0", f"edge r{i} x{i} y{i} 1.0"
-        ]
-    return parse_graph("\n".join(lines))
-
-
 def test_spanning_trees_run_on_1200_edges():
     # deeper than the interpreter's recursion limit
     g = prism(400)
@@ -145,6 +136,45 @@ def test_betti_deficiency(theta, bouquet2, k4, k5, dumbbell):
     assert betti_deficiency(k4) == 1
     assert betti_deficiency(k5) == 0
     assert betti_deficiency(dumbbell) == 2
+
+
+def exhaustive_zeta(graph):
+    return min(xi(graph, tree) for tree in spanning_trees(graph, 10**6))
+
+
+def test_zeta_floor_bounds_zeta_with_its_parity(theta, bouquet2, k4, k5, dumbbell):
+    graphs = [(None, g) for g in (theta, bouquet2, k4, k5, dumbbell)]
+    graphs += [(seed, random_multigraph(seed)) for seed in range(300)]
+    below = []
+    for seed, g in graphs:
+        floor, z = zeta_floor(g), exhaustive_zeta(g)
+        assert floor <= z and (z - floor) % 2 == 0, f"seed {seed}"
+        if floor < z:
+            below.append(seed)
+    # the seeds where the floor falls short; test_moves uses them for the
+    # last rung of the certificate ladder
+    assert below == [27, 65, 142, 229]
+
+
+def test_zeta_floor_adds_over_a_bridge(k4, dumbbell):
+    # two copies of K4 joined by one bridge between their vertices v0
+    twin = K4 + K4.replace(" v", " w").replace(" e", " f") + "edge bridge v0 w0 1.0\n"
+    g = parse_graph(twin)
+    assert zeta_floor(g) == 2 * zeta_floor(k4) == 2
+    assert betti_deficiency(g) == exhaustive_zeta(g) == 2
+    assert zeta_floor(dumbbell) == betti_deficiency(dumbbell) == 2
+
+
+def test_zeta_floor_runs_without_recursion():
+    g = prism(400)
+    assert g.edge_count == 1200
+    assert zeta_floor(g) == 1  # bridgeless, beta = 401
+    # a chain of 1500 one-loop vertices joined by bridges: a depth-first
+    # search 1500 deep, every piece of Betti number one
+    n = 1500
+    lines = [f"edge l{i} x{i} x{i} 1.0" for i in range(n)]
+    lines += [f"edge b{i} x{i} x{i + 1} 1.0" for i in range(n - 1)]
+    assert zeta_floor(parse_graph("\n".join(lines))) == n
 
 
 def test_zeta_parity_property():

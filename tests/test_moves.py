@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from ribbon_embed import (
+    CapExceededError,
     MetricGraph,
     MovePreconditionError,
     NoIncreasingMoveError,
@@ -16,10 +19,11 @@ from ribbon_embed import (
     minimize_boundaries,
     reduce_move,
     vertex_boundary_incidence,
+    zeta_floor,
 )
 from ribbon_embed.moves import _climb, single_dart_relocations
 
-from helpers import random_multigraph
+from helpers import prism, random_multigraph
 
 # Loops mixed with ordinary edges can strand the greedy descent: all four
 # vertices meet <= 2 walks at a 3-walk rotation whose graph admits a
@@ -168,11 +172,95 @@ def test_uncertified_when_stalled_and_capped():
 
 
 def test_certified_by_parity_floor_despite_tree_cap(k5):
-    # one spanning tree with xi = beta mod 2 already pins zeta, so a tiny
-    # tree cap does not block certification on K5
+    # K5 is bridgeless with beta = 6, so its floor is 0 and a descent to one
+    # walk certifies itself; a tiny tree cap does not block certification
     res = minimize_boundaries(k5, restarts=0, tree_cap=10, rotation_cap=10)
     assert res.certified
     assert res.boundary_count == 1
+
+
+def _eager_minimize(g, restarts, seed, tree_cap, rotation_cap):
+    """Reference search that asks for 1 + zeta before it climbs: greedy
+    descent, restarts until the target, then the enumeration scan."""
+    try:
+        target = 1 + betti_deficiency(g, tree_cap)
+    except CapExceededError:
+        target = None
+    rot, count, records = _climb(g, default_rotation(g, 0), -2)
+    best = (count, rot, tuple(records))
+    enumerated = False
+    if target is None or best[0] > target:
+        rng = random.Random(seed)
+        for _ in range(restarts):
+            if best[0] == target:
+                break
+            rot, count, records = _climb(g, default_rotation(g, rng.randrange(1, 2**30)), -2)
+            if count < best[0]:
+                best = (count, rot, tuple(records))
+    if target is None or best[0] > target:
+        try:
+            for rot in enumerate_rotations(g, rotation_cap):
+                count = boundary_count(g, rot)
+                if count < best[0]:
+                    best = (count, rot, ())
+                if count == target:
+                    break
+            enumerated = True
+        except CapExceededError:
+            pass
+    certified = best[0] == target or enumerated
+    return best, certified
+
+
+def test_floor_first_search_matches_the_eager_target():
+    # the bridge floor moves the tree search behind the climb and restarts;
+    # nothing beats the global minimum, so the same rotation comes out and
+    # only the certificate can improve
+    for seed in range(30):
+        g = random_multigraph(seed)
+        for restarts, tree_cap in ((0, 10**6), (3, 10**6), (0, 1), (3, 1)):
+            (count, rot, moves), certified = _eager_minimize(g, restarts, 5, tree_cap, 100)
+            res = minimize_boundaries(
+                g, restarts=restarts, seed=5, tree_cap=tree_cap, rotation_cap=100
+            )
+            case = f"seed {seed}, restarts {restarts}, tree cap {tree_cap}"
+            assert (res.rotation, res.boundary_count, res.moves) == (rot, count, moves), case
+            assert res.certified >= certified, case
+
+
+def test_floor_certifies_without_a_tree_search(monkeypatch):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", no_trees)
+    res = minimize_boundaries(prism(200), tree_cap=1)
+    assert res.certified and not res.enumerated
+    assert res.boundary_count == 2
+
+
+def test_restarts_stop_at_the_floor(monkeypatch):
+    # a stalled start, then the first restart reaches 1 walk = 1 + floor:
+    # the remaining restarts and the tree search are skipped
+    g = STALLING
+    stalled_start = next(r for r in enumerate_rotations(g, 10**6) if _climb(g, r, -2)[1] > 1)
+    monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", None)
+    res = minimize_boundaries(g, start=stalled_start, restarts=8)
+    assert (res.boundary_count, res.restarts_used) == (1, 1)
+    assert res.certified and not res.enumerated
+
+
+@pytest.mark.parametrize("seed", [27, 65, 142, 229])
+def test_last_rung_runs_where_the_floor_falls_short(seed):
+    g = random_multigraph(seed)
+    target = 1 + betti_deficiency(g)
+    assert target > 1 + zeta_floor(g)
+    # no tree search within the cap: only the scan can certify, and does
+    res = minimize_boundaries(g, restarts=0, tree_cap=1)
+    assert res.enumerated and res.certified
+    assert res.boundary_count == target == min(boundary_profile(g, 10**6))
+    # with the tree search in reach, its target certifies the same count
+    res = minimize_boundaries(g, restarts=3)
+    assert res.certified and res.boundary_count == target
 
 
 def _climb_by_single_moves(g, rot, delta):
