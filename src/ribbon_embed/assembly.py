@@ -38,6 +38,7 @@ from .errors import (
 )
 from .graph import (
     MetricGraph,
+    _from_records,
     betti,
     euler_char,
     graph_hash,
@@ -782,20 +783,9 @@ def _per_edge(meta: dict, key: str, edge_ids: dict[str, int]) -> dict[int, float
 
 
 def _graph_from_meta(meta: dict) -> MetricGraph:
-    vertex_ids: dict[str, int] = {}
-    vertex_of: list[int] = []
-    lengths: list[float] = []
-    edge_names: list[str] = []
-    for record in meta["graph"]["edges"]:
-        name, u, v, length = record
-        for endpoint in (u, v):
-            vertex_of.append(vertex_ids.setdefault(endpoint, len(vertex_ids)))
-        lengths.append(_finite(float(length)))
-        edge_names.append(name)
-    names = [""] * len(vertex_ids)
-    for vname, vid in vertex_ids.items():
-        names[vid] = vname
-    return MetricGraph(tuple(vertex_of), tuple(lengths), tuple(edge_names), tuple(names))
+    return _from_records(
+        (name, u, v, _finite(float(length))) for name, u, v, length in meta["graph"]["edges"]
+    )
 
 
 def schema_from_json(text: str) -> SurfaceSchema:

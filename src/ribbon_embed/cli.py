@@ -40,16 +40,10 @@ from .errors import (
     SchemaFormatError,
     TargetGenusError,
 )
-from .graph import MetricGraph, euler_char, parse_graph, smooth
-from .invariants import DEFAULT_TREE_CAP, _genus_from_zeta, analyze, betti_deficiency
-from .moves import _climb, _no_reducing_move, _relocate, maximize_boundaries, minimize_boundaries
-from .rotation import (
-    DEFAULT_ROTATION_CAP,
-    _faces,
-    _incidence,
-    boundary_profile,
-    enumerate_rotations,
-)
+from .graph import MetricGraph, parse_graph, smooth
+from .invariants import DEFAULT_TREE_CAP, analyze
+from .moves import maximize_boundaries, minimize_boundaries, oracle
+from .rotation import DEFAULT_ROTATION_CAP
 
 OK = 0
 VERIFY_FAILED = 1
@@ -157,70 +151,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    graph = smooth(_load_graph(args.graph))
-    failures: list[str] = []
-
-    profile = boundary_profile(graph, cap=args.max_rotations)
-    total = sum(profile.values())
-    print(f"rotations enumerated: {total}")
-    print(f"boundary profile: {profile}")
-
-    z = betti_deficiency(graph, args.max_trees)
-    lo, hi = min(profile), max(profile)
-    print(f"min boundaries: {lo}  (1 + zeta = {1 + z})")
-    print(f"max boundaries: {hi}")
-    print(f"essential genus: {_genus_from_zeta(graph, z)}")
-    if lo != 1 + z:
-        failures.append(f"minimum {lo} differs from 1 + zeta = {1 + z}")
-
-    chi = euler_char(graph)
-    bad_parity = [b for b in profile if (b - chi) % 2]
-    if bad_parity:
-        failures.append(f"walk counts with wrong parity: {bad_parity}")
-    print("parity check: " + ("FAIL" if bad_parity else "ok (all counts match chi mod 2)"))
-
-    move_cases = 0
-    stalls = 0
-    for rotation in enumerate_rotations(graph, cap=args.max_rotations):
-        face, base, _ = _faces(graph.dart_count, rotation.cycles)
-        for v, cycle in enumerate(rotation.cycles):
-            walks = _incidence(cycle, face)
-            if walks < 3:
-                continue
-            move_cases += 1
-            step = _relocate(graph, rotation, v, -2, base)
-            if step is None:
-                raise _no_reducing_move(graph, v, walks)
-            # recount anyway, double entry is the point
-            got = _faces(graph.dart_count, step[0].cycles)[1]
-            if got != base - 2:
-                failures.append(
-                    f"reduce_move at vertex {v} changed {base} -> {got}, not -2"
-                )
-        _, count, _ = _climb(graph, rotation, -2)
-        if count != lo:
-            stalls += 1
-    print(
-        "move check: "
-        + ("FAIL" if failures else f"ok ({move_cases} reducing moves, every delta -2)")
-    )
-    # Greedy descent minimality is a tested observation, not a theorem:
-    # rotations of loop-carrying graphs can stall above the minimum with
-    # every vertex meeting <= 2 walks.  Report, never fail.
-    if stalls:
-        print(
-            f"descent report: stalled above the minimum from {stalls} of {total} "
-            "starts (enumeration fallback covers these)"
-        )
-    else:
-        print(f"descent report: greedy reaches {lo} from all {total} starts")
-
-    if failures:
-        for f in failures:
-            print(f"fail: {f}")
-        return INVARIANT_VIOLATION
-    print("oracle: all checks passed")
-    return OK
+    lines, passed = oracle(_load_graph(args.graph), args.max_trees, args.max_rotations)
+    print("\n".join(lines))
+    return OK if passed else INVARIANT_VIOLATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CycleGraphError, GraphFormatError, GraphValidationError
 
@@ -94,6 +94,21 @@ class MetricGraph:
         return sum(self.lengths)
 
 
+def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph:
+    """Graph of trusted ``(edge name, u, v, length)`` records: vertices
+    numbered in order of first mention, edges and darts in record order."""
+    vertex_ids: dict[str, int] = {}
+    vertex_of: list[int] = []
+    lengths: list[float] = []
+    edge_names: list[str] = []
+    for name, u, v, length in records:
+        vertex_of.append(vertex_ids.setdefault(u, len(vertex_ids)))
+        vertex_of.append(vertex_ids.setdefault(v, len(vertex_ids)))
+        lengths.append(length)
+        edge_names.append(name)
+    return MetricGraph(tuple(vertex_of), tuple(lengths), tuple(edge_names), tuple(vertex_ids))
+
+
 def parse_graph(text: str) -> MetricGraph:
     """Parse the edge-list file format.
 
@@ -108,11 +123,8 @@ def parse_graph(text: str) -> MetricGraph:
     errors, non-positive lengths and duplicate edge names, and
     :class:`GraphValidationError` if the result is not connected.
     """
-    vertex_ids: dict[str, int] = {}
-    vertex_of: list[int] = []
-    lengths: list[float] = []
-    edge_names: list[str] = []
-
+    records: list[tuple[str, str, str, float]] = []
+    edge_names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,18 +146,12 @@ def parse_graph(text: str) -> MetricGraph:
             raise GraphFormatError(f"bad length {length_text!r}", lineno) from None
         if not math.isfinite(length) or length <= 0.0:
             raise GraphFormatError(f"edge length must be positive, got {length_text}", lineno)
-        for endpoint in (u, v):
-            vertex_of.append(vertex_ids.setdefault(endpoint, len(vertex_ids)))
-        lengths.append(length)
-        edge_names.append(name)
+        records.append((name, u, v, length))
+        edge_names.add(name)
 
-    if not edge_names:
+    if not records:
         raise GraphFormatError("no edge records found")
-
-    names: list[str] = [""] * len(vertex_ids)
-    for vname, vid in vertex_ids.items():
-        names[vid] = vname
-    graph = MetricGraph(tuple(vertex_of), tuple(lengths), tuple(edge_names), tuple(names))
+    graph = _from_records(records)
     if len(connected_components(graph)) != 1:
         raise GraphValidationError("graph is not connected")
     return graph
@@ -168,24 +174,25 @@ def graph_hash(graph: MetricGraph) -> str:
     return hashlib.sha256(format_graph(graph).encode()).hexdigest()
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(graph: MetricGraph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, ordered by minimum."""
     parent = list(range(graph.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in range(graph.edge_count):
         u, v = graph.endpoints(e)
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
     groups: dict[int, list[int]] = {}
     for v in range(graph.vertex_count):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return sorted(groups.values())
 
 

@@ -35,11 +35,6 @@ _SINH_SQ_HALF = math.sinh(0.5) ** 2
 F_MIN = math.acosh((_COSH_SQ_HALF + 1.0) / _SINH_SQ_HALF)
 
 
-def f_min() -> float:
-    """Infimum of cuff-to-cuff distances over all waist lengths."""
-    return F_MIN
-
-
 def waist_distance(x: float) -> float:
     """f(x): distance between the two unit cuffs of a (1, 1, 2x) pants."""
     if x <= 0.0:
@@ -64,19 +59,15 @@ def foot_length(degree: int) -> float:
     )
 
 
-def edge_clearance(graph: MetricGraph, edge: int) -> float:
-    """l(e) = x_u + x_v: the part of an edge spent inside vertex spheres."""
-    u, v = graph.endpoints(edge)
-    return foot_length(graph.degree(u)) + foot_length(graph.degree(v))
-
-
 @dataclass(frozen=True)
 class ScaleParams:
     """Rescaling factor and all per-vertex / per-edge block measurements.
 
     Keys of ``foot`` are vertex ids, keys of ``clearance`` and ``waist``
-    edge ids; ``waist[e]`` stores the half-length x_e, so the waist cuff of
-    the edge pants has length 2 * waist[e].
+    edge ids.  ``clearance[e]`` is l(e) = x_u + x_v, the part of the edge
+    spent inside vertex spheres (a loop pays its vertex's foot twice);
+    ``waist[e]`` stores the half-length x_e, so the waist cuff of the edge
+    pants has length 2 * waist[e].
     """
 
     t: float

@@ -7,8 +7,8 @@ gives boundary-walk counts.  The two sides are tied together by the
 identity ``min walks = 1 + zeta``, which the test-suite and the oracle
 command check on every graph they touch.  The number of spanning trees is
 not enumerated: it is Kirchhoff's Laplacian cofactor, an exact integer
-determinant, and :func:`analyze` checks it against the tree cap before it
-runs the one zeta search it needs.  That search stops at
+determinant, which :func:`analyze` and the oracle check against the tree
+cap before they run the one zeta search they need.  That search stops at
 :func:`zeta_floor`, a linear-time lower bound from the bridges: a tree
 meeting it, or a rotation with 1 + floor walks, pins zeta with no further
 enumeration.
@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
-from .graph import MetricGraph, betti, euler_char, girth, graph_hash, smooth
+from .graph import MetricGraph, _find, betti, euler_char, girth, graph_hash, smooth
 from .rotation import boundary_profile, count_rotations
 
 DEFAULT_TREE_CAP = 10**6
-
-SpanningTree = frozenset  # edge-id sets; loops never qualify
 
 
 def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[frozenset[int]]:
@@ -51,13 +49,6 @@ def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[
     need = n - 1
     endpoints = [graph.endpoints(e) for e in range(m)]
     produced = 0
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen: list[int] = []
     # (next edge, union-find parents, edges chosen so far) of each branch
     # still to run; ``chosen[:k]`` is intact when a branch is popped
@@ -70,7 +61,7 @@ def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[
             if m - i < need - k:
                 break
             u, v = endpoints[i]
-            ru, rv = find(parent, u), find(parent, v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 stack.append((i + 1, parent, k))
                 parent = list(parent)
@@ -92,30 +83,22 @@ def xi(graph: MetricGraph, tree: frozenset[int]) -> int:
     touching no co-tree edge are ignored.
     """
     co = [e for e in range(graph.edge_count) if e not in tree]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(graph.vertex_count))
     for e in co:
         u, v = graph.endpoints(e)
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
     sizes: dict[int, int] = {}
     for e in co:
-        root = find(graph.endpoints(e)[0])
+        root = _find(parent, graph.endpoints(e)[0])
         sizes[root] = sizes.get(root, 0) + 1
     return sum(1 for k in sizes.values() if k % 2)
 
 
 def _tree_count(graph: MetricGraph, cap: int) -> int:
-    """Number of spanning trees, or some number above ``cap`` as soon as the
-    count is known to exceed it.
+    """Number of spanning trees; raises :class:`CapExceededError` as soon as
+    the count is known to exceed ``cap``.
 
     Kirchhoff's matrix-tree theorem: the count is the Laplacian with the
     row and column of vertex 0 deleted, as a determinant.  Loops are
@@ -156,7 +139,8 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
     for c, pivot_row in enumerate(matrix):
         pivot = pivot_row[c]
         if pivot > cap:
-            return pivot
+            previous = pivot
+            break
         tail = pivot_row[c + 1 :]
         for row in matrix[c + 1 :]:
             lead, rest = row[c], row[c + 1 :]
@@ -165,6 +149,8 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
             else:
                 row[c + 1 :] = [x * pivot // previous for x in rest]
         previous = pivot
+    if previous > cap:
+        raise CapExceededError(f"spanning tree count exceeds the cap of {cap}")
     return previous
 
 
@@ -218,19 +204,12 @@ def zeta_floor(graph: MetricGraph) -> int:
                         bridge[via] = True
 
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     kept = [e for e in range(m) if not bridge[e]]
     for e in kept:
-        ru, rv = (find(x) for x in graph.endpoints(e))
+        ru, rv = (_find(parent, x) for x in graph.endpoints(e))
         if ru != rv:
             parent[ru] = rv
-    root = [find(v) for v in range(n)]
+    root = [_find(parent, v) for v in range(n)]
     edges = Counter(root[graph.endpoints(e)[0]] for e in kept)
     return sum((edges[r] - size + 1) % 2 for r, size in Counter(root).items())
 
@@ -279,22 +258,16 @@ def capped_genus(graph: MetricGraph, walk_count: int) -> int:
     return slack // 2 + 2 * q + r
 
 
-def _genus_from_zeta(graph: MetricGraph, z: int) -> int:
-    """Essential genus (beta - zeta)/2 + 2q + r, with 1 + zeta = 3q + r, of a
-    smoothed graph whose Betti deficiency ``z`` is already known."""
-    q, r = qr_split(z + 1)
-    return (betti(graph) - z) // 2 + 2 * q + r
-
-
 def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     """Least genus of a closed surface carrying an essential embedding.
 
-    Defined through the minimal boundary count ``1 + zeta``; degree-2
+    The :func:`capped_genus` of the minimal boundary count ``1 + zeta``,
+    which is (beta - zeta)/2 + 2q + r with 1 + zeta = 3q + r; degree-2
     vertices are smoothed away first since subdividing edges changes no
     embedding.  Cycle graphs are rejected (they embed everywhere).
     """
     graph = smooth(graph)
-    return _genus_from_zeta(graph, betti_deficiency(graph, cap))
+    return capped_genus(graph, 1 + betti_deficiency(graph, cap))
 
 
 def ge_max_bound(graph: MetricGraph) -> Fraction:
@@ -348,24 +321,8 @@ class InvariantReport:
     rotation_count: int
 
     def to_json_dict(self) -> dict:
-        out = {
-            "graph_hash": self.graph_hash,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "smoothed": self.smoothed,
-            "beta": self.beta,
-            "euler": self.euler,
-            "girth": self.girth,
-            "zeta": self.zeta,
-            "max_genus": self.max_genus,
-            "q": self.q,
-            "r": self.r,
-            "essential_genus": self.essential_genus,
-            "ge_max_bound": str(self.ge_max_bound),
-            "ge_max_exact": self.ge_max_exact,
-            "tree_count": self.tree_count,
-            "rotation_count": self.rotation_count,
-        }
+        out = asdict(self)  # keys in field order
+        out["ge_max_bound"] = str(self.ge_max_bound)
         return out
 
     def to_text(self) -> str:
@@ -396,11 +353,11 @@ def analyze(
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
     tree_count = _tree_count(smoothed_graph, tree_cap)
-    if tree_count > tree_cap:
-        raise CapExceededError(f"spanning tree count exceeds the cap of {tree_cap}")
     z = betti_deficiency(smoothed_graph, tree_cap)
+    if (b - z) % 2:
+        raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)
-    g_e = _genus_from_zeta(smoothed_graph, z)
+    g_e = capped_genus(smoothed_graph, 1 + z)
     bound = ge_max_bound(smoothed_graph)
     rotation_count = count_rotations(smoothed_graph)
     try:
@@ -408,10 +365,6 @@ def analyze(
     except CapExceededError:
         exact = None
 
-    if (b - z) % 2:
-        raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
-    if g_e != (b - z) // 2 + 2 * q + r:
-        raise InternalInvariantError("essential genus disagrees with its q,r decomposition")
     if exact is not None:
         if exact < g_e:
             raise InternalInvariantError("adversarial genus below essential genus")

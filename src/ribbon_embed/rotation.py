@@ -13,11 +13,12 @@ Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
-Exhaustive sweeps (:func:`boundary_profile`, :func:`find_rotation_with_count`
-and the enumeration fallback of the move search) go through :func:`_sweep`,
-which visits rotations in :func:`enumerate_rotations` order and, between
-consecutive rotations, rewrites only the successor entries of the vertices
-whose cyclic order changed.
+Exhaustive sweeps (:func:`boundary_profile`, :func:`find_rotation_with_count`,
+the enumeration fallback of the move search and the oracle's single pass in
+:func:`ribbon_embed.moves.oracle`) go through :func:`_sweep`, which visits
+rotations in :func:`enumerate_rotations` order and, between consecutive
+rotations, rewrites only the successor entries of the vertices whose cyclic
+order changed.
 """
 
 from __future__ import annotations
@@ -214,9 +215,11 @@ def enumerate_rotations(
         yield RotationSystem(combo)
 
 
-def _sweep(graph: MetricGraph, cap: int) -> Iterator[tuple[list[tuple[int, ...]], int]]:
-    """(cycles, walk count) of every rotation, in :func:`enumerate_rotations`
-    order.
+def _sweep(
+    graph: MetricGraph, cap: int
+) -> Iterator[tuple[list[tuple[int, ...]], list[int], int]]:
+    """(cycles, face id per dart, walk count) of every rotation, in
+    :func:`enumerate_rotations` order.
 
     An odometer over the per-vertex orders: when a vertex's order changes,
     only its darts' ``succ`` entries are rewritten, from tables built once.
@@ -232,7 +235,8 @@ def _sweep(graph: MetricGraph, cap: int) -> Iterator[tuple[list[tuple[int, ...]]
     ]
     position = [0] * len(wheels)
     while True:
-        yield cycles, _trace(succ)[1]
+        face, count = _trace(succ)
+        yield cycles, face, count
         k = len(wheels) - 1
         while k >= 0:
             v = wheels[k]
@@ -252,7 +256,7 @@ def _sweep(graph: MetricGraph, cap: int) -> Iterator[tuple[list[tuple[int, ...]]
 
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
     """Histogram {walk count: rotation count} over all rotation systems."""
-    counts = Counter(count for _, count in _sweep(graph, cap))
+    counts = Counter(count for _, _, count in _sweep(graph, cap))
     return dict(sorted(counts.items()))
 
 
@@ -260,7 +264,7 @@ def find_rotation_with_count(
     graph: MetricGraph, walk_count: int, cap: int = DEFAULT_ROTATION_CAP
 ) -> RotationSystem | None:
     """First rotation in enumeration order with the given walk count."""
-    for cycles, count in _sweep(graph, cap):
+    for cycles, _, count in _sweep(graph, cap):
         if count == walk_count:
             return RotationSystem(tuple(cycles))
     return None

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbon_embed import format_graph, schema_from_json, verify_schema
+from ribbon_embed import cli, format_graph, rotation, schema_from_json, verify_schema
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
@@ -182,6 +183,43 @@ def test_oracle_reports_stalls_without_failing(graph_file, capsys):
 def test_oracle_cap(graph_file, capsys):
     assert main(["oracle", graph_file(K5), "--max-rotations", "100"]) == 5
     assert "error" in capsys.readouterr().err
+
+
+def test_oracle_tree_cap_aborts_on_the_kirchhoff_count(graph_file, capsys):
+    path = graph_file(K5)  # 125 spanning trees
+    assert main(["oracle", path, "--max-trees", "124"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spanning tree count exceeds the cap of 124" in captured.err
+    assert main(["oracle", path, "--max-trees", "125"]) == 0
+    assert capsys.readouterr().out.endswith("oracle: all checks passed\n")
+
+
+def test_oracle_recount_does_not_share_the_kernel(graph_file, capsys, monkeypatch):
+    # a tracer that under-counts every rotation by 2 still lets the move
+    # search find a "-2" move; only a recount of its own can see the truth
+    trace = rotation._trace
+
+    def undercount(succ):
+        face, count = trace(succ)
+        return face, count - 2
+
+    monkeypatch.setattr(rotation, "_trace", undercount)
+    assert main(["oracle", graph_file(K4)]) == 6
+    out = capsys.readouterr().out
+    assert "fail: reduce_move at vertex 0 changed 2 -> 2, not -2" in out
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.rsplit(".", 1)[-1].startswith("_")
+    ]
+    assert private == []
 
 
 def test_verify_clean(graph_file, tmp_path, capsys):

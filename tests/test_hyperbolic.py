@@ -5,9 +5,7 @@ import pytest
 from ribbon_embed import (
     F_MIN,
     choose_scale,
-    edge_clearance,
     f_inv,
-    f_min,
     foot_length,
     waist_distance,
 )
@@ -18,7 +16,6 @@ from ribbon_embed import (
 
 
 def test_f_min_value():
-    assert f_min() == F_MIN
     assert F_MIN == pytest.approx(2.813658227498, abs=1e-9)
 
 
@@ -73,9 +70,9 @@ def test_foot_length_values():
 
 
 def test_edge_clearance(theta, bouquet2):
-    assert edge_clearance(theta, 0) == pytest.approx(2 * foot_length(3), abs=1e-12)
+    assert choose_scale(theta).clearance[0] == pytest.approx(2 * foot_length(3), abs=1e-12)
     # a loop pays the foot of its single degree-4 vertex twice
-    assert edge_clearance(bouquet2, 0) == pytest.approx(
+    assert choose_scale(bouquet2).clearance[0] == pytest.approx(
         2 * foot_length(4), abs=1e-12
     )
     assert 2 * foot_length(4) == pytest.approx(5.056544860872, abs=1e-9)

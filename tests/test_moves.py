@@ -21,7 +21,8 @@ from ribbon_embed import (
     vertex_boundary_incidence,
     zeta_floor,
 )
-from ribbon_embed.moves import _climb, single_dart_relocations
+from ribbon_embed.moves import _climb, _walk_count, oracle, single_dart_relocations
+from ribbon_embed.rotation import _faces
 
 from helpers import prism, random_multigraph
 
@@ -302,3 +303,21 @@ def test_no_reducing_relocation_where_fewer_than_three_walks_meet(theta, bouquet
                 for c in single_dart_relocations(cycle):
                     moved = make_rotation(g, rot.cycles[:v] + (c,) + rot.cycles[v + 1 :])
                     assert boundary_count(g, moved) != base - 2
+
+
+def test_oracle_walk_count_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):
+    # the oracle's recount traces the inverse permutation, apart from _trace
+    graphs = [theta, bouquet2, k4, k5, dumbbell]
+    graphs += [random_multigraph(seed) for seed in range(30)]
+    for g in graphs:
+        for rot in enumerate_rotations(g, 10**6):
+            assert _walk_count(g.dart_count, rot.cycles) == _faces(g.dart_count, rot.cycles)[1]
+
+
+def test_oracle_returns_its_report_and_verdict(k4, k5):
+    lines, passed = oracle(k4)
+    assert passed
+    assert lines[0] == "rotations enumerated: 16"
+    assert lines[-1] == "oracle: all checks passed"
+    with pytest.raises(CapExceededError, match="cap of 124"):
+        oracle(k5, tree_cap=124)

@@ -18,6 +18,7 @@ from ribbon_embed import (
 )
 from ribbon_embed.rotation import (
     _faces,
+    _sweep,
     canonical_cycle,
     rotation_from_lines,
     rotation_to_lines,
@@ -159,9 +160,12 @@ def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
     graphs = [theta, bouquet2, k4, k5, dumbbell]
     graphs += [random_multigraph(seed) for seed in range(30)]
     for g in graphs:
-        counts = [_faces(g.dart_count, r.cycles)[1] for r in enumerate_rotations(g, 10**6)]
-        assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
         rotations = list(enumerate_rotations(g, 10**6))
+        traced = [_faces(g.dart_count, r.cycles) for r in rotations]
+        counts = [count for _, count, _ in traced]
+        assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
+        swept = [(tuple(cycles), face) for cycles, face, _ in _sweep(g, 10**6)]
+        assert swept == [(r.cycles, face) for r, (face, _, _) in zip(rotations, traced)]
         for walks in range(max(counts) + 2):
             first = next((r for r, c in zip(rotations, counts) if c == walks), None)
             assert find_rotation_with_count(g, walks, 10**6) == first
