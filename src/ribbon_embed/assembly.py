@@ -55,7 +55,7 @@ from .rotation import (
 )
 
 SCHEMA_VERSION = 1
-LENGTH_TOLERANCE = 1e-9
+LENGTH_TOLERANCE = 1e-9  # relative to the expected length, absolute below 1
 
 SURFACE = "surface"
 CONSTRUCTION = "construction"
@@ -340,14 +340,21 @@ def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
 
 
 def cap_target_genus(
-    schema: SurfaceSchema, target: int, tree_cap: int = DEFAULT_TREE_CAP
+    schema: SurfaceSchema,
+    target: int,
+    tree_cap: int = DEFAULT_TREE_CAP,
+    minimum: int | None = None,
 ) -> SurfaceSchema:
     """Close the minimal-boundary bordered schema at an exact chosen genus.
 
     Requires the schema's boundary count to be 1 + zeta, so the standard
-    capping realizes the essential genus g_e.  A count of 1 plus the bridge
-    floor of zeta is accepted without a tree search; only another count
-    is checked against the spanning-tree search.  For target > g_e one cap is
+    capping realizes the essential genus g_e.  ``minimum`` is a walk count
+    already certified to be 1 + zeta (a certified
+    :func:`~ribbon_embed.moves.minimize_boundaries` result); given, the
+    count is checked against it and nothing is searched.  Without it, a
+    count of 1 plus the bridge floor of zeta is accepted without a tree
+    search; only another count is checked against the spanning-tree search
+    within ``tree_cap`` trees.  For target > g_e one cap is
     upgraded: when b is a multiple of 3, a three-holed cap becomes a
     three-holed surface of genus g' = target - g_e; otherwise a torus cap
     becomes a one-holed surface of genus g' + 1.  Only the target g_e
@@ -356,13 +363,13 @@ def cap_target_genus(
     b = schema.summary.boundary_count
     if b < 1:
         raise ValueError("schema is already closed; nothing to cap")
-    if b != 1 + zeta_floor(schema.graph):
-        z = betti_deficiency(schema.graph, tree_cap)
-        if b != 1 + z:
-            raise ValueError(
-                f"target-genus capping needs the minimal-boundary surface: "
-                f"boundary count is {b}, 1 + zeta is {1 + z}"
-            )
+    if minimum is None and b != 1 + zeta_floor(schema.graph):
+        minimum = 1 + betti_deficiency(schema.graph, tree_cap)
+    if minimum is not None and b != minimum:
+        raise ValueError(
+            f"target-genus capping needs the minimal-boundary surface: "
+            f"boundary count is {b}, 1 + zeta is {minimum}"
+        )
     g_e = capped_genus(schema.graph, b)
     if target < g_e:
         raise TargetGenusError(
@@ -398,6 +405,16 @@ def cap_target_genus(
 # ---------------------------------------------------------------------------
 # verification
 
+def _off(got: float, want: float) -> bool:
+    """Whether a length misses its expected value by more than the tolerance.
+
+    Relative, because a schema stores 12 significant digits: near 274 a
+    stored cuff length and twice its stored half-length are each rounded
+    to the ninth decimal, and together they can miss by more than 1e-9.
+    """
+    return abs(got - want) > LENGTH_TOLERANCE * max(1.0, abs(want))
+
+
 def _check_block_shapes(schema: SurfaceSchema, errors: list[str]) -> None:
     graph = schema.graph
     vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
@@ -419,7 +436,7 @@ def _check_block_shapes(schema: SurfaceSchema, errors: list[str]) -> None:
                     f"block {block.id}: {len(block.boundaries)} cuffs for degree {deg}"
                 )
             for bd in block.boundaries:
-                if not isinstance(bd.length, float) or abs(bd.length - 1.0) > LENGTH_TOLERANCE:
+                if not isinstance(bd.length, float) or _off(bd.length, 1.0):
                     errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
         elif block.kind == "edge_pants":
             ename = block.payload.get("edge")
@@ -439,7 +456,7 @@ def _check_block_shapes(schema: SurfaceSchema, errors: list[str]) -> None:
                 want = expected.get(bd.label)
                 if want is None:
                     errors.append(f"block {block.id}: unexpected cuff {bd.label}")
-                elif not isinstance(bd.length, float) or abs(bd.length - want) > LENGTH_TOLERANCE:
+                elif not isinstance(bd.length, float) or _off(bd.length, want):
                     errors.append(
                         f"block {block.id}: cuff {bd.label} has length {bd.length!r}, "
                         f"expected {want:.12g}"
@@ -490,7 +507,7 @@ def _check_gluings(schema: SurfaceSchema, errors: list[str]) -> None:
                 errors.append(
                     f"gluing {g.side_a} ~ {g.side_b}: symbolic lengths {la!r} vs {lb!r}"
                 )
-        elif abs(la - lb) > LENGTH_TOLERANCE:
+        elif _off(la, lb):
             errors.append(
                 f"gluing {g.side_a} ~ {g.side_b}: lengths {la:.12g} vs {lb:.12g}"
             )
@@ -583,14 +600,7 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
                 f"edge {graph.edge_names[e]}: scaled length leaves gap {gap:.12g} <= f_min"
             )
             continue
-        try:
-            distance = waist_distance(scale.waist[e])
-        except OverflowError:
-            errors.append(
-                f"edge {graph.edge_names[e]}: waist {scale.waist[e]:.12g} is too long to invert"
-            )
-            continue
-        if abs(distance - gap) > LENGTH_TOLERANCE:
+        if _off(waist_distance(scale.waist[e]), gap):
             errors.append(
                 f"edge {graph.edge_names[e]}: waist does not invert the cuff distance"
             )

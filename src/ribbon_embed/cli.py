@@ -124,7 +124,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
                 "surface; raise --max-trees / --max-rotations"
             )
             return CAP_EXCEEDED
-        schema = cap_target_genus(bordered, wanted, tree_cap=args.max_trees)
+        schema = cap_target_genus(bordered, wanted, minimum=result.boundary_count)
     else:
         schema = cap_standard(bordered)
     diagnostics = verify_schema(schema)

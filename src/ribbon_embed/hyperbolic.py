@@ -19,7 +19,10 @@ edge's waist via the inverse of f.
 
 Everything is double precision; the formulas are well-conditioned on the
 domains used here, and the round-trip f(f_inv(L)) = L holds to 1e-9 across
-the working range.
+the working range.  Past ``_LOG_DOMAIN`` cosh x equals e^x / 2 to double
+precision and soon overflows, so there both functions take their
+log-domain forms f(x) = x - log sinh^2(1/2) and
+f_inv(d) = d + log sinh^2(1/2).
 """
 
 from __future__ import annotations
@@ -34,11 +37,16 @@ _SINH_SQ_HALF = math.sinh(0.5) ** 2
 
 F_MIN = math.acosh((_COSH_SQ_HALF + 1.0) / _SINH_SQ_HALF)
 
+_LOG_SINH_SQ_HALF = math.log(_SINH_SQ_HALF)
+_LOG_DOMAIN = 700.0  # below where the cosh forms overflow (x or d near 709)
+
 
 def waist_distance(x: float) -> float:
     """f(x): distance between the two unit cuffs of a (1, 1, 2x) pants."""
     if x <= 0.0:
         raise ValueError(f"waist half-length must be positive, got {x}")
+    if x > _LOG_DOMAIN:
+        return x - _LOG_SINH_SQ_HALF
     return math.acosh((_COSH_SQ_HALF + math.cosh(x)) / _SINH_SQ_HALF)
 
 
@@ -46,6 +54,8 @@ def f_inv(distance: float) -> float:
     """Inverse of :func:`waist_distance`; defined for distance > f_min."""
     if distance <= F_MIN:
         raise ValueError(f"distance must exceed f_min={F_MIN:.9f}, got {distance}")
+    if distance > _LOG_DOMAIN:
+        return distance + _LOG_SINH_SQ_HALF
     return math.acosh(math.cosh(distance) * _SINH_SQ_HALF - _COSH_SQ_HALF)
 
 

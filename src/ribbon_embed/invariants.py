@@ -344,7 +344,7 @@ def analyze(
     Smooths degree-2 vertices first, so subdividing edges never changes the
     report.  The tree count is checked against ``tree_cap`` first, so a
     graph with too many trees fails before any search; each exhaustive
-    search (zeta, the rotation sweep) then runs once.  The cheap identities
+    search (zeta, the boundary profile) then runs once.  The cheap identities
     between the fields are re-checked and any disagreement raises
     :class:`InternalInvariantError`; the expensive
     cross-check (min boundary count vs 1 + zeta) lives in the oracle

@@ -15,7 +15,7 @@ of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
 floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
 optimal on sight; above it the spanning-tree search supplies 1 + zeta; the
 scan of every rotation comes last.  Maximizing, the target is the maximum
-of the rotation profile when the sweep fits under its cap.
+of the boundary profile when the rotation count fits under its cap.
 
 :func:`oracle` re-verifies the theory by brute force in one rotation sweep:
 the profile, every reducing move and every greedy descent come from the

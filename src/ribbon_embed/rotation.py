@@ -13,12 +13,25 @@ Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
-Exhaustive sweeps (:func:`boundary_profile`, :func:`find_rotation_with_count`,
-the enumeration fallback of the move search and the oracle's single pass in
+Exhaustive sweeps (:func:`find_rotation_with_count`, the enumeration
+fallback of the move search and the oracle's single pass in
 :func:`ribbon_embed.moves.oracle`) go through :func:`_sweep`, which visits
 rotations in :func:`enumerate_rotations` order and, between consecutive
 rotations, rewrites only the successor entries of the vertices whose cyclic
 order changed.
+
+:func:`boundary_profile` needs only how many rotations give each walk
+count, and has two paths to it.  The frontier DP, :func:`_frontier_profile`,
+places one vertex at a time and keeps, for each way the open face paths can
+cross the cut around the placed vertices, a histogram of the faces already
+closed (Gross and Furst's bar-amalgamation; the partitioned genus
+distributions of Gross, Khan and Poshni).  Its cost grows with the cut
+width, not with the number of rotations.  Before each placement it knows
+that placement's work, states times cyclic orders of the new vertex, and
+once the running total would reach the number of rotations it hands over
+to :func:`_sweep`, which then does no more work than the DP would.  That
+happens on one-vertex bouquets, dipoles and other graphs with few, high
+degree vertices.
 """
 
 from __future__ import annotations
@@ -186,18 +199,27 @@ def count_rotations(graph: MetricGraph) -> int:
     return math.prod(math.factorial(graph.degree(v) - 1) for v in range(graph.vertex_count))
 
 
-def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
-    """Every cyclic order at each vertex, smallest dart pinned first, tails
-    in lexicographic order.  Raises :class:`CapExceededError` when the
-    product of their counts exceeds ``cap``."""
+def _capped_count(graph: MetricGraph, cap: int) -> int:
+    """:func:`count_rotations`; raises :class:`CapExceededError` above ``cap``."""
     total = count_rotations(graph)
     if total > cap:
         raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
-    orders = []
-    for v in range(graph.vertex_count):
-        head, *tail = graph.darts_at(v)
-        orders.append([(head, *p) for p in itertools.permutations(tail)])
-    return orders
+    return total
+
+
+def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every cyclic order of ``darts``: the first pinned, tails in
+    lexicographic order."""
+    head, *tail = darts
+    return [(head, *p) for p in itertools.permutations(tail)]
+
+
+def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
+    """The cyclic orders at each vertex, smallest dart first.  Raises
+    :class:`CapExceededError` when the product of their counts exceeds
+    ``cap``."""
+    _capped_count(graph, cap)
+    return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 
 def enumerate_rotations(
@@ -254,9 +276,85 @@ def _sweep(
             return
 
 
+def _frontier_profile(graph: MetricGraph, budget: float) -> Counter[int] | None:
+    """The walk-count histogram by a frontier DP over vertex placements, or
+    None as soon as its work would reach ``budget``.
+
+    The next vertex placed is the one with the most edges into the placed
+    set S, ties to the smallest id.  Under a rotation of S alone the face
+    permutation splits into closed faces, which are only counted, and open
+    paths, each entering S at the S-side dart of a cut edge (in ``entries``,
+    sorted) and leaving at an outside dart.  A state is the tuple of those
+    exits, aligned with ``entries``, and maps to a Counter {closed faces:
+    partial rotations}.  Placing w composes each of its cyclic orders into
+    each state; with every vertex placed the one state left is empty.  A
+    placement costs len(states) * (deg(w) - 1)! compositions, counted
+    against ``budget`` before any order of w is built.
+    """
+    vertex_of = graph.vertex_of
+    placed = [False] * graph.vertex_count
+    into = [0] * graph.vertex_count  # edges from each vertex into S
+    entries: list[int] = []
+    states: dict[tuple[int, ...], Counter[int]] = {(): Counter({0: 1})}
+    work = 0
+    for _ in range(graph.vertex_count):
+        w = max((v for v, done in enumerate(placed) if not done), key=lambda v: (into[v], -v))
+        work += len(states) * math.factorial(graph.degree(w) - 1)
+        if work >= budget:
+            return None
+        placed[w] = True
+        darts = graph.darts_at(w)
+        for d in darts:
+            into[vertex_of[d ^ 1]] += 1
+        new_entries = sorted(
+            [e for e in entries if vertex_of[e ^ 1] != w]
+            + [d for d in darts if not placed[vertex_of[d ^ 1]]]
+        )
+        steps = [
+            {d: p ^ 1 for d, p in zip(order, order[-1:] + order[:-1])}
+            for order in _cyclic_orders(darts)
+        ]
+        composed: dict[tuple[int, ...], Counter[int]] = {}
+        for state, counts in states.items():
+            exit_of = dict(zip(entries, state))
+            for step in steps:
+                succ = {**exit_of, **step}
+                seen = set()
+                exits = []
+                for z in new_entries:
+                    while z in succ:
+                        seen.add(z)
+                        z = succ[z]
+                    exits.append(z)
+                closed = 0  # faces through w met by no path are closed here
+                for x in darts:
+                    if x not in seen:
+                        closed += 1
+                        while x not in seen:
+                            seen.add(x)
+                            x = succ[x]
+                key = tuple(exits)
+                target = composed.get(key)
+                if target is None:
+                    target = composed[key] = Counter()
+                for faces, rotations in counts.items():
+                    target[faces + closed] += rotations
+        states = composed
+        entries = new_entries
+    return states[()]
+
+
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
-    """Histogram {walk count: rotation count} over all rotation systems."""
-    counts = Counter(count for _, _, count in _sweep(graph, cap))
+    """Histogram {walk count: rotation count} over all rotation systems.
+
+    Raises :class:`CapExceededError` when there are more than ``cap``
+    rotations.  The frontier DP computes it; once the DP's compositions
+    would reach the number of rotations, :func:`_sweep` does no more work
+    and takes over.
+    """
+    counts = _frontier_profile(graph, _capped_count(graph, cap))
+    if counts is None:
+        counts = Counter(count for _, _, count in _sweep(graph, cap))
     return dict(sorted(counts.items()))
 
 

@@ -144,7 +144,7 @@ def test_criterion_06_driver_reaches_minimum_from_every_start(fixtures):
 
 
 def test_criterion_07_hyperbolic_numerics():
-    """Closed-form constants to 1e-6; inversion to 1e-9 on a 1000-point grid.
+    """Closed-form constants to 1e-6; inversion to 1e-9 on a grid up to 2000.
 
     The three decimal literals come from re-evaluating the closed forms at
     30-digit precision, not from any lower-precision tabulation.
@@ -154,14 +154,17 @@ def test_criterion_07_hyperbolic_numerics():
     assert abs(foot_length(4) - 2.528272430436) <= 1e-6
     lo = F_MIN + 1e-6
     grid = [lo + k * (20.0 - lo) / 999 for k in range(1000)]
+    # on past the point where cosh overflows, through the log-domain switch
+    grid += [20.0 + k * (1980.0 / 999) for k in range(1, 1000)]
+    grid += [700.0 + k / 64 for k in range(-128, 129)]
     prev = None
-    for L in grid:
+    for L in sorted(grid):
         assert abs(waist_distance(f_inv(L)) - L) <= 1e-9
         x = f_inv(L)
         if prev is not None:
             assert x > prev
         prev = x
-    print("ACCEPTANCE 7 PASS: constants to 1e-6, round trip to 1e-9 on 1000 grid points")
+    print("ACCEPTANCE 7 PASS: constants to 1e-6, round trip to 1e-9 on 2256 grid points up to 2000")
 
 
 def test_criterion_08_naive_construction_identities(fixtures):

@@ -1,7 +1,11 @@
 import ast
+import functools
 import hashlib
 import json
 import math
+import operator
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -123,6 +127,21 @@ def test_embed_genus_target_refused_above_the_floor_without_certificate(graph_fi
             "--max-rotations", "1"]  # fmt: skip
     assert main(argv) == 5
     assert "not certified" in capsys.readouterr().err
+
+
+def test_embed_genus_target_capped_with_the_certificate_of_the_sweep(graph_file, tmp_path, capsys):
+    # zeta exceeds the bridge floor and one tree is too few for the tree
+    # search, so the sweep certifies the 4 walks; capping takes that minimum
+    # as it is instead of searching the trees again
+    path = graph_file(format_graph(random_multigraph(27)))
+    out_path = tmp_path / "schema.json"
+    argv = ["embed", path, "--target", "genus=5", "--max-trees", "1", "--restarts", "0",
+            "-o", str(out_path)]  # fmt: skip
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "4 boundary walk(s) before capping" in err and err.endswith(", certified\n")
+    assert main(["verify", str(out_path)]) == 0
+    assert "ok: genus 5, 0 boundary circle(s)" in capsys.readouterr().out
 
 
 def test_embed_genus_unreachable(graph_file, capsys):
@@ -335,15 +354,63 @@ def test_verify_rejects_malformed_shapes(case, graph_file, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_verify_reports_a_waist_too_long_to_invert(graph_file, tmp_path, capsys):
+def test_verify_reports_a_long_waist_that_misses_its_cuff_distance(graph_file, tmp_path, capsys):
     out_path = tmp_path / "schema.json"
     assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
     doc = json.loads(out_path.read_text())
-    doc["meta"]["waist"]["a"] = 1000.0  # cosh(1000) overflows a float
+    doc["meta"]["waist"]["a"] = 1000.0  # cosh(1000) overflows; the log-domain form does not
     out_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 1
-    assert "fail: edge a: waist 1000 is too long to invert" in capsys.readouterr().out
+    assert "fail: edge a: waist does not invert the cuff distance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("length", [13.96, 18.75, 42.5, 93.0, 93.77, 200.0, 1000.0])
+def test_embed_then_verify_long_thetas(length, graph_file, tmp_path, capsys):
+    # the schema keeps 12 significant digits, so a waist near 274 misses an
+    # absolute 1e-9; from L = 93.77 on, cosh(t * L) overflows a float
+    text = f"edge a u v 1.0\nedge b u v 1.0\nedge c u v {length}\n"
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(text), "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out == "ok: genus 2, 0 boundary circle(s), construction sigma\n"
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
+    # every mutated document gets a verdict (0 ok, 1 failed check, 2 bad
+    # input) and no exception escapes main
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
+    text = out_path.read_text()
+    paths = list(_leaf_paths(json.loads(text)))
+    leaves = [functools.reduce(operator.getitem, path, json.loads(text)) for path in paths]
+    rng = random.Random(6)
+    hostile = [None, 0, -1, 7.25, 1e308, "", "zz", True, [], {}]
+    exits = Counter()
+    for _ in range(3000):
+        doc = json.loads(text)
+        path = rng.choice(paths)
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if rng.random() < 0.25:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(hostile + [rng.choice(leaves)])
+        out_path.write_text(json.dumps(doc))
+        exits[main(["verify", str(out_path)])] += 1
+        capsys.readouterr()
+    assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -14,10 +15,13 @@ from ribbon_embed import (
     fat_genus,
     find_rotation_with_count,
     make_rotation,
+    parse_graph,
+    rotation,
     vertex_boundary_incidence,
 )
 from ribbon_embed.rotation import (
     _faces,
+    _frontier_profile,
     _sweep,
     canonical_cycle,
     rotation_from_lines,
@@ -25,7 +29,7 @@ from ribbon_embed.rotation import (
     validate_rotation,
 )
 
-from helpers import random_multigraph
+from helpers import prism, random_multigraph
 
 # Frozen by exhaustive enumeration, cross-checked against an independent
 # tracer for both walk conventions (the multiset is convention-invariant).
@@ -123,6 +127,61 @@ def test_boundary_profiles(theta, bouquet2, k4, k5):
 def test_boundary_profile_cap(k5):
     with pytest.raises(CapExceededError):
         boundary_profile(k5, 100)
+
+
+def _edges(pairs):
+    return parse_graph("\n".join(f"edge e{i} {u} {v} 1.0" for i, (u, v) in enumerate(pairs)))
+
+
+def bouquet(loops):
+    return _edges([("w", "w")] * loops)
+
+
+def dipole(strands):
+    return _edges([("u", "v")] * strands)
+
+
+PETERSEN = _edges(
+    [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    + [(f"o{i}", f"i{i}") for i in range(5)]
+    + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+)
+
+
+def _swept(g):
+    return Counter(count for _, _, count in _sweep(g, 10**6))
+
+
+def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
+    # an unbounded budget runs the DP to the end even where boundary_profile
+    # would hand over; the sweep shares no code with it but _cyclic_orders
+    graphs = [theta, bouquet2, k4, k5, dumbbell, bouquet(4), dipole(6)]
+    graphs += [prism(rungs) for rungs in range(3, 8)]
+    graphs += [g for g in map(random_multigraph, range(150)) if count_rotations(g) <= 10**6]
+    assert len(graphs) == 162
+    for g in graphs:
+        assert _frontier_profile(g, math.inf) == _swept(g)
+
+
+def test_boundary_profile_runs_the_dp_and_hands_over_to_the_sweep(k5, monkeypatch):
+    expected = {g: _swept(g) for g in (PETERSEN, prism(5), prism(7))}
+
+    class Swept(Exception):
+        pass
+
+    def no_sweep(graph, cap):
+        raise Swept
+
+    monkeypatch.setattr(rotation, "_sweep", no_sweep)
+    assert boundary_profile(k5) == PROFILES["k5"]
+    for g, profile in expected.items():
+        assert boundary_profile(g) == dict(sorted(profile.items()))
+    # 2^18 rotations, and the planar embedding's rungs + 2 faces at the top
+    big = boundary_profile(prism(9))
+    assert sum(big.values()) == 2**18 and max(big) == 11 and min(big) == 1
+    # one vertex of degree 10: the first placement alone costs every rotation
+    with pytest.raises(Swept):
+        boundary_profile(bouquet(5))
 
 
 def test_walk_parity_property():
