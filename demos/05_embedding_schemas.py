@@ -30,18 +30,21 @@ print("naive k4:", naive.summary)
 print("  blocks:", {b.kind for b in naive.blocks})
 
 res = minimize_boundaries(k4, restarts=4)
+assert res.certified  # the capping below takes its walk count as the minimum
 bordered = assemble_sigma_surface(k4, res.rotation)
 print("bordered k4:", bordered.summary)
 
 closed = cap_standard(bordered)
 print("capped k4:", closed.summary, " (the essential genus)")
 
-bigger = cap_target_genus(bordered, 6)
+bigger = cap_target_genus(bordered, 6, res.boundary_count)
 print("target 6:", bigger.summary)
 
-# Verification re-derives everything from the graph and rotation: block
-# shapes, gluing length matches, chi additivity, the scale inequalities
-# and the walk labels.  It trusts no stored number.
+# Verification re-derives from the graph and rotation: block shapes,
+# gluing length matches, chi additivity, the scale inequalities, the walk
+# labels, the construction name, the graph hash and f_min.  It does not
+# yet re-derive the stored vertex feet, the margin or the block payload
+# numbers.
 for schema in (naive, bordered, closed, bigger):
     diag = verify_schema(schema)
     print("verify:", schema.summary.construction, "->", "ok" if diag.ok else diag.errors)

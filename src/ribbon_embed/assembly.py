@@ -45,7 +45,7 @@ from .graph import (
     is_cycle_graph,
 )
 from .hyperbolic import F_MIN, ScaleParams, choose_scale, waist_distance
-from .invariants import DEFAULT_TREE_CAP, betti_deficiency, capped_genus, qr_split, zeta_floor
+from .invariants import capped_genus, qr_split
 from .rotation import (
     RotationSystem,
     boundary_walks,
@@ -339,33 +339,23 @@ def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
     )
 
 
-def cap_target_genus(
-    schema: SurfaceSchema,
-    target: int,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    minimum: int | None = None,
-) -> SurfaceSchema:
+def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> SurfaceSchema:
     """Close the minimal-boundary bordered schema at an exact chosen genus.
 
-    Requires the schema's boundary count to be 1 + zeta, so the standard
-    capping realizes the essential genus g_e.  ``minimum`` is a walk count
-    already certified to be 1 + zeta (a certified
-    :func:`~ribbon_embed.moves.minimize_boundaries` result); given, the
-    count is checked against it and nothing is searched.  Without it, a
-    count of 1 plus the bridge floor of zeta is accepted without a tree
-    search; only another count is checked against the spanning-tree search
-    within ``tree_cap`` trees.  For target > g_e one cap is
-    upgraded: when b is a multiple of 3, a three-holed cap becomes a
-    three-holed surface of genus g' = target - g_e; otherwise a torus cap
-    becomes a one-holed surface of genus g' + 1.  Only the target g_e
-    itself yields a minimal embedding.
+    ``minimum`` is the walk count certified to be 1 + zeta, the
+    ``boundary_count`` of a certified
+    :func:`~ribbon_embed.moves.minimize_boundaries` result, which is where
+    the minimum is decided; the schema's boundary count must equal it, so
+    the standard capping realizes the essential genus g_e.  For
+    target > g_e one cap is upgraded: when b is a multiple of 3, a
+    three-holed cap becomes a three-holed surface of genus
+    g' = target - g_e; otherwise a torus cap becomes a one-holed surface of
+    genus g' + 1.  Only the target g_e itself yields a minimal embedding.
     """
     b = schema.summary.boundary_count
     if b < 1:
         raise ValueError("schema is already closed; nothing to cap")
-    if minimum is None and b != 1 + zeta_floor(schema.graph):
-        minimum = 1 + betti_deficiency(schema.graph, tree_cap)
-    if minimum is not None and b != minimum:
+    if b != minimum:
         raise ValueError(
             f"target-genus capping needs the minimal-boundary surface: "
             f"boundary count is {b}, 1 + zeta is {minimum}"
@@ -515,6 +505,17 @@ def _check_gluings(schema: SurfaceSchema, errors: list[str]) -> None:
 
 def _check_bookkeeping(schema: SurfaceSchema, errors: list[str], notes: list[str]) -> None:
     summary = schema.summary
+    if not any(b.kind == "spine_surface" for b in schema.blocks):
+        construction = "naive"
+    elif summary.minimal is not False:
+        construction = "sigma"
+    else:
+        construction = f"sigma_target({summary.genus})"
+    if summary.construction != construction:
+        errors.append(
+            f"construction {summary.construction!r} does not match the blocks, "
+            f"which build {construction!r}"
+        )
     surface_chi = sum(b.euler for b in schema.blocks if b.layer == SURFACE)
     expected_chi = 2 - 2 * summary.genus - summary.boundary_count
     if surface_chi != expected_chi:
@@ -532,9 +533,6 @@ def _check_bookkeeping(schema: SurfaceSchema, errors: list[str], notes: list[str
         want = graph.edge_count + betti(graph)
         if summary.genus != want:
             errors.append(f"naive genus {summary.genus}, expected |E| + beta = {want}")
-        handshake = sum(graph.degree(v) - 2 for v in range(graph.vertex_count))
-        if 2 * summary.genus - 2 != handshake + 2 * graph.edge_count:
-            errors.append("naive identity 2g - 2 = sum(deg - 2) + 2|E| fails")
         if summary.minimal:
             errors.append("naive construction must not claim minimality")
     caps = [b for b in schema.blocks if b.kind in ("cap_pants", "cap_torus", "cap_surface")]
@@ -684,7 +682,7 @@ def schema_to_json(schema: SurfaceSchema) -> str:
             },
             "t": _round12(schema.scale.t),
             "margin": _round12(schema.scale.margin),
-            "f_min": _round12(schema.scale.f_floor),
+            "f_min": _round12(F_MIN),
             "foot": {
                 graph.vertex_names[v]: _round12(x) for v, x in sorted(schema.scale.foot.items())
             },
@@ -753,6 +751,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _layer(value) -> str:
+    """``value`` unchanged if it names a layer; chi additivity sums the
+    surface layer only, so an unknown layer would drop a block from it."""
+    if value not in (SURFACE, CONSTRUCTION):
+        raise SchemaFormatError(f"unknown block layer {value!r}")
+    return value
+
+
 def _side(value) -> tuple[str, str]:
     if (
         isinstance(value, list)
@@ -810,6 +816,10 @@ def schema_from_json(text: str) -> SurfaceSchema:
             )
         meta = doc["meta"]
         graph = _graph_from_meta(meta)
+        if meta["graph"]["hash"] != graph_hash(graph):
+            raise SchemaFormatError("meta graph hash does not match the graph's edges")
+        if _finite(float(meta["f_min"])) != _round12(F_MIN):
+            raise SchemaFormatError(f"f_min {meta['f_min']!r} is not {_round12(F_MIN)!r}")
         vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
         edge_ids = {name: e for e, name in enumerate(graph.edge_names)}
         rotation = (
@@ -820,7 +830,6 @@ def schema_from_json(text: str) -> SurfaceSchema:
         scale = ScaleParams(
             t=_finite(float(meta["t"])),
             margin=_finite(float(meta["margin"])),
-            f_floor=_finite(float(meta["f_min"])),
             foot={vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
             clearance=_per_edge(meta, "clearance", edge_ids),
             waist=_per_edge(meta, "waist", edge_ids),
@@ -830,7 +839,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 id=_name(b["id"], "block id"),
                 kind=b["kind"],
                 genus=_integer(b["genus"], "block genus"),
-                layer=b["layer"],
+                layer=_layer(b["layer"]),
                 boundaries=tuple(
                     Boundary(
                         _name(bd["label"], "boundary label"),

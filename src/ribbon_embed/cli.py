@@ -19,6 +19,7 @@ and flags, the emitted schema is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,11 +34,7 @@ from .assembly import (
 from .errors import (
     CapExceededError,
     CycleGraphError,
-    GraphFormatError,
-    GraphValidationError,
     InternalInvariantError,
-    MovePreconditionError,
-    SchemaFormatError,
     TargetGenusError,
 )
 from .graph import MetricGraph, parse_graph, smooth
@@ -174,7 +171,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`main` call in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="ribbon-embed",
         description="Surface-embedding invariants and verified hyperbolic "
@@ -253,16 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         _say(f"internal invariant violation: {exc}")
         return INVARIANT_VIOLATION
-    except (
-        GraphFormatError,
-        GraphValidationError,
-        SchemaFormatError,
-        MovePreconditionError,
-        ValueError,
-    ) as exc:
-        _say(f"error: {exc}")
-        return BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every input error class is a ValueError
         _say(f"error: {exc}")
         return BAD_INPUT
 

@@ -37,10 +37,9 @@ class MetricGraph:
     that changes the graph returns a new one.
 
     The constructor checks structural sanity only (array sizes, vertex ids
-    in range).  Connectivity, degree floors and length positivity are the
-    business of :func:`parse_graph` (which enforces them) and
-    :func:`validate` (which reports them), so that diagnostic tooling can
-    hold ill-formed graphs in memory.
+    in range).  Connectivity and length positivity are enforced where a
+    graph enters, by :func:`parse_graph`; degree floors by the operations
+    that need them (:func:`smooth`, the schema builders).
     """
 
     vertex_of: tuple[int, ...]
@@ -85,13 +84,6 @@ class MetricGraph:
 
     def endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
-
-    def is_loop(self, edge: int) -> bool:
-        u, v = self.endpoints(edge)
-        return u == v
-
-    def total_length(self) -> float:
-        return sum(self.lengths)
 
 
 def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph:
@@ -251,43 +243,6 @@ def is_cycle_graph(graph: MetricGraph) -> bool:
         all(graph.degree(v) == 2 for v in range(graph.vertex_count))
         and len(connected_components(graph)) == 1
     )
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structural defect found by :func:`validate`."""
-
-    kind: str  # "disconnected" | "min_degree" | "nonpositive_length"
-    message: str
-
-
-def validate(graph: MetricGraph, min_degree: int = 3) -> list[Violation]:
-    """Report connectivity, degree-floor and length-positivity defects.
-
-    Returns an empty list when the graph is clean.  Deterministic order:
-    connectivity first, then degrees by vertex id, then lengths by edge id.
-    """
-    out: list[Violation] = []
-    components = connected_components(graph)
-    if len(components) != 1:
-        out.append(Violation("disconnected", f"{len(components)} components"))
-    for v in range(graph.vertex_count):
-        if graph.degree(v) < min_degree:
-            out.append(
-                Violation(
-                    "min_degree",
-                    f"vertex {graph.vertex_names[v]} has degree {graph.degree(v)} < {min_degree}",
-                )
-            )
-    for e in range(graph.edge_count):
-        if not (math.isfinite(graph.lengths[e]) and graph.lengths[e] > 0.0):
-            out.append(
-                Violation(
-                    "nonpositive_length",
-                    f"edge {graph.edge_names[e]} has length {graph.lengths[e]!r}",
-                )
-            )
-    return out
 
 
 def smooth(graph: MetricGraph) -> MetricGraph:

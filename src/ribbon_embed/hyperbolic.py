@@ -82,7 +82,6 @@ class ScaleParams:
 
     t: float
     margin: float
-    f_floor: float
     foot: dict[int, float]
     clearance: dict[int, float]
     waist: dict[int, float]
@@ -106,6 +105,4 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
         (clearance[e] + F_MIN + margin) / graph.lengths[e] for e in range(graph.edge_count)
     )
     waist = {e: f_inv(t * graph.lengths[e] - clearance[e]) for e in range(graph.edge_count)}
-    return ScaleParams(
-        t=t, margin=margin, f_floor=F_MIN, foot=foot, clearance=clearance, waist=waist
-    )
+    return ScaleParams(t=t, margin=margin, foot=foot, clearance=clearance, waist=waist)

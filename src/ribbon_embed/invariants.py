@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
 from .graph import MetricGraph, _find, betti, euler_char, girth, graph_hash, smooth
-from .rotation import boundary_profile, count_rotations
+from .rotation import DEFAULT_ROTATION_CAP, boundary_profile, count_rotations
 
 DEFAULT_TREE_CAP = 10**6
 
@@ -279,17 +279,10 @@ def ge_max_bound(graph: MetricGraph) -> Fraction:
     return Fraction(betti(graph) + 1, 2) + Fraction(graph.edge_count, int(t))
 
 
-def ge_max_exact(graph: MetricGraph, cap: int = 10**6) -> int:
+def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     """Adversarial genus: max of :func:`capped_genus` over all rotations."""
     profile = boundary_profile(graph, cap)
     return max(capped_genus(graph, b) for b in profile)
-
-
-def min_capped_genus(graph: MetricGraph, cap: int = 10**6) -> int:
-    """Min of :func:`capped_genus` over all rotations; equals the essential
-    genus whenever the graph has minimum degree 3."""
-    profile = boundary_profile(graph, cap)
-    return min(capped_genus(graph, b) for b in profile)
 
 
 @dataclass(frozen=True)
@@ -337,7 +330,7 @@ class InvariantReport:
 def analyze(
     graph: MetricGraph,
     tree_cap: int = DEFAULT_TREE_CAP,
-    rotation_cap: int = 10**6,
+    rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> InvariantReport:
     """Compute the full invariant report for one connected graph.
 

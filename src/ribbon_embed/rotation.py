@@ -13,8 +13,8 @@ Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
-Exhaustive sweeps (:func:`find_rotation_with_count`, the enumeration
-fallback of the move search and the oracle's single pass in
+Exhaustive sweeps (the enumeration fallback of the move search, which
+doubles as its witness scan, and the oracle's single pass in
 :func:`ribbon_embed.moves.oracle`) go through :func:`_sweep`, which visits
 rotations in :func:`enumerate_rotations` order and, between consecutive
 rotations, rewrites only the successor entries of the vertices whose cyclic
@@ -356,16 +356,6 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
     if counts is None:
         counts = Counter(count for _, _, count in _sweep(graph, cap))
     return dict(sorted(counts.items()))
-
-
-def find_rotation_with_count(
-    graph: MetricGraph, walk_count: int, cap: int = DEFAULT_ROTATION_CAP
-) -> RotationSystem | None:
-    """First rotation in enumeration order with the given walk count."""
-    for cycles, _, count in _sweep(graph, cap):
-        if count == walk_count:
-            return RotationSystem(tuple(cycles))
-    return None
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:

@@ -138,16 +138,21 @@ def test_cap_standard_requires_bordered(theta):
         cap_standard(naive_embedding(theta))
 
 
+def _minimal_bordered(graph):
+    """The bordered schema of a certified minimum and its walk count."""
+    res = minimize_boundaries(graph, restarts=2)
+    assert res.certified
+    return assemble_sigma_surface(graph, res.rotation), res.boundary_count
+
+
 def test_cap_target_equals_essential(theta):
-    res = minimize_boundaries(theta, restarts=2)
-    bordered = assemble_sigma_surface(theta, res.rotation)
-    assert cap_target_genus(bordered, 2) == cap_standard(bordered)
+    bordered, minimum = _minimal_bordered(theta)
+    assert cap_target_genus(bordered, 2, minimum) == cap_standard(bordered)
 
 
 def test_cap_target_above_torus_upgrade(theta):
-    res = minimize_boundaries(theta, restarts=2)
-    bordered = assemble_sigma_surface(theta, res.rotation)
-    schema = cap_target_genus(bordered, 4)
+    bordered, minimum = _minimal_bordered(theta)
+    schema = cap_target_genus(bordered, 4, minimum)
     assert schema.summary == Summary(4, 0, False, "sigma_target(4)")
     caps = [b for b in schema.blocks if b.kind == "cap_surface"]
     assert len(caps) == 1
@@ -159,9 +164,8 @@ def test_cap_target_above_torus_upgrade(theta):
 
 def test_cap_target_above_pants_upgrade(dumbbell):
     # three boundaries: the upgrade lands on the three-holed cap
-    res = minimize_boundaries(dumbbell, restarts=2)
-    bordered = assemble_sigma_surface(dumbbell, res.rotation)
-    schema = cap_target_genus(bordered, 5)
+    bordered, minimum = _minimal_bordered(dumbbell)
+    schema = cap_target_genus(bordered, 5, minimum)
     caps = [b for b in schema.blocks if b.kind == "cap_surface"]
     assert len(caps) == 1
     assert caps[0].genus == 3 and len(caps[0].boundaries) == 3
@@ -170,17 +174,17 @@ def test_cap_target_above_pants_upgrade(dumbbell):
 
 
 def test_cap_target_below_essential(theta):
-    res = minimize_boundaries(theta, restarts=2)
-    bordered = assemble_sigma_surface(theta, res.rotation)
+    bordered, minimum = _minimal_bordered(theta)
     with pytest.raises(TargetGenusError):
-        cap_target_genus(bordered, 1)
+        cap_target_genus(bordered, 1, minimum)
 
 
 def test_cap_target_needs_minimal_boundary_surface(theta):
     rot = make_rotation(theta, [(0, 4, 2), (1, 3, 5)])  # 3 walks, not 1
     bordered = assemble_sigma_surface(theta, rot)
+    minimum = _minimal_bordered(theta)[1]
     with pytest.raises(ValueError, match="minimal-boundary"):
-        cap_target_genus(bordered, 5)
+        cap_target_genus(bordered, 5, minimum)
 
 
 # ------------------------------------------------------- corruption
@@ -282,10 +286,8 @@ def test_json_round_trip_everywhere(theta, k4, dumbbell):
         bordered = assemble_sigma_surface(g, res.rotation)
         schemas.append(bordered)
         schemas.append(cap_standard(bordered))
-    res = minimize_boundaries(theta, restarts=2)
-    schemas.append(
-        cap_target_genus(assemble_sigma_surface(theta, res.rotation), 3)
-    )
+    bordered, minimum = _minimal_bordered(theta)
+    schemas.append(cap_target_genus(bordered, 3, minimum))
     for schema in schemas:
         text = schema_to_json(schema)
         back = schema_from_json(text)

@@ -413,6 +413,35 @@ def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
     assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
 
 
+# Each of these single-leaf edits of the K4 schema verified ok while the
+# reader took the stored field on trust.
+STORED_FIELD_MUTATIONS = {
+    "graph hash": (lambda doc: doc["meta"]["graph"].update(hash="00"), 2, "graph hash"),
+    "f_min": (lambda doc: doc["meta"].update(f_min=7.25), 2, "f_min"),
+    "construction": (
+        lambda doc: doc["summary"].update(construction="zz"), 1, "construction 'zz'"
+    ),
+    "layer": (lambda doc: doc["blocks"][0].update(layer="zz"), 2, "block layer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORED_FIELD_MUTATIONS))
+def test_verify_rederives_stored_fields(case, graph_file, tmp_path, capsys):
+    mutate, code, message = STORED_FIELD_MUTATIONS[case]
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == code
+    assert message in "".join(capsys.readouterr())
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

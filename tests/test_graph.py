@@ -18,7 +18,6 @@ from ribbon_embed import (
     parse_graph,
     smooth,
     subdivide,
-    validate,
 )
 
 from conftest import THETA
@@ -40,14 +39,13 @@ def test_parse_basic(theta):
     assert theta.lengths == (1.0, 1.0, 1.0)
     assert theta.degree(0) == theta.degree(1) == 3
     assert theta.endpoints(0) == (0, 1)
-    assert not theta.is_loop(0)
-    assert theta.total_length() == pytest.approx(3.0)
+    assert sum(theta.lengths) == pytest.approx(3.0)
 
 
 def test_parse_loop(bouquet2):
     assert bouquet2.vertex_count == 1
     assert bouquet2.degree(0) == 4
-    assert bouquet2.is_loop(0) and bouquet2.is_loop(1)
+    assert bouquet2.endpoints(0) == bouquet2.endpoints(1) == (0, 0)
     assert bouquet2.darts_at(0) == (0, 1, 2, 3)
 
 
@@ -122,13 +120,6 @@ def test_is_cycle_graph():
     assert not is_cycle_graph(parse_graph(THETA))
 
 
-def test_validate_flags():
-    g = parse_graph("edge a u v 1.0\nedge b v w 1.0\nedge c w u 1.0")
-    kinds = {v.kind for v in validate(g, min_degree=3)}
-    assert kinds == {"min_degree"}
-    assert validate(parse_graph(THETA)) == []
-
-
 def test_graph_hash_ignores_nothing(theta):
     # same text, same hash; any change to an edge length changes it
     again = parse_graph(THETA)
@@ -185,7 +176,7 @@ def test_subdivide_preserves_length_and_smooths_back(theta):
     g = subdivide(theta, 1, [0.25, 0.5])
     assert g.vertex_count == 4
     assert g.edge_count == 5
-    assert g.total_length() == pytest.approx(theta.total_length())
+    assert sum(g.lengths) == pytest.approx(sum(theta.lengths))
     back = smooth(g)
     key = lambda gr: sorted(
         (gr.vertex_names[gr.endpoints(e)[0]], gr.vertex_names[gr.endpoints(e)[1]],

@@ -8,12 +8,12 @@ from ribbon_embed import (
     analyze,
     betti,
     betti_deficiency,
+    boundary_profile,
     capped_genus,
     essential_genus,
     ge_max_bound,
     ge_max_exact,
     max_genus,
-    min_capped_genus,
     parse_graph,
     qr_split,
     smooth,
@@ -258,7 +258,7 @@ def test_ge_max_exact_within_bound():
 
 def test_min_capped_genus_is_essential(theta, bouquet2, k4, k5):
     for g in (theta, bouquet2, k4, k5):
-        assert min_capped_genus(g) == essential_genus(g)
+        assert min(capped_genus(g, b) for b in boundary_profile(g)) == essential_genus(g)
 
 
 def test_analyze_report_fields(k4):

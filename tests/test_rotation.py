@@ -13,7 +13,6 @@ from ribbon_embed import (
     enumerate_rotations,
     euler_char,
     fat_genus,
-    find_rotation_with_count,
     make_rotation,
     parse_graph,
     rotation,
@@ -203,15 +202,9 @@ def test_fat_genus_range(k4):
 def test_vertex_boundary_incidence(theta):
     one_walk = make_rotation(theta, [(0, 2, 4), (1, 3, 5)])
     assert vertex_boundary_incidence(theta, one_walk) == {0: 1, 1: 1}
-    three_walk = find_rotation_with_count(theta, 3, 10**6)
+    three_walk = next(r for r in enumerate_rotations(theta) if boundary_count(theta, r) == 3)
     inc = vertex_boundary_incidence(theta, three_walk)
     assert inc[0] == 3 and inc[1] == 3
-
-
-def test_find_rotation_with_count(k4):
-    rot = find_rotation_with_count(k4, 4, 10**6)
-    assert boundary_count(k4, rot) == 4
-    assert find_rotation_with_count(k4, 3, 10**6) is None
 
 
 def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
@@ -225,9 +218,6 @@ def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
         assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
         swept = [(tuple(cycles), face) for cycles, face, _ in _sweep(g, 10**6)]
         assert swept == [(r.cycles, face) for r, (face, _, _) in zip(rotations, traced)]
-        for walks in range(max(counts) + 2):
-            first = next((r for r, c in zip(rotations, counts) if c == walks), None)
-            assert find_rotation_with_count(g, walks, 10**6) == first
 
 
 def test_rotation_lines_round_trip(k4, bouquet2):
