@@ -60,14 +60,7 @@ LENGTH_TOLERANCE = 1e-9  # relative to the expected length, absolute below 1
 SURFACE = "surface"
 CONSTRUCTION = "construction"
 
-BLOCK_KINDS = (
-    "vertex_sphere",
-    "edge_pants",
-    "spine_surface",
-    "cap_pants",
-    "cap_torus",
-    "cap_surface",
-)
+CAP_KINDS = ("cap_pants", "cap_torus", "cap_surface")
 
 
 @dataclass(frozen=True)
@@ -228,6 +221,21 @@ def naive_embedding(
     )
 
 
+def _spine_block(graph: MetricGraph, rotation: RotationSystem) -> Block:
+    """The surface block of the bordered construction: the tightened
+    neighborhood of the fat graph, with one symbolic boundary per walk."""
+    walks = boundary_walks(graph, rotation)
+    labels = [_walk_label(i) for i in range(len(walks))]
+    return Block(
+        id="spine",
+        kind="spine_surface",
+        genus=(2 - euler_char(graph) - len(walks)) // 2,
+        layer=SURFACE,
+        boundaries=tuple(Boundary(label, f"sym:{label}") for label in labels),
+        payload={"walks": [list(w.darts) for w in walks]},
+    )
+
+
 def assemble_sigma_surface(
     graph: MetricGraph, rotation: RotationSystem, margin: float = 0.1
 ) -> SurfaceSchema:
@@ -240,43 +248,21 @@ def assemble_sigma_surface(
     """
     _require_embeddable(graph)
     scale = choose_scale(graph, margin)
-    walks = boundary_walks(graph, rotation)
-    b = len(walks)
-    genus = (2 - euler_char(graph) - b) // 2
+    spine = _spine_block(graph, rotation)
     blocks, gluings = _construction_blocks(graph, rotation, scale, layer=CONSTRUCTION)
-    spine = Block(
-        id="spine",
-        kind="spine_surface",
-        genus=genus,
-        layer=SURFACE,
-        boundaries=tuple(
-            Boundary(_walk_label(i), f"sym:{_walk_label(i)}") for i in range(b)
-        ),
-        payload={"walks": [list(w.darts) for w in walks]},
-    )
     return SurfaceSchema(
         graph=graph,
         rotation=rotation,
         scale=scale,
         blocks=tuple([*blocks, spine]),
         gluings=tuple(gluings),
-        summary=Summary(genus=genus, boundary_count=b, minimal=None, construction="sigma"),
+        summary=Summary(
+            genus=spine.genus,
+            boundary_count=len(spine.boundaries),
+            minimal=None,
+            construction="sigma",
+        ),
     )
-
-
-def _unglued_surface_boundaries(schema: SurfaceSchema) -> list[tuple[str, str]]:
-    glued = set()
-    for g in schema.gluings:
-        glued.add(g.side_a)
-        glued.add(g.side_b)
-    out = []
-    for block in schema.blocks:
-        if block.layer != SURFACE:
-            continue
-        for boundary in block.boundaries:
-            if (block.id, boundary.label) not in glued:
-                out.append((block.id, boundary.label))
-    return out
 
 
 def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
@@ -405,72 +391,14 @@ def _off(got: float, want: float) -> bool:
     return abs(got - want) > LENGTH_TOLERANCE * max(1.0, abs(want))
 
 
-def _check_block_shapes(schema: SurfaceSchema, errors: list[str]) -> None:
-    graph = schema.graph
-    vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
-    edge_ids = {name: e for e, name in enumerate(graph.edge_names)}
-    for block in schema.blocks:
-        if block.kind not in BLOCK_KINDS:
-            errors.append(f"block {block.id}: unknown kind {block.kind}")
-            continue
-        if block.kind == "vertex_sphere":
-            vname = block.payload.get("vertex")
-            if vname not in vertex_ids:
-                errors.append(f"block {block.id}: unknown vertex {vname!r}")
-                continue
-            deg = graph.degree(vertex_ids[vname])
-            if block.genus != 0:
-                errors.append(f"block {block.id}: vertex sphere must have genus 0")
-            if len(block.boundaries) != deg:
-                errors.append(
-                    f"block {block.id}: {len(block.boundaries)} cuffs for degree {deg}"
-                )
-            for bd in block.boundaries:
-                if not isinstance(bd.length, float) or _off(bd.length, 1.0):
-                    errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
-        elif block.kind == "edge_pants":
-            ename = block.payload.get("edge")
-            if ename not in edge_ids:
-                errors.append(f"block {block.id}: unknown edge {ename!r}")
-                continue
-            e = edge_ids[ename]
-            if block.genus != 0 or len(block.boundaries) != 3:
-                errors.append(f"block {block.id}: edge pants must be a genus-0 3-holed sphere")
-                continue
-            expected = {
-                "end0": 1.0,
-                "end1": 1.0,
-                "waist": 2.0 * schema.scale.waist[e],
-            }
-            for bd in block.boundaries:
-                want = expected.get(bd.label)
-                if want is None:
-                    errors.append(f"block {block.id}: unexpected cuff {bd.label}")
-                elif not isinstance(bd.length, float) or _off(bd.length, want):
-                    errors.append(
-                        f"block {block.id}: cuff {bd.label} has length {bd.length!r}, "
-                        f"expected {want:.12g}"
-                    )
-        elif block.kind == "cap_pants":
-            if block.genus != 0 or len(block.boundaries) != 3:
-                errors.append(f"block {block.id}: three-holed cap must have genus 0")
-        elif block.kind == "cap_torus":
-            if block.genus != 1 or len(block.boundaries) != 1:
-                errors.append(f"block {block.id}: torus cap must be one-holed genus 1")
-        elif block.kind == "cap_surface":
-            if block.genus < 1 or len(block.boundaries) not in (1, 3):
-                errors.append(
-                    f"block {block.id}: upgraded cap must have genus >= 1 and 1 or 3 holes"
-                )
-        elif block.kind == "spine_surface":
-            if block.euler != euler_char(graph):
-                errors.append(
-                    f"block {block.id}: chi {block.euler} differs from the graph's "
-                    f"{euler_char(graph)}"
-                )
+def _gluing_index(
+    schema: SurfaceSchema, errors: list[str]
+) -> dict[tuple[str, str], tuple[str, str]]:
+    """The partner of every glued boundary, ``(block id, label)`` both.
 
-
-def _check_gluings(schema: SurfaceSchema, errors: list[str]) -> None:
+    Building it checks each gluing: both sides exist and are glued once,
+    the twist is zero and the two lengths agree.
+    """
     lengths: dict[tuple[str, str], float | str] = {}
     for block in schema.blocks:
         for bd in block.boundaries:
@@ -478,15 +406,15 @@ def _check_gluings(schema: SurfaceSchema, errors: list[str]) -> None:
             if key in lengths:
                 errors.append(f"block {block.id}: duplicate boundary label {bd.label}")
             lengths[key] = bd.length
-    used: set[tuple[str, str]] = set()
+    partner: dict[tuple[str, str], tuple[str, str]] = {}
     for g in schema.gluings:
-        for side in (g.side_a, g.side_b):
+        for side, other in ((g.side_a, g.side_b), (g.side_b, g.side_a)):
             if side not in lengths:
                 errors.append(f"gluing references missing boundary {side}")
-            elif side in used:
+            elif side in partner:
                 errors.append(f"boundary {side} appears in more than one gluing")
             else:
-                used.add(side)
+                partner[side] = other
         if g.twist != 0.0:
             errors.append(f"gluing {g.side_a} ~ {g.side_b}: nonzero twist {g.twist}")
         la, lb = lengths.get(g.side_a), lengths.get(g.side_b)
@@ -501,91 +429,102 @@ def _check_gluings(schema: SurfaceSchema, errors: list[str]) -> None:
             errors.append(
                 f"gluing {g.side_a} ~ {g.side_b}: lengths {la:.12g} vs {lb:.12g}"
             )
+    return partner
 
 
-def _check_bookkeeping(schema: SurfaceSchema, errors: list[str], notes: list[str]) -> None:
-    summary = schema.summary
-    if not any(b.kind == "spine_surface" for b in schema.blocks):
-        construction = "naive"
-    elif summary.minimal is not False:
-        construction = "sigma"
-    else:
-        construction = f"sigma_target({summary.genus})"
-    if summary.construction != construction:
-        errors.append(
-            f"construction {summary.construction!r} does not match the blocks, "
-            f"which build {construction!r}"
-        )
-    surface_chi = sum(b.euler for b in schema.blocks if b.layer == SURFACE)
-    expected_chi = 2 - 2 * summary.genus - summary.boundary_count
-    if surface_chi != expected_chi:
-        errors.append(
-            f"chi additivity broken: surface blocks sum to {surface_chi}, "
-            f"summary implies {expected_chi}"
-        )
-    free = _unglued_surface_boundaries(schema)
-    if len(free) != summary.boundary_count:
-        errors.append(
-            f"{len(free)} unglued surface boundaries, summary says {summary.boundary_count}"
-        )
+def _check_sphere(schema: SurfaceSchema, block: Block, errors: list[str]) -> int | None:
+    """A known vertex, genus 0 and unit cuffs in rotation order; the vertex id."""
     graph = schema.graph
-    if summary.construction == "naive":
-        want = graph.edge_count + betti(graph)
-        if summary.genus != want:
-            errors.append(f"naive genus {summary.genus}, expected |E| + beta = {want}")
-        if summary.minimal:
-            errors.append("naive construction must not claim minimality")
-    caps = [b for b in schema.blocks if b.kind in ("cap_pants", "cap_torus", "cap_surface")]
-    if summary.construction != "naive" and summary.boundary_count == 0:
-        heavy = [c for c in caps if c.euler != -1]
-        is_minimal = not heavy
-        if summary.minimal != is_minimal:
-            errors.append(
-                f"summary.minimal={summary.minimal} but caps "
-                f"{'all have' if is_minimal else 'do not all have'} chi = -1"
-            )
-        for c in heavy:
-            notes.append(f"non-minimal cap {c.id}: chi = {c.euler} (genus upgrade)")
-    if summary.boundary_count > 0 and summary.minimal is not None:
-        errors.append("bordered schema must leave minimality undecided")
-
-
-def _check_construction_layer(schema: SurfaceSchema, errors: list[str]) -> None:
-    graph = schema.graph
-    spheres = {b.payload.get("vertex"): b for b in schema.blocks if b.kind == "vertex_sphere"}
-    pants = {b.payload.get("edge"): b for b in schema.blocks if b.kind == "edge_pants"}
-    if not spheres and not pants:
-        return
-    if set(spheres) != set(graph.vertex_names):
-        errors.append("vertex spheres do not match the vertex set")
-    if set(pants) != set(graph.edge_names):
-        errors.append("edge pants do not match the edge set")
-    if schema.rotation is None:
-        errors.append("construction blocks present but no rotation recorded")
-        return
-    for v, cycle in enumerate(schema.rotation.cycles):
-        block = spheres.get(graph.vertex_names[v])
-        if block is None:
-            continue
-        want = tuple(f"dart:{d}" for d in cycle)
+    v = graph.vertex_ids.get(block.payload.get("vertex"))
+    if v is None:
+        errors.append(f"block {block.id}: unknown vertex {block.payload.get('vertex')!r}")
+        return None
+    if block.genus != 0:
+        errors.append(f"block {block.id}: vertex sphere must have genus 0")
+    for bd in block.boundaries:
+        if not isinstance(bd.length, float) or _off(bd.length, 1.0):
+            errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
+    if schema.rotation is not None:
+        want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
         got = tuple(bd.label for bd in block.boundaries)
         if got != want:
             errors.append(
                 f"block {block.id}: cuff order {got} differs from rotation order {want}"
             )
-    glued = {frozenset((g.side_a, g.side_b)) for g in schema.gluings}
-    for e in range(graph.edge_count):
-        name = graph.edge_names[e]
-        u, v = graph.endpoints(e)
-        for end_label, dart, vert in (("end0", 2 * e, u), ("end1", 2 * e + 1, v)):
-            pair = frozenset(
-                ((f"pants:{name}", end_label), (f"sphere:{graph.vertex_names[vert]}", f"dart:{dart}"))
+    return v
+
+
+def _check_pants(
+    schema: SurfaceSchema,
+    block: Block,
+    partner: dict[tuple[str, str], tuple[str, str]],
+    errors: list[str],
+) -> int | None:
+    """A known edge, cuffs of length 1, 1 and twice the waist, and both ends
+    glued to the edge's darts on their vertex spheres; the edge id."""
+    graph = schema.graph
+    name = block.payload.get("edge")
+    e = graph.edge_ids.get(name)
+    if e is None:
+        errors.append(f"block {block.id}: unknown edge {name!r}")
+        return None
+    if block.genus != 0 or len(block.boundaries) != 3:
+        errors.append(f"block {block.id}: edge pants must be a genus-0 3-holed sphere")
+        return e
+    expected = {"end0": 1.0, "end1": 1.0, "waist": 2.0 * schema.scale.waist[e]}
+    for bd in block.boundaries:
+        want = expected.get(bd.label)
+        if want is None:
+            errors.append(f"block {block.id}: unexpected cuff {bd.label}")
+        elif not isinstance(bd.length, float) or _off(bd.length, want):
+            errors.append(
+                f"block {block.id}: cuff {bd.label} has length {bd.length!r}, "
+                f"expected {want:.12g}"
             )
-            if pair not in glued:
-                errors.append(
-                    f"edge {name}: cuff {end_label} is not glued to dart {dart} "
-                    f"of vertex {graph.vertex_names[vert]}"
-                )
+    for end_label, dart in (("end0", 2 * e), ("end1", 2 * e + 1)):
+        vertex = graph.vertex_names[graph.vertex_of[dart]]
+        if partner.get((block.id, end_label)) != (f"sphere:{vertex}", f"dart:{dart}"):
+            errors.append(
+                f"edge {name}: cuff {end_label} is not glued to dart {dart} "
+                f"of vertex {vertex}"
+            )
+    return e
+
+
+def _check_cap(block: Block, errors: list[str]) -> None:
+    """The genus and hole count of the cap's kind."""
+    genus, holes = block.genus, len(block.boundaries)
+    if block.kind == "cap_pants" and (genus != 0 or holes != 3):
+        errors.append(f"block {block.id}: three-holed cap must have genus 0")
+    elif block.kind == "cap_torus" and (genus != 1 or holes != 1):
+        errors.append(f"block {block.id}: torus cap must be one-holed genus 1")
+    elif block.kind == "cap_surface" and (genus < 1 or holes not in (1, 3)):
+        errors.append(
+            f"block {block.id}: upgraded cap must have genus >= 1 and 1 or 3 holes"
+        )
+
+
+def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None:
+    """The graph's Euler characteristic, and boundaries and walks that
+    :func:`_spine_block` rebuilds from the recorded rotation."""
+    chi = euler_char(schema.graph)
+    if spine.euler != chi:
+        errors.append(f"block {spine.id}: chi {spine.euler} differs from the graph's {chi}")
+    if schema.rotation is None:
+        errors.append("spine present but no rotation recorded")
+        return
+    want = _spine_block(schema.graph, schema.rotation)
+    if len(spine.boundaries) != len(want.boundaries):
+        errors.append(
+            f"spine has {len(spine.boundaries)} boundaries for {len(want.boundaries)} walks"
+        )
+        return
+    recorded = spine.payload.get("walks")
+    if recorded is not None and recorded != want.payload["walks"]:
+        errors.append("spine walk payload disagrees with the rotation's walks")
+    for i, (got, expected) in enumerate(zip(spine.boundaries, want.boundaries)):
+        if got != expected:
+            errors.append(f"spine boundary {i} is not labeled {expected.label}")
 
 
 def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
@@ -604,51 +543,91 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
             )
 
 
-def _check_spine(schema: SurfaceSchema, errors: list[str]) -> None:
-    spines = [b for b in schema.blocks if b.kind == "spine_surface"]
-    if not spines:
-        return
-    if len(spines) > 1:
-        errors.append("more than one spine block")
-    spine = spines[0]
-    if schema.rotation is None:
-        errors.append("spine present but no rotation recorded")
-        return
-    walks = boundary_walks(schema.graph, schema.rotation)
-    if len(spine.boundaries) != len(walks):
-        errors.append(
-            f"spine has {len(spine.boundaries)} boundaries for {len(walks)} walks"
-        )
-        return
-    recorded = spine.payload.get("walks")
-    if recorded is not None and [list(w.darts) for w in walks] != [
-        list(w) for w in recorded
-    ]:
-        errors.append("spine walk payload disagrees with the rotation's walks")
-    for i, bd in enumerate(spine.boundaries):
-        if bd.label != _walk_label(i) or bd.length != f"sym:{_walk_label(i)}":
-            errors.append(f"spine boundary {i} is not labeled {_walk_label(i)}")
-
-
 def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     """Re-derive every checkable fact of a schema and report disagreements.
 
     Hard errors mean the schema does not describe what its summary claims.
     Notes flag legitimate but noteworthy facts (a genus-upgraded cap, for
     example).  Verification recomputes from the graph and rotation; it
-    never trusts counts stored in the schema.
+    never trusts counts stored in the schema.  The gluings are indexed
+    once, and one pass over the blocks applies the rules of each kind.
     """
     errors: list[str] = []
     notes: list[str] = []
-    ids = [b.id for b in schema.blocks]
-    if len(ids) != len(set(ids)):
+    graph, summary = schema.graph, schema.summary
+    if len({b.id for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
-    _check_block_shapes(schema, errors)
-    _check_gluings(schema, errors)
-    _check_bookkeeping(schema, errors, notes)
-    _check_construction_layer(schema, errors)
+    partner = _gluing_index(schema, errors)
+    spheres: set[int | None] = set()
+    pants: set[int | None] = set()
+    spines = surface_chi = free = 0
+    heavy: list[Block] = []
+    for block in schema.blocks:
+        if block.layer == SURFACE:
+            surface_chi += block.euler
+            free += sum((block.id, bd.label) not in partner for bd in block.boundaries)
+        if block.kind == "vertex_sphere":
+            spheres.add(_check_sphere(schema, block, errors))
+        elif block.kind == "edge_pants":
+            pants.add(_check_pants(schema, block, partner, errors))
+        elif block.kind == "spine_surface":
+            spines += 1
+            _check_spine(schema, block, errors)
+        elif block.kind in CAP_KINDS:
+            _check_cap(block, errors)
+            if block.euler != -1:
+                heavy.append(block)
+        else:
+            errors.append(f"block {block.id}: unknown kind {block.kind}")
+
+    if spheres or pants:
+        if spheres != set(range(graph.vertex_count)):
+            errors.append("vertex spheres do not match the vertex set")
+        if pants != set(range(graph.edge_count)):
+            errors.append("edge pants do not match the edge set")
+        if schema.rotation is None:
+            errors.append("construction blocks present but no rotation recorded")
+    if spines > 1:
+        errors.append("more than one spine block")
+
+    if not spines:
+        construction = "naive"
+    elif summary.minimal is not False:
+        construction = "sigma"
+    else:
+        construction = f"sigma_target({summary.genus})"
+    if summary.construction != construction:
+        errors.append(
+            f"construction {summary.construction!r} does not match the blocks, "
+            f"which build {construction!r}"
+        )
+    expected_chi = 2 - 2 * summary.genus - summary.boundary_count
+    if surface_chi != expected_chi:
+        errors.append(
+            f"chi additivity broken: surface blocks sum to {surface_chi}, "
+            f"summary implies {expected_chi}"
+        )
+    if free != summary.boundary_count:
+        errors.append(
+            f"{free} unglued surface boundaries, summary says {summary.boundary_count}"
+        )
+    if summary.construction == "naive":
+        want = graph.edge_count + betti(graph)
+        if summary.genus != want:
+            errors.append(f"naive genus {summary.genus}, expected |E| + beta = {want}")
+        if summary.minimal:
+            errors.append("naive construction must not claim minimality")
+    elif summary.boundary_count == 0:
+        if summary.minimal != (not heavy):
+            errors.append(
+                f"summary.minimal={summary.minimal} but caps "
+                f"{'do not all have' if heavy else 'all have'} chi = -1"
+            )
+        for c in heavy:
+            notes.append(f"non-minimal cap {c.id}: chi = {c.euler} (genus upgrade)")
+    if summary.boundary_count > 0 and summary.minimal is not None:
+        errors.append("bordered schema must leave minimality undecided")
     _check_scale(schema, errors)
-    _check_spine(schema, errors)
     return Diagnostics(errors=tuple(errors), notes=tuple(notes))
 
 
@@ -789,10 +768,10 @@ def _payload(block: dict) -> dict:
     return payload
 
 
-def _per_edge(meta: dict, key: str, edge_ids: dict[str, int]) -> dict[int, float]:
+def _per_edge(meta: dict, key: str, graph: MetricGraph) -> dict[int, float]:
     """One finite number per edge, from the ``key`` object of ``meta``."""
-    values = {edge_ids[k]: _finite(float(v)) for k, v in meta[key].items()}
-    missing = [name for name, e in edge_ids.items() if e not in values]
+    values = {graph.edge_ids[k]: _finite(float(v)) for k, v in meta[key].items()}
+    missing = [name for name, e in graph.edge_ids.items() if e not in values]
     if missing:
         raise SchemaFormatError(f"{key} has no entry for edge(s) {missing}")
     return values
@@ -820,8 +799,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
         if _finite(float(meta["f_min"])) != _round12(F_MIN):
             raise SchemaFormatError(f"f_min {meta['f_min']!r} is not {_round12(F_MIN)!r}")
-        vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
-        edge_ids = {name: e for e, name in enumerate(graph.edge_names)}
+        if len(graph.edge_ids) != graph.edge_count:
+            raise SchemaFormatError("meta graph repeats an edge name")
         rotation = (
             rotation_from_lines(graph, meta["rotation"])
             if meta.get("rotation") is not None
@@ -830,9 +809,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
         scale = ScaleParams(
             t=_finite(float(meta["t"])),
             margin=_finite(float(meta["margin"])),
-            foot={vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
-            clearance=_per_edge(meta, "clearance", edge_ids),
-            waist=_per_edge(meta, "waist", edge_ids),
+            foot={graph.vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
+            clearance=_per_edge(meta, "clearance", graph),
+            waist=_per_edge(meta, "waist", graph),
         )
         blocks = tuple(
             Block(

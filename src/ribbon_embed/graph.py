@@ -82,6 +82,18 @@ class MetricGraph:
     def degree(self, vertex: int) -> int:
         return len(self._darts_by_vertex[vertex])
 
+    @cached_property
+    def vertex_ids(self) -> dict[str, int]:
+        """Vertex id by name; shared, so callers must not change it."""
+        return {name: v for v, name in enumerate(self.vertex_names)}
+
+    @cached_property
+    def edge_ids(self) -> dict[str, int]:
+        """Edge id by name, the last edge of a repeated name (which
+        :func:`parse_graph` and the schema reader reject); shared, so
+        callers must not change it."""
+        return {name: e for e, name in enumerate(self.edge_names)}
+
     def endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
 

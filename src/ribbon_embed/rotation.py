@@ -383,10 +383,6 @@ def rotation_to_lines(graph: MetricGraph, rotation: RotationSystem) -> list[str]
 def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSystem:
     """Parse the output of :func:`rotation_to_lines`."""
     cycles: dict[int, tuple[int, ...]] = {}
-    vertex_ids = {name: v for v, name in enumerate(graph.vertex_names)}
-    edge_ids: dict[str, int] = {}
-    for e, name in enumerate(graph.edge_names):
-        edge_ids.setdefault(name, e)  # the first edge of a repeated name
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -394,12 +390,12 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
         parts = line.split()
         if parts[0] != "rot" or len(parts) < 3:
             raise GraphFormatError(f"bad rotation record {raw!r}")
-        if parts[1] not in vertex_ids:
+        v = graph.vertex_ids.get(parts[1])
+        if v is None:
             raise GraphFormatError(f"unknown vertex {parts[1]!r}")
-        v = vertex_ids[parts[1]]
         if v in cycles:
             raise GraphFormatError(f"vertex {parts[1]!r} listed twice")
-        cycles[v] = tuple(_dart_from_label(edge_ids, lab) for lab in parts[2:])
+        cycles[v] = tuple(_dart_from_label(graph.edge_ids, lab) for lab in parts[2:])
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
         raise GraphFormatError(f"missing rotation for vertices {missing}")
