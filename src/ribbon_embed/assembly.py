@@ -60,8 +60,6 @@ LENGTH_TOLERANCE = 1e-9  # relative to the expected length, absolute below 1
 SURFACE = "surface"
 CONSTRUCTION = "construction"
 
-CAP_KINDS = ("cap_pants", "cap_torus", "cap_surface")
-
 
 @dataclass(frozen=True)
 class Boundary:
@@ -122,10 +120,6 @@ class Diagnostics:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-def _walk_label(index: int) -> str:
-    return f"w{index}"
 
 
 def _require_embeddable(graph: MetricGraph) -> None:
@@ -225,7 +219,7 @@ def _spine_block(graph: MetricGraph, rotation: RotationSystem) -> Block:
     """The surface block of the bordered construction: the tightened
     neighborhood of the fat graph, with one symbolic boundary per walk."""
     walks = boundary_walks(graph, rotation)
-    labels = [_walk_label(i) for i in range(len(walks))]
+    labels = [f"w{i}" for i in range(len(walks))]
     return Block(
         id="spine",
         kind="spine_surface",
@@ -388,7 +382,12 @@ def _off(got: float, want: float) -> bool:
     stored cuff length and twice its stored half-length are each rounded
     to the ninth decimal, and together they can miss by more than 1e-9.
     """
-    return abs(got - want) > LENGTH_TOLERANCE * max(1.0, abs(want))
+    return not abs(got - want) <= LENGTH_TOLERANCE * max(1.0, abs(want))  # NaN misses
+
+
+def _misses(stored, want: float) -> bool:
+    """Whether a stored number is absent, not a float, or off ``want``."""
+    return not isinstance(stored, float) or _off(stored, want)
 
 
 def _gluing_index(
@@ -433,16 +432,22 @@ def _gluing_index(
 
 
 def _check_sphere(schema: SurfaceSchema, block: Block, errors: list[str]) -> int | None:
-    """A known vertex, genus 0 and unit cuffs in rotation order; the vertex id."""
+    """A known vertex, its foot, genus 0 and unit cuffs in rotation order;
+    the vertex id."""
     graph = schema.graph
     v = graph.vertex_ids.get(block.payload.get("vertex"))
     if v is None:
         errors.append(f"block {block.id}: unknown vertex {block.payload.get('vertex')!r}")
         return None
+    foot = schema.scale.foot[v]
+    if _misses(block.payload.get("foot"), foot):
+        errors.append(
+            f"block {block.id}: foot {block.payload.get('foot')!r}, expected {foot:.12g}"
+        )
     if block.genus != 0:
         errors.append(f"block {block.id}: vertex sphere must have genus 0")
     for bd in block.boundaries:
-        if not isinstance(bd.length, float) or _off(bd.length, 1.0):
+        if _misses(bd.length, 1.0):
             errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
     if schema.rotation is not None:
         want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
@@ -460,14 +465,21 @@ def _check_pants(
     partner: dict[tuple[str, str], tuple[str, str]],
     errors: list[str],
 ) -> int | None:
-    """A known edge, cuffs of length 1, 1 and twice the waist, and both ends
-    glued to the edge's darts on their vertex spheres; the edge id."""
+    """A known edge, its scaled length, cuffs of length 1, 1 and twice the
+    waist, and both ends glued to the edge's darts on their vertex spheres;
+    the edge id."""
     graph = schema.graph
     name = block.payload.get("edge")
     e = graph.edge_ids.get(name)
     if e is None:
         errors.append(f"block {block.id}: unknown edge {name!r}")
         return None
+    scaled = schema.scale.t * graph.lengths[e]
+    if _misses(block.payload.get("scaled_length"), scaled):
+        errors.append(
+            f"block {block.id}: scaled length {block.payload.get('scaled_length')!r}, "
+            f"expected t * length = {scaled:.12g}"
+        )
     if block.genus != 0 or len(block.boundaries) != 3:
         errors.append(f"block {block.id}: edge pants must be a genus-0 3-holed sphere")
         return e
@@ -476,7 +488,7 @@ def _check_pants(
         want = expected.get(bd.label)
         if want is None:
             errors.append(f"block {block.id}: unexpected cuff {bd.label}")
-        elif not isinstance(bd.length, float) or _off(bd.length, want):
+        elif _misses(bd.length, want):
             errors.append(
                 f"block {block.id}: cuff {bd.label} has length {bd.length!r}, "
                 f"expected {want:.12g}"
@@ -491,8 +503,11 @@ def _check_pants(
     return e
 
 
-def _check_cap(block: Block, errors: list[str]) -> None:
-    """The genus and hole count of the cap's kind."""
+def _check_cap(
+    block: Block, partner: dict[tuple[str, str], tuple[str, str]], errors: list[str]
+) -> None:
+    """The genus and hole count of the cap's kind, and a payload naming what
+    the cap is glued to: spine walks, or the waist of a naive cap's edge."""
     genus, holes = block.genus, len(block.boundaries)
     if block.kind == "cap_pants" and (genus != 0 or holes != 3):
         errors.append(f"block {block.id}: three-holed cap must have genus 0")
@@ -502,6 +517,14 @@ def _check_cap(block: Block, errors: list[str]) -> None:
         errors.append(
             f"block {block.id}: upgraded cap must have genus >= 1 and 1 or 3 holes"
         )
+    sides = [partner.get((block.id, bd.label)) for bd in block.boundaries]
+    if len(sides) == 1 and sides[0] is not None and sides[0][1] == "waist":
+        want = {"fills": "waist", "edge": sides[0][0].removeprefix("pants:")}
+    else:
+        want = {"fills": [s[1] if s is not None and s[0] == "spine" else None for s in sides]}
+    got = {key: block.payload.get(key) for key in want}
+    if got != want:
+        errors.append(f"block {block.id}: payload {got!r} does not match its gluings, {want!r}")
 
 
 def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None:
@@ -528,9 +551,30 @@ def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None
 
 
 def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
+    """The scale, feet and clearances that the margin gives, and waists
+    that invert the cuff distances.  The waist is checked forward, through
+    :func:`waist_distance`, because :func:`f_inv` is ill-conditioned just
+    above f_min, where a small margin puts the binding edge."""
     graph = schema.graph
     scale = schema.scale
+    try:
+        derived = choose_scale(graph, scale.margin)
+    except ValueError as exc:  # a graph or margin that admits no scale
+        errors.append(f"margin {scale.margin!r} gives no scale: {exc}")
+        return
+    if _off(scale.t, derived.t):
+        errors.append(f"t {scale.t!r}, but margin {scale.margin!r} gives {derived.t:.12g}")
+    for v, foot in derived.foot.items():
+        if _off(scale.foot[v], foot):
+            errors.append(
+                f"vertex {graph.vertex_names[v]}: foot {scale.foot[v]!r}, expected {foot:.12g}"
+            )
     for e in range(graph.edge_count):
+        if _off(scale.clearance[e], derived.clearance[e]):
+            errors.append(
+                f"edge {graph.edge_names[e]}: clearance {scale.clearance[e]!r}, "
+                f"expected the two feet {derived.clearance[e]:.12g}"
+            )
         gap = scale.t * graph.lengths[e] - scale.clearance[e]
         if gap <= F_MIN:
             errors.append(
@@ -548,9 +592,16 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
 
     Hard errors mean the schema does not describe what its summary claims.
     Notes flag legitimate but noteworthy facts (a genus-upgraded cap, for
-    example).  Verification recomputes from the graph and rotation; it
-    never trusts counts stored in the schema.  The gluings are indexed
-    once, and one pass over the blocks applies the rules of each kind.
+    example).  Verification recomputes from the graph, the rotation and
+    the margin; it never trusts counts or measurements stored in the
+    schema.  The scale ``t``, the feet and clearances come from
+    :func:`~ribbon_embed.hyperbolic.choose_scale` at the stored margin;
+    sphere feet, pants scaled lengths and cuffs from the scale; the spine
+    from the rotation's walks; cap fills from what each cap is glued to.
+
+    The gluings are indexed once (each glued side to its partner), and one
+    pass over the blocks applies the rules of each kind.  It never raises
+    on a document :func:`schema_from_json` accepts.
     """
     errors: list[str] = []
     notes: list[str] = []
@@ -573,8 +624,8 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
         elif block.kind == "spine_surface":
             spines += 1
             _check_spine(schema, block, errors)
-        elif block.kind in CAP_KINDS:
-            _check_cap(block, errors)
+        elif block.kind in ("cap_pants", "cap_torus", "cap_surface"):
+            _check_cap(block, partner, errors)
             if block.euler != -1:
                 heavy.append(block)
         else:
@@ -714,6 +765,15 @@ def _finite(value):
     return value
 
 
+def _positive(value):
+    """``value`` unchanged if it is a positive finite number, as every edge
+    length, waist and margin of a schema is; the scaling and the pants
+    trigonometry reject the others."""
+    if not _finite(value) > 0.0:
+        raise SchemaFormatError(f"non-positive number {value!r}")
+    return value
+
+
 def _name(value, what: str) -> str:
     """``value`` unchanged if it is a string; names and labels are compared
     and hashed, and a list or an object cannot be hashed."""
@@ -768,18 +828,18 @@ def _payload(block: dict) -> dict:
     return payload
 
 
-def _per_edge(meta: dict, key: str, graph: MetricGraph) -> dict[int, float]:
-    """One finite number per edge, from the ``key`` object of ``meta``."""
-    values = {graph.edge_ids[k]: _finite(float(v)) for k, v in meta[key].items()}
-    missing = [name for name, e in graph.edge_ids.items() if e not in values]
+def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict[int, float]:
+    """One number per name of ``ids``, from the ``key`` object of ``meta``."""
+    values = {ids[k]: number(float(v)) for k, v in meta[key].items()}
+    missing = [name for name, i in ids.items() if i not in values]
     if missing:
-        raise SchemaFormatError(f"{key} has no entry for edge(s) {missing}")
+        raise SchemaFormatError(f"{key} has no entry for {', '.join(missing)}")
     return values
 
 
 def _graph_from_meta(meta: dict) -> MetricGraph:
     return _from_records(
-        (name, u, v, _finite(float(length))) for name, u, v, length in meta["graph"]["edges"]
+        (name, u, v, _positive(float(length))) for name, u, v, length in meta["graph"]["edges"]
     )
 
 
@@ -808,10 +868,10 @@ def schema_from_json(text: str) -> SurfaceSchema:
         )
         scale = ScaleParams(
             t=_finite(float(meta["t"])),
-            margin=_finite(float(meta["margin"])),
-            foot={graph.vertex_ids[k]: _finite(float(v)) for k, v in meta["foot"].items()},
-            clearance=_per_edge(meta, "clearance", graph),
-            waist=_per_edge(meta, "waist", graph),
+            margin=_positive(float(meta["margin"])),
+            foot=_per_name(meta, "foot", graph.vertex_ids),
+            clearance=_per_name(meta, "clearance", graph.edge_ids),
+            waist=_per_name(meta, "waist", graph.edge_ids, _positive),
         )
         blocks = tuple(
             Block(

@@ -9,7 +9,8 @@ Four subcommands:
 
 Exit codes: 0 success, 1 verification found errors, 2 bad input,
 3 cycle graph, 4 unreachable target genus, 5 enumeration cap exceeded,
-6 internal invariant violation (always a bug).
+6 internal invariant violation or any other unexpected exception (always
+a bug).
 
 Human-oriented chatter goes to stderr; stdout carries only the payload
 (report or schema), so output can be piped.  For a fixed input file, seed
@@ -256,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # every input error class is a ValueError
         _say(f"error: {exc}")
         return BAD_INPUT
+    except Exception as exc:  # a bug; keep it apart from exit 1, "verification failed"
+        _say(f"internal error: {type(exc).__name__}: {exc}")
+        return INVARIANT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -282,7 +282,7 @@ def smooth(graph: MetricGraph) -> MetricGraph:
 
     branch = [v for v in range(graph.vertex_count) if graph.degree(v) >= 3]
     new_id = {v: i for i, v in enumerate(branch)}
-    records: list[tuple[str, int, int, float]] = []
+    chains: list[tuple[list[str], int, int, float]] = []
     seen_darts: set[int] = set()
 
     for b in branch:
@@ -303,12 +303,21 @@ def smooth(graph: MetricGraph) -> MetricGraph:
                     break
                 a, c = graph.darts_at(end)
                 d = c if a == mate(d) else a
-            records.append(("".join(chain_names), new_id[b], new_id[end], length))
+            chains.append((chain_names, new_id[b], new_id[end], length))
 
+    # A merged edge is named by joining its chain's names, which can repeat
+    # (a + bc and ab + c); it then takes trailing x's, as subdivide's
+    # vertices do.  Edges left whole keep their names.
+    taken = {names[0] for names, _, _, _ in chains if len(names) == 1}
     vertex_of: list[int] = []
     lengths: list[float] = []
     edge_names: list[str] = []
-    for name, u, v, length in records:
+    for names, u, v, length in chains:
+        name = "".join(names)
+        if len(names) > 1:
+            while name in taken:
+                name += "x"
+            taken.add(name)
         vertex_of.extend((u, v))
         lengths.append(length)
         edge_names.append(name)

@@ -10,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from ribbon_embed import cli, format_graph, rotation, schema_from_json, verify_schema
+from ribbon_embed import (
+    Diagnostics,
+    MetricGraph,
+    SchemaFormatError,
+    cli,
+    format_graph,
+    graph_hash,
+    rotation,
+    schema_from_json,
+    verify_schema,
+)
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
@@ -172,6 +182,21 @@ def test_embed_smooths_subdivided_input(graph_file, capsys):
     assert schema.summary.genus == 3
 
 
+def test_embed_names_merged_edges_apart(graph_file, tmp_path, capsys):
+    # smoothing joins a + bc and ab + c, both named abc; with two edges of
+    # one name the emitted schema had duplicate block ids (exit 6)
+    text = (
+        "edge a u x 1.0\nedge bc x v 1.0\nedge ab u y 1.0\nedge c y v 1.0\n"
+        "edge d u v 1.0\nedge e u w 1.0\nedge f v w 1.0\nedge g w w 1.0\n"
+    )
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(text), "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 0
+    edges = json.loads(out_path.read_text())["meta"]["graph"]["edges"]
+    assert sorted(name for name, *_ in edges) == ["abc", "abcx", "d", "e", "f", "g"]
+
+
 def test_oracle_ok(graph_file, capsys):
     assert main(["oracle", graph_file(THETA)]) == 0
     out = capsys.readouterr().out
@@ -318,6 +343,19 @@ def _sphere(doc):
     return next(b for b in doc["blocks"] if b["kind"] == "vertex_sphere")
 
 
+def _block(doc, kind):
+    return next(b for b in doc["blocks"] if b["kind"] == kind)
+
+
+def _repeat_edge_name(doc):
+    """Name the theta's second edge like its first, with the hash to match."""
+    edges = doc["meta"]["graph"]["edges"]
+    edges[1][0] = edges[0][0]
+    names = tuple(name for name, *_ in edges)
+    graph = MetricGraph((0, 1) * 3, (1.0,) * 3, names, ("u", "v"))
+    doc["meta"]["graph"]["hash"] = graph_hash(graph)
+
+
 # Each mutation left verify_schema to raise (KeyError or TypeError) before
 # schema_from_json checked the document's shape.
 MALFORMED_MUTATIONS = {
@@ -338,6 +376,11 @@ MALFORMED_MUTATIONS = {
     ),
     "block genus float": (lambda doc: _sphere(doc).update(genus=0.5), "block genus"),
     "block genus string": (lambda doc: _sphere(doc).update(genus="0"), "block genus"),
+    # one name -> id map serves the reader and the verifier
+    "repeated edge name": (_repeat_edge_name, "repeats an edge name"),
+    # waist_distance raised ValueError on these inside verify_schema
+    "waist zero": (lambda doc: doc["meta"]["waist"].update(a=0.0), "non-positive number"),
+    "margin negative": (lambda doc: doc["meta"].update(margin=-1.0), "non-positive number"),
 }
 
 
@@ -388,17 +431,13 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
-    # every mutated document gets a verdict (0 ok, 1 failed check, 2 bad
-    # input) and no exception escapes main
-    out_path = tmp_path / "schema.json"
-    assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
-    text = out_path.read_text()
+def _single_leaf_mutations(text):
+    """3000 seeded single-leaf mutations of a schema document: a hostile
+    value, another leaf's value, or (one in four) the key deleted."""
     paths = list(_leaf_paths(json.loads(text)))
     leaves = [functools.reduce(operator.getitem, path, json.loads(text)) for path in paths]
     rng = random.Random(6)
     hostile = [None, 0, -1, 7.25, 1e308, "", "zz", True, [], {}]
-    exits = Counter()
     for _ in range(3000):
         doc = json.loads(text)
         path = rng.choice(paths)
@@ -407,10 +446,71 @@ def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
             del parent[path[-1]]
         else:
             parent[path[-1]] = rng.choice(hostile + [rng.choice(leaves)])
+        yield doc
+
+
+def _k4_schema(graph_file, tmp_path):
+    """The path of the schema ``embed`` writes for K4, and its text."""
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
+    return out_path, out_path.read_text()
+
+
+def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
+    # every mutated document gets a verdict (0 ok, 1 failed check, 2 bad
+    # input) and no exception escapes main
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    exits = Counter()
+    for doc in _single_leaf_mutations(text):
         out_path.write_text(json.dumps(doc))
         exits[main(["verify", str(out_path)])] += 1
         capsys.readouterr()
     assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
+
+
+def test_verify_schema_is_total_on_documents_the_reader_accepts(graph_file, tmp_path):
+    # below main: a stored waist of 0 or -1 passed the reader, and
+    # verify_schema raised ValueError from waist_distance
+    _, text = _k4_schema(graph_file, tmp_path)
+    accepted = 0
+    for doc in _single_leaf_mutations(text):
+        try:
+            schema = schema_from_json(json.dumps(doc))
+        except SchemaFormatError:
+            continue
+        accepted += 1
+        assert isinstance(verify_schema(schema), Diagnostics)
+    assert accepted > 0
+
+
+def _leaf_edits(value):
+    """Edits of one leaf: null, and a changed flag, integer, number or string."""
+    yield None
+    if isinstance(value, bool):
+        yield not value
+    elif isinstance(value, int):
+        yield value + 1
+    elif isinstance(value, float):
+        yield 1.5 * value + 0.25
+    elif isinstance(value, str):
+        yield "zz"
+
+
+def test_verify_fails_every_single_leaf_edit(graph_file, tmp_path, capsys):
+    # soundness: every leaf of the schema is either re-derived or checked,
+    # so no edit of one verifies ok; meta.t, meta.margin, meta.foot,
+    # meta.clearance, sphere feet, pants scaled lengths and cap fills did
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    verified = []
+    for path in _leaf_paths(json.loads(text)):
+        for value in _leaf_edits(functools.reduce(operator.getitem, path, json.loads(text))):
+            doc = json.loads(text)
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+            out_path.write_text(json.dumps(doc))
+            if main(["verify", str(out_path)]) == 0:
+                verified.append((path, value))
+            capsys.readouterr()
+    assert verified == []
 
 
 # Each of these single-leaf edits of the K4 schema verified ok while the
@@ -422,6 +522,24 @@ STORED_FIELD_MUTATIONS = {
         lambda doc: doc["summary"].update(construction="zz"), 1, "construction 'zz'"
     ),
     "layer": (lambda doc: doc["blocks"][0].update(layer="zz"), 2, "block layer"),
+    "margin": (lambda doc: doc["meta"].update(margin=0.4), 1, "but margin 0.4 gives"),
+    "foot": (lambda doc: doc["meta"]["foot"].update(v0=7.25), 1, "vertex v0: foot 7.25"),
+    "clearance": (
+        lambda doc: doc["meta"]["clearance"].update(e01=7.25), 1, "edge e01: clearance 7.25"
+    ),
+    "sphere foot": (
+        lambda doc: _sphere(doc)["payload"].update(foot=7.25), 1, "sphere:v0: foot 7.25"
+    ),
+    "scaled length": (
+        lambda doc: _block(doc, "edge_pants")["payload"].update(scaled_length=7.25),
+        1,
+        "pants:e01: scaled length 7.25",
+    ),
+    "cap fills": (
+        lambda doc: _block(doc, "cap_torus")["payload"].update(fills=["w1"]),
+        1,
+        "does not match its gluings",
+    ),
 }
 
 
@@ -436,6 +554,22 @@ def test_verify_rederives_stored_fields(case, graph_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == code
     assert message in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_unexpected_exceptions_exit_6(command, graph_file, tmp_path, capsys, monkeypatch):
+    # a bug must not read as exit 1, "verification found errors"
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, {"analyze": "analyze", "verify": "verify_schema"}[command], broken)
+    path = graph_file(THETA) if command == "analyze" else str(out_path)
+    assert main([command, path]) == 6
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_parser_is_built_once_per_process():
