@@ -609,8 +609,8 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     if len({b.id for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
     partner = _gluing_index(schema, errors)
-    spheres: set[int | None] = set()
-    pants: set[int | None] = set()
+    spheres: set[int | None] = set()  # an unknown vertex or edge adds None,
+    pants: set[int | None] = set()  # so the set then matches no graph
     spines = surface_chi = free = 0
     heavy: list[Block] = []
     for block in schema.blocks:
