@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -552,9 +553,12 @@ def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None
 
 def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
     """The scale, feet and clearances that the margin gives, and waists
-    that invert the cuff distances.  The waist is checked forward, through
-    :func:`waist_distance`, because :func:`f_inv` is ill-conditioned just
-    above f_min, where a small margin puts the binding edge."""
+    that invert the cuff distances.  The cuff distances come from the
+    derived scale, not the stored one: 12 stored digits of t can move the
+    binding edge's distance by more than a small margin.  The waist is
+    checked forward, through :func:`waist_distance`, because :func:`f_inv`
+    is ill-conditioned just above f_min, where a small margin puts the
+    binding edge."""
     graph = schema.graph
     scale = schema.scale
     try:
@@ -575,12 +579,7 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
                 f"edge {graph.edge_names[e]}: clearance {scale.clearance[e]!r}, "
                 f"expected the two feet {derived.clearance[e]:.12g}"
             )
-        gap = scale.t * graph.lengths[e] - scale.clearance[e]
-        if gap <= F_MIN:
-            errors.append(
-                f"edge {graph.edge_names[e]}: scaled length leaves gap {gap:.12g} <= f_min"
-            )
-            continue
+        gap = derived.t * graph.lengths[e] - derived.clearance[e]
         if _off(waist_distance(scale.waist[e]), gap):
             errors.append(
                 f"edge {graph.edge_names[e]}: waist does not invert the cuff distance"
@@ -609,8 +608,8 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     if len({b.id for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
     partner = _gluing_index(schema, errors)
-    spheres: set[int | None] = set()  # an unknown vertex or edge adds None,
-    pants: set[int | None] = set()  # so the set then matches no graph
+    spheres: Counter[int | None] = Counter()  # blocks per vertex and per edge;
+    pants: Counter[int | None] = Counter()  # an unknown one counts under None
     spines = surface_chi = free = 0
     heavy: list[Block] = []
     for block in schema.blocks:
@@ -618,9 +617,9 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
             surface_chi += block.euler
             free += sum((block.id, bd.label) not in partner for bd in block.boundaries)
         if block.kind == "vertex_sphere":
-            spheres.add(_check_sphere(schema, block, errors))
+            spheres[_check_sphere(schema, block, errors)] += 1
         elif block.kind == "edge_pants":
-            pants.add(_check_pants(schema, block, partner, errors))
+            pants[_check_pants(schema, block, partner, errors)] += 1
         elif block.kind == "spine_surface":
             spines += 1
             _check_spine(schema, block, errors)
@@ -632,10 +631,12 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
             errors.append(f"block {block.id}: unknown kind {block.kind}")
 
     if spheres or pants:
-        if spheres != set(range(graph.vertex_count)):
-            errors.append("vertex spheres do not match the vertex set")
-        if pants != set(range(graph.edge_count)):
-            errors.append("edge pants do not match the edge set")
+        for v, name in enumerate(graph.vertex_names):
+            if spheres[v] != 1:
+                errors.append(f"vertex {name} has {spheres[v]} vertex spheres, not 1")
+        for e, name in enumerate(graph.edge_names):
+            if pants[e] != 1:
+                errors.append(f"edge {name} has {pants[e]} edge pants, not 1")
         if schema.rotation is None:
             errors.append("construction blocks present but no rotation recorded")
     if spines > 1:

@@ -91,8 +91,9 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     """Smallest t with t*d(e) >= l(e) + f_min + margin on every edge.
 
     At that t the binding edge has exactly ``margin`` to spare and every
-    waist x_e = f_inv(t*d(e) - l(e)) is well-defined and positive.  Degrees
-    below 3 are rejected by :func:`foot_length`.
+    waist x_e = f_inv(t*d(e) - l(e)) is well-defined and positive.  A margin
+    so small that rounding leaves the binding edge no gap above f_min is
+    rejected, as are degrees below 3 (by :func:`foot_length`).
     """
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
@@ -104,5 +105,13 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     t = max(
         (clearance[e] + F_MIN + margin) / graph.lengths[e] for e in range(graph.edge_count)
     )
-    waist = {e: f_inv(t * graph.lengths[e] - clearance[e]) for e in range(graph.edge_count)}
+    gap = {e: t * graph.lengths[e] - clearance[e] for e in range(graph.edge_count)}
+    binding = min(gap, key=gap.__getitem__)
+    if gap[binding] <= F_MIN:
+        raise ValueError(
+            f"margin {margin!r} is too small: in double precision it leaves edge "
+            f"{graph.edge_names[binding]} a gap of {gap[binding]!r}, not above "
+            f"f_min={F_MIN:.9f}"
+        )
+    waist = {e: f_inv(d) for e, d in gap.items()}
     return ScaleParams(t=t, margin=margin, foot=foot, clearance=clearance, waist=waist)

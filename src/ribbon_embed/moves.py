@@ -3,12 +3,15 @@
 A move relocates a single dart inside one vertex cycle.  When a vertex
 meets at least three distinct boundary walks, some such relocation merges
 three walks into one (count - 2); the mirror search looks for a relocation
-that splits one walk into three (count + 2).  Rather than transcribing the
-walk-splicing argument that proves the reducing relocation exists, the
-implementation searches all relocations at the vertex and verifies the
-recount, which is immune to orientation bookkeeping mistakes; the search
-failing at an eligible vertex would disprove the underlying theory and
-raises :class:`InternalInvariantError`.
+that splits one walk into three (count + 2).  Taking dart x from before n
+and putting it before b rewrites three successor entries, so the new face
+permutation is the old one composed with the 3-cycle (n -> x -> b -> n),
+and the face ids of one trace score every candidate
+(:func:`_relocation_delta`): three distinct faces through n, x and b merge
+(-2); one face splits into three (+2) when the walk from n meets b before
+x; anything else keeps the count.  A vertex meeting three walks with no
+reducing relocation would disprove the underlying theory and raises
+:class:`InternalInvariantError`.
 
 One search climbs in either direction and certifies its result by a ladder
 of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
@@ -19,7 +22,8 @@ of the boundary profile when the rotation count fits under its cap.
 
 :func:`oracle` re-verifies the theory by brute force in one rotation sweep:
 the profile, every reducing move and every greedy descent come from the
-same pass, and each move is recounted by a tracer of its own.
+same pass, and each move is recounted by a tracer of its own, which
+follows the inverse face permutation and shares no code with the scoring.
 """
 
 from __future__ import annotations
@@ -95,16 +99,60 @@ def _with_cycle(rotation: RotationSystem, vertex: int, cycle: tuple[int, ...]) -
     return RotationSystem(tuple(cycles))
 
 
+def _relocation_delta(
+    face: Sequence[int], succ: Sequence[int], n: int, x: int, b: int
+) -> int:
+    """How the walk count changes when dart x, now just before n in its
+    vertex cycle, moves to just before b.
+
+    Only the successors of n, x and b change: the new face permutation is
+    the old one composed with the 3-cycle (n -> x -> b -> n).  Three distinct
+    faces through n, x and b merge into one (-2).  On one face, the walk from
+    n meets either x first, and the face stays whole (0), or b first, and it
+    splits into three (+2).  With exactly two of them on one face the count
+    stays (0).
+    """
+    fn, fx, fb = face[n], face[x], face[b]
+    if fn != fx and fx != fb and fb != fn:
+        return -2
+    if fn != fx or fx != fb:
+        return 0
+    d = succ[n]
+    while d != x and d != b:
+        d = succ[d]
+    return 2 if d == b else 0
+
+
 def _relocate(
-    graph: MetricGraph, rotation: RotationSystem, vertex: int, delta: int, base: int
+    rotation: RotationSystem,
+    vertex: int,
+    delta: int,
+    face: Sequence[int],
+    succ: Sequence[int],
 ) -> tuple[RotationSystem, MoveRecord] | None:
-    """The first relocation at ``vertex`` taking the walk count from ``base``
-    to ``base + delta``, in :func:`single_dart_relocations` order, or None."""
-    old_cycle = rotation.cycles[vertex]
-    for candidate in single_dart_relocations(old_cycle):
-        trial = _with_cycle(rotation, vertex, candidate)
-        if _faces(graph.dart_count, trial.cycles)[1] == base + delta:
-            return trial, MoveRecord(vertex, old_cycle, candidate, delta)
+    """The first relocation at ``vertex`` changing the walk count by
+    ``delta``, in :func:`single_dart_relocations` order, or None.
+
+    ``face`` and ``succ`` are one trace of ``rotation``; each candidate is
+    scored from them by :func:`_relocation_delta`, with no trace of its own.
+    The scan runs over (source, slot) pairs in the order of
+    :func:`single_dart_relocations`.  It skips the identity, and sources
+    whose x and n rule the sign out, but not cyclic duplicates: one has
+    the delta of the candidate it repeats, which was already turned down.
+    """
+    cycle = rotation.cycles[vertex]
+    k = len(cycle)
+    for i, x in enumerate(cycle):
+        n = cycle[(i + 1) % k]
+        if (face[n] == face[x]) == (delta < 0):
+            continue  # -2 needs n and x on two faces, +2 on one
+        for b in cycle:
+            if b != x and b != n and _relocation_delta(face, succ, n, x, b) == delta:
+                rest = cycle[:i] + cycle[i + 1 :]
+                j = rest.index(b)
+                candidate = canonical_cycle(rest[:j] + (x,) + rest[j:])
+                move = MoveRecord(vertex, cycle, candidate, delta)
+                return _with_cycle(rotation, vertex, candidate), move
     return None
 
 
@@ -124,14 +172,14 @@ def reduce_move(
     that precondition a reducing relocation always exists at the vertex
     itself; not finding one is reported as an internal error.
     """
-    face, base, _ = _faces(graph.dart_count, rotation.cycles)
+    face, _, succ = _faces(graph.dart_count, rotation.cycles)
     walks = _incidence(rotation.cycles[vertex], face)
     if walks < 3:
         raise MovePreconditionError(
             f"vertex {graph.vertex_names[vertex]} meets {walks} walks; "
             "a reducing move needs at least 3"
         )
-    step = _relocate(graph, rotation, vertex, -2, base)
+    step = _relocate(rotation, vertex, -2, face, succ)
     if step is None:
         raise _no_reducing_move(graph, vertex, walks)
     return step
@@ -141,9 +189,9 @@ def increase_move(
     graph: MetricGraph, rotation: RotationSystem
 ) -> tuple[RotationSystem, MoveRecord]:
     """Raise the boundary-walk count by exactly 2, scanning vertices by id."""
-    base = _faces(graph.dart_count, rotation.cycles)[1]
+    face, _, succ = _faces(graph.dart_count, rotation.cycles)
     for vertex in range(graph.vertex_count):
-        step = _relocate(graph, rotation, vertex, +2, base)
+        step = _relocate(rotation, vertex, +2, face, succ)
         if step is not None:
             return step
     raise NoIncreasingMoveError("no single-dart relocation increases the walk count")
@@ -182,11 +230,11 @@ def _climb(
     """
     records = []
     while True:
-        face, count, _ = _faces(graph.dart_count, rotation.cycles)
+        face, count, succ = _faces(graph.dart_count, rotation.cycles)
         for v, cycle in enumerate(rotation.cycles):
             if delta < 0 and _incidence(cycle, face) < 3:
                 continue
-            step = _relocate(graph, rotation, v, delta, count)
+            step = _relocate(rotation, v, delta, face, succ)
             if step is not None:
                 break
             if delta < 0:
@@ -249,7 +297,7 @@ def _search(
     target = bound if best[0] == bound else exact()
     if target is None or beats(target, best[0]):
         try:
-            for cycles, _, count in _sweep(graph, rotation_cap):
+            for cycles, _, count, _ in _sweep(graph, rotation_cap):
                 if beats(count, best[0]):
                     best = (count, RotationSystem(tuple(cycles)), ())
                 if count == target:
@@ -322,16 +370,20 @@ def maximize_boundaries(
     return _search(graph, start, restarts, seed, +2, target, lambda: target, rotation_cap)
 
 
-def _walk_count(dart_count: int, cycles: Sequence[Sequence[int]]) -> int:
-    """The oracle's own walk count, traced apart from the kernel it checks: the
-    orbits of d -> next(mate(d)), the inverse face permutation, are the faces."""
-    following = [0] * dart_count
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            following[a] = b
-    seen = [False] * dart_count
+def _link(following: list[int], cycle: Sequence[int]) -> None:
+    """Point each dart of one vertex cycle at the dart after it."""
+    a = cycle[-1]
+    for b in cycle:
+        following[a] = b
+        a = b
+
+
+def _orbits(following: Sequence[int]) -> int:
+    """The orbits of d -> next(mate(d)), the inverse face permutation:
+    the walk count, traced apart from the kernel it checks."""
+    seen = [False] * len(following)
     walks = 0
-    for start in range(dart_count):
+    for start in range(len(following)):
         if not seen[start]:
             walks += 1
             d = start
@@ -339,6 +391,15 @@ def _walk_count(dart_count: int, cycles: Sequence[Sequence[int]]) -> int:
                 seen[d] = True
                 d = following[d ^ 1]
     return walks
+
+
+def _walk_count(dart_count: int, cycles: Sequence[Sequence[int]]) -> int:
+    """The oracle's own walk count of a rotation, from a ``following`` table
+    of its own."""
+    following = [0] * dart_count
+    for cycle in cycles:
+        _link(following, cycle)
+    return _orbits(following)
 
 
 def oracle(
@@ -351,7 +412,9 @@ def oracle(
 
     One sweep gives the walk-count profile, checked against 1 + zeta and
     Euler parity.  At each vertex meeting three or more walks the reducing
-    relocation must exist and drop the :func:`_walk_count` by exactly 2.
+    relocation must exist and drop the oracle's own walk count by exactly
+    2: the table of :func:`_walk_count`, kept in step with the sweep, is
+    patched at the moved vertex, counted and restored.
     The greedy descent from each rotation goes on from the move at its
     first such vertex, as :func:`_climb` would; stalls above the minimum
     are reported, not failed (loop-carrying graphs can stall with every
@@ -365,8 +428,14 @@ def oracle(
     descents: Counter[int] = Counter()  # where the descent from each rotation ends
     move_cases = 0
     move_failures = []
-    for cycles, face, base in _sweep(graph, rotation_cap):
+    following = [0] * graph.dart_count  # the recount's table, patched per rotation
+    linked: list[Sequence[int]] = [()] * graph.vertex_count  # the cycle linked at each vertex
+    for cycles, face, base, succ in _sweep(graph, rotation_cap):
         counts[base] += 1
+        for v, cycle in enumerate(cycles):
+            if cycle is not linked[v]:
+                _link(following, cycle)
+                linked[v] = cycle
         rotation = RotationSystem(tuple(cycles))
         first = None
         for v, cycle in enumerate(cycles):
@@ -374,10 +443,12 @@ def oracle(
             if walks < 3:
                 continue
             move_cases += 1
-            step = _relocate(graph, rotation, v, -2, base)
+            step = _relocate(rotation, v, -2, face, succ)
             if step is None:
                 raise _no_reducing_move(graph, v, walks)
-            got = _walk_count(graph.dart_count, step[0].cycles)
+            _link(following, step[1].new_cycle)
+            got = _orbits(following)
+            _link(following, cycle)
             if got != base - 2:
                 move_failures.append(
                     f"reduce_move at vertex {v} changed {base} -> {got}, not -2"

@@ -239,13 +239,14 @@ def enumerate_rotations(
 
 def _sweep(
     graph: MetricGraph, cap: int
-) -> Iterator[tuple[list[tuple[int, ...]], list[int], int]]:
-    """(cycles, face id per dart, walk count) of every rotation, in
-    :func:`enumerate_rotations` order.
+) -> Iterator[tuple[list[tuple[int, ...]], list[int], int, list[int]]]:
+    """(cycles, face id per dart, walk count, successor) of every rotation,
+    in :func:`enumerate_rotations` order.
 
     An odometer over the per-vertex orders: when a vertex's order changes,
     only its darts' ``succ`` entries are rewritten, from tables built once.
-    ``cycles`` is one list updated in place; copy it to keep a rotation.
+    ``cycles`` and ``succ`` are lists updated in place; copy them to keep a
+    rotation.
     """
     orders = _vertex_orders(graph, cap)
     cycles = [order[0] for order in orders]
@@ -258,7 +259,7 @@ def _sweep(
     position = [0] * len(wheels)
     while True:
         face, count = _trace(succ)
-        yield cycles, face, count
+        yield cycles, face, count, succ
         k = len(wheels) - 1
         while k >= 0:
             v = wheels[k]
@@ -354,7 +355,7 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
     """
     counts = _frontier_profile(graph, _capped_count(graph, cap))
     if counts is None:
-        counts = Counter(count for _, _, count in _sweep(graph, cap))
+        counts = Counter(count for _, _, count, _ in _sweep(graph, cap))
     return dict(sorted(counts.items()))
 
 

@@ -173,6 +173,24 @@ def test_embed_bad_margin(graph_file, capsys):
     assert "margin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["1e-300", "1e-16"])
+def test_embed_names_a_margin_too_small_to_scale(margin, graph_file, capsys):
+    # the error named only the distance handed to f_inv, never the margin
+    assert main(["embed", graph_file(K4), "--margin", margin]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: margin {float(margin)!r} is too small" in captured.err
+
+
+def test_embed_with_a_tiny_margin_verifies(graph_file, tmp_path, capsys):
+    # 12 stored digits of t moved the binding gap below f_min in verify
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(K4), "--margin", "1e-12", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: genus 3")
+
+
 def test_embed_smooths_subdivided_input(graph_file, capsys):
     text = THETA + "edge d u x 1.0\nedge e x v 1.0\n"
     assert main(["embed", graph_file(text)]) == 0
@@ -554,6 +572,30 @@ def test_verify_rederives_stored_fields(case, graph_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == code
     assert message in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    ("kind", "copy_id", "message"),
+    [
+        ("vertex_sphere", "sphere:v0x", "vertex v0 has 2 vertex spheres, not 1"),
+        ("edge_pants", "pants:e01x", "edge e01 has 2 edge pants, not 1"),
+    ],
+    ids=["sphere", "pants"],
+)
+def test_verify_fails_a_second_block_for_one_vertex_or_edge(
+    kind, copy_id, message, graph_file, tmp_path, capsys
+):
+    # a copy of K4's first sphere under a new id verified ok: the verifier
+    # only asked whether the set of spheres covered every vertex
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    block = json.loads(json.dumps(_block(doc, kind)))
+    block["id"] = copy_id
+    doc["blocks"].append(block)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 1
+    assert f"fail: {message}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,12 +18,21 @@ from ribbon_embed import (
     make_rotation,
     maximize_boundaries,
     minimize_boundaries,
+    moves,
     reduce_move,
     vertex_boundary_incidence,
     zeta_floor,
 )
-from ribbon_embed.moves import _climb, _walk_count, oracle, single_dart_relocations
-from ribbon_embed.rotation import _faces
+from ribbon_embed.moves import (
+    MoveRecord,
+    _climb,
+    _relocate,
+    _relocation_delta,
+    _walk_count,
+    oracle,
+    single_dart_relocations,
+)
+from ribbon_embed.rotation import RotationSystem, _faces, canonical_cycle
 
 from helpers import prism, random_multigraph
 
@@ -303,6 +313,98 @@ def test_no_reducing_relocation_where_fewer_than_three_walks_meet(theta, bouquet
                 for c in single_dart_relocations(cycle):
                     moved = make_rotation(g, rot.cycles[:v] + (c,) + rot.cycles[v + 1 :])
                     assert boundary_count(g, moved) != base - 2
+
+
+def _delta_cases(theta, bouquet2, k4, k5, dumbbell):
+    """(graph, kernel walk count of every rotation) for the delta tests."""
+    graphs = [theta, bouquet2, k4, k5, dumbbell, STALLING]
+    graphs += [random_multigraph(seed) for seed in range(30)]
+    for g in graphs:
+        counts = {r.cycles: _faces(g.dart_count, r.cycles)[1] for r in enumerate_rotations(g)}
+        yield g, counts
+
+
+def _moved(cycles, v, cycle):
+    return cycles[:v] + (cycle,) + cycles[v + 1 :]
+
+
+def _relocations(cycle):
+    """(n, x, b, moved cycle) of every relocation but the identity: dart x
+    leaves its place before n for the slot before b."""
+    out = []
+    for i, x in enumerate(cycle):
+        n = cycle[(i + 1) % len(cycle)]
+        rest = cycle[:i] + cycle[i + 1 :]
+        for j, b in enumerate(rest):
+            if b != n:
+                out.append((n, x, b, canonical_cycle(rest[:j] + (x,) + rest[j:])))
+    return out
+
+
+def test_relocation_delta_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):
+    # every (source, slot) relocation at every vertex of every rotation: the
+    # delta read off one trace equals the recount of the moved rotation
+    relocations = {}
+    for g, counts in _delta_cases(theta, bouquet2, k4, k5, dumbbell):
+        for cycles, base in counts.items():
+            face, _, succ = _faces(g.dart_count, cycles)
+            for v, cycle in enumerate(cycles):
+                if cycle not in relocations:
+                    relocations[cycle] = _relocations(cycle)
+                for n, x, b, moved in relocations[cycle]:
+                    want = counts[_moved(cycles, v, moved)] - base
+                    assert _relocation_delta(face, succ, n, x, b) == want, (cycles, v, x, b)
+
+
+def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4, k5, dumbbell):
+    # the reference: the first of single_dart_relocations whose kernel walk
+    # count is the base count plus delta
+    relocations = {}
+    found = Counter()
+    for g, counts in _delta_cases(theta, bouquet2, k4, k5, dumbbell):
+        for cycles, base in counts.items():
+            face, _, succ = _faces(g.dart_count, cycles)
+            rotation = RotationSystem(cycles)
+            for v, cycle in enumerate(cycles):
+                if cycle not in relocations:
+                    relocations[cycle] = list(single_dart_relocations(cycle))
+                trials = [_moved(cycles, v, c) for c in relocations[cycle]]
+                for delta in (-2, 2):
+                    trial = next((t for t in trials if counts[t] == base + delta), None)
+                    want = trial and (RotationSystem(trial), MoveRecord(v, cycle, trial[v], delta))
+                    assert _relocate(rotation, v, delta, face, succ) == want, (cycles, v, delta)
+                    found[delta] += want is not None
+    assert found[-2] and found[2]
+
+
+def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
+    # after every move case of K5's sweep, the table the recount reads equals
+    # one built from scratch for the moved rotation
+    relocate, orbits = moves._relocate, moves._orbits
+    moved = []
+    checked = []
+
+    def relocate_spy(rotation, vertex, delta, face, succ):
+        step = relocate(rotation, vertex, delta, face, succ)
+        if step is not None:
+            moved.append(step[0])
+        return step
+
+    def orbits_spy(following):
+        rebuilt = [None] * k5.dart_count
+        for cycle in moved[-1].cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                rebuilt[a] = b
+        assert following == rebuilt
+        checked.append(moved[-1])
+        return orbits(following)
+
+    monkeypatch.setattr(moves, "_relocate", relocate_spy)
+    monkeypatch.setattr(moves, "_orbits", orbits_spy)
+    lines, passed = oracle(k5)
+    assert passed
+    assert f"ok ({len(checked)} reducing moves, every delta -2)" in lines[6]
+    assert len(checked) > 1000
 
 
 def test_oracle_walk_count_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):

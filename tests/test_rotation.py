@@ -148,7 +148,7 @@ PETERSEN = _edges(
 
 
 def _swept(g):
-    return Counter(count for _, _, count in _sweep(g, 10**6))
+    return Counter(count for _, _, count, _ in _sweep(g, 10**6))
 
 
 def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
@@ -216,8 +216,8 @@ def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
         traced = [_faces(g.dart_count, r.cycles) for r in rotations]
         counts = [count for _, count, _ in traced]
         assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
-        swept = [(tuple(cycles), face) for cycles, face, _ in _sweep(g, 10**6)]
-        assert swept == [(r.cycles, face) for r, (face, _, _) in zip(rotations, traced)]
+        swept = [(tuple(cycles), face, succ[:]) for cycles, face, _, succ in _sweep(g, 10**6)]
+        assert swept == [(r.cycles, face, succ) for r, (face, _, succ) in zip(rotations, traced)]
 
 
 def test_rotation_lines_round_trip(k4, bouquet2):
