@@ -19,7 +19,6 @@ from ribbon_embed import (
     reduce_move,
     vertex_boundary_incidence,
 )
-from ribbon_embed.moves import _climb
 
 HERE = Path(__file__).parent
 k5 = parse_graph((HERE / "graphs" / "k5.graph").read_text())
@@ -48,8 +47,8 @@ stalling = parse_graph(
 target = 1 + betti_deficiency(stalling)
 stalled = 0
 for rot in enumerate_rotations(stalling, 10**6):
-    _, count, _ = _climb(stalling, rot, -2)
-    if count != target:
+    # greedy_count is where the first descent from ``rot`` stalled
+    if minimize_boundaries(stalling, start=rot, restarts=0).greedy_count != target:
         stalled += 1
 print(f"stalling example: {stalled} of 216 descents stall above the minimum {target}")
 res = minimize_boundaries(stalling, restarts=8)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from .errors import (
     CycleGraphError,
     GraphValidationError,
-    InternalInvariantError,
     SchemaFormatError,
     TargetGenusError,
 )
@@ -104,7 +103,7 @@ class Summary:
 @dataclass(frozen=True)
 class SurfaceSchema:
     graph: MetricGraph
-    rotation: RotationSystem | None
+    rotation: RotationSystem
     scale: ScaleParams
     blocks: tuple[Block, ...]
     gluings: tuple[Gluing, ...]
@@ -260,13 +259,16 @@ def assemble_sigma_surface(
     )
 
 
-def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
-    """Cap every boundary of a bordered schema as cheaply as possible.
+def _close(schema: SurfaceSchema, extra: int) -> SurfaceSchema:
+    """Cap every boundary of a bordered schema, ``extra`` genus above the
+    cheapest capping.
 
     With b = 3q + r boundaries, the q triples of boundaries (taken in label
-    order) each receive one three-holed sphere and the r stragglers each a
-    one-holed torus.  Every cap has chi = -1, so the result is a minimal
-    essential embedding of closed genus g + 2q + r.
+    order) each receive a three-holed cap and the r stragglers a one-holed
+    torus, with ids ``cap:0``, ``cap:1``, ... in that order.  For extra > 0
+    the first torus, or with r = 0 the first three-holed cap, is built as a
+    ``cap_surface`` of its genus plus ``extra``; only extra = 0 leaves
+    every cap at chi = -1, a minimal embedding.
     """
     b = schema.summary.boundary_count
     if b < 1:
@@ -276,48 +278,51 @@ def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
         raise ValueError("capping applies to the bordered spine construction")
     q, r = qr_split(b)
     labels = [bd.label for bd in spine.boundaries]
+    groups = [labels[3 * k : 3 * k + 3] for k in range(q)] + [[lab] for lab in labels[3 * q :]]
+    upgraded = q if r else 0
     blocks = list(schema.blocks)
     gluings = list(schema.gluings)
-    cap_index = 0
-    for k in range(q):
-        triple = labels[3 * k : 3 * k + 3]
-        cap_id = f"cap:{cap_index}"
-        cap_index += 1
+    for i, fills in enumerate(groups):
+        cap_id = f"cap:{i}"
+        kind, genus = ("cap_pants", 0) if len(fills) == 3 else ("cap_torus", 1)
+        if extra and i == upgraded:
+            kind, genus = "cap_surface", genus + extra
         blocks.append(
             Block(
                 id=cap_id,
-                kind="cap_pants",
-                genus=0,
+                kind=kind,
+                genus=genus,
                 layer=SURFACE,
                 boundaries=tuple(
-                    Boundary(f"b{j}", f"sym:{lab}") for j, lab in enumerate(triple)
+                    Boundary(f"b{j}", f"sym:{lab}") for j, lab in enumerate(fills)
                 ),
-                payload={"fills": triple},
+                payload={"fills": fills},
             )
         )
-        for j, lab in enumerate(triple):
-            gluings.append(Gluing(("spine", lab), (cap_id, f"b{j}")))
-    for lab in labels[3 * q :]:
-        cap_id = f"cap:{cap_index}"
-        cap_index += 1
-        blocks.append(
-            Block(
-                id=cap_id,
-                kind="cap_torus",
-                genus=1,
-                layer=SURFACE,
-                boundaries=(Boundary("b0", f"sym:{lab}"),),
-                payload={"fills": [lab]},
-            )
-        )
-        gluings.append(Gluing(("spine", lab), (cap_id, "b0")))
-    genus = schema.summary.genus + 2 * q + r
+        gluings += [Gluing(("spine", lab), (cap_id, f"b{j}")) for j, lab in enumerate(fills)]
+    genus = schema.summary.genus + 2 * q + r + extra
     return replace(
         schema,
         blocks=tuple(blocks),
         gluings=tuple(gluings),
-        summary=Summary(genus=genus, boundary_count=0, minimal=True, construction="sigma"),
+        summary=Summary(
+            genus=genus,
+            boundary_count=0,
+            minimal=not extra,
+            construction=f"sigma_target({genus})" if extra else "sigma",
+        ),
     )
+
+
+def cap_standard(schema: SurfaceSchema) -> SurfaceSchema:
+    """Cap every boundary of a bordered schema as cheaply as possible.
+
+    With b = 3q + r boundaries, the q triples of boundaries (taken in label
+    order) each receive one three-holed sphere and the r stragglers each a
+    one-holed torus.  Every cap has chi = -1, so the result is a minimal
+    essential embedding of closed genus g + 2q + r.
+    """
+    return _close(schema, 0)
 
 
 def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> SurfaceSchema:
@@ -327,11 +332,12 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
     ``boundary_count`` of a certified
     :func:`~ribbon_embed.moves.minimize_boundaries` result, which is where
     the minimum is decided; the schema's boundary count must equal it, so
-    the standard capping realizes the essential genus g_e.  For
-    target > g_e one cap is upgraded: when b is a multiple of 3, a
-    three-holed cap becomes a three-holed surface of genus
-    g' = target - g_e; otherwise a torus cap becomes a one-holed surface of
-    genus g' + 1.  Only the target g_e itself yields a minimal embedding.
+    the cheapest capping realizes the essential genus g_e.  The caps are
+    laid out as :func:`cap_standard` lays them out, except that for
+    target > g_e one cap is built with g' = target - g_e more genus: the
+    first torus cap, a one-holed surface of genus g' + 1, or when b is a
+    multiple of 3 the first three-holed cap, of genus g'.  Only the target
+    g_e itself yields a minimal embedding.
     """
     b = schema.summary.boundary_count
     if b < 1:
@@ -346,31 +352,7 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
         raise TargetGenusError(
             f"target genus {target} is below the essential genus {g_e}"
         )
-    closed = cap_standard(schema)
-    extra = target - g_e
-    if extra == 0:
-        return closed
-    if b % 3 == 0:
-        wanted, new_kind, new_genus = "cap_pants", "cap_surface", extra
-    else:
-        wanted, new_kind, new_genus = "cap_torus", "cap_surface", extra + 1
-    blocks = list(closed.blocks)
-    for i, block in enumerate(blocks):
-        if block.kind == wanted:
-            blocks[i] = replace(block, kind=new_kind, genus=new_genus)
-            break
-    else:
-        raise InternalInvariantError(f"no {wanted} cap available for genus upgrade")
-    return replace(
-        closed,
-        blocks=tuple(blocks),
-        summary=Summary(
-            genus=target,
-            boundary_count=0,
-            minimal=False,
-            construction=f"sigma_target({target})",
-        ),
-    )
+    return _close(schema, target - g_e)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +432,10 @@ def _check_sphere(schema: SurfaceSchema, block: Block, errors: list[str]) -> int
     for bd in block.boundaries:
         if _misses(bd.length, 1.0):
             errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
-    if schema.rotation is not None:
-        want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
-        got = tuple(bd.label for bd in block.boundaries)
-        if got != want:
-            errors.append(
-                f"block {block.id}: cuff order {got} differs from rotation order {want}"
-            )
+    want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
+    got = tuple(bd.label for bd in block.boundaries)
+    if got != want:
+        errors.append(f"block {block.id}: cuff order {got} differs from rotation order {want}")
     return v
 
 
@@ -534,9 +513,6 @@ def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None
     chi = euler_char(schema.graph)
     if spine.euler != chi:
         errors.append(f"block {spine.id}: chi {spine.euler} differs from the graph's {chi}")
-    if schema.rotation is None:
-        errors.append("spine present but no rotation recorded")
-        return
     want = _spine_block(schema.graph, schema.rotation)
     if len(spine.boundaries) != len(want.boundaries):
         errors.append(
@@ -637,8 +613,6 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
         for e, name in enumerate(graph.edge_names):
             if pants[e] != 1:
                 errors.append(f"edge {name} has {pants[e]} edge pants, not 1")
-        if schema.rotation is None:
-            errors.append("construction blocks present but no rotation recorded")
     if spines > 1:
         errors.append("more than one spine block")
 
@@ -724,11 +698,7 @@ def schema_to_json(schema: SurfaceSchema) -> str:
             "waist": {
                 graph.edge_names[e]: _round12(x) for e, x in sorted(schema.scale.waist.items())
             },
-            "rotation": (
-                rotation_to_lines(graph, schema.rotation)
-                if schema.rotation is not None
-                else None
-            ),
+            "rotation": rotation_to_lines(graph, schema.rotation),
         },
         "blocks": [
             {
@@ -862,11 +832,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError(f"f_min {meta['f_min']!r} is not {_round12(F_MIN)!r}")
         if len(graph.edge_ids) != graph.edge_count:
             raise SchemaFormatError("meta graph repeats an edge name")
-        rotation = (
-            rotation_from_lines(graph, meta["rotation"])
-            if meta.get("rotation") is not None
-            else None
-        )
+        if meta.get("rotation") is None:
+            raise SchemaFormatError("meta has no rotation")
+        rotation = rotation_from_lines(graph, meta["rotation"])
         scale = ScaleParams(
             t=_finite(float(meta["t"])),
             margin=_positive(float(meta["margin"])),

@@ -91,20 +91,30 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     """Smallest t with t*d(e) >= l(e) + f_min + margin on every edge.
 
     At that t the binding edge has exactly ``margin`` to spare and every
-    waist x_e = f_inv(t*d(e) - l(e)) is well-defined and positive.  A margin
-    so small that rounding leaves the binding edge no gap above f_min is
-    rejected, as are degrees below 3 (by :func:`foot_length`).
+    waist x_e = f_inv(t*d(e) - l(e)) is well-defined and positive.  Rejected
+    with a :class:`ValueError`: a margin that is not positive and finite; an
+    edge so short that t overflows double precision, or so long that its
+    waist cuff 2 x_e does; a margin so small that rounding leaves the
+    binding edge no gap above f_min; and degrees below 3 (by
+    :func:`foot_length`).
     """
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     foot = {v: foot_length(graph.degree(v)) for v in range(graph.vertex_count)}
     clearance = {}
     for e in range(graph.edge_count):
         u, v = graph.endpoints(e)
         clearance[e] = foot[u] + foot[v]
-    t = max(
-        (clearance[e] + F_MIN + margin) / graph.lengths[e] for e in range(graph.edge_count)
-    )
+    need = {
+        e: (clearance[e] + F_MIN + margin) / graph.lengths[e] for e in range(graph.edge_count)
+    }
+    shortest = max(need, key=need.__getitem__)
+    t = need[shortest]
+    if t == math.inf:
+        raise ValueError(
+            f"edge {graph.edge_names[shortest]} of length {graph.lengths[shortest]!r} "
+            f"needs a scale beyond double precision at margin {margin!r}"
+        )
     gap = {e: t * graph.lengths[e] - clearance[e] for e in range(graph.edge_count)}
     binding = min(gap, key=gap.__getitem__)
     if gap[binding] <= F_MIN:
@@ -114,4 +124,10 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
             f"f_min={F_MIN:.9f}"
         )
     waist = {e: f_inv(d) for e, d in gap.items()}
+    longest = max(waist, key=waist.__getitem__)
+    if 2.0 * waist[longest] == math.inf:
+        raise ValueError(
+            f"margin {margin!r} gives edge {graph.edge_names[longest]} a waist cuff "
+            "beyond double precision"
+        )
     return ScaleParams(t=t, margin=margin, foot=foot, clearance=clearance, waist=waist)

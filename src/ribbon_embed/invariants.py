@@ -2,13 +2,14 @@
 
 Two routes meet here.  Spanning-tree combinatorics give the Betti
 deficiency ``zeta``: the minimum, over spanning trees, of the number of
-odd-size components of the co-tree subgraph.  Rotation-system enumeration
-gives boundary-walk counts.  The two sides are tied together by the
-identity ``min walks = 1 + zeta``, which the test-suite and the oracle
-command check on every graph they touch.  The number of spanning trees is
-not enumerated: it is Kirchhoff's Laplacian cofactor, an exact integer
-determinant, which :func:`analyze` and the oracle check against the tree
-cap before they run the one zeta search they need.  That search stops at
+odd-size components of the co-tree subgraph.  The boundary profile
+gives the boundary-walk counts over all rotation systems.  The two sides
+are tied together by the identity ``min walks = 1 + zeta``, which
+:func:`analyze`, the test-suite and the oracle command check on every
+graph they touch.  The number of spanning trees is not enumerated: it is
+Kirchhoff's Laplacian cofactor, an exact integer determinant, which
+:func:`analyze` and the oracle check against the tree cap before they run
+the one zeta search they need.  That search stops at
 :func:`zeta_floor`, a linear-time lower bound from the bridges: a tree
 meeting it, or a rotation with 1 + floor walks, pins zeta with no further
 enumeration.
@@ -337,11 +338,13 @@ def analyze(
     Smooths degree-2 vertices first, so subdividing edges never changes the
     report.  The tree count is checked against ``tree_cap`` first, so a
     graph with too many trees fails before any search; each exhaustive
-    search (zeta, the boundary profile) then runs once.  The cheap identities
-    between the fields are re-checked and any disagreement raises
-    :class:`InternalInvariantError`; the expensive
-    cross-check (min boundary count vs 1 + zeta) lives in the oracle
-    command and the test-suite.
+    search (zeta, the boundary profile) then runs once.  The identities
+    between them are re-checked and any disagreement raises
+    :class:`InternalInvariantError`: the profile's minimum walk count must
+    be 1 + zeta, and ``ge_max_exact``, the largest :func:`capped_genus`
+    over the profile, must stay within the girth bound.  It cannot fall
+    below the essential genus, since :func:`capped_genus` never decreases
+    as the walk count grows by 2.
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
@@ -354,13 +357,15 @@ def analyze(
     bound = ge_max_bound(smoothed_graph)
     rotation_count = count_rotations(smoothed_graph)
     try:
-        exact = ge_max_exact(smoothed_graph, rotation_cap)
+        profile = boundary_profile(smoothed_graph, rotation_cap)
     except CapExceededError:
         exact = None
-
-    if exact is not None:
-        if exact < g_e:
-            raise InternalInvariantError("adversarial genus below essential genus")
+    else:
+        if min(profile) != 1 + z:
+            raise InternalInvariantError(
+                f"minimum walk count {min(profile)} differs from 1 + zeta = {1 + z}"
+            )
+        exact = max(capped_genus(smoothed_graph, walks) for walks in profile)
         if Fraction(exact) > bound:
             raise InternalInvariantError("adversarial genus exceeds the girth bound")
 

@@ -13,25 +13,23 @@ Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
-Exhaustive sweeps (the enumeration fallback of the move search, which
-doubles as its witness scan, and the oracle's single pass in
-:func:`ribbon_embed.moves.oracle`) go through :func:`_sweep`, which visits
-rotations in :func:`enumerate_rotations` order and, between consecutive
-rotations, rewrites only the successor entries of the vertices whose cyclic
-order changed.
+Exhaustive sweeps that want the rotations themselves (the enumeration
+fallback of the move search, which doubles as its witness scan, and the
+oracle's single pass in :func:`ribbon_embed.moves.oracle`) go through
+:func:`_sweep`, which visits rotations in :func:`enumerate_rotations` order
+and, between consecutive rotations, rewrites only the successor entries of
+the vertices whose cyclic order changed.
 
 :func:`boundary_profile` needs only how many rotations give each walk
-count, and has two paths to it.  The frontier DP, :func:`_frontier_profile`,
-places one vertex at a time and keeps, for each way the open face paths can
-cross the cut around the placed vertices, a histogram of the faces already
-closed (Gross and Furst's bar-amalgamation; the partitioned genus
-distributions of Gross, Khan and Poshni).  Its cost grows with the cut
-width, not with the number of rotations.  Before each placement it knows
-that placement's work, states times cyclic orders of the new vertex, and
-once the running total would reach the number of rotations it hands over
-to :func:`_sweep`, which then does no more work than the DP would.  That
-happens on one-vertex bouquets, dipoles and other graphs with few, high
-degree vertices.
+count, and takes it from a frontier DP that places one vertex at a time
+and keeps, for each way the open face paths can cross the cut around the
+placed vertices, a histogram of the faces already closed (Gross and
+Furst's bar-amalgamation; the partitioned genus distributions of Gross,
+Khan and Poshni).  Its cost grows with the cut width, not with the number
+of rotations; and with minimum degree 3 the partial-rotation count at
+least doubles with each placed vertex, so even where the cut never
+narrows (one-vertex bouquets, dipoles) it makes fewer than twice as many
+compositions as there are rotations.
 """
 
 from __future__ import annotations
@@ -277,32 +275,29 @@ def _sweep(
             return
 
 
-def _frontier_profile(graph: MetricGraph, budget: float) -> Counter[int] | None:
-    """The walk-count histogram by a frontier DP over vertex placements, or
-    None as soon as its work would reach ``budget``.
+def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
+    """Histogram {walk count: rotation count} over all rotation systems.
 
-    The next vertex placed is the one with the most edges into the placed
-    set S, ties to the smallest id.  Under a rotation of S alone the face
-    permutation splits into closed faces, which are only counted, and open
-    paths, each entering S at the S-side dart of a cut edge (in ``entries``,
-    sorted) and leaving at an outside dart.  A state is the tuple of those
-    exits, aligned with ``entries``, and maps to a Counter {closed faces:
-    partial rotations}.  Placing w composes each of its cyclic orders into
-    each state; with every vertex placed the one state left is empty.  A
-    placement costs len(states) * (deg(w) - 1)! compositions, counted
-    against ``budget`` before any order of w is built.
+    Raises :class:`CapExceededError` when there are more than ``cap``
+    rotations, before any work.  A frontier DP over vertex placements
+    computes it.  The next vertex placed is the one with the most edges into
+    the placed set S, ties to the smallest id.  Under a rotation of S alone
+    the face permutation splits into closed faces, which are only counted,
+    and open paths, each entering S at the S-side dart of a cut edge (in
+    ``entries``, sorted) and leaving at an outside dart.  A state is the
+    tuple of those exits, aligned with ``entries``, and maps to a Counter
+    {closed faces: partial rotations}.  Placing w composes each of its
+    cyclic orders into each state; with every vertex placed the one state
+    left is empty.
     """
+    _capped_count(graph, cap)
     vertex_of = graph.vertex_of
     placed = [False] * graph.vertex_count
     into = [0] * graph.vertex_count  # edges from each vertex into S
     entries: list[int] = []
     states: dict[tuple[int, ...], Counter[int]] = {(): Counter({0: 1})}
-    work = 0
     for _ in range(graph.vertex_count):
         w = max((v for v, done in enumerate(placed) if not done), key=lambda v: (into[v], -v))
-        work += len(states) * math.factorial(graph.degree(w) - 1)
-        if work >= budget:
-            return None
         placed[w] = True
         darts = graph.darts_at(w)
         for d in darts:
@@ -342,21 +337,7 @@ def _frontier_profile(graph: MetricGraph, budget: float) -> Counter[int] | None:
                     target[faces + closed] += rotations
         states = composed
         entries = new_entries
-    return states[()]
-
-
-def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
-    """Histogram {walk count: rotation count} over all rotation systems.
-
-    Raises :class:`CapExceededError` when there are more than ``cap``
-    rotations.  The frontier DP computes it; once the DP's compositions
-    would reach the number of rotations, :func:`_sweep` does no more work
-    and takes over.
-    """
-    counts = _frontier_profile(graph, _capped_count(graph, cap))
-    if counts is None:
-        counts = Counter(count for _, _, count, _ in _sweep(graph, cap))
-    return dict(sorted(counts.items()))
+    return dict(sorted(states[()].items()))
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:

@@ -15,6 +15,7 @@ from ribbon_embed import (
     default_rotation,
     graph_hash,
     make_rotation,
+    maximize_boundaries,
     minimize_boundaries,
     naive_embedding,
     parse_graph,
@@ -22,7 +23,7 @@ from ribbon_embed import (
     schema_to_json,
     verify_schema,
 )
-from ribbon_embed.assembly import Gluing
+from ribbon_embed.assembly import Gluing, _close
 
 
 def kinds(schema):
@@ -173,6 +174,34 @@ def test_cap_target_above_pants_upgrade(dumbbell):
     assert verify_schema(schema).ok
 
 
+def test_extra_genus_goes_to_one_cap_of_the_standard_layout(theta, k4, k5):
+    # b = 1 .. 5 walks: the first torus cap, cap:q, takes the extra genus,
+    # or with no torus the first three-holed cap, cap:0; nothing else moves
+    rotations = [minimize_boundaries(g, restarts=2).rotation for g in (theta, k4)]
+    rotations += [maximize_boundaries(g, restarts=2).rotation for g in (theta, k4, k5)]
+    seen = set()
+    for g, rot in zip((theta, k4, theta, k4, k5), rotations):
+        bordered = assemble_sigma_surface(g, rot)
+        b = bordered.summary.boundary_count
+        seen.add(b)
+        standard = _close(bordered, 0)
+        assert standard == cap_standard(bordered)
+        upgraded = _close(bordered, 2)
+        q, r = divmod(b, 3)
+        target = f"cap:{q if r else 0}"
+        assert [blk.id for blk in upgraded.blocks] == [blk.id for blk in standard.blocks]
+        for new, old in zip(upgraded.blocks, standard.blocks):
+            if new.id == target:
+                assert new == replace(old, kind="cap_surface", genus=old.genus + 2)
+            else:
+                assert new == old
+        assert upgraded.gluings == standard.gluings
+        genus = standard.summary.genus + 2
+        assert upgraded.summary == Summary(genus, 0, False, f"sigma_target({genus})")
+        assert verify_schema(upgraded).ok
+    assert seen == {1, 2, 3, 4, 5}
+
+
 def test_cap_target_below_essential(theta):
     bordered, minimum = _minimal_bordered(theta)
     with pytest.raises(TargetGenusError):
@@ -267,6 +296,13 @@ def test_detects_false_minimal_claim_on_naive(theta):
     bad = replace(schema, summary=replace(schema.summary, minimal=True))
     diag = verify_schema(bad)
     assert any("minimal" in e for e in diag.errors)
+
+
+def test_detects_wrong_naive_genus(theta):
+    schema = naive_embedding(theta)
+    bad = replace(schema, summary=replace(schema.summary, genus=schema.summary.genus + 1))
+    diag = verify_schema(bad)
+    assert "naive genus 6, expected |E| + beta = 5" in diag.errors
 
 
 def test_detects_scale_tampering(closed_theta):

@@ -17,6 +17,7 @@ from ribbon_embed import (
     cli,
     format_graph,
     graph_hash,
+    invariants,
     rotation,
     schema_from_json,
     verify_schema,
@@ -78,6 +79,30 @@ def test_analyze_rotation_cap_is_soft(graph_file, capsys):
     assert main(["analyze", graph_file(K5), "--json", "--max-rotations", "100"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ge_max_exact"] is None
+
+
+def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
+    assert main(["analyze", graph_file(K4), "--max-rotations", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "\nge_max_exact     unknown (rotation cap exceeded; bound still holds)\n" in out
+
+
+def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
+    # a profile that lost its minimum entry still gave a plausible report
+    profile = invariants.boundary_profile
+
+    def without_minimum(graph, cap):
+        counts = profile(graph, cap)
+        del counts[min(counts)]
+        return counts
+
+    monkeypatch.setattr(invariants, "boundary_profile", without_minimum)
+    assert main(["analyze", graph_file(K4)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant violation: minimum walk count 4 differs from 1 + zeta = 2\n"
+    )
 
 
 def test_embed_minimal_verifies(graph_file, tmp_path, capsys):
@@ -182,6 +207,28 @@ def test_embed_names_a_margin_too_small_to_scale(margin, graph_file, capsys):
     assert f"error: margin {float(margin)!r} is too small" in captured.err
 
 
+@pytest.mark.parametrize(
+    ("graph", "margin", "message"),
+    [
+        (K4, "nan", "margin must be positive and finite, got nan"),
+        (K4, "inf", "margin must be positive and finite, got inf"),
+        (K4, "1e308", "margin 1e+308 gives edge e01 a waist cuff beyond double precision"),
+        (
+            "edge a u v 1e-320\nedge b u v 1\nedge c u v 1\n",
+            "0.1",
+            "edge a of length 1e-320 needs a scale beyond double precision at margin 0.1",
+        ),
+    ],
+    ids=["nan", "inf", "1e308", "theta 1e-320"],
+)
+def test_embed_rejects_a_scale_beyond_double_precision(graph, margin, message, graph_file, capsys):
+    # each printed "refusing to emit a schema that does not verify", exit 6
+    assert main(["embed", graph_file(graph), "--margin", margin]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_embed_with_a_tiny_margin_verifies(graph_file, tmp_path, capsys):
     # 12 stored digits of t moved the binding gap below f_min in verify
     out_path = tmp_path / "schema.json"
@@ -273,10 +320,13 @@ def test_oracle_recount_does_not_share_the_kernel(graph_file, capsys, monkeypatc
 
 
 def test_cli_imports_no_private_names():
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    # the demos are read as user code too: they show the public API only
+    sources = [Path(cli.__file__), *sorted(DEMO_GRAPHS.parent.glob("*.py"))]
+    assert len(sources) == 6
     private = [
-        alias.name
-        for node in ast.walk(tree)
+        (source.name, alias.name)
+        for source in sources
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if alias.name.rsplit(".", 1)[-1].startswith("_")
@@ -399,6 +449,9 @@ MALFORMED_MUTATIONS = {
     # waist_distance raised ValueError on these inside verify_schema
     "waist zero": (lambda doc: doc["meta"]["waist"].update(a=0.0), "non-positive number"),
     "margin negative": (lambda doc: doc["meta"].update(margin=-1.0), "non-positive number"),
+    # every schema construction records the rotation; only an edited document lacks it
+    "rotation null": (lambda doc: doc["meta"].update(rotation=None), "meta has no rotation"),
+    "rotation missing": (lambda doc: doc["meta"].pop("rotation"), "meta has no rotation"),
 }
 
 
@@ -559,6 +612,26 @@ STORED_FIELD_MUTATIONS = {
         "does not match its gluings",
     ),
 }
+# Failure paths of the verifier that no other test runs.
+STORED_FIELD_MUTATIONS |= {
+    "second spine": (
+        lambda doc: doc["blocks"].append({**_spine(doc), "id": "spine2"}),
+        1,
+        "more than one spine block",
+    ),
+    "torus cap as three-holed": (
+        lambda doc: _block(doc, "cap_torus").update(kind="cap_pants"),
+        1,
+        "three-holed cap must have genus 0",
+    ),
+    "genus-0 upgraded cap": (
+        lambda doc: _block(doc, "cap_torus").update(kind="cap_surface", genus=0),
+        1,
+        "upgraded cap must have genus >= 1",
+    ),
+    "margin underflow": (lambda doc: doc["meta"].update(margin=1e-300), 1, "gives no scale"),
+    "margin overflow": (lambda doc: doc["meta"].update(margin=1e308), 1, "gives no scale"),
+}
 
 
 @pytest.mark.parametrize("case", sorted(STORED_FIELD_MUTATIONS))
@@ -612,6 +685,17 @@ def test_unexpected_exceptions_exit_6(command, graph_file, tmp_path, capsys, mon
     path = graph_file(THETA) if command == "analyze" else str(out_path)
     assert main([command, path]) == 6
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_embed_refuses_a_schema_that_does_not_verify(graph_file, capsys, monkeypatch):
+    def failing(schema):
+        return Diagnostics(errors=("boom",), notes=())
+
+    monkeypatch.setattr(cli, "verify_schema", failing)
+    assert main(["embed", graph_file(K4)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fail: boom\nrefusing to emit a schema that does not verify\n"
 
 
 def test_parser_is_built_once_per_process():

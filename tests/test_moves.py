@@ -182,6 +182,15 @@ def test_uncertified_when_stalled_and_capped():
     assert res.boundary_count == 3
 
 
+def test_maximize_uncertified_above_its_rotation_cap(k5):
+    # no profile to aim at and no scan to finish: the ascent's best is
+    # handed back flagged as neither certified nor enumerated
+    res = maximize_boundaries(k5, restarts=2, rotation_cap=10)
+    assert not res.certified
+    assert not res.enumerated
+    assert res.boundary_count == boundary_count(k5, res.rotation) <= 5
+
+
 def test_certified_by_parity_floor_despite_tree_cap(k5):
     # K5 is bridgeless with beta = 6, so its floor is 0 and a descent to one
     # walk certifies itself; a tiny tree cap does not block certification

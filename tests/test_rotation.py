@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import pytest
@@ -20,7 +19,6 @@ from ribbon_embed import (
 )
 from ribbon_embed.rotation import (
     _faces,
-    _frontier_profile,
     _sweep,
     canonical_cycle,
     rotation_from_lines,
@@ -152,35 +150,29 @@ def _swept(g):
 
 
 def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
-    # an unbounded budget runs the DP to the end even where boundary_profile
-    # would hand over; the sweep shares no code with it but _cyclic_orders
+    # the DP shares no code with the sweep but _cyclic_orders
     graphs = [theta, bouquet2, k4, k5, dumbbell, bouquet(4), dipole(6)]
     graphs += [prism(rungs) for rungs in range(3, 8)]
     graphs += [g for g in map(random_multigraph, range(150)) if count_rotations(g) <= 10**6]
     assert len(graphs) == 162
     for g in graphs:
-        assert _frontier_profile(g, math.inf) == _swept(g)
+        assert boundary_profile(g) == dict(sorted(_swept(g).items()))
 
 
-def test_boundary_profile_runs_the_dp_and_hands_over_to_the_sweep(k5, monkeypatch):
-    expected = {g: _swept(g) for g in (PETERSEN, prism(5), prism(7))}
-
-    class Swept(Exception):
-        pass
+def test_boundary_profile_runs_the_dp_for_every_graph(k5, monkeypatch):
+    expected = {g: _swept(g) for g in (PETERSEN, prism(5), prism(7), bouquet(4), dipole(6))}
 
     def no_sweep(graph, cap):
-        raise Swept
+        raise AssertionError("boundary_profile reached the sweep")
 
     monkeypatch.setattr(rotation, "_sweep", no_sweep)
     assert boundary_profile(k5) == PROFILES["k5"]
+    # a bouquet and a dipole never narrow the cut: the DP still finishes
     for g, profile in expected.items():
         assert boundary_profile(g) == dict(sorted(profile.items()))
     # 2^18 rotations, and the planar embedding's rungs + 2 faces at the top
     big = boundary_profile(prism(9))
     assert sum(big.values()) == 2**18 and max(big) == 11 and min(big) == 1
-    # one vertex of degree 10: the first placement alone costs every rotation
-    with pytest.raises(Swept):
-        boundary_profile(bouquet(5))
 
 
 def test_walk_parity_property():
