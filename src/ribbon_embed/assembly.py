@@ -664,68 +664,182 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _length_out(length: float | str):
-    return length if isinstance(length, str) else _round12(length)
+_string = json.encoder.encode_basestring_ascii  # json.dumps's own, in C where built
+
+
+def _number(x: float) -> str:
+    """A float as ``json.dumps`` writes it: its repr, or NaN and Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _stored(x: float) -> str:
+    """A float as the schema stores it: rounded to 12 significant digits,
+    as :func:`_round12` rounds (inlined: every block and gluing has one)."""
+    return _number(float(f"{x:.12g}"))
+
+
+def _length(length: float | str) -> str:
+    """A boundary length: a symbolic one as a string, a number as stored."""
+    return _string(length) if isinstance(length, str) else _stored(length)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it, tested in the order it
+    tests them (``True`` and ``False`` before ``int``)."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _number(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _join(items: list[str], pad: str, brackets: str) -> str:
+    """An indent-2 container of rendered ``items``, each of which carries
+    its own indentation, closed at ``pad``; ``brackets`` when empty."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+
+def _value(value, pad: str) -> str:
+    """Any JSON value as ``json.dumps(indent=2)`` writes it on a line
+    indented by ``pad``; dict keys are converted as ``json.dumps`` does."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, float):
+        return _number(value)
+    if isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        return _join([inner + _value(v, inner) for v in value], pad, "[]")
+    if isinstance(value, dict):
+        inner = pad + "  "
+        return _join(
+            [
+                f"{inner}{_string(k if isinstance(k, str) else _scalar(k))}: {_value(v, inner)}"
+                for k, v in value.items()
+            ],
+            pad,
+            "{}",
+        )
+    return _scalar(value)
+
+
+def _floats(named: dict[str, float]) -> str:
+    """A ``meta`` object of stored floats by name."""
+    return _join([f"      {_string(k)}: {_stored(x)}" for k, x in named.items()], "    ", "{}")
+
+
+def _block(b: Block) -> str:
+    boundaries = _join(
+        [
+            "        {\n"
+            f'          "label": {_string(bd.label)},\n'
+            f'          "length": {_length(bd.length)}\n'
+            "        }"
+            for bd in b.boundaries
+        ],
+        "      ",
+        "[]",
+    )
+    return (
+        "    {\n"
+        f'      "id": {_string(b.id)},\n'
+        f'      "kind": {_string(b.kind)},\n'
+        f'      "genus": {_scalar(b.genus)},\n'
+        f'      "layer": {_string(b.layer)},\n'
+        f'      "boundaries": {boundaries},\n'
+        f'      "payload": {_value(b.payload, "      ")}\n'
+        "    }"
+    )
+
+
+def _gluing(g: Gluing) -> str:
+    (a0, a1), (b0, b1) = g.side_a, g.side_b
+    return (
+        "    {\n"
+        f'      "a": [\n        {_string(a0)},\n        {_string(a1)}\n      ],\n'
+        f'      "b": [\n        {_string(b0)},\n        {_string(b1)}\n      ],\n'
+        f'      "twist": {_stored(g.twist)}\n'
+        "    }"
+    )
 
 
 def schema_to_json(schema: SurfaceSchema) -> str:
-    graph = schema.graph
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {
-            "graph": {
-                "hash": graph_hash(graph),
-                "edges": [
-                    [
-                        graph.edge_names[e],
-                        graph.vertex_names[graph.endpoints(e)[0]],
-                        graph.vertex_names[graph.endpoints(e)[1]],
-                        _round12(graph.lengths[e]),
-                    ]
-                    for e in range(graph.edge_count)
-                ],
-            },
-            "t": _round12(schema.scale.t),
-            "margin": _round12(schema.scale.margin),
-            "f_min": _round12(F_MIN),
-            "foot": {
-                graph.vertex_names[v]: _round12(x) for v, x in sorted(schema.scale.foot.items())
-            },
-            "clearance": {
-                graph.edge_names[e]: _round12(x)
-                for e, x in sorted(schema.scale.clearance.items())
-            },
-            "waist": {
-                graph.edge_names[e]: _round12(x) for e, x in sorted(schema.scale.waist.items())
-            },
-            "rotation": rotation_to_lines(graph, schema.rotation),
-        },
-        "blocks": [
-            {
-                "id": b.id,
-                "kind": b.kind,
-                "genus": b.genus,
-                "layer": b.layer,
-                "boundaries": [
-                    {"label": bd.label, "length": _length_out(bd.length)}
-                    for bd in b.boundaries
-                ],
-                "payload": b.payload,
-            }
-            for b in schema.blocks
+    """The schema document: exactly the text of ``json.dumps(doc, indent=2)``
+    and a newline, for the document ``doc`` of nested dicts and lists.
+
+    ``doc`` holds ``schema_version``, ``meta`` (the graph's hash and edge
+    records, the scale's numbers by vertex or edge name and the rotation's
+    lines), ``blocks``, ``gluings`` and ``summary``, each in field order;
+    stored floats carry 12 significant digits, payloads are written as
+    they are.  The text is written from the schema directly, each block
+    and gluing from a template of its fixed shape, with strings escaped to
+    ASCII by the C encoder ``json.dumps`` itself uses; only payloads take
+    the general recursive case.  A field of another type than its
+    annotation (a label that is no string, a side that is no pair) raises
+    rather than write a different text.
+    """
+    graph, scale, summary = schema.graph, schema.scale, schema.summary
+    vertex_names, edge_names = graph.vertex_names, graph.edge_names
+    edges = _join(
+        [
+            "        [\n"
+            f"          {_string(name)},\n"
+            f"          {_string(vertex_names[graph.vertex_of[2 * e]])},\n"
+            f"          {_string(vertex_names[graph.vertex_of[2 * e + 1]])},\n"
+            f"          {_stored(graph.lengths[e])}\n"
+            "        ]"
+            for e, name in enumerate(edge_names)
         ],
-        "gluings": [
-            {"a": list(g.side_a), "b": list(g.side_b), "twist": _round12(g.twist)}
-            for g in schema.gluings
-        ],
-        "summary": {
-            "genus": schema.summary.genus,
-            "boundary_count": schema.summary.boundary_count,
-            "minimal": schema.summary.minimal,
-            "construction": schema.summary.construction,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "      ",
+        "[]",
+    )
+    rotation = _join(
+        [f"      {_string(line)}" for line in rotation_to_lines(graph, schema.rotation)],
+        "    ",
+        "[]",
+    )
+    # dicts, as in the document: a repeated name keeps its first place and last value
+    foot = {vertex_names[v]: x for v, x in sorted(scale.foot.items())}
+    clearance = {edge_names[e]: x for e, x in sorted(scale.clearance.items())}
+    waist = {edge_names[e]: x for e, x in sorted(scale.waist.items())}
+    parts = [
+        "{\n"
+        f'  "schema_version": {_scalar(SCHEMA_VERSION)},\n'
+        '  "meta": {\n'
+        '    "graph": {\n'
+        f'      "hash": {_string(graph_hash(graph))},\n'
+        f'      "edges": {edges}\n'
+        "    },\n"
+        f'    "t": {_stored(scale.t)},\n'
+        f'    "margin": {_stored(scale.margin)},\n'
+        f'    "f_min": {_stored(F_MIN)},\n'
+        f'    "foot": {_floats(foot)},\n'
+        f'    "clearance": {_floats(clearance)},\n'
+        f'    "waist": {_floats(waist)},\n'
+        f'    "rotation": {rotation}\n'
+        "  },\n"
+        '  "blocks": ',
+        _join([_block(b) for b in schema.blocks], "  ", "[]"),
+        ',\n  "gluings": ',
+        _join([_gluing(g) for g in schema.gluings], "  ", "[]"),
+        ',\n  "summary": {\n'
+        f'    "genus": {_scalar(summary.genus)},\n'
+        f'    "boundary_count": {_scalar(summary.boundary_count)},\n'
+        f'    "minimal": {_scalar(summary.minimal)},\n'
+        f'    "construction": {_scalar(summary.construction)}\n'
+        "  }\n"
+        "}\n",
+    ]
+    return "".join(parts)
 
 
 def _finite(value):
@@ -819,6 +933,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise SchemaFormatError("JSON nested too deeply to decode") from None
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(

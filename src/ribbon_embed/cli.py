@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_caps(
         p_embed,
         "spanning trees the zeta search may visit when the bridge floor does not "
-        "certify the minimum; past it the rotation sweep is tried",
+        "certify the minimum; a graph with more, by Kirchhoff's count, skips the "
+        "search for the rotation sweep",
     )
     p_embed.set_defaults(func=cmd_embed)
 

@@ -113,6 +113,12 @@ def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph
     return MetricGraph(tuple(vertex_of), tuple(lengths), tuple(edge_names), tuple(vertex_ids))
 
 
+def _clip(token: str) -> str:
+    """``token`` as an error message quotes it: cut to its first 40
+    characters, so a one-line file of any size gives a short message."""
+    return token if len(token) <= 40 else token[:40] + "\u2026"
+
+
 def parse_graph(text: str) -> MetricGraph:
     """Parse the edge-list file format.
 
@@ -135,21 +141,23 @@ def parse_graph(text: str) -> MetricGraph:
             continue
         parts = line.split()
         if parts[0] != "edge":
-            raise GraphFormatError(f"unknown record type {parts[0]!r}", lineno)
+            raise GraphFormatError(f"unknown record type {_clip(parts[0])!r}", lineno)
         if len(parts) != 5:
             raise GraphFormatError("expected: edge <name> <u> <v> <length>", lineno)
         _, name, u, v, length_text = parts
         for token in (name, u, v):
             if not token.isalnum():
-                raise GraphFormatError(f"name {token!r} is not alphanumeric", lineno)
+                raise GraphFormatError(f"name {_clip(token)!r} is not alphanumeric", lineno)
         if name in edge_names:
-            raise GraphFormatError(f"duplicate edge name {name!r}", lineno)
+            raise GraphFormatError(f"duplicate edge name {_clip(name)!r}", lineno)
         try:
             length = float(length_text)
         except ValueError:
-            raise GraphFormatError(f"bad length {length_text!r}", lineno) from None
+            raise GraphFormatError(f"bad length {_clip(length_text)!r}", lineno) from None
         if not math.isfinite(length) or length <= 0.0:
-            raise GraphFormatError(f"edge length must be positive, got {length_text}", lineno)
+            raise GraphFormatError(
+                f"edge length must be positive, got {_clip(length_text)}", lineno
+            )
         records.append((name, u, v, length))
         edge_names.add(name)
 

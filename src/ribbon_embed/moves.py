@@ -16,9 +16,10 @@ reducing relocation would disprove the underlying theory and raises
 One search climbs in either direction and certifies its result by a ladder
 of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
 floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
-optimal on sight; above it the spanning-tree search supplies 1 + zeta; the
-scan of every rotation comes last.  Maximizing, the target is the maximum
-of the boundary profile when the rotation count fits under its cap.
+optimal on sight; above it the spanning-tree search supplies 1 + zeta when
+Kirchhoff's count puts the trees within the cap; the scan of every rotation
+comes last.  Maximizing, the target is the maximum of the boundary profile
+when the rotation count fits under its cap.
 
 :func:`oracle` re-verifies the theory by brute force in one rotation sweep:
 the profile, every reducing move and every greedy descent come from the
@@ -336,15 +337,20 @@ def minimize_boundaries(
     Applies reducing moves until no vertex meets three walks, then retries
     from seeded random rotations; reaching 1 + :func:`zeta_floor` stops
     both and certifies the result with no tree search.  Ending above the
-    floor, the spanning-tree search gives the target 1 + zeta (within
-    ``tree_cap`` trees), and a result at the target is certified.  Last
-    comes the scan of the full enumeration, which certifies whatever it
-    finishes with.  When the target is unknown (tree cap exceeded) and the
-    scan is capped out too, the best rotation found is returned uncertified.
+    floor, Kirchhoff's count of the spanning trees comes first: within
+    ``tree_cap`` trees, the spanning-tree search gives the target 1 + zeta,
+    and a result at the target is certified.  Past the cap the target is
+    unknown at once, with no tree visited.  A capped search could end early
+    only at the floor, which the descent has missed, so knowing it would
+    certify nothing: the scan decides either way, and stops at the same
+    rotation.  Last comes the scan of the full enumeration, which certifies
+    whatever it finishes with.  When the target is unknown and the scan is
+    capped out too, the best rotation found is returned uncertified.
     """
 
     def target() -> int | None:
         try:
+            _tree_count(graph, tree_cap)
             return 1 + betti_deficiency(graph, tree_cap)
         except CapExceededError:
             return None

@@ -1,8 +1,12 @@
+import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from ribbon_embed import (
+    F_MIN,
     Boundary,
     CycleGraphError,
     GraphValidationError,
@@ -12,6 +16,7 @@ from ribbon_embed import (
     assemble_sigma_surface,
     cap_standard,
     cap_target_genus,
+    capped_genus,
     default_rotation,
     graph_hash,
     make_rotation,
@@ -24,6 +29,9 @@ from ribbon_embed import (
     verify_schema,
 )
 from ribbon_embed.assembly import Gluing, _close
+from ribbon_embed.rotation import rotation_to_lines
+
+from helpers import random_multigraph
 
 
 def kinds(schema):
@@ -331,6 +339,129 @@ def test_json_round_trip_everywhere(theta, k4, dumbbell):
         assert graph_hash(back.graph) == graph_hash(schema.graph)
         assert back.summary == schema.summary
         assert verify_schema(back).ok == verify_schema(schema).ok
+
+
+def _reference_json(schema):
+    """The schema document as ``json.dumps(indent=2)`` writes it, from the
+    nested dicts and lists the writer's byte contract names."""
+    graph, scale = schema.graph, schema.scale
+
+    def r12(x):
+        return float(f"{x:.12g}")
+
+    doc = {
+        "schema_version": 1,
+        "meta": {
+            "graph": {
+                "hash": graph_hash(graph),
+                "edges": [
+                    [
+                        graph.edge_names[e],
+                        graph.vertex_names[graph.endpoints(e)[0]],
+                        graph.vertex_names[graph.endpoints(e)[1]],
+                        r12(graph.lengths[e]),
+                    ]
+                    for e in range(graph.edge_count)
+                ],
+            },
+            "t": r12(scale.t),
+            "margin": r12(scale.margin),
+            "f_min": r12(F_MIN),
+            "foot": {graph.vertex_names[v]: r12(x) for v, x in sorted(scale.foot.items())},
+            "clearance": {graph.edge_names[e]: r12(x) for e, x in sorted(scale.clearance.items())},
+            "waist": {graph.edge_names[e]: r12(x) for e, x in sorted(scale.waist.items())},
+            "rotation": rotation_to_lines(graph, schema.rotation),
+        },
+        "blocks": [
+            {
+                "id": b.id,
+                "kind": b.kind,
+                "genus": b.genus,
+                "layer": b.layer,
+                "boundaries": [
+                    {
+                        "label": bd.label,
+                        "length": bd.length if isinstance(bd.length, str) else r12(bd.length),
+                    }
+                    for bd in b.boundaries
+                ],
+                "payload": b.payload,
+            }
+            for b in schema.blocks
+        ],
+        "gluings": [
+            {"a": list(g.side_a), "b": list(g.side_b), "twist": r12(g.twist)}
+            for g in schema.gluings
+        ],
+        "summary": {
+            "genus": schema.summary.genus,
+            "boundary_count": schema.summary.boundary_count,
+            "minimal": schema.summary.minimal,
+            "construction": schema.summary.construction,
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _every_target(graph):
+    """The bordered schema of the minimum, and its minimal, maximal and
+    genus = g_e + 2 closings."""
+    res = minimize_boundaries(graph, restarts=2)
+    bordered = assemble_sigma_surface(graph, res.rotation)
+    yield bordered
+    yield cap_standard(bordered)
+    yield cap_standard(assemble_sigma_surface(graph, maximize_boundaries(graph).rotation))
+    if res.certified:
+        g_e = capped_genus(graph, res.boundary_count)
+        yield cap_target_genus(bordered, g_e + 2, res.boundary_count)
+
+
+def _writer_cases():
+    demos = Path(__file__).resolve().parent.parent / "demos" / "graphs"
+    for path in sorted(demos.glob("*.graph")):
+        yield from _every_target(parse_graph(path.read_text()))
+    for seed in range(100):
+        g = random_multigraph(seed)
+        yield naive_embedding(g)
+        yield cap_standard(assemble_sigma_surface(g, default_rotation(g, seed)))
+    for length in (2.0, 93.77, 1000.0):
+        yield from _every_target(parse_graph(f"edge a u v 1\nedge b u v 1\nedge c u v {length}"))
+    bouquet3 = parse_graph("edge p w w 1\nedge q w w 2\nedge r w w 3")
+    yield from _every_target(bouquet3)
+    yield naive_embedding(bouquet3)
+    accented = parse_graph("edge \u00e9 u v 1\nedge b u v 1\nedge \u00df u v 1.5")
+    yield from _every_target(accented)
+    yield naive_embedding(accented)
+    # payloads a reader may hand back: fills of caps glued elsewhere, and
+    # every other JSON value, empty containers and non-finite floats included
+    closed = cap_standard(assemble_sigma_surface(bouquet3, default_rotation(bouquet3, 0)))
+    odd = {
+        "cap": {"fills": [None, "w0", None]},
+        "spine": {
+            "x": [math.nan, math.inf, -math.inf, 1e300, -0.0, True, False, None, 3, -7],
+            "empty": [[], {}, ""],
+            "nested": {"k": [{"a": [1, [2, [3]]]}], 7: "seven", 2.5: "two", True: "t", None: "n"},
+        },
+    }
+    yield replace(
+        closed,
+        blocks=tuple(
+            replace(b, payload=odd.get(b.kind.split("_")[0], b.payload)) for b in closed.blocks
+        ),
+    )
+
+
+def test_schema_to_json_writes_what_json_dumps_writes():
+    # the writer's byte contract, against the indented json.dumps it replaced
+    cases = 0
+    for schema in _writer_cases():
+        text = schema_to_json(schema)
+        assert text == _reference_json(schema), schema.graph.edge_names
+        cases += 1
+    assert cases >= 240
+    accented = parse_graph("edge \u00e9 u v 1\nedge b u v 1\nedge c u v 1")
+    text = schema_to_json(naive_embedding(accented))
+    assert '"\\u00e9"' in text and "\u00e9" not in text
 
 
 def test_json_rejects_garbage():

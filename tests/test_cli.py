@@ -66,6 +66,23 @@ def test_analyze_bad_syntax(graph_file, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+LONG_TOKEN_LINES = {
+    "record type": "x" * 400_000,
+    "name": "edge " + "a" * 400_000 + ". u v 1.0",
+    "bad length": "edge a u v " + "9" * 400_000 + "z",
+    "non-positive length": "edge a u v -" + "0" * 400_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_TOKEN_LINES))
+def test_parse_errors_quote_a_long_token_cut_short(case, graph_file, capsys):
+    line = LONG_TOKEN_LINES[case]
+    assert main(["analyze", graph_file(line)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "…" in err
+    assert len(err) < 200
+
+
 def test_analyze_cycle(graph_file, capsys):
     assert main(["analyze", graph_file(CYCLE)]) == 3
     assert "every surface" in capsys.readouterr().err
@@ -262,6 +279,18 @@ def test_embed_names_merged_edges_apart(graph_file, tmp_path, capsys):
     assert sorted(name for name, *_ in edges) == ["abc", "abcx", "d", "e", "f", "g"]
 
 
+def test_embed_skips_a_tree_search_kirchhoffs_count_rules_out(graph_file, capsys, monkeypatch):
+    # prism(83)'s floor is 0 but its descent ends at 3 walks; it has far
+    # more than 1000 spanning trees, so no tree is visited
+    def no_trees(*args, **kwargs):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr(invariants, "spanning_trees", no_trees)
+    path = graph_file(format_graph(prism(83)))
+    assert main(["embed", path, "--max-trees", "1000"]) == 0
+    assert "3 boundary walk(s) before capping" in capsys.readouterr().err
+
+
 def test_oracle_ok(graph_file, capsys):
     assert main(["oracle", graph_file(THETA)]) == 0
     out = capsys.readouterr().out
@@ -357,6 +386,19 @@ def test_verify_malformed(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{]")
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "prefix,suffix",
+    [("", ""), ('{"schema_version": 1, "meta": ', "}")],
+    ids=["document", "meta"],
+)
+def test_verify_rejects_nesting_too_deep_to_decode(prefix, suffix, tmp_path, capsys):
+    # the decoder recurses once per level: past its limit that is bad input, not a bug
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * 200000 + "]" * 200000 + suffix)
+    assert main(["verify", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def _first_numeric_boundary(doc):

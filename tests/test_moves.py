@@ -11,6 +11,7 @@ from ribbon_embed import (
     betti_deficiency,
     boundary_count,
     boundary_profile,
+    connected_components,
     count_rotations,
     default_rotation,
     enumerate_rotations,
@@ -246,6 +247,41 @@ def test_floor_first_search_matches_the_eager_target():
             case = f"seed {seed}, restarts {restarts}, tree cap {tree_cap}"
             assert (res.rotation, res.boundary_count, res.moves) == (rot, count, moves), case
             assert res.certified >= certified, case
+
+
+def _cubic(seed, n):
+    """A connected cubic multigraph on n vertices by stub pairing, loops allowed."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        m = len(stubs) // 2
+        names = tuple(f"e{i}" for i in range(m)), tuple(f"v{i}" for i in range(n))
+        g = MetricGraph(tuple(stubs), (1.0,) * m, *names)
+        if len(connected_components(g)) == 1:
+            return g
+
+
+def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
+    # past the tree cap a tree search can only stop early at the bridge
+    # floor, which the descent has missed, so the scan decides either way
+    graphs = [random_multigraph(seed) for seed in range(200)]
+    graphs += [_cubic(seed, 8 + 2 * (seed % 5)) for seed in range(30)]
+    grid = [(tree_cap, restarts) for tree_cap in (1, 3, 20, 300) for restarts in (0, 2)]
+
+    def results():
+        return [
+            (res.rotation, res.boundary_count, res.certified, res.moves, res.enumerated)
+            for g in graphs
+            for tree_cap, restarts in grid
+            for res in [
+                minimize_boundaries(g, restarts=restarts, tree_cap=tree_cap, rotation_cap=2000)
+            ]
+        ]
+
+    checked = results()
+    monkeypatch.setattr(moves, "_tree_count", lambda graph, cap: 0)
+    assert checked == results()
 
 
 def test_floor_certifies_without_a_tree_search(monkeypatch):
