@@ -34,7 +34,7 @@ print("k5 maximum walk count:", res_max.boundary_count)
 
 # Greedy descent is powerful but not omnipotent.  On graphs with loops a
 # descent can stall above the minimum with every vertex meeting at most
-# two walks; the driver then falls back to restarts and enumeration, and
+# two walks; the driver then falls back to restarts and the frontier DP, and
 # reports what happened instead of papering over it.
 stalling = parse_graph(
     "edge e0 v0 v0 1.0\n"

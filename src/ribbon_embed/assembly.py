@@ -38,7 +38,9 @@ from .errors import (
 )
 from .graph import (
     MetricGraph,
+    _clip,
     _from_records,
+    _quote,
     betti,
     euler_char,
     graph_hash,
@@ -373,6 +375,11 @@ def _misses(stored, want: float) -> bool:
     return not isinstance(stored, float) or _off(stored, want)
 
 
+def _named(g: Gluing) -> str:
+    """A gluing as its messages name it."""
+    return f"gluing {_quote(g.side_a)} ~ {_quote(g.side_b)}"
+
+
 def _gluing_index(
     schema: SurfaceSchema, errors: list[str]
 ) -> dict[tuple[str, str], tuple[str, str]]:
@@ -386,31 +393,29 @@ def _gluing_index(
         for bd in block.boundaries:
             key = (block.id, bd.label)
             if key in lengths:
-                errors.append(f"block {block.id}: duplicate boundary label {bd.label}")
+                errors.append(
+                    f"block {_clip(block.id)}: duplicate boundary label {_clip(bd.label)}"
+                )
             lengths[key] = bd.length
     partner: dict[tuple[str, str], tuple[str, str]] = {}
     for g in schema.gluings:
         for side, other in ((g.side_a, g.side_b), (g.side_b, g.side_a)):
             if side not in lengths:
-                errors.append(f"gluing references missing boundary {side}")
+                errors.append(f"gluing references missing boundary {_quote(side)}")
             elif side in partner:
-                errors.append(f"boundary {side} appears in more than one gluing")
+                errors.append(f"boundary {_quote(side)} appears in more than one gluing")
             else:
                 partner[side] = other
         if g.twist != 0.0:
-            errors.append(f"gluing {g.side_a} ~ {g.side_b}: nonzero twist {g.twist}")
+            errors.append(f"{_named(g)}: nonzero twist {g.twist}")
         la, lb = lengths.get(g.side_a), lengths.get(g.side_b)
         if la is None or lb is None:
             continue
         if isinstance(la, str) or isinstance(lb, str):
             if la != lb:
-                errors.append(
-                    f"gluing {g.side_a} ~ {g.side_b}: symbolic lengths {la!r} vs {lb!r}"
-                )
+                errors.append(f"{_named(g)}: symbolic lengths {_quote(la)} vs {_quote(lb)}")
         elif _off(la, lb):
-            errors.append(
-                f"gluing {g.side_a} ~ {g.side_b}: lengths {la:.12g} vs {lb:.12g}"
-            )
+            errors.append(f"{_named(g)}: lengths {la:.12g} vs {lb:.12g}")
     return partner
 
 
@@ -420,22 +425,26 @@ def _check_sphere(schema: SurfaceSchema, block: Block, errors: list[str]) -> int
     graph = schema.graph
     v = graph.vertex_ids.get(block.payload.get("vertex"))
     if v is None:
-        errors.append(f"block {block.id}: unknown vertex {block.payload.get('vertex')!r}")
+        vertex = _quote(block.payload.get("vertex"))
+        errors.append(f"block {_clip(block.id)}: unknown vertex {vertex}")
         return None
     foot = schema.scale.foot[v]
     if _misses(block.payload.get("foot"), foot):
         errors.append(
-            f"block {block.id}: foot {block.payload.get('foot')!r}, expected {foot:.12g}"
+            f"block {_clip(block.id)}: foot {_quote(block.payload.get('foot'))}, "
+            f"expected {foot:.12g}"
         )
     if block.genus != 0:
-        errors.append(f"block {block.id}: vertex sphere must have genus 0")
+        errors.append(f"block {_clip(block.id)}: vertex sphere must have genus 0")
     for bd in block.boundaries:
         if _misses(bd.length, 1.0):
-            errors.append(f"block {block.id}: cuff {bd.label} is not unit length")
+            errors.append(f"block {_clip(block.id)}: cuff {_clip(bd.label)} is not unit length")
     want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
     got = tuple(bd.label for bd in block.boundaries)
     if got != want:
-        errors.append(f"block {block.id}: cuff order {got} differs from rotation order {want}")
+        errors.append(
+            f"block {_clip(block.id)}: cuff order {_quote(got)} differs from rotation order {want}"
+        )
     return v
 
 
@@ -452,25 +461,26 @@ def _check_pants(
     name = block.payload.get("edge")
     e = graph.edge_ids.get(name)
     if e is None:
-        errors.append(f"block {block.id}: unknown edge {name!r}")
+        errors.append(f"block {_clip(block.id)}: unknown edge {_quote(name)}")
         return None
     scaled = schema.scale.t * graph.lengths[e]
     if _misses(block.payload.get("scaled_length"), scaled):
         errors.append(
-            f"block {block.id}: scaled length {block.payload.get('scaled_length')!r}, "
+            f"block {_clip(block.id)}: "
+            f"scaled length {_quote(block.payload.get('scaled_length'))}, "
             f"expected t * length = {scaled:.12g}"
         )
     if block.genus != 0 or len(block.boundaries) != 3:
-        errors.append(f"block {block.id}: edge pants must be a genus-0 3-holed sphere")
+        errors.append(f"block {_clip(block.id)}: edge pants must be a genus-0 3-holed sphere")
         return e
     expected = {"end0": 1.0, "end1": 1.0, "waist": 2.0 * schema.scale.waist[e]}
     for bd in block.boundaries:
         want = expected.get(bd.label)
         if want is None:
-            errors.append(f"block {block.id}: unexpected cuff {bd.label}")
+            errors.append(f"block {_clip(block.id)}: unexpected cuff {_clip(bd.label)}")
         elif _misses(bd.length, want):
             errors.append(
-                f"block {block.id}: cuff {bd.label} has length {bd.length!r}, "
+                f"block {_clip(block.id)}: cuff {_clip(bd.label)} has length {_quote(bd.length)}, "
                 f"expected {want:.12g}"
             )
     for end_label, dart in (("end0", 2 * e), ("end1", 2 * e + 1)):
@@ -490,12 +500,12 @@ def _check_cap(
     the cap is glued to: spine walks, or the waist of a naive cap's edge."""
     genus, holes = block.genus, len(block.boundaries)
     if block.kind == "cap_pants" and (genus != 0 or holes != 3):
-        errors.append(f"block {block.id}: three-holed cap must have genus 0")
+        errors.append(f"block {_clip(block.id)}: three-holed cap must have genus 0")
     elif block.kind == "cap_torus" and (genus != 1 or holes != 1):
-        errors.append(f"block {block.id}: torus cap must be one-holed genus 1")
+        errors.append(f"block {_clip(block.id)}: torus cap must be one-holed genus 1")
     elif block.kind == "cap_surface" and (genus < 1 or holes not in (1, 3)):
         errors.append(
-            f"block {block.id}: upgraded cap must have genus >= 1 and 1 or 3 holes"
+            f"block {_clip(block.id)}: upgraded cap must have genus >= 1 and 1 or 3 holes"
         )
     sides = [partner.get((block.id, bd.label)) for bd in block.boundaries]
     if len(sides) == 1 and sides[0] is not None and sides[0][1] == "waist":
@@ -504,7 +514,10 @@ def _check_cap(
         want = {"fills": [s[1] if s is not None and s[0] == "spine" else None for s in sides]}
     got = {key: block.payload.get(key) for key in want}
     if got != want:
-        errors.append(f"block {block.id}: payload {got!r} does not match its gluings, {want!r}")
+        errors.append(
+            f"block {_clip(block.id)}: payload {_quote(got)} does not match its gluings, "
+            f"{_quote(want)}"
+        )
 
 
 def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None:
@@ -512,7 +525,7 @@ def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None
     :func:`_spine_block` rebuilds from the recorded rotation."""
     chi = euler_char(schema.graph)
     if spine.euler != chi:
-        errors.append(f"block {spine.id}: chi {spine.euler} differs from the graph's {chi}")
+        errors.append(f"block {_clip(spine.id)}: chi {spine.euler} differs from the graph's {chi}")
     want = _spine_block(schema.graph, schema.rotation)
     if len(spine.boundaries) != len(want.boundaries):
         errors.append(
@@ -604,7 +617,7 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
             if block.euler != -1:
                 heavy.append(block)
         else:
-            errors.append(f"block {block.id}: unknown kind {block.kind}")
+            errors.append(f"block {_clip(block.id)}: unknown kind {_clip(str(block.kind))}")
 
     if spheres or pants:
         for v, name in enumerate(graph.vertex_names):
@@ -624,7 +637,7 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
         construction = f"sigma_target({summary.genus})"
     if summary.construction != construction:
         errors.append(
-            f"construction {summary.construction!r} does not match the blocks, "
+            f"construction {_quote(summary.construction)} does not match the blocks, "
             f"which build {construction!r}"
         )
     expected_chi = 2 - 2 * summary.genus - summary.boundary_count
@@ -650,7 +663,7 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
                 f"{'do not all have' if heavy else 'all have'} chi = -1"
             )
         for c in heavy:
-            notes.append(f"non-minimal cap {c.id}: chi = {c.euler} (genus upgrade)")
+            notes.append(f"non-minimal cap {_clip(c.id)}: chi = {c.euler} (genus upgrade)")
     if summary.boundary_count > 0 and summary.minimal is not None:
         errors.append("bordered schema must leave minimality undecided")
     _check_scale(schema, errors)
@@ -846,7 +859,7 @@ def _finite(value):
     """``value`` unchanged if it is a finite number; NaN and infinities are
     rejected, since every comparison the verifier makes with them is false."""
     if not math.isfinite(value):
-        raise SchemaFormatError(f"non-finite number {value!r}")
+        raise SchemaFormatError(f"non-finite number {_quote(value)}")
     return value
 
 
@@ -855,7 +868,7 @@ def _positive(value):
     length, waist and margin of a schema is; the scaling and the pants
     trigonometry reject the others."""
     if not _finite(value) > 0.0:
-        raise SchemaFormatError(f"non-positive number {value!r}")
+        raise SchemaFormatError(f"non-positive number {_quote(value)}")
     return value
 
 
@@ -863,7 +876,7 @@ def _name(value, what: str) -> str:
     """``value`` unchanged if it is a string; names and labels are compared
     and hashed, and a list or an object cannot be hashed."""
     if not isinstance(value, str):
-        raise SchemaFormatError(f"{what} is not a string: {value!r}")
+        raise SchemaFormatError(f"{what} is not a string: {_quote(value)}")
     return value
 
 
@@ -871,7 +884,7 @@ def _integer(value, what: str) -> int:
     """``value`` unchanged if it is a JSON integer; ``int()`` would truncate a
     genus of 2.9 to 2, and a JSON ``true`` is an int to Python."""
     if type(value) is not int:
-        raise SchemaFormatError(f"{what} is not an integer: {value!r}")
+        raise SchemaFormatError(f"{what} is not an integer: {_quote(value)}")
     return value
 
 
@@ -879,7 +892,7 @@ def _layer(value) -> str:
     """``value`` unchanged if it names a layer; chi additivity sums the
     surface layer only, so an unknown layer would drop a block from it."""
     if value not in (SURFACE, CONSTRUCTION):
-        raise SchemaFormatError(f"unknown block layer {value!r}")
+        raise SchemaFormatError(f"unknown block layer {_quote(value)}")
     return value
 
 
@@ -891,7 +904,9 @@ def _side(value) -> tuple[str, str]:
         and isinstance(value[1], str)
     ):
         return value[0], value[1]
-    raise SchemaFormatError(f"gluing side {value!r} is not a [block id, label] pair of strings")
+    raise SchemaFormatError(
+        f"gluing side {_quote(value)} is not a [block id, label] pair of strings"
+    )
 
 
 def _is_dart_lists(value) -> bool:
@@ -903,13 +918,15 @@ def _is_dart_lists(value) -> bool:
 def _payload(block: dict) -> dict:
     payload = block.get("payload", {})
     if not isinstance(payload, dict):
-        raise SchemaFormatError(f"block {block['id']!r}: payload is not an object")
+        raise SchemaFormatError(f"block {_quote(block['id'])}: payload is not an object")
     for key in ("vertex", "edge"):
         if key in payload:
             _name(payload[key], f"payload {key}")
     walks = payload.get("walks")
     if block["kind"] == "spine_surface" and walks is not None and not _is_dart_lists(walks):
-        raise SchemaFormatError(f"block {block['id']!r}: payload walks are not lists of darts")
+        raise SchemaFormatError(
+            f"block {_quote(block['id'])}: payload walks are not lists of darts"
+        )
     return payload
 
 
@@ -918,7 +935,7 @@ def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict
     values = {ids[k]: number(float(v)) for k, v in meta[key].items()}
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
-        raise SchemaFormatError(f"{key} has no entry for {', '.join(missing)}")
+        raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
     return values
 
 
@@ -938,14 +955,14 @@ def schema_from_json(text: str) -> SurfaceSchema:
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
-                f"unsupported schema_version {doc['schema_version']!r}"
+                f"unsupported schema_version {_quote(doc['schema_version'])}"
             )
         meta = doc["meta"]
         graph = _graph_from_meta(meta)
         if meta["graph"]["hash"] != graph_hash(graph):
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
         if _finite(float(meta["f_min"])) != _round12(F_MIN):
-            raise SchemaFormatError(f"f_min {meta['f_min']!r} is not {_round12(F_MIN)!r}")
+            raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_round12(F_MIN)!r}")
         if len(graph.edge_ids) != graph.edge_count:
             raise SchemaFormatError("meta graph repeats an edge name")
         if meta.get("rotation") is None:
@@ -989,7 +1006,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         if isinstance(exc, SchemaFormatError):
             raise
-        raise SchemaFormatError(f"malformed schema document: {exc!r}") from None
+        raise SchemaFormatError(f"malformed schema document: {_quote(exc)}") from None
     return SurfaceSchema(
         graph=graph,
         rotation=rotation,

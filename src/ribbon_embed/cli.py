@@ -189,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-rotations",
             type=int,
             default=DEFAULT_ROTATION_CAP,
-            help="abort exhaustive rotation sweeps above this count",
+            help="refuse the exhaustive rotation stages (frontier DP, oracle pass) "
+            "above this many rotations",
         )
 
     p_analyze = sub.add_parser("analyze", help="print the invariant report")
@@ -211,13 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--seed", type=int, default=0, help="seed for restart rotations")
     p_embed.add_argument(
         "--restarts", type=int, default=8,
-        help="random restarts before falling back to enumeration",
+        help="random restarts before the frontier DP decides the optimum",
     )
     add_caps(
         p_embed,
         "spanning trees the zeta search may visit when the bridge floor does not "
         "certify the minimum; a graph with more, by Kirchhoff's count, skips the "
-        "search for the rotation sweep",
+        "search for the frontier DP",
     )
     p_embed.set_defaults(func=cmd_embed)
 

@@ -119,6 +119,12 @@ def _clip(token: str) -> str:
     return token if len(token) <= 40 else token[:40] + "\u2026"
 
 
+def _quote(value: object) -> str:
+    """``repr(value)`` cut by :func:`_clip`: how an error message quotes a
+    value read from a document of any size."""
+    return _clip(repr(value))
+
+
 def parse_graph(text: str) -> MetricGraph:
     """Parse the edge-list file format.
 

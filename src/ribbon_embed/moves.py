@@ -17,14 +17,15 @@ One search climbs in either direction and certifies its result by a ladder
 of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
 floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
 optimal on sight; above it the spanning-tree search supplies 1 + zeta when
-Kirchhoff's count puts the trees within the cap; the scan of every rotation
-comes last.  Maximizing, the target is the maximum of the boundary profile
-when the rotation count fits under its cap.
+Kirchhoff's count puts the trees within the cap; the frontier DP, within
+the rotation cap, decides the optimum and finds a rotation at it last.
+Maximizing, the target is the maximum of the boundary profile when the
+rotation count fits under its cap.
 
-:func:`oracle` re-verifies the theory by brute force in one rotation sweep:
-the profile, every reducing move and every greedy descent come from the
-same pass, and each move is recounted by a tracer of its own, which
-follows the inverse face permutation and shares no code with the scoring.
+:func:`oracle` re-verifies the theory by brute force, tracing every rotation:
+the profile, every reducing move and every greedy descent come from one
+pass, and each move is recounted by a tracer of its own, which follows the
+inverse face permutation and shares no code with the scoring.
 """
 
 from __future__ import annotations
@@ -53,11 +54,14 @@ from .rotation import (
     RotationSystem,
     _faces,
     _incidence,
-    _sweep,
+    _profile,
+    _vertex_orders,
+    _witness,
     boundary_profile,
     canonical_cycle,
     dart_label,
     default_rotation,
+    enumerate_rotations,
 )
 
 
@@ -206,7 +210,7 @@ class SearchResult:
     the given start stalled; ``boundary_count`` the best found overall.
     ``certified`` is True only when the result provably attains the global
     optimum: a minimum at the bridge floor, at 1 + zeta from the
-    spanning-tree search, or found by exhaustive enumeration.
+    spanning-tree search, or at the optimum of the frontier DP (``enumerated``).
     """
 
     rotation: RotationSystem
@@ -257,18 +261,17 @@ def _search(
     rotation_cap: int,
 ) -> SearchResult:
     """Greedy climb in direction ``delta`` towards ``bound``, then seeded
-    restarts, then a scan of the full enumeration.
+    restarts, then the frontier DP over every rotation.
 
     ``bound`` is a count no rotation can beat, so reaching it certifies the
     result at once.  Only when the climb and the restarts end short of it
     is ``exact()`` asked for the optimum itself (None when unknown); a best
-    count at the optimum is certified too.  Short of that, the scan keeps
-    the first rotation, in enumeration order, that beats the best so far and
-    stops at the optimum; with an unknown optimum it runs to the end.
-    Finishing the scan certifies the result, and a finished scan that misses
-    a known optimum, or any count beyond the bound, disproves the theory.
-    Every stage keeps only strict improvements and nothing beats the
-    optimum, so where the optimum is first asked for changes no rotation.
+    count at the optimum is certified too.  Short of that, and within
+    ``rotation_cap``, the DP decides the optimum, unless the target is the
+    bound, and a target it contradicts disproves the theory.  A best count
+    short of the optimum gives way to the DP's witness: the first rotation,
+    in enumeration order, at the optimum.  Nothing beats the optimum, so
+    where it is first asked for changes no rotation.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -298,23 +301,29 @@ def _search(
     target = bound if best[0] == bound else exact()
     if target is None or beats(target, best[0]):
         try:
-            for cycles, _, count, _ in _sweep(graph, rotation_cap):
-                if beats(count, best[0]):
-                    best = (count, RotationSystem(tuple(cycles)), ())
-                if count == target:
-                    break
+            orders = _vertex_orders(graph, rotation_cap)
             enumerated = True
         except CapExceededError:
             pass
-    if enumerated and target is not None and best[0] != target:
-        raise InternalInvariantError(
-            f"exhaustive optimum {best[0]} disagrees with the target {target}"
-        )
+    if enumerated:
+        if target is None or target != bound:
+            optimum = (max if delta > 0 else min)(_profile(graph, orders))
+            if target is not None and optimum != target:
+                raise InternalInvariantError(
+                    f"exhaustive optimum {optimum} disagrees with the target {target}"
+                )
+            target = optimum
+        if beats(target, best[0]):
+            witness = _witness(graph, orders, target)
+            count = _faces(graph.dart_count, witness.cycles)[1]
+            if count != target:
+                raise InternalInvariantError(f"witness has {count} walks, not {target}")
+            best = (count, witness, ())
 
     return SearchResult(
         rotation=best[1],
         boundary_count=best[0],
-        certified=(target is not None and best[0] == target) or enumerated,
+        certified=target is not None and best[0] == target,
         initial_count=initial,
         greedy_count=greedy_count,
         moves=best[2],
@@ -342,9 +351,11 @@ def minimize_boundaries(
     and a result at the target is certified.  Past the cap the target is
     unknown at once, with no tree visited.  A capped search could end early
     only at the floor, which the descent has missed, so knowing it would
-    certify nothing: the scan decides either way, and stops at the same
-    rotation.  Last comes the scan of the full enumeration, which certifies
-    whatever it finishes with.  When the target is unknown and the scan is
+    certify nothing: the DP decides either way, and gives the same
+    rotation.  Last, within ``rotation_cap``, the frontier DP decides the
+    minimum (checked against a known target) and, when the best found
+    misses it, gives the first rotation in enumeration order that attains
+    it; the result is certified.  When the target is unknown and the DP is
     capped out too, the best rotation found is returned uncertified.
     """
 
@@ -365,10 +376,10 @@ def maximize_boundaries(
     seed: int = 0,
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
-    """Greedy walk-count maximization, certified against the enumeration
-    profile when that fits under the cap.  When the greedy ascent and the
-    restarts fall short, the result is the first rotation in enumeration
-    order that attains the profile maximum."""
+    """Greedy walk-count maximization, certified against the maximum of
+    :func:`boundary_profile` when the rotations fit under the cap.  When the
+    greedy ascent and the restarts fall short, the frontier DP gives the
+    first rotation in enumeration order that attains that maximum."""
     try:
         target = max(boundary_profile(graph, rotation_cap))
     except CapExceededError:
@@ -416,16 +427,18 @@ def oracle(
     """Re-verify the boundary-walk theory on the smoothed graph by brute force:
     (report lines, whether every check passed).
 
-    One sweep gives the walk-count profile, checked against 1 + zeta and
-    Euler parity.  At each vertex meeting three or more walks the reducing
-    relocation must exist and drop the oracle's own walk count by exactly
-    2: the table of :func:`_walk_count`, kept in step with the sweep, is
-    patched at the moved vertex, counted and restored.
+    One pass over :func:`enumerate_rotations`, each rotation traced with
+    :func:`_faces`, gives the walk-count profile, checked against 1 + zeta
+    and Euler parity.  At each vertex meeting three or more walks the
+    reducing relocation must exist and drop the oracle's own walk count by
+    exactly 2: the table of :func:`_walk_count`, relinked only at vertices
+    whose cycle changed from the last rotation, is patched at the moved
+    vertex, counted and restored.
     The greedy descent from each rotation goes on from the move at its
     first such vertex, as :func:`_climb` would; stalls above the minimum
     are reported, not failed (loop-carrying graphs can stall with every
     vertex meeting at most two walks).  Both caps are checked before the
-    sweep and raise :class:`CapExceededError`.
+    pass and raise :class:`CapExceededError`.
     """
     graph = smooth(graph)
     _tree_count(graph, tree_cap)
@@ -436,13 +449,14 @@ def oracle(
     move_failures = []
     following = [0] * graph.dart_count  # the recount's table, patched per rotation
     linked: list[Sequence[int]] = [()] * graph.vertex_count  # the cycle linked at each vertex
-    for cycles, face, base, succ in _sweep(graph, rotation_cap):
+    for rotation in enumerate_rotations(graph, rotation_cap):
+        cycles = rotation.cycles
+        face, base, succ = _faces(graph.dart_count, cycles)
         counts[base] += 1
         for v, cycle in enumerate(cycles):
             if cycle is not linked[v]:
                 _link(following, cycle)
                 linked[v] = cycle
-        rotation = RotationSystem(tuple(cycles))
         first = None
         for v, cycle in enumerate(cycles):
             walks = _incidence(cycle, face)

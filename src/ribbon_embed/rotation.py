@@ -13,12 +13,9 @@ Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
-Exhaustive sweeps that want the rotations themselves (the enumeration
-fallback of the move search, which doubles as its witness scan, and the
-oracle's single pass in :func:`ribbon_embed.moves.oracle`) go through
-:func:`_sweep`, which visits rotations in :func:`enumerate_rotations` order
-and, between consecutive rotations, rewrites only the successor entries of
-the vertices whose cyclic order changed.
+Only the oracle (:func:`ribbon_embed.moves.oracle`) and the tests walk
+through :func:`enumerate_rotations`, tracing each rotation from scratch;
+no search does.
 
 :func:`boundary_profile` needs only how many rotations give each walk
 count, and takes it from a frontier DP that places one vertex at a time
@@ -29,7 +26,10 @@ Khan and Poshni).  Its cost grows with the cut width, not with the number
 of rotations; and with minimum degree 3 the partial-rotation count at
 least doubles with each placed vertex, so even where the cut never
 narrows (one-vertex bouquets, dipoles) it makes fewer than twice as many
-compositions as there are rotations.
+compositions as there are rotations.  The DP runs over given per-vertex
+orders (:func:`_profile`), so it also finds a rotation with a given count
+by self-reduction (:func:`_witness`): the first such rotation in
+:func:`enumerate_rotations` order.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, GraphFormatError, InternalInvariantError
-from .graph import MetricGraph, edge_of, euler_char
+from .graph import MetricGraph, _quote, edge_of, euler_char
 
 DEFAULT_ROTATION_CAP = 10**6
 
@@ -197,14 +197,6 @@ def count_rotations(graph: MetricGraph) -> int:
     return math.prod(math.factorial(graph.degree(v) - 1) for v in range(graph.vertex_count))
 
 
-def _capped_count(graph: MetricGraph, cap: int) -> int:
-    """:func:`count_rotations`; raises :class:`CapExceededError` above ``cap``."""
-    total = count_rotations(graph)
-    if total > cap:
-        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
-    return total
-
-
 def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
     """Every cyclic order of ``darts``: the first pinned, tails in
     lexicographic order."""
@@ -214,9 +206,11 @@ def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
     """The cyclic orders at each vertex, smallest dart first.  Raises
-    :class:`CapExceededError` when the product of their counts exceeds
-    ``cap``."""
-    _capped_count(graph, cap)
+    :class:`CapExceededError`, before building any, when the product of
+    their counts exceeds ``cap``."""
+    total = count_rotations(graph)
+    if total > cap:
+        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
     return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 
@@ -235,62 +229,30 @@ def enumerate_rotations(
         yield RotationSystem(combo)
 
 
-def _sweep(
-    graph: MetricGraph, cap: int
-) -> Iterator[tuple[list[tuple[int, ...]], list[int], int, list[int]]]:
-    """(cycles, face id per dart, walk count, successor) of every rotation,
-    in :func:`enumerate_rotations` order.
-
-    An odometer over the per-vertex orders: when a vertex's order changes,
-    only its darts' ``succ`` entries are rewritten, from tables built once.
-    ``cycles`` and ``succ`` are lists updated in place; copy them to keep a
-    rotation.
-    """
-    orders = _vertex_orders(graph, cap)
-    cycles = [order[0] for order in orders]
-    succ = _succ(graph.dart_count, cycles)
-    wheels = [v for v, order in enumerate(orders) if len(order) > 1]
-    writes = [
-        [tuple(zip(cycle, (p ^ 1 for p in cycle[-1:] + cycle[:-1]))) for cycle in orders[v]]
-        for v in wheels
-    ]
-    position = [0] * len(wheels)
-    while True:
-        face, count = _trace(succ)
-        yield cycles, face, count, succ
-        k = len(wheels) - 1
-        while k >= 0:
-            v = wheels[k]
-            i = position[k] + 1
-            if i == len(orders[v]):
-                i = 0
-            position[k] = i
-            cycles[v] = orders[v][i]
-            for d, s in writes[k][i]:
-                succ[d] = s
-            if i:
-                break
-            k -= 1
-        else:
-            return
-
-
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
     """Histogram {walk count: rotation count} over all rotation systems.
 
     Raises :class:`CapExceededError` when there are more than ``cap``
-    rotations, before any work.  A frontier DP over vertex placements
-    computes it.  The next vertex placed is the one with the most edges into
-    the placed set S, ties to the smallest id.  Under a rotation of S alone
-    the face permutation splits into closed faces, which are only counted,
-    and open paths, each entering S at the S-side dart of a cut edge (in
+    rotations, before any work; :func:`_profile` computes it.
+    """
+    return dict(sorted(_profile(graph, _vertex_orders(graph, cap)).items()))
+
+
+def _profile(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> Counter[int]:
+    """{walk count: rotation count} over the rotations that take each
+    vertex's cyclic order from ``orders[v]``, by a frontier DP over vertex
+    placements.
+
+    The next vertex placed is the one with the most edges into the placed
+    set S, ties to the smallest id.  Under a rotation of S alone the face
+    permutation splits into closed faces, which are only counted, and open
+    paths, each entering S at the S-side dart of a cut edge (in
     ``entries``, sorted) and leaving at an outside dart.  A state is the
     tuple of those exits, aligned with ``entries``, and maps to a Counter
     {closed faces: partial rotations}.  Placing w composes each of its
-    cyclic orders into each state; with every vertex placed the one state
-    left is empty.
+    orders into each state; with every vertex placed the one state left is
+    empty.
     """
-    _capped_count(graph, cap)
     vertex_of = graph.vertex_of
     placed = [False] * graph.vertex_count
     into = [0] * graph.vertex_count  # edges from each vertex into S
@@ -308,7 +270,7 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
         )
         steps = [
             {d: p ^ 1 for d, p in zip(order, order[-1:] + order[:-1])}
-            for order in _cyclic_orders(darts)
+            for order in orders[w]
         ]
         composed: dict[tuple[int, ...], Counter[int]] = {}
         for state, counts in states.items():
@@ -337,7 +299,28 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
                     target[faces + closed] += rotations
         states = composed
         entries = new_entries
-    return dict(sorted(states[()].items()))
+    return states[()]
+
+
+def _witness(
+    graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]], count: int
+) -> RotationSystem:
+    """The first rotation in :func:`enumerate_rotations` order with
+    ``count`` walks, by self-reduction over :func:`_profile`.
+
+    Vertices are fixed in id order, each to the first of its orders under
+    which the DP still reaches ``count``; the last order is taken without a
+    DP run.  The caller ensures ``count`` is attained.
+    """
+    fixed = list(orders)
+    for v, choices in enumerate(orders):
+        for order in choices[:-1]:
+            fixed[v] = [order]
+            if _profile(graph, fixed)[count]:
+                break
+        else:
+            fixed[v] = choices[-1:]
+    return RotationSystem(tuple(order for (order,) in fixed))
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:
@@ -347,10 +330,10 @@ def dart_label(graph: MetricGraph, dart: int) -> str:
 
 def _dart_from_label(edge_ids: dict[str, int], label: str) -> int:
     if len(label) < 2 or label[-1] not in "+-":
-        raise GraphFormatError(f"bad dart label {label!r}")
+        raise GraphFormatError(f"bad dart label {_quote(label)}")
     name = label[:-1]
     if name not in edge_ids:
-        raise GraphFormatError(f"unknown edge {name!r} in dart label")
+        raise GraphFormatError(f"unknown edge {_quote(name)} in dart label")
     return 2 * edge_ids[name] + (0 if label[-1] == "+" else 1)
 
 
@@ -371,14 +354,14 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
             continue
         parts = line.split()
         if parts[0] != "rot" or len(parts) < 3:
-            raise GraphFormatError(f"bad rotation record {raw!r}")
+            raise GraphFormatError(f"bad rotation record {_quote(raw)}")
         v = graph.vertex_ids.get(parts[1])
         if v is None:
-            raise GraphFormatError(f"unknown vertex {parts[1]!r}")
+            raise GraphFormatError(f"unknown vertex {_quote(parts[1])}")
         if v in cycles:
-            raise GraphFormatError(f"vertex {parts[1]!r} listed twice")
+            raise GraphFormatError(f"vertex {_quote(parts[1])} listed twice")
         cycles[v] = tuple(_dart_from_label(graph.edge_ids, lab) for lab in parts[2:])
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
-        raise GraphFormatError(f"missing rotation for vertices {missing}")
+        raise GraphFormatError(f"missing rotation for vertices {_quote(missing)}")
     return make_rotation(graph, [cycles[v] for v in range(graph.vertex_count)])

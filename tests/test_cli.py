@@ -173,7 +173,7 @@ def test_embed_genus_target_certified_by_the_bridge_floor(graph_file, tmp_path, 
 
 def test_embed_genus_target_refused_above_the_floor_without_certificate(graph_file, capsys):
     # zeta exceeds the bridge floor here; with the tree search and the
-    # sweep both capped, nothing certifies the minimum
+    # DP both capped, nothing certifies the minimum
     path = graph_file(format_graph(random_multigraph(27)))
     argv = ["embed", path, "--target", "genus=5", "--max-trees", "1", "--restarts", "0",
             "--max-rotations", "1"]  # fmt: skip
@@ -183,7 +183,7 @@ def test_embed_genus_target_refused_above_the_floor_without_certificate(graph_fi
 
 def test_embed_genus_target_capped_with_the_certificate_of_the_sweep(graph_file, tmp_path, capsys):
     # zeta exceeds the bridge floor and one tree is too few for the tree
-    # search, so the sweep certifies the 4 walks; capping takes that minimum
+    # search, so the DP certifies the 4 walks; capping takes that minimum
     # as it is instead of searching the trees again
     path = graph_file(format_graph(random_multigraph(27)))
     out_path = tmp_path / "schema.json"
@@ -713,6 +713,51 @@ def test_verify_fails_a_second_block_for_one_vertex_or_edge(
     assert f"fail: {message}\n" in capsys.readouterr().out
 
 
+# Documents whose offending value ran to hundreds of thousands of characters
+# in one error: or fail: line, the value quoted whole.
+HUGE_VALUE_MUTATIONS = {
+    "rotation record": (
+        lambda doc: doc["meta"]["rotation"].__setitem__(0, "rot " + "x" * 400_000),
+        2,
+        "GraphFormatError(\"bad rotation record",
+    ),
+    "boundary label": (
+        lambda doc: _sphere(doc)["boundaries"][0].update(label=list(range(100_000))),
+        2,
+        "boundary label is not a string: [0, 1,",
+    ),
+    "construction": (
+        lambda doc: doc["summary"].update(construction="x" * 400_000),
+        1,
+        "construction 'xxx",
+    ),
+    "foot key": (
+        lambda doc: doc["meta"]["foot"].update({"x" * 400_000: 1.0}),
+        2,
+        "malformed schema document: KeyError('xxx",
+    ),
+    "block id": (
+        lambda doc: _block(doc, "cap_torus").update(id="x" * 400_000),
+        1,
+        "does not match its gluings",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_VALUE_MUTATIONS))
+def test_verify_cuts_the_values_it_quotes(case, graph_file, tmp_path, capsys):
+    mutate, code, message = HUGE_VALUE_MUTATIONS[case]
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == code
+    output = "".join(capsys.readouterr())
+    assert message in output
+    assert max(map(len, output.splitlines())) <= 200
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_unexpected_exceptions_exit_6(command, graph_file, tmp_path, capsys, monkeypatch):
     # a bug must not read as exit 1, "verification found errors"
@@ -752,8 +797,8 @@ def test_usage_errors_exit_2(capsys):
 
 # Golden lock: exit code and sha256 of stdout for every command on the demo
 # graphs and two loop-carrying random multigraphs.  Seed 3 stalls the greedy
-# descent and seed 14 the greedy ascent, so with --restarts 0 both
-# enumeration fallbacks run.  Refactors of the search and tracing code must
+# descent and seed 14 the greedy ascent, so with --restarts 0 the frontier
+# DP supplies both rotations.  Refactors of the search and tracing code must
 # leave every entry unchanged; the values are the essential genera, used for
 # the genus=<g_e + 1> target.
 DEMO_GRAPHS = Path(__file__).resolve().parent.parent / "demos" / "graphs"

@@ -21,6 +21,7 @@ from ribbon_embed import (
     minimize_boundaries,
     moves,
     reduce_move,
+    rotation,
     vertex_boundary_incidence,
     zeta_floor,
 )
@@ -40,7 +41,7 @@ from helpers import prism, random_multigraph
 # Loops mixed with ordinary edges can strand the greedy descent: all four
 # vertices meet <= 2 walks at a 3-walk rotation whose graph admits a
 # 1-walk rotation.  Found by exhaustive search; kept as a regression
-# anchor for why minimize_boundaries needs its enumeration fallback.
+# anchor for why minimize_boundaries needs its last rung, the frontier DP.
 STALLING = MetricGraph(
     (0, 0, 1, 2, 1, 0, 0, 1, 2, 1, 2, 2),
     (1.0,) * 6,
@@ -184,7 +185,7 @@ def test_uncertified_when_stalled_and_capped():
 
 
 def test_maximize_uncertified_above_its_rotation_cap(k5):
-    # no profile to aim at and no scan to finish: the ascent's best is
+    # no profile to aim at and no DP to run: the ascent's best is
     # handed back flagged as neither certified nor enumerated
     res = maximize_boundaries(k5, restarts=2, rotation_cap=10)
     assert not res.certified
@@ -264,7 +265,7 @@ def _cubic(seed, n):
 
 def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
     # past the tree cap a tree search can only stop early at the bridge
-    # floor, which the descent has missed, so the scan decides either way
+    # floor, which the descent has missed, so the DP decides either way
     graphs = [random_multigraph(seed) for seed in range(200)]
     graphs += [_cubic(seed, 8 + 2 * (seed % 5)) for seed in range(30)]
     grid = [(tree_cap, restarts) for tree_cap in (1, 3, 20, 300) for restarts in (0, 2)]
@@ -310,13 +311,42 @@ def test_last_rung_runs_where_the_floor_falls_short(seed):
     g = random_multigraph(seed)
     target = 1 + betti_deficiency(g)
     assert target > 1 + zeta_floor(g)
-    # no tree search within the cap: only the scan can certify, and does
+    # no tree search within the cap: only the DP can certify, and does
     res = minimize_boundaries(g, restarts=0, tree_cap=1)
     assert res.enumerated and res.certified
     assert res.boundary_count == target == min(boundary_profile(g, 10**6))
     # with the tree search in reach, its target certifies the same count
     res = minimize_boundaries(g, restarts=3)
     assert res.certified and res.boundary_count == target
+
+
+def test_no_search_enumerates_rotations(monkeypatch):
+    # the DP decides the optimum and self-reduces to its witness: the
+    # rotations behind the two restarts0 goldens, and for each graph of the
+    # last rung the descent's own rotation or, where it stalls, the first
+    # rotation in enumeration order at the minimum
+    cases = [
+        (minimize_boundaries, random_multigraph(3), 10**6, ((2, 4, 8, 6, 9), (0, 3, 1, 5, 7))),
+        (maximize_boundaries, random_multigraph(14), None, ((0, 2, 4, 9), (1, 6, 7, 8, 5, 3))),
+    ]
+    for seed in (27, 65, 142, 229):
+        g = random_multigraph(seed)
+        target = 1 + betti_deficiency(g)
+        rot, count, _ = _climb(g, default_rotation(g, 0), -2)
+        if count > target:
+            rot = next(r for r in enumerate_rotations(g) if boundary_count(g, r) == target)
+        cases.append((minimize_boundaries, g, 1, rot.cycles))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("rotations enumerated")
+
+    monkeypatch.setattr(moves, "enumerate_rotations", no_enumeration)
+    monkeypatch.setattr(rotation, "enumerate_rotations", no_enumeration)
+    for search, g, tree_cap, cycles in cases:
+        caps = {} if tree_cap is None else {"tree_cap": tree_cap}
+        res = search(g, restarts=0, **caps)
+        assert res.rotation.cycles == cycles
+        assert res.enumerated and res.certified
 
 
 def _climb_by_single_moves(g, rot, delta):
@@ -423,7 +453,7 @@ def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4,
 
 
 def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
-    # after every move case of K5's sweep, the table the recount reads equals
+    # after every move case of K5's pass, the table the recount reads equals
     # one built from scratch for the moved rotation
     relocate, orbits = moves._relocate, moves._orbits
     moved = []

@@ -19,7 +19,8 @@ from ribbon_embed import (
 )
 from ribbon_embed.rotation import (
     _faces,
-    _sweep,
+    _vertex_orders,
+    _witness,
     canonical_cycle,
     rotation_from_lines,
     rotation_to_lines,
@@ -146,26 +147,40 @@ PETERSEN = _edges(
 
 
 def _swept(g):
-    return Counter(count for _, _, count, _ in _sweep(g, 10**6))
+    """The walk-count histogram by brute force: every rotation traced."""
+    return Counter(boundary_count(g, r) for r in enumerate_rotations(g, 10**6))
 
 
-def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
-    # the DP shares no code with the sweep but _cyclic_orders
+def _profile_graphs(theta, bouquet2, k4, k5, dumbbell):
     graphs = [theta, bouquet2, k4, k5, dumbbell, bouquet(4), dipole(6)]
     graphs += [prism(rungs) for rungs in range(3, 8)]
     graphs += [g for g in map(random_multigraph, range(150)) if count_rotations(g) <= 10**6]
+    return graphs
+
+
+def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
+    # the DP shares no code with the brute force but _cyclic_orders
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
     assert len(graphs) == 162
     for g in graphs:
         assert boundary_profile(g) == dict(sorted(_swept(g).items()))
 
 
-def test_boundary_profile_runs_the_dp_for_every_graph(k5, monkeypatch):
+def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
+    # self-reduction over the DP picks what a scan in enumeration order picks
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    assert max(map(count_rotations, graphs)) <= 2 * 10**4
+    for g in graphs:
+        first = {}
+        for r in enumerate_rotations(g):
+            first.setdefault(boundary_count(g, r), r)
+        orders = _vertex_orders(g, 10**6)
+        for count, r in first.items():
+            assert _witness(g, orders, count) == r, (g, count)
+
+
+def test_boundary_profile_runs_the_dp_for_every_graph(k5):
     expected = {g: _swept(g) for g in (PETERSEN, prism(5), prism(7), bouquet(4), dipole(6))}
-
-    def no_sweep(graph, cap):
-        raise AssertionError("boundary_profile reached the sweep")
-
-    monkeypatch.setattr(rotation, "_sweep", no_sweep)
     assert boundary_profile(k5) == PROFILES["k5"]
     # a bouquet and a dipole never narrow the cut: the DP still finishes
     for g, profile in expected.items():
@@ -204,12 +219,8 @@ def test_sweep_matches_per_rotation_tracing(theta, bouquet2, k4, k5, dumbbell):
     graphs = [theta, bouquet2, k4, k5, dumbbell]
     graphs += [random_multigraph(seed) for seed in range(30)]
     for g in graphs:
-        rotations = list(enumerate_rotations(g, 10**6))
-        traced = [_faces(g.dart_count, r.cycles) for r in rotations]
-        counts = [count for _, count, _ in traced]
+        counts = [_faces(g.dart_count, r.cycles)[1] for r in enumerate_rotations(g, 10**6)]
         assert boundary_profile(g, 10**6) == dict(sorted(Counter(counts).items()))
-        swept = [(tuple(cycles), face, succ[:]) for cycles, face, _, succ in _sweep(g, 10**6)]
-        assert swept == [(r.cycles, face, succ) for r, (face, _, succ) in zip(rotations, traced)]
 
 
 def test_rotation_lines_round_trip(k4, bouquet2):
