@@ -40,11 +40,11 @@ print("capped k4:", closed.summary, " (the essential genus)")
 bigger = cap_target_genus(bordered, 6, res.boundary_count)
 print("target 6:", bigger.summary)
 
-# Verification re-derives from the graph and rotation: block shapes,
-# gluing length matches, chi additivity, the scale inequalities, the walk
-# labels, the construction name, the graph hash and f_min.  It does not
-# yet re-derive the stored vertex feet, the margin or the block payload
-# numbers.
+# Verification re-derives from the graph, the rotation and the margin:
+# block shapes, gluing length matches, chi additivity, the scale t, the
+# vertex feet and clearances, each waist against its cuff distance, the
+# block payload numbers, the walk labels and the construction name.  The
+# reader checks the graph hash and f_min, and a disconnected graph fails.
 for schema in (naive, bordered, closed, bigger):
     diag = verify_schema(schema)
     print("verify:", schema.summary.construction, "->", "ok" if diag.ok else diag.errors)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CycleGraphError,
+    GraphFormatError,
     GraphValidationError,
     SchemaFormatError,
     TargetGenusError,
@@ -42,6 +43,7 @@ from .graph import (
     _from_records,
     _quote,
     betti,
+    connected_components,
     euler_char,
     graph_hash,
     is_cycle_graph,
@@ -131,7 +133,7 @@ def _require_embeddable(graph: MetricGraph) -> None:
         )
     bad = [v for v in range(graph.vertex_count) if graph.degree(v) < 3]
     if bad:
-        names = ", ".join(graph.vertex_names[v] for v in bad)
+        names = _clip(", ".join(graph.vertex_names[v] for v in bad))
         raise GraphValidationError(
             f"schema construction needs minimum degree 3; offending vertices: {names} "
             "(smooth degree-2 vertices first)"
@@ -487,8 +489,8 @@ def _check_pants(
         vertex = graph.vertex_names[graph.vertex_of[dart]]
         if partner.get((block.id, end_label)) != (f"sphere:{vertex}", f"dart:{dart}"):
             errors.append(
-                f"edge {name}: cuff {end_label} is not glued to dart {dart} "
-                f"of vertex {vertex}"
+                f"edge {_clip(name)}: cuff {end_label} is not glued to dart {dart} "
+                f"of vertex {_clip(vertex)}"
             )
     return e
 
@@ -560,18 +562,19 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
     for v, foot in derived.foot.items():
         if _off(scale.foot[v], foot):
             errors.append(
-                f"vertex {graph.vertex_names[v]}: foot {scale.foot[v]!r}, expected {foot:.12g}"
+                f"vertex {_clip(graph.vertex_names[v])}: foot {scale.foot[v]!r}, "
+                f"expected {foot:.12g}"
             )
     for e in range(graph.edge_count):
         if _off(scale.clearance[e], derived.clearance[e]):
             errors.append(
-                f"edge {graph.edge_names[e]}: clearance {scale.clearance[e]!r}, "
+                f"edge {_clip(graph.edge_names[e])}: clearance {scale.clearance[e]!r}, "
                 f"expected the two feet {derived.clearance[e]:.12g}"
             )
         gap = derived.t * graph.lengths[e] - derived.clearance[e]
         if _off(waist_distance(scale.waist[e]), gap):
             errors.append(
-                f"edge {graph.edge_names[e]}: waist does not invert the cuff distance"
+                f"edge {_clip(graph.edge_names[e])}: waist does not invert the cuff distance"
             )
 
 
@@ -582,7 +585,8 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     Notes flag legitimate but noteworthy facts (a genus-upgraded cap, for
     example).  Verification recomputes from the graph, the rotation and
     the margin; it never trusts counts or measurements stored in the
-    schema.  The scale ``t``, the feet and clearances come from
+    schema.  The graph must be connected, as :func:`parse_graph` requires
+    of a graph file.  The scale ``t``, the feet and clearances come from
     :func:`~ribbon_embed.hyperbolic.choose_scale` at the stored margin;
     sphere feet, pants scaled lengths and cuffs from the scale; the spine
     from the rotation's walks; cap fills from what each cap is glued to.
@@ -594,6 +598,8 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     errors: list[str] = []
     notes: list[str] = []
     graph, summary = schema.graph, schema.summary
+    if len(connected_components(graph)) != 1:  # its capped surface is not one surface
+        errors.append("graph is not connected")
     if len({b.id for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
     partner = _gluing_index(schema, errors)
@@ -622,10 +628,10 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     if spheres or pants:
         for v, name in enumerate(graph.vertex_names):
             if spheres[v] != 1:
-                errors.append(f"vertex {name} has {spheres[v]} vertex spheres, not 1")
+                errors.append(f"vertex {_clip(name)} has {spheres[v]} vertex spheres, not 1")
         for e, name in enumerate(graph.edge_names):
             if pants[e] != 1:
-                errors.append(f"edge {name} has {pants[e]} edge pants, not 1")
+                errors.append(f"edge {_clip(name)} has {pants[e]} edge pants, not 1")
     if spines > 1:
         errors.append("more than one spine block")
 
@@ -643,23 +649,23 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     expected_chi = 2 - 2 * summary.genus - summary.boundary_count
     if surface_chi != expected_chi:
         errors.append(
-            f"chi additivity broken: surface blocks sum to {surface_chi}, "
-            f"summary implies {expected_chi}"
+            f"chi additivity broken: surface blocks sum to {_quote(surface_chi)}, "
+            f"summary implies {_quote(expected_chi)}"
         )
     if free != summary.boundary_count:
         errors.append(
-            f"{free} unglued surface boundaries, summary says {summary.boundary_count}"
+            f"{free} unglued surface boundaries, summary says {_quote(summary.boundary_count)}"
         )
     if summary.construction == "naive":
         want = graph.edge_count + betti(graph)
         if summary.genus != want:
-            errors.append(f"naive genus {summary.genus}, expected |E| + beta = {want}")
+            errors.append(f"naive genus {_quote(summary.genus)}, expected |E| + beta = {want}")
         if summary.minimal:
             errors.append("naive construction must not claim minimality")
     elif summary.boundary_count == 0:
         if summary.minimal != (not heavy):
             errors.append(
-                f"summary.minimal={summary.minimal} but caps "
+                f"summary.minimal={_quote(summary.minimal)} but caps "
                 f"{'do not all have' if heavy else 'all have'} chi = -1"
             )
         for c in heavy:
@@ -1003,9 +1009,11 @@ def schema_from_json(text: str) -> SurfaceSchema:
             minimal=s["minimal"],
             construction=s["construction"],
         )
+    except SchemaFormatError:
+        raise
+    except GraphFormatError as exc:  # a bad rotation record; its message is ours, whole
+        raise SchemaFormatError(str(exc)) from None
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
-        if isinstance(exc, SchemaFormatError):
-            raise
         raise SchemaFormatError(f"malformed schema document: {_quote(exc)}") from None
     return SurfaceSchema(
         graph=graph,

@@ -38,8 +38,9 @@ class MetricGraph:
 
     The constructor checks structural sanity only (array sizes, vertex ids
     in range).  Connectivity and length positivity are enforced where a
-    graph enters, by :func:`parse_graph`; degree floors by the operations
-    that need them (:func:`smooth`, the schema builders).
+    graph enters: by :func:`parse_graph`, and for a schema's graph by the
+    reader (lengths) and the verifier (connectivity); degree floors by the
+    operations that need them (:func:`smooth`, the schema builders).
     """
 
     vertex_of: tuple[int, ...]
@@ -288,7 +289,7 @@ def smooth(graph: MetricGraph) -> MetricGraph:
     for v in range(graph.vertex_count):
         if graph.degree(v) < 2:
             raise GraphValidationError(
-                f"vertex {graph.vertex_names[v]} has degree {graph.degree(v)}; "
+                f"vertex {_clip(graph.vertex_names[v])} has degree {graph.degree(v)}; "
                 "smoothing requires every degree to be at least 2"
             )
     if all(graph.degree(v) >= 3 for v in range(graph.vertex_count)):

@@ -102,8 +102,8 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
     the count is known to exceed ``cap``.
 
     Kirchhoff's matrix-tree theorem: the count is the Laplacian with the
-    row and column of vertex 0 deleted, as a determinant.  Loops are
-    skipped; parallel edges accumulate.  The determinant is taken exactly,
+    row and column of vertex 0 deleted, as a determinant.  Loops cancel
+    out; parallel edges accumulate.  The determinant is taken exactly,
     by Bareiss's fraction-free elimination (Math. Comp. 22, 1968), whose
     k-th pivot is the leading k x k minor: the number of spanning forests
     rooted at vertex 0 and the vertices not yet eliminated.  Vertices are
@@ -112,18 +112,13 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
     injectively, the pivots never decrease, and the first pivot above
     ``cap`` settles the comparison.
     """
-    n = graph.vertex_count
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for e in range(graph.edge_count):
-        u, v = graph.endpoints(e)
-        if u != v:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
+    n, vertex_of = graph.vertex_count, graph.vertex_of
     order = [0]
     seen = [False] * n
     seen[0] = True
     for u in order:
-        for v in neighbours[u]:
+        for d in graph.darts_at(u):
+            v = vertex_of[d ^ 1]
             if not seen[v]:
                 seen[v] = True
                 order.append(v)
@@ -132,8 +127,9 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
     position = {v: i for i, v in enumerate(reversed(order[1:]))}
     matrix = [[0] * (n - 1) for _ in range(n - 1)]
     for u, i in position.items():
-        matrix[i][i] = len(neighbours[u])
-        for v in neighbours[u]:
+        matrix[i][i] = graph.degree(u)
+        for d in graph.darts_at(u):
+            v = vertex_of[d ^ 1]
             if v:
                 matrix[i][position[v]] -= 1
     previous = 1
@@ -169,12 +165,7 @@ def zeta_floor(graph: MetricGraph) -> int:
     parallel edges are never bridges.  On a bridgeless graph the floor is
     beta mod 2.
     """
-    n, m = graph.vertex_count, graph.edge_count
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in range(m):
-        u, v = graph.endpoints(e)
-        incident[u].append((e, v))
-        incident[v].append((e, u))
+    n, m, vertex_of = graph.vertex_count, graph.edge_count, graph.vertex_of
     order = [-1] * n  # discovery time
     low = [0] * n  # earliest discovery time reachable without the parent edge
     bridge = [False] * m
@@ -184,16 +175,17 @@ def zeta_floor(graph: MetricGraph) -> int:
             continue
         order[root] = low[root] = clock
         clock += 1
-        stack = [(root, -1, iter(incident[root]))]
+        stack = [(root, -1, iter(graph.darts_at(root)))]
         while stack:
-            u, via, edges = stack[-1]
-            for e, v in edges:
+            u, via, darts = stack[-1]
+            for d in darts:
+                e, v = d >> 1, vertex_of[d ^ 1]
                 if e == via:
                     continue
                 if order[v] < 0:
                     order[v] = low[v] = clock
                     clock += 1
-                    stack.append((v, e, iter(incident[v])))
+                    stack.append((v, e, iter(graph.darts_at(v))))
                     break
                 low[u] = min(low[u], order[v])
             else:

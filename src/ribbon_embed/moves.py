@@ -41,7 +41,7 @@ from .errors import (
     MovePreconditionError,
     NoIncreasingMoveError,
 )
-from .graph import MetricGraph, euler_char, smooth
+from .graph import MetricGraph, _clip, euler_char, smooth
 from .invariants import (
     DEFAULT_TREE_CAP,
     _tree_count,
@@ -81,29 +81,6 @@ class MoveRecord:
         return f"move {graph.vertex_names[self.vertex]} {old} -> {new} delta {sign}"
 
 
-def single_dart_relocations(cycle: tuple[int, ...]):
-    """Distinct cyclic orders that relocate exactly one dart of ``cycle``.
-
-    Scan order is deterministic: source position ascending, then insertion
-    slot ascending; cyclic duplicates and the identity are skipped.
-    """
-    seen = {canonical_cycle(cycle)}
-    for i in range(len(cycle)):
-        dart = cycle[i]
-        rest = cycle[:i] + cycle[i + 1 :]
-        for j in range(len(rest)):
-            candidate = canonical_cycle(rest[:j] + (dart,) + rest[j:])
-            if candidate not in seen:
-                seen.add(candidate)
-                yield candidate
-
-
-def _with_cycle(rotation: RotationSystem, vertex: int, cycle: tuple[int, ...]) -> RotationSystem:
-    cycles = list(rotation.cycles)
-    cycles[vertex] = cycle
-    return RotationSystem(tuple(cycles))
-
-
 def _relocation_delta(
     face: Sequence[int], succ: Sequence[int], n: int, x: int, b: int
 ) -> int:
@@ -136,12 +113,12 @@ def _relocate(
     succ: Sequence[int],
 ) -> tuple[RotationSystem, MoveRecord] | None:
     """The first relocation at ``vertex`` changing the walk count by
-    ``delta``, in :func:`single_dart_relocations` order, or None.
+    ``delta``, or None.
 
     ``face`` and ``succ`` are one trace of ``rotation``; each candidate is
     scored from them by :func:`_relocation_delta`, with no trace of its own.
-    The scan runs over (source, slot) pairs in the order of
-    :func:`single_dart_relocations`.  It skips the identity, and sources
+    The scan runs over (source, slot) pairs, source position ascending,
+    then insertion slot ascending.  It skips the identity, and sources
     whose x and n rule the sign out, but not cyclic duplicates: one has
     the delta of the candidate it repeats, which was already turned down.
     """
@@ -156,14 +133,15 @@ def _relocate(
                 rest = cycle[:i] + cycle[i + 1 :]
                 j = rest.index(b)
                 candidate = canonical_cycle(rest[:j] + (x,) + rest[j:])
-                move = MoveRecord(vertex, cycle, candidate, delta)
-                return _with_cycle(rotation, vertex, candidate), move
+                cycles = list(rotation.cycles)
+                cycles[vertex] = candidate
+                return RotationSystem(tuple(cycles)), MoveRecord(vertex, cycle, candidate, delta)
     return None
 
 
 def _no_reducing_move(graph: MetricGraph, vertex: int, walks: int) -> InternalInvariantError:
     return InternalInvariantError(
-        f"no reducing relocation at vertex {graph.vertex_names[vertex]} although it "
+        f"no reducing relocation at vertex {_clip(graph.vertex_names[vertex])} although it "
         f"meets {walks} walks"
     )
 
@@ -181,7 +159,7 @@ def reduce_move(
     walks = _incidence(rotation.cycles[vertex], face)
     if walks < 3:
         raise MovePreconditionError(
-            f"vertex {graph.vertex_names[vertex]} meets {walks} walks; "
+            f"vertex {_clip(graph.vertex_names[vertex])} meets {walks} walks; "
             "a reducing move needs at least 3"
         )
     step = _relocate(rotation, vertex, -2, face, succ)
@@ -410,15 +388,6 @@ def _orbits(following: Sequence[int]) -> int:
     return walks
 
 
-def _walk_count(dart_count: int, cycles: Sequence[Sequence[int]]) -> int:
-    """The oracle's own walk count of a rotation, from a ``following`` table
-    of its own."""
-    following = [0] * dart_count
-    for cycle in cycles:
-        _link(following, cycle)
-    return _orbits(following)
-
-
 def oracle(
     graph: MetricGraph,
     tree_cap: int = DEFAULT_TREE_CAP,
@@ -431,9 +400,9 @@ def oracle(
     :func:`_faces`, gives the walk-count profile, checked against 1 + zeta
     and Euler parity.  At each vertex meeting three or more walks the
     reducing relocation must exist and drop the oracle's own walk count by
-    exactly 2: the table of :func:`_walk_count`, relinked only at vertices
-    whose cycle changed from the last rotation, is patched at the moved
-    vertex, counted and restored.
+    exactly 2: a table of its own (:func:`_link`, counted by
+    :func:`_orbits`), relinked only at vertices whose cycle changed from
+    the last rotation, is patched at the moved vertex, counted and restored.
     The greedy descent from each rotation goes on from the move at its
     first such vertex, as :func:`_climb` would; stalls above the minimum
     are reported, not failed (loop-carrying graphs can stall with every

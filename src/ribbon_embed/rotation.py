@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, GraphFormatError, InternalInvariantError
-from .graph import MetricGraph, _quote, edge_of, euler_char
+from .graph import MetricGraph, _clip, _quote, edge_of, euler_char
 
 DEFAULT_ROTATION_CAP = 10**6
 
@@ -83,15 +83,15 @@ def make_rotation(graph: MetricGraph, cycles: Iterable[Sequence[int]]) -> Rotati
 
 
 def validate_rotation(graph: MetricGraph, rotation: RotationSystem) -> None:
-    """Check that the cycles partition the darts vertex by vertex."""
+    """Check that the cycles partition the darts vertex by vertex, or raise GraphFormatError."""
     if len(rotation.cycles) != graph.vertex_count:
-        raise ValueError(
+        raise GraphFormatError(
             f"rotation has {len(rotation.cycles)} cycles for {graph.vertex_count} vertices"
         )
     for v, cycle in enumerate(rotation.cycles):
         if sorted(cycle) != list(graph.darts_at(v)):
-            raise ValueError(
-                f"cycle at vertex {graph.vertex_names[v]} is not a permutation "
+            raise GraphFormatError(
+                f"cycle at vertex {_clip(graph.vertex_names[v])} is not a permutation "
                 f"of the darts at that vertex"
             )
 

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written against different algorithms than
 the package under test: the tree count comes from the matrix-tree theorem
-over exact rationals, and the random graphs are built by stub pairing.
+over exact rationals, the single-dart relocations are listed one candidate
+at a time with duplicates dropped, and the random graphs are built by stub
+pairing.
 """
 
 import random
 from fractions import Fraction
 
 from ribbon_embed import MetricGraph, connected_components, is_cycle_graph, parse_graph
+from ribbon_embed.rotation import canonical_cycle
 
 
 def kirchhoff_tree_count(graph: MetricGraph) -> int:
@@ -49,6 +52,24 @@ def kirchhoff_tree_count(graph: MetricGraph) -> int:
     return abs(int(det))
 
 
+def single_dart_relocations(cycle: tuple[int, ...]):
+    """Distinct cyclic orders that relocate exactly one dart of ``cycle``.
+
+    Scan order is deterministic: source position ascending, then insertion
+    slot ascending; cyclic duplicates and the identity are skipped.  This
+    is the order ``moves._relocate`` scans in.
+    """
+    seen = {canonical_cycle(cycle)}
+    for i in range(len(cycle)):
+        dart = cycle[i]
+        rest = cycle[:i] + cycle[i + 1 :]
+        for j in range(len(rest)):
+            candidate = canonical_cycle(rest[:j] + (dart,) + rest[j:])
+            if candidate not in seen:
+                seen.add(candidate)
+                yield candidate
+
+
 def random_multigraph(seed: int, max_edges: int = 12) -> MetricGraph:
     """Connected multigraph with every degree >= 3 (loops allowed).
 
@@ -83,6 +104,11 @@ def random_multigraph(seed: int, max_edges: int = 12) -> MetricGraph:
         if min(graph.degree(v) for v in range(nv)) < 3:
             continue
         return graph
+
+
+def two_thetas() -> MetricGraph:
+    """Edges a b c between u and v, d e f between x and y: two components."""
+    return MetricGraph((0, 1) * 3 + (2, 3) * 3, (1.0,) * 6, tuple("abcdef"), tuple("uvxy"))
 
 
 def prism(rungs: int) -> MetricGraph:

@@ -31,7 +31,7 @@ from ribbon_embed import (
 from ribbon_embed.assembly import Gluing, _close
 from ribbon_embed.rotation import rotation_to_lines
 
-from helpers import random_multigraph
+from helpers import random_multigraph, two_thetas
 
 
 def kinds(schema):
@@ -318,6 +318,25 @@ def test_detects_scale_tampering(closed_theta):
     waist[0] += 1e-3
     bad = replace(closed_theta, scale=replace(closed_theta.scale, waist=waist))
     assert not verify_schema(bad).ok
+
+
+def test_detects_a_disconnected_graph():
+    # capped, it is two closed genus-2 surfaces, not one of genus 3; every
+    # other check passes, so the schema verified ok
+    graph = two_thetas()
+    schema = cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
+    for diag in (verify_schema(schema), verify_schema(schema_from_json(schema_to_json(schema)))):
+        assert diag.errors == ("graph is not connected",)
+
+
+def test_schema_builders_cut_the_names_they_list():
+    # a name of any length that parse_graph accepts: a 100,000-character
+    # degree-1 vertex was listed whole
+    text = "edge a u v 1\nedge b u v 1\nedge c u v 1\nedge d u " + "w" * 100_000 + " 1"
+    graph = parse_graph(text)
+    with pytest.raises(GraphValidationError, match="offending vertices: www") as exc:
+        naive_embedding(graph)
+    assert len(str(exc.value)) <= 200
 
 
 # ------------------------------------------------------------ JSON

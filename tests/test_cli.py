@@ -14,18 +14,22 @@ from ribbon_embed import (
     Diagnostics,
     MetricGraph,
     SchemaFormatError,
+    assemble_sigma_surface,
+    cap_standard,
     cli,
+    default_rotation,
     format_graph,
     graph_hash,
     invariants,
     rotation,
     schema_from_json,
+    schema_to_json,
     verify_schema,
 )
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
-from helpers import prism, random_multigraph
+from helpers import prism, random_multigraph, two_thetas
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -719,7 +723,7 @@ HUGE_VALUE_MUTATIONS = {
     "rotation record": (
         lambda doc: doc["meta"]["rotation"].__setitem__(0, "rot " + "x" * 400_000),
         2,
-        "GraphFormatError(\"bad rotation record",
+        "error: bad rotation record 'rot xxx",
     ),
     "boundary label": (
         lambda doc: _sphere(doc)["boundaries"][0].update(label=list(range(100_000))),
@@ -741,6 +745,17 @@ HUGE_VALUE_MUTATIONS = {
         1,
         "does not match its gluings",
     ),
+    # stored summary values, echoed whole: 100,049 and 4,073 characters
+    "summary minimal": (
+        lambda doc: doc["summary"].update(minimal="x" * 100_000),
+        1,
+        "fail: summary.minimal='xxx",
+    ),
+    "summary genus": (
+        lambda doc: doc["summary"].update(genus=int("9" * 4000)),
+        1,
+        "fail: chi additivity broken: surface blocks sum to -4, summary implies -1999",
+    ),
 }
 
 
@@ -753,6 +768,107 @@ def test_verify_cuts_the_values_it_quotes(case, graph_file, tmp_path, capsys):
     out_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == code
+    output = "".join(capsys.readouterr())
+    assert message in output
+    assert max(map(len, output.splitlines())) <= 200
+
+
+def _edit_rotation_line(doc, vertex, edit):
+    """Apply ``edit`` to the ``rot <vertex>`` line of the rotation: a list of
+    the lines to put in its place."""
+    lines = doc["meta"]["rotation"]
+    i = next(i for i, line in enumerate(lines) if line.split()[1] == vertex)
+    lines[i : i + 1] = edit(lines[i])
+
+
+# Each message reached the user as a wrapped repr cut at 40 characters,
+# 'malformed schema document: GraphFormatError("vertex 'v0' listed twi…'.
+ROTATION_RECORD_MUTATIONS = {
+    "listed twice": (
+        lambda doc: _edit_rotation_line(doc, "v0", lambda line: [line, line]),
+        "vertex 'v0' listed twice",
+    ),
+    "missing": (
+        lambda doc: _edit_rotation_line(doc, "v3", lambda line: []),
+        "missing rotation for vertices ['v3']",
+    ),
+    "wrong dart": (
+        lambda doc: _edit_rotation_line(doc, "v0", lambda line: [line.replace("e01+", "e12+")]),
+        "cycle at vertex v0 is not a permutation of the darts at that vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROTATION_RECORD_MUTATIONS))
+def test_verify_quotes_rotation_record_errors_whole(case, graph_file, tmp_path, capsys):
+    mutate, message = ROTATION_RECORD_MUTATIONS[case]
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_fails_a_disconnected_graph(tmp_path, capsys):
+    # two disjoint thetas, capped: two closed genus-2 surfaces, which
+    # verified as "ok: genus 3"
+    graph = two_thetas()
+    schema = cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
+    path = tmp_path / "schema.json"
+    path.write_text(schema_to_json(schema))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "fail: graph is not connected\n"
+
+
+LONG = "w" * 100_000  # a vertex or edge name parse_graph accepts
+LONG_THETA = f"edge {LONG} {LONG} v 1.0\nedge b {LONG} v 1.0\nedge c {LONG} v 1.0\n"
+
+
+def _second_pants(doc):
+    block = json.loads(json.dumps(_block(doc, "edge_pants")))
+    block["id"] += "x"
+    doc["blocks"].append(block)
+
+
+# Each wrote its graph name whole into one error: or fail: line.
+LONG_NAME_CASES = {
+    "degree 1": ("analyze", THETA + f"edge d u {LONG} 1.0\n", None, 2, "error: vertex www"),
+    "scale": ("embed", LONG_THETA.replace("1.0", "1e-320", 1), None, 2, "error: edge www"),
+    "foot": (
+        "verify", LONG_THETA, lambda doc: doc["meta"]["foot"].update({LONG: 7.25}), 1,
+        "fail: vertex www",
+    ),
+    "clearance": (
+        "verify", LONG_THETA, lambda doc: doc["meta"]["clearance"].update({LONG: 7.25}), 1,
+        "fail: edge www",
+    ),
+    "waist": (
+        "verify", LONG_THETA, lambda doc: doc["meta"]["waist"].update({LONG: 7.25}), 1,
+        "fail: edge www",
+    ),
+    "second pants": ("verify", LONG_THETA, _second_pants, 1, "fail: edge www"),
+    "pants gluing": (
+        "verify", LONG_THETA, lambda doc: doc["gluings"][0]["b"].__setitem__(1, "dart:2"), 1,
+        "fail: edge www",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_NAME_CASES))
+def test_messages_cut_the_graph_names_they_quote(case, graph_file, tmp_path, capsys):
+    command, text, mutate, code, message = LONG_NAME_CASES[case]
+    path = graph_file(text)
+    if mutate is not None:
+        out_path = tmp_path / "schema.json"
+        assert main(["embed", path, "-o", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        mutate(doc)
+        out_path.write_text(json.dumps(doc))
+        path = str(out_path)
+    capsys.readouterr()
+    assert main([command, path]) == code
     output = "".join(capsys.readouterr())
     assert message in output
     assert max(map(len, output.splitlines())) <= 200

@@ -7,6 +7,7 @@ from ribbon_embed import (
     choose_scale,
     f_inv,
     foot_length,
+    parse_graph,
     waist_distance,
 )
 
@@ -107,9 +108,26 @@ def test_choose_scale_margin_positive(theta):
         choose_scale(theta, margin=-0.5)
 
 
-def test_scale_respects_uneven_lengths():
-    from ribbon_embed import parse_graph
+@pytest.mark.parametrize(
+    ("length", "margin", "message"),
+    [
+        ("1e-320", 0.1, "edge eee"),
+        ("1", 1e-300, "margin 1e-300 is too small: in double precision it leaves edge eee"),
+        ("1", 1e308, "margin 1e+308 gives edge eee"),
+    ],
+    ids=["scale", "gap", "waist"],
+)
+def test_choose_scale_cuts_the_edge_names_it_quotes(length, margin, message):
+    # a name of any length that parse_graph accepts was quoted whole
+    name = "e" * 100_000
+    theta = parse_graph(f"edge {name} u v {length}\nedge b u v 1\nedge c u v 1")
+    with pytest.raises(ValueError) as exc:
+        choose_scale(theta, margin)
+    assert str(exc.value).startswith(message)
+    assert len(str(exc.value)) <= 200
 
+
+def test_scale_respects_uneven_lengths():
     g = parse_graph("edge a u v 0.5\nedge b u v 1.0\nedge c u v 8.0")
     scale = choose_scale(g)
     # the shortest edge binds

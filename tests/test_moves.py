@@ -20,6 +20,7 @@ from ribbon_embed import (
     maximize_boundaries,
     minimize_boundaries,
     moves,
+    parse_graph,
     reduce_move,
     rotation,
     vertex_boundary_incidence,
@@ -29,14 +30,15 @@ from ribbon_embed.moves import (
     MoveRecord,
     _climb,
     _relocate,
+    _link,
+    _no_reducing_move,
+    _orbits,
     _relocation_delta,
-    _walk_count,
     oracle,
-    single_dart_relocations,
 )
 from ribbon_embed.rotation import RotationSystem, _faces, canonical_cycle
 
-from helpers import prism, random_multigraph
+from helpers import prism, random_multigraph, single_dart_relocations
 
 # Loops mixed with ordinary edges can strand the greedy descent: all four
 # vertices meet <= 2 walks at a 3-walk rotation whose graph admits a
@@ -65,6 +67,18 @@ def test_reduce_move_precondition(theta):
     one_walk = make_rotation(theta, [(0, 2, 4), (1, 3, 5)])
     with pytest.raises(MovePreconditionError):
         reduce_move(theta, one_walk, 0)
+
+
+def test_move_errors_cut_the_vertex_name_they_quote():
+    # a vertex name of any length that parse_graph accepts was quoted whole
+    name = "w" * 100_000
+    theta = parse_graph(f"edge a {name} v 1\nedge b {name} v 1\nedge c {name} v 1")
+    one_walk = make_rotation(theta, [(0, 2, 4), (1, 3, 5)])
+    with pytest.raises(MovePreconditionError, match="^vertex www") as exc:
+        reduce_move(theta, one_walk, 0)
+    assert len(str(exc.value)) <= 200
+    message = str(_no_reducing_move(theta, 0, 3))
+    assert message.startswith("no reducing relocation at vertex www") and len(message) <= 200
 
 
 def test_reduce_move_sweep_fixtures(theta, bouquet2, k4):
@@ -483,12 +497,16 @@ def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
 
 
 def test_oracle_walk_count_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):
-    # the oracle's recount traces the inverse permutation, apart from _trace
+    # the oracle's recount (_link, then _orbits) traces the inverse
+    # permutation, apart from _trace
     graphs = [theta, bouquet2, k4, k5, dumbbell]
     graphs += [random_multigraph(seed) for seed in range(30)]
     for g in graphs:
         for rot in enumerate_rotations(g, 10**6):
-            assert _walk_count(g.dart_count, rot.cycles) == _faces(g.dart_count, rot.cycles)[1]
+            following = [None] * g.dart_count
+            for cycle in rot.cycles:
+                _link(following, cycle)
+            assert _orbits(following) == _faces(g.dart_count, rot.cycles)[1]
 
 
 def test_oracle_returns_its_report_and_verdict(k4, k5):

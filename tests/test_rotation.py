@@ -4,6 +4,7 @@ import pytest
 
 from ribbon_embed import (
     CapExceededError,
+    GraphFormatError,
     boundary_count,
     boundary_profile,
     boundary_walks,
@@ -67,6 +68,16 @@ def test_validate_rotation_rejects(theta):
     with pytest.raises(ValueError):
         make_rotation(theta, [(0, 2, 4, 4), (1, 3, 5)])
     validate_rotation(theta, make_rotation(theta, [(2, 4, 0), (3, 5, 1)]))
+
+
+def test_validate_rotation_cuts_the_vertex_name_it_quotes():
+    # a bad rotation is a format error of its record, and a vertex name of
+    # any length that parse_graph accepts was quoted whole
+    name = "w" * 100_000
+    theta = parse_graph(f"edge a {name} v 1\nedge b {name} v 1\nedge c {name} v 1")
+    with pytest.raises(GraphFormatError, match="^cycle at vertex www") as exc:
+        make_rotation(theta, [(0, 2, 3), (1, 4, 5)])
+    assert len(str(exc.value)) <= 200
 
 
 def test_theta_one_walk_orbit(theta):
