@@ -131,6 +131,8 @@ def _require_embeddable(graph: MetricGraph) -> None:
         raise CycleGraphError(
             "cycle graphs embed on every surface after rescaling; no schema needed"
         )
+    if len(connected_components(graph)) != 1:
+        raise GraphValidationError("graph is not connected")
     bad = [v for v in range(graph.vertex_count) if graph.degree(v) < 3]
     if bad:
         names = _clip(", ".join(graph.vertex_names[v] for v in bad))

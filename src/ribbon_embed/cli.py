@@ -39,8 +39,8 @@ from .errors import (
     TargetGenusError,
 )
 from .graph import MetricGraph, parse_graph, smooth
-from .invariants import DEFAULT_TREE_CAP, analyze
-from .moves import maximize_boundaries, minimize_boundaries, oracle
+from .invariants import DEFAULT_TREE_CAP
+from .moves import DEFAULT_RESTARTS, analyze, maximize_boundaries, minimize_boundaries, oracle
 from .rotation import DEFAULT_ROTATION_CAP
 
 OK = 0
@@ -196,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="print the invariant report")
     p_analyze.add_argument("graph", help="graph file (edge lines)")
     p_analyze.add_argument("--json", action="store_true", help="emit JSON")
-    add_caps(p_analyze, "abort if the graph has more spanning trees than this")
+    add_caps(p_analyze, "spanning trees the zeta search may visit; above it, tree_count is null")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_embed = sub.add_parser("embed", help="emit a verified embedding schema")
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--margin", type=float, default=0.1, help="scaling slack, > 0")
     p_embed.add_argument("--seed", type=int, default=0, help="seed for restart rotations")
     p_embed.add_argument(
-        "--restarts", type=int, default=8,
+        "--restarts", type=int, default=DEFAULT_RESTARTS,
         help="random restarts before the frontier DP decides the optimum",
     )
     add_caps(

@@ -123,7 +123,10 @@ def _clip(token: str) -> str:
 def _quote(value: object) -> str:
     """``repr(value)`` cut by :func:`_clip`: how an error message quotes a
     value read from a document of any size."""
-    return _clip(repr(value))
+    try:
+        return _clip(repr(value))
+    except ValueError:  # an int past the interpreter's limit on decimal digits
+        return f"<{type(value).__name__} too long to print>"
 
 
 def parse_graph(text: str) -> MetricGraph:

@@ -4,15 +4,13 @@ Two routes meet here.  Spanning-tree combinatorics give the Betti
 deficiency ``zeta``: the minimum, over spanning trees, of the number of
 odd-size components of the co-tree subgraph.  The boundary profile
 gives the boundary-walk counts over all rotation systems.  The two sides
-are tied together by the identity ``min walks = 1 + zeta``, which
-:func:`analyze`, the test-suite and the oracle command check on every
-graph they touch.  The number of spanning trees is not enumerated: it is
-Kirchhoff's Laplacian cofactor, an exact integer determinant, which
-:func:`analyze` and the oracle check against the tree cap before they run
-the one zeta search they need.  That search stops at
-:func:`zeta_floor`, a linear-time lower bound from the bridges: a tree
-meeting it, or a rotation with 1 + floor walks, pins zeta with no further
-enumeration.
+are tied together by the identity ``min walks = 1 + zeta``, which the
+report, the test-suite and the oracle command check on every graph they
+touch.  The spanning trees are counted, up to a cap, by Kirchhoff's exact
+Laplacian cofactor.  The zeta search stops at :func:`zeta_floor`, a
+linear-time lower bound from the bridges: a tree meeting it, or a rotation
+with 1 + floor walks, pins zeta with no further enumeration.  Which rung
+certifies zeta for the report is decided in :mod:`ribbon_embed.moves`.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -29,8 +27,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
-from .graph import MetricGraph, _find, betti, euler_char, girth, graph_hash, smooth
-from .rotation import DEFAULT_ROTATION_CAP, boundary_profile, count_rotations
+from .graph import MetricGraph, _find, betti, euler_char, girth, smooth
+from .rotation import DEFAULT_ROTATION_CAP, boundary_profile
 
 DEFAULT_TREE_CAP = 10**6
 
@@ -97,9 +95,9 @@ def xi(graph: MetricGraph, tree: frozenset[int]) -> int:
     return sum(1 for k in sizes.values() if k % 2)
 
 
-def _tree_count(graph: MetricGraph, cap: int) -> int:
-    """Number of spanning trees; raises :class:`CapExceededError` as soon as
-    the count is known to exceed ``cap``.
+def _tree_count(graph: MetricGraph, cap: int) -> int | None:
+    """Number of spanning trees, or None as soon as the count is known to
+    exceed ``cap``.
 
     Kirchhoff's matrix-tree theorem: the count is the Laplacian with the
     row and column of vertex 0 deleted, as a determinant.  Loops cancel
@@ -146,9 +144,7 @@ def _tree_count(graph: MetricGraph, cap: int) -> int:
             else:
                 row[c + 1 :] = [x * pivot // previous for x in rest]
         previous = pivot
-    if previous > cap:
-        raise CapExceededError(f"spanning tree count exceeds the cap of {cap}")
-    return previous
+    return None if previous > cap else previous
 
 
 def zeta_floor(graph: MetricGraph) -> int:
@@ -280,13 +276,14 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Everything :func:`analyze` knows about one graph.
+    """Everything :func:`~ribbon_embed.moves.analyze` knows about one graph.
 
     ``ge_max_exact`` is None when the rotation enumeration would exceed its
-    cap; the rational ``ge_max_bound`` is always present.  Counts are
-    post-smoothing.  The hash and the smoothed flag describe how the graph
-    was presented, not what it is, so they stay out of equality: a
-    subdivided graph and its smoothing produce equal reports.
+    cap, ``tree_count`` when the spanning trees exceed theirs; the rational
+    ``ge_max_bound`` is always present.  Counts are post-smoothing.  The
+    hash and the smoothed flag describe how the graph was presented, not
+    what it is, so they stay out of equality: a subdivided graph and its
+    smoothing produce equal reports.
     """
 
     graph_hash: str = field(compare=False)
@@ -303,7 +300,7 @@ class InvariantReport:
     essential_genus: int
     ge_max_bound: Fraction
     ge_max_exact: int | None
-    tree_count: int
+    tree_count: int | None
     rotation_count: int
 
     def to_json_dict(self) -> dict:
@@ -316,66 +313,7 @@ class InvariantReport:
         rows["ge_max_bound"] = f"{self.ge_max_bound} (~{float(self.ge_max_bound):.4f})"
         if self.ge_max_exact is None:
             rows["ge_max_exact"] = "unknown (rotation cap exceeded; bound still holds)"
+        if self.tree_count is None:
+            rows["tree_count"] = "unknown (tree cap exceeded)"
         width = max(len(k) for k in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows.items())
-
-
-def analyze(
-    graph: MetricGraph,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    rotation_cap: int = DEFAULT_ROTATION_CAP,
-) -> InvariantReport:
-    """Compute the full invariant report for one connected graph.
-
-    Smooths degree-2 vertices first, so subdividing edges never changes the
-    report.  The tree count is checked against ``tree_cap`` first, so a
-    graph with too many trees fails before any search; each exhaustive
-    search (zeta, the boundary profile) then runs once.  The identities
-    between them are re-checked and any disagreement raises
-    :class:`InternalInvariantError`: the profile's minimum walk count must
-    be 1 + zeta, and ``ge_max_exact``, the largest :func:`capped_genus`
-    over the profile, must stay within the girth bound.  It cannot fall
-    below the essential genus, since :func:`capped_genus` never decreases
-    as the walk count grows by 2.
-    """
-    smoothed_graph = smooth(graph)
-    b = betti(smoothed_graph)
-    tree_count = _tree_count(smoothed_graph, tree_cap)
-    z = betti_deficiency(smoothed_graph, tree_cap)
-    if (b - z) % 2:
-        raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
-    q, r = qr_split(z + 1)
-    g_e = capped_genus(smoothed_graph, 1 + z)
-    bound = ge_max_bound(smoothed_graph)
-    rotation_count = count_rotations(smoothed_graph)
-    try:
-        profile = boundary_profile(smoothed_graph, rotation_cap)
-    except CapExceededError:
-        exact = None
-    else:
-        if min(profile) != 1 + z:
-            raise InternalInvariantError(
-                f"minimum walk count {min(profile)} differs from 1 + zeta = {1 + z}"
-            )
-        exact = max(capped_genus(smoothed_graph, walks) for walks in profile)
-        if Fraction(exact) > bound:
-            raise InternalInvariantError("adversarial genus exceeds the girth bound")
-
-    return InvariantReport(
-        graph_hash=graph_hash(smoothed_graph),
-        vertex_count=smoothed_graph.vertex_count,
-        edge_count=smoothed_graph.edge_count,
-        smoothed=smoothed_graph is not graph,
-        beta=b,
-        euler=euler_char(smoothed_graph),
-        girth=int(girth(smoothed_graph)),
-        zeta=z,
-        max_genus=(b - z) // 2,
-        q=q,
-        r=r,
-        essential_genus=g_e,
-        ge_max_bound=bound,
-        ge_max_exact=exact,
-        tree_count=tree_count,
-        rotation_count=rotation_count,
-    )

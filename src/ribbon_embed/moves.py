@@ -20,7 +20,8 @@ optimal on sight; above it the spanning-tree search supplies 1 + zeta when
 Kirchhoff's count puts the trees within the cap; the frontier DP, within
 the rotation cap, decides the optimum and finds a rotation at it last.
 Maximizing, the target is the maximum of the boundary profile when the
-rotation count fits under its cap.
+rotation count fits under its cap.  :func:`analyze` takes zeta from the
+certified minimum, and refuses a graph whose minimum is not certified.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation:
 the profile, every reducing move and every greedy descent come from one
@@ -41,12 +42,15 @@ from .errors import (
     MovePreconditionError,
     NoIncreasingMoveError,
 )
-from .graph import MetricGraph, _clip, euler_char, smooth
+from .graph import MetricGraph, _clip, betti, euler_char, girth, graph_hash, smooth
 from .invariants import (
     DEFAULT_TREE_CAP,
+    InvariantReport,
     _tree_count,
     betti_deficiency,
     capped_genus,
+    ge_max_bound,
+    qr_split,
     zeta_floor,
 )
 from .rotation import (
@@ -59,10 +63,13 @@ from .rotation import (
     _witness,
     boundary_profile,
     canonical_cycle,
+    count_rotations,
     dart_label,
     default_rotation,
     enumerate_rotations,
 )
+
+DEFAULT_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -339,10 +346,11 @@ def minimize_boundaries(
 
     def target() -> int | None:
         try:
-            _tree_count(graph, tree_cap)
-            return 1 + betti_deficiency(graph, tree_cap)
+            if _tree_count(graph, tree_cap) is not None:
+                return 1 + betti_deficiency(graph, tree_cap)
         except CapExceededError:
-            return None
+            pass
+        return None
 
     return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, rotation_cap)
 
@@ -363,6 +371,69 @@ def maximize_boundaries(
     except CapExceededError:
         target = None
     return _search(graph, start, restarts, seed, +2, target, lambda: target, rotation_cap)
+
+
+def analyze(
+    graph: MetricGraph,
+    tree_cap: int = DEFAULT_TREE_CAP,
+    rotation_cap: int = DEFAULT_ROTATION_CAP,
+) -> InvariantReport:
+    """The invariant report of one connected graph, smoothed first so that
+    subdividing edges changes nothing.
+
+    zeta is one less than the minimum walk count :func:`minimize_boundaries`
+    certifies with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the same
+    caps: the report stands exactly where ``embed`` certifies, and
+    :class:`CapExceededError` is raised elsewhere.  ``tree_count`` is None
+    above ``tree_cap``.  zeta must share the parity of beta and be one less
+    than the profile's minimum, and ``ge_max_exact`` must keep within the
+    girth bound, or :class:`InternalInvariantError` is raised.
+    """
+    smoothed_graph = smooth(graph)
+    search = minimize_boundaries(
+        smoothed_graph, restarts=DEFAULT_RESTARTS, tree_cap=tree_cap, rotation_cap=rotation_cap
+    )
+    if not search.certified:
+        raise CapExceededError(
+            f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
+        )
+    b = betti(smoothed_graph)
+    z = search.boundary_count - 1
+    if (b - z) % 2:
+        raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
+    q, r = qr_split(z + 1)
+    bound = ge_max_bound(smoothed_graph)
+    try:
+        profile = boundary_profile(smoothed_graph, rotation_cap)
+    except CapExceededError:
+        exact = None
+    else:
+        if min(profile) != 1 + z:
+            raise InternalInvariantError(
+                f"minimum walk count {min(profile)} differs from 1 + zeta = {1 + z}"
+            )
+        exact = max(capped_genus(smoothed_graph, walks) for walks in profile)
+        if exact > bound:
+            raise InternalInvariantError("adversarial genus exceeds the girth bound")
+
+    return InvariantReport(
+        graph_hash=graph_hash(smoothed_graph),
+        vertex_count=smoothed_graph.vertex_count,
+        edge_count=smoothed_graph.edge_count,
+        smoothed=smoothed_graph is not graph,
+        beta=b,
+        euler=euler_char(smoothed_graph),
+        girth=int(girth(smoothed_graph)),
+        zeta=z,
+        max_genus=(b - z) // 2,
+        q=q,
+        r=r,
+        essential_genus=capped_genus(smoothed_graph, 1 + z),
+        ge_max_bound=bound,
+        ge_max_exact=exact,
+        tree_count=_tree_count(smoothed_graph, tree_cap),
+        rotation_count=count_rotations(smoothed_graph),
+    )
 
 
 def _link(following: list[int], cycle: Sequence[int]) -> None:
@@ -410,7 +481,8 @@ def oracle(
     pass and raise :class:`CapExceededError`.
     """
     graph = smooth(graph)
-    _tree_count(graph, tree_cap)
+    if _tree_count(graph, tree_cap) is None:
+        raise CapExceededError(f"spanning tree count exceeds the cap of {tree_cap}")
     z = betti_deficiency(graph, tree_cap)
     counts: Counter[int] = Counter()
     descents: Counter[int] = Counter()  # where the descent from each rotation ends

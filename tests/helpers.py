@@ -9,8 +9,19 @@ pairing.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
-from ribbon_embed import MetricGraph, connected_components, is_cycle_graph, parse_graph
+from ribbon_embed import (
+    MetricGraph,
+    SurfaceSchema,
+    assemble_sigma_surface,
+    assembly,
+    cap_standard,
+    connected_components,
+    default_rotation,
+    is_cycle_graph,
+    parse_graph,
+)
 from ribbon_embed.rotation import canonical_cycle
 
 
@@ -109,6 +120,15 @@ def random_multigraph(seed: int, max_edges: int = 12) -> MetricGraph:
 def two_thetas() -> MetricGraph:
     """Edges a b c between u and v, d e f between x and y: two components."""
     return MetricGraph((0, 1) * 3 + (2, 3) * 3, (1.0,) * 6, tuple("abcdef"), tuple("uvxy"))
+
+
+def two_thetas_schema() -> SurfaceSchema:
+    """:func:`two_thetas`, bordered and capped: two closed genus-2 surfaces
+    that claim to be one of genus 3.  The builders refuse a disconnected
+    graph, so it is built while they see a single component."""
+    graph = two_thetas()
+    with mock.patch.object(assembly, "connected_components", return_value=[[0, 1, 2, 3]]):
+        return cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
 
 
 def prism(rungs: int) -> MetricGraph:

@@ -31,7 +31,7 @@ from ribbon_embed import (
 from ribbon_embed.assembly import Gluing, _close
 from ribbon_embed.rotation import rotation_to_lines
 
-from helpers import random_multigraph, two_thetas
+from helpers import random_multigraph, two_thetas, two_thetas_schema
 
 
 def kinds(schema):
@@ -323,10 +323,18 @@ def test_detects_scale_tampering(closed_theta):
 def test_detects_a_disconnected_graph():
     # capped, it is two closed genus-2 surfaces, not one of genus 3; every
     # other check passes, so the schema verified ok
-    graph = two_thetas()
-    schema = cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
+    schema = two_thetas_schema()
     for diag in (verify_schema(schema), verify_schema(schema_from_json(schema_to_json(schema)))):
         assert diag.errors == ("graph is not connected",)
+
+
+def test_schema_builders_refuse_a_disconnected_graph():
+    # both built a schema that verify_schema then failed
+    graph = two_thetas()
+    with pytest.raises(GraphValidationError, match="graph is not connected"):
+        assemble_sigma_surface(graph, default_rotation(graph, 0))
+    with pytest.raises(GraphValidationError, match="graph is not connected"):
+        naive_embedding(graph)
 
 
 def test_schema_builders_cut_the_names_they_list():

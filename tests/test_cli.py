@@ -14,13 +14,11 @@ from ribbon_embed import (
     Diagnostics,
     MetricGraph,
     SchemaFormatError,
-    assemble_sigma_surface,
-    cap_standard,
     cli,
-    default_rotation,
     format_graph,
     graph_hash,
     invariants,
+    moves,
     rotation,
     schema_from_json,
     schema_to_json,
@@ -29,7 +27,7 @@ from ribbon_embed import (
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
-from helpers import prism, random_multigraph, two_thetas
+from helpers import prism, random_multigraph, two_thetas_schema
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -110,14 +108,14 @@ def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
 
 def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
     # a profile that lost its minimum entry still gave a plausible report
-    profile = invariants.boundary_profile
+    profile = moves.boundary_profile
 
     def without_minimum(graph, cap):
         counts = profile(graph, cap)
         del counts[min(counts)]
         return counts
 
-    monkeypatch.setattr(invariants, "boundary_profile", without_minimum)
+    monkeypatch.setattr(moves, "boundary_profile", without_minimum)
     assert main(["analyze", graph_file(K4)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -756,6 +754,13 @@ HUGE_VALUE_MUTATIONS = {
         1,
         "fail: chi additivity broken: surface blocks sum to -4, summary implies -1999",
     ),
+    # the implied chi has 4301 digits, one past the interpreter's limit on
+    # printing an int: verify exited 2 with "Exceeds the limit (4300 digits)"
+    "summary genus at the digit limit": (
+        lambda doc: doc["summary"].update(genus=int("9" * 4300)),
+        1,
+        "fail: chi additivity broken: surface blocks sum to -4, summary implies <int too long",
+    ),
 }
 
 
@@ -814,10 +819,8 @@ def test_verify_quotes_rotation_record_errors_whole(case, graph_file, tmp_path, 
 def test_verify_fails_a_disconnected_graph(tmp_path, capsys):
     # two disjoint thetas, capped: two closed genus-2 surfaces, which
     # verified as "ok: genus 3"
-    graph = two_thetas()
-    schema = cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
     path = tmp_path / "schema.json"
-    path.write_text(schema_to_json(schema))
+    path.write_text(schema_to_json(two_thetas_schema()))
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == "fail: graph is not connected\n"
 

@@ -10,7 +10,9 @@ from ribbon_embed import (
     betti_deficiency,
     boundary_profile,
     capped_genus,
+    count_rotations,
     essential_genus,
+    format_graph,
     ge_max_bound,
     ge_max_exact,
     max_genus,
@@ -22,6 +24,7 @@ from ribbon_embed import (
     xi,
     zeta_floor,
 )
+from ribbon_embed.cli import main
 
 from conftest import K4
 from helpers import kirchhoff_tree_count, prism, random_multigraph
@@ -107,10 +110,14 @@ def test_analyze_tree_count_matches_enumeration(theta, bouquet2, k4, k5, dumbbel
 
 def test_analyze_tree_cap_is_exact(k5, monkeypatch):
     assert analyze(k5, tree_cap=125, rotation_cap=0).tree_count == 125
-    # the count is checked before the zeta search runs
-    monkeypatch.setattr("ribbon_embed.invariants.betti_deficiency", None)
-    with pytest.raises(CapExceededError, match="spanning tree count exceeds the cap of 124"):
-        analyze(k5, tree_cap=124)
+    # above the cap the count is unknown, and the bridge floor certifies
+    # zeta with no tree visited
+    def no_trees(*args, **kwargs):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", no_trees)
+    rep = analyze(k5, tree_cap=124)
+    assert (rep.tree_count, rep.zeta) == (None, 0)
 
 
 def test_spanning_tree_cap(k5):
@@ -292,9 +299,19 @@ def test_analyze_soft_rotation_cap(k5):
     assert rep.essential_genus == 4
 
 
-def test_analyze_hard_tree_cap(k5):
-    with pytest.raises(CapExceededError):
-        analyze(k5, tree_cap=10)
+def test_analyze_hard_tree_cap(tmp_path, capsys):
+    # floor 0, zeta 2: past the tree cap only the frontier DP certifies zeta
+    g = random_multigraph(65)
+    assert (zeta_floor(g), kirchhoff_tree_count(g), count_rotations(g)) == (0, 3, 216)
+    with pytest.raises(CapExceededError, match="zeta not certified"):
+        analyze(g, tree_cap=2, rotation_cap=215)
+    assert analyze(g, tree_cap=3, rotation_cap=215).zeta == 2
+    assert analyze(g, tree_cap=2, rotation_cap=216).zeta == 2
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    argv = ["analyze", str(path), "--max-trees", "2", "--max-rotations", "215"]
+    assert main(argv) == 5
+    assert capsys.readouterr().err.startswith("error: zeta not certified")
 
 
 def test_analyze_json_and_text(k4):

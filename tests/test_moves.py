@@ -8,6 +8,7 @@ from ribbon_embed import (
     MetricGraph,
     MovePreconditionError,
     NoIncreasingMoveError,
+    analyze,
     betti_deficiency,
     boundary_count,
     boundary_profile,
@@ -23,6 +24,7 @@ from ribbon_embed import (
     parse_graph,
     reduce_move,
     rotation,
+    smooth,
     vertex_boundary_incidence,
     zeta_floor,
 )
@@ -297,6 +299,16 @@ def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
     checked = results()
     monkeypatch.setattr(moves, "_tree_count", lambda graph, cap: 0)
     assert checked == results()
+
+
+@pytest.mark.parametrize("tree_cap", [10**6, 1])
+def test_analyze_zeta_matches_the_tree_search(tree_cap):
+    # the tree search stays the oracle of the ladder analyze takes zeta
+    # from; at a cap of one tree its rung is skipped
+    graphs = [random_multigraph(seed) for seed in range(150)]
+    graphs += [prism(rungs) for rungs in range(3, 11)]
+    for g in graphs:
+        assert analyze(g, tree_cap=tree_cap).zeta == betti_deficiency(smooth(g))
 
 
 def test_floor_certifies_without_a_tree_search(monkeypatch):
