@@ -19,9 +19,8 @@ floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
 optimal on sight; above it the spanning-tree search supplies 1 + zeta when
 Kirchhoff's count puts the trees within the cap; the frontier DP, within
 the rotation cap, decides the optimum and finds a rotation at it last.
-Maximizing, the target is the maximum of the boundary profile when the
-rotation count fits under its cap.  :func:`analyze` takes zeta from the
-certified minimum, and refuses a graph whose minimum is not certified.
+Maximizing, the target is the profile's maximum within the rotation cap.
+:func:`analyze` takes zeta from the minimum a rung settles, or refuses.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation:
 the profile, every reducing move and every greedy descent come from one
@@ -193,13 +192,14 @@ class SearchResult:
 
     ``greedy_count`` is the count where the first descent (or ascent) from
     the given start stalled; ``boundary_count`` the best found overall.
-    ``certified`` is True only when the result provably attains the global
-    optimum: a minimum at the bridge floor, at 1 + zeta from the
-    spanning-tree search, or at the optimum of the frontier DP (``enumerated``).
+    ``optimum`` is the global optimum a rung establishes (the bridge floor,
+    1 + zeta from the spanning-tree search, or the frontier DP's when
+    ``enumerated``), else None; ``certified``: the result attains it.
     """
 
     rotation: RotationSystem
     boundary_count: int
+    optimum: int | None
     certified: bool
     initial_count: int
     greedy_count: int
@@ -256,7 +256,7 @@ def _search(
     bound, and a target it contradicts disproves the theory.  A best count
     short of the optimum gives way to the DP's witness: the first rotation,
     in enumeration order, at the optimum.  Nothing beats the optimum, so
-    where it is first asked for changes no rotation.
+    where it is first asked for changes no rotation; the result carries it.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -308,7 +308,8 @@ def _search(
     return SearchResult(
         rotation=best[1],
         boundary_count=best[0],
-        certified=target is not None and best[0] == target,
+        optimum=target,
+        certified=best[0] == target,
         initial_count=initial,
         greedy_count=greedy_count,
         moves=best[2],
@@ -340,17 +341,16 @@ def minimize_boundaries(
     rotation.  Last, within ``rotation_cap``, the frontier DP decides the
     minimum (checked against a known target) and, when the best found
     misses it, gives the first rotation in enumeration order that attains
-    it; the result is certified.  When the target is unknown and the DP is
-    capped out too, the best rotation found is returned uncertified.
+    it; the result is certified.  With the DP capped out, the best rotation
+    found is returned uncertified, with the target as its ``optimum``.
     """
 
     def target() -> int | None:
         try:
-            if _tree_count(graph, tree_cap) is not None:
-                return 1 + betti_deficiency(graph, tree_cap)
-        except CapExceededError:
-            pass
-        return None
+            trees = _tree_count(graph, tree_cap)
+            return None if trees is None else 1 + betti_deficiency(graph, tree_cap)
+        except CapExceededError:  # the count only skips a search that would hit the cap
+            return None
 
     return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, rotation_cap)
 
@@ -381,24 +381,24 @@ def analyze(
     """The invariant report of one connected graph, smoothed first so that
     subdividing edges changes nothing.
 
-    zeta is one less than the minimum walk count :func:`minimize_boundaries`
-    certifies with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the same
-    caps: the report stands exactly where ``embed`` certifies, and
-    :class:`CapExceededError` is raised elsewhere.  ``tree_count`` is None
-    above ``tree_cap``.  zeta must share the parity of beta and be one less
-    than the profile's minimum, and ``ge_max_exact`` must keep within the
-    girth bound, or :class:`InternalInvariantError` is raised.
+    zeta is one less than the ``optimum`` :func:`minimize_boundaries` settles
+    with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the same caps,
+    reached by its search or not; where no rung settles it,
+    :class:`CapExceededError` is raised.  ``tree_count`` is None above
+    ``tree_cap``.  zeta must share beta's parity and be one less than the
+    profile's minimum, and ``ge_max_exact`` keep within the girth bound, or
+    :class:`InternalInvariantError` is raised.
     """
     smoothed_graph = smooth(graph)
     search = minimize_boundaries(
         smoothed_graph, restarts=DEFAULT_RESTARTS, tree_cap=tree_cap, rotation_cap=rotation_cap
     )
-    if not search.certified:
+    if search.optimum is None:
         raise CapExceededError(
             f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
         )
     b = betti(smoothed_graph)
-    z = search.boundary_count - 1
+    z = search.optimum - 1
     if (b - z) % 2:
         raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)

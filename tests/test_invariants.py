@@ -5,6 +5,7 @@ import pytest
 from ribbon_embed import (
     CapExceededError,
     GraphValidationError,
+    MetricGraph,
     analyze,
     betti,
     betti_deficiency,
@@ -16,6 +17,7 @@ from ribbon_embed import (
     ge_max_bound,
     ge_max_exact,
     max_genus,
+    minimize_boundaries,
     parse_graph,
     qr_split,
     smooth,
@@ -25,6 +27,7 @@ from ribbon_embed import (
     zeta_floor,
 )
 from ribbon_embed.cli import main
+from ribbon_embed.moves import DEFAULT_RESTARTS
 
 from conftest import K4
 from helpers import kirchhoff_tree_count, prism, random_multigraph
@@ -312,6 +315,31 @@ def test_analyze_hard_tree_cap(tmp_path, capsys):
     argv = ["analyze", str(path), "--max-trees", "2", "--max-rotations", "215"]
     assert main(argv) == 5
     assert capsys.readouterr().err.startswith("error: zeta not certified")
+
+
+def test_analyze_takes_the_tree_target_the_search_misses(tmp_path, capsys):
+    # the descent and every restart stall at 3 walks, above 1 + zeta = 1;
+    # with the DP capped out the search is uncertified, yet the tree search
+    # knows zeta, and analyze refused a graph the tree gate used to answer
+    g = MetricGraph(
+        (2, 0, 0, 2, 3, 3, 0, 1, 1, 1, 1, 2, 0, 2, 1, 3, 2, 3),
+        (1.0,) * 9,
+        tuple(f"e{i}" for i in range(9)),
+        tuple(f"v{i}" for i in range(4)),
+    )
+    assert (zeta_floor(g), kirchhoff_tree_count(g), count_rotations(g)) == (0, 18, 20736)
+    res = minimize_boundaries(g, restarts=DEFAULT_RESTARTS, rotation_cap=20735)
+    assert (res.boundary_count, res.optimum, res.certified) == (3, 1, False)
+    rep = analyze(g, rotation_cap=20735)
+    assert (rep.zeta, rep.tree_count, rep.ge_max_exact) == (0, 18, None)
+    assert rep.essential_genus == analyze(g).essential_genus
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    assert main(["analyze", str(path), "--json", "--max-rotations", "20735"]) == 0
+    assert '"zeta": 0' in capsys.readouterr().out
+    # with the tree rung capped out too, no rung settles zeta
+    with pytest.raises(CapExceededError, match="zeta not certified"):
+        analyze(g, tree_cap=17, rotation_cap=20735)
 
 
 def test_analyze_json_and_text(k4):
