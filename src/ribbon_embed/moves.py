@@ -22,15 +22,18 @@ the rotation cap, decides the optimum and finds a rotation at it last.
 Maximizing, the target is the profile's maximum within the rotation cap.
 :func:`analyze` takes zeta from the minimum a rung settles, or refuses.
 
-:func:`oracle` re-verifies the theory by brute force, tracing every rotation:
-the profile, every reducing move and every greedy descent come from one
-pass, and each move is recounted by a tracer of its own, which follows the
-inverse face permutation and shares no code with the scoring.
+:func:`oracle` re-verifies the theory by brute force, tracing every rotation
+once: the profile, every reducing move and every greedy descent come from
+one pass, each descent read off the rotation its first move reaches, and
+each move is recounted by a tracer of its own, which follows the inverse
+face permutation and shares no code with the scoring.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,7 +68,6 @@ from .rotation import (
     count_rotations,
     dart_label,
     default_rotation,
-    enumerate_rotations,
 )
 
 DEFAULT_RESTARTS = 8
@@ -111,24 +113,20 @@ def _relocation_delta(
     return 2 if d == b else 0
 
 
-def _relocate(
-    rotation: RotationSystem,
-    vertex: int,
-    delta: int,
-    face: Sequence[int],
-    succ: Sequence[int],
-) -> tuple[RotationSystem, MoveRecord] | None:
-    """The first relocation at ``vertex`` changing the walk count by
-    ``delta``, or None.
+def _relocated_cycle(
+    cycle: tuple[int, ...], delta: int, face: Sequence[int], succ: Sequence[int]
+) -> tuple[int, ...] | None:
+    """The vertex cycle, canonical, after the first relocation in ``cycle``
+    changing the walk count by ``delta``, or None.
 
-    ``face`` and ``succ`` are one trace of ``rotation``; each candidate is
-    scored from them by :func:`_relocation_delta`, with no trace of its own.
-    The scan runs over (source, slot) pairs, source position ascending,
-    then insertion slot ascending.  It skips the identity, and sources
-    whose x and n rule the sign out, but not cyclic duplicates: one has
-    the delta of the candidate it repeats, which was already turned down.
+    ``face`` and ``succ`` are one trace of a rotation holding ``cycle``;
+    each candidate is scored from them by :func:`_relocation_delta`, with
+    no trace of its own.  The scan runs over (source, slot) pairs, source
+    position ascending, then insertion slot ascending.  It skips the
+    identity, and sources whose x and n rule the sign out, but not cyclic
+    duplicates: one has the delta of the candidate it repeats, which was
+    already turned down.
     """
-    cycle = rotation.cycles[vertex]
     k = len(cycle)
     for i, x in enumerate(cycle):
         n = cycle[(i + 1) % k]
@@ -138,11 +136,29 @@ def _relocate(
             if b != x and b != n and _relocation_delta(face, succ, n, x, b) == delta:
                 rest = cycle[:i] + cycle[i + 1 :]
                 j = rest.index(b)
-                candidate = canonical_cycle(rest[:j] + (x,) + rest[j:])
-                cycles = list(rotation.cycles)
-                cycles[vertex] = candidate
-                return RotationSystem(tuple(cycles)), MoveRecord(vertex, cycle, candidate, delta)
+                return canonical_cycle(rest[:j] + (x,) + rest[j:])
     return None
+
+
+def _relocate(
+    rotation: RotationSystem,
+    vertex: int,
+    delta: int,
+    face: Sequence[int],
+    succ: Sequence[int],
+) -> tuple[RotationSystem, MoveRecord] | None:
+    """The first relocation at ``vertex`` changing the walk count by
+    ``delta``, as the moved rotation and its record, or None; the scan is
+    :func:`_relocated_cycle`'s over one trace (``face``, ``succ``) of
+    ``rotation``.
+    """
+    cycle = rotation.cycles[vertex]
+    moved = _relocated_cycle(cycle, delta, face, succ)
+    if moved is None:
+        return None
+    cycles = list(rotation.cycles)
+    cycles[vertex] = moved
+    return RotationSystem(tuple(cycles)), MoveRecord(vertex, cycle, moved, delta)
 
 
 def _no_reducing_move(graph: MetricGraph, vertex: int, walks: int) -> InternalInvariantError:
@@ -467,59 +483,73 @@ def oracle(
     """Re-verify the boundary-walk theory on the smoothed graph by brute force:
     (report lines, whether every check passed).
 
-    One pass over :func:`enumerate_rotations`, each rotation traced with
-    :func:`_faces`, gives the walk-count profile, checked against 1 + zeta
-    and Euler parity.  At each vertex meeting three or more walks the
-    reducing relocation must exist and drop the oracle's own walk count by
-    exactly 2: a table of its own (:func:`_link`, counted by
-    :func:`_orbits`), relinked only at vertices whose cycle changed from
-    the last rotation, is patched at the moved vertex, counted and restored.
-    The greedy descent from each rotation goes on from the move at its
-    first such vertex, as :func:`_climb` would; stalls above the minimum
-    are reported, not failed (loop-carrying graphs can stall with every
-    vertex meeting at most two walks).  Both caps are checked before the
-    pass and raise :class:`CapExceededError`.
+    One pass over the rotations in :func:`enumerate_rotations` order, each
+    traced once with :func:`_faces`, gives the walk-count profile, checked
+    against 1 + zeta and Euler parity.  At each vertex meeting three or more
+    walks the reducing relocation (:func:`_relocated_cycle`) must exist and
+    drop the oracle's own walk count by exactly 2: a table of its own
+    (:func:`_link`, counted by :func:`_orbits`), relinked only at vertices
+    whose cycle changed from the last rotation, is patched with the moved
+    cycle, counted and restored.  The move at the first such vertex is the
+    first step of :func:`_climb`, and reaches another rotation of the pass,
+    with two fewer walks; the greedy descent from each rotation ends where
+    the descent from that one ends.  So the pass keeps each rotation's walk
+    count and the index of the rotation its first move reaches, and the
+    ends are read off those pointers afterwards, fewest walks first, with
+    no descent traced again.  Stalls above the minimum are reported, not
+    failed (loop-carrying graphs can stall with every vertex meeting at
+    most two walks).  Both caps are checked before the tree search for
+    zeta, the tree count first, and raise :class:`CapExceededError`.
     """
     graph = smooth(graph)
     if _tree_count(graph, tree_cap) is None:
         raise CapExceededError(f"spanning tree count exceeds the cap of {tree_cap}")
+    orders = _vertex_orders(graph, rotation_cap)
     z = betti_deficiency(graph, tree_cap)
-    counts: Counter[int] = Counter()
-    descents: Counter[int] = Counter()  # where the descent from each rotation ends
+    position = [{order: i for i, order in enumerate(choices)} for choices in orders]
+    stride = []  # the index step of one order at each vertex; the last varies fastest
+    total = 1
+    for choices in reversed(orders):
+        stride.append(total)
+        total *= len(choices)
+    stride.reverse()
+    ends = array("i", [0]) * total  # each rotation's walk count, then its descent's end
+    firsts = array("q", [-1]) * total  # the index its first reducing move reaches, or -1
     move_cases = 0
     move_failures = []
     following = [0] * graph.dart_count  # the recount's table, patched per rotation
     linked: list[Sequence[int]] = [()] * graph.vertex_count  # the cycle linked at each vertex
-    for rotation in enumerate_rotations(graph, rotation_cap):
-        cycles = rotation.cycles
+    for index, cycles in enumerate(itertools.product(*orders)):
         face, base, succ = _faces(graph.dart_count, cycles)
-        counts[base] += 1
+        ends[index] = base
         for v, cycle in enumerate(cycles):
             if cycle is not linked[v]:
                 _link(following, cycle)
                 linked[v] = cycle
-        first = None
         for v, cycle in enumerate(cycles):
             walks = _incidence(cycle, face)
             if walks < 3:
                 continue
             move_cases += 1
-            step = _relocate(rotation, v, -2, face, succ)
-            if step is None:
+            moved = _relocated_cycle(cycle, -2, face, succ)
+            if moved is None:
                 raise _no_reducing_move(graph, v, walks)
-            _link(following, step[1].new_cycle)
+            _link(following, moved)
             got = _orbits(following)
             _link(following, cycle)
             if got != base - 2:
                 move_failures.append(
                     f"reduce_move at vertex {v} changed {base} -> {got}, not -2"
                 )
-            if first is None:
-                first = step[0]
-        descents[base if first is None else _climb(graph, first, -2)[1]] += 1
+            if firsts[index] < 0:
+                firsts[index] = index + (position[v][moved] - position[v][cycle]) * stride[v]
+
+    counts = Counter(ends)
+    for index in sorted(range(total), key=ends.__getitem__):  # fewest walks first
+        if firsts[index] >= 0:  # two fewer walks there, so its end is settled
+            ends[index] = ends[firsts[index]]
 
     profile = dict(sorted(counts.items()))
-    total = sum(counts.values())
     lo, hi = min(profile), max(profile)
     chi = euler_char(graph)
     bad_parity = [b for b in profile if (b - chi) % 2]
@@ -529,7 +559,7 @@ def oracle(
     if bad_parity:
         failures.append(f"walk counts with wrong parity: {bad_parity}")
     failures += move_failures
-    stalls = total - descents[lo]
+    stalls = total - ends.count(lo)
     lines = [
         f"rotations enumerated: {total}",
         f"boundary profile: {profile}",

@@ -14,8 +14,8 @@ giving rotation systems a canonical equality.
 
 One tracer, :func:`_trace`, follows the orbits of the successor table.
 Only the oracle (:func:`ribbon_embed.moves.oracle`) and the tests walk
-through :func:`enumerate_rotations`, tracing each rotation from scratch;
-no search does.
+through every rotation in :func:`enumerate_rotations` order, tracing each
+one from scratch; no search does.
 
 :func:`boundary_profile` needs only how many rotations give each walk
 count, and takes it from a frontier DP that places one vertex at a time

@@ -68,7 +68,8 @@ def single_dart_relocations(cycle: tuple[int, ...]):
 
     Scan order is deterministic: source position ascending, then insertion
     slot ascending; cyclic duplicates and the identity are skipped.  This
-    is the order ``moves._relocate`` scans in.
+    is the order ``moves._relocated_cycle`` scans in, for ``_relocate``
+    and the oracle alike.
     """
     seen = {canonical_cycle(cycle)}
     for i in range(len(cycle)):

@@ -325,6 +325,18 @@ def test_oracle_cap(graph_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_oracle_checks_the_rotation_cap_before_the_tree_search(graph_file, capsys, monkeypatch):
+    # the refusal comes from the rotation count alone, with no tree visited
+    def no_tree_search(*args):
+        raise AssertionError("the tree search ran")
+
+    monkeypatch.setattr(moves, "betti_deficiency", no_tree_search)
+    assert main(["oracle", graph_file(K5), "--max-rotations", "100"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "7776 rotation systems exceed the cap of 100" in captured.err
+
+
 def test_oracle_tree_cap_aborts_on_the_kirchhoff_count(graph_file, capsys):
     path = graph_file(K5)  # 125 spanning trees
     assert main(["oracle", path, "--max-trees", "124"]) == 5

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -51,6 +52,13 @@ STALLING = MetricGraph(
     (1.0,) * 6,
     ("e0", "e1", "e2", "e3", "e4", "e5"),
     ("v0", "v1", "v2"),
+)
+
+# outer 5-cycle, spokes, inner pentagram: 24 of its 1024 rotations stall
+PETERSEN = parse_graph(
+    "".join(f"edge o{i} a{i} a{(i + 1) % 5} 1.0\n" for i in range(5))
+    + "".join(f"edge s{i} a{i} b{i} 1.0\n" for i in range(5))
+    + "".join(f"edge p{i} b{i} b{(i + 2) % 5} 1.0\n" for i in range(5))
 )
 
 
@@ -366,7 +374,7 @@ def test_no_search_enumerates_rotations(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("rotations enumerated")
 
-    monkeypatch.setattr(moves, "enumerate_rotations", no_enumeration)
+    monkeypatch.setattr(itertools, "product", no_enumeration)  # the oracle's pass, too
     monkeypatch.setattr(rotation, "enumerate_rotations", no_enumeration)
     for search, g, tree_cap, cycles in cases:
         caps = {} if tree_cap is None else {"tree_cap": tree_cap}
@@ -480,32 +488,69 @@ def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4,
 
 def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
     # after every move case of K5's pass, the table the recount reads equals
-    # one built from scratch for the moved rotation
-    relocate, orbits = moves._relocate, moves._orbits
+    # one built from scratch for the moved rotation: the rotation read back
+    # from the successor table the scorer gets, then the moved cycle
+    relocated_cycle, orbits = moves._relocated_cycle, moves._orbits
     moved = []
     checked = []
 
-    def relocate_spy(rotation, vertex, delta, face, succ):
-        step = relocate(rotation, vertex, delta, face, succ)
-        if step is not None:
-            moved.append(step[0])
-        return step
+    def relocated_cycle_spy(cycle, delta, face, succ):
+        new_cycle = relocated_cycle(cycle, delta, face, succ)
+        if new_cycle is not None:
+            rebuilt = [None] * k5.dart_count
+            for d, s in enumerate(succ):  # succ[d] = mate(prev(d))
+                rebuilt[s ^ 1] = d
+            _link(rebuilt, new_cycle)
+            moved.append(rebuilt)
+        return new_cycle
 
     def orbits_spy(following):
-        rebuilt = [None] * k5.dart_count
-        for cycle in moved[-1].cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                rebuilt[a] = b
-        assert following == rebuilt
+        assert following == moved[-1]
         checked.append(moved[-1])
         return orbits(following)
 
-    monkeypatch.setattr(moves, "_relocate", relocate_spy)
+    monkeypatch.setattr(moves, "_relocated_cycle", relocated_cycle_spy)
     monkeypatch.setattr(moves, "_orbits", orbits_spy)
     lines, passed = oracle(k5)
     assert passed
     assert f"ok ({len(checked)} reducing moves, every delta -2)" in lines[6]
     assert len(checked) > 1000
+
+
+def _climbed_descent_report(g):
+    """The oracle's descent line, rebuilt by climbing from every rotation."""
+    counts, ends = Counter(), Counter()
+    for rot in enumerate_rotations(g, 10**6):
+        counts[boundary_count(g, rot)] += 1
+        ends[_climb(g, rot, -2)[1]] += 1
+    total, lo = sum(counts.values()), min(counts)
+    stalls = total - ends[lo]
+    if stalls:
+        return (
+            f"descent report: stalled above the minimum from {stalls} of {total} "
+            "starts (enumeration fallback covers these)"
+        )
+    return f"descent report: greedy reaches {lo} from all {total} starts"
+
+
+def test_oracle_descent_report_matches_climb(theta, bouquet2, k4, k5, dumbbell, monkeypatch):
+    # the oracle reads each descent's end off the pointers of its one pass;
+    # climbing from every rotation must report the same, and the oracle
+    # never climbs itself
+    graphs = [theta, bouquet2, k4, k5, dumbbell, STALLING, PETERSEN]
+    graphs += [g for g in map(random_multigraph, range(60)) if count_rotations(g) <= 2 * 10**4]
+    reports = [_climbed_descent_report(smooth(g)) for g in graphs]
+
+    def no_climb(*args):
+        raise AssertionError("the oracle climbed")
+
+    monkeypatch.setattr(moves, "_climb", no_climb)
+    for g, report in zip(graphs, reports):
+        lines, passed = oracle(g)
+        assert passed
+        assert lines[7] == report
+    assert reports[5].startswith("descent report: stalled")
+    assert "from 24 of 1024 starts" in reports[6]
 
 
 def test_oracle_walk_count_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):
