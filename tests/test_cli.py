@@ -583,16 +583,26 @@ def _k4_schema(graph_file, tmp_path):
     return out_path, out_path.read_text()
 
 
+# The sha256 of every (exit code, stdout, stderr) of the corpus, in order: a
+# change to the reader or the verifier that moves any verdict or message
+# moves it.
+MUTATION_CORPUS_DIGEST = "2a3a8ffec57dad0ae35162d566db2b81b2ae94578e19d01954f32e08cb2f8eb3"
+
+
 def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
     # every mutated document gets a verdict (0 ok, 1 failed check, 2 bad
     # input) and no exception escapes main
     out_path, text = _k4_schema(graph_file, tmp_path)
+    capsys.readouterr()
     exits = Counter()
+    digest = hashlib.sha256()
     for doc in _single_leaf_mutations(text):
         out_path.write_text(json.dumps(doc))
-        exits[main(["verify", str(out_path)])] += 1
-        capsys.readouterr()
+        code = main(["verify", str(out_path)])
+        exits[code] += 1
+        digest.update(repr((code, *capsys.readouterr())).encode())
     assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
+    assert digest.hexdigest() == MUTATION_CORPUS_DIGEST
 
 
 def test_verify_schema_is_total_on_documents_the_reader_accepts(graph_file, tmp_path):
