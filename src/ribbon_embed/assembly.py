@@ -65,7 +65,7 @@ SURFACE = "surface"
 CONSTRUCTION = "construction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Boundary:
     """One boundary circle of a block: numeric length or ``sym:<label>``."""
 
@@ -73,7 +73,7 @@ class Boundary:
     length: float | str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     id: str
     kind: str
@@ -87,7 +87,7 @@ class Block:
         return 2 - 2 * self.genus - len(self.boundaries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gluing:
     """An isometric identification of two block boundaries, zero twist."""
 
@@ -145,41 +145,37 @@ def _require_embeddable(graph: MetricGraph) -> None:
 def _construction_blocks(
     graph: MetricGraph, rotation: RotationSystem, scale: ScaleParams, layer: str
 ) -> tuple[list[Block], list[Gluing]]:
-    blocks: list[Block] = []
+    darts, spheres = _labels(graph)
+    foot, waist, t, vertex_of = scale.foot, scale.waist, scale.t, graph.vertex_of
+    blocks = [
+        Block(
+            spheres[v], "vertex_sphere", 0, layer,
+            tuple([Boundary(darts[d], 1.0) for d in cycle]),
+            {"vertex": name, "foot": foot[v]},
+        )
+        for v, (name, cycle) in enumerate(zip(graph.vertex_names, rotation.cycles))
+    ]
     gluings: list[Gluing] = []
-    for v in range(graph.vertex_count):
+    end0, end1 = Boundary("end0", 1.0), Boundary("end1", 1.0)  # frozen, so shared
+    for e, (name, length) in enumerate(zip(graph.edge_names, graph.lengths)):
+        pants = f"pants:{name}"
         blocks.append(
             Block(
-                id=f"sphere:{graph.vertex_names[v]}",
-                kind="vertex_sphere",
-                genus=0,
-                layer=layer,
-                boundaries=tuple(
-                    Boundary(f"dart:{d}", 1.0) for d in rotation.cycles[v]
-                ),
-                payload={"vertex": graph.vertex_names[v], "foot": scale.foot[v]},
+                pants, "edge_pants", 0, layer,
+                (end0, end1, Boundary("waist", 2.0 * waist[e])),
+                {"edge": name, "scaled_length": t * length},
             )
         )
-    for e in range(graph.edge_count):
-        name = graph.edge_names[e]
-        u, v = graph.endpoints(e)
-        blocks.append(
-            Block(
-                id=f"pants:{name}",
-                kind="edge_pants",
-                genus=0,
-                layer=layer,
-                boundaries=(
-                    Boundary("end0", 1.0),
-                    Boundary("end1", 1.0),
-                    Boundary("waist", 2.0 * scale.waist[e]),
-                ),
-                payload={"edge": name, "scaled_length": scale.t * graph.lengths[e]},
-            )
-        )
-        gluings.append(Gluing((f"pants:{name}", "end0"), (f"sphere:{graph.vertex_names[u]}", f"dart:{2 * e}")))
-        gluings.append(Gluing((f"pants:{name}", "end1"), (f"sphere:{graph.vertex_names[v]}", f"dart:{2 * e + 1}")))
+        gluings.append(Gluing((pants, "end0"), (spheres[vertex_of[2 * e]], darts[2 * e])))
+        gluings.append(Gluing((pants, "end1"), (spheres[vertex_of[2 * e + 1]], darts[2 * e + 1])))
     return blocks, gluings
+
+
+def _labels(graph: MetricGraph) -> tuple[list[str], list[str]]:
+    """The cuff label of every dart and the block id of every vertex sphere."""
+    return [f"dart:{d}" for d in range(graph.dart_count)], [
+        f"sphere:{name}" for name in graph.vertex_names
+    ]
 
 
 def naive_embedding(
@@ -363,21 +359,13 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
 
 # ---------------------------------------------------------------------------
 # verification
-
-def _off(got: float, want: float) -> bool:
-    """Whether a length misses its expected value by more than the tolerance.
-
-    Relative, because a schema stores 12 significant digits: near 274 a
-    stored cuff length and twice its stored half-length are each rounded
-    to the ninth decimal, and together they can miss by more than 1e-9.
-    """
-    return not abs(got - want) <= LENGTH_TOLERANCE * max(1.0, abs(want))  # NaN misses
-
-
-def _misses(stored, want: float) -> bool:
-    """Whether a stored number is absent, not a float, or off ``want``."""
-    return not isinstance(stored, float) or _off(stored, want)
-
+#
+# A number x misses its expected value w unless x is a float and
+# |x - w| <= LENGTH_TOLERANCE * max(1, |w|), which the checks below test
+# inline (NaN misses).  Relative, because a schema stores 12 significant
+# digits: near 274 a stored cuff length and twice its stored half-length are
+# each rounded to the ninth decimal, and together they can miss by more
+# than 1e-9.
 
 def _named(g: Gluing) -> str:
     """A gluing as its messages name it."""
@@ -394,60 +382,64 @@ def _gluing_index(
     """
     lengths: dict[tuple[str, str], float | str] = {}
     for block in schema.blocks:
+        bid = block.id
         for bd in block.boundaries:
-            key = (block.id, bd.label)
+            key = (bid, bd.label)
             if key in lengths:
-                errors.append(
-                    f"block {_clip(block.id)}: duplicate boundary label {_clip(bd.label)}"
-                )
+                errors.append(f"block {_clip(bid)}: duplicate boundary label {_clip(bd.label)}")
             lengths[key] = bd.length
     partner: dict[tuple[str, str], tuple[str, str]] = {}
     for g in schema.gluings:
-        for side, other in ((g.side_a, g.side_b), (g.side_b, g.side_a)):
-            if side not in lengths:
-                errors.append(f"gluing references missing boundary {_quote(side)}")
-            elif side in partner:
-                errors.append(f"boundary {_quote(side)} appears in more than one gluing")
-            else:
-                partner[side] = other
+        a, b = g.side_a, g.side_b
+        if a in partner or b in partner or a not in lengths or b not in lengths or a == b:
+            for side, other in ((a, b), (b, a)):
+                if side not in lengths:
+                    errors.append(f"gluing references missing boundary {_quote(side)}")
+                elif side in partner:
+                    errors.append(f"boundary {_quote(side)} appears in more than one gluing")
+                else:
+                    partner[side] = other
+        else:
+            partner[a], partner[b] = b, a
         if g.twist != 0.0:
             errors.append(f"{_named(g)}: nonzero twist {g.twist}")
-        la, lb = lengths.get(g.side_a), lengths.get(g.side_b)
-        if la is None or lb is None:
+        x, w = lengths.get(a), lengths.get(b)
+        if x is None or w is None:
             continue
-        if isinstance(la, str) or isinstance(lb, str):
-            if la != lb:
-                errors.append(f"{_named(g)}: symbolic lengths {_quote(la)} vs {_quote(lb)}")
-        elif _off(la, lb):
-            errors.append(f"{_named(g)}: lengths {la:.12g} vs {lb:.12g}")
+        if isinstance(x, str) or isinstance(w, str):
+            if x != w:
+                errors.append(f"{_named(g)}: symbolic lengths {_quote(x)} vs {_quote(w)}")
+        elif x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):  # 0 matches
+            errors.append(f"{_named(g)}: lengths {x:.12g} vs {w:.12g}")
     return partner
 
 
-def _check_sphere(schema: SurfaceSchema, block: Block, errors: list[str]) -> int | None:
-    """A known vertex, its foot, genus 0 and unit cuffs in rotation order;
-    the vertex id."""
-    graph = schema.graph
-    v = graph.vertex_ids.get(block.payload.get("vertex"))
+def _check_sphere(
+    schema: SurfaceSchema, block: Block, darts: list[str], errors: list[str]
+) -> int | None:
+    """A known vertex, its foot, genus 0 and unit cuffs in rotation order,
+    ``darts`` naming the cuff of each dart; the vertex id."""
+    payload = block.payload
+    v = schema.graph.vertex_ids.get(payload.get("vertex"))
     if v is None:
-        vertex = _quote(block.payload.get("vertex"))
-        errors.append(f"block {_clip(block.id)}: unknown vertex {vertex}")
+        errors.append(f"block {_clip(block.id)}: unknown vertex {_quote(payload.get('vertex'))}")
         return None
-    foot = schema.scale.foot[v]
-    if _misses(block.payload.get("foot"), foot):
-        errors.append(
-            f"block {_clip(block.id)}: foot {_quote(block.payload.get('foot'))}, "
-            f"expected {foot:.12g}"
-        )
+    x, w = payload.get("foot"), schema.scale.foot[v]
+    if not isinstance(x, float) or not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+        errors.append(f"block {_clip(block.id)}: foot {_quote(x)}, expected {w:.12g}")
     if block.genus != 0:
         errors.append(f"block {_clip(block.id)}: vertex sphere must have genus 0")
+    got = []
     for bd in block.boundaries:
-        if _misses(bd.length, 1.0):
+        x = bd.length
+        if not isinstance(x, float) or not abs(x - 1.0) <= LENGTH_TOLERANCE:
             errors.append(f"block {_clip(block.id)}: cuff {_clip(bd.label)} is not unit length")
-    want = tuple(f"dart:{d}" for d in schema.rotation.cycles[v])
-    got = tuple(bd.label for bd in block.boundaries)
+        got.append(bd.label)
+    want = [darts[d] for d in schema.rotation.cycles[v]]
     if got != want:
         errors.append(
-            f"block {_clip(block.id)}: cuff order {_quote(got)} differs from rotation order {want}"
+            f"block {_clip(block.id)}: cuff order {_quote(tuple(got))} "
+            f"differs from rotation order {tuple(want)}"
         )
     return v
 
@@ -456,43 +448,47 @@ def _check_pants(
     schema: SurfaceSchema,
     block: Block,
     partner: dict[tuple[str, str], tuple[str, str]],
+    labels: tuple[list[str], list[str]],
     errors: list[str],
 ) -> int | None:
     """A known edge, its scaled length, cuffs of length 1, 1 and twice the
-    waist, and both ends glued to the edge's darts on their vertex spheres;
-    the edge id."""
+    waist, and both ends glued to the edge's darts on their vertex spheres,
+    with ``labels`` from :func:`_labels`; the edge id."""
     graph = schema.graph
     name = block.payload.get("edge")
     e = graph.edge_ids.get(name)
     if e is None:
         errors.append(f"block {_clip(block.id)}: unknown edge {_quote(name)}")
         return None
-    scaled = schema.scale.t * graph.lengths[e]
-    if _misses(block.payload.get("scaled_length"), scaled):
+    x, w = block.payload.get("scaled_length"), schema.scale.t * graph.lengths[e]
+    if not isinstance(x, float) or not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
         errors.append(
-            f"block {_clip(block.id)}: "
-            f"scaled length {_quote(block.payload.get('scaled_length'))}, "
-            f"expected t * length = {scaled:.12g}"
+            f"block {_clip(block.id)}: scaled length {_quote(x)}, expected t * length = {w:.12g}"
         )
     if block.genus != 0 or len(block.boundaries) != 3:
         errors.append(f"block {_clip(block.id)}: edge pants must be a genus-0 3-holed sphere")
         return e
-    expected = {"end0": 1.0, "end1": 1.0, "waist": 2.0 * schema.scale.waist[e]}
+    waist = 2.0 * schema.scale.waist[e]
     for bd in block.boundaries:
-        want = expected.get(bd.label)
-        if want is None:
-            errors.append(f"block {_clip(block.id)}: unexpected cuff {_clip(bd.label)}")
-        elif _misses(bd.length, want):
+        label, x = bd.label, bd.length
+        w = 1.0 if label == "end0" or label == "end1" else waist if label == "waist" else None
+        if w is None:
+            errors.append(f"block {_clip(block.id)}: unexpected cuff {_clip(label)}")
+            continue
+        if not isinstance(x, float) or (
+            x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
+        ):
             errors.append(
-                f"block {_clip(block.id)}: cuff {_clip(bd.label)} has length {_quote(bd.length)}, "
-                f"expected {want:.12g}"
+                f"block {_clip(block.id)}: cuff {_clip(label)} has length {_quote(x)}, "
+                f"expected {w:.12g}"
             )
+    darts, spheres = labels
     for end_label, dart in (("end0", 2 * e), ("end1", 2 * e + 1)):
-        vertex = graph.vertex_names[graph.vertex_of[dart]]
-        if partner.get((block.id, end_label)) != (f"sphere:{vertex}", f"dart:{dart}"):
+        u = graph.vertex_of[dart]
+        if partner.get((block.id, end_label)) != (spheres[u], darts[dart]):
             errors.append(
                 f"edge {_clip(name)}: cuff {end_label} is not glued to dart {dart} "
-                f"of vertex {_clip(vertex)}"
+                f"of vertex {_clip(graph.vertex_names[u])}"
             )
     return e
 
@@ -559,22 +555,22 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
     except ValueError as exc:  # a graph or margin that admits no scale
         errors.append(f"margin {scale.margin!r} gives no scale: {exc}")
         return
-    if _off(scale.t, derived.t):
-        errors.append(f"t {scale.t!r}, but margin {scale.margin!r} gives {derived.t:.12g}")
-    for v, foot in derived.foot.items():
-        if _off(scale.foot[v], foot):
+    x, w = scale.t, derived.t
+    if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+        errors.append(f"t {x!r}, but margin {scale.margin!r} gives {w:.12g}")
+    for v, w in derived.foot.items():
+        x = scale.foot[v]
+        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+            errors.append(f"vertex {_clip(graph.vertex_names[v])}: foot {x!r}, expected {w:.12g}")
+    for e, length in enumerate(graph.lengths):
+        x, w = scale.clearance[e], derived.clearance[e]
+        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
             errors.append(
-                f"vertex {_clip(graph.vertex_names[v])}: foot {scale.foot[v]!r}, "
-                f"expected {foot:.12g}"
+                f"edge {_clip(graph.edge_names[e])}: clearance {x!r}, "
+                f"expected the two feet {w:.12g}"
             )
-    for e in range(graph.edge_count):
-        if _off(scale.clearance[e], derived.clearance[e]):
-            errors.append(
-                f"edge {_clip(graph.edge_names[e])}: clearance {scale.clearance[e]!r}, "
-                f"expected the two feet {derived.clearance[e]:.12g}"
-            )
-        gap = derived.t * graph.lengths[e] - derived.clearance[e]
-        if _off(waist_distance(scale.waist[e]), gap):
+        x, w = waist_distance(scale.waist[e]), derived.t * length - w
+        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
             errors.append(
                 f"edge {_clip(graph.edge_names[e])}: waist does not invert the cuff distance"
             )
@@ -605,28 +601,31 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     if len({b.id for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
     partner = _gluing_index(schema, errors)
-    spheres: Counter[int | None] = Counter()  # blocks per vertex and per edge;
-    pants: Counter[int | None] = Counter()  # an unknown one counts under None
+    labels = _labels(graph)
+    sphere_of: list[int | None] = []  # the vertex of each sphere and the edge of
+    pants_of: list[int | None] = []  # each pants, None for an unknown one
     spines = surface_chi = free = 0
     heavy: list[Block] = []
     for block in schema.blocks:
+        kind = block.kind
         if block.layer == SURFACE:
             surface_chi += block.euler
             free += sum((block.id, bd.label) not in partner for bd in block.boundaries)
-        if block.kind == "vertex_sphere":
-            spheres[_check_sphere(schema, block, errors)] += 1
-        elif block.kind == "edge_pants":
-            pants[_check_pants(schema, block, partner, errors)] += 1
-        elif block.kind == "spine_surface":
+        if kind == "vertex_sphere":
+            sphere_of.append(_check_sphere(schema, block, labels[0], errors))
+        elif kind == "edge_pants":
+            pants_of.append(_check_pants(schema, block, partner, labels, errors))
+        elif kind == "spine_surface":
             spines += 1
             _check_spine(schema, block, errors)
-        elif block.kind in ("cap_pants", "cap_torus", "cap_surface"):
+        elif kind in ("cap_pants", "cap_torus", "cap_surface"):
             _check_cap(block, partner, errors)
             if block.euler != -1:
                 heavy.append(block)
         else:
-            errors.append(f"block {_clip(block.id)}: unknown kind {_clip(str(block.kind))}")
+            errors.append(f"block {_clip(block.id)}: unknown kind {_clip(str(kind))}")
 
+    spheres, pants = Counter(sphere_of), Counter(pants_of)
     if spheres or pants:
         for v, name in enumerate(graph.vertex_names):
             if spheres[v] != 1:
@@ -694,14 +693,15 @@ def _number(x: float) -> str:
 
 
 def _stored(x: float) -> str:
-    """A float as the schema stores it: rounded to 12 significant digits,
-    as :func:`_round12` rounds (inlined: every block and gluing has one)."""
-    return _number(float(f"{x:.12g}"))
-
-
-def _length(length: float | str) -> str:
-    """A boundary length: a symbolic one as a string, a number as stored."""
-    return _string(length) if isinstance(length, str) else _stored(length)
+    """A float as the schema stores it, ``_number(_round12(x))``, formatted
+    once.  A ``.12g`` text in positional notation is already the repr of
+    the float it rounds to, but for a point: it has at most 12 significant
+    digits, and no other decimal of at most 15 rounds to the same float.
+    Only exponent, ``nan`` and ``inf`` texts are parsed back."""
+    text = f"{x:.12g}"
+    if "e" in text or "n" in text:
+        return _number(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _scalar(value) -> str:
@@ -722,75 +722,42 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _join(items: list[str], pad: str, brackets: str) -> str:
-    """An indent-2 container of rendered ``items``, each of which carries
-    its own indentation, closed at ``pad``; ``brackets`` when empty."""
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+def _join(items, pad: str, brackets: str) -> str:
+    """An indent-2 container of rendered ``items``, each on its own line
+    indented by ``pad`` and two spaces, closed at ``pad``; ``brackets``
+    when there are none (a rendered item is never empty)."""
+    inner = pad + "  "
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
 def _value(value, pad: str) -> str:
     """Any JSON value as ``json.dumps(indent=2)`` writes it on a line
-    indented by ``pad``; dict keys are converted as ``json.dumps`` does."""
+    indented by ``pad``; dict keys are converted as ``json.dumps`` does.
+    No value is an instance of two of dict, list or tuple, str and float,
+    so a payload's dict is tested first; its items of the exact types
+    ``json.loads`` yields are written without a call each, and a list of
+    ints (a spine walk) or of strings in one join."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = []
+        for k, v in value.items():
+            kind = type(v)
+            text = _string(v) if kind is str else _number(v) if kind is float else _value(v, inner)
+            items.append(f"{_string(k if isinstance(k, str) else _scalar(k))}: {text}")
+        return _join(items, pad, "{}")
+    if isinstance(value, (list, tuple)):
+        kinds = {*map(type, value)}
+        if kinds == {int}:
+            return _join(map(int.__repr__, value), pad, "[]")
+        if kinds == {str}:
+            return _join(map(_string, value), pad, "[]")
+        return _join([_value(v, inner) for v in value], pad, "[]")
     if isinstance(value, str):
         return _string(value)
     if isinstance(value, float):
         return _number(value)
-    if isinstance(value, (list, tuple)):
-        inner = pad + "  "
-        return _join([inner + _value(v, inner) for v in value], pad, "[]")
-    if isinstance(value, dict):
-        inner = pad + "  "
-        return _join(
-            [
-                f"{inner}{_string(k if isinstance(k, str) else _scalar(k))}: {_value(v, inner)}"
-                for k, v in value.items()
-            ],
-            pad,
-            "{}",
-        )
     return _scalar(value)
-
-
-def _floats(named: dict[str, float]) -> str:
-    """A ``meta`` object of stored floats by name."""
-    return _join([f"      {_string(k)}: {_stored(x)}" for k, x in named.items()], "    ", "{}")
-
-
-def _block(b: Block) -> str:
-    boundaries = _join(
-        [
-            "        {\n"
-            f'          "label": {_string(bd.label)},\n'
-            f'          "length": {_length(bd.length)}\n'
-            "        }"
-            for bd in b.boundaries
-        ],
-        "      ",
-        "[]",
-    )
-    return (
-        "    {\n"
-        f'      "id": {_string(b.id)},\n'
-        f'      "kind": {_string(b.kind)},\n'
-        f'      "genus": {_scalar(b.genus)},\n'
-        f'      "layer": {_string(b.layer)},\n'
-        f'      "boundaries": {boundaries},\n'
-        f'      "payload": {_value(b.payload, "      ")}\n'
-        "    }"
-    )
-
-
-def _gluing(g: Gluing) -> str:
-    (a0, a1), (b0, b1) = g.side_a, g.side_b
-    return (
-        "    {\n"
-        f'      "a": [\n        {_string(a0)},\n        {_string(a1)}\n      ],\n'
-        f'      "b": [\n        {_string(b0)},\n        {_string(b1)}\n      ],\n'
-        f'      "twist": {_stored(g.twist)}\n'
-        "    }"
-    )
 
 
 def schema_to_json(schema: SurfaceSchema) -> str:
@@ -801,38 +768,62 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     records, the scale's numbers by vertex or edge name and the rotation's
     lines), ``blocks``, ``gluings`` and ``summary``, each in field order;
     stored floats carry 12 significant digits, payloads are written as
-    they are.  The text is written from the schema directly, each block
-    and gluing from a template of its fixed shape, with strings escaped to
-    ASCII by the C encoder ``json.dumps`` itself uses; only payloads take
-    the general recursive case.  A field of another type than its
-    annotation (a label that is no string, a side that is no pair) raises
-    rather than write a different text.
+    they are.  The text is written from the schema directly, one loop over
+    the blocks and one over the gluings filling the template of each fixed
+    shape, with strings escaped to ASCII by the C encoder ``json.dumps``
+    itself uses; only payloads take the general recursive case.  A field
+    of another type than its annotation (a label that is no string, a side
+    that is no pair) raises rather than write a different text.
     """
     graph, scale, summary = schema.graph, schema.scale, schema.summary
-    vertex_names, edge_names = graph.vertex_names, graph.edge_names
+    vertex_names, edge_names, vertex_of = graph.vertex_names, graph.edge_names, graph.vertex_of
     edges = _join(
         [
-            "        [\n"
-            f"          {_string(name)},\n"
-            f"          {_string(vertex_names[graph.vertex_of[2 * e]])},\n"
-            f"          {_string(vertex_names[graph.vertex_of[2 * e + 1]])},\n"
-            f"          {_stored(graph.lengths[e])}\n"
-            "        ]"
-            for e, name in enumerate(edge_names)
+            f"[\n          {_string(name)},\n"
+            f"          {_string(vertex_names[vertex_of[2 * e]])},\n"
+            f"          {_string(vertex_names[vertex_of[2 * e + 1]])},\n"
+            f"          {_stored(length)}\n        ]"
+            for e, (name, length) in enumerate(zip(edge_names, graph.lengths))
         ],
         "      ",
         "[]",
     )
-    rotation = _join(
-        [f"      {_string(line)}" for line in rotation_to_lines(graph, schema.rotation)],
-        "    ",
-        "[]",
-    )
+    rotation = _join(map(_string, rotation_to_lines(graph, schema.rotation)), "    ", "[]")
     # dicts, as in the document: a repeated name keeps its first place and last value
-    foot = {vertex_names[v]: x for v, x in sorted(scale.foot.items())}
-    clearance = {edge_names[e]: x for e, x in sorted(scale.clearance.items())}
-    waist = {edge_names[e]: x for e, x in sorted(scale.waist.items())}
-    parts = [
+    floats = [
+        _join([f"{_string(k)}: {_stored(x)}" for k, x in named.items()], "    ", "{}")
+        for named in (
+            {vertex_names[v]: x for v, x in sorted(scale.foot.items())},
+            {edge_names[e]: x for e, x in sorted(scale.clearance.items())},
+            {edge_names[e]: x for e, x in sorted(scale.waist.items())},
+        )
+    ]
+    blocks = []
+    for b in schema.blocks:
+        cuffs = ",\n".join(
+            [
+                f'        {{\n          "label": {_string(bd.label)},\n          "length": '
+                f"{_string(bd.length) if isinstance(bd.length, str) else _stored(bd.length)}"
+                "\n        }"
+                for bd in b.boundaries
+            ]
+        )
+        cuffs = f"[\n{cuffs}\n      ]" if cuffs else "[]"
+        blocks.append(
+            f'{{\n      "id": {_string(b.id)},\n      "kind": {_string(b.kind)},\n'
+            f'      "genus": {_scalar(b.genus)},\n      "layer": {_string(b.layer)},\n'
+            f'      "boundaries": {cuffs},\n'
+            f'      "payload": {_value(b.payload, "      ")}\n    }}'
+        )
+    gluings = []
+    for g in schema.gluings:
+        (a0, a1), (b0, b1) = g.side_a, g.side_b
+        gluings.append(
+            f'{{\n      "a": [\n        {_string(a0)},\n        {_string(a1)}\n      ],\n'
+            f'      "b": [\n        {_string(b0)},\n        {_string(b1)}\n      ],\n'
+            f'      "twist": {_stored(g.twist)}\n    }}'
+        )
+    return (
         "{\n"
         f'  "schema_version": {_scalar(SCHEMA_VERSION)},\n'
         '  "meta": {\n'
@@ -843,24 +834,21 @@ def schema_to_json(schema: SurfaceSchema) -> str:
         f'    "t": {_stored(scale.t)},\n'
         f'    "margin": {_stored(scale.margin)},\n'
         f'    "f_min": {_stored(F_MIN)},\n'
-        f'    "foot": {_floats(foot)},\n'
-        f'    "clearance": {_floats(clearance)},\n'
-        f'    "waist": {_floats(waist)},\n'
+        f'    "foot": {floats[0]},\n'
+        f'    "clearance": {floats[1]},\n'
+        f'    "waist": {floats[2]},\n'
         f'    "rotation": {rotation}\n'
         "  },\n"
-        '  "blocks": ',
-        _join([_block(b) for b in schema.blocks], "  ", "[]"),
-        ',\n  "gluings": ',
-        _join([_gluing(g) for g in schema.gluings], "  ", "[]"),
-        ',\n  "summary": {\n'
+        f'  "blocks": {_join(blocks, "  ", "[]")},\n'
+        f'  "gluings": {_join(gluings, "  ", "[]")},\n'
+        '  "summary": {\n'
         f'    "genus": {_scalar(summary.genus)},\n'
         f'    "boundary_count": {_scalar(summary.boundary_count)},\n'
         f'    "minimal": {_scalar(summary.minimal)},\n'
         f'    "construction": {_scalar(summary.construction)}\n'
         "  }\n"
-        "}\n",
-    ]
-    return "".join(parts)
+        "}\n"
+    )
 
 
 def _finite(value):
@@ -923,24 +911,16 @@ def _is_dart_lists(value) -> bool:
     )
 
 
-def _payload(block: dict) -> dict:
-    payload = block.get("payload", {})
-    if not isinstance(payload, dict):
-        raise SchemaFormatError(f"block {_quote(block['id'])}: payload is not an object")
-    for key in ("vertex", "edge"):
-        if key in payload:
-            _name(payload[key], f"payload {key}")
-    walks = payload.get("walks")
-    if block["kind"] == "spine_surface" and walks is not None and not _is_dart_lists(walks):
-        raise SchemaFormatError(
-            f"block {_quote(block['id'])}: payload walks are not lists of darts"
-        )
-    return payload
-
-
 def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict[int, float]:
-    """One number per name of ``ids``, from the ``key`` object of ``meta``."""
-    values = {ids[k]: number(float(v)) for k, v in meta[key].items()}
+    """One number per name of ``ids``, from the ``key`` object of ``meta``,
+    which ``number`` (:func:`_finite` or :func:`_positive`) admits."""
+    low = 0.0 if number is _positive else -math.inf
+    values = {}
+    for name, value in meta[key].items():
+        i, x = ids[name], float(value)
+        if not low < x < math.inf:
+            number(x)
+        values[i] = x
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
         raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
@@ -954,12 +934,23 @@ def _graph_from_meta(meta: dict) -> MetricGraph:
 
 
 def schema_from_json(text: str) -> SurfaceSchema:
+    """The schema a document of :func:`schema_to_json`'s shape describes.
+
+    Checks the shape only, in one pass: the JSON, the schema version, the
+    graph records against their hash, f_min, the rotation records, and the
+    type of every field the verifier reads.  Whether the schema is right is
+    :func:`verify_schema`'s question.  Raises :class:`SchemaFormatError`,
+    with the first offending value quoted, on any document it cannot read.
+    The helpers above are called only on a value that fails its inline
+    test, to raise their message.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise SchemaFormatError("JSON nested too deeply to decode") from None
+    isfinite = math.isfinite
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
@@ -983,27 +974,51 @@ def schema_from_json(text: str) -> SurfaceSchema:
             clearance=_per_name(meta, "clearance", graph.edge_ids),
             waist=_per_name(meta, "waist", graph.edge_ids, _positive),
         )
-        blocks = tuple(
-            Block(
-                id=_name(b["id"], "block id"),
-                kind=b["kind"],
-                genus=_integer(b["genus"], "block genus"),
-                layer=_layer(b["layer"]),
-                boundaries=tuple(
-                    Boundary(
-                        _name(bd["label"], "boundary label"),
-                        bd["length"] if isinstance(bd["length"], str) else _finite(bd["length"]),
-                    )
-                    for bd in b["boundaries"]
-                ),
-                payload=_payload(b),
-            )
-            for b in doc["blocks"]
-        )
-        gluings = tuple(
-            Gluing(_side(g["a"]), _side(g["b"]), _finite(float(g.get("twist", 0.0))))
-            for g in doc["gluings"]
-        )
+        blocks = []
+        for b in doc["blocks"]:
+            bid = b["id"]
+            if not isinstance(bid, str):
+                _name(bid, "block id")
+            kind, genus = b["kind"], b["genus"]
+            if type(genus) is not int:
+                _integer(genus, "block genus")
+            layer = b["layer"]
+            if layer not in (SURFACE, CONSTRUCTION):
+                _layer(layer)
+            boundaries = []
+            for bd in b["boundaries"]:
+                label = bd["label"]
+                if not isinstance(label, str):
+                    _name(label, "boundary label")
+                length = bd["length"]
+                if not isinstance(length, str) and not isfinite(length):
+                    _finite(length)
+                boundaries.append(Boundary(label, length))
+            payload = b.get("payload", {})
+            if not isinstance(payload, dict):
+                raise SchemaFormatError(f"block {_quote(bid)}: payload is not an object")
+            if not isinstance(payload.get("vertex", ""), str):
+                _name(payload["vertex"], "payload vertex")
+            if not isinstance(payload.get("edge", ""), str):
+                _name(payload["edge"], "payload edge")
+            walks = payload.get("walks")
+            if kind == "spine_surface" and walks is not None and not _is_dart_lists(walks):
+                raise SchemaFormatError(
+                    f"block {_quote(bid)}: payload walks are not lists of darts"
+                )
+            blocks.append(Block(bid, kind, genus, layer, tuple(boundaries), payload))
+        gluings = []
+        for g in doc["gluings"]:
+            a = g["a"]
+            if not (type(a) is list and len(a) == 2 and type(a[0]) is str and type(a[1]) is str):
+                _side(a)
+            b = g["b"]
+            if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
+                _side(b)
+            twist = float(g.get("twist", 0.0))
+            if not isfinite(twist):
+                _finite(twist)
+            gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), twist))
         s = doc["summary"]
         summary = Summary(
             genus=_integer(s["genus"], "summary genus"),
@@ -1021,7 +1036,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         graph=graph,
         rotation=rotation,
         scale=scale,
-        blocks=blocks,
-        gluings=gluings,
+        blocks=tuple(blocks),
+        gluings=tuple(gluings),
         summary=summary,
     )

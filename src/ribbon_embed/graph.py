@@ -181,13 +181,11 @@ def parse_graph(text: str) -> MetricGraph:
 
 def format_graph(graph: MetricGraph) -> str:
     """Canonical text form: one ``edge`` record per edge, in edge order."""
-    lines = []
-    for e in range(graph.edge_count):
-        u, v = graph.endpoints(e)
-        lines.append(
-            f"edge {graph.edge_names[e]} {graph.vertex_names[u]} "
-            f"{graph.vertex_names[v]} {graph.lengths[e]:.12g}"
-        )
+    names, vertex_of = graph.vertex_names, graph.vertex_of
+    lines = [
+        f"edge {name} {names[vertex_of[2 * e]]} {names[vertex_of[2 * e + 1]]} {length:.12g}"
+        for e, (name, length) in enumerate(zip(graph.edge_names, graph.lengths))
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -207,8 +205,8 @@ def _find(parent: list[int], x: int) -> int:
 def connected_components(graph: MetricGraph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, ordered by minimum."""
     parent = list(range(graph.vertex_count))
-    for e in range(graph.edge_count):
-        u, v = graph.endpoints(e)
+    ends = iter(graph.vertex_of)
+    for u, v in zip(ends, ends):
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv

@@ -100,11 +100,13 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     """
     if not 0.0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
-    foot = {v: foot_length(graph.degree(v)) for v in range(graph.vertex_count)}
-    clearance = {}
-    for e in range(graph.edge_count):
-        u, v = graph.endpoints(e)
-        clearance[e] = foot[u] + foot[v]
+    degrees = [graph.degree(v) for v in range(graph.vertex_count)]
+    by_degree = {d: foot_length(d) for d in dict.fromkeys(degrees)}  # first failing degree first
+    foot = {v: by_degree[d] for v, d in enumerate(degrees)}
+    vertex_of = graph.vertex_of
+    clearance = {
+        e: foot[vertex_of[2 * e]] + foot[vertex_of[2 * e + 1]] for e in range(graph.edge_count)
+    }
     need = {
         e: (clearance[e] + F_MIN + margin) / graph.lengths[e] for e in range(graph.edge_count)
     }

@@ -339,14 +339,19 @@ def _dart_from_label(edge_ids: dict[str, int], label: str) -> int:
 
 def rotation_to_lines(graph: MetricGraph, rotation: RotationSystem) -> list[str]:
     """Serialize as one ``rot <vertex> <dart> ...`` line per vertex."""
+    labels = [name + sign for name in graph.edge_names for sign in "+-"]  # by dart id
     return [
-        f"rot {graph.vertex_names[v]} " + " ".join(dart_label(graph, d) for d in cycle)
+        f"rot {graph.vertex_names[v]} " + " ".join([labels[d] for d in cycle])
         for v, cycle in enumerate(rotation.cycles)
     ]
 
 
 def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSystem:
     """Parse the output of :func:`rotation_to_lines`."""
+    darts = {}  # every label _dart_from_label accepts, to its dart
+    for e, name in enumerate(graph.edge_names):
+        if isinstance(name, str) and name:
+            darts[name + "+"], darts[name + "-"] = 2 * e, 2 * e + 1
     cycles: dict[int, tuple[int, ...]] = {}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
@@ -360,7 +365,10 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
             raise GraphFormatError(f"unknown vertex {_quote(parts[1])}")
         if v in cycles:
             raise GraphFormatError(f"vertex {_quote(parts[1])} listed twice")
-        cycles[v] = tuple(_dart_from_label(graph.edge_ids, lab) for lab in parts[2:])
+        try:
+            cycles[v] = tuple([darts[label] for label in parts[2:]])
+        except KeyError:  # raise for the first label that names no dart
+            cycles[v] = tuple(_dart_from_label(graph.edge_ids, label) for label in parts[2:])
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
         raise GraphFormatError(f"missing rotation for vertices {_quote(missing)}")
