@@ -851,19 +851,23 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     )
 
 
-def _finite(value):
-    """``value`` unchanged if it is a finite number; NaN and infinities are
-    rejected, since every comparison the verifier makes with them is false."""
+def _finite(value, what: str):
+    """``value`` unchanged if it is a finite JSON number, an int or a float.
+    A bool is an int to Python and ``float()`` parses a string, so both are
+    refused by type; NaN and infinities are rejected, since every
+    comparison the verifier makes with them is false."""
+    if type(value) is not float and type(value) is not int:
+        raise SchemaFormatError(f"{what} is not a number: {_quote(value)}")
     if not math.isfinite(value):
         raise SchemaFormatError(f"non-finite number {_quote(value)}")
     return value
 
 
-def _positive(value):
+def _positive(value, what: str):
     """``value`` unchanged if it is a positive finite number, as every edge
     length, waist and margin of a schema is; the scaling and the pants
     trigonometry reject the others."""
-    if not _finite(value) > 0.0:
+    if not _finite(value, what) > 0.0:
         raise SchemaFormatError(f"non-positive number {_quote(value)}")
     return value
 
@@ -907,7 +911,7 @@ def _side(value) -> tuple[str, str]:
 
 def _is_dart_lists(value) -> bool:
     return isinstance(value, list) and all(
-        isinstance(walk, list) and all(isinstance(d, int) for d in walk) for walk in value
+        isinstance(walk, list) and all(type(d) is int for d in walk) for walk in value
     )
 
 
@@ -917,10 +921,10 @@ def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict
     low = 0.0 if number is _positive else -math.inf
     values = {}
     for name, value in meta[key].items():
-        i, x = ids[name], float(value)
-        if not low < x < math.inf:
-            number(x)
-        values[i] = x
+        i = ids[name]
+        if type(value) not in (float, int) or not low < value < math.inf:
+            number(value, key)
+        values[i] = float(value)
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
         raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
@@ -929,7 +933,8 @@ def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict
 
 def _graph_from_meta(meta: dict) -> MetricGraph:
     return _from_records(
-        (name, u, v, _positive(float(length))) for name, u, v, length in meta["graph"]["edges"]
+        (name, u, v, float(_positive(length, "edge length")))
+        for name, u, v, length in meta["graph"]["edges"]
     )
 
 
@@ -952,7 +957,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise SchemaFormatError("JSON nested too deeply to decode") from None
     isfinite = math.isfinite
     try:
-        if doc["schema_version"] != SCHEMA_VERSION:
+        if type(doc["schema_version"]) is bool or doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
                 f"unsupported schema_version {_quote(doc['schema_version'])}"
             )
@@ -960,7 +965,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         graph = _graph_from_meta(meta)
         if meta["graph"]["hash"] != graph_hash(graph):
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
-        if _finite(float(meta["f_min"])) != _round12(F_MIN):
+        if float(_finite(meta["f_min"], "f_min")) != _round12(F_MIN):
             raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_round12(F_MIN)!r}")
         if len(graph.edge_ids) != graph.edge_count:
             raise SchemaFormatError("meta graph repeats an edge name")
@@ -968,8 +973,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError("meta has no rotation")
         rotation = rotation_from_lines(graph, meta["rotation"])
         scale = ScaleParams(
-            t=_finite(float(meta["t"])),
-            margin=_positive(float(meta["margin"])),
+            t=float(_finite(meta["t"], "t")),
+            margin=float(_positive(meta["margin"], "margin")),
             foot=_per_name(meta, "foot", graph.vertex_ids),
             clearance=_per_name(meta, "clearance", graph.edge_ids),
             waist=_per_name(meta, "waist", graph.edge_ids, _positive),
@@ -991,8 +996,10 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 if not isinstance(label, str):
                     _name(label, "boundary label")
                 length = bd["length"]
-                if not isinstance(length, str) and not isfinite(length):
-                    _finite(length)
+                if type(length) is not str and not (
+                    type(length) in (float, int) and isfinite(length)
+                ):
+                    _finite(length, "boundary length")
                 boundaries.append(Boundary(label, length))
             payload = b.get("payload", {})
             if not isinstance(payload, dict):
@@ -1015,17 +1022,19 @@ def schema_from_json(text: str) -> SurfaceSchema:
             b = g["b"]
             if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
                 _side(b)
-            twist = float(g.get("twist", 0.0))
-            if not isfinite(twist):
-                _finite(twist)
-            gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), twist))
+            twist = g.get("twist", 0.0)
+            if type(twist) not in (float, int) or not isfinite(twist):
+                _finite(twist, "gluing twist")
+            gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), float(twist)))
         s = doc["summary"]
-        summary = Summary(
-            genus=_integer(s["genus"], "summary genus"),
-            boundary_count=_integer(s["boundary_count"], "summary boundary_count"),
-            minimal=s["minimal"],
-            construction=s["construction"],
-        )
+        genus = _integer(s["genus"], "summary genus")
+        boundary_count = _integer(s["boundary_count"], "summary boundary_count")
+        minimal = s["minimal"]
+        if minimal is not None and type(minimal) is not bool:  # 1 == True to Python
+            raise SchemaFormatError(
+                f"summary minimal is not true, false or null: {_quote(minimal)}"
+            )
+        summary = Summary(genus, boundary_count, minimal, s["construction"])
     except SchemaFormatError:
         raise
     except GraphFormatError as exc:  # a bad rotation record; its message is ours, whole

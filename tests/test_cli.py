@@ -586,7 +586,7 @@ def _k4_schema(graph_file, tmp_path):
 # The sha256 of every (exit code, stdout, stderr) of the corpus, in order: a
 # change to the reader or the verifier that moves any verdict or message
 # moves it.
-MUTATION_CORPUS_DIGEST = "2a3a8ffec57dad0ae35162d566db2b81b2ae94578e19d01954f32e08cb2f8eb3"
+MUTATION_CORPUS_DIGEST = "fd73caf3e691b244007f75cf81c2d8cc11cd7495f90c7566d5ed999a27149e3f"
 
 
 def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
@@ -621,14 +621,18 @@ def test_verify_schema_is_total_on_documents_the_reader_accepts(graph_file, tmp_
 
 
 def _leaf_edits(value):
-    """Edits of one leaf: null, and a changed flag, integer, number or string."""
+    """Edits of one leaf: null, and a changed flag, integer, number or
+    string; and the same value under another type: a number's string form,
+    the bool equal to a number that is 0 or 1, and the int equal to a bool."""
     yield None
     if isinstance(value, bool):
         yield not value
-    elif isinstance(value, int):
-        yield value + 1
-    elif isinstance(value, float):
-        yield 1.5 * value + 0.25
+        yield int(value)
+    elif isinstance(value, (int, float)):
+        yield value + 1 if isinstance(value, int) else 1.5 * value + 0.25
+        yield str(value)
+        if value in (0, 1):
+            yield bool(value)
     elif isinstance(value, str):
         yield "zz"
 
@@ -766,10 +770,11 @@ HUGE_VALUE_MUTATIONS = {
         "does not match its gluings",
     ),
     # stored summary values, echoed whole: 100,049 and 4,073 characters
+    # (the reader now refuses a minimal that is no flag, and quotes it cut)
     "summary minimal": (
         lambda doc: doc["summary"].update(minimal="x" * 100_000),
-        1,
-        "fail: summary.minimal='xxx",
+        2,
+        "error: summary minimal is not true, false or null: 'xxx",
     ),
     "summary genus": (
         lambda doc: doc["summary"].update(genus=int("9" * 4000)),
