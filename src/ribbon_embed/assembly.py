@@ -29,6 +29,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from .errors import (
     CycleGraphError,
@@ -59,6 +60,7 @@ from .rotation import (
 )
 
 SCHEMA_VERSION = 1
+_F_MIN_STORED = float(f"{F_MIN:.12g}")  # as a schema stores it, to 12 significant digits
 LENGTH_TOLERANCE = 1e-9  # relative to the expected length, absolute below 1
 
 SURFACE = "surface"
@@ -360,12 +362,13 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
 # ---------------------------------------------------------------------------
 # verification
 #
-# A number x misses its expected value w unless x is a float and
-# |x - w| <= LENGTH_TOLERANCE * max(1, |w|), which the checks below test
-# inline (NaN misses).  Relative, because a schema stores 12 significant
-# digits: near 274 a stored cuff length and twice its stored half-length are
-# each rounded to the ninth decimal, and together they can miss by more
-# than 1e-9.
+# A length x misses its expected value w unless |x - w| <= LENGTH_TOLERANCE
+# * max(1, |w|), tested inline below (NaN misses; where x - w is tested
+# first, an exact match skips the rest), and a payload number or cuff length
+# misses if it is not a float.  Relative, because a schema stores 12
+# significant digits: near 274 a stored cuff length and twice its stored
+# half-length are each rounded to the ninth decimal, and together they can
+# miss by more than 1e-9.
 
 def _named(g: Gluing) -> str:
     """A gluing as its messages name it."""
@@ -569,7 +572,7 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
                 f"edge {_clip(graph.edge_names[e])}: clearance {x!r}, "
                 f"expected the two feet {w:.12g}"
             )
-        x, w = waist_distance(scale.waist[e]), derived.t * length - w
+        x, w = waist_distance(scale.waist[e]), derived.t * length - derived.clearance[e]
         if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
             errors.append(
                 f"edge {_clip(graph.edge_names[e])}: waist does not invert the cuff distance"
@@ -680,10 +683,6 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 _string = json.encoder.encode_basestring_ascii  # json.dumps's own, in C where built
 
 
@@ -693,11 +692,10 @@ def _number(x: float) -> str:
 
 
 def _stored(x: float) -> str:
-    """A float as the schema stores it, ``_number(_round12(x))``, formatted
-    once.  A ``.12g`` text in positional notation is already the repr of
-    the float it rounds to, but for a point: it has at most 12 significant
-    digits, and no other decimal of at most 15 rounds to the same float.
-    Only exponent, ``nan`` and ``inf`` texts are parsed back."""
+    """A float as the schema stores it, ``json.dumps(float(f"{x:.12g}"))``,
+    formatted once: a positional ``.12g`` text, with ``.0`` if it has no
+    point, is already that float's repr, since no other decimal of up to 15
+    digits rounds to the same float.  Exponent, nan and inf texts are not."""
     text = f"{x:.12g}"
     if "e" in text or "n" in text:
         return _number(float(text))
@@ -896,14 +894,7 @@ def _layer(value) -> str:
     return value
 
 
-def _side(value) -> tuple[str, str]:
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and isinstance(value[0], str)
-        and isinstance(value[1], str)
-    ):
-        return value[0], value[1]
+def _side(value) -> NoReturn:
     raise SchemaFormatError(
         f"gluing side {_quote(value)} is not a [block id, label] pair of strings"
     )
@@ -919,12 +910,10 @@ def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict
     """One number per name of ``ids``, from the ``key`` object of ``meta``,
     which ``number`` (:func:`_finite` or :func:`_positive`) admits."""
     low = 0.0 if number is _positive else -math.inf
-    values = {}
-    for name, value in meta[key].items():
-        i = ids[name]
-        if type(value) not in (float, int) or not low < value < math.inf:
-            number(value, key)
-        values[i] = float(value)
+    values = {
+        ids[k]: float(v) if type(v) in (float, int) and low < v < math.inf else number(v, key)
+        for k, v in meta[key].items()
+    }
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
         raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
@@ -941,13 +930,17 @@ def _graph_from_meta(meta: dict) -> MetricGraph:
 def schema_from_json(text: str) -> SurfaceSchema:
     """The schema a document of :func:`schema_to_json`'s shape describes.
 
-    Checks the shape only, in one pass: the JSON, the schema version, the
+    Checks the document's shape, not its truth, which is
+    :func:`verify_schema`'s question: the JSON, the schema version, the
     graph records against their hash, f_min, the rotation records, and the
-    type of every field the verifier reads.  Whether the schema is right is
-    :func:`verify_schema`'s question.  Raises :class:`SchemaFormatError`,
-    with the first offending value quoted, on any document it cannot read.
-    The helpers above are called only on a value that fails its inline
-    test, to raise their message.
+    type of every field the verifier reads.  A stored number must be a
+    JSON int or float (never a bool or a string) and finite, and positive
+    for an edge length, waist or margin; a walk dart an int, never a bool;
+    ``summary.minimal`` true, false or null.  Raises
+    :class:`SchemaFormatError` on any document it cannot read, quoting
+    the first offending value.  One loop reads the blocks and one the
+    gluings; the helpers above are called only on a value that fails its
+    inline test, to raise their message.
     """
     try:
         doc = json.loads(text)
@@ -965,8 +958,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
         graph = _graph_from_meta(meta)
         if meta["graph"]["hash"] != graph_hash(graph):
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
-        if float(_finite(meta["f_min"], "f_min")) != _round12(F_MIN):
-            raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_round12(F_MIN)!r}")
+        if float(_finite(meta["f_min"], "f_min")) != _F_MIN_STORED:
+            raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_F_MIN_STORED!r}")
         if len(graph.edge_ids) != graph.edge_count:
             raise SchemaFormatError("meta graph repeats an edge name")
         if meta.get("rotation") is None:

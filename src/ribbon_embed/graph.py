@@ -204,16 +204,21 @@ def _find(parent: list[int], x: int) -> int:
 
 def connected_components(graph: MetricGraph) -> list[list[int]]:
     """Vertex sets of the components, each sorted, ordered by minimum."""
-    parent = list(range(graph.vertex_count))
-    ends = iter(graph.vertex_of)
-    for u, v in zip(ends, ends):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.vertex_count):
-        groups.setdefault(_find(parent, v), []).append(v)
-    return sorted(groups.values())
+    darts_at, vertex_of = graph._darts_by_vertex, graph.vertex_of
+    seen = [False] * graph.vertex_count
+    components: list[list[int]] = []
+    for start in range(graph.vertex_count):
+        if not seen[start]:
+            seen[start] = True
+            component = [start]
+            for v in component:  # grows while the search reaches new vertices
+                for d in darts_at[v]:
+                    w = vertex_of[d ^ 1]  # the far end of its edge
+                    if not seen[w]:
+                        seen[w] = True
+                        component.append(w)
+            components.append(sorted(component))
+    return components
 
 
 def euler_char(graph: MetricGraph) -> int:

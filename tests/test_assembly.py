@@ -1,5 +1,8 @@
 import json
 import math
+import random
+import struct
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from ribbon_embed import (
     schema_to_json,
     verify_schema,
 )
-from ribbon_embed.assembly import Gluing, _close
+from ribbon_embed.assembly import Gluing, _close, _stored
 from ribbon_embed.rotation import rotation_to_lines
 
 from helpers import random_multigraph, two_thetas, two_thetas_schema
@@ -489,6 +492,21 @@ def test_schema_to_json_writes_what_json_dumps_writes():
     accented = parse_graph("edge \u00e9 u v 1\nedge b u v 1\nedge c u v 1")
     text = schema_to_json(naive_embedding(accented))
     assert '"\\u00e9"' in text and "\u00e9" not in text
+
+
+def test_stored_float_is_json_dumps_of_the_rounded_float():
+    # the writer formats each stored float once; a positional .12g text must
+    # be exactly what json.dumps writes for the float it rounds to
+    switches = [1e-5, 1e-4, 999999999999.5, 1e12, 1e15, 1e16, 1e17]
+    cases = [0.0, 5e-324, sys.float_info.max, 1.0, 2.0, 7.0, 1e11, 123456789012.0]
+    cases += [math.nan, math.inf, 274.000000001, 0.1, 1 / 3, 2.81365822749]
+    for x in switches:
+        cases += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    rng = random.Random(17)
+    bits = [rng.getrandbits(64).to_bytes(8, "little") for _ in range(10**5)]
+    cases += [struct.unpack("<d", b)[0] for b in bits]
+    for x in cases + [-x for x in cases]:
+        assert _stored(x) == json.dumps(float(f"{x:.12g}")), x
 
 
 def test_json_rejects_garbage():
