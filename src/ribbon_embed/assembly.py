@@ -175,9 +175,8 @@ def _construction_blocks(
 
 def _labels(graph: MetricGraph) -> tuple[list[str], list[str]]:
     """The cuff label of every dart and the block id of every vertex sphere."""
-    return [f"dart:{d}" for d in range(graph.dart_count)], [
-        f"sphere:{name}" for name in graph.vertex_names
-    ]
+    darts = [f"dart:{d}" for d in range(graph.dart_count)]
+    return darts, [f"sphere:{name}" for name in graph.vertex_names]
 
 
 def naive_embedding(
@@ -395,7 +394,7 @@ def _gluing_index(
     for g in schema.gluings:
         a, b = g.side_a, g.side_b
         if a in partner or b in partner or a not in lengths or b not in lengths or a == b:
-            for side, other in ((a, b), (b, a)):
+            for side, other in ((a, b), (b, a)):  # the side at fault, in this order
                 if side not in lengths:
                     errors.append(f"gluing references missing boundary {_quote(side)}")
                 elif side in partner:
@@ -477,8 +476,7 @@ def _check_pants(
         w = 1.0 if label == "end0" or label == "end1" else waist if label == "waist" else None
         if w is None:
             errors.append(f"block {_clip(block.id)}: unexpected cuff {_clip(label)}")
-            continue
-        if not isinstance(x, float) or (
+        elif not isinstance(x, float) or (
             x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
         ):
             errors.append(
@@ -948,7 +946,6 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise SchemaFormatError("JSON nested too deeply to decode") from None
-    isfinite = math.isfinite
     try:
         if type(doc["schema_version"]) is bool or doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
@@ -975,7 +972,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         blocks = []
         for b in doc["blocks"]:
             bid = b["id"]
-            if not isinstance(bid, str):
+            if type(bid) is not str:  # json.loads yields exact types
                 _name(bid, "block id")
             kind, genus = b["kind"], b["genus"]
             if type(genus) is not int:
@@ -986,20 +983,20 @@ def schema_from_json(text: str) -> SurfaceSchema:
             boundaries = []
             for bd in b["boundaries"]:
                 label = bd["label"]
-                if not isinstance(label, str):
+                if type(label) is not str:
                     _name(label, "boundary label")
                 length = bd["length"]
                 if type(length) is not str and not (
-                    type(length) in (float, int) and isfinite(length)
+                    type(length) in (float, int) and math.isfinite(length)
                 ):
                     _finite(length, "boundary length")
                 boundaries.append(Boundary(label, length))
             payload = b.get("payload", {})
-            if not isinstance(payload, dict):
+            if type(payload) is not dict:
                 raise SchemaFormatError(f"block {_quote(bid)}: payload is not an object")
-            if not isinstance(payload.get("vertex", ""), str):
+            if type(payload.get("vertex", "")) is not str:
                 _name(payload["vertex"], "payload vertex")
-            if not isinstance(payload.get("edge", ""), str):
+            if type(payload.get("edge", "")) is not str:
                 _name(payload["edge"], "payload edge")
             walks = payload.get("walks")
             if kind == "spine_surface" and walks is not None and not _is_dart_lists(walks):
@@ -1016,7 +1013,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
                 _side(b)
             twist = g.get("twist", 0.0)
-            if type(twist) not in (float, int) or not isfinite(twist):
+            if type(twist) not in (float, int) or not math.isfinite(twist):
                 _finite(twist, "gluing twist")
             gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), float(twist)))
         s = doc["summary"]
