@@ -101,7 +101,7 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     if not 0.0 < margin < math.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
     degrees = [graph.degree(v) for v in range(graph.vertex_count)]
-    by_degree = {d: foot_length(d) for d in dict.fromkeys(degrees)}  # first failing degree first
+    by_degree = {d: foot_length(d) for d in dict.fromkeys(degrees)}  # in vertex order
     foot = {v: by_degree[d] for v, d in enumerate(degrees)}
     vertex_of = graph.vertex_of
     clearance = {
