@@ -770,7 +770,7 @@ HUGE_VALUE_MUTATIONS = {
         "does not match its gluings",
     ),
     # stored summary values, echoed whole: 100,049 and 4,073 characters
-    # (the reader now refuses a minimal that is no flag, and quotes it cut)
+    # (the reader refuses a minimal that is no flag, and quotes it cut)
     "summary minimal": (
         lambda doc: doc["summary"].update(minimal="x" * 100_000),
         2,
