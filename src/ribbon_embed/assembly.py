@@ -919,10 +919,15 @@ def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict
 
 
 def _graph_from_meta(meta: dict) -> MetricGraph:
-    return _from_records(
-        (name, u, v, float(_positive(length, "edge length")))
-        for name, u, v, length in meta["graph"]["edges"]
-    )
+    records = []
+    for record in meta["graph"]["edges"]:
+        if not (type(record) is list and len(record) == 4 and {*map(type, record[:3])} == {str}):
+            raise SchemaFormatError(
+                f"edge record {_quote(record)} is not [name, u, v, length] with string names"
+            )
+        name, u, v, length = record
+        records.append((name, u, v, float(_positive(length, "edge length"))))
+    return _from_records(records)
 
 
 def schema_from_json(text: str) -> SurfaceSchema:

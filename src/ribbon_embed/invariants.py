@@ -10,7 +10,9 @@ touch.  The spanning trees are counted, up to a cap, by Kirchhoff's exact
 Laplacian cofactor.  The zeta search stops at :func:`zeta_floor`, a
 linear-time lower bound from the bridges: a tree meeting it, or a rotation
 with 1 + floor walks, pins zeta with no further enumeration.  Which rung
-certifies zeta for the report is decided in :mod:`ribbon_embed.moves`.
+certifies zeta is decided in :mod:`ribbon_embed.moves`, which also holds
+the public readers of zeta, ``essential_genus`` and ``max_genus``; the
+tree search :func:`betti_deficiency` stays here as its independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
-from .graph import MetricGraph, _find, betti, euler_char, girth, smooth
+from .graph import MetricGraph, _find, betti, euler_char, girth
 from .rotation import DEFAULT_ROTATION_CAP, boundary_profile
 
 DEFAULT_TREE_CAP = 10**6
@@ -224,11 +226,6 @@ def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     return best
 
 
-def max_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
-    """(beta - zeta) / 2: the largest genus over which some rotation fills."""
-    return (betti(graph) - betti_deficiency(graph, cap)) // 2
-
-
 def qr_split(n: int) -> tuple[int, int]:
     """n = 3q + r with 0 <= r < 3, for n >= 1."""
     if n < 1:
@@ -245,18 +242,6 @@ def capped_genus(graph: MetricGraph, walk_count: int) -> int:
         raise ValueError(f"walk count {walk_count} impossible for chi={euler_char(graph)}")
     q, r = qr_split(walk_count)
     return slack // 2 + 2 * q + r
-
-
-def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
-    """Least genus of a closed surface carrying an essential embedding.
-
-    The :func:`capped_genus` of the minimal boundary count ``1 + zeta``,
-    which is (beta - zeta)/2 + 2q + r with 1 + zeta = 3q + r; degree-2
-    vertices are smoothed away first since subdividing edges changes no
-    embedding.  Cycle graphs are rejected (they embed everywhere).
-    """
-    graph = smooth(graph)
-    return capped_genus(graph, 1 + betti_deficiency(graph, cap))
 
 
 def ge_max_bound(graph: MetricGraph) -> Fraction:

@@ -20,7 +20,8 @@ optimal on sight; above it the spanning-tree search supplies 1 + zeta when
 Kirchhoff's count puts the trees within the cap; the frontier DP, within
 the rotation cap, decides the optimum and finds a rotation at it last.
 Maximizing, the target is the profile's maximum within the rotation cap.
-:func:`analyze` takes zeta from the minimum a rung settles, or refuses.
+:func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
+from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
 once: the profile, every reducing move and every greedy descent come from
@@ -389,6 +390,37 @@ def maximize_boundaries(
     return _search(graph, start, restarts, seed, +2, target, lambda: target, rotation_cap)
 
 
+def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int) -> int:
+    """zeta, one less than the ``optimum`` :func:`minimize_boundaries`
+    settles with :data:`DEFAULT_RESTARTS` restarts from seed 0 and these
+    caps, reached by its search or not; where no rung settles it,
+    :class:`CapExceededError` is raised."""
+    optimum = minimize_boundaries(
+        graph, restarts=DEFAULT_RESTARTS, tree_cap=tree_cap, rotation_cap=rotation_cap
+    ).optimum
+    if optimum is None:
+        raise CapExceededError(
+            f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
+        )
+    return optimum - 1
+
+
+def max_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
+    """(beta - zeta) / 2: the largest genus over which some rotation fills,
+    with zeta as :func:`analyze` takes it, within ``cap`` trees."""
+    return (betti(graph) - _zeta(graph, cap, DEFAULT_ROTATION_CAP)) // 2
+
+
+def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
+    """Least genus of a closed surface carrying an essential embedding: the
+    :func:`capped_genus` of 1 + zeta walks, zeta as :func:`max_genus` takes
+    it.  Degree-2 vertices are smoothed away first, since subdividing edges
+    changes no embedding; cycle graphs are rejected (they embed everywhere).
+    """
+    graph = smooth(graph)
+    return capped_genus(graph, 1 + _zeta(graph, cap, DEFAULT_ROTATION_CAP))
+
+
 def analyze(
     graph: MetricGraph,
     tree_cap: int = DEFAULT_TREE_CAP,
@@ -397,24 +429,15 @@ def analyze(
     """The invariant report of one connected graph, smoothed first so that
     subdividing edges changes nothing.
 
-    zeta is one less than the ``optimum`` :func:`minimize_boundaries` settles
-    with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the same caps,
-    reached by its search or not; where no rung settles it,
-    :class:`CapExceededError` is raised.  ``tree_count`` is None above
+    zeta comes from :func:`_zeta` with the same caps, so a graph no rung
+    settles raises :class:`CapExceededError`.  ``tree_count`` is None above
     ``tree_cap``.  zeta must share beta's parity and be one less than the
     profile's minimum, and ``ge_max_exact`` keep within the girth bound, or
     :class:`InternalInvariantError` is raised.
     """
     smoothed_graph = smooth(graph)
-    search = minimize_boundaries(
-        smoothed_graph, restarts=DEFAULT_RESTARTS, tree_cap=tree_cap, rotation_cap=rotation_cap
-    )
-    if search.optimum is None:
-        raise CapExceededError(
-            f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
-        )
     b = betti(smoothed_graph)
-    z = search.optimum - 1
+    z = _zeta(smoothed_graph, tree_cap, rotation_cap)
     if (b - z) % 2:
         raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)

@@ -354,6 +354,8 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
             darts[name + "+"], darts[name + "-"] = 2 * e, 2 * e + 1
     cycles: dict[int, tuple[int, ...]] = {}
     for raw in lines:
+        if type(raw) is not str:
+            raise GraphFormatError(f"bad rotation record {_quote(raw)}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -586,7 +586,7 @@ def _k4_schema(graph_file, tmp_path):
 # The sha256 of every (exit code, stdout, stderr) of the corpus, in order: a
 # change to the reader or the verifier that moves any verdict or message
 # moves it.
-MUTATION_CORPUS_DIGEST = "fd73caf3e691b244007f75cf81c2d8cc11cd7495f90c7566d5ed999a27149e3f"
+MUTATION_CORPUS_DIGEST = "7c81f4fcffc1085c509614ffb5914c128e0c262c6c309c42912c7e482da04a22"
 
 
 def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
@@ -603,6 +603,47 @@ def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
         digest.update(repr((code, *capsys.readouterr())).encode())
     assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
     assert digest.hexdigest() == MUTATION_CORPUS_DIGEST
+
+
+def _set_edge_field(index, value):
+    return lambda doc: doc["meta"]["graph"]["edges"][0].__setitem__(index, value)
+
+
+NOT_AN_EDGE_RECORD = "is not [name, u, v, length] with string names"
+
+# Records the reader unpacked or hashed unchecked, so that the interpreter's
+# own words (an unpacking ValueError, "unhashable type", "'float' object
+# has no attribute 'split'") were the message.
+MALFORMED_RECORDS = {
+    "list endpoint": (
+        _set_edge_field(1, []),
+        f"edge record ['e01', [], 'v1', 1.0] {NOT_AN_EDGE_RECORD}",
+    ),
+    "dict endpoint": (
+        _set_edge_field(2, {}),
+        f"edge record ['e01', 'v0', {{}}, 1.0] {NOT_AN_EDGE_RECORD}",
+    ),
+    "three items": (
+        lambda doc: doc["meta"]["graph"]["edges"][0].pop(),
+        f"edge record ['e01', 'v0', 'v1'] {NOT_AN_EDGE_RECORD}",
+    ),
+    "float rotation record": (
+        lambda doc: doc["meta"]["rotation"].__setitem__(0, 7.25),
+        "bad rotation record 7.25",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_reader_names_a_malformed_edge_or_rotation_record(case, graph_file, tmp_path, capsys):
+    mutate, message = MALFORMED_RECORDS[case]
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_schema_is_total_on_documents_the_reader_accepts(graph_file, tmp_path):

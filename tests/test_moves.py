@@ -6,6 +6,8 @@ import pytest
 
 from ribbon_embed import (
     CapExceededError,
+    CycleGraphError,
+    GraphValidationError,
     MetricGraph,
     MovePreconditionError,
     NoIncreasingMoveError,
@@ -17,8 +19,11 @@ from ribbon_embed import (
     count_rotations,
     default_rotation,
     enumerate_rotations,
+    essential_genus,
     increase_move,
+    invariants,
     make_rotation,
+    max_genus,
     maximize_boundaries,
     minimize_boundaries,
     moves,
@@ -317,6 +322,54 @@ def test_analyze_zeta_matches_the_tree_search(tree_cap):
     graphs += [prism(rungs) for rungs in range(3, 11)]
     for g in graphs:
         assert analyze(g, tree_cap=tree_cap).zeta == betti_deficiency(smooth(g))
+
+
+def test_public_invariants_read_the_ladder():
+    # essential_genus and max_genus take zeta where analyze does
+    graphs = [random_multigraph(seed) for seed in range(150)]
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    for g in graphs:
+        report = analyze(g)
+        assert (essential_genus(g), max_genus(g)) == (report.essential_genus, report.max_genus)
+
+
+def test_public_invariants_read_the_ladder_without_a_tree_search(monkeypatch):
+    # prism30 has more than 10**6 spanning trees, so an exhaustive tree
+    # search runs for about a minute and then refuses; the floor settles it
+    def no_tree_search(*args, **kwargs):
+        raise AssertionError("tree search run")
+
+    for module, name in [
+        (moves, "betti_deficiency"),
+        (invariants, "betti_deficiency"),
+        (invariants, "spanning_trees"),
+    ]:
+        monkeypatch.setattr(module, name, no_tree_search)
+    assert essential_genus(prism(30)) == 17
+    assert max_genus(prism(30)) == 15
+
+
+@pytest.mark.parametrize(
+    ("text", "genus", "error"),
+    [
+        ("edge a x y 1.0\nedge b y z 1.0\nedge c z x 1.0\n", 0, CycleGraphError),
+        ("edge a x y 1.0\nedge b y z 1.0\n", 0, GraphValidationError),
+        (
+            "edge a u v 1.0\nedge b u v 1.0\nedge c u v 1.0\nedge d v w 1.0\n",
+            1,
+            GraphValidationError,
+        ),
+        ("edge a u u 1.0\nedge b u w 1.0\n", 0, GraphValidationError),
+    ],
+    ids=["triangle", "path", "theta with a pendant edge", "loop with a pendant edge"],
+)
+def test_public_invariants_keep_their_domains(text, genus, error):
+    # max_genus does not smooth, so cycles, trees and pendant edges are in
+    # its domain; essential_genus smooths first, which refuses them
+    g = parse_graph(text)
+    assert max_genus(g) == genus
+    with pytest.raises(error):
+        essential_genus(g)
 
 
 def test_floor_certifies_without_a_tree_search(monkeypatch):
