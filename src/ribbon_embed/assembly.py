@@ -904,23 +904,32 @@ def _is_dart_lists(value) -> bool:
     )
 
 
-def _per_name(meta: dict, key: str, ids: dict[str, int], number=_finite) -> dict[int, float]:
-    """One number per name of ``ids``, from the ``key`` object of ``meta``,
-    which ``number`` (:func:`_finite` or :func:`_positive`) admits."""
+def _per_name(
+    meta: dict, key: str, ids: dict[str, int], noun: str, number=_finite
+) -> dict[int, float]:
+    """One number per name of ``ids`` (each a ``noun`` of the graph), from
+    the ``key`` object of ``meta``, which ``number`` (:func:`_finite` or
+    :func:`_positive`) admits."""
     low = 0.0 if number is _positive else -math.inf
-    values = {
-        ids[k]: float(v) if type(v) in (float, int) and low < v < math.inf else number(v, key)
-        for k, v in meta[key].items()
-    }
+    entries = meta[key]
+    try:
+        values = {
+            ids[k]: float(v) if type(v) in (float, int) and low < v < math.inf else number(v, key)
+            for k, v in entries.items()
+        }
+    except KeyError as exc:  # only ids[k] can miss
+        name = _quote(exc.args[0])
+        raise SchemaFormatError(f"{key} names no {noun} of the graph: {name}") from None
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
         raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
     return values
 
 
-def _graph_from_meta(meta: dict) -> MetricGraph:
+def _graph_from_meta(stored: dict) -> MetricGraph:
+    """The graph of the ``edges`` records of ``meta.graph``."""
     records = []
-    for record in meta["graph"]["edges"]:
+    for record in stored["edges"]:
         if not (type(record) is list and len(record) == 4 and {*map(type, record[:3])} == {str}):
             raise SchemaFormatError(
                 f"edge record {_quote(record)} is not [name, u, v, length] with string names"
@@ -941,9 +950,13 @@ def schema_from_json(text: str) -> SurfaceSchema:
     for an edge length, waist or margin; a walk dart an int, never a bool;
     ``summary.minimal`` true, false or null.  Raises
     :class:`SchemaFormatError` on any document it cannot read, quoting
-    the first offending value.  One loop reads the blocks and one the
+    the first offending value; a missing key is named with the object it
+    is missing from (the document, ``meta``, ``meta graph``, a block, a
+    boundary of a block, a gluing or ``summary``; blocks, boundaries and
+    gluings counted from 0).  One loop reads the blocks and one the
     gluings; the helpers above are called only on a value that fails its
-    inline test, to raise their message.
+    inline test, to raise their message, and the handler of a missing key
+    reads where it is from the loop indices.
     """
     try:
         doc = json.loads(text)
@@ -951,15 +964,20 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise SchemaFormatError("JSON nested too deeply to decode") from None
+    where = "the document"  # what a missing key is missing from
     try:
         if type(doc["schema_version"]) is bool or doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
                 f"unsupported schema_version {_quote(doc['schema_version'])}"
             )
         meta = doc["meta"]
-        graph = _graph_from_meta(meta)
-        if meta["graph"]["hash"] != graph_hash(graph):
+        where = "meta"
+        stored = meta["graph"]
+        where = "meta graph"
+        graph = _graph_from_meta(stored)
+        if stored["hash"] != graph_hash(graph):
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
+        where = "meta"
         if float(_finite(meta["f_min"], "f_min")) != _F_MIN_STORED:
             raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_F_MIN_STORED!r}")
         if len(graph.edge_ids) != graph.edge_count:
@@ -970,12 +988,16 @@ def schema_from_json(text: str) -> SurfaceSchema:
         scale = ScaleParams(
             t=float(_finite(meta["t"], "t")),
             margin=float(_positive(meta["margin"], "margin")),
-            foot=_per_name(meta, "foot", graph.vertex_ids),
-            clearance=_per_name(meta, "clearance", graph.edge_ids),
-            waist=_per_name(meta, "waist", graph.edge_ids, _positive),
+            foot=_per_name(meta, "foot", graph.vertex_ids, "vertex"),
+            clearance=_per_name(meta, "clearance", graph.edge_ids, "edge"),
+            waist=_per_name(meta, "waist", graph.edge_ids, "edge", _positive),
         )
+        where = "the document"
+        block_docs, gluing_docs, s = doc["blocks"], doc["gluings"], doc["summary"]
+        where = "blocks"
         blocks = []
-        for b in doc["blocks"]:
+        for i, b in enumerate(block_docs):
+            j = None  # the boundary being read
             bid = b["id"]
             if type(bid) is not str:  # json.loads yields exact types
                 _name(bid, "block id")
@@ -986,7 +1008,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             if layer not in (SURFACE, CONSTRUCTION):
                 _layer(layer)
             boundaries = []
-            for bd in b["boundaries"]:
+            for j, bd in enumerate(b["boundaries"]):
                 label = bd["label"]
                 if type(label) is not str:
                     _name(label, "boundary label")
@@ -1009,8 +1031,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
                     f"block {_quote(bid)}: payload walks are not lists of darts"
                 )
             blocks.append(Block(bid, kind, genus, layer, tuple(boundaries), payload))
+        where = "gluings"
         gluings = []
-        for g in doc["gluings"]:
+        for k, g in enumerate(gluing_docs):
             a = g["a"]
             if not (type(a) is list and len(a) == 2 and type(a[0]) is str and type(a[1]) is str):
                 _side(a)
@@ -1021,7 +1044,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             if type(twist) not in (float, int) or not math.isfinite(twist):
                 _finite(twist, "gluing twist")
             gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), float(twist)))
-        s = doc["summary"]
+        where = "summary"
         genus = _integer(s["genus"], "summary genus")
         boundary_count = _integer(s["boundary_count"], "summary boundary_count")
         minimal = s["minimal"]
@@ -1034,7 +1057,13 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise
     except GraphFormatError as exc:  # a bad rotation record; its message is ours, whole
         raise SchemaFormatError(str(exc)) from None
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+    except KeyError as exc:
+        if where == "blocks":
+            where = f"block {i}" if j is None else f"boundary {j} of block {i}"
+        elif where == "gluings":
+            where = f"gluing {k}"
+        raise SchemaFormatError(f"{where} has no key {_quote(exc.args[0])}") from None
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise SchemaFormatError(f"malformed schema document: {_quote(exc)}") from None
     return SurfaceSchema(
         graph=graph,

@@ -109,20 +109,20 @@ def cmd_embed(args: argparse.Namespace) -> int:
             rotation_cap=args.max_rotations,
         )
     if not result.certified:
+        if isinstance(target, tuple):  # refused before anything is built
+            _say(
+                "error: optimum not certified within the enumeration caps; an exact "
+                "genus target needs a certified minimal-boundary surface; raise "
+                "--max-trees / --max-rotations"
+            )
+            return CAP_EXCEEDED
         _say(
             "warning: optimum not certified within the enumeration caps; "
             "using the best rotation found"
         )
     bordered = assemble_sigma_surface(graph, result.rotation, margin=args.margin)
     if isinstance(target, tuple):
-        wanted = target[1]
-        if not result.certified:
-            _say(
-                "an exact genus target needs a certified minimal-boundary "
-                "surface; raise --max-trees / --max-rotations"
-            )
-            return CAP_EXCEEDED
-        schema = cap_target_genus(bordered, wanted, minimum=result.boundary_count)
+        schema = cap_target_genus(bordered, target[1], minimum=result.boundary_count)
     else:
         schema = cap_standard(bordered)
     diagnostics = verify_schema(schema)

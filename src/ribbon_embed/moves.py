@@ -17,8 +17,9 @@ One search climbs in either direction and certifies its result by a ladder
 of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
 floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
 optimal on sight; above it the spanning-tree search supplies 1 + zeta when
-Kirchhoff's count puts the trees within the cap; the frontier DP, within
-the rotation cap, decides the optimum and finds a rotation at it last.
+Kirchhoff's count puts the trees within the cap; last, one pass of the
+frontier DP, within the rotation cap, decides the optimum and gives the
+first rotation at it.
 Maximizing, the target is the profile's maximum within the rotation cap.
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
@@ -62,8 +63,9 @@ from .rotation import (
     _faces,
     _incidence,
     _profile,
+    _rotation_at,
+    _strides,
     _vertex_orders,
-    _witness,
     boundary_profile,
     canonical_cycle,
     count_rotations,
@@ -269,11 +271,12 @@ def _search(
     result at once.  Only when the climb and the restarts end short of it
     is ``exact()`` asked for the optimum itself (None when unknown); a best
     count at the optimum is certified too.  Short of that, and within
-    ``rotation_cap``, the DP decides the optimum, unless the target is the
-    bound, and a target it contradicts disproves the theory.  A best count
-    short of the optimum gives way to the DP's witness: the first rotation,
-    in enumeration order, at the optimum.  Nothing beats the optimum, so
-    where it is first asked for changes no rotation; the result carries it.
+    ``rotation_cap``, one DP pass (:func:`_profile`) decides the optimum,
+    and a target it contradicts disproves the theory.  The same pass gives
+    the first rotation, in enumeration order, at every count, and a best
+    count short of the optimum gives way to the one at the optimum.
+    Nothing beats the optimum, so where it is first asked for changes no
+    rotation; the result carries it.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -308,15 +311,15 @@ def _search(
         except CapExceededError:
             pass
     if enumerated:
-        if target is None or target != bound:
-            optimum = (max if delta > 0 else min)(_profile(graph, orders))
-            if target is not None and optimum != target:
-                raise InternalInvariantError(
-                    f"exhaustive optimum {optimum} disagrees with the target {target}"
-                )
-            target = optimum
+        profile = _profile(graph, orders)
+        optimum = (max if delta > 0 else min)(profile)
+        if target is not None and optimum != target:
+            raise InternalInvariantError(
+                f"exhaustive optimum {optimum} disagrees with the target {target}"
+            )
+        target = optimum
         if beats(target, best[0]):
-            witness = _witness(graph, orders, target)
+            witness = _rotation_at(orders, profile[target][1])
             count = _faces(graph.dart_count, witness.cycles)[1]
             if count != target:
                 raise InternalInvariantError(f"witness has {count} walks, not {target}")
@@ -355,19 +358,17 @@ def minimize_boundaries(
     unknown at once, with no tree visited.  A capped search could end early
     only at the floor, which the descent has missed, so knowing it would
     certify nothing: the DP decides either way, and gives the same
-    rotation.  Last, within ``rotation_cap``, the frontier DP decides the
-    minimum (checked against a known target) and, when the best found
-    misses it, gives the first rotation in enumeration order that attains
-    it; the result is certified.  With the DP capped out, the best rotation
-    found is returned uncertified, with the target as its ``optimum``.
+    rotation.  Last, within ``rotation_cap``, one frontier DP pass decides
+    the minimum (checked against a known target) and, when the best found
+    misses it, gives from the same pass the first rotation in enumeration
+    order that attains it; the result is certified.  With the DP capped
+    out, the best rotation found is returned uncertified, with the target
+    as its ``optimum``.
     """
 
     def target() -> int | None:
-        try:
-            trees = _tree_count(graph, tree_cap)
-            return None if trees is None else 1 + betti_deficiency(graph, tree_cap)
-        except CapExceededError:  # the count only skips a search that would hit the cap
-            return None
+        trees = _tree_count(graph, tree_cap)
+        return None if trees is None else 1 + betti_deficiency(graph, tree_cap)
 
     return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, rotation_cap)
 
@@ -381,8 +382,9 @@ def maximize_boundaries(
 ) -> SearchResult:
     """Greedy walk-count maximization, certified against the maximum of
     :func:`boundary_profile` when the rotations fit under the cap.  When the
-    greedy ascent and the restarts fall short, the frontier DP gives the
-    first rotation in enumeration order that attains that maximum."""
+    greedy ascent and the restarts fall short, one more frontier DP pass
+    confirms that maximum and gives the first rotation in enumeration order
+    that attains it."""
     try:
         target = max(boundary_profile(graph, rotation_cap))
     except CapExceededError:
@@ -530,12 +532,8 @@ def oracle(
     orders = _vertex_orders(graph, rotation_cap)
     z = betti_deficiency(graph, tree_cap)
     position = [{order: i for i, order in enumerate(choices)} for choices in orders]
-    stride = []  # the index step of one order at each vertex; the last varies fastest
-    total = 1
-    for choices in reversed(orders):
-        stride.append(total)
-        total *= len(choices)
-    stride.reverse()
+    stride = _strides(orders)
+    total = count_rotations(graph)
     ends = array("i", [0]) * total  # each rotation's walk count, then its descent's end
     firsts = array("q", [-1]) * total  # the index its first reducing move reaches, or -1
     move_cases = 0

@@ -27,9 +27,10 @@ of rotations; and with minimum degree 3 the partial-rotation count at
 least doubles with each placed vertex, so even where the cut never
 narrows (one-vertex bouquets, dipoles) it makes fewer than twice as many
 compositions as there are rotations.  The DP runs over given per-vertex
-orders (:func:`_profile`), so it also finds a rotation with a given count
-by self-reduction (:func:`_witness`): the first such rotation in
-:func:`enumerate_rotations` order.
+orders (:func:`_profile`), and each bucket of its histogram also keeps
+the smallest :func:`enumerate_rotations` index among its partial
+rotations, so the same pass gives the first rotation at every walk count
+(:func:`_rotation_at` decodes it).
 """
 
 from __future__ import annotations
@@ -235,29 +236,54 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
     Raises :class:`CapExceededError` when there are more than ``cap``
     rotations, before any work; :func:`_profile` computes it.
     """
-    return dict(sorted(_profile(graph, _vertex_orders(graph, cap)).items()))
+    profile = _profile(graph, _vertex_orders(graph, cap))
+    return {walks: profile[walks][0] for walks in sorted(profile)}
 
 
-def _profile(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> Counter[int]:
-    """{walk count: rotation count} over the rotations that take each
-    vertex's cyclic order from ``orders[v]``, by a frontier DP over vertex
-    placements.
+def _strides(orders: Sequence[Sequence[tuple[int, ...]]]) -> list[int]:
+    """The :func:`enumerate_rotations` index step of one order at each
+    vertex: mixed radix, vertex 0 most significant, the last fastest."""
+    strides = [1] * len(orders)
+    for v in range(len(orders) - 1, 0, -1):
+        strides[v - 1] = strides[v] * len(orders[v])
+    return strides
+
+
+def _rotation_at(orders: Sequence[Sequence[tuple[int, ...]]], index: int) -> RotationSystem:
+    """The rotation at ``index`` in :func:`enumerate_rotations` order over
+    ``orders``."""
+    steps = zip(orders, _strides(orders))
+    return RotationSystem(tuple(choices[index // s % len(choices)] for choices, s in steps))
+
+
+def _profile(
+    graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]
+) -> dict[int, list[int]]:
+    """{walk count: [rotation count, index of the first rotation]} over the
+    rotations that take each vertex's cyclic order from ``orders[v]``, by a
+    frontier DP over vertex placements; the index is the rotation's
+    position in :func:`enumerate_rotations` order (:func:`_strides`).
 
     The next vertex placed is the one with the most edges into the placed
     set S, ties to the smallest id.  Under a rotation of S alone the face
     permutation splits into closed faces, which are only counted, and open
     paths, each entering S at the S-side dart of a cut edge (in
     ``entries``, sorted) and leaving at an outside dart.  A state is the
-    tuple of those exits, aligned with ``entries``, and maps to a Counter
-    {closed faces: partial rotations}.  Placing w composes each of its
-    orders into each state; with every vertex placed the one state left is
-    empty.
+    tuple of those exits, aligned with ``entries``, and maps to a dict
+    {closed faces: [partial rotations, smallest index among them]}.
+    Placing w composes each of its orders into each state, adding the
+    order's position times w's stride to the index; with every vertex
+    placed the one state left is empty.  Partial rotations that share a
+    state and a closed-face count have the same completions, so the
+    smallest index is kept exactly: the first rotation at a count extends
+    the first partial rotation of every bucket it passes through.
     """
     vertex_of = graph.vertex_of
     placed = [False] * graph.vertex_count
     into = [0] * graph.vertex_count  # edges from each vertex into S
+    strides = _strides(orders)
     entries: list[int] = []
-    states: dict[tuple[int, ...], Counter[int]] = {(): Counter({0: 1})}
+    states: dict[tuple[int, ...], dict[int, list[int]]] = {(): {0: [1, 0]}}
     for _ in range(graph.vertex_count):
         w = max((v for v, done in enumerate(placed) if not done), key=lambda v: (into[v], -v))
         placed[w] = True
@@ -269,13 +295,13 @@ def _profile(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) ->
             + [d for d in darts if not placed[vertex_of[d ^ 1]]]
         )
         steps = [
-            {d: p ^ 1 for d, p in zip(order, order[-1:] + order[:-1])}
-            for order in orders[w]
+            ({d: p ^ 1 for d, p in zip(order, order[-1:] + order[:-1])}, i * strides[w])
+            for i, order in enumerate(orders[w])
         ]
-        composed: dict[tuple[int, ...], Counter[int]] = {}
+        composed: dict[tuple[int, ...], dict[int, list[int]]] = {}
         for state, counts in states.items():
             exit_of = dict(zip(entries, state))
-            for step in steps:
+            for step, offset in steps:
                 succ = {**exit_of, **step}
                 seen = set()
                 exits = []
@@ -294,33 +320,18 @@ def _profile(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) ->
                 key = tuple(exits)
                 target = composed.get(key)
                 if target is None:
-                    target = composed[key] = Counter()
-                for faces, rotations in counts.items():
-                    target[faces + closed] += rotations
+                    target = composed[key] = {}
+                for faces, (rotations, first) in counts.items():
+                    bucket = target.get(faces + closed)
+                    if bucket is None:
+                        target[faces + closed] = [rotations, first + offset]
+                    else:
+                        bucket[0] += rotations
+                        if first + offset < bucket[1]:
+                            bucket[1] = first + offset
         states = composed
         entries = new_entries
     return states[()]
-
-
-def _witness(
-    graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]], count: int
-) -> RotationSystem:
-    """The first rotation in :func:`enumerate_rotations` order with
-    ``count`` walks, by self-reduction over :func:`_profile`.
-
-    Vertices are fixed in id order, each to the first of its orders under
-    which the DP still reaches ``count``; the last order is taken without a
-    DP run.  The caller ensures ``count`` is attained.
-    """
-    fixed = list(orders)
-    for v, choices in enumerate(orders):
-        for order in choices[:-1]:
-            fixed[v] = [order]
-            if _profile(graph, fixed)[count]:
-                break
-        else:
-            fixed[v] = choices[-1:]
-    return RotationSystem(tuple(order for (order,) in fixed))
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:

@@ -183,6 +183,21 @@ def test_embed_genus_target_refused_above_the_floor_without_certificate(graph_fi
     assert "not certified" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("margin", [[], ["--margin", "nan"]])
+def test_embed_genus_target_refused_before_assembly(margin, graph_file, capsys):
+    # the refusal comes before the schema is built: no warning that the
+    # best rotation is used, and a margin assembly would reject is never read
+    path = graph_file(format_graph(random_multigraph(27)))
+    argv = ["embed", path, "--target", "genus=5", "--max-trees", "1", "--restarts", "0",
+            "--max-rotations", "1", *margin]  # fmt: skip
+    assert main(argv) == 5
+    assert capsys.readouterr() == (
+        "",
+        "error: optimum not certified within the enumeration caps; an exact genus target "
+        "needs a certified minimal-boundary surface; raise --max-trees / --max-rotations\n",
+    )
+
 def test_embed_genus_target_capped_with_the_certificate_of_the_sweep(graph_file, tmp_path, capsys):
     # zeta exceeds the bridge floor and one tree is too few for the tree
     # search, so the DP certifies the 4 walks; capping takes that minimum
@@ -524,6 +539,53 @@ def test_verify_rejects_malformed_shapes(case, graph_file, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+
+# A missing key is named with the object it is missing from, counted from 0,
+# and a per-name entry with the name that is no vertex or edge.
+MISSING_KEYS = {
+    "version": (lambda doc: doc.pop("schema_version"), "the document has no key 'schema_version'"),
+    "summary": (lambda doc: doc.pop("summary"), "the document has no key 'summary'"),
+    "meta t": (lambda doc: doc["meta"].pop("t"), "meta has no key 't'"),
+    "meta foot": (lambda doc: doc["meta"].pop("foot"), "meta has no key 'foot'"),
+    "graph hash": (lambda doc: doc["meta"]["graph"].pop("hash"), "meta graph has no key 'hash'"),
+    "graph edges": (
+        lambda doc: doc["meta"]["graph"].pop("edges"), "meta graph has no key 'edges'"
+    ),
+    "block layer": (lambda doc: doc["blocks"][1].pop("layer"), "block 1 has no key 'layer'"),
+    "block boundaries": (
+        lambda doc: doc["blocks"][0].pop("boundaries"), "block 0 has no key 'boundaries'"
+    ),
+    "boundary length": (
+        lambda doc: doc["blocks"][2]["boundaries"][1].pop("length"),
+        "boundary 1 of block 2 has no key 'length'",
+    ),
+    "gluing side": (lambda doc: doc["gluings"][3].pop("b"), "gluing 3 has no key 'b'"),
+    "summary minimal": (lambda doc: doc["summary"].pop("minimal"), "summary has no key 'minimal'"),
+    "foot name": (
+        lambda doc: doc["meta"]["foot"].update(zz=1.0), "foot names no vertex of the graph: 'zz'"
+    ),
+    "clearance name": (
+        lambda doc: doc["meta"]["clearance"].update(u=1.0),
+        "clearance names no edge of the graph: 'u'",
+    ),
+    "waist name": (
+        lambda doc: doc["meta"]["waist"].update(zz=1.0), "waist names no edge of the graph: 'zz'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+def test_reader_names_where_a_key_is_missing(case, graph_file, tmp_path, capsys):
+    mutate, message = MISSING_KEYS[case]
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    mutate(doc)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 def test_verify_reports_a_long_waist_that_misses_its_cuff_distance(graph_file, tmp_path, capsys):
     out_path = tmp_path / "schema.json"
     assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
@@ -586,12 +648,12 @@ def _k4_schema(graph_file, tmp_path):
 # The sha256 of every (exit code, stdout, stderr) of the corpus, in order: a
 # change to the reader or the verifier that moves any verdict or message
 # moves it.
-MUTATION_CORPUS_DIGEST = "7c81f4fcffc1085c509614ffb5914c128e0c262c6c309c42912c7e482da04a22"
+MUTATION_CORPUS_DIGEST = "4a9ab46a5ed6de048688861a218d7b58a7ab44dd588d8680a9df8b6f2f4a869c"
 
 
 def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
     # every mutated document gets a verdict (0 ok, 1 failed check, 2 bad
-    # input) and no exception escapes main
+    # input), no exception escapes main, and the tally of verdicts holds
     out_path, text = _k4_schema(graph_file, tmp_path)
     capsys.readouterr()
     exits = Counter()
@@ -601,7 +663,7 @@ def test_verify_is_total_on_single_leaf_mutations(graph_file, tmp_path, capsys):
         code = main(["verify", str(out_path)])
         exits[code] += 1
         digest.update(repr((code, *capsys.readouterr())).encode())
-    assert set(exits) <= {0, 1, 2} and sum(exits.values()) == 3000
+    assert exits == {2: 2113, 1: 826, 0: 61}
     assert digest.hexdigest() == MUTATION_CORPUS_DIGEST
 
 
@@ -803,7 +865,7 @@ HUGE_VALUE_MUTATIONS = {
     "foot key": (
         lambda doc: doc["meta"]["foot"].update({"x" * 400_000: 1.0}),
         2,
-        "malformed schema document: KeyError('xxx",
+        "error: foot names no vertex of the graph: 'xxx",
     ),
     "block id": (
         lambda doc: _block(doc, "cap_torus").update(id="x" * 400_000),

@@ -309,8 +309,17 @@ def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
             ]
         ]
 
+    def searched(graph, cap):
+        # the capped tree search in place of the count: within the cap
+        # when it ends early at the floor or visits every tree
+        try:
+            betti_deficiency(graph, cap)
+        except CapExceededError:
+            return None
+        return 0
+
     checked = results()
-    monkeypatch.setattr(moves, "_tree_count", lambda graph, cap: 0)
+    monkeypatch.setattr(moves, "_tree_count", searched)
     assert checked == results()
 
 
@@ -408,7 +417,7 @@ def test_last_rung_runs_where_the_floor_falls_short(seed):
 
 
 def test_no_search_enumerates_rotations(monkeypatch):
-    # the DP decides the optimum and self-reduces to its witness: the
+    # one DP pass decides the optimum and gives its witness: the
     # rotations behind the two restarts0 goldens, and for each graph of the
     # last rung the descent's own rotation or, where it stalls, the first
     # rotation in enumeration order at the minimum
@@ -434,6 +443,34 @@ def test_no_search_enumerates_rotations(monkeypatch):
         res = search(g, restarts=0, **caps)
         assert res.rotation.cycles == cycles
         assert res.enumerated and res.certified
+
+
+
+def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
+    # one pass gives the optimum and the first rotation at it: the last
+    # rung's graphs and a maximize whose ascent stalls below the maximum
+    calls = []
+    profile, search = rotation._profile, moves._search
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    runs = []
+
+    def recorded(*args):
+        before = len(calls)
+        res = search(*args)
+        runs.append((res.enumerated, res.certified, len(calls) - before))
+        return res
+
+    monkeypatch.setattr(rotation, "_profile", counted)
+    monkeypatch.setattr(moves, "_profile", counted)
+    monkeypatch.setattr(moves, "_search", recorded)
+    for seed in (27, 65, 142, 229):
+        minimize_boundaries(random_multigraph(seed), restarts=0, tree_cap=1)
+    maximize_boundaries(random_multigraph(14), restarts=0)
+    assert runs == [(True, True, 1)] * 5
 
 
 def _climb_by_single_moves(g, rot, delta):

@@ -20,8 +20,9 @@ from ribbon_embed import (
 )
 from ribbon_embed.rotation import (
     _faces,
+    _profile,
+    _rotation_at,
     _vertex_orders,
-    _witness,
     canonical_cycle,
     rotation_from_lines,
     rotation_to_lines,
@@ -178,7 +179,8 @@ def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
 
 
 def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
-    # self-reduction over the DP picks what a scan in enumeration order picks
+    # the DP's first index at each count picks what a scan in enumeration
+    # order picks
     graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
     assert max(map(count_rotations, graphs)) <= 2 * 10**4
     for g in graphs:
@@ -186,8 +188,17 @@ def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, d
         for r in enumerate_rotations(g):
             first.setdefault(boundary_count(g, r), r)
         orders = _vertex_orders(g, 10**6)
+        profile = _profile(g, orders)
+        assert profile.keys() == first.keys()
         for count, r in first.items():
-            assert _witness(g, orders, count) == r, (g, count)
+            assert _rotation_at(orders, profile[count][1]) == r, (g, count)
+
+
+def test_rotation_at_decodes_the_enumeration_index(theta, bouquet2, k4, k5, dumbbell):
+    for g in (theta, bouquet2, k4, k5, dumbbell):
+        orders = _vertex_orders(g, 10**6)
+        for i, r in enumerate(enumerate_rotations(g)):
+            assert _rotation_at(orders, i) == r, (g, i)
 
 
 def test_boundary_profile_runs_the_dp_for_every_graph(k5):
