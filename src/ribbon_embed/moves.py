@@ -25,10 +25,12 @@ Maximizing, the target is the profile's maximum within the rotation cap.
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
-once: the profile, every reducing move and every greedy descent come from
-one pass, each descent read off the rotation its first move reaches, and
-each move is recounted by a tracer of its own, which follows the inverse
-face permutation and shares no code with the scoring.
+once from one successor table, rewritten only at the vertices whose cycle
+changed since the last rotation: the profile, every reducing move and every
+greedy descent come from one pass, each descent read off the rotation its
+first move reaches, and each move is recounted by a tracer of its own,
+which follows the inverse face permutation and shares no code with the
+scoring.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from . import rotation as rotation_module
 from .errors import (
     CapExceededError,
     InternalInvariantError,
@@ -60,14 +63,15 @@ from .invariants import (
 from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
+    _crowded,
     _faces,
     _incidence,
     _profile,
     _rotation_at,
+    _set_succ,
     _strides,
     _vertex_orders,
     boundary_profile,
-    canonical_cycle,
     count_rotations,
     dart_label,
     default_rotation,
@@ -119,8 +123,8 @@ def _relocation_delta(
 def _relocated_cycle(
     cycle: tuple[int, ...], delta: int, face: Sequence[int], succ: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """The vertex cycle, canonical, after the first relocation in ``cycle``
-    changing the walk count by ``delta``, or None.
+    """The vertex cycle, canonical, after the first relocation in the
+    canonical ``cycle`` changing the walk count by ``delta``, or None.
 
     ``face`` and ``succ`` are one trace of a rotation holding ``cycle``;
     each candidate is scored from them by :func:`_relocation_delta`, with
@@ -128,7 +132,9 @@ def _relocated_cycle(
     position ascending, then insertion slot ascending.  It skips the
     identity, and sources whose x and n rule the sign out, but not cyclic
     duplicates: one has the delta of the candidate it repeats, which was
-    already turned down.
+    already turned down.  The smallest dart leads ``cycle``, so the moved
+    cycle is built canonical: led by x when x is that dart, ending in x
+    when x lands just before it, and led by it otherwise.
     """
     k = len(cycle)
     for i, x in enumerate(cycle):
@@ -139,7 +145,11 @@ def _relocated_cycle(
             if b != x and b != n and _relocation_delta(face, succ, n, x, b) == delta:
                 rest = cycle[:i] + cycle[i + 1 :]
                 j = rest.index(b)
-                return canonical_cycle(rest[:j] + (x,) + rest[j:])
+                if i == 0:
+                    return (x,) + rest[j:] + rest[:j]
+                if j == 0:
+                    return rest + (x,)
+                return rest[:j] + (x,) + rest[j:]
     return None
 
 
@@ -241,7 +251,7 @@ def _climb(
     while True:
         face, count, succ = _faces(graph.dart_count, rotation.cycles)
         for v, cycle in enumerate(rotation.cycles):
-            if delta < 0 and _incidence(cycle, face) < 3:
+            if delta < 0 and not _crowded(cycle, face):
                 continue
             step = _relocate(rotation, v, delta, face, succ)
             if step is not None:
@@ -254,6 +264,20 @@ def _climb(
         records.append(record)
 
 
+_Frontier = tuple[list[list[tuple[int, ...]]], dict[int, list[int]]]
+
+
+def _frontier(graph: MetricGraph, rotation_cap: int) -> _Frontier | None:
+    """One frontier DP pass: (the cyclic orders at each vertex,
+    :func:`_profile` over them), or None when the rotations exceed
+    ``rotation_cap``."""
+    try:
+        orders = _vertex_orders(graph, rotation_cap)
+    except CapExceededError:
+        return None
+    return orders, _profile(graph, orders)
+
+
 def _search(
     graph: MetricGraph,
     start: RotationSystem | None,
@@ -262,7 +286,7 @@ def _search(
     delta: int,
     bound: int | None,
     exact: Callable[[], int | None],
-    rotation_cap: int,
+    frontier: Callable[[], _Frontier | None],
 ) -> SearchResult:
     """Greedy climb in direction ``delta`` towards ``bound``, then seeded
     restarts, then the frontier DP over every rotation.
@@ -270,13 +294,13 @@ def _search(
     ``bound`` is a count no rotation can beat, so reaching it certifies the
     result at once.  Only when the climb and the restarts end short of it
     is ``exact()`` asked for the optimum itself (None when unknown); a best
-    count at the optimum is certified too.  Short of that, and within
-    ``rotation_cap``, one DP pass (:func:`_profile`) decides the optimum,
-    and a target it contradicts disproves the theory.  The same pass gives
-    the first rotation, in enumeration order, at every count, and a best
-    count short of the optimum gives way to the one at the optimum.
-    Nothing beats the optimum, so where it is first asked for changes no
-    rotation; the result carries it.
+    count at the optimum is certified too.  Short of that, ``frontier()``
+    gives one DP pass (:func:`_frontier`; None above the rotation cap),
+    which decides the optimum, and a target it contradicts disproves the
+    theory.  The same pass gives the first rotation, in enumeration order,
+    at every count, and a best count short of the optimum gives way to the
+    one at the optimum.  Nothing beats the optimum, so where it is first
+    asked for changes no rotation; the result carries it.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -289,7 +313,6 @@ def _search(
     greedy_count = count
     best = (count, rotation, tuple(records))
     restarts_used = 0
-    enumerated = False
 
     if bound is None or beats(bound, best[0]):
         rng = random.Random(seed)
@@ -304,14 +327,10 @@ def _search(
     if bound is not None and beats(best[0], bound):
         raise InternalInvariantError(f"count {best[0]} lies beyond the bound {bound}")
     target = bound if best[0] == bound else exact()
-    if target is None or beats(target, best[0]):
-        try:
-            orders = _vertex_orders(graph, rotation_cap)
-            enumerated = True
-        except CapExceededError:
-            pass
+    dp = frontier() if target is None or beats(target, best[0]) else None
+    enumerated = dp is not None
     if enumerated:
-        profile = _profile(graph, orders)
+        orders, profile = dp
         optimum = (max if delta > 0 else min)(profile)
         if target is not None and optimum != target:
             raise InternalInvariantError(
@@ -370,7 +389,10 @@ def minimize_boundaries(
         trees = _tree_count(graph, tree_cap)
         return None if trees is None else 1 + betti_deficiency(graph, tree_cap)
 
-    return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, rotation_cap)
+    floor = 1 + zeta_floor(graph)
+    return _search(
+        graph, start, restarts, seed, -2, floor, target, lambda: _frontier(graph, rotation_cap)
+    )
 
 
 def maximize_boundaries(
@@ -381,15 +403,12 @@ def maximize_boundaries(
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
     """Greedy walk-count maximization, certified against the maximum of
-    :func:`boundary_profile` when the rotations fit under the cap.  When the
-    greedy ascent and the restarts fall short, one more frontier DP pass
-    confirms that maximum and gives the first rotation in enumeration order
-    that attains it."""
-    try:
-        target = max(boundary_profile(graph, rotation_cap))
-    except CapExceededError:
-        target = None
-    return _search(graph, start, restarts, seed, +2, target, lambda: target, rotation_cap)
+    the walk-count profile when the rotations fit under the cap.  When the
+    greedy ascent and the restarts fall short, the same frontier DP pass
+    gives the first rotation in enumeration order that attains it."""
+    dp = _frontier(graph, rotation_cap)
+    target = None if dp is None else max(dp[1])
+    return _search(graph, start, restarts, seed, +2, target, lambda: target, lambda: dp)
 
 
 def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int) -> int:
@@ -508,23 +527,27 @@ def oracle(
     """Re-verify the boundary-walk theory on the smoothed graph by brute force:
     (report lines, whether every check passed).
 
-    One pass over the rotations in :func:`enumerate_rotations` order, each
-    traced once with :func:`_faces`, gives the walk-count profile, checked
-    against 1 + zeta and Euler parity.  At each vertex meeting three or more
-    walks the reducing relocation (:func:`_relocated_cycle`) must exist and
-    drop the oracle's own walk count by exactly 2: a table of its own
-    (:func:`_link`, counted by :func:`_orbits`), relinked only at vertices
-    whose cycle changed from the last rotation, is patched with the moved
-    cycle, counted and restored.  The move at the first such vertex is the
-    first step of :func:`_climb`, and reaches another rotation of the pass,
-    with two fewer walks; the greedy descent from each rotation ends where
-    the descent from that one ends.  So the pass keeps each rotation's walk
-    count and the index of the rotation its first move reaches, and the
-    ends are read off those pointers afterwards, fewest walks first, with
-    no descent traced again.  Stalls above the minimum are reported, not
-    failed (loop-carrying graphs can stall with every vertex meeting at
-    most two walks).  Both caps are checked before the tree search for
-    zeta, the tree count first, and raise :class:`CapExceededError`.
+    One pass over the rotations in :func:`enumerate_rotations` order gives
+    the walk-count profile, checked against 1 + zeta and Euler parity.
+    Each rotation is traced once, by the one kernel
+    :func:`~ribbon_embed.rotation._trace`, from a successor table that
+    :func:`~ribbon_embed.rotation._set_succ` rewrites only at the vertices
+    whose cycle changed from the last rotation.  At each vertex meeting
+    three or more walks (:func:`~ribbon_embed.rotation._crowded`) the
+    reducing relocation (:func:`_relocated_cycle`) must exist and drop the
+    oracle's own walk count by exactly 2: a table of its own
+    (:func:`_link`, counted by :func:`_orbits`), relinked at the same
+    vertices, is patched with the moved cycle, counted and restored.  The
+    move at the first such vertex is the first step of :func:`_climb`, and
+    reaches another rotation of the pass, with two fewer walks; the greedy
+    descent from each rotation ends where the descent from that one ends.
+    So the pass keeps each rotation's walk count and the index of the
+    rotation its first move reaches, and the ends are read off those
+    pointers afterwards, fewest walks first, with no descent traced again.
+    Stalls above the minimum are reported, not failed (loop-carrying graphs
+    can stall with every vertex meeting at most two walks).  Both caps are
+    checked before the tree search for zeta, the tree count first, and
+    raise :class:`CapExceededError`.
     """
     graph = smooth(graph)
     if _tree_count(graph, tree_cap) is None:
@@ -538,23 +561,25 @@ def oracle(
     firsts = array("q", [-1]) * total  # the index its first reducing move reaches, or -1
     move_cases = 0
     move_failures = []
+    trace = rotation_module._trace  # the one kernel, looked up when the pass starts
+    succ = [0] * graph.dart_count  # the face permutation, patched per rotation
     following = [0] * graph.dart_count  # the recount's table, patched per rotation
     linked: list[Sequence[int]] = [()] * graph.vertex_count  # the cycle linked at each vertex
     for index, cycles in enumerate(itertools.product(*orders)):
-        face, base, succ = _faces(graph.dart_count, cycles)
-        ends[index] = base
         for v, cycle in enumerate(cycles):
             if cycle is not linked[v]:
+                _set_succ(succ, (cycle,))
                 _link(following, cycle)
                 linked[v] = cycle
+        face, base = trace(succ)
+        ends[index] = base
         for v, cycle in enumerate(cycles):
-            walks = _incidence(cycle, face)
-            if walks < 3:
+            if not _crowded(cycle, face):
                 continue
             move_cases += 1
             moved = _relocated_cycle(cycle, -2, face, succ)
             if moved is None:
-                raise _no_reducing_move(graph, v, walks)
+                raise _no_reducing_move(graph, v, _incidence(cycle, face))
             _link(following, moved)
             got = _orbits(following)
             _link(following, cycle)

@@ -12,10 +12,12 @@ the genus bookkeeping consumes.
 Cyclic orders are stored rotated so the smallest dart id comes first,
 giving rotation systems a canonical equality.
 
-One tracer, :func:`_trace`, follows the orbits of the successor table.
-Only the oracle (:func:`ribbon_embed.moves.oracle`) and the tests walk
-through every rotation in :func:`enumerate_rotations` order, tracing each
-one from scratch; no search does.
+One tracer, :func:`_trace`, follows the orbits of the successor table,
+and one writer, :func:`_set_succ`, fills that table in at the vertex
+cycles it is given.  Only the oracle (:func:`ribbon_embed.moves.oracle`)
+and the tests walk through every rotation in :func:`enumerate_rotations`
+order; the oracle traces each one from a table it rewrites only at the
+vertices whose cycle changed, and no search walks them at all.
 
 :func:`boundary_profile` needs only how many rotations give each walk
 count, and takes it from a frontier DP that places one vertex at a time
@@ -110,14 +112,20 @@ def default_rotation(graph: MetricGraph, seed: int = 0) -> RotationSystem:
     return RotationSystem(tuple(cycles))
 
 
-def _succ(dart_count: int, cycles: Sequence[Sequence[int]]) -> list[int]:
-    """The face permutation ``succ[d] = mate(prev(d))`` of a rotation."""
-    succ = [0] * dart_count
+def _set_succ(succ: list[int], cycles: Iterable[Sequence[int]]) -> None:
+    """Write ``succ[d] = mate(prev(d))`` for the darts of the given vertex
+    cycles."""
     for cycle in cycles:
         p = cycle[-1]
         for d in cycle:
             succ[d] = p ^ 1
             p = d
+
+
+def _succ(dart_count: int, cycles: Sequence[Sequence[int]]) -> list[int]:
+    """The face permutation ``succ[d] = mate(prev(d))`` of a rotation."""
+    succ = [0] * dart_count
+    _set_succ(succ, cycles)
     return succ
 
 
@@ -185,6 +193,21 @@ def fat_genus(graph: MetricGraph, rotation: RotationSystem) -> int:
 def _incidence(cycle: Sequence[int], face: Sequence[int]) -> int:
     """How many distinct faces the darts of one vertex cycle lie on."""
     return len({face[d] for d in cycle})
+
+
+def _crowded(cycle: Sequence[int], face: Sequence[int]) -> bool:
+    """Whether the darts of one vertex cycle lie on three or more distinct
+    faces: :func:`_incidence` ``>= 3``, stopping at the third face."""
+    first = face[cycle[0]]
+    second = -1  # face ids are never negative
+    for d in cycle:
+        f = face[d]
+        if f != first:
+            if second < 0:
+                second = f
+            elif f != second:
+                return True
+    return False
 
 
 def vertex_boundary_incidence(graph: MetricGraph, rotation: RotationSystem) -> dict[int, int]:

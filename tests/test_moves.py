@@ -38,13 +38,23 @@ from ribbon_embed.moves import (
     MoveRecord,
     _climb,
     _relocate,
+    _relocated_cycle,
     _link,
     _no_reducing_move,
     _orbits,
     _relocation_delta,
     oracle,
 )
-from ribbon_embed.rotation import RotationSystem, _faces, canonical_cycle
+from ribbon_embed.rotation import (
+    RotationSystem,
+    _crowded,
+    _cyclic_orders,
+    _faces,
+    _incidence,
+    _succ,
+    _trace,
+    canonical_cycle,
+)
 
 from helpers import prism, random_multigraph, single_dart_relocations
 
@@ -448,7 +458,8 @@ def test_no_search_enumerates_rotations(monkeypatch):
 
 def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
     # one pass gives the optimum and the first rotation at it: the last
-    # rung's graphs and a maximize whose ascent stalls below the maximum
+    # rung's graphs, and a maximize whose ascent stalls below the maximum,
+    # counted over the whole call, where the target comes from that pass
     calls = []
     profile, search = rotation._profile, moves._search
 
@@ -459,18 +470,23 @@ def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
     runs = []
 
     def recorded(*args):
-        before = len(calls)
         res = search(*args)
-        runs.append((res.enumerated, res.certified, len(calls) - before))
+        runs.append((res.enumerated, res.certified))
         return res
 
     monkeypatch.setattr(rotation, "_profile", counted)
     monkeypatch.setattr(moves, "_profile", counted)
     monkeypatch.setattr(moves, "_search", recorded)
+    passes = []
     for seed in (27, 65, 142, 229):
+        before = len(calls)
         minimize_boundaries(random_multigraph(seed), restarts=0, tree_cap=1)
+        passes.append(len(calls) - before)
+    before = len(calls)
     maximize_boundaries(random_multigraph(14), restarts=0)
-    assert runs == [(True, True, 1)] * 5
+    passes.append(len(calls) - before)
+    assert runs == [(True, True)] * 5
+    assert passes == [1] * 5
 
 
 def _climb_by_single_moves(g, rot, delta):
@@ -555,6 +571,62 @@ def test_relocation_delta_matches_the_kernel(theta, bouquet2, k4, k5, dumbbell):
                     assert _relocation_delta(face, succ, n, x, b) == want, (cycles, v, x, b)
 
 
+def _canonicalized_relocation(cycle, delta, face, succ):
+    """Reference for ``_relocated_cycle``: the same scan with no skipped
+    source, the moved tuple put in order by ``canonical_cycle``; with it
+    whether the smallest dart is the one moved, and whether the moved dart
+    lands just before the smallest.
+    """
+    for i, x in enumerate(cycle):
+        n = cycle[(i + 1) % len(cycle)]
+        for b in cycle:
+            if b != x and b != n and _relocation_delta(face, succ, n, x, b) == delta:
+                rest = cycle[:i] + cycle[i + 1 :]
+                j = rest.index(b)
+                return canonical_cycle(rest[:j] + (x,) + rest[j:]), i == 0, j == 0
+    return None, False, False
+
+
+def test_relocated_cycle_and_crowded_match_their_references():
+    # every canonical cyclic order of k <= 6 darts, each on seeded random
+    # darts (a loop when two are mates) of a random rotation whose other
+    # darts sit at other vertices
+    rng = random.Random(7)
+    found = Counter()
+    for k in range(1, 7):
+        dart_count = 2 * k + 4
+        for order in _cyclic_orders(range(k)):
+            for _ in range(4):
+                darts = sorted(rng.sample(range(dart_count), k))
+                cycle = tuple(darts[i] for i in order)
+                others = [d for d in range(dart_count) if d not in darts]
+                rng.shuffle(others)
+                cycles = [cycle]
+                while others:
+                    size = rng.randint(1, len(others))
+                    cycles.append(tuple(others[:size]))
+                    others = others[size:]
+                succ = _succ(dart_count, cycles)
+                face = _trace(succ)[0]
+                assert _crowded(cycle, face) == (_incidence(cycle, face) >= 3), (cycles, face)
+                for delta in (-2, 2):
+                    want, first, to_front = _canonicalized_relocation(cycle, delta, face, succ)
+                    assert _relocated_cycle(cycle, delta, face, succ) == want, (cycles, delta)
+                    if want is not None:
+                        found[delta, first, to_front] += 1
+    # (delta, the smallest dart moved, the moved dart lands just before it):
+    # the three ways the moved cycle is put in order.  A reducing move never
+    # lands just before the smallest dart: the scan reaches a later source
+    # only when every dart before it lies on the smallest dart's face.
+    assert set(found) == {
+        (-2, True, False),
+        (-2, False, False),
+        (2, True, False),
+        (2, False, True),
+        (2, False, False),
+    }, found
+
+
 def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4, k5, dumbbell):
     # the reference: the first of single_dart_relocations whose kernel walk
     # count is the base count plus delta
@@ -605,6 +677,24 @@ def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
     assert passed
     assert f"ok ({len(checked)} reducing moves, every delta -2)" in lines[6]
     assert len(checked) > 1000
+
+
+def test_oracle_traces_a_table_equal_to_one_built_from_scratch(k4, k5, monkeypatch):
+    # the pass rewrites its successor table only at the vertices whose cycle
+    # changed: the table traced for the k-th rotation must equal the one
+    # _succ builds for the k-th rotation of enumerate_rotations
+    trace = rotation._trace
+    tables = iter(())
+
+    def checked(succ):
+        assert succ == next(tables, None)
+        return trace(succ)
+
+    monkeypatch.setattr(rotation, "_trace", checked)
+    for g in map(smooth, (k4, k5, PETERSEN, STALLING)):
+        tables = (_succ(g.dart_count, r.cycles) for r in enumerate_rotations(g, 10**6))
+        assert oracle(g)[1]
+        assert next(tables, None) is None, "a rotation was not traced"
 
 
 def _climbed_descent_report(g):
