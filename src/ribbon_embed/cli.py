@@ -78,36 +78,26 @@ def _target_kind(value: str):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    report = analyze(
-        graph,
-        tree_cap=args.max_trees,
-        rotation_cap=args.max_rotations,
-    )
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.to_text())
+    report = analyze(graph, tree_cap=args.max_trees, rotation_cap=args.max_rotations)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # rotation_count can pass it
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(report.to_json_dict(), indent=2) if args.json else report.to_text())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return OK
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     graph = smooth(_load_graph(args.graph))
     target = args.target
+    search = {"restarts": args.restarts, "seed": args.seed, "rotation_cap": args.max_rotations}
     if target == "maximal":
-        result = maximize_boundaries(
-            graph,
-            restarts=args.restarts,
-            seed=args.seed,
-            rotation_cap=args.max_rotations,
-        )
+        result = maximize_boundaries(graph, **search)
     else:
-        result = minimize_boundaries(
-            graph,
-            restarts=args.restarts,
-            seed=args.seed,
-            tree_cap=args.max_trees,
-            rotation_cap=args.max_rotations,
-        )
+        result = minimize_boundaries(graph, tree_cap=args.max_trees, **search)
     if not result.certified:
         if isinstance(target, tuple):  # refused before anything is built
             _say(

@@ -11,8 +11,9 @@ Laplacian cofactor.  The zeta search stops at :func:`zeta_floor`, a
 linear-time lower bound from the bridges: a tree meeting it, or a rotation
 with 1 + floor walks, pins zeta with no further enumeration.  Which rung
 certifies zeta is decided in :mod:`ribbon_embed.moves`, which also holds
-the public readers of zeta, ``essential_genus`` and ``max_genus``; the
-tree search :func:`betti_deficiency` stays here as its independent check.
+the public readers of zeta, ``essential_genus`` and ``max_genus``, and
+``ge_max_exact``, the reader of the profile's maximum; the tree search
+:func:`betti_deficiency` stays here as its independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -30,7 +31,6 @@ from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
 from .graph import MetricGraph, _find, betti, euler_char, girth
-from .rotation import DEFAULT_ROTATION_CAP, boundary_profile
 
 DEFAULT_TREE_CAP = 10**6
 
@@ -251,12 +251,6 @@ def ge_max_bound(graph: MetricGraph) -> Fraction:
     if t == math.inf:
         raise GraphValidationError("girth bound needs a cycle; graph is a forest")
     return Fraction(betti(graph) + 1, 2) + Fraction(graph.edge_count, int(t))
-
-
-def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
-    """Adversarial genus: max of :func:`capped_genus` over all rotations."""
-    profile = boundary_profile(graph, cap)
-    return max(capped_genus(graph, b) for b in profile)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,13 @@ floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
 optimal on sight; above it the spanning-tree search supplies 1 + zeta when
 Kirchhoff's count puts the trees within the cap; last, one pass of the
 frontier DP, within the rotation cap, decides the optimum and gives the
-first rotation at it.
-Maximizing, the target is the profile's maximum within the rotation cap.
-:func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
-from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
+first rotation at it.  Maximizing, the cheap rung is a count no rotation
+can beat (:func:`_walk_bound`: genus 0, or every walk as long as the
+girth), and the same DP pass, run only when the climb misses it, decides
+the rest.  :func:`analyze`, :func:`essential_genus` and :func:`max_genus`
+take zeta from the minimum a rung settles, by one policy (:func:`_zeta`),
+or refuse; :func:`analyze` hands the ladder the tree count and the DP pass
+it needs itself, so each runs at most once.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
 once from one successor table, rewritten only at the vertices whose cycle
@@ -36,10 +39,12 @@ scoring.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import rotation as rotation_module
@@ -221,8 +226,9 @@ class SearchResult:
 
     ``greedy_count`` is the count where the first descent (or ascent) from
     the given start stalled; ``boundary_count`` the best found overall.
-    ``optimum`` is the global optimum a rung establishes (the bridge floor,
-    1 + zeta from the spanning-tree search, or the frontier DP's when
+    ``optimum`` is the global optimum a rung establishes (the bridge floor
+    or, maximizing, the walk bound when the search reaches it; 1 + zeta
+    from the spanning-tree search; or the frontier DP's when
     ``enumerated``), else None; ``certified``: the result attains it.
     """
 
@@ -284,7 +290,7 @@ def _search(
     restarts: int,
     seed: int,
     delta: int,
-    bound: int | None,
+    bound: int,
     exact: Callable[[], int | None],
     frontier: Callable[[], _Frontier | None],
 ) -> SearchResult:
@@ -314,17 +320,16 @@ def _search(
     best = (count, rotation, tuple(records))
     restarts_used = 0
 
-    if bound is None or beats(bound, best[0]):
-        rng = random.Random(seed)
-        for _ in range(restarts):
-            if best[0] == bound:
-                break
-            restarts_used += 1
-            retry_start = default_rotation(graph, rng.randrange(1, 2**30))
-            rotation, count, records = _climb(graph, retry_start, delta)
-            if beats(count, best[0]):
-                best = (count, rotation, tuple(records))
-    if bound is not None and beats(best[0], bound):
+    rng = random.Random(seed)
+    for _ in range(restarts):
+        if best[0] == bound:
+            break
+        restarts_used += 1
+        retry_start = default_rotation(graph, rng.randrange(1, 2**30))
+        rotation, count, records = _climb(graph, retry_start, delta)
+        if beats(count, best[0]):
+            best = (count, rotation, tuple(records))
+    if beats(best[0], bound):
         raise InternalInvariantError(f"count {best[0]} lies beyond the bound {bound}")
     target = bound if best[0] == bound else exact()
     dp = frontier() if target is None or beats(target, best[0]) else None
@@ -384,15 +389,41 @@ def minimize_boundaries(
     out, the best rotation found is returned uncertified, with the target
     as its ``optimum``.
     """
+    return _minimize(graph, start, restarts, seed, tree_cap, rotation_cap)
+
+
+def _minimize(
+    graph: MetricGraph,
+    start: RotationSystem | None,
+    restarts: int,
+    seed: int,
+    tree_cap: int,
+    rotation_cap: int,
+    trees: Callable[[], int | None] | None = None,
+    frontier: Callable[[], _Frontier | None] | None = None,
+) -> SearchResult:
+    """:func:`minimize_boundaries`, where a caller that needs the inputs of
+    the last two rungs itself hands them in, so that neither runs twice:
+    ``trees()``, Kirchhoff's count (None above ``tree_cap``), and
+    ``frontier()``, the DP pass (:func:`_frontier`).  Left out, each is
+    computed here, and only if its rung is reached."""
+    trees = trees or partial(_tree_count, graph, tree_cap)
+    frontier = frontier or partial(_frontier, graph, rotation_cap)
 
     def target() -> int | None:
-        trees = _tree_count(graph, tree_cap)
-        return None if trees is None else 1 + betti_deficiency(graph, tree_cap)
+        return None if trees() is None else 1 + betti_deficiency(graph, tree_cap)
 
-    floor = 1 + zeta_floor(graph)
-    return _search(
-        graph, start, restarts, seed, -2, floor, target, lambda: _frontier(graph, rotation_cap)
-    )
+    return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, frontier)
+
+
+def _walk_bound(graph: MetricGraph) -> int:
+    """A walk count no rotation beats: 2 - chi (genus 0), and, with a
+    cycle, 2|E| // girth, since every walk then holds a cycle and the
+    walks use each edge twice, as :func:`ge_max_bound` reads it; the
+    smaller, lowered to chi's parity."""
+    chi, shortest = euler_char(graph), girth(graph)
+    bound = 2 - chi if shortest == math.inf else min(2 - chi, 2 * graph.edge_count // shortest)
+    return bound - (bound - chi) % 2
 
 
 def maximize_boundaries(
@@ -402,23 +433,28 @@ def maximize_boundaries(
     seed: int = 0,
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
-    """Greedy walk-count maximization, certified against the maximum of
-    the walk-count profile when the rotations fit under the cap.  When the
-    greedy ascent and the restarts fall short, the same frontier DP pass
-    gives the first rotation in enumeration order that attains it."""
-    dp = _frontier(graph, rotation_cap)
-    target = None if dp is None else max(dp[1])
-    return _search(graph, start, restarts, seed, +2, target, lambda: target, lambda: dp)
+    """Greedy walk-count maximization, certified by the same ladder as
+    :func:`minimize_boundaries`, turned over.
+
+    Applies increasing moves until none is found, then retries from seeded
+    random rotations; reaching :func:`_walk_bound` stops both and certifies
+    the result with no DP.  Ending short of it, within ``rotation_cap``,
+    one frontier DP pass decides the maximum and, when the best found
+    misses it, gives the first rotation in enumeration order that attains
+    it; the result is certified.  With the DP capped out, the best rotation
+    found is returned uncertified, with no ``optimum``.
+    """
+    frontier = partial(_frontier, graph, rotation_cap)
+    return _search(graph, start, restarts, seed, +2, _walk_bound(graph), lambda: None, frontier)
 
 
-def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int) -> int:
+def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int, **rungs: Callable) -> int:
     """zeta, one less than the ``optimum`` :func:`minimize_boundaries`
     settles with :data:`DEFAULT_RESTARTS` restarts from seed 0 and these
     caps, reached by its search or not; where no rung settles it,
-    :class:`CapExceededError` is raised."""
-    optimum = minimize_boundaries(
-        graph, restarts=DEFAULT_RESTARTS, tree_cap=tree_cap, rotation_cap=rotation_cap
-    ).optimum
+    :class:`CapExceededError` is raised.  ``rungs`` are the ``trees`` and
+    ``frontier`` a caller hands :func:`_minimize`."""
+    optimum = _minimize(graph, None, DEFAULT_RESTARTS, 0, tree_cap, rotation_cap, **rungs).optimum
     if optimum is None:
         raise CapExceededError(
             f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
@@ -442,6 +478,14 @@ def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     return capped_genus(graph, 1 + _zeta(graph, cap, DEFAULT_ROTATION_CAP))
 
 
+def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
+    """Adversarial genus: the largest :func:`capped_genus` over all
+    rotations, which is that of the most walks, since the capped genus
+    never falls as the walk count rises by 2.  Raises
+    :class:`CapExceededError` above ``cap`` rotations."""
+    return capped_genus(graph, max(boundary_profile(graph, cap)))
+
+
 def analyze(
     graph: MetricGraph,
     tree_cap: int = DEFAULT_TREE_CAP,
@@ -450,29 +494,32 @@ def analyze(
     """The invariant report of one connected graph, smoothed first so that
     subdividing edges changes nothing.
 
-    zeta comes from :func:`_zeta` with the same caps, so a graph no rung
-    settles raises :class:`CapExceededError`.  ``tree_count`` is None above
-    ``tree_cap``.  zeta must share beta's parity and be one less than the
-    profile's minimum, and ``ge_max_exact`` keep within the girth bound, or
+    Kirchhoff's count and the frontier DP pass run once each, and the
+    ladder reads both: zeta comes from :func:`_zeta` with the same caps,
+    so a graph no rung settles raises :class:`CapExceededError`.
+    ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact``, read
+    off the DP's maximum as :func:`ge_max_exact` reads it, above
+    ``rotation_cap``.  zeta must share beta's parity and be one less than
+    the DP's minimum, and ``ge_max_exact`` keep within the girth bound, or
     :class:`InternalInvariantError` is raised.
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
-    z = _zeta(smoothed_graph, tree_cap, rotation_cap)
+    trees = _tree_count(smoothed_graph, tree_cap)
+    dp = _frontier(smoothed_graph, rotation_cap)
+    z = _zeta(smoothed_graph, tree_cap, rotation_cap, trees=lambda: trees, frontier=lambda: dp)
     if (b - z) % 2:
         raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)
     bound = ge_max_bound(smoothed_graph)
-    try:
-        profile = boundary_profile(smoothed_graph, rotation_cap)
-    except CapExceededError:
-        exact = None
-    else:
+    exact = None
+    if dp is not None:
+        profile = dp[1]
         if min(profile) != 1 + z:
             raise InternalInvariantError(
                 f"minimum walk count {min(profile)} differs from 1 + zeta = {1 + z}"
             )
-        exact = max(capped_genus(smoothed_graph, walks) for walks in profile)
+        exact = capped_genus(smoothed_graph, max(profile))
         if exact > bound:
             raise InternalInvariantError("adversarial genus exceeds the girth bound")
 
@@ -491,7 +538,7 @@ def analyze(
         essential_genus=capped_genus(smoothed_graph, 1 + z),
         ge_max_bound=bound,
         ge_max_exact=exact,
-        tree_count=_tree_count(smoothed_graph, tree_cap),
+        tree_count=trees,
         rotation_count=count_rotations(smoothed_graph),
     )
 

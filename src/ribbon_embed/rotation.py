@@ -231,10 +231,13 @@ def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
 def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
     """The cyclic orders at each vertex, smallest dart first.  Raises
     :class:`CapExceededError`, before building any, when the product of
-    their counts exceeds ``cap``."""
+    their counts exceeds ``cap``; a count of 600 digits or more, which
+    the interpreter's limit on decimal digits may refuse to print, is named
+    by its order of magnitude."""
     total = count_rotations(graph)
     if total > cap:
-        raise CapExceededError(f"{total} rotation systems exceed the cap of {cap}")
+        shown = total if total < 10**600 else f"over 10^{int(math.log10(total))}"
+        raise CapExceededError(f"{shown} rotation systems exceed the cap of {cap}")
     return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 

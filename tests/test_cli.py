@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -108,14 +109,14 @@ def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
 
 def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
     # a profile that lost its minimum entry still gave a plausible report
-    profile = moves.boundary_profile
+    profile = moves._profile
 
-    def without_minimum(graph, cap):
-        counts = profile(graph, cap)
+    def without_minimum(graph, orders):
+        counts = profile(graph, orders)
         del counts[min(counts)]
         return counts
 
-    monkeypatch.setattr(moves, "boundary_profile", without_minimum)
+    monkeypatch.setattr(moves, "_profile", without_minimum)
     assert main(["analyze", graph_file(K4)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -350,6 +351,34 @@ def test_oracle_checks_the_rotation_cap_before_the_tree_search(graph_file, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "7776 rotation systems exceed the cap of 100" in captured.err
+
+
+def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):
+    # the 1000-edge dipole has (999!)**2 rotations, 5130 digits, and the
+    # 900-loop bouquet 1799!, 5077: past the interpreter's default limit of
+    # 4300 on int -> str.  The report prints the exact count, a refusal
+    # names its order of magnitude, and main leaves the limit as it was.
+    limit = sys.get_int_max_str_digits()
+    dipole = graph_file("".join(f"edge e{i} u v 1.0\n" for i in range(1000)), "dipole.graph")
+    bouquet = graph_file("".join(f"edge e{i} w w 1.0\n" for i in range(900)), "bouquet.graph")
+    outputs = []
+    for argv in (["analyze", dipole, "--json"], ["analyze", dipole], ["analyze", bouquet]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(outputs[0])["rotation_count"] == math.factorial(999) ** 2
+        assert f"\nrotation_count   {math.factorial(999) ** 2}\n" in outputs[1] + "\n"
+        assert f"\nrotation_count   {math.factorial(1799)}\n" in outputs[2] + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["oracle", dipole]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: over 10^5129 rotation systems exceed the cap of 1000000\n"
+    assert main(["embed", dipole, "--target", "maximal"]) == 0
+    assert capsys.readouterr().err.endswith("not certified\n")
 
 
 def test_oracle_tree_cap_aborts_on_the_kirchhoff_count(graph_file, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,17 @@ from ribbon_embed import (
     capped_genus,
     count_rotations,
     essential_genus,
+    euler_char,
     format_graph,
     ge_max_bound,
     ge_max_exact,
+    invariants,
     max_genus,
     minimize_boundaries,
+    moves,
     parse_graph,
     qr_split,
+    rotation,
     smooth,
     spanning_trees,
     subdivide,
@@ -31,6 +36,15 @@ from ribbon_embed.moves import DEFAULT_RESTARTS
 
 from conftest import K4
 from helpers import kirchhoff_tree_count, prism, random_multigraph
+
+# 4 vertices, 9 edges: the descent and every restart of the ladder's search
+# stall at 3 walks, above 1 + zeta = 1
+STALLS_AT_THREE_WALKS = MetricGraph(
+    (2, 0, 0, 2, 3, 3, 0, 1, 1, 1, 1, 2, 0, 2, 1, 3, 2, 3),
+    (1.0,) * 9,
+    tuple(f"e{i}" for i in range(9)),
+    tuple(f"v{i}" for i in range(4)),
+)
 
 
 def tree_count(graph, cap=10**6):
@@ -321,12 +335,7 @@ def test_analyze_takes_the_tree_target_the_search_misses(tmp_path, capsys):
     # the descent and every restart stall at 3 walks, above 1 + zeta = 1;
     # with the DP capped out the search is uncertified, yet the tree search
     # knows zeta, and analyze refused a graph the tree gate used to answer
-    g = MetricGraph(
-        (2, 0, 0, 2, 3, 3, 0, 1, 1, 1, 1, 2, 0, 2, 1, 3, 2, 3),
-        (1.0,) * 9,
-        tuple(f"e{i}" for i in range(9)),
-        tuple(f"v{i}" for i in range(4)),
-    )
+    g = STALLS_AT_THREE_WALKS
     assert (zeta_floor(g), kirchhoff_tree_count(g), count_rotations(g)) == (0, 18, 20736)
     res = minimize_boundaries(g, restarts=DEFAULT_RESTARTS, rotation_cap=20735)
     assert (res.boundary_count, res.optimum, res.certified) == (3, 1, False)
@@ -340,6 +349,42 @@ def test_analyze_takes_the_tree_target_the_search_misses(tmp_path, capsys):
     # with the tree rung capped out too, no rung settles zeta
     with pytest.raises(CapExceededError, match="zeta not certified"):
         analyze(g, tree_cap=17, rotation_cap=20735)
+
+
+@pytest.mark.parametrize("tree_cap", [17, 10**6])
+def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
+    # the search misses the floor, so its ladder needs the tree count and
+    # the DP: at 17 trees (one short of 18) the DP settles zeta, at 10**6
+    # the tree search does and the DP checks it; analyze reports from the
+    # same two runs it hands the ladder
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (moves, rotation):
+        monkeypatch.setattr(module, "_profile", counted("_profile", rotation._profile))
+    monkeypatch.setattr(moves, "_tree_count", counted("_tree_count", invariants._tree_count))
+    rep = analyze(STALLS_AT_THREE_WALKS, tree_cap=tree_cap)
+    assert (rep.zeta, rep.ge_max_exact) == (0, 5)
+    assert rep.tree_count == (None if tree_cap == 17 else 18)
+    assert calls == {"_profile": 1, "_tree_count": 1}
+
+
+def test_capped_genus_never_falls_as_the_walk_count_rises(theta, bouquet2, k4, k5, dumbbell):
+    # so the largest capped genus over a profile is that of its maximum,
+    # which is how ge_max_exact reads it
+    graphs = [theta, bouquet2, k4, k5, dumbbell] + [random_multigraph(s) for s in range(60)]
+    for g in graphs:
+        chi = euler_char(g)
+        genera = [capped_genus(g, b) for b in range(2 - chi % 2, 3 - chi, 2)]
+        assert genera == sorted(genera), g
+        profile = boundary_profile(g, 10**6)
+        assert ge_max_exact(g) == max(capped_genus(g, b) for b in profile), g
 
 
 def test_analyze_json_and_text(k4):

@@ -43,6 +43,7 @@ from ribbon_embed.moves import (
     _no_reducing_move,
     _orbits,
     _relocation_delta,
+    _walk_bound,
     oracle,
 )
 from ribbon_embed.rotation import (
@@ -230,6 +231,43 @@ def test_maximize_uncertified_above_its_rotation_cap(k5):
     assert not res.certified
     assert not res.enumerated
     assert res.boundary_count == boundary_count(k5, res.rotation) <= 5
+
+
+def test_maximize_certifies_at_its_bound_above_the_rotation_cap(k5):
+    # K5's walk bound is min(2 - chi, 2|E| // girth) = min(7, 6), lowered to
+    # chi's parity: 5, which the third restart reaches; no rotation has
+    # more, so the result is certified with the DP capped out
+    res = maximize_boundaries(k5, restarts=8, rotation_cap=1)
+    assert (res.boundary_count, res.optimum, res.restarts_used) == (5, 5, 3)
+    assert res.certified and not res.enumerated
+
+
+def test_maximize_runs_the_dp_only_where_its_climb_misses_the_bound(monkeypatch):
+    # a rotation cap of 0 leaves the climb and its restarts alone; where
+    # they reach the bound, the uncapped search is that result with no DP
+    # pass, and elsewhere it runs the one pass within the cap
+    calls = []
+    profile = moves._profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(moves, "_profile", counted)
+    graphs = [random_multigraph(seed) for seed in range(200)]
+    graphs += [_cubic(seed, 10 + 2 * (seed % 3)) for seed in range(20)]
+    reached = []
+    for i, g in enumerate(graphs):
+        climbed = maximize_boundaries(g, restarts=8, rotation_cap=0)
+        assert not calls
+        res = maximize_boundaries(g, restarts=8)
+        if climbed.boundary_count == _walk_bound(g):
+            reached.append(i)
+            assert res == climbed and res.certified and not calls, i
+        else:
+            assert len(calls) == 1 and res.enumerated and res.certified, i
+        del calls[:]
+    assert (sum(i < 200 for i in reached), sum(i >= 200 for i in reached)) == (199, 12)
 
 
 def test_certified_by_parity_floor_despite_tree_cap(k5):

@@ -28,6 +28,7 @@ from ribbon_embed.rotation import (
     rotation_to_lines,
     validate_rotation,
 )
+from ribbon_embed.moves import _walk_bound
 
 from helpers import prism, random_multigraph
 
@@ -176,6 +177,16 @@ def test_frontier_profile_matches_the_sweep(theta, bouquet2, k4, k5, dumbbell):
     assert len(graphs) == 162
     for g in graphs:
         assert boundary_profile(g) == dict(sorted(_swept(g).items()))
+
+
+def test_walk_bound_holds_the_profile_maximum(theta, bouquet2, k4, k5, dumbbell):
+    # no rotation beats the bound maximize_boundaries climbs to; on the
+    # planar prisms it is 2 - chi, the count of a genus-0 rotation
+    for g in _profile_graphs(theta, bouquet2, k4, k5, dumbbell):
+        assert _walk_bound(g) >= max(boundary_profile(g)), g
+    for rungs in range(3, 31):
+        g = prism(rungs)
+        assert _walk_bound(g) == 2 - euler_char(g), rungs
 
 
 def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
