@@ -912,6 +912,8 @@ def _per_name(
     :func:`_positive`) admits."""
     low = 0.0 if number is _positive else -math.inf
     entries = meta[key]
+    if type(entries) is not dict:
+        raise SchemaFormatError(f"meta {key} is not a JSON object: {_quote(entries)}")
     try:
         values = {
             ids[k]: float(v) if type(v) in (float, int) and low < v < math.inf else number(v, key)
@@ -964,20 +966,20 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise SchemaFormatError("JSON nested too deeply to decode") from None
-    where = "the document"  # what a missing key is missing from
+    where, held = "the document", doc  # what is being read, for the handlers
     try:
         if type(doc["schema_version"]) is bool or doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
                 f"unsupported schema_version {_quote(doc['schema_version'])}"
             )
         meta = doc["meta"]
-        where = "meta"
+        where, held = "meta", meta
         stored = meta["graph"]
-        where = "meta graph"
+        where, held = "meta graph", stored
         graph = _graph_from_meta(stored)
         if stored["hash"] != graph_hash(graph):
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
-        where = "meta"
+        where, held = "meta", meta
         if float(_finite(meta["f_min"], "f_min")) != _F_MIN_STORED:
             raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_F_MIN_STORED!r}")
         if len(graph.edge_ids) != graph.edge_count:
@@ -992,9 +994,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
             clearance=_per_name(meta, "clearance", graph.edge_ids, "edge"),
             waist=_per_name(meta, "waist", graph.edge_ids, "edge", _positive),
         )
-        where = "the document"
+        where, held = "the document", doc
         block_docs, gluing_docs, s = doc["blocks"], doc["gluings"], doc["summary"]
-        where = "blocks"
+        where, held, i = "blocks", block_docs, None
         blocks = []
         for i, b in enumerate(block_docs):
             j = None  # the boundary being read
@@ -1031,7 +1033,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                     f"block {_quote(bid)}: payload walks are not lists of darts"
                 )
             blocks.append(Block(bid, kind, genus, layer, tuple(boundaries), payload))
-        where = "gluings"
+        where, held, k = "gluings", gluing_docs, None
         gluings = []
         for k, g in enumerate(gluing_docs):
             a = g["a"]
@@ -1044,7 +1046,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             if type(twist) not in (float, int) or not math.isfinite(twist):
                 _finite(twist, "gluing twist")
             gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), float(twist)))
-        where = "summary"
+        where, held = "summary", s
         genus = _integer(s["genus"], "summary genus")
         boundary_count = _integer(s["boundary_count"], "summary boundary_count")
         minimal = s["minimal"]
@@ -1057,14 +1059,17 @@ def schema_from_json(text: str) -> SurfaceSchema:
         raise
     except GraphFormatError as exc:  # a bad rotation record; its message is ours, whole
         raise SchemaFormatError(str(exc)) from None
-    except KeyError as exc:
-        if where == "blocks":
-            where = f"block {i}" if j is None else f"boundary {j} of block {i}"
-        elif where == "gluings":
-            where = f"gluing {k}"
-        raise SchemaFormatError(f"{where} has no key {_quote(exc.args[0])}") from None
-    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
-        raise SchemaFormatError(f"malformed schema document: {_quote(exc)}") from None
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+        if where == "blocks" and i is not None:
+            where, held = (f"block {i}", b) if j is None else (f"boundary {j} of block {i}", bd)
+        elif where == "gluings" and k is not None:
+            where, held = f"gluing {k}", g
+        if isinstance(exc, KeyError):
+            raise SchemaFormatError(f"{where} has no key {_quote(exc.args[0])}") from None
+        kind = "array" if where in ("blocks", "gluings") else "object"
+        if type(held) is not (list if kind == "array" else dict):
+            raise SchemaFormatError(f"{where} is not a JSON {kind}: {_quote(held)}") from None
+        raise SchemaFormatError(f"{where} holds a value of the wrong JSON type") from None
     return SurfaceSchema(
         graph=graph,
         rotation=rotation,

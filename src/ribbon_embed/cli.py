@@ -186,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="print the invariant report")
     p_analyze.add_argument("graph", help="graph file (edge lines)")
     p_analyze.add_argument("--json", action="store_true", help="emit JSON")
-    add_caps(p_analyze, "spanning trees the zeta search may visit; above it, tree_count is null")
+    tree_rung = "the ladder's tree rung (ribbon_embed.moves), run past --max-rotations, is skipped"
+    add_caps(p_analyze, f"above this many spanning trees, tree_count is null and {tree_rung}")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_embed = sub.add_parser("embed", help="emit a verified embedding schema")
@@ -204,12 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--restarts", type=int, default=DEFAULT_RESTARTS,
         help="random restarts before the frontier DP decides the optimum",
     )
-    add_caps(
-        p_embed,
-        "spanning trees the zeta search may visit when the bridge floor does not "
-        "certify the minimum; a graph with more, by Kirchhoff's count, skips the "
-        "search for the frontier DP",
-    )
+    add_caps(p_embed, f"above this many spanning trees, by Kirchhoff's count, {tree_rung}")
     p_embed.set_defaults(func=cmd_embed)
 
     p_oracle = sub.add_parser(

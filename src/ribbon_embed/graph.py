@@ -235,39 +235,38 @@ def girth(graph: MetricGraph) -> int | float:
     """Edge count of a shortest cycle; ``math.inf`` for a forest.
 
     A loop is a cycle of length 1 and a pair of parallel edges a cycle of
-    length 2.  Computed as min over edges e=(u,v) of dist(u,v) in G-e plus
-    one, which handles multigraphs uniformly.
+    length 2; both are answered first, in that order.  A simple graph gets
+    one breadth-first search per vertex.  An edge other than the one a
+    vertex was reached by, leading to a vertex already reached, closes a
+    walk of length dist + dist + 1 that holds a cycle, and the search from
+    a vertex of a shortest cycle closes one of that cycle's length.
+    Nothing closed from depth d is shorter than 2d + 1, so each search
+    stops at the depth where it can no longer beat the shortest cycle
+    found so far.
     """
     ends = [graph.endpoints(e) for e in range(graph.edge_count)]
     if any(u == v for u, v in ends):
         return 1
+    if len({(min(u, v), max(u, v)) for u, v in ends}) < len(ends):
+        return 2
+    vertex_of = graph.vertex_of
     best: int | float = math.inf
-    for e, (u, v) in enumerate(ends):
-        d = _distance_avoiding(graph, u, v, e)
-        if d is not None and d + 1 < best:
-            best = d + 1
-            if best == 2:
+    for source in range(graph.vertex_count):
+        dist, via = {source: 0}, {source: -1}  # depth, and the edge it was reached by
+        queue = [source]
+        for x in queue:
+            if 2 * dist[x] + 1 >= best:
                 break
-    return best
-
-
-def _distance_avoiding(graph: MetricGraph, src: int, dst: int, banned_edge: int) -> int | None:
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
             for d in graph.darts_at(x):
-                if edge_of(d) == banned_edge:
+                if edge_of(d) == via[x]:
                     continue
-                y = graph.vertex_of[mate(d)]
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == dst:
-                        return dist[y]
-                    nxt.append(y)
-        frontier = nxt
-    return None
+                y = vertex_of[mate(d)]
+                if y in dist:
+                    best = min(best, dist[x] + dist[y] + 1)
+                else:
+                    dist[y], via[y] = dist[x] + 1, edge_of(d)
+                    queue.append(y)
+    return best
 
 
 def is_cycle_graph(graph: MetricGraph) -> bool:

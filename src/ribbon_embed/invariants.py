@@ -10,10 +10,11 @@ touch.  The spanning trees are counted, up to a cap, by Kirchhoff's exact
 Laplacian cofactor.  The zeta search stops at :func:`zeta_floor`, a
 linear-time lower bound from the bridges: a tree meeting it, or a rotation
 with 1 + floor walks, pins zeta with no further enumeration.  Which rung
-certifies zeta is decided in :mod:`ribbon_embed.moves`, which also holds
-the public readers of zeta, ``essential_genus`` and ``max_genus``, and
-``ge_max_exact``, the reader of the profile's maximum; the tree search
-:func:`betti_deficiency` stays here as its independent check.
+certifies zeta is decided by the certificate ladder of
+:mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
+``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader of
+the profile's maximum; the tree search :func:`betti_deficiency` is the
+ladder's last rung, past the rotation cap, and its independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and

@@ -13,19 +13,25 @@ x; anything else keeps the count.  A vertex meeting three walks with no
 reducing relocation would disprove the underlying theory and raises
 :class:`InternalInvariantError`.
 
-One search climbs in either direction and certifies its result by a ladder
-of certificates, cheapest first.  Minimizing, a count of 1 plus the bridge
-floor of zeta (:func:`~ribbon_embed.invariants.zeta_floor`, linear time) is
-optimal on sight; above it the spanning-tree search supplies 1 + zeta when
-Kirchhoff's count puts the trees within the cap; last, one pass of the
-frontier DP, within the rotation cap, decides the optimum and gives the
-first rotation at it.  Maximizing, the cheap rung is a count no rotation
-can beat (:func:`_walk_bound`: genus 0, or every walk as long as the
-girth), and the same DP pass, run only when the climb misses it, decides
-the rest.  :func:`analyze`, :func:`essential_genus` and :func:`max_genus`
-take zeta from the minimum a rung settles, by one policy (:func:`_zeta`),
-or refuse; :func:`analyze` hands the ladder the tree count and the DP pass
-it needs itself, so each runs at most once.
+One search (:func:`_search`) climbs in either direction and certifies its
+result by a ladder of certificates, cheapest first:
+
+1. A count no rotation can beat, reached by the climb, is optimal on
+   sight: minimizing, 1 plus the bridge floor of zeta
+   (:func:`~ribbon_embed.invariants.zeta_floor`, linear time); maximizing,
+   :func:`_walk_bound` (genus 0, or every walk as long as the girth).
+2. Short of it, one pass of the frontier DP, within the rotation cap,
+   decides the optimum and gives the first rotation at it.
+3. Past the rotation cap, minimizing only, Xuong's spanning-tree search
+   (:func:`~ribbon_embed.invariants.betti_deficiency`) gives 1 + zeta when
+   Kirchhoff's count puts the trees within the tree cap
+   (:func:`_minimize`).  Within the rotation cap no tree is enumerated
+   but by :func:`oracle`.
+
+:func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
+from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse;
+:func:`analyze` hands the ladder the tree count and the DP pass it needs
+itself, so each runs at most once.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
 once from one successor table, rewritten only at the vertices whose cycle
@@ -43,7 +49,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -226,10 +232,9 @@ class SearchResult:
 
     ``greedy_count`` is the count where the first descent (or ascent) from
     the given start stalled; ``boundary_count`` the best found overall.
-    ``optimum`` is the global optimum a rung establishes (the bridge floor
-    or, maximizing, the walk bound when the search reaches it; 1 + zeta
-    from the spanning-tree search; or the frontier DP's when
-    ``enumerated``), else None; ``certified``: the result attains it.
+    ``optimum`` is the global optimum a rung of the ladder (module
+    docstring) settles, else None; ``certified``: the result attains it.
+    ``enumerated``: the frontier DP ran.
     """
 
     rotation: RotationSystem
@@ -291,22 +296,19 @@ def _search(
     seed: int,
     delta: int,
     bound: int,
-    exact: Callable[[], int | None],
     frontier: Callable[[], _Frontier | None],
 ) -> SearchResult:
     """Greedy climb in direction ``delta`` towards ``bound``, then seeded
-    restarts, then the frontier DP over every rotation.
+    restarts, then the frontier DP over every rotation: the ladder of the
+    module docstring, but for the spanning-tree rung.
 
     ``bound`` is a count no rotation can beat, so reaching it certifies the
     result at once.  Only when the climb and the restarts end short of it
-    is ``exact()`` asked for the optimum itself (None when unknown); a best
-    count at the optimum is certified too.  Short of that, ``frontier()``
-    gives one DP pass (:func:`_frontier`; None above the rotation cap),
-    which decides the optimum, and a target it contradicts disproves the
-    theory.  The same pass gives the first rotation, in enumeration order,
-    at every count, and a best count short of the optimum gives way to the
-    one at the optimum.  Nothing beats the optimum, so where it is first
-    asked for changes no rotation; the result carries it.
+    is ``frontier()`` asked for one DP pass (:func:`_frontier`; None above
+    the rotation cap), which decides the optimum and gives the first
+    rotation, in enumeration order, at every count; a best count short of
+    the optimum gives way to the one at it.  With no pass, the result has
+    no ``optimum``.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -331,34 +333,28 @@ def _search(
             best = (count, rotation, tuple(records))
     if beats(best[0], bound):
         raise InternalInvariantError(f"count {best[0]} lies beyond the bound {bound}")
-    target = bound if best[0] == bound else exact()
-    dp = frontier() if target is None or beats(target, best[0]) else None
-    enumerated = dp is not None
-    if enumerated:
+    optimum = bound if best[0] == bound else None
+    dp = None if optimum is not None else frontier()
+    if dp is not None:
         orders, profile = dp
         optimum = (max if delta > 0 else min)(profile)
-        if target is not None and optimum != target:
-            raise InternalInvariantError(
-                f"exhaustive optimum {optimum} disagrees with the target {target}"
-            )
-        target = optimum
-        if beats(target, best[0]):
-            witness = _rotation_at(orders, profile[target][1])
+        if beats(optimum, best[0]):
+            witness = _rotation_at(orders, profile[optimum][1])
             count = _faces(graph.dart_count, witness.cycles)[1]
-            if count != target:
-                raise InternalInvariantError(f"witness has {count} walks, not {target}")
+            if count != optimum:
+                raise InternalInvariantError(f"witness has {count} walks, not {optimum}")
             best = (count, witness, ())
 
     return SearchResult(
         rotation=best[1],
         boundary_count=best[0],
-        optimum=target,
-        certified=best[0] == target,
+        optimum=optimum,
+        certified=best[0] == optimum,
         initial_count=initial,
         greedy_count=greedy_count,
         moves=best[2],
         restarts_used=restarts_used,
-        enumerated=enumerated,
+        enumerated=dp is not None,
     )
 
 
@@ -370,24 +366,15 @@ def minimize_boundaries(
     tree_cap: int = DEFAULT_TREE_CAP,
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
-    """Greedy walk-count minimization, certified by the cheapest rung of a
-    ladder that reaches.
+    """Greedy walk-count minimization, certified by the ladder of the module
+    docstring, with 1 + :func:`zeta_floor` as its bound.
 
     Applies reducing moves until no vertex meets three walks, then retries
-    from seeded random rotations; reaching 1 + :func:`zeta_floor` stops
-    both and certifies the result with no tree search.  Ending above the
-    floor, Kirchhoff's count of the spanning trees comes first: within
-    ``tree_cap`` trees, the spanning-tree search gives the target 1 + zeta,
-    and a result at the target is certified.  Past the cap the target is
-    unknown at once, with no tree visited.  A capped search could end early
-    only at the floor, which the descent has missed, so knowing it would
-    certify nothing: the DP decides either way, and gives the same
-    rotation.  Last, within ``rotation_cap``, one frontier DP pass decides
-    the minimum (checked against a known target) and, when the best found
-    misses it, gives from the same pass the first rotation in enumeration
-    order that attains it; the result is certified.  With the DP capped
-    out, the best rotation found is returned uncertified, with the target
-    as its ``optimum``.
+    from seeded random rotations; reaching the floor stops both.
+    ``rotation_cap`` gates the frontier DP, and ``tree_cap`` the
+    spanning-tree rung, which runs only past the rotation cap.  The best
+    rotation found is certified when it attains the optimum a rung
+    settles; with no rung in reach it has no ``optimum``.
     """
     return _minimize(graph, start, restarts, seed, tree_cap, rotation_cap)
 
@@ -404,16 +391,17 @@ def _minimize(
 ) -> SearchResult:
     """:func:`minimize_boundaries`, where a caller that needs the inputs of
     the last two rungs itself hands them in, so that neither runs twice:
-    ``trees()``, Kirchhoff's count (None above ``tree_cap``), and
-    ``frontier()``, the DP pass (:func:`_frontier`).  Left out, each is
-    computed here, and only if its rung is reached."""
+    ``frontier()``, the DP pass (:func:`_frontier`), and ``trees()``,
+    Kirchhoff's count (None above ``tree_cap``), asked only when
+    :func:`_search` returns no ``optimum``.  Left out, each is computed
+    here, and only if its rung is reached."""
     trees = trees or partial(_tree_count, graph, tree_cap)
     frontier = frontier or partial(_frontier, graph, rotation_cap)
-
-    def target() -> int | None:
-        return None if trees() is None else 1 + betti_deficiency(graph, tree_cap)
-
-    return _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), target, frontier)
+    result = _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), frontier)
+    if result.optimum is not None or trees() is None:
+        return result
+    optimum = 1 + betti_deficiency(graph, tree_cap)
+    return replace(result, optimum=optimum, certified=result.boundary_count == optimum)
 
 
 def _walk_bound(graph: MetricGraph) -> int:
@@ -433,19 +421,17 @@ def maximize_boundaries(
     seed: int = 0,
     rotation_cap: int = DEFAULT_ROTATION_CAP,
 ) -> SearchResult:
-    """Greedy walk-count maximization, certified by the same ladder as
-    :func:`minimize_boundaries`, turned over.
+    """Greedy walk-count maximization, certified by the ladder of the module
+    docstring, turned over, with :func:`_walk_bound` as its bound and no
+    spanning-tree rung.
 
     Applies increasing moves until none is found, then retries from seeded
-    random rotations; reaching :func:`_walk_bound` stops both and certifies
-    the result with no DP.  Ending short of it, within ``rotation_cap``,
-    one frontier DP pass decides the maximum and, when the best found
-    misses it, gives the first rotation in enumeration order that attains
-    it; the result is certified.  With the DP capped out, the best rotation
-    found is returned uncertified, with no ``optimum``.
+    random rotations; reaching the bound stops both.  ``rotation_cap``
+    gates the frontier DP; with the DP capped out, the best rotation found
+    is returned uncertified, with no ``optimum``.
     """
     frontier = partial(_frontier, graph, rotation_cap)
-    return _search(graph, start, restarts, seed, +2, _walk_bound(graph), lambda: None, frontier)
+    return _search(graph, start, restarts, seed, +2, _walk_bound(graph), frontier)
 
 
 def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int, **rungs: Callable) -> int:

@@ -7,6 +7,7 @@ at a time with duplicates dropped, and the random graphs are built by stub
 pairing.
 """
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -61,6 +62,31 @@ def kirchhoff_tree_count(graph: MetricGraph) -> int:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     assert det.denominator == 1
     return abs(int(det))
+
+
+def girth_per_edge(graph: MetricGraph) -> int | float:
+    """Edge count of a shortest cycle, ``math.inf`` for a forest: the
+    minimum over edges e = (u, v) of dist(u, v) in G - e, plus one, by one
+    breadth-first search per edge.  A loop is a 1-cycle, found first."""
+    ends = [graph.endpoints(e) for e in range(graph.edge_count)]
+    if any(u == v for u, v in ends):
+        return 1
+    best = math.inf
+    for e, (u, v) in enumerate(ends):
+        dist = {u: 0}
+        frontier = [u]
+        while frontier and v not in dist:
+            nxt = []
+            for x in frontier:
+                for d in graph.darts_at(x):
+                    y = graph.vertex_of[d ^ 1]
+                    if d >> 1 != e and y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best
 
 
 def single_dart_relocations(cycle: tuple[int, ...]):

@@ -107,6 +107,12 @@ def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
     assert "\nge_max_exact     unknown (rotation cap exceeded; bound still holds)\n" in out
 
 
+def test_analyze_text_names_an_unknown_tree_count(capsys):
+    assert main(["analyze", str(DEMO_GRAPHS / "k5.graph"), "--max-trees", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "\ntree_count       unknown (tree cap exceeded)\n" in out
+
+
 def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
     # a profile that lost its minimum entry still gave a plausible report
     profile = moves._profile
@@ -614,6 +620,63 @@ def test_reader_names_where_a_key_is_missing(case, graph_file, tmp_path, capsys)
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _set(path, value):
+    def mutate(doc):
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+# A container of the wrong JSON type is named as a missing key is.
+WRONG_TYPES = {
+    "document": (lambda doc: [], "the document is not a JSON object: []"),
+    "meta": (_set(("meta",), ["t"]), "meta is not a JSON object: ['t']"),
+    "block": (_set(("blocks", 1), "pants"), "block 1 is not a JSON object: 'pants'"),
+    "gluing": (_set(("gluings", 2), 7), "gluing 2 is not a JSON object: 7"),
+    "boundary": (
+        _set(("blocks", 2, "boundaries", 1), [1.0]),
+        "boundary 1 of block 2 is not a JSON object: [1.0]",
+    ),
+    "summary": (_set(("summary",), "genus 3"), "summary is not a JSON object: 'genus 3'"),
+    "meta foot": (_set(("meta", "foot"), [0.5]), "meta foot is not a JSON object: [0.5]"),
+    "blocks": (_set(("blocks",), 3), "blocks is not a JSON array: 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_reader_names_a_container_of_the_wrong_type(case, graph_file, tmp_path, capsys):
+    mutate, message = WRONG_TYPES[case]
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    out_path.write_text(json.dumps(mutate(json.loads(text))))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# A rotation record naming no dart or no vertex of the graph is refused
+# with the reader's message for it.
+BAD_ROTATION_RECORDS = {
+    "bad dart label": (("e01+", "e01"), "bad dart label 'e01'"),
+    "unknown edge": (("e01+", "e99+"), "unknown edge 'e99' in dart label"),
+    "unknown vertex": (("rot v0", "rot v9"), "unknown vertex 'v9'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROTATION_RECORDS))
+def test_reader_refuses_a_bad_rotation_record(case, graph_file, tmp_path, capsys):
+    (old, new), message = BAD_ROTATION_RECORDS[case]
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    assert doc["meta"]["rotation"][0] == "rot v0 e01+ e02+ e03+"
+    doc["meta"]["rotation"][0] = doc["meta"]["rotation"][0].replace(old, new)
+    out_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 def test_verify_reports_a_long_waist_that_misses_its_cuff_distance(graph_file, tmp_path, capsys):
     out_path = tmp_path / "schema.json"

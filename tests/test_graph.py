@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from ribbon_embed import (
     CycleGraphError,
     GraphFormatError,
     GraphValidationError,
+    MetricGraph,
     betti,
     connected_components,
     edge_of,
@@ -21,6 +23,7 @@ from ribbon_embed import (
 )
 
 from conftest import THETA
+from helpers import girth_per_edge, prism, random_multigraph
 
 
 def test_dart_involutions():
@@ -112,6 +115,38 @@ def test_girth(theta, bouquet2, k4, k5, dumbbell):
     assert girth(pair_then_loop) == 1
     tree = parse_graph("edge a u v 1.0\nedge b v w 1.0")
     assert girth(tree) == math.inf
+
+
+def _stub_pairing(seed: int, n: int) -> MetricGraph:
+    """A cubic multigraph on ``n`` vertices from one random stub pairing,
+    loops, parallel pairs and several components allowed."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    random.Random(seed).shuffle(stubs)
+    return MetricGraph(
+        tuple(stubs),
+        (1.0,) * (3 * n // 2),
+        tuple(f"e{i}" for i in range(3 * n // 2)),
+        tuple(f"v{i}" for i in range(n)),
+    )
+
+
+def test_girth_matches_one_search_per_edge(k4, k5):
+    graphs = [random_multigraph(seed) for seed in range(300)]
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    graphs += [_stub_pairing(seed, n) for seed in range(40) for n in (4, 8, 16, 30)]
+    petersen = "".join(
+        f"edge e{i} v{a} v{b} 1.0\n"
+        for i, (a, b) in enumerate(
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7)]
+            + [(3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+        )
+    )
+    heptagon = "".join(f"edge e{i} v{i} v{(i + 1) % 7} 1.0\n" for i in range(7))
+    forest = "edge a u v 1.0\nedge b v w 1.0\nedge c v x 1.0\n"
+    graphs += [k4, k5] + [parse_graph(text) for text in (petersen, heptagon, forest)]
+    girths = [girth(g) for g in graphs]
+    assert girths == [girth_per_edge(g) for g in graphs]
+    assert set(girths) == {1, 2, 3, 4, 5, 7, math.inf}
 
 
 def test_is_cycle_graph():

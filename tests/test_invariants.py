@@ -353,10 +353,10 @@ def test_analyze_takes_the_tree_target_the_search_misses(tmp_path, capsys):
 
 @pytest.mark.parametrize("tree_cap", [17, 10**6])
 def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
-    # the search misses the floor, so its ladder needs the tree count and
-    # the DP: at 17 trees (one short of 18) the DP settles zeta, at 10**6
-    # the tree search does and the DP checks it; analyze reports from the
-    # same two runs it hands the ladder
+    # the search misses the floor, so the DP settles zeta at either tree
+    # cap, and no tree is enumerated; analyze reports its tree count (None
+    # at 17, one short of 18) and ge_max_exact from the same two runs it
+    # hands the ladder
     calls = Counter()
 
     def counted(name, fn):
@@ -373,6 +373,25 @@ def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
     assert (rep.zeta, rep.ge_max_exact) == (0, 5)
     assert rep.tree_count == (None if tree_cap == 17 else 18)
     assert calls == {"_profile": 1, "_tree_count": 1}
+
+
+@pytest.mark.parametrize("seed", [27, 65, 142, 229, None])
+def test_no_tree_is_enumerated_within_the_rotation_cap(seed, monkeypatch):
+    # the search misses the floor (zeta lies above it, or the descent and
+    # every restart stall), and the frontier DP, within the default rotation
+    # cap, settles the minimum with no spanning tree enumerated
+    g = STALLS_AT_THREE_WALKS if seed is None else random_multigraph(seed)
+    z = betti_deficiency(g)
+
+    def no_trees(*args, **kwargs):
+        raise AssertionError("spanning trees enumerated")
+
+    monkeypatch.setattr(invariants, "spanning_trees", no_trees)
+    res = minimize_boundaries(g, restarts=DEFAULT_RESTARTS)
+    assert res.enumerated and res.certified and res.optimum == 1 + z
+    assert analyze(g).zeta == z
+    assert essential_genus(g) == capped_genus(smooth(g), 1 + z)
+    assert max_genus(g) == (betti(g) - z) // 2
 
 
 def test_capped_genus_never_falls_as_the_walk_count_rises(theta, bouquet2, k4, k5, dumbbell):

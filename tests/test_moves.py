@@ -342,7 +342,7 @@ def _cubic(seed, n):
 
 def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
     # past the tree cap a tree search can only stop early at the bridge
-    # floor, which the descent has missed, so the DP decides either way
+    # floor, which the descent has missed, so knowing it certifies nothing
     graphs = [random_multigraph(seed) for seed in range(200)]
     graphs += [_cubic(seed, 8 + 2 * (seed % 5)) for seed in range(30)]
     grid = [(tree_cap, restarts) for tree_cap in (1, 3, 20, 300) for restarts in (0, 2)]
@@ -374,7 +374,7 @@ def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
 @pytest.mark.parametrize("tree_cap", [10**6, 1])
 def test_analyze_zeta_matches_the_tree_search(tree_cap):
     # the tree search stays the oracle of the ladder analyze takes zeta
-    # from; at a cap of one tree its rung is skipped
+    # from; within the rotation cap the DP settles zeta at either tree cap
     graphs = [random_multigraph(seed) for seed in range(150)]
     graphs += [prism(rungs) for rungs in range(3, 11)]
     for g in graphs:
@@ -455,11 +455,11 @@ def test_last_rung_runs_where_the_floor_falls_short(seed):
     g = random_multigraph(seed)
     target = 1 + betti_deficiency(g)
     assert target > 1 + zeta_floor(g)
-    # no tree search within the cap: only the DP can certify, and does
+    # within the rotation cap the DP certifies, whatever the tree cap
     res = minimize_boundaries(g, restarts=0, tree_cap=1)
     assert res.enumerated and res.certified
     assert res.boundary_count == target == min(boundary_profile(g, 10**6))
-    # with the tree search in reach, its target certifies the same count
+    # with the trees within their cap too, the same DP certifies the count
     res = minimize_boundaries(g, restarts=3)
     assert res.certified and res.boundary_count == target
 

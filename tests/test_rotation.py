@@ -70,6 +70,9 @@ def test_validate_rotation_rejects(theta):
     with pytest.raises(ValueError):
         make_rotation(theta, [(0, 2, 4, 4), (1, 3, 5)])
     validate_rotation(theta, make_rotation(theta, [(2, 4, 0), (3, 5, 1)]))
+    # one cycle for two vertices
+    with pytest.raises(GraphFormatError, match="^rotation has 1 cycles for 2 vertices$"):
+        make_rotation(theta, [(0, 2, 4)])
 
 
 def test_validate_rotation_cuts_the_vertex_name_it_quotes():
