@@ -892,6 +892,14 @@ def _layer(value) -> str:
     return value
 
 
+def _array(value, what: str) -> list:
+    """``value`` unchanged if it is a JSON array; an object or a string
+    would be iterated as one, by key or by character."""
+    if type(value) is not list:
+        raise SchemaFormatError(f"{what} is not a JSON array: {_quote(value)}")
+    return value
+
+
 def _side(value) -> NoReturn:
     raise SchemaFormatError(
         f"gluing side {_quote(value)} is not a [block id, label] pair of strings"
@@ -931,7 +939,7 @@ def _per_name(
 def _graph_from_meta(stored: dict) -> MetricGraph:
     """The graph of the ``edges`` records of ``meta.graph``."""
     records = []
-    for record in stored["edges"]:
+    for record in _array(stored["edges"], "meta graph edges"):
         if not (type(record) is list and len(record) == 4 and {*map(type, record[:3])} == {str}):
             raise SchemaFormatError(
                 f"edge record {_quote(record)} is not [name, u, v, length] with string names"
@@ -950,7 +958,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
     type of every field the verifier reads.  A stored number must be a
     JSON int or float (never a bool or a string) and finite, and positive
     for an edge length, waist or margin; a walk dart an int, never a bool;
-    ``summary.minimal`` true, false or null.  Raises
+    ``summary.minimal`` true, false or null; ``meta.graph.edges``,
+    ``meta.rotation``, ``blocks``, each block's ``boundaries`` and
+    ``gluings`` JSON arrays, tested before they are iterated.  Raises
     :class:`SchemaFormatError` on any document it cannot read, quoting
     the first offending value; a missing key is named with the object it
     is missing from (the document, ``meta``, ``meta graph``, a block, a
@@ -986,7 +996,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError("meta graph repeats an edge name")
         if meta.get("rotation") is None:
             raise SchemaFormatError("meta has no rotation")
-        rotation = rotation_from_lines(graph, meta["rotation"])
+        rotation = rotation_from_lines(graph, _array(meta["rotation"], "meta rotation"))
         scale = ScaleParams(
             t=float(_finite(meta["t"], "t")),
             margin=float(_positive(meta["margin"], "margin")),
@@ -995,8 +1005,10 @@ def schema_from_json(text: str) -> SurfaceSchema:
             waist=_per_name(meta, "waist", graph.edge_ids, "edge", _positive),
         )
         where, held = "the document", doc
-        block_docs, gluing_docs, s = doc["blocks"], doc["gluings"], doc["summary"]
-        where, held, i = "blocks", block_docs, None
+        block_docs = _array(doc["blocks"], "blocks")
+        gluing_docs = _array(doc["gluings"], "gluings")
+        s = doc["summary"]
+        where, i = "blocks", None
         blocks = []
         for i, b in enumerate(block_docs):
             j = None  # the boundary being read
@@ -1009,8 +1021,11 @@ def schema_from_json(text: str) -> SurfaceSchema:
             layer = b["layer"]
             if layer not in (SURFACE, CONSTRUCTION):
                 _layer(layer)
+            boundary_docs = b["boundaries"]
+            if type(boundary_docs) is not list:
+                _array(boundary_docs, f"block {i} boundaries")
             boundaries = []
-            for j, bd in enumerate(b["boundaries"]):
+            for j, bd in enumerate(boundary_docs):
                 label = bd["label"]
                 if type(label) is not str:
                     _name(label, "boundary label")
@@ -1033,7 +1048,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                     f"block {_quote(bid)}: payload walks are not lists of darts"
                 )
             blocks.append(Block(bid, kind, genus, layer, tuple(boundaries), payload))
-        where, held, k = "gluings", gluing_docs, None
+        where, k = "gluings", None
         gluings = []
         for k, g in enumerate(gluing_docs):
             a = g["a"]
@@ -1066,9 +1081,8 @@ def schema_from_json(text: str) -> SurfaceSchema:
             where, held = f"gluing {k}", g
         if isinstance(exc, KeyError):
             raise SchemaFormatError(f"{where} has no key {_quote(exc.args[0])}") from None
-        kind = "array" if where in ("blocks", "gluings") else "object"
-        if type(held) is not (list if kind == "array" else dict):
-            raise SchemaFormatError(f"{where} is not a JSON {kind}: {_quote(held)}") from None
+        if type(held) is not dict:
+            raise SchemaFormatError(f"{where} is not a JSON object: {_quote(held)}") from None
         raise SchemaFormatError(f"{where} holds a value of the wrong JSON type") from None
     return SurfaceSchema(
         graph=graph,

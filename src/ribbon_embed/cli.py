@@ -76,6 +76,17 @@ def _target_kind(value: str):
     )
 
 
+def _count(value: str) -> int:
+    """A count of restarts, trees or rotations: an int, 0 or more."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"negative count {number}; expected 0 or more")
+    return number
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     report = analyze(graph, tree_cap=args.max_trees, rotation_cap=args.max_rotations)
@@ -129,10 +140,12 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    rung = result.certificate
+    settled = f"optimum from the {rung} rung" if rung else "no rung settled the optimum"
     _say(
         f"schema: genus {schema.summary.genus}, "
         f"{result.boundary_count} boundary walk(s) before capping, "
-        f"{len(result.moves)} move(s), "
+        f"{len(result.moves)} move(s), {settled}, "
         f"{'certified' if result.certified else 'not certified'}"
     )
     return OK
@@ -174,10 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p: argparse.ArgumentParser, trees_help: str) -> None:
-        p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP, help=trees_help)
+        p.add_argument("--max-trees", type=_count, default=DEFAULT_TREE_CAP, help=trees_help)
         p.add_argument(
             "--max-rotations",
-            type=int,
+            type=_count,
             default=DEFAULT_ROTATION_CAP,
             help="refuse the exhaustive rotation stages (frontier DP, oracle pass) "
             "above this many rotations",
@@ -202,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--margin", type=float, default=0.1, help="scaling slack, > 0")
     p_embed.add_argument("--seed", type=int, default=0, help="seed for restart rotations")
     p_embed.add_argument(
-        "--restarts", type=int, default=DEFAULT_RESTARTS,
+        "--restarts", type=_count, default=DEFAULT_RESTARTS,
         help="random restarts before the frontier DP decides the optimum",
     )
     add_caps(p_embed, f"above this many spanning trees, by Kirchhoff's count, {tree_rung}")

@@ -14,19 +14,23 @@ reducing relocation would disprove the underlying theory and raises
 :class:`InternalInvariantError`.
 
 One search (:func:`_search`) climbs in either direction and certifies its
-result by a ladder of certificates, cheapest first:
+result by a ladder of certificates, cheapest first; the rung that settles
+the optimum is named by the result's ``certificate``:
 
 1. A count no rotation can beat, reached by the climb, is optimal on
    sight: minimizing, 1 plus the bridge floor of zeta
-   (:func:`~ribbon_embed.invariants.zeta_floor`, linear time); maximizing,
-   :func:`_walk_bound` (genus 0, or every walk as long as the girth).
+   (:func:`~ribbon_embed.invariants.zeta_floor`, linear time), ``"floor"``;
+   maximizing, :func:`_walk_bound` (genus 0, or every walk as long as the
+   girth), ``"walk-bound"``.
 2. Short of it, one pass of the frontier DP, within the rotation cap,
-   decides the optimum and gives the first rotation at it.
+   decides the optimum and gives the first rotation at it: ``"dp"``.
 3. Past the rotation cap, minimizing only, Xuong's spanning-tree search
    (:func:`~ribbon_embed.invariants.betti_deficiency`) gives 1 + zeta when
    Kirchhoff's count puts the trees within the tree cap
-   (:func:`_minimize`).  Within the rotation cap no tree is enumerated
-   but by :func:`oracle`.
+   (:func:`_minimize`): ``"trees"``.  Within the rotation cap no tree is
+   enumerated but by :func:`oracle`.
+
+With no rung in reach, ``certificate`` and ``optimum`` are None.
 
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse;
@@ -233,19 +237,23 @@ class SearchResult:
     ``greedy_count`` is the count where the first descent (or ascent) from
     the given start stalled; ``boundary_count`` the best found overall.
     ``optimum`` is the global optimum a rung of the ladder (module
-    docstring) settles, else None; ``certified``: the result attains it.
-    ``enumerated``: the frontier DP ran.
+    docstring) settles, and ``certificate`` that rung's name (``"floor"``,
+    ``"walk-bound"``, ``"dp"`` or ``"trees"``); both are None where no rung
+    settles it.  :attr:`certified`: the result attains the optimum.
     """
 
     rotation: RotationSystem
     boundary_count: int
     optimum: int | None
-    certified: bool
+    certificate: str | None
     initial_count: int
     greedy_count: int
     moves: tuple[MoveRecord, ...]
     restarts_used: int
-    enumerated: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.boundary_count == self.optimum
 
 
 def _climb(
@@ -303,12 +311,13 @@ def _search(
     module docstring, but for the spanning-tree rung.
 
     ``bound`` is a count no rotation can beat, so reaching it certifies the
-    result at once.  Only when the climb and the restarts end short of it
-    is ``frontier()`` asked for one DP pass (:func:`_frontier`; None above
-    the rotation cap), which decides the optimum and gives the first
+    result at once, as ``"floor"`` descending and ``"walk-bound"``
+    ascending.  Only when the climb and the restarts end short of it is
+    ``frontier()`` asked for one DP pass (:func:`_frontier`; None above the
+    rotation cap), which decides the optimum (``"dp"``) and gives the first
     rotation, in enumeration order, at every count; a best count short of
     the optimum gives way to the one at it.  With no pass, the result has
-    no ``optimum``.
+    no ``optimum`` and no ``certificate``.
     """
 
     def beats(a: int, b: int) -> bool:
@@ -333,11 +342,12 @@ def _search(
             best = (count, rotation, tuple(records))
     if beats(best[0], bound):
         raise InternalInvariantError(f"count {best[0]} lies beyond the bound {bound}")
-    optimum = bound if best[0] == bound else None
-    dp = None if optimum is not None else frontier()
-    if dp is not None:
+    optimum = certificate = None
+    if best[0] == bound:
+        optimum, certificate = bound, "floor" if delta < 0 else "walk-bound"
+    elif (dp := frontier()) is not None:
         orders, profile = dp
-        optimum = (max if delta > 0 else min)(profile)
+        optimum, certificate = (max if delta > 0 else min)(profile), "dp"
         if beats(optimum, best[0]):
             witness = _rotation_at(orders, profile[optimum][1])
             count = _faces(graph.dart_count, witness.cycles)[1]
@@ -349,12 +359,11 @@ def _search(
         rotation=best[1],
         boundary_count=best[0],
         optimum=optimum,
-        certified=best[0] == optimum,
+        certificate=certificate,
         initial_count=initial,
         greedy_count=greedy_count,
         moves=best[2],
         restarts_used=restarts_used,
-        enumerated=dp is not None,
     )
 
 
@@ -400,8 +409,7 @@ def _minimize(
     result = _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), frontier)
     if result.optimum is not None or trees() is None:
         return result
-    optimum = 1 + betti_deficiency(graph, tree_cap)
-    return replace(result, optimum=optimum, certified=result.boundary_count == optimum)
+    return replace(result, optimum=1 + betti_deficiency(graph, tree_cap), certificate="trees")
 
 
 def _walk_bound(graph: MetricGraph) -> int:

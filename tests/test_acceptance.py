@@ -136,7 +136,7 @@ def test_criterion_06_driver_reaches_minimum_from_every_start(fixtures):
             if res.greedy_count != target:
                 greedy_stalls += 1
                 # a stall must be visible in the result, never silent
-                assert res.restarts_used > 0 or res.enumerated
+                assert res.restarts_used > 0 or res.certificate == "dp"
     print(
         "ACCEPTANCE 6 PASS: driver reaches 1 + zeta from all starts "
         f"({greedy_stalls} greedy stalls, all surfaced)"

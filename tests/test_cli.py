@@ -387,6 +387,72 @@ def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):
     assert capsys.readouterr().err.endswith("not certified\n")
 
 
+# embed's last stderr line names the rung that settled the optimum, or says
+# that none did, before its ending: random_multigraph(196)'s ascent and its
+# restarts miss the walk bound, and random_multigraph(27)'s zeta of 3 lies
+# above the floor of 1, so past the rotation cap only the tree rung settles it
+EMBED_RUNGS = {
+    "floor": (
+        "k4",
+        [],
+        "genus 3, 2 boundary walk(s) before capping, 0 move(s), "
+        "optimum from the floor rung, certified",
+    ),
+    "dp": (
+        "random196",
+        ["--target", "maximal"],
+        "genus 4, 6 boundary walk(s) before capping, 0 move(s), "
+        "optimum from the dp rung, certified",
+    ),
+    "trees": (
+        "random27",
+        ["--max-rotations", "1"],
+        "genus 4, 4 boundary walk(s) before capping, 1 move(s), "
+        "optimum from the trees rung, certified",
+    ),
+    "none": (
+        "random27",
+        ["--max-rotations", "1", "--max-trees", "1"],
+        "genus 4, 4 boundary walk(s) before capping, 1 move(s), "
+        "no rung settled the optimum, not certified",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBED_RUNGS))
+def test_embed_names_the_rung(case, graph_file, tmp_path, capsys):
+    name, flags, summary = EMBED_RUNGS[case]
+    path = graph_file(_locked_graph_text(name))
+    assert main(["embed", path, "-o", str(tmp_path / "schema.json"), *flags]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == f"schema: {summary}"
+
+
+# exit code of each count flag at 0 on K4: the oracle refuses a cap of 0
+ZERO_COUNTS = {
+    ("analyze", "--max-trees"): 0,
+    ("analyze", "--max-rotations"): 0,
+    ("embed", "--restarts"): 0,
+    ("embed", "--max-trees"): 0,
+    ("embed", "--max-rotations"): 0,
+    ("oracle", "--max-trees"): 5,
+    ("oracle", "--max-rotations"): 5,
+}
+
+
+@pytest.mark.parametrize(("command", "flag"), sorted(ZERO_COUNTS))
+def test_negative_counts_are_bad_usage(command, flag, graph_file, capsys):
+    # a negative cap or restart count is refused before any work, with
+    # exit 2; 0 is a count like any other
+    path = graph_file(K4)
+    assert main([command, path, flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: negative count -1; expected 0 or more" in captured.err
+    assert main([command, path, flag, "x"]) == 2
+    assert f"argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
+    assert main([command, path, flag, "0"]) == ZERO_COUNTS[command, flag]
+
+
 def test_oracle_tree_cap_aborts_on_the_kirchhoff_count(graph_file, capsys):
     path = graph_file(K5)  # 125 spanning trees
     assert main(["oracle", path, "--max-trees", "124"]) == 5
@@ -643,6 +709,25 @@ WRONG_TYPES = {
     "summary": (_set(("summary",), "genus 3"), "summary is not a JSON object: 'genus 3'"),
     "meta foot": (_set(("meta", "foot"), [0.5]), "meta foot is not a JSON object: [0.5]"),
     "blocks": (_set(("blocks",), 3), "blocks is not a JSON array: 3"),
+    "blocks object": (_set(("blocks",), {}), "blocks is not a JSON array: {}"),
+    "gluings object": (_set(("gluings",), {"a": 1}), "gluings is not a JSON array: {'a': 1}"),
+    "boundaries object": (
+        _set(("blocks", 0, "boundaries"), {}),
+        "block 0 boundaries is not a JSON array: {}",
+    ),
+    "meta graph edges": (
+        _set(("meta", "graph", "edges"), {"e01": 1}),
+        "meta graph edges is not a JSON array: {'e01': 1}",
+    ),
+    # keyed by the rotation lines, the object would iterate as the lines
+    "meta rotation object": (
+        lambda doc: _set(("meta", "rotation"), dict.fromkeys(doc["meta"]["rotation"], 1))(doc),
+        "meta rotation is not a JSON array: {'rot v0 e01+ e02+ e03+': 1, 'rot v1 e01…",
+    ),
+    "meta rotation string": (
+        lambda doc: _set(("meta", "rotation"), "\n".join(doc["meta"]["rotation"]))(doc),
+        "meta rotation is not a JSON array: 'rot v0 e01+ e02+ e03+\\nrot v1 e01- e12+…",
+    ),
 }
 
 

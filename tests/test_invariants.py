@@ -388,7 +388,7 @@ def test_no_tree_is_enumerated_within_the_rotation_cap(seed, monkeypatch):
 
     monkeypatch.setattr(invariants, "spanning_trees", no_trees)
     res = minimize_boundaries(g, restarts=DEFAULT_RESTARTS)
-    assert res.enumerated and res.certified and res.optimum == 1 + z
+    assert res.certificate == "dp" and res.certified and res.optimum == 1 + z
     assert analyze(g).zeta == z
     assert essential_genus(g) == capped_genus(smooth(g), 1 + z)
     assert max_genus(g) == (betti(g) - z) // 2

@@ -147,7 +147,7 @@ def test_minimize_fixtures(theta, bouquet2, k4, k5, dumbbell):
 
 def test_minimize_records_compose_when_greedy_wins(k4):
     res = minimize_boundaries(k4)
-    if res.restarts_used == 0 and not res.enumerated:
+    if res.restarts_used == 0 and res.certificate != "dp":
         assert res.initial_count - res.boundary_count == 2 * len(res.moves)
     assert all(m.boundary_delta == -2 for m in res.moves)
 
@@ -220,16 +220,16 @@ def test_uncertified_when_stalled_and_capped():
     assert stalled_start is not None
     res = minimize_boundaries(g, start=stalled_start, restarts=0, rotation_cap=10)
     assert not res.certified
-    assert not res.enumerated
+    assert res.certificate != "dp"
     assert res.boundary_count == 3
 
 
 def test_maximize_uncertified_above_its_rotation_cap(k5):
     # no profile to aim at and no DP to run: the ascent's best is
-    # handed back flagged as neither certified nor enumerated
+    # handed back flagged as neither certified nor settled by the DP
     res = maximize_boundaries(k5, restarts=2, rotation_cap=10)
     assert not res.certified
-    assert not res.enumerated
+    assert res.certificate != "dp"
     assert res.boundary_count == boundary_count(k5, res.rotation) <= 5
 
 
@@ -239,7 +239,7 @@ def test_maximize_certifies_at_its_bound_above_the_rotation_cap(k5):
     # more, so the result is certified with the DP capped out
     res = maximize_boundaries(k5, restarts=8, rotation_cap=1)
     assert (res.boundary_count, res.optimum, res.restarts_used) == (5, 5, 3)
-    assert res.certified and not res.enumerated
+    assert res.certified and res.certificate != "dp"
 
 
 def test_maximize_runs_the_dp_only_where_its_climb_misses_the_bound(monkeypatch):
@@ -265,9 +265,59 @@ def test_maximize_runs_the_dp_only_where_its_climb_misses_the_bound(monkeypatch)
             reached.append(i)
             assert res == climbed and res.certified and not calls, i
         else:
-            assert len(calls) == 1 and res.enumerated and res.certified, i
+            assert len(calls) == 1 and res.certificate == "dp" and res.certified, i
         del calls[:]
     assert (sum(i < 200 for i in reached), sum(i >= 200 for i in reached)) == (199, 12)
+
+
+def test_the_certificate_names_the_rung_that_settled_the_optimum(monkeypatch):
+    # each rung means what it says: the climb's bound settles with no DP
+    # pass, the DP in one pass at the profile's extreme, the tree search
+    # only past the rotation cap, at 1 + zeta; no rung, no optimum
+    calls = []
+    profile = moves._profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(moves, "_profile", counted)
+    tally = Counter()
+    for seed in range(150):
+        g = random_multigraph(seed)
+        searches = [
+            (minimize_boundaries, min, "floor", 1 + zeta_floor(g)),
+            (maximize_boundaries, max, "walk-bound", _walk_bound(g)),
+        ]
+        for search, extreme, bound_rung, bound in searches:
+            for cap in (10, 2000, 10**6):
+                for restarts in (0, 8):
+                    del calls[:]
+                    res = search(g, restarts=restarts, rotation_cap=cap)
+                    case = (seed, extreme.__name__, cap, restarts)
+                    rung = res.certificate
+                    assert (rung is None) == (res.optimum is None), case
+                    assert res.certified == (res.boundary_count == res.optimum), case
+                    if rung == bound_rung:
+                        assert res.optimum == bound and not calls, case
+                    elif rung == "dp":
+                        assert len(calls) == 1, case
+                        assert res.optimum == extreme(boundary_profile(g, cap)), case
+                    elif rung == "trees":
+                        assert extreme is min and count_rotations(g) > cap, case
+                        assert res.optimum == 1 + betti_deficiency(g), case
+                    else:
+                        assert rung is None and count_rotations(g) > cap, case
+                    tally[extreme.__name__, rung, res.certified] += 1
+    assert tally == {
+        ("min", "floor", True): 843,
+        ("min", "dp", True): 37,
+        ("min", "trees", True): 6,
+        ("min", "trees", False): 14,
+        ("max", "walk-bound", True): 807,
+        ("max", "dp", True): 57,
+        ("max", None, False): 36,
+    }
 
 
 def test_certified_by_parity_floor_despite_tree_cap(k5):
@@ -349,7 +399,7 @@ def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
 
     def results():
         return [
-            (res.rotation, res.boundary_count, res.certified, res.moves, res.enumerated)
+            (res.rotation, res.boundary_count, res.certified, res.moves, res.certificate == "dp")
             for g in graphs
             for tree_cap, restarts in grid
             for res in [
@@ -435,7 +485,7 @@ def test_floor_certifies_without_a_tree_search(monkeypatch):
 
     monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", no_trees)
     res = minimize_boundaries(prism(200), tree_cap=1)
-    assert res.certified and not res.enumerated
+    assert res.certified and res.certificate != "dp"
     assert res.boundary_count == 2
 
 
@@ -447,7 +497,7 @@ def test_restarts_stop_at_the_floor(monkeypatch):
     monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", None)
     res = minimize_boundaries(g, start=stalled_start, restarts=8)
     assert (res.boundary_count, res.restarts_used) == (1, 1)
-    assert res.certified and not res.enumerated
+    assert res.certified and res.certificate != "dp"
 
 
 @pytest.mark.parametrize("seed", [27, 65, 142, 229])
@@ -457,7 +507,7 @@ def test_last_rung_runs_where_the_floor_falls_short(seed):
     assert target > 1 + zeta_floor(g)
     # within the rotation cap the DP certifies, whatever the tree cap
     res = minimize_boundaries(g, restarts=0, tree_cap=1)
-    assert res.enumerated and res.certified
+    assert res.certificate == "dp" and res.certified
     assert res.boundary_count == target == min(boundary_profile(g, 10**6))
     # with the trees within their cap too, the same DP certifies the count
     res = minimize_boundaries(g, restarts=3)
@@ -490,7 +540,7 @@ def test_no_search_enumerates_rotations(monkeypatch):
         caps = {} if tree_cap is None else {"tree_cap": tree_cap}
         res = search(g, restarts=0, **caps)
         assert res.rotation.cycles == cycles
-        assert res.enumerated and res.certified
+        assert res.certificate == "dp" and res.certified
 
 
 
@@ -509,7 +559,7 @@ def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
 
     def recorded(*args):
         res = search(*args)
-        runs.append((res.enumerated, res.certified))
+        runs.append((res.certificate == "dp", res.certified))
         return res
 
     monkeypatch.setattr(rotation, "_profile", counted)
