@@ -110,17 +110,21 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         result = minimize_boundaries(graph, tree_cap=args.max_trees, **search)
     if not result.certified:
+        if result.optimum is None:
+            gap, flags = "within the enumeration caps", "--max-trees / --max-rotations"
+        else:  # a rung knows the optimum, but the search's rotation misses it
+            gap = (
+                f"at {result.boundary_count} walk(s); the {result.certificate} rung "
+                f"settles the optimum at {result.optimum}"
+            )
+            flags = "--restarts / --max-rotations"
         if isinstance(target, tuple):  # refused before anything is built
             _say(
-                "error: optimum not certified within the enumeration caps; an exact "
-                "genus target needs a certified minimal-boundary surface; raise "
-                "--max-trees / --max-rotations"
+                f"error: optimum not certified {gap}; an exact genus target needs a "
+                f"certified minimal-boundary surface; raise {flags}"
             )
             return CAP_EXCEEDED
-        _say(
-            "warning: optimum not certified within the enumeration caps; "
-            "using the best rotation found"
-        )
+        _say(f"warning: optimum not certified {gap}; using the best rotation found; raise {flags}")
     bordered = assemble_sigma_surface(graph, result.rotation, margin=args.margin)
     if isinstance(target, tuple):
         schema = cap_target_genus(bordered, target[1], minimum=result.boundary_count)

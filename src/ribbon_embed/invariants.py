@@ -6,15 +6,17 @@ odd-size components of the co-tree subgraph.  The boundary profile
 gives the boundary-walk counts over all rotation systems.  The two sides
 are tied together by the identity ``min walks = 1 + zeta``, which the
 report, the test-suite and the oracle command check on every graph they
-touch.  The spanning trees are counted, up to a cap, by Kirchhoff's exact
-Laplacian cofactor.  The zeta search stops at :func:`zeta_floor`, a
-linear-time lower bound from the bridges: a tree meeting it, or a rotation
-with 1 + floor walks, pins zeta with no further enumeration.  Which rung
-certifies zeta is decided by the certificate ladder of
-:mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
-``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader of
-the profile's maximum; the tree search :func:`betti_deficiency` is the
-ladder's last rung, past the rotation cap, and its independent check.
+touch.  The spanning trees are counted by Kirchhoff's exact Laplacian
+cofactor, grown one vertex at a time and stopped at its first leading
+minor above a cap, so a count far past the cap costs little.  The zeta
+search stops at :func:`zeta_floor`, a linear-time lower bound from the
+bridges: a tree meeting it, or a rotation with 1 + floor walks, pins zeta
+with no further enumeration.  Which rung certifies zeta is decided by the
+certificate ladder of :mod:`ribbon_embed.moves`, which also holds the
+public readers of zeta, ``essential_genus`` and ``max_genus``, and
+``ge_max_exact``, the reader of the profile's maximum; the tree search
+:func:`betti_deficiency` is the ladder's last rung, past the rotation cap,
+and its independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -112,6 +114,18 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     still has its parent among the roots; adding that edge maps forests
     injectively, the pivots never decrease, and the first pivot above
     ``cap`` settles the comparison.
+
+    So the matrix is bordered one vertex at a time, and only the rows the
+    pivots need are built.  Vertex k's Laplacian row, against itself and
+    the k vertices before it, is carried through the k earlier steps by
+    the one fraction-free rule x <- (x * p[t+1] - row[t] * col[t]) // p[t],
+    where p[t] is the t-th pivot (p[0] = 1) and col[t] the pivot row's
+    entry in x's column.  Each step's matrix is symmetric, its entries
+    being bordered leading minors of a symmetric one, so col[t] is the
+    entry (x's column, t) of a row already stored, and the row's last
+    entry is pivot k + 1.  Stopping after K rows, at the first pivot above
+    ``cap`` or at n - 1, costs O(K^2) integers and O(K^3) steps; no row of
+    a vertex past the K-th is built.
     """
     n, vertex_of = graph.vertex_count, graph.vertex_of
     order = [0]
@@ -125,29 +139,26 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
                 order.append(v)
     if len(order) < n:
         return 0  # disconnected
-    position = {v: i for i, v in enumerate(reversed(order[1:]))}
-    matrix = [[0] * (n - 1) for _ in range(n - 1)]
-    for u, i in position.items():
-        matrix[i][i] = graph.degree(u)
+    position: dict[int, int] = {}
+    rows: list[list[int]] = []  # rows[k][t]: entry (k, t) after t elimination steps
+    pivots = [1]
+    for k, u in enumerate(reversed(order[1:])):
+        position[u] = k
+        row = [0] * k + [graph.degree(u)]
         for d in graph.darts_at(u):
-            v = vertex_of[d ^ 1]
-            if v:
-                matrix[i][position[v]] -= 1
-    previous = 1
-    for c, pivot_row in enumerate(matrix):
-        pivot = pivot_row[c]
-        if pivot > cap:
-            previous = pivot
-            break
-        tail = pivot_row[c + 1 :]
-        for row in matrix[c + 1 :]:
-            lead, rest = row[c], row[c + 1 :]
-            if lead:
-                row[c + 1 :] = [(x * pivot - lead * y) // previous for x, y in zip(rest, tail)]
-            else:
-                row[c + 1 :] = [x * pivot // previous for x in rest]
-        previous = pivot
-    return None if previous > cap else previous
+            t = position.get(vertex_of[d ^ 1])  # vertex 0 and later vertices: None
+            if t is not None:
+                row[t] -= 1
+        rows.append(row)
+        for c in range(k + 1):
+            x, col = row[c], rows[c]
+            for t in range(c):
+                x = (x * pivots[t + 1] - row[t] * col[t]) // pivots[t]
+            row[c] = x
+        pivots.append(row[k])
+        if row[k] > cap:
+            return None
+    return None if pivots[-1] > cap else pivots[-1]
 
 
 def zeta_floor(graph: MetricGraph) -> int:

@@ -205,6 +205,31 @@ def test_embed_genus_target_refused_before_assembly(margin, graph_file, capsys):
         "needs a certified minimal-boundary surface; raise --max-trees / --max-rotations\n",
     )
 
+
+@pytest.mark.parametrize("target", ["minimal", "genus=4"])
+def test_embed_names_the_optimum_its_rotation_misses(target, graph_file, tmp_path, capsys):
+    # the trees rung settles the optimum at 1 walk, but the search, with no
+    # restart and the DP capped, stops at 3: more trees cannot help
+    path = graph_file(format_graph(random_multigraph(3)))
+    argv = ["embed", path, "--target", target, "--restarts", "0", "--max-rotations", "10",
+            "-o", str(tmp_path / "schema.json")]  # fmt: skip
+    gap = "optimum not certified at 3 walk(s); the trees rung settles the optimum at 1; "
+    if target == "minimal":
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {gap}using the best rotation found; raise --restarts / --max-rotations",
+            "schema: genus 3, 3 boundary walk(s) before capping, 0 move(s), "
+            "optimum from the trees rung, not certified",
+        ]
+    else:
+        assert main(argv) == 5
+        assert capsys.readouterr() == (
+            "",
+            f"error: {gap}an exact genus target needs a certified minimal-boundary surface; "
+            "raise --restarts / --max-rotations\n",
+        )
+
+
 def test_embed_genus_target_capped_with_the_certificate_of_the_sweep(graph_file, tmp_path, capsys):
     # zeta exceeds the bridge floor and one tree is too few for the tree
     # search, so the DP certifies the 4 walks; capping takes that minimum
@@ -461,6 +486,11 @@ def test_oracle_tree_cap_aborts_on_the_kirchhoff_count(graph_file, capsys):
     assert "spanning tree count exceeds the cap of 124" in captured.err
     assert main(["oracle", path, "--max-trees", "125"]) == 0
     assert capsys.readouterr().out.endswith("oracle: all checks passed\n")
+    # 800 vertices: the count stops at its first pivots above the cap
+    assert main(["oracle", graph_file(format_graph(prism(400)), "prism400.graph")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spanning tree count exceeds the cap of 1000000" in captured.err
 
 
 def test_oracle_recount_does_not_share_the_kernel(graph_file, capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,8 @@ from ribbon_embed.moves import DEFAULT_RESTARTS
 
 from conftest import K4
 from helpers import kirchhoff_tree_count, prism, random_multigraph
+
+DEMO_GRAPHS = Path(__file__).resolve().parent.parent / "demos" / "graphs"
 
 # 4 vertices, 9 edges: the descent and every restart of the ladder's search
 # stall at 3 walks, above 1 + zeta = 1
@@ -135,6 +139,42 @@ def test_analyze_tree_cap_is_exact(k5, monkeypatch):
     monkeypatch.setattr("ribbon_embed.invariants.spanning_trees", no_trees)
     rep = analyze(k5, tree_cap=124)
     assert (rep.tree_count, rep.zeta) == (None, 0)
+
+
+def _count_reference_graphs():
+    for path in sorted(DEMO_GRAPHS.glob("*.graph")):
+        yield path.stem, parse_graph(path.read_text())
+    for loops in (1, 2, 5):
+        yield f"bouquet{loops}", parse_graph("".join(f"edge l{i} w w 1.0\n" for i in range(loops)))
+    for edges in (2, 3, 7, 40):
+        yield f"dipole{edges}", parse_graph("".join(f"edge e{i} u v 1.0\n" for i in range(edges)))
+    for seed in range(300):
+        yield f"random{seed}", smooth(random_multigraph(seed))
+    for rungs in range(3, 41):
+        yield f"prism{rungs}", smooth(prism(rungs))
+
+
+def test_tree_count_matches_the_dense_reference():
+    # the bordered count against Gaussian elimination over the rationals:
+    # the count where it is within the cap, None above it
+    for name, g in _count_reference_graphs():
+        count = kirchhoff_tree_count(g)
+        for cap in (0, 1, 2, 3, 10, 100, 1000, 10**6, 10**30, count):
+            expected = count if count <= cap else None
+            assert invariants._tree_count(g, cap) == expected, (name, cap)
+
+
+def test_tree_count_stops_at_the_cap():
+    # the dense (n - 1)^2 Laplacian of prism(2000) alone would hold about
+    # 16 million list slots; the first pivots above the cap end the count
+    g = prism(2000)
+    tracemalloc.start()
+    try:
+        assert invariants._tree_count(g, 10**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_spanning_tree_cap(k5):
