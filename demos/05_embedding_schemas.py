@@ -27,7 +27,7 @@ k4 = parse_graph((HERE / "graphs" / "k4.graph").read_text())
 
 naive = naive_embedding(k4)
 print("naive k4:", naive.summary)
-print("  blocks:", {b.kind for b in naive.blocks})
+print("  blocks:", {b["kind"] for b in naive.blocks})
 
 res = minimize_boundaries(k4, restarts=4)
 assert res.certified  # the capping below takes its walk count as the minimum

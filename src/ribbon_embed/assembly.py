@@ -21,6 +21,15 @@ A schema carries two kinds of blocks, distinguished by ``layer``:
 Keeping the recipe and the denoted surface in separate ledgers is what
 makes chi additivity an exact checkable invariant on both the naive and the
 capped constructions rather than an approximate story.
+
+The in-memory records are the document's own: a block is the dict
+``{"id", "kind", "genus", "layer", "boundaries": [{"label", "length"},
+...], "payload"}`` and a gluing ``{"a": [block id, label], "b": [...],
+"twist"}``, where a length is a number or ``sym:<label>``.  The builders
+write them, :func:`schema_from_json` hands back the ones ``json.loads``
+builds, and :func:`verify_schema` and :func:`schema_to_json` read them by
+key.  No record is changed once built, so schemas share them: a closed
+schema holds the records of the bordered one it caps.
 """
 
 from __future__ import annotations
@@ -67,37 +76,6 @@ SURFACE = "surface"
 CONSTRUCTION = "construction"
 
 
-@dataclass(frozen=True, slots=True)
-class Boundary:
-    """One boundary circle of a block: numeric length or ``sym:<label>``."""
-
-    label: str
-    length: float | str
-
-
-@dataclass(frozen=True, slots=True)
-class Block:
-    id: str
-    kind: str
-    genus: int
-    layer: str
-    boundaries: tuple[Boundary, ...]
-    payload: dict
-
-    @property
-    def euler(self) -> int:
-        return 2 - 2 * self.genus - len(self.boundaries)
-
-
-@dataclass(frozen=True, slots=True)
-class Gluing:
-    """An isometric identification of two block boundaries, zero twist."""
-
-    side_a: tuple[str, str]
-    side_b: tuple[str, str]
-    twist: float = 0.0
-
-
 @dataclass(frozen=True)
 class Summary:
     genus: int
@@ -111,8 +89,8 @@ class SurfaceSchema:
     graph: MetricGraph
     rotation: RotationSystem
     scale: ScaleParams
-    blocks: tuple[Block, ...]
-    gluings: tuple[Gluing, ...]
+    blocks: tuple[dict, ...]  # records of the document's shape, never changed
+    gluings: tuple[dict, ...]
     summary: Summary
 
 
@@ -126,6 +104,11 @@ class Diagnostics:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+def _euler(block: dict) -> int:
+    """The Euler characteristic of a block, 2 - 2 genus - its boundaries."""
+    return 2 - 2 * block["genus"] - len(block["boundaries"])
 
 
 def _require_embeddable(graph: MetricGraph) -> None:
@@ -146,30 +129,31 @@ def _require_embeddable(graph: MetricGraph) -> None:
 
 def _construction_blocks(
     graph: MetricGraph, rotation: RotationSystem, scale: ScaleParams, layer: str
-) -> tuple[list[Block], list[Gluing]]:
+) -> tuple[list[dict], list[dict]]:
     darts, spheres = _labels(graph)
     foot, waist, t, vertex_of = scale.foot, scale.waist, scale.t, graph.vertex_of
     blocks = [
-        Block(
-            spheres[v], "vertex_sphere", 0, layer,
-            tuple([Boundary(darts[d], 1.0) for d in cycle]),
-            {"vertex": name, "foot": foot[v]},
-        )
+        {
+            "id": spheres[v], "kind": "vertex_sphere", "genus": 0, "layer": layer,
+            "boundaries": [{"label": darts[d], "length": 1.0} for d in cycle],
+            "payload": {"vertex": name, "foot": foot[v]},
+        }
         for v, (name, cycle) in enumerate(zip(graph.vertex_names, rotation.cycles))
     ]
-    gluings: list[Gluing] = []
-    end0, end1 = Boundary("end0", 1.0), Boundary("end1", 1.0)  # frozen, so shared
+    gluings = []
+    end0, end1 = {"label": "end0", "length": 1.0}, {"label": "end1", "length": 1.0}  # shared
     for e, (name, length) in enumerate(zip(graph.edge_names, graph.lengths)):
         pants = f"pants:{name}"
-        blocks.append(
-            Block(
-                pants, "edge_pants", 0, layer,
-                (end0, end1, Boundary("waist", 2.0 * waist[e])),
-                {"edge": name, "scaled_length": t * length},
-            )
-        )
-        gluings.append(Gluing((pants, "end0"), (spheres[vertex_of[2 * e]], darts[2 * e])))
-        gluings.append(Gluing((pants, "end1"), (spheres[vertex_of[2 * e + 1]], darts[2 * e + 1])))
+        blocks.append({
+            "id": pants, "kind": "edge_pants", "genus": 0, "layer": layer,
+            "boundaries": [end0, end1, {"label": "waist", "length": 2.0 * waist[e]}],
+            "payload": {"edge": name, "scaled_length": t * length},
+        })
+        u, v = spheres[vertex_of[2 * e]], spheres[vertex_of[2 * e + 1]]
+        gluings += [
+            {"a": [pants, "end0"], "b": [u, darts[2 * e]], "twist": 0.0},
+            {"a": [pants, "end1"], "b": [v, darts[2 * e + 1]], "twist": 0.0},
+        ]
     return blocks, gluings
 
 
@@ -196,17 +180,12 @@ def naive_embedding(
     for e in range(graph.edge_count):
         name = graph.edge_names[e]
         cap_id = f"cap:{name}"
-        blocks.append(
-            Block(
-                id=cap_id,
-                kind="cap_torus",
-                genus=1,
-                layer=SURFACE,
-                boundaries=(Boundary("b0", 2.0 * scale.waist[e]),),
-                payload={"fills": "waist", "edge": name},
-            )
-        )
-        gluings.append(Gluing((f"pants:{name}", "waist"), (cap_id, "b0")))
+        blocks.append({
+            "id": cap_id, "kind": "cap_torus", "genus": 1, "layer": SURFACE,
+            "boundaries": [{"label": "b0", "length": 2.0 * scale.waist[e]}],
+            "payload": {"fills": "waist", "edge": name},
+        })
+        gluings.append({"a": [f"pants:{name}", "waist"], "b": [cap_id, "b0"], "twist": 0.0})
     genus = graph.edge_count + betti(graph)
     return SurfaceSchema(
         graph=graph,
@@ -218,19 +197,18 @@ def naive_embedding(
     )
 
 
-def _spine_block(graph: MetricGraph, rotation: RotationSystem) -> Block:
+def _spine_block(graph: MetricGraph, rotation: RotationSystem) -> dict:
     """The surface block of the bordered construction: the tightened
     neighborhood of the fat graph, with one symbolic boundary per walk."""
     walks = boundary_walks(graph, rotation)
-    labels = [f"w{i}" for i in range(len(walks))]
-    return Block(
-        id="spine",
-        kind="spine_surface",
-        genus=(2 - euler_char(graph) - len(walks)) // 2,
-        layer=SURFACE,
-        boundaries=tuple(Boundary(label, f"sym:{label}") for label in labels),
-        payload={"walks": [list(w.darts) for w in walks]},
-    )
+    return {
+        "id": "spine",
+        "kind": "spine_surface",
+        "genus": (2 - euler_char(graph) - len(walks)) // 2,
+        "layer": SURFACE,
+        "boundaries": [{"label": f"w{i}", "length": f"sym:w{i}"} for i in range(len(walks))],
+        "payload": {"walks": [list(w.darts) for w in walks]},
+    }
 
 
 def assemble_sigma_surface(
@@ -254,8 +232,8 @@ def assemble_sigma_surface(
         blocks=tuple([*blocks, spine]),
         gluings=tuple(gluings),
         summary=Summary(
-            genus=spine.genus,
-            boundary_count=len(spine.boundaries),
+            genus=spine["genus"],
+            boundary_count=len(spine["boundaries"]),
             minimal=None,
             construction="sigma",
         ),
@@ -276,11 +254,11 @@ def _close(schema: SurfaceSchema, extra: int) -> SurfaceSchema:
     b = schema.summary.boundary_count
     if b < 1:
         raise ValueError("schema is already closed; nothing to cap")
-    spine = next((blk for blk in schema.blocks if blk.kind == "spine_surface"), None)
+    spine = next((blk for blk in schema.blocks if blk["kind"] == "spine_surface"), None)
     if spine is None:
         raise ValueError("capping applies to the bordered spine construction")
     q, r = qr_split(b)
-    labels = [bd.label for bd in spine.boundaries]
+    labels = [bd["label"] for bd in spine["boundaries"]]
     groups = [labels[3 * k : 3 * k + 3] for k in range(q)] + [[lab] for lab in labels[3 * q :]]
     upgraded = q if r else 0
     blocks = list(schema.blocks)
@@ -290,19 +268,17 @@ def _close(schema: SurfaceSchema, extra: int) -> SurfaceSchema:
         kind, genus = ("cap_pants", 0) if len(fills) == 3 else ("cap_torus", 1)
         if extra and i == upgraded:
             kind, genus = "cap_surface", genus + extra
-        blocks.append(
-            Block(
-                id=cap_id,
-                kind=kind,
-                genus=genus,
-                layer=SURFACE,
-                boundaries=tuple(
-                    Boundary(f"b{j}", f"sym:{lab}") for j, lab in enumerate(fills)
-                ),
-                payload={"fills": fills},
-            )
-        )
-        gluings += [Gluing(("spine", lab), (cap_id, f"b{j}")) for j, lab in enumerate(fills)]
+        blocks.append({
+            "id": cap_id, "kind": kind, "genus": genus, "layer": SURFACE,
+            "boundaries": [
+                {"label": f"b{j}", "length": f"sym:{lab}"} for j, lab in enumerate(fills)
+            ],
+            "payload": {"fills": fills},
+        })
+        gluings += [
+            {"a": ["spine", lab], "b": [cap_id, f"b{j}"], "twist": 0.0}
+            for j, lab in enumerate(fills)
+        ]
     genus = schema.summary.genus + 2 * q + r + extra
     return replace(
         schema,
@@ -369,9 +345,9 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
 # half-length are each rounded to the ninth decimal, and together they can
 # miss by more than 1e-9.
 
-def _named(g: Gluing) -> str:
-    """A gluing as its messages name it."""
-    return f"gluing {_quote(g.side_a)} ~ {_quote(g.side_b)}"
+def _named(a: tuple[str, str], b: tuple[str, str]) -> str:
+    """A gluing of sides ``a`` and ``b`` as its messages name it."""
+    return f"gluing {_quote(a)} ~ {_quote(b)}"
 
 
 def _gluing_index(
@@ -384,16 +360,17 @@ def _gluing_index(
     """
     lengths: dict[tuple[str, str], float | str] = {}
     for block in schema.blocks:
-        bid = block.id
-        for bd in block.boundaries:
-            key = (bid, bd.label)
+        bid = block["id"]
+        for bd in block["boundaries"]:
+            key = (bid, bd["label"])
             if key in lengths:
-                errors.append(f"block {_clip(bid)}: duplicate boundary label {_clip(bd.label)}")
-            lengths[key] = bd.length
+                errors.append(f"block {_clip(bid)}: duplicate boundary label {_clip(bd['label'])}")
+            lengths[key] = bd["length"]
     partner: dict[tuple[str, str], tuple[str, str]] = {}
     for g in schema.gluings:
-        a, b = g.side_a, g.side_b
-        if a in partner or b in partner or a not in lengths or b not in lengths or a == b:
+        a, b = tuple(g["a"]), tuple(g["b"])  # quoted as tuples, and hashable
+        x, w = lengths.get(a), lengths.get(b)
+        if x is None or w is None or a in partner or b in partner or a == b:
             for side, other in ((a, b), (b, a)):  # the side at fault, in this order
                 if side not in lengths:
                     errors.append(f"gluing references missing boundary {_quote(side)}")
@@ -403,44 +380,45 @@ def _gluing_index(
                     partner[side] = other
         else:
             partner[a], partner[b] = b, a
-        if g.twist != 0.0:
-            errors.append(f"{_named(g)}: nonzero twist {g.twist}")
-        x, w = lengths.get(a), lengths.get(b)
+        if g["twist"] != 0.0:
+            errors.append(f"{_named(a, b)}: nonzero twist {float(g['twist'])}")
         if x is None or w is None:
             continue
         if isinstance(x, str) or isinstance(w, str):
             if x != w:
-                errors.append(f"{_named(g)}: symbolic lengths {_quote(x)} vs {_quote(w)}")
+                errors.append(f"{_named(a, b)}: symbolic lengths {_quote(x)} vs {_quote(w)}")
         elif x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):  # 0 matches
-            errors.append(f"{_named(g)}: lengths {x:.12g} vs {w:.12g}")
+            errors.append(f"{_named(a, b)}: lengths {x:.12g} vs {w:.12g}")
     return partner
 
 
 def _check_sphere(
-    schema: SurfaceSchema, block: Block, darts: list[str], errors: list[str]
+    schema: SurfaceSchema, block: dict, darts: list[str], errors: list[str]
 ) -> int | None:
     """A known vertex, its foot, genus 0 and unit cuffs in rotation order,
     ``darts`` naming the cuff of each dart; the vertex id."""
-    payload = block.payload
+    bid, payload = block["id"], block["payload"]
     v = schema.graph.vertex_ids.get(payload.get("vertex"))
     if v is None:
-        errors.append(f"block {_clip(block.id)}: unknown vertex {_quote(payload.get('vertex'))}")
+        errors.append(f"block {_clip(bid)}: unknown vertex {_quote(payload.get('vertex'))}")
         return None
     x, w = payload.get("foot"), schema.scale.foot[v]
-    if not isinstance(x, float) or not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
-        errors.append(f"block {_clip(block.id)}: foot {_quote(x)}, expected {w:.12g}")
-    if block.genus != 0:
-        errors.append(f"block {_clip(block.id)}: vertex sphere must have genus 0")
+    if not isinstance(x, float) or (
+        x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
+    ):
+        errors.append(f"block {_clip(bid)}: foot {_quote(x)}, expected {w:.12g}")
+    if block["genus"] != 0:
+        errors.append(f"block {_clip(bid)}: vertex sphere must have genus 0")
     got = []
-    for bd in block.boundaries:
-        x = bd.length
-        if not isinstance(x, float) or not abs(x - 1.0) <= LENGTH_TOLERANCE:
-            errors.append(f"block {_clip(block.id)}: cuff {_clip(bd.label)} is not unit length")
-        got.append(bd.label)
+    for bd in block["boundaries"]:
+        label, x = bd["label"], bd["length"]
+        if not isinstance(x, float) or (x != 1.0 and not abs(x - 1.0) <= LENGTH_TOLERANCE):
+            errors.append(f"block {_clip(bid)}: cuff {_clip(label)} is not unit length")
+        got.append(label)
     want = [darts[d] for d in schema.rotation.cycles[v]]
     if got != want:
         errors.append(
-            f"block {_clip(block.id)}: cuff order {_quote(tuple(got))} "
+            f"block {_clip(bid)}: cuff order {_quote(tuple(got))} "
             f"differs from rotation order {tuple(want)}"
         )
     return v
@@ -448,7 +426,7 @@ def _check_sphere(
 
 def _check_pants(
     schema: SurfaceSchema,
-    block: Block,
+    block: dict,
     partner: dict[tuple[str, str], tuple[str, str]],
     labels: tuple[list[str], list[str]],
     errors: list[str],
@@ -456,37 +434,39 @@ def _check_pants(
     """A known edge, its scaled length, cuffs of length 1, 1 and twice the
     waist, and both ends glued to the edge's darts on their vertex spheres,
     with ``labels`` from :func:`_labels`; the edge id."""
-    graph = schema.graph
-    name = block.payload.get("edge")
+    graph, bid, payload = schema.graph, block["id"], block["payload"]
+    name = payload.get("edge")
     e = graph.edge_ids.get(name)
     if e is None:
-        errors.append(f"block {_clip(block.id)}: unknown edge {_quote(name)}")
+        errors.append(f"block {_clip(bid)}: unknown edge {_quote(name)}")
         return None
-    x, w = block.payload.get("scaled_length"), schema.scale.t * graph.lengths[e]
-    if not isinstance(x, float) or not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+    x, w = payload.get("scaled_length"), schema.scale.t * graph.lengths[e]
+    if not isinstance(x, float) or (
+        x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
+    ):
         errors.append(
-            f"block {_clip(block.id)}: scaled length {_quote(x)}, expected t * length = {w:.12g}"
+            f"block {_clip(bid)}: scaled length {_quote(x)}, expected t * length = {w:.12g}"
         )
-    if block.genus != 0 or len(block.boundaries) != 3:
-        errors.append(f"block {_clip(block.id)}: edge pants must be a genus-0 3-holed sphere")
+    if block["genus"] != 0 or len(block["boundaries"]) != 3:
+        errors.append(f"block {_clip(bid)}: edge pants must be a genus-0 3-holed sphere")
         return e
     waist = 2.0 * schema.scale.waist[e]
-    for bd in block.boundaries:
-        label, x = bd.label, bd.length
+    for bd in block["boundaries"]:
+        label, x = bd["label"], bd["length"]
         w = 1.0 if label == "end0" or label == "end1" else waist if label == "waist" else None
         if w is None:
-            errors.append(f"block {_clip(block.id)}: unexpected cuff {_clip(label)}")
+            errors.append(f"block {_clip(bid)}: unexpected cuff {_clip(label)}")
         elif not isinstance(x, float) or (
             x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
         ):
             errors.append(
-                f"block {_clip(block.id)}: cuff {_clip(label)} has length {_quote(x)}, "
+                f"block {_clip(bid)}: cuff {_clip(label)} has length {_quote(x)}, "
                 f"expected {w:.12g}"
             )
     darts, spheres = labels
     for end_label, dart in (("end0", 2 * e), ("end1", 2 * e + 1)):
         u = graph.vertex_of[dart]
-        if partner.get((block.id, end_label)) != (spheres[u], darts[dart]):
+        if partner.get((bid, end_label)) != (spheres[u], darts[dart]):
             errors.append(
                 f"edge {_clip(name)}: cuff {end_label} is not glued to dart {dart} "
                 f"of vertex {_clip(graph.vertex_names[u])}"
@@ -495,50 +475,47 @@ def _check_pants(
 
 
 def _check_cap(
-    block: Block, partner: dict[tuple[str, str], tuple[str, str]], errors: list[str]
+    block: dict, partner: dict[tuple[str, str], tuple[str, str]], errors: list[str]
 ) -> None:
     """The genus and hole count of the cap's kind, and a payload naming what
     the cap is glued to: spine walks, or the waist of a naive cap's edge."""
-    genus, holes = block.genus, len(block.boundaries)
-    if block.kind == "cap_pants" and (genus != 0 or holes != 3):
-        errors.append(f"block {_clip(block.id)}: three-holed cap must have genus 0")
-    elif block.kind == "cap_torus" and (genus != 1 or holes != 1):
-        errors.append(f"block {_clip(block.id)}: torus cap must be one-holed genus 1")
-    elif block.kind == "cap_surface" and (genus < 1 or holes not in (1, 3)):
-        errors.append(
-            f"block {_clip(block.id)}: upgraded cap must have genus >= 1 and 1 or 3 holes"
-        )
-    sides = [partner.get((block.id, bd.label)) for bd in block.boundaries]
+    bid, kind, genus, holes = block["id"], block["kind"], block["genus"], len(block["boundaries"])
+    if kind == "cap_pants" and (genus != 0 or holes != 3):
+        errors.append(f"block {_clip(bid)}: three-holed cap must have genus 0")
+    elif kind == "cap_torus" and (genus != 1 or holes != 1):
+        errors.append(f"block {_clip(bid)}: torus cap must be one-holed genus 1")
+    elif kind == "cap_surface" and (genus < 1 or holes not in (1, 3)):
+        errors.append(f"block {_clip(bid)}: upgraded cap must have genus >= 1 and 1 or 3 holes")
+    sides = [partner.get((bid, bd["label"])) for bd in block["boundaries"]]
     if len(sides) == 1 and sides[0] is not None and sides[0][1] == "waist":
         want = {"fills": "waist", "edge": sides[0][0].removeprefix("pants:")}
     else:
         want = {"fills": [s[1] if s is not None and s[0] == "spine" else None for s in sides]}
-    got = {key: block.payload.get(key) for key in want}
+    got = {key: block["payload"].get(key) for key in want}
     if got != want:
         errors.append(
-            f"block {_clip(block.id)}: payload {_quote(got)} does not match its gluings, "
+            f"block {_clip(bid)}: payload {_quote(got)} does not match its gluings, "
             f"{_quote(want)}"
         )
 
 
-def _check_spine(schema: SurfaceSchema, spine: Block, errors: list[str]) -> None:
+def _check_spine(schema: SurfaceSchema, spine: dict, errors: list[str]) -> None:
     """The graph's Euler characteristic, and boundaries and walks that
     :func:`_spine_block` rebuilds from the recorded rotation."""
-    chi = euler_char(schema.graph)
-    if spine.euler != chi:
-        errors.append(f"block {_clip(spine.id)}: chi {spine.euler} differs from the graph's {chi}")
+    chi, euler = euler_char(schema.graph), _euler(spine)
+    if euler != chi:
+        errors.append(f"block {_clip(spine['id'])}: chi {euler} differs from the graph's {chi}")
     want = _spine_block(schema.graph, schema.rotation)
-    if len(spine.boundaries) != len(want.boundaries):
-        errors.append(
-            f"spine has {len(spine.boundaries)} boundaries for {len(want.boundaries)} walks"
-        )
+    got, expected = spine["boundaries"], want["boundaries"]
+    if len(got) != len(expected):
+        errors.append(f"spine has {len(got)} boundaries for {len(expected)} walks")
         return
-    recorded = spine.payload.get("walks")
-    if recorded is not None and recorded != want.payload["walks"]:
+    recorded = spine["payload"].get("walks")
+    if recorded is not None and recorded != want["payload"]["walks"]:
         errors.append("spine walk payload disagrees with the rotation's walks")
-    for i, (got, expected) in enumerate(zip(spine.boundaries, want.boundaries)):
-        if got != expected:
-            errors.append(f"spine boundary {i} is not labeled {expected.label}")
+    for i, (bd, wanted) in enumerate(zip(got, expected)):
+        if bd["label"] != wanted["label"] or bd["length"] != wanted["length"]:
+            errors.append(f"spine boundary {i} is not labeled {wanted['label']}")
 
 
 def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
@@ -599,19 +576,20 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     graph, summary = schema.graph, schema.summary
     if len(connected_components(graph)) != 1:  # its capped surface is not one surface
         errors.append("graph is not connected")
-    if len({b.id for b in schema.blocks}) != len(schema.blocks):
+    if len({b["id"] for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")
     partner = _gluing_index(schema, errors)
     labels = _labels(graph)
     sphere_of: list[int | None] = []  # the vertex of each sphere and the edge of
     pants_of: list[int | None] = []  # each pants, None for an unknown one
     spines = surface_chi = free = 0
-    heavy: list[Block] = []
+    heavy: list[dict] = []
     for block in schema.blocks:
-        kind = block.kind
-        if block.layer == SURFACE:
-            surface_chi += block.euler
-            free += sum((block.id, bd.label) not in partner for bd in block.boundaries)
+        kind = block["kind"]
+        if block["layer"] == SURFACE:
+            surface_chi += _euler(block)
+            bid = block["id"]
+            free += sum((bid, bd["label"]) not in partner for bd in block["boundaries"])
         if kind == "vertex_sphere":
             sphere_of.append(_check_sphere(schema, block, labels[0], errors))
         elif kind == "edge_pants":
@@ -621,10 +599,10 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
             _check_spine(schema, block, errors)
         elif kind in ("cap_pants", "cap_torus", "cap_surface"):
             _check_cap(block, partner, errors)
-            if block.euler != -1:
+            if _euler(block) != -1:
                 heavy.append(block)
         else:
-            errors.append(f"block {_clip(block.id)}: unknown kind {_clip(str(kind))}")
+            errors.append(f"block {_clip(block['id'])}: unknown kind {_clip(str(kind))}")
 
     spheres, pants = Counter(sphere_of), Counter(pants_of)
     if spheres or pants:
@@ -671,7 +649,7 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
                 f"{'do not all have' if heavy else 'all have'} chi = -1"
             )
         for c in heavy:
-            notes.append(f"non-minimal cap {_clip(c.id)}: chi = {c.euler} (genus upgrade)")
+            notes.append(f"non-minimal cap {_clip(c['id'])}: chi = {_euler(c)} (genus upgrade)")
     if summary.boundary_count > 0 and summary.minimal is not None:
         errors.append("bordered schema must leave minimality undecided")
     _check_scale(schema, errors)
@@ -764,12 +742,13 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     records, the scale's numbers by vertex or edge name and the rotation's
     lines), ``blocks``, ``gluings`` and ``summary``, each in field order;
     stored floats carry 12 significant digits, payloads are written as
-    they are.  The text is written from the schema directly, one loop over
+    they are, and a record's keys other than the document's are not
+    written.  The text is written from the schema directly, one loop over
     the blocks and one over the gluings filling the template of each fixed
     shape, with strings escaped to ASCII by the C encoder ``json.dumps``
     itself uses; only payloads take the general recursive case.  A field
-    of another type than its annotation (a label that is no string, a side
-    that is no pair) raises rather than write a different text.
+    of another type than the document's (a label that is no string, a
+    side that is no pair) raises rather than write a different text.
     """
     graph, scale, summary = schema.graph, schema.scale, schema.summary
     vertex_names, edge_names, vertex_of = graph.vertex_names, graph.edge_names, graph.vertex_of
@@ -798,26 +777,27 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     for b in schema.blocks:
         cuffs = ",\n".join(
             [
-                f'        {{\n          "label": {_string(bd.label)},\n          "length": '
-                f"{_string(bd.length) if isinstance(bd.length, str) else _stored(bd.length)}"
+                f'        {{\n          "label": {_string(bd["label"])},\n          "length": '
+                f"{_string(x) if isinstance(x := bd['length'], str) else _stored(x)}"
                 "\n        }"
-                for bd in b.boundaries
+                for bd in b["boundaries"]
             ]
         )
         cuffs = f"[\n{cuffs}\n      ]" if cuffs else "[]"
         blocks.append(
-            f'{{\n      "id": {_string(b.id)},\n      "kind": {_string(b.kind)},\n'
-            f'      "genus": {_scalar(b.genus)},\n      "layer": {_string(b.layer)},\n'
+            f'{{\n      "id": {_string(b["id"])},\n      "kind": {_string(b["kind"])},\n'
+            f'      "genus": {_scalar(b["genus"])},\n      "layer": {_string(b["layer"])},\n'
             f'      "boundaries": {cuffs},\n'
-            f'      "payload": {_value(b.payload, "      ")}\n    }}'
+            f'      "payload": {_value(b["payload"], "      ")}\n    }}'
         )
     gluings = []
     for g in schema.gluings:
-        (a0, a1), (b0, b1) = g.side_a, g.side_b
+        a0, a1 = g["a"]
+        b0, b1 = g["b"]
         gluings.append(
             f'{{\n      "a": [\n        {_string(a0)},\n        {_string(a1)}\n      ],\n'
             f'      "b": [\n        {_string(b0)},\n        {_string(b1)}\n      ],\n'
-            f'      "twist": {_stored(g.twist)}\n    }}'
+            f'      "twist": {_stored(g["twist"])}\n    }}'
         )
     return (
         "{\n"
@@ -965,10 +945,12 @@ def schema_from_json(text: str) -> SurfaceSchema:
     the first offending value; a missing key is named with the object it
     is missing from (the document, ``meta``, ``meta graph``, a block, a
     boundary of a block, a gluing or ``summary``; blocks, boundaries and
-    gluings counted from 0).  One loop reads the blocks and one the
+    gluings counted from 0).  One loop checks the blocks and one the
     gluings; the helpers above are called only on a value that fails its
     inline test, to raise their message, and the handler of a missing key
-    reads where it is from the loop indices.
+    reads where it is from the loop indices.  The schema's blocks and
+    gluings are the records ``json.loads`` built, with ``payload`` set to
+    ``{}`` and ``twist`` to 0.0 where the document leaves them out.
     """
     try:
         doc = json.loads(text)
@@ -1024,7 +1006,6 @@ def schema_from_json(text: str) -> SurfaceSchema:
             boundary_docs = b["boundaries"]
             if type(boundary_docs) is not list:
                 _array(boundary_docs, f"block {i} boundaries")
-            boundaries = []
             for j, bd in enumerate(boundary_docs):
                 label = bd["label"]
                 if type(label) is not str:
@@ -1034,8 +1015,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                     type(length) in (float, int) and math.isfinite(length)
                 ):
                     _finite(length, "boundary length")
-                boundaries.append(Boundary(label, length))
-            payload = b.get("payload", {})
+            payload = b.setdefault("payload", {})
             if type(payload) is not dict:
                 raise SchemaFormatError(f"block {_quote(bid)}: payload is not an object")
             if type(payload.get("vertex", "")) is not str:
@@ -1047,9 +1027,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 raise SchemaFormatError(
                     f"block {_quote(bid)}: payload walks are not lists of darts"
                 )
-            blocks.append(Block(bid, kind, genus, layer, tuple(boundaries), payload))
         where, k = "gluings", None
-        gluings = []
         for k, g in enumerate(gluing_docs):
             a = g["a"]
             if not (type(a) is list and len(a) == 2 and type(a[0]) is str and type(a[1]) is str):
@@ -1057,10 +1035,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
             b = g["b"]
             if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
                 _side(b)
-            twist = g.get("twist", 0.0)
+            twist = g.setdefault("twist", 0.0)
             if type(twist) not in (float, int) or not math.isfinite(twist):
                 _finite(twist, "gluing twist")
-            gluings.append(Gluing((a[0], a[1]), (b[0], b[1]), float(twist)))
         where, held = "summary", s
         genus = _integer(s["genus"], "summary genus")
         boundary_count = _integer(s["boundary_count"], "summary boundary_count")
@@ -1088,7 +1065,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         graph=graph,
         rotation=rotation,
         scale=scale,
-        blocks=tuple(blocks),
-        gluings=tuple(gluings),
+        blocks=tuple(block_docs),
+        gluings=tuple(gluing_docs),
         summary=summary,
     )

@@ -110,8 +110,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         result = minimize_boundaries(graph, tree_cap=args.max_trees, **search)
     if not result.certified:
-        if result.optimum is None:
-            gap, flags = "within the enumeration caps", "--max-trees / --max-rotations"
+        if result.optimum is None:  # maximize has no tree rung for --max-trees to reach
+            flag = "--restarts" if target == "maximal" else "--max-trees"
+            gap, flags = "within the enumeration caps", f"{flag} / --max-rotations"
         else:  # a rung knows the optimum, but the search's rotation misses it
             gap = (
                 f"at {result.boundary_count} walk(s); the {result.certificate} rung "
@@ -222,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--restarts", type=_count, default=DEFAULT_RESTARTS,
         help="random restarts before the frontier DP decides the optimum",
     )
-    add_caps(p_embed, f"above this many spanning trees, by Kirchhoff's count, {tree_rung}")
+    add_caps(p_embed, "minimal and genus targets only: above this many spanning trees, "
+             f"by Kirchhoff's count, {tree_rung}")
     p_embed.set_defaults(func=cmd_embed)
 
     p_oracle = sub.add_parser(

@@ -7,16 +7,16 @@ gives the boundary-walk counts over all rotation systems.  The two sides
 are tied together by the identity ``min walks = 1 + zeta``, which the
 report, the test-suite and the oracle command check on every graph they
 touch.  The spanning trees are counted by Kirchhoff's exact Laplacian
-cofactor, grown one vertex at a time and stopped at its first leading
-minor above a cap, so a count far past the cap costs little.  The zeta
-search stops at :func:`zeta_floor`, a linear-time lower bound from the
-bridges: a tree meeting it, or a rotation with 1 + floor walks, pins zeta
-with no further enumeration.  Which rung certifies zeta is decided by the
-certificate ladder of :mod:`ribbon_embed.moves`, which also holds the
-public readers of zeta, ``essential_genus`` and ``max_genus``, and
-``ge_max_exact``, the reader of the profile's maximum; the tree search
-:func:`betti_deficiency` is the ladder's last rung, past the rotation cap,
-and its independent check.
+cofactor of each piece between the bridges, grown one vertex at a time
+and stopped at its first leading minor above a cap, so a count far past
+the cap costs little.  The zeta search stops at :func:`zeta_floor`, a
+linear-time lower bound from the same bridges: a tree meeting it, or a
+rotation with 1 + floor walks, pins zeta with no further enumeration.
+Which rung certifies zeta is decided by the certificate ladder of
+:mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
+``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader
+of the profile's maximum; the tree search :func:`betti_deficiency` is
+the ladder's last rung, past the rotation cap, and its independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and
@@ -27,7 +27,6 @@ rotation when each boundary walk is capped off as cheaply as possible.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -104,16 +103,20 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     """Number of spanning trees, or None as soon as the count is known to
     exceed ``cap``.
 
-    Kirchhoff's matrix-tree theorem: the count is the Laplacian with the
-    row and column of vertex 0 deleted, as a determinant.  Loops cancel
-    out; parallel edges accumulate.  The determinant is taken exactly,
-    by Bareiss's fraction-free elimination (Math. Comp. 22, 1968), whose
-    k-th pivot is the leading k x k minor: the number of spanning forests
-    rooted at vertex 0 and the vertices not yet eliminated.  Vertices are
-    eliminated in reverse breadth-first order from vertex 0, so each one
-    still has its parent among the roots; adding that edge maps forests
-    injectively, the pivots never decrease, and the first pivot above
-    ``cap`` settles the comparison.
+    Every spanning tree holds every bridge, so the count is the product of
+    the counts of the pieces :func:`_pieces` leaves; the running product
+    stops at the first piece that takes it above ``cap``.
+
+    Each piece is counted by Kirchhoff's matrix-tree theorem: its
+    Laplacian with the row and column of its first vertex deleted, as a
+    determinant.  Loops cancel out; parallel edges accumulate.  The
+    determinant is taken exactly, by Bareiss's fraction-free elimination
+    (Math. Comp. 22, 1968), whose k-th pivot is the leading k x k minor:
+    the number of spanning forests rooted at the first vertex and the
+    vertices not yet eliminated.  Vertices are eliminated in reverse
+    breadth-first order, so each one still has its parent among the
+    roots; adding that edge maps forests injectively, the pivots never
+    decrease, and the first pivot above ``cap`` settles the comparison.
 
     So the matrix is bordered one vertex at a time, and only the rows the
     pivots need are built.  Vertex k's Laplacian row, against itself and
@@ -124,56 +127,49 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     being bordered leading minors of a symmetric one, so col[t] is the
     entry (x's column, t) of a row already stored, and the row's last
     entry is pivot k + 1.  Stopping after K rows, at the first pivot above
-    ``cap`` or at n - 1, costs O(K^2) integers and O(K^3) steps; no row of
-    a vertex past the K-th is built.
+    ``cap`` or at the piece's size less one, costs O(K^2) integers and
+    O(K^3) steps; no row of a vertex past the K-th is built.
     """
-    n, vertex_of = graph.vertex_count, graph.vertex_of
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    for u in order:
-        for d in graph.darts_at(u):
-            v = vertex_of[d ^ 1]
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-    if len(order) < n:
+    vertex_of = graph.vertex_of
+    bridge, pieces = _pieces(graph)
+    if len(pieces) != sum(bridge) + 1:
         return 0  # disconnected
-    position: dict[int, int] = {}
-    rows: list[list[int]] = []  # rows[k][t]: entry (k, t) after t elimination steps
-    pivots = [1]
-    for k, u in enumerate(reversed(order[1:])):
-        position[u] = k
-        row = [0] * k + [graph.degree(u)]
-        for d in graph.darts_at(u):
-            t = position.get(vertex_of[d ^ 1])  # vertex 0 and later vertices: None
-            if t is not None:
-                row[t] -= 1
-        rows.append(row)
-        for c in range(k + 1):
-            x, col = row[c], rows[c]
-            for t in range(c):
-                x = (x * pivots[t + 1] - row[t] * col[t]) // pivots[t]
-            row[c] = x
-        pivots.append(row[k])
-        if row[k] > cap:
+    count = 1
+    for piece in pieces:
+        position: dict[int, int] = {}
+        rows: list[list[int]] = []  # rows[k][t]: entry (k, t) after t elimination steps
+        pivots = [1]
+        for k, u in enumerate(reversed(piece[1:])):
+            position[u] = k
+            darts = [d for d in graph.darts_at(u) if not bridge[d >> 1]]
+            row = [0] * k + [len(darts)]
+            for d in darts:
+                t = position.get(vertex_of[d ^ 1])  # the first vertex and later ones: None
+                if t is not None:
+                    row[t] -= 1
+            rows.append(row)
+            for c in range(k + 1):
+                x, col = row[c], rows[c]
+                for t in range(c):
+                    x = (x * pivots[t + 1] - row[t] * col[t]) // pivots[t]
+                row[c] = x
+            pivots.append(row[k])
+            if row[k] > cap:
+                return None
+        count *= pivots[-1]
+        if count > cap:
             return None
-    return None if pivots[-1] > cap else pivots[-1]
+    return count
 
 
-def zeta_floor(graph: MetricGraph) -> int:
-    """A lower bound on zeta in linear time: the number of pieces with an odd
-    Betti number left after deleting every bridge.
+def _pieces(graph: MetricGraph) -> tuple[list[bool], list[list[int]]]:
+    """Which edges are bridges, and the pieces left once every bridge is
+    deleted: the vertices of each, in breadth-first order from its first.
 
-    Nebesky (Czech. Math. J. 31, 1981) gives zeta as the maximum over edge
-    sets A of c(G - A) + b_odd(G - A) - |A| - 1, where b_odd counts the
-    components with odd Betti number.  Deleting the k bridges leaves k + 1
-    pieces, so A = the bridges scores b_odd exactly: zeta is additive over
-    bridges (Xuong, J. Combin. Theory B 26, 1979), and each piece needs at
-    least its own Betti parity.  Bridges come from one depth-first search on
-    an explicit stack; the parent edge is skipped by id, so loops and
-    parallel edges are never bridges.  On a bridgeless graph the floor is
-    beta mod 2.
+    Bridges come from one depth-first search on an explicit stack; the
+    parent edge is skipped by id, so loops and parallel edges are never
+    bridges.  The bridges of a connected graph join its pieces in a tree,
+    so it has exactly one piece more than it has bridges.
     """
     n, m, vertex_of = graph.vertex_count, graph.edge_count, graph.vertex_of
     order = [-1] * n  # discovery time
@@ -206,15 +202,41 @@ def zeta_floor(graph: MetricGraph) -> int:
                     if low[u] > order[p]:
                         bridge[via] = True
 
-    parent = list(range(n))
-    kept = [e for e in range(m) if not bridge[e]]
-    for e in kept:
-        ru, rv = (_find(parent, x) for x in graph.endpoints(e))
-        if ru != rv:
-            parent[ru] = rv
-    root = [_find(parent, v) for v in range(n)]
-    edges = Counter(root[graph.endpoints(e)[0]] for e in kept)
-    return sum((edges[r] - size + 1) % 2 for r, size in Counter(root).items())
+    seen = [False] * n
+    pieces = []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            piece = [root]
+            for u in piece:
+                for d in graph.darts_at(u):
+                    v = vertex_of[d ^ 1]
+                    if not seen[v] and not bridge[d >> 1]:
+                        seen[v] = True
+                        piece.append(v)
+            pieces.append(piece)
+    return bridge, pieces
+
+
+def zeta_floor(graph: MetricGraph) -> int:
+    """A lower bound on zeta in linear time: the number of pieces with an odd
+    Betti number left after deleting every bridge.
+
+    Nebesky (Czech. Math. J. 31, 1981) gives zeta as the maximum over edge
+    sets A of c(G - A) + b_odd(G - A) - |A| - 1, where b_odd counts the
+    components with odd Betti number.  Deleting the k bridges leaves k + 1
+    pieces, so A = the bridges scores b_odd exactly: zeta is additive over
+    bridges (Xuong, J. Combin. Theory B 26, 1979), and each piece needs at
+    least its own Betti parity.  The pieces come from :func:`_pieces`; a
+    piece's edges are half its darts that are no bridge's.  On a bridgeless
+    graph the floor is beta mod 2.
+    """
+    bridge, pieces = _pieces(graph)
+    odd = 0
+    for piece in pieces:
+        darts = sum(not bridge[d >> 1] for u in piece for d in graph.darts_at(u))
+        odd += (darts // 2 - len(piece) + 1) % 2
+    return odd
 
 
 def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:

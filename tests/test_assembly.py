@@ -10,7 +10,6 @@ import pytest
 
 from ribbon_embed import (
     F_MIN,
-    Boundary,
     CycleGraphError,
     GraphValidationError,
     SchemaFormatError,
@@ -31,7 +30,7 @@ from ribbon_embed import (
     schema_to_json,
     verify_schema,
 )
-from ribbon_embed.assembly import Gluing, _close, _stored
+from ribbon_embed.assembly import _close, _stored
 from ribbon_embed.rotation import rotation_to_lines
 
 from helpers import random_multigraph, two_thetas, two_thetas_schema
@@ -40,7 +39,7 @@ from helpers import random_multigraph, two_thetas, two_thetas_schema
 def kinds(schema):
     out = {}
     for b in schema.blocks:
-        out[b.kind] = out.get(b.kind, 0) + 1
+        out[b["kind"]] = out.get(b["kind"], 0) + 1
     return out
 
 
@@ -50,7 +49,7 @@ def test_naive_theta(theta):
     schema = naive_embedding(theta)
     assert kinds(schema) == {"vertex_sphere": 2, "edge_pants": 3, "cap_torus": 3}
     assert schema.summary == Summary(5, 0, False, "naive")
-    assert all(b.layer == "surface" for b in schema.blocks)
+    assert all(b["layer"] == "surface" for b in schema.blocks)
     diag = verify_schema(schema)
     assert diag.ok, diag.errors
 
@@ -87,13 +86,13 @@ def test_sigma_theta_minimal(theta):
     res = minimize_boundaries(theta, restarts=2)
     schema = assemble_sigma_surface(theta, res.rotation)
     assert schema.summary == Summary(1, 1, None, "sigma")
-    spine = next(b for b in schema.blocks if b.kind == "spine_surface")
-    assert spine.genus == 1
-    assert [b.label for b in spine.boundaries] == ["w0"]
-    assert spine.boundaries[0].length == "sym:w0"
+    spine = next(b for b in schema.blocks if b["kind"] == "spine_surface")
+    assert spine["genus"] == 1
+    assert [b["label"] for b in spine["boundaries"]] == ["w0"]
+    assert spine["boundaries"][0]["length"] == "sym:w0"
     # construction blocks are the recipe, not part of the counted surface
     assert all(
-        b.layer == "construction" for b in schema.blocks if b.kind != "spine_surface"
+        b["layer"] == "construction" for b in schema.blocks if b["kind"] != "spine_surface"
     )
     diag = verify_schema(schema)
     assert diag.ok, diag.errors
@@ -166,9 +165,9 @@ def test_cap_target_above_torus_upgrade(theta):
     bordered, minimum = _minimal_bordered(theta)
     schema = cap_target_genus(bordered, 4, minimum)
     assert schema.summary == Summary(4, 0, False, "sigma_target(4)")
-    caps = [b for b in schema.blocks if b.kind == "cap_surface"]
+    caps = [b for b in schema.blocks if b["kind"] == "cap_surface"]
     assert len(caps) == 1
-    assert caps[0].genus == 3 and len(caps[0].boundaries) == 1
+    assert caps[0]["genus"] == 3 and len(caps[0]["boundaries"]) == 1
     diag = verify_schema(schema)
     assert diag.ok, diag.errors
     assert any("non-minimal cap" in n for n in diag.notes)
@@ -178,9 +177,9 @@ def test_cap_target_above_pants_upgrade(dumbbell):
     # three boundaries: the upgrade lands on the three-holed cap
     bordered, minimum = _minimal_bordered(dumbbell)
     schema = cap_target_genus(bordered, 5, minimum)
-    caps = [b for b in schema.blocks if b.kind == "cap_surface"]
+    caps = [b for b in schema.blocks if b["kind"] == "cap_surface"]
     assert len(caps) == 1
-    assert caps[0].genus == 3 and len(caps[0].boundaries) == 3
+    assert caps[0]["genus"] == 3 and len(caps[0]["boundaries"]) == 3
     assert schema.summary.genus == 5
     assert verify_schema(schema).ok
 
@@ -200,10 +199,10 @@ def test_extra_genus_goes_to_one_cap_of_the_standard_layout(theta, k4, k5):
         upgraded = _close(bordered, 2)
         q, r = divmod(b, 3)
         target = f"cap:{q if r else 0}"
-        assert [blk.id for blk in upgraded.blocks] == [blk.id for blk in standard.blocks]
+        assert [blk["id"] for blk in upgraded.blocks] == [blk["id"] for blk in standard.blocks]
         for new, old in zip(upgraded.blocks, standard.blocks):
-            if new.id == target:
-                assert new == replace(old, kind="cap_surface", genus=old.genus + 2)
+            if new["id"] == target:
+                assert new == {**old, "kind": "cap_surface", "genus": old["genus"] + 2}
             else:
                 assert new == old
         assert upgraded.gluings == standard.gluings
@@ -236,19 +235,20 @@ def closed_theta(theta):
 
 
 def _swap_block(schema, block_id, **changes):
+    # a copy of the record: the schemas a builder returns share theirs
     blocks = tuple(
-        replace(b, **changes) if b.id == block_id else b for b in schema.blocks
+        {**b, **changes} if b["id"] == block_id else b for b in schema.blocks
     )
     return replace(schema, blocks=blocks)
 
 
 def test_detects_perturbed_waist(closed_theta):
-    pants = next(b for b in closed_theta.blocks if b.kind == "edge_pants")
-    bad_bounds = tuple(
-        Boundary(bd.label, bd.length + 1e-3 if bd.label == "waist" else bd.length)
-        for bd in pants.boundaries
-    )
-    bad = _swap_block(closed_theta, pants.id, boundaries=bad_bounds)
+    pants = next(b for b in closed_theta.blocks if b["kind"] == "edge_pants")
+    bad_bounds = [
+        {**bd, "length": bd["length"] + 1e-3} if bd["label"] == "waist" else bd
+        for bd in pants["boundaries"]
+    ]
+    bad = _swap_block(closed_theta, pants["id"], boundaries=bad_bounds)
     diag = verify_schema(bad)
     assert not diag.ok
     assert any("waist" in e for e in diag.errors)
@@ -277,19 +277,19 @@ def test_detects_wrong_summary_genus(closed_theta):
 def test_detects_nonzero_twist(closed_theta):
     g0 = closed_theta.gluings[0]
     bad = replace(
-        closed_theta, gluings=(replace(g0, twist=0.25),) + closed_theta.gluings[1:]
+        closed_theta, gluings=({**g0, "twist": 0.25},) + closed_theta.gluings[1:]
     )
     assert not verify_schema(bad).ok
 
 
 def test_detects_double_gluing(closed_theta):
-    extra = Gluing(closed_theta.gluings[0].side_a, ("spine", "w0"))
+    extra = {"a": closed_theta.gluings[0]["a"], "b": ["spine", "w0"], "twist": 0.0}
     bad = replace(closed_theta, gluings=closed_theta.gluings + (extra,))
     assert not verify_schema(bad).ok
 
 
 def test_detects_dangling_gluing(closed_theta):
-    extra = Gluing(("pants:a", "waist"), ("nowhere", "b0"))
+    extra = {"a": ["pants:a", "waist"], "b": ["nowhere", "b0"], "twist": 0.0}
     bad = replace(closed_theta, gluings=closed_theta.gluings + (extra,))
     diag = verify_schema(bad)
     assert any("missing boundary" in e for e in diag.errors)
@@ -371,6 +371,28 @@ def test_json_round_trip_everywhere(theta, k4, dumbbell):
         assert verify_schema(back).ok == verify_schema(schema).ok
 
 
+def test_schema_records_are_the_documents_own(theta):
+    # the reader hands back the blocks and gluings json.loads builds, and
+    # the builders write records with the same keys, in the same order
+    demos = Path(__file__).resolve().parent.parent / "demos" / "graphs"
+    for path in sorted(demos.glob("*.graph")):
+        graph = parse_graph(path.read_text())
+        for schema in (naive_embedding(graph), *_every_target(graph)):
+            text = schema_to_json(schema)
+            doc, back = json.loads(text), schema_from_json(text)
+            assert list(back.blocks) == doc["blocks"]
+            assert list(back.gluings) == doc["gluings"]
+            for built, read in ((schema.blocks, back.blocks), (schema.gluings, back.gluings)):
+                assert [list(r) for r in built] == [list(r) for r in read]
+    # a document without payloads or twists reads them as {} and 0.0
+    doc = json.loads(schema_to_json(naive_embedding(theta)))
+    for record in doc["blocks"] + doc["gluings"]:
+        record.pop("payload", None), record.pop("twist", None)
+    back = schema_from_json(json.dumps(doc))
+    assert '"payload": {}' in schema_to_json(back)
+    assert schema_to_json(back).count('"twist": 0.0') == len(doc["gluings"])
+
+
 def _reference_json(schema):
     """The schema document as ``json.dumps(indent=2)`` writes it, from the
     nested dicts and lists the writer's byte contract names."""
@@ -404,23 +426,25 @@ def _reference_json(schema):
         },
         "blocks": [
             {
-                "id": b.id,
-                "kind": b.kind,
-                "genus": b.genus,
-                "layer": b.layer,
+                "id": b["id"],
+                "kind": b["kind"],
+                "genus": b["genus"],
+                "layer": b["layer"],
                 "boundaries": [
                     {
-                        "label": bd.label,
-                        "length": bd.length if isinstance(bd.length, str) else r12(bd.length),
+                        "label": bd["label"],
+                        "length": (
+                            bd["length"] if isinstance(bd["length"], str) else r12(bd["length"])
+                        ),
                     }
-                    for bd in b.boundaries
+                    for bd in b["boundaries"]
                 ],
-                "payload": b.payload,
+                "payload": b["payload"],
             }
             for b in schema.blocks
         ],
         "gluings": [
-            {"a": list(g.side_a), "b": list(g.side_b), "twist": r12(g.twist)}
+            {"a": list(g["a"]), "b": list(g["b"]), "twist": r12(g["twist"])}
             for g in schema.gluings
         ],
         "summary": {
@@ -476,7 +500,8 @@ def _writer_cases():
     yield replace(
         closed,
         blocks=tuple(
-            replace(b, payload=odd.get(b.kind.split("_")[0], b.payload)) for b in closed.blocks
+            {**b, "payload": odd.get(b["kind"].split("_")[0], b["payload"])}
+            for b in closed.blocks
         ),
     )
 

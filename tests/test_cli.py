@@ -206,6 +206,21 @@ def test_embed_genus_target_refused_before_assembly(margin, graph_file, capsys):
     )
 
 
+def test_embed_maximal_names_the_flags_that_can_help(graph_file, tmp_path, capsys):
+    # maximize has no tree rung, so more trees cannot certify its optimum
+    path = graph_file(format_graph(prism(30)))
+    argv = ["embed", path, "--target", "maximal", "-o", str(tmp_path / "schema.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: optimum not certified within the enumeration caps; using the best rotation "
+        "found; raise --restarts / --max-rotations",
+        "schema: genus 21, 26 boundary walk(s) before capping, 8 move(s), "
+        "no rung settled the optimum, not certified",
+    ]
+    main(["embed", "--help"])
+    assert "minimal and genus targets only" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("target", ["minimal", "genus=4"])
 def test_embed_names_the_optimum_its_rotation_misses(target, graph_file, tmp_path, capsys):
     # the trees rung settles the optimum at 1 walk, but the search, with no

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -175,6 +176,23 @@ def test_tree_count_stops_at_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_tree_count_is_taken_between_the_bridges():
+    # a complete binary tree of 800 vertices with two loops at every leaf:
+    # one spanning tree, but one bordered count over all 798 vertices would
+    # take n - 1 rows, about 8 s; each piece between the bridges is one vertex
+    lines = [f"edge t{v} v{(v - 1) // 2} v{v} 1.0" for v in range(1, 800)]
+    lines += [f"edge l{v}{side} v{v} v{v} 1.0" for v in range(400, 800) for side in "ab"]
+    g = smooth(parse_graph("\n".join(lines)))
+    assert g.vertex_count == 798
+    start = time.perf_counter()
+    assert invariants._tree_count(g, 10**6) == 1
+    assert invariants._tree_count(g, 0) is None
+    assert time.perf_counter() - start < 1.0
+    # a product of pieces: two K4s joined by a bridge have 16 * 16 trees
+    twin = parse_graph(K4 + K4.replace(" v", " w").replace(" e", " f") + "edge bridge v0 w0 1.0\n")
+    assert [invariants._tree_count(twin, cap) for cap in (255, 256)] == [None, 256]
 
 
 def test_spanning_tree_cap(k5):
