@@ -336,14 +336,19 @@ def cap_target_genus(schema: SurfaceSchema, target: int, minimum: int) -> Surfac
 
 # ---------------------------------------------------------------------------
 # verification
-#
-# A length x misses its expected value w unless |x - w| <= LENGTH_TOLERANCE
-# * max(1, |w|), tested inline below (NaN misses; where x - w is tested
-# first, an exact match skips the rest), and a payload number or cuff length
-# misses if it is not a float.  Relative, because a schema stores 12
-# significant digits: near 274 a stored cuff length and twice its stored
-# half-length are each rounded to the ninth decimal, and together they can
-# miss by more than 1e-9.
+
+def _off(x: float, w: float) -> bool:
+    """True when a length ``x`` misses its expected value ``w``: unless
+    |x - w| <= LENGTH_TOLERANCE * max(1, |w|), tested as within the
+    tolerance absolutely or relatively, so a NaN difference misses (two
+    equal infinities too).  Relative, because a schema stores 12
+    significant digits: near 274 a stored cuff length and twice its stored
+    half-length are each rounded to the ninth decimal, and together they
+    can miss by more than 1e-9.  A payload number or cuff length that is
+    not a float misses too, which its caller tests first."""
+    d = abs(x - w)
+    return not (d <= LENGTH_TOLERANCE or d <= LENGTH_TOLERANCE * abs(w))
+
 
 def _named(a: tuple[str, str], b: tuple[str, str]) -> str:
     """A gluing of sides ``a`` and ``b`` as its messages name it."""
@@ -387,7 +392,7 @@ def _gluing_index(
         if isinstance(x, str) or isinstance(w, str):
             if x != w:
                 errors.append(f"{_named(a, b)}: symbolic lengths {_quote(x)} vs {_quote(w)}")
-        elif x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):  # 0 matches
+        elif _off(x, w):
             errors.append(f"{_named(a, b)}: lengths {x:.12g} vs {w:.12g}")
     return partner
 
@@ -403,16 +408,14 @@ def _check_sphere(
         errors.append(f"block {_clip(bid)}: unknown vertex {_quote(payload.get('vertex'))}")
         return None
     x, w = payload.get("foot"), schema.scale.foot[v]
-    if not isinstance(x, float) or (
-        x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
-    ):
+    if not isinstance(x, float) or _off(x, w):
         errors.append(f"block {_clip(bid)}: foot {_quote(x)}, expected {w:.12g}")
     if block["genus"] != 0:
         errors.append(f"block {_clip(bid)}: vertex sphere must have genus 0")
     got = []
     for bd in block["boundaries"]:
         label, x = bd["label"], bd["length"]
-        if not isinstance(x, float) or (x != 1.0 and not abs(x - 1.0) <= LENGTH_TOLERANCE):
+        if not isinstance(x, float) or _off(x, 1.0):
             errors.append(f"block {_clip(bid)}: cuff {_clip(label)} is not unit length")
         got.append(label)
     want = [darts[d] for d in schema.rotation.cycles[v]]
@@ -441,9 +444,7 @@ def _check_pants(
         errors.append(f"block {_clip(bid)}: unknown edge {_quote(name)}")
         return None
     x, w = payload.get("scaled_length"), schema.scale.t * graph.lengths[e]
-    if not isinstance(x, float) or (
-        x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
-    ):
+    if not isinstance(x, float) or _off(x, w):
         errors.append(
             f"block {_clip(bid)}: scaled length {_quote(x)}, expected t * length = {w:.12g}"
         )
@@ -456,9 +457,7 @@ def _check_pants(
         w = 1.0 if label == "end0" or label == "end1" else waist if label == "waist" else None
         if w is None:
             errors.append(f"block {_clip(bid)}: unexpected cuff {_clip(label)}")
-        elif not isinstance(x, float) or (
-            x - w and not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w))  # 0 matches
-        ):
+        elif not isinstance(x, float) or _off(x, w):
             errors.append(
                 f"block {_clip(bid)}: cuff {_clip(label)} has length {_quote(x)}, "
                 f"expected {w:.12g}"
@@ -534,21 +533,21 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
         errors.append(f"margin {scale.margin!r} gives no scale: {exc}")
         return
     x, w = scale.t, derived.t
-    if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+    if _off(x, w):
         errors.append(f"t {x!r}, but margin {scale.margin!r} gives {w:.12g}")
     for v, w in derived.foot.items():
         x = scale.foot[v]
-        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+        if _off(x, w):
             errors.append(f"vertex {_clip(graph.vertex_names[v])}: foot {x!r}, expected {w:.12g}")
     for e, length in enumerate(graph.lengths):
         x, w = scale.clearance[e], derived.clearance[e]
-        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+        if _off(x, w):
             errors.append(
                 f"edge {_clip(graph.edge_names[e])}: clearance {x!r}, "
                 f"expected the two feet {w:.12g}"
             )
         x, w = waist_distance(scale.waist[e]), derived.t * length - derived.clearance[e]
-        if not abs(x - w) <= LENGTH_TOLERANCE * max(1.0, abs(w)):
+        if _off(x, w):
             errors.append(
                 f"edge {_clip(graph.edge_names[e])}: waist does not invert the cuff distance"
             )

@@ -4,6 +4,13 @@ Edge ``e`` owns the two darts ``2e`` and ``2e+1``; the first points away
 from the endpoint named first in the input file.  All structure downstream
 (rotation systems, boundary walks) is phrased in terms of darts, so loops
 and parallel edges need no special cases.
+
+How a graph falls apart is decided here too, by one breadth-first search
+(:func:`_components`) that skips the edges a flag list marks as cut: with
+nothing cut it gives the components, and with the bridges of one
+depth-first search (:func:`_bridges`) cut, the pieces between the bridges,
+which :attr:`MetricGraph._pieces` keeps once per graph for the bridge
+floor of zeta and Kirchhoff's tree count in :mod:`ribbon_embed.invariants`.
 """
 
 from __future__ import annotations
@@ -97,6 +104,16 @@ class MetricGraph:
 
     def endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
+
+    @cached_property
+    def _pieces(self) -> tuple[list[bool], list[list[int]]]:
+        """Which edges are bridges (:func:`_bridges`), and the pieces left
+        once every bridge is deleted (:func:`_components`); shared, so
+        callers must not change them.  The bridges of a connected graph
+        join its pieces in a tree, so it has exactly one piece more than it
+        has bridges."""
+        bridge = _bridges(self)
+        return bridge, _components(self, bridge)
 
 
 def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph:
@@ -202,8 +219,10 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def connected_components(graph: MetricGraph) -> list[list[int]]:
-    """Vertex sets of the components, each sorted, ordered by minimum."""
+def _components(graph: MetricGraph, cut: Sequence[bool]) -> list[list[int]]:
+    """Vertex sets of the components left once the edges ``cut`` flags are
+    deleted, each in breadth-first order from its least vertex, ordered by
+    that vertex."""
     darts_at, vertex_of = graph._darts_by_vertex, graph.vertex_of
     seen = [False] * graph.vertex_count
     components: list[list[int]] = []
@@ -214,11 +233,53 @@ def connected_components(graph: MetricGraph) -> list[list[int]]:
             for v in component:  # grows while the search reaches new vertices
                 for d in darts_at[v]:
                     w = vertex_of[d ^ 1]  # the far end of its edge
-                    if not seen[w]:
+                    if not seen[w] and not cut[d >> 1]:
                         seen[w] = True
                         component.append(w)
-            components.append(sorted(component))
+            components.append(component)
     return components
+
+
+def connected_components(graph: MetricGraph) -> list[list[int]]:
+    """Vertex sets of the components, each sorted, ordered by minimum."""
+    return [sorted(c) for c in _components(graph, [False] * graph.edge_count)]
+
+
+def _bridges(graph: MetricGraph) -> list[bool]:
+    """Which edges are bridges, by one depth-first search on an explicit
+    stack; the parent edge is skipped by id, so loops and parallel edges
+    are never bridges."""
+    n, vertex_of, darts_at = graph.vertex_count, graph.vertex_of, graph._darts_by_vertex
+    order = [-1] * n  # discovery time
+    low = [0] * n  # earliest discovery time reachable without the parent edge
+    bridge = [False] * graph.edge_count
+    clock = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(darts_at[root]))]
+        while stack:
+            u, via, darts = stack[-1]
+            for d in darts:
+                e, v = d >> 1, vertex_of[d ^ 1]
+                if e == via:
+                    continue
+                if order[v] < 0:
+                    order[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, e, iter(darts_at[v])))
+                    break
+                low[u] = min(low[u], order[v])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] > order[p]:
+                        bridge[via] = True
+    return bridge
 
 
 def euler_char(graph: MetricGraph) -> int:

@@ -12,6 +12,9 @@ and stopped at its first leading minor above a cap, so a count far past
 the cap costs little.  The zeta search stops at :func:`zeta_floor`, a
 linear-time lower bound from the same bridges: a tree meeting it, or a
 rotation with 1 + floor walks, pins zeta with no further enumeration.
+The bridges and the pieces between them are the graph's own
+(:attr:`~ribbon_embed.graph.MetricGraph._pieces`), found once per graph
+by :mod:`ribbon_embed.graph`; nothing here traverses a graph.
 Which rung certifies zeta is decided by the certificate ladder of
 :mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
 ``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader
@@ -104,8 +107,11 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     exceed ``cap``.
 
     Every spanning tree holds every bridge, so the count is the product of
-    the counts of the pieces :func:`_pieces` leaves; the running product
-    stops at the first piece that takes it above ``cap``.
+    the counts of the pieces between the bridges, the graph's
+    :attr:`~ribbon_embed.graph.MetricGraph._pieces`, each in breadth-first
+    order; the running product stops at the first piece that takes it
+    above ``cap``.  A graph with more pieces than bridges plus one is
+    disconnected and has none.
 
     Each piece is counted by Kirchhoff's matrix-tree theorem: its
     Laplacian with the row and column of its first vertex deleted, as a
@@ -131,7 +137,7 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     O(K^3) steps; no row of a vertex past the K-th is built.
     """
     vertex_of = graph.vertex_of
-    bridge, pieces = _pieces(graph)
+    bridge, pieces = graph._pieces
     if len(pieces) != sum(bridge) + 1:
         return 0  # disconnected
     count = 1
@@ -162,62 +168,6 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     return count
 
 
-def _pieces(graph: MetricGraph) -> tuple[list[bool], list[list[int]]]:
-    """Which edges are bridges, and the pieces left once every bridge is
-    deleted: the vertices of each, in breadth-first order from its first.
-
-    Bridges come from one depth-first search on an explicit stack; the
-    parent edge is skipped by id, so loops and parallel edges are never
-    bridges.  The bridges of a connected graph join its pieces in a tree,
-    so it has exactly one piece more than it has bridges.
-    """
-    n, m, vertex_of = graph.vertex_count, graph.edge_count, graph.vertex_of
-    order = [-1] * n  # discovery time
-    low = [0] * n  # earliest discovery time reachable without the parent edge
-    bridge = [False] * m
-    clock = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = clock
-        clock += 1
-        stack = [(root, -1, iter(graph.darts_at(root)))]
-        while stack:
-            u, via, darts = stack[-1]
-            for d in darts:
-                e, v = d >> 1, vertex_of[d ^ 1]
-                if e == via:
-                    continue
-                if order[v] < 0:
-                    order[v] = low[v] = clock
-                    clock += 1
-                    stack.append((v, e, iter(graph.darts_at(v))))
-                    break
-                low[u] = min(low[u], order[v])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > order[p]:
-                        bridge[via] = True
-
-    seen = [False] * n
-    pieces = []
-    for root in range(n):
-        if not seen[root]:
-            seen[root] = True
-            piece = [root]
-            for u in piece:
-                for d in graph.darts_at(u):
-                    v = vertex_of[d ^ 1]
-                    if not seen[v] and not bridge[d >> 1]:
-                        seen[v] = True
-                        piece.append(v)
-            pieces.append(piece)
-    return bridge, pieces
-
-
 def zeta_floor(graph: MetricGraph) -> int:
     """A lower bound on zeta in linear time: the number of pieces with an odd
     Betti number left after deleting every bridge.
@@ -227,11 +177,12 @@ def zeta_floor(graph: MetricGraph) -> int:
     components with odd Betti number.  Deleting the k bridges leaves k + 1
     pieces, so A = the bridges scores b_odd exactly: zeta is additive over
     bridges (Xuong, J. Combin. Theory B 26, 1979), and each piece needs at
-    least its own Betti parity.  The pieces come from :func:`_pieces`; a
-    piece's edges are half its darts that are no bridge's.  On a bridgeless
-    graph the floor is beta mod 2.
+    least its own Betti parity.  The pieces are the graph's
+    :attr:`~ribbon_embed.graph.MetricGraph._pieces`, which
+    :func:`_tree_count` reads too; a piece's edges are half its darts that
+    are no bridge's.  On a bridgeless graph the floor is beta mod 2.
     """
-    bridge, pieces = _pieces(graph)
+    bridge, pieces = graph._pieces
     odd = 0
     for piece in pieces:
         darts = sum(not bridge[d >> 1] for u in piece for d in graph.darts_at(u))

@@ -26,6 +26,16 @@ from ribbon_embed import (
 from ribbon_embed.rotation import canonical_cycle
 
 
+# 4 vertices, 9 edges: the descent and every restart of the ladder's search
+# stall at 3 walks, above 1 + zeta = 1
+STALLS_AT_THREE_WALKS = MetricGraph(
+    (2, 0, 0, 2, 3, 3, 0, 1, 1, 1, 1, 2, 0, 2, 1, 3, 2, 3),
+    (1.0,) * 9,
+    tuple(f"e{i}" for i in range(9)),
+    tuple(f"v{i}" for i in range(4)),
+)
+
+
 def kirchhoff_tree_count(graph: MetricGraph) -> int:
     """Spanning-tree count via a Laplacian cofactor determinant.
 

@@ -7,19 +7,25 @@ import operator
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ribbon_embed import (
     Diagnostics,
+    InternalInvariantError,
     MetricGraph,
     SchemaFormatError,
+    analyze,
     cli,
+    default_rotation,
     format_graph,
     graph_hash,
     invariants,
     moves,
+    parse_graph,
+    reduce_move,
     rotation,
     schema_from_json,
     schema_to_json,
@@ -28,7 +34,7 @@ from ribbon_embed import (
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
-from helpers import prism, random_multigraph, two_thetas_schema
+from helpers import STALLS_AT_THREE_WALKS, prism, random_multigraph, two_thetas_schema
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -129,6 +135,90 @@ def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, mon
     assert captured.err == (
         "internal invariant violation: minimum walk count 4 differs from 1 + zeta = 2\n"
     )
+
+
+def _no_relocation(*args):
+    return None
+
+
+def _one_walk_too_many(dart_count, cycles, faces=rotation._faces):
+    face, count, succ = faces(dart_count, cycles)
+    return face, count + 1, succ
+
+
+def _reduce_at_v0_of_k5():
+    k5 = parse_graph(K5)
+    return reduce_move(k5, default_rotation(k5, 0), 0)  # v0 meets 3 walks
+
+
+NO_REDUCING_MOVE = "no reducing relocation at vertex v0 although it meets 3 walks"
+
+# Every internal-invariant check, met by breaking one collaborator: the
+# attribute replaced and its stand-in, the CLI command and graph text (or
+# the library call) that reach the check, and its message.
+INVARIANT_CHECKS = {
+    "reduce_move": (
+        (moves, "_relocated_cycle", _no_relocation),
+        _reduce_at_v0_of_k5,
+        NO_REDUCING_MOVE,
+    ),
+    "descent": (
+        (moves, "_relocated_cycle", _no_relocation),
+        ("analyze", K5),
+        NO_REDUCING_MOVE,
+    ),
+    "oracle move": (
+        (moves, "_relocated_cycle", _no_relocation),
+        ("oracle", K4),
+        NO_REDUCING_MOVE,
+    ),
+    "search bound": (
+        (moves, "zeta_floor", lambda graph: 5),
+        ("analyze", K4),
+        "count 2 lies beyond the bound 6",
+    ),
+    "dp witness": (
+        (moves, "_rotation_at", lambda orders, index: rotation._rotation_at(orders, 0)),
+        lambda: analyze(STALLS_AT_THREE_WALKS),
+        "witness has 5 walks, not 1",
+    ),
+    "zeta parity": (
+        (moves, "_zeta", lambda *args, **rungs: 2),
+        ("analyze", K4),
+        "beta=3 and zeta=2 disagree in parity",
+    ),
+    "girth bound": (
+        (moves, "ge_max_bound", lambda graph: Fraction(0)),
+        ("analyze", K4),
+        "adversarial genus exceeds the girth bound",
+    ),
+    "euler parity": (
+        (rotation, "_faces", _one_walk_too_many),
+        ("embed", K4),
+        "walk count 3 breaks Euler parity for chi=-2",
+    ),
+    "bridge floor": (
+        (invariants, "zeta_floor", lambda graph: 5),
+        ("oracle", K4),
+        "zeta 1 lies below its bridge floor 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CHECKS))
+def test_every_internal_invariant_check_is_reached(case, graph_file, capsys, monkeypatch):
+    (module, name, stand_in), run, message = INVARIANT_CHECKS[case]
+    monkeypatch.setattr(module, name, stand_in)
+    if callable(run):
+        with pytest.raises(InternalInvariantError) as info:
+            run()
+        assert str(info.value) == message
+    else:
+        command, text = run
+        assert main([command, graph_file(text)]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal invariant violation: {message}\n"
 
 
 def test_embed_minimal_verifies(graph_file, tmp_path, capsys):

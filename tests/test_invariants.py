@@ -9,7 +9,6 @@ import pytest
 from ribbon_embed import (
     CapExceededError,
     GraphValidationError,
-    MetricGraph,
     analyze,
     betti,
     betti_deficiency,
@@ -25,6 +24,7 @@ from ribbon_embed import (
     max_genus,
     minimize_boundaries,
     moves,
+    oracle,
     parse_graph,
     qr_split,
     rotation,
@@ -34,22 +34,20 @@ from ribbon_embed import (
     xi,
     zeta_floor,
 )
+from ribbon_embed import graph as graph_module
 from ribbon_embed.cli import main
 from ribbon_embed.moves import DEFAULT_RESTARTS
 
 from conftest import K4
-from helpers import kirchhoff_tree_count, prism, random_multigraph
+from helpers import (
+    STALLS_AT_THREE_WALKS,
+    kirchhoff_tree_count,
+    prism,
+    random_multigraph,
+    two_thetas,
+)
 
 DEMO_GRAPHS = Path(__file__).resolve().parent.parent / "demos" / "graphs"
-
-# 4 vertices, 9 edges: the descent and every restart of the ladder's search
-# stall at 3 walks, above 1 + zeta = 1
-STALLS_AT_THREE_WALKS = MetricGraph(
-    (2, 0, 0, 2, 3, 3, 0, 1, 1, 1, 1, 2, 0, 2, 1, 3, 2, 3),
-    (1.0,) * 9,
-    tuple(f"e{i}" for i in range(9)),
-    tuple(f"v{i}" for i in range(4)),
-)
 
 
 def tree_count(graph, cap=10**6):
@@ -193,6 +191,31 @@ def test_tree_count_is_taken_between_the_bridges():
     # a product of pieces: two K4s joined by a bridge have 16 * 16 trees
     twin = parse_graph(K4 + K4.replace(" v", " w").replace(" e", " f") + "edge bridge v0 w0 1.0\n")
     assert [invariants._tree_count(twin, cap) for cap in (255, 256)] == [None, 256]
+
+
+def test_a_disconnected_graph_has_no_spanning_tree():
+    g = two_thetas()
+    assert [invariants._tree_count(g, cap) for cap in (0, 10**6)] == [0, 0]
+    with pytest.raises(GraphValidationError, match="no spanning tree"):
+        betti_deficiency(g)
+
+
+def test_the_bridges_are_found_once_per_analyze_and_oracle(monkeypatch):
+    # zeta_floor and Kirchhoff's count both read the graph's pieces between
+    # the bridges, and analyze and oracle each ask for them on one graph
+    calls = Counter()
+    bridges = graph_module._bridges
+
+    def counted(g):
+        calls[g.edge_count] += 1
+        return bridges(g)
+
+    monkeypatch.setattr(graph_module, "_bridges", counted)
+    analyze(prism(30))
+    assert calls == {90: 1}
+    calls.clear()
+    lines, ok = oracle(parse_graph(K4))
+    assert ok and calls == {6: 1}
 
 
 def test_spanning_tree_cap(k5):
