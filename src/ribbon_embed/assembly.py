@@ -53,7 +53,6 @@ from .graph import (
     _from_records,
     _quote,
     betti,
-    connected_components,
     euler_char,
     graph_hash,
     is_cycle_graph,
@@ -116,8 +115,7 @@ def _require_embeddable(graph: MetricGraph) -> None:
         raise CycleGraphError(
             "cycle graphs embed on every surface after rescaling; no schema needed"
         )
-    if len(connected_components(graph)) != 1:
-        raise GraphValidationError("graph is not connected")
+    graph._require_connected()
     bad = [v for v in range(graph.vertex_count) if graph.degree(v) < 3]
     if bad:
         names = _clip(", ".join(graph.vertex_names[v] for v in bad))
@@ -573,7 +571,7 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
     errors: list[str] = []
     notes: list[str] = []
     graph, summary = schema.graph, schema.summary
-    if len(connected_components(graph)) != 1:  # its capped surface is not one surface
+    if not graph._connected:  # its capped surface is not one surface
         errors.append("graph is not connected")
     if len({b["id"] for b in schema.blocks}) != len(schema.blocks):
         errors.append("duplicate block ids")

@@ -57,7 +57,7 @@ def _say(message: str) -> None:
 
 
 def _load_graph(path: str) -> MetricGraph:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         return parse_graph(fh.read())
 
 

@@ -6,11 +6,15 @@ from the endpoint named first in the input file.  All structure downstream
 and parallel edges need no special cases.
 
 How a graph falls apart is decided here too, by one breadth-first search
-(:func:`_components`) that skips the edges a flag list marks as cut: with
-nothing cut it gives the components, and with the bridges of one
-depth-first search (:func:`_bridges`) cut, the pieces between the bridges,
+(:func:`_components`) that skips the edges a flag list marks as cut.  With
+nothing cut it gives the components: whether there is one of them is
+:attr:`MetricGraph._connected`, found once per graph and read by every
+entry that needs a connected graph.  With the bridges of one depth-first
+search (:func:`_bridges`) cut, it gives the pieces between the bridges,
 which :attr:`MetricGraph._pieces` keeps once per graph for the bridge
-floor of zeta and Kirchhoff's tree count in :mod:`ribbon_embed.invariants`.
+floor of zeta and Kirchhoff's tree count in :mod:`ribbon_embed.invariants`;
+with a spanning tree cut, the co-tree components that
+:func:`~ribbon_embed.invariants.xi` counts.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ class MetricGraph:
     that changes the graph returns a new one.
 
     The constructor checks structural sanity only (array sizes, vertex ids
-    in range).  Connectivity and length positivity are enforced where a
-    graph enters: by :func:`parse_graph`, and for a schema's graph by the
-    reader (lengths) and the verifier (connectivity); degree floors by the
-    operations that need them (:func:`smooth`, the schema builders).
+    in range).  Length positivity is enforced where a graph enters: by
+    :func:`parse_graph`, and for a schema's graph by the reader; degree
+    floors by the operations that need them (:func:`smooth`, the schema
+    builders).  Connectivity is found once (:attr:`_connected`) and
+    refused where a graph enters and by every entry that needs it.
     """
 
     vertex_of: tuple[int, ...]
@@ -109,11 +114,25 @@ class MetricGraph:
     def _pieces(self) -> tuple[list[bool], list[list[int]]]:
         """Which edges are bridges (:func:`_bridges`), and the pieces left
         once every bridge is deleted (:func:`_components`); shared, so
-        callers must not change them.  The bridges of a connected graph
-        join its pieces in a tree, so it has exactly one piece more than it
-        has bridges."""
+        callers must not change them."""
         bridge = _bridges(self)
         return bridge, _components(self, bridge)
+
+    @cached_property
+    def _connected(self) -> bool:
+        """Whether the graph is connected, by one :func:`_components` search
+        with nothing cut; read by :func:`parse_graph`,
+        :func:`is_cycle_graph`, :func:`smooth` (and so every reader that
+        smooths first), the search driver and ``ge_max_exact`` of
+        :mod:`ribbon_embed.moves`, the tree search and Kirchhoff's count of
+        :mod:`ribbon_embed.invariants`, and the schema builders and
+        verifier.  The empty graph is not connected."""
+        return len(_components(self, [False] * self.edge_count)) == 1
+
+    def _require_connected(self) -> None:
+        """Raise :class:`GraphValidationError` unless :attr:`_connected`."""
+        if not self._connected:
+            raise GraphValidationError("graph is not connected")
 
 
 def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph:
@@ -191,8 +210,7 @@ def parse_graph(text: str) -> MetricGraph:
     if not records:
         raise GraphFormatError("no edge records found")
     graph = _from_records(records)
-    if len(connected_components(graph)) != 1:
-        raise GraphValidationError("graph is not connected")
+    graph._require_connected()
     return graph
 
 
@@ -209,14 +227,6 @@ def format_graph(graph: MetricGraph) -> str:
 def graph_hash(graph: MetricGraph) -> str:
     """Hex digest of the canonical text form."""
     return hashlib.sha256(format_graph(graph).encode()).hexdigest()
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Root of ``x`` in a union-find forest, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def _components(graph: MetricGraph, cut: Sequence[bool]) -> list[list[int]]:
@@ -332,21 +342,19 @@ def girth(graph: MetricGraph) -> int | float:
 
 def is_cycle_graph(graph: MetricGraph) -> bool:
     """True for a single cycle: connected with every degree equal to 2."""
-    return (
-        all(graph.degree(v) == 2 for v in range(graph.vertex_count))
-        and len(connected_components(graph)) == 1
-    )
+    return all(graph.degree(v) == 2 for v in range(graph.vertex_count)) and graph._connected
 
 
 def smooth(graph: MetricGraph) -> MetricGraph:
     """Suppress every degree-2 vertex, concatenating the two edge lengths.
 
     Returns the graph unchanged when all degrees are at least 3, so the
-    operation is idempotent.  Raises :class:`CycleGraphError` when the graph
-    is a single cycle (there is no branch vertex to anchor the result) and
-    :class:`GraphValidationError` on degree-1 vertices, which have no
-    sensible smoothing.
+    operation is idempotent.  Raises :class:`GraphValidationError` when the
+    graph is not connected or has a degree-1 vertex, which has no sensible
+    smoothing, and :class:`CycleGraphError` when it is a single cycle
+    (there is no branch vertex to anchor the result).
     """
+    graph._require_connected()
     if is_cycle_graph(graph):
         raise CycleGraphError(
             "graph is a single cycle: it embeds on every surface after "

@@ -14,7 +14,9 @@ linear-time lower bound from the same bridges: a tree meeting it, or a
 rotation with 1 + floor walks, pins zeta with no further enumeration.
 The bridges and the pieces between them are the graph's own
 (:attr:`~ribbon_embed.graph.MetricGraph._pieces`), found once per graph
-by :mod:`ribbon_embed.graph`; nothing here traverses a graph.
+by :mod:`ribbon_embed.graph`, as is its connectivity, and :func:`xi`
+reads the co-tree components off the same component search; nothing
+here traverses a graph but the tree enumeration's union-find.
 Which rung certifies zeta is decided by the certificate ladder of
 :mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
 ``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader
@@ -35,9 +37,17 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import CapExceededError, GraphValidationError, InternalInvariantError
-from .graph import MetricGraph, _find, betti, euler_char, girth
+from .graph import MetricGraph, _components, betti, euler_char, girth
 
 DEFAULT_TREE_CAP = 10**6
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[frozenset[int]]:
@@ -85,21 +95,19 @@ def spanning_trees(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[
 def xi(graph: MetricGraph, tree: frozenset[int]) -> int:
     """Number of odd-size components of the co-tree subgraph.
 
-    The co-tree subgraph is induced on the edges outside ``tree``; vertices
-    touching no co-tree edge are ignored.
+    The co-tree subgraph is induced on the edges outside ``tree``: the
+    components left once the tree's edges are cut
+    (:func:`~ribbon_embed.graph._components`), each with half its uncut
+    darts as edges, as :func:`zeta_floor` counts them.  A vertex touching
+    no co-tree edge is a component of no edges, so it never counts.
     """
-    co = [e for e in range(graph.edge_count) if e not in tree]
-    parent = list(range(graph.vertex_count))
-    for e in co:
-        u, v = graph.endpoints(e)
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes: dict[int, int] = {}
-    for e in co:
-        root = _find(parent, graph.endpoints(e)[0])
-        sizes[root] = sizes.get(root, 0) + 1
-    return sum(1 for k in sizes.values() if k % 2)
+    cut = [e in tree for e in range(graph.edge_count)]
+    darts_at = graph._darts_by_vertex
+    odd = 0
+    for part in _components(graph, cut):
+        darts = sum(not cut[d >> 1] for u in part for d in darts_at[u])
+        odd += darts // 2 % 2
+    return odd
 
 
 def _tree_count(graph: MetricGraph, cap: int) -> int | None:
@@ -110,8 +118,7 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     the counts of the pieces between the bridges, the graph's
     :attr:`~ribbon_embed.graph.MetricGraph._pieces`, each in breadth-first
     order; the running product stops at the first piece that takes it
-    above ``cap``.  A graph with more pieces than bridges plus one is
-    disconnected and has none.
+    above ``cap``.  A graph that is not connected has none.
 
     Each piece is counted by Kirchhoff's matrix-tree theorem: its
     Laplacian with the row and column of its first vertex deleted, as a
@@ -137,9 +144,9 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     O(K^3) steps; no row of a vertex past the K-th is built.
     """
     vertex_of = graph.vertex_of
+    if not graph._connected:
+        return 0
     bridge, pieces = graph._pieces
-    if len(pieces) != sum(bridge) + 1:
-        return 0  # disconnected
     count = 1
     for piece in pieces:
         position: dict[int, int] = {}
@@ -194,18 +201,20 @@ def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     """zeta(G): minimum of :func:`xi` over all spanning trees.
 
     The search stops at the first tree whose value meets :func:`zeta_floor`,
-    since no tree can do better.
+    since no tree can do better.  A graph that is not connected has no
+    spanning tree and raises :class:`GraphValidationError` before the
+    search.
     """
+    if not graph._connected:
+        raise GraphValidationError("graph has no spanning tree; is it connected?")
     floor = zeta_floor(graph)
-    best: int | None = None
+    best = math.inf  # lowered by the first tree, which a connected graph has
     for tree in spanning_trees(graph, cap):
         value = xi(graph, tree)
-        if best is None or value < best:
+        if value < best:
             best = value
             if best == floor:
                 break
-    if best is None:
-        raise GraphValidationError("graph has no spanning tree; is it connected?")
     if best < floor:
         raise InternalInvariantError(f"zeta {best} lies below its bridge floor {floor}")
     return best

@@ -317,8 +317,10 @@ def _search(
     rotation cap), which decides the optimum (``"dp"``) and gives the first
     rotation, in enumeration order, at every count; a best count short of
     the optimum gives way to the one at it.  With no pass, the result has
-    no ``optimum`` and no ``certificate``.
+    no ``optimum`` and no ``certificate``.  A graph that is not connected
+    raises :class:`~ribbon_embed.errors.GraphValidationError` first.
     """
+    graph._require_connected()
 
     def beats(a: int, b: int) -> bool:
         return a * delta > b * delta
@@ -476,7 +478,9 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     """Adversarial genus: the largest :func:`capped_genus` over all
     rotations, which is that of the most walks, since the capped genus
     never falls as the walk count rises by 2.  Raises
-    :class:`CapExceededError` above ``cap`` rotations."""
+    :class:`~ribbon_embed.errors.GraphValidationError` on a graph that is
+    not connected and :class:`CapExceededError` above ``cap`` rotations."""
+    graph._require_connected()
     return capped_genus(graph, max(boundary_profile(graph, cap)))
 
 

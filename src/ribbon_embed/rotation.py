@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -170,13 +169,12 @@ def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[Boundar
         raise InternalInvariantError(
             f"walk count {count} breaks Euler parity for chi={euler_char(graph)}"
         )
-    sizes = Counter(face)
     walks: list[BoundaryWalk] = []
     for start, f in enumerate(face):
         if f == len(walks):  # the smallest dart of the next face
             orbit = [start]
-            for _ in range(sizes[f] - 1):
-                orbit.append(succ[orbit[-1]])
+            while (d := succ[orbit[-1]]) != start:  # around the walk, back to its start
+                orbit.append(d)
             walks.append(BoundaryWalk(tuple(orbit)))
     return walks
 

@@ -2,21 +2,21 @@
 
 Everything here is deliberately written against different algorithms than
 the package under test: the tree count comes from the matrix-tree theorem
-over exact rationals, the single-dart relocations are listed one candidate
-at a time with duplicates dropped, and the random graphs are built by stub
-pairing.
+over exact rationals, the co-tree components from a union-find, the
+single-dart relocations are listed one candidate at a time with duplicates
+dropped, and the random graphs are built by stub pairing.
 """
 
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 from ribbon_embed import (
     MetricGraph,
     SurfaceSchema,
     assemble_sigma_surface,
-    assembly,
     cap_standard,
     connected_components,
     default_rotation,
@@ -72,6 +72,26 @@ def kirchhoff_tree_count(graph: MetricGraph) -> int:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     assert det.denominator == 1
     return abs(int(det))
+
+
+def union_find_xi(graph: MetricGraph, tree: frozenset[int]) -> int:
+    """Odd-size co-tree components, counted by a union-find over the
+    co-tree edges, each edge then tallied at the root of its first end;
+    vertices touching no co-tree edge never get a tally."""
+    parent = list(range(graph.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    co = [e for e in range(graph.edge_count) if e not in tree]
+    for e in co:
+        u, v = graph.endpoints(e)
+        parent[find(u)] = find(v)
+    sizes = Counter(find(graph.endpoints(e)[0]) for e in co)
+    return sum(1 for k in sizes.values() if k % 2)
 
 
 def girth_per_edge(graph: MetricGraph) -> int | float:
@@ -159,13 +179,26 @@ def two_thetas() -> MetricGraph:
     return MetricGraph((0, 1) * 3 + (2, 3) * 3, (1.0,) * 6, tuple("abcdef"), tuple("uvxy"))
 
 
+def two_copies(graph: MetricGraph) -> MetricGraph:
+    """Two disjoint copies of ``graph``, the second's names ending in z."""
+    n = graph.vertex_count
+    return MetricGraph(
+        graph.vertex_of + tuple(v + n for v in graph.vertex_of),
+        graph.lengths * 2,
+        graph.edge_names + tuple(f"{name}z" for name in graph.edge_names),
+        graph.vertex_names + tuple(f"{name}z" for name in graph.vertex_names),
+    )
+
+
 def two_thetas_schema() -> SurfaceSchema:
     """:func:`two_thetas`, bordered and capped: two closed genus-2 surfaces
     that claim to be one of genus 3.  The builders refuse a disconnected
-    graph, so it is built while they see a single component."""
+    graph, so they build from one whose cached connectivity is marked true,
+    and the schema then takes a fresh :func:`two_thetas`, which is not."""
     graph = two_thetas()
-    with mock.patch.object(assembly, "connected_components", return_value=[[0, 1, 2, 3]]):
-        return cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
+    graph.__dict__["_connected"] = True  # where the cached property keeps it
+    schema = cap_standard(assemble_sigma_surface(graph, default_rotation(graph, 0)))
+    return dataclasses.replace(schema, graph=two_thetas())
 
 
 def prism(rungs: int) -> MetricGraph:

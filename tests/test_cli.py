@@ -31,6 +31,7 @@ from ribbon_embed import (
     schema_to_json,
     verify_schema,
 )
+from ribbon_embed import graph as graph_module
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
@@ -63,6 +64,18 @@ def test_analyze_json(graph_file, capsys):
     assert doc["essential_genus"] == 3
     assert doc["zeta"] == 1
     assert doc["ge_max_bound"] == "4"
+
+
+def test_a_graph_file_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    # it failed with "line 1: unknown record type '\ufeffedge'"
+    plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+    plain.write_text(K4, encoding="utf-8")
+    marked.write_text(K4, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert main(["analyze", str(plain), "--json"]) == 0
+    want = capsys.readouterr().out
+    assert main(["analyze", str(marked), "--json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_analyze_missing_file(capsys):
@@ -229,6 +242,35 @@ def test_embed_minimal_verifies(graph_file, tmp_path, capsys):
     assert schema.summary.minimal is True
     assert verify_schema(schema).ok
     assert "certified" in capsys.readouterr().err
+
+
+def test_connectivity_is_searched_once_per_embed_and_per_verify(
+    graph_file, tmp_path, capsys, monkeypatch
+):
+    # parse_graph, the schema builder and the verifier each searched the
+    # embedded graph; now they read its cached connectivity.  The pieces'
+    # own search, with the bridges cut, is not counted.
+    bridge_flags, searches = [], []
+    bridges, components = graph_module._bridges, graph_module._components
+
+    def flagged(graph):
+        bridge_flags.append(bridges(graph))
+        return bridge_flags[-1]
+
+    def counted(graph, cut):
+        if not any(cut is flags for flags in bridge_flags):
+            searches.append(graph.edge_count)
+        return components(graph, cut)
+
+    monkeypatch.setattr(graph_module, "_bridges", flagged)
+    monkeypatch.setattr(graph_module, "_components", counted)
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
+    assert searches == [6]
+    searches.clear()
+    assert main(["verify", str(out_path)]) == 0
+    assert searches == [6]
+    assert bridge_flags  # the pieces were searched too, and left out of the count
 
 
 def test_embed_stdout_and_determinism(graph_file, capsys):

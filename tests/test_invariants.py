@@ -22,6 +22,7 @@ from ribbon_embed import (
     ge_max_exact,
     invariants,
     max_genus,
+    maximize_boundaries,
     minimize_boundaries,
     moves,
     oracle,
@@ -44,7 +45,9 @@ from helpers import (
     kirchhoff_tree_count,
     prism,
     random_multigraph,
+    two_copies,
     two_thetas,
+    union_find_xi,
 )
 
 DEMO_GRAPHS = Path(__file__).resolve().parent.parent / "demos" / "graphs"
@@ -200,6 +203,44 @@ def test_a_disconnected_graph_has_no_spanning_tree():
         betti_deficiency(g)
 
 
+def disconnected_graphs():
+    """Fresh ones each call, so no entry reads a connectivity another found."""
+    return {
+        "two thetas": two_thetas(),
+        "two 5-prisms": two_copies(prism(5)),
+        "two cycles": two_copies(parse_graph("edge a u v 1.0\nedge b v u 2.0")),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        smooth,
+        analyze,
+        essential_genus,
+        oracle,
+        max_genus,
+        minimize_boundaries,
+        maximize_boundaries,
+        ge_max_exact,
+        betti_deficiency,
+    ],
+    ids=lambda entry: entry.__name__,
+)
+def test_every_search_and_reader_refuses_a_disconnected_graph(entry):
+    # on two thetas they answered zeta 2 (essential genus 3, max genus 1),
+    # certified 2 walks by the DP, or raised InternalInvariantError or
+    # ValueError; betti_deficiency refused only once its tree search ran
+    # dry, after seconds on two 5-prisms; two cycles smoothed to the empty
+    # graph
+    message = "no spanning tree" if entry is betti_deficiency else "graph is not connected"
+    for name, graph in disconnected_graphs().items():
+        start = time.perf_counter()
+        with pytest.raises(GraphValidationError, match=message):
+            entry(graph)
+        assert time.perf_counter() - start < 1.0, name
+
+
 def test_the_bridges_are_found_once_per_analyze_and_oracle(monkeypatch):
     # zeta_floor and Kirchhoff's count both read the graph's pieces between
     # the bridges, and analyze and oracle each ask for them on one graph
@@ -233,6 +274,17 @@ def test_xi_k4_always_one(k4):
 def test_xi_dumbbell(dumbbell):
     (tree,) = spanning_trees(dumbbell, 10**6)
     assert xi(dumbbell, tree) == 2
+
+
+def test_xi_agrees_with_a_union_find_on_every_tree():
+    # 367 trees: every spanning tree of the first 60 seeded multigraphs
+    trees = 0
+    for seed in range(60):
+        g = smooth(random_multigraph(seed))
+        for tree in spanning_trees(g, 10**6):
+            trees += 1
+            assert xi(g, tree) == union_find_xi(g, tree), (seed, sorted(tree))
+    assert trees == 367
 
 
 def test_betti_deficiency(theta, bouquet2, k4, k5, dumbbell):
