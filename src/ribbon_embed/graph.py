@@ -126,8 +126,17 @@ class MetricGraph:
         smooths first), the search driver and ``ge_max_exact`` of
         :mod:`ribbon_embed.moves`, the tree search and Kirchhoff's count of
         :mod:`ribbon_embed.invariants`, and the schema builders and
-        verifier.  The empty graph is not connected."""
+        verifier.  :func:`smooth` hands it on to the graph it builds, which
+        a search would find connected too.  The empty graph is not
+        connected."""
         return len(_components(self, [False] * self.edge_count)) == 1
+
+    @cached_property
+    def _girth(self) -> int | float:
+        """:func:`girth`, found once per graph (:func:`_shortest_cycle`) and
+        read by the report, the girth bound and the walk bound of
+        :mod:`ribbon_embed.invariants` and :mod:`ribbon_embed.moves`."""
+        return _shortest_cycle(self)
 
     def _require_connected(self) -> None:
         """Raise :class:`GraphValidationError` unless :attr:`_connected`."""
@@ -303,7 +312,13 @@ def betti(graph: MetricGraph) -> int:
 
 
 def girth(graph: MetricGraph) -> int | float:
-    """Edge count of a shortest cycle; ``math.inf`` for a forest.
+    """Edge count of a shortest cycle; ``math.inf`` for a forest.  Found
+    once per graph (:attr:`MetricGraph._girth`)."""
+    return graph._girth
+
+
+def _shortest_cycle(graph: MetricGraph) -> int | float:
+    """:func:`girth` by search.
 
     A loop is a cycle of length 1 and a pair of parallel edges a cycle of
     length 2; both are answered first, in that order.  A simple graph gets
@@ -410,12 +425,14 @@ def smooth(graph: MetricGraph) -> MetricGraph:
         vertex_of.extend((u, v))
         lengths.append(length)
         edge_names.append(name)
-    return MetricGraph(
+    smoothed = MetricGraph(
         tuple(vertex_of),
         tuple(lengths),
         tuple(edge_names),
         tuple(graph.vertex_names[v] for v in branch),
     )
+    smoothed.__dict__["_connected"] = True  # as the input is; where the cached property keeps it
+    return smoothed
 
 
 def subdivide(graph: MetricGraph, edge: int, fractions: Sequence[float]) -> MetricGraph:

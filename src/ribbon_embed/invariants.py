@@ -32,7 +32,7 @@ rotation when each boundary walk is capped off as cheaply as possible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator
 
@@ -277,7 +277,7 @@ class InvariantReport:
     rotation_count: int
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)  # keys in field order
+        out = {f.name: getattr(self, f.name) for f in fields(self)}  # keys in field order
         out["ge_max_bound"] = str(self.ge_max_bound)
         return out
 

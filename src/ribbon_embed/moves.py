@@ -79,14 +79,13 @@ from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
     _crowded,
+    _extremes,
     _faces,
     _incidence,
-    _profile,
     _rotation_at,
     _set_succ,
     _strides,
     _vertex_orders,
-    boundary_profile,
     count_rotations,
     dart_label,
     default_rotation,
@@ -283,18 +282,19 @@ def _climb(
         records.append(record)
 
 
-_Frontier = tuple[list[list[tuple[int, ...]]], dict[int, list[int]]]
+_Frontier = tuple[list[list[tuple[int, ...]]], dict[int, int]]
 
 
 def _frontier(graph: MetricGraph, rotation_cap: int) -> _Frontier | None:
     """One frontier DP pass: (the cyclic orders at each vertex,
-    :func:`_profile` over them), or None when the rotations exceed
-    ``rotation_cap``."""
+    :func:`_extremes` over them: the least and the greatest walk count,
+    each with the index of its first rotation), or None when the rotations
+    exceed ``rotation_cap``."""
     try:
         orders = _vertex_orders(graph, rotation_cap)
     except CapExceededError:
         return None
-    return orders, _profile(graph, orders)
+    return orders, _extremes(graph, orders)
 
 
 def _search(
@@ -315,7 +315,8 @@ def _search(
     ascending.  Only when the climb and the restarts end short of it is
     ``frontier()`` asked for one DP pass (:func:`_frontier`; None above the
     rotation cap), which decides the optimum (``"dp"``) and gives the first
-    rotation, in enumeration order, at every count; a best count short of
+    rotation, in enumeration order, at the least and the greatest count
+    (:func:`~ribbon_embed.rotation._extremes`); a best count short of
     the optimum gives way to the one at it.  With no pass, the result has
     no ``optimum`` and no ``certificate``.  A graph that is not connected
     raises :class:`~ribbon_embed.errors.GraphValidationError` first.
@@ -348,10 +349,10 @@ def _search(
     if best[0] == bound:
         optimum, certificate = bound, "floor" if delta < 0 else "walk-bound"
     elif (dp := frontier()) is not None:
-        orders, profile = dp
-        optimum, certificate = (max if delta > 0 else min)(profile), "dp"
+        orders, extremes = dp
+        optimum, certificate = (max if delta > 0 else min)(extremes), "dp"
         if beats(optimum, best[0]):
-            witness = _rotation_at(orders, profile[optimum][1])
+            witness = _rotation_at(orders, extremes[optimum])
             count = _faces(graph.dart_count, witness.cycles)[1]
             if count != optimum:
                 raise InternalInvariantError(f"witness has {count} walks, not {optimum}")
@@ -479,9 +480,11 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     rotations, which is that of the most walks, since the capped genus
     never falls as the walk count rises by 2.  Raises
     :class:`~ribbon_embed.errors.GraphValidationError` on a graph that is
-    not connected and :class:`CapExceededError` above ``cap`` rotations."""
+    not connected and :class:`CapExceededError` above ``cap`` rotations.
+    The most walks come from the DP's extremes fold
+    (:func:`~ribbon_embed.rotation._extremes`)."""
     graph._require_connected()
-    return capped_genus(graph, max(boundary_profile(graph, cap)))
+    return capped_genus(graph, max(_extremes(graph, _vertex_orders(graph, cap))))
 
 
 def analyze(
@@ -512,12 +515,12 @@ def analyze(
     bound = ge_max_bound(smoothed_graph)
     exact = None
     if dp is not None:
-        profile = dp[1]
-        if min(profile) != 1 + z:
+        extremes = dp[1]
+        if min(extremes) != 1 + z:
             raise InternalInvariantError(
-                f"minimum walk count {min(profile)} differs from 1 + zeta = {1 + z}"
+                f"minimum walk count {min(extremes)} differs from 1 + zeta = {1 + z}"
             )
-        exact = capped_genus(smoothed_graph, max(profile))
+        exact = capped_genus(smoothed_graph, max(extremes))
         if exact > bound:
             raise InternalInvariantError("adversarial genus exceeds the girth bound")
 

@@ -24,24 +24,31 @@ count, and takes it from a frontier DP that places one vertex at a time
 and keeps, for each way the open face paths can cross the cut around the
 placed vertices, a histogram of the faces already closed (Gross and
 Furst's bar-amalgamation; the partitioned genus distributions of Gross,
-Khan and Poshni).  Its cost grows with the cut width, not with the number
-of rotations; and with minimum degree 3 the partial-rotation count at
-least doubles with each placed vertex, so even where the cut never
-narrows (one-vertex bouquets, dipoles) it makes fewer than twice as many
-compositions as there are rotations.  The DP runs over given per-vertex
-orders (:func:`_profile`), and each bucket of its histogram also keeps
-the smallest :func:`enumerate_rotations` index among its partial
-rotations, so the same pass gives the first rotation at every walk count
-(:func:`_rotation_at` decodes it).
+Khan and Poshni; run as a frontier-based search in the manner of Kawahara
+et al.).  Its cost grows with the cut width, not with the number of
+rotations, so the next vertex placed is the one that adds the fewest cut
+edges; and with minimum degree 3 the partial-rotation count at least
+doubles with each placed vertex, so even where the cut never narrows
+(one-vertex bouquets, dipoles) it makes fewer than twice as many
+compositions as there are rotations.  Placing a vertex changes only the
+paths through its ports, so one kernel (:func:`_compose`) traces those and
+copies every other exit.  The DP runs over given per-vertex orders, and
+each bucket also keeps the smallest :func:`enumerate_rotations` index
+among its partial rotations, so the same pass gives the first rotation at
+every walk count (:func:`_rotation_at` decodes it).  Two folds share the
+kernel: :func:`_profile` keeps the whole histogram, and :func:`_extremes`
+only its least and greatest buckets, which is all the searches of
+:mod:`ribbon_embed.moves` read.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, GraphFormatError, InternalInvariantError
 from .graph import MetricGraph, _clip, _quote, edge_of, euler_char
@@ -280,6 +287,126 @@ def _rotation_at(orders: Sequence[Sequence[tuple[int, ...]]], index: int) -> Rot
     return RotationSystem(tuple(choices[index // s % len(choices)] for choices, s in steps))
 
 
+class _Placement(NamedTuple):
+    """The tables :func:`_compose` reads to place one vertex w (:func:`_plan`).
+
+    A dart of w is named by its local index, its rank among w's darts.
+    After a dart d of w the face goes to mate(prev(d)), named by a code:
+    below ``degree``, the local index of a dart of w (prev(d) is a loop
+    dart); then one code per removed entry, in ``removed`` order, whose old
+    path the state follows; then one per fresh dart's mate, an outside dart
+    where the path exits.
+    """
+
+    steps: list[tuple[list[int], int]]  # per order of w: (code after each local dart, offset)
+    degree: int
+    removed: list[int]  # old positions of the entries whose edges end at w
+    exits_at_w: list[tuple[int, int]]  # (dart of w an old path can exit at, its local index)
+    moved: list[int]  # each old entry's new position, -1 if removed
+    layout: list[int]  # each new entry's old position, len(old) for a fresh dart
+    fresh_starts: list[tuple[int, int]]  # (new position, local index) of each fresh dart of w
+    outs: list[int]  # ~mate of each fresh dart: the exits its code resolves to
+
+
+def _plan(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> list[_Placement]:
+    """The placements of the frontier DP over ``orders``, in the order
+    :func:`_profile` describes, each as the tables :func:`_compose` reads."""
+    vertex_of = graph.vertex_of
+    n = graph.vertex_count
+    strides = _strides(orders)
+    placed = [False] * n
+    into = [0] * n  # edges from each vertex into S
+    base = [sum(vertex_of[d ^ 1] != v for d in graph.darts_at(v)) for v in range(n)]
+    heap = [(base[v], 0, v) for v in range(n)]  # (cut growth, -into, v); stale ones skipped
+    heapq.heapify(heap)
+    entries: list[int] = []
+    plan = []
+    while heap:
+        _, minus_into, w = heapq.heappop(heap)
+        if placed[w] or minus_into != -into[w]:
+            continue
+        placed[w] = True
+        darts = graph.darts_at(w)
+        for d in darts:
+            u = vertex_of[d ^ 1]
+            if not placed[u]:
+                into[u] += 1
+                heapq.heappush(heap, (base[u] - 2 * into[u], -into[u], u))
+        removed = [p for p, e in enumerate(entries) if vertex_of[e ^ 1] == w]
+        fresh = [d for d in darts if not placed[vertex_of[d ^ 1]]]
+        new_entries = sorted([e for e in entries if vertex_of[e ^ 1] != w] + fresh)
+        at = {e: j for j, e in enumerate(new_entries)}
+        moved = [at.get(e, -1) for e in entries]
+        layout = [len(entries)] * len(new_entries)
+        for p, j in enumerate(moved):
+            if j >= 0:
+                layout[j] = p
+        code = {d: i for i, d in enumerate(darts)}  # a dart of w: its local index
+        code.update((entries[p], len(darts) + k) for k, p in enumerate(removed))
+        code.update((d ^ 1, len(darts) + len(removed) + k) for k, d in enumerate(fresh))
+        steps = []
+        for i, order in enumerate(orders[w]):
+            step = [0] * len(darts)
+            for d, p in zip(order, order[-1:] + order[:-1]):
+                step[code[d]] = code[p ^ 1]  # the face goes from d to mate(prev(d))
+            steps.append((step, i * strides[w]))
+        exits_at_w = [(entries[p] ^ 1, code[entries[p] ^ 1]) for p in removed]
+        fresh_starts = [(at[d], code[d]) for d in fresh]
+        outs = [~(d ^ 1) for d in fresh]
+        plan.append(
+            _Placement(steps, len(darts), removed, exits_at_w, moved, layout, fresh_starts, outs)
+        )
+        entries = new_entries
+    return plan
+
+
+def _compose(
+    placement: _Placement, states: dict[tuple[int, ...], Any]
+) -> Iterator[tuple[tuple[int, ...], Any, int, int]]:
+    """(new state, the old state's payload, faces closed, index offset) for
+    every state of ``states`` and every order of the placed vertex: the one
+    composition kernel of the frontier DP (:func:`_profile`).
+
+    Per state, ``res`` resolves each code (:class:`_Placement`) to a local
+    index or, complemented, an outside dart: a removed entry's code to
+    where its old path exits.  The paths traced start at w's fresh darts
+    and at the darts of w where old paths from kept entries exit; every
+    other exit is copied to its new position.  Darts of w that no traced
+    path visits lie on faces closed here.
+    """
+    steps, degree, removed, exits_at_w, moved, layout, fresh_starts, outs = placement
+    ids = list(range(degree))
+    every = (1 << degree) - 1
+    at_w = dict(exits_at_w)
+    for state, payload in states.items():
+        padded = state + (0,)  # a fresh dart's slot copies the 0, then is traced
+        base = [padded[p] for p in layout]
+        res = ids + [at_w.get(state[p], ~state[p]) for p in removed] + outs
+        # an exit at w held by a removed entry lies inside a path through w
+        kept = [(moved[q], i) for x, i in exits_at_w if moved[q := state.index(x)] >= 0]
+        starts = fresh_starts + kept
+        for step, offset in steps:
+            new = base.copy()
+            seen = 0  # bit i: local dart i lies on a traced path
+            for j, i in starts:
+                while True:
+                    seen |= 1 << i
+                    t = res[step[i]]
+                    if t < 0:
+                        break
+                    i = t
+                new[j] = ~t
+            closed = 0
+            if seen != every:
+                for i in range(degree):
+                    if not seen >> i & 1:
+                        closed += 1
+                        while not seen >> i & 1:
+                            seen |= 1 << i
+                            i = res[step[i]]
+            yield tuple(new), payload, closed, offset
+
+
 def _profile(
     graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]
 ) -> dict[int, list[int]]:
@@ -288,74 +415,83 @@ def _profile(
     frontier DP over vertex placements; the index is the rotation's
     position in :func:`enumerate_rotations` order (:func:`_strides`).
 
-    The next vertex placed is the one with the most edges into the placed
-    set S, ties to the smallest id.  Under a rotation of S alone the face
-    permutation splits into closed faces, which are only counted, and open
-    paths, each entering S at the S-side dart of a cut edge (in
-    ``entries``, sorted) and leaving at an outside dart.  A state is the
-    tuple of those exits, aligned with ``entries``, and maps to a dict
-    {closed faces: [partial rotations, smallest index among them]}.
-    Placing w composes each of its orders into each state, adding the
-    order's position times w's stride to the index; with every vertex
-    placed the one state left is empty.  Partial rotations that share a
-    state and a closed-face count have the same completions, so the
-    smallest index is kept exactly: the first rotation at a count extends
-    the first partial rotation of every bucket it passes through.
+    The next vertex placed is the one that adds the fewest cut edges: its
+    darts to other unplaced vertices less its edges into the placed set S,
+    ties to the most edges into S, then the smallest id.  Under a rotation
+    of S alone the face permutation splits into closed faces, which are
+    only counted, and open paths, each entering S at the S-side dart of a
+    cut edge (in ``entries``, sorted) and leaving at an outside dart.  A
+    state is the tuple of those exits, aligned with ``entries``.
+
+    Placing w (:func:`_compose`) composes each of its orders into each
+    state, adding the order's position times w's stride to the index.  Only
+    w's ports change: the entries whose edges end at w leave the state, the
+    paths exiting at a dart of w go on through w, and w's other darts enter.
+    So only the paths through w are traced, alternating w's order with the
+    state at the removed entries, and every other exit is copied to its new
+    position.  With every vertex placed the one state left is empty.
+
+    Each state carries a payload, and a fold merges the payloads that meet.
+    Here the fold keeps a histogram {closed faces: [partial rotations,
+    smallest index among them]}; :func:`_extremes` keeps only its two
+    extreme buckets.  Partial rotations that share a state and a
+    closed-face count have the same completions, so the smallest index is
+    kept exactly: the first rotation at a count extends the first partial
+    rotation of every bucket it passes through.  The order of placement
+    changes the cost, never the result.
     """
-    vertex_of = graph.vertex_of
-    placed = [False] * graph.vertex_count
-    into = [0] * graph.vertex_count  # edges from each vertex into S
-    strides = _strides(orders)
-    entries: list[int] = []
     states: dict[tuple[int, ...], dict[int, list[int]]] = {(): {0: [1, 0]}}
-    for _ in range(graph.vertex_count):
-        w = max((v for v, done in enumerate(placed) if not done), key=lambda v: (into[v], -v))
-        placed[w] = True
-        darts = graph.darts_at(w)
-        for d in darts:
-            into[vertex_of[d ^ 1]] += 1
-        new_entries = sorted(
-            [e for e in entries if vertex_of[e ^ 1] != w]
-            + [d for d in darts if not placed[vertex_of[d ^ 1]]]
-        )
-        steps = [
-            ({d: p ^ 1 for d, p in zip(order, order[-1:] + order[:-1])}, i * strides[w])
-            for i, order in enumerate(orders[w])
-        ]
+    for placement in _plan(graph, orders):
         composed: dict[tuple[int, ...], dict[int, list[int]]] = {}
-        for state, counts in states.items():
-            exit_of = dict(zip(entries, state))
-            for step, offset in steps:
-                succ = {**exit_of, **step}
-                seen = set()
-                exits = []
-                for z in new_entries:
-                    while z in succ:
-                        seen.add(z)
-                        z = succ[z]
-                    exits.append(z)
-                closed = 0  # faces through w met by no path are closed here
-                for x in darts:
-                    if x not in seen:
-                        closed += 1
-                        while x not in seen:
-                            seen.add(x)
-                            x = succ[x]
-                key = tuple(exits)
-                target = composed.get(key)
-                if target is None:
-                    target = composed[key] = {}
-                for faces, (rotations, first) in counts.items():
-                    bucket = target.get(faces + closed)
-                    if bucket is None:
-                        target[faces + closed] = [rotations, first + offset]
-                    else:
-                        bucket[0] += rotations
-                        if first + offset < bucket[1]:
-                            bucket[1] = first + offset
+        for key, counts, closed, offset in _compose(placement, states):
+            target = composed.get(key)
+            if target is None:
+                target = composed[key] = {}
+            for faces, (rotations, first) in counts.items():
+                bucket = target.get(faces + closed)
+                if bucket is None:
+                    target[faces + closed] = [rotations, first + offset]
+                else:
+                    bucket[0] += rotations
+                    if first + offset < bucket[1]:
+                        bucket[1] = first + offset
         states = composed
-        entries = new_entries
     return states[()]
+
+
+def _extremes(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> dict[int, int]:
+    """{least walk count: index of its first rotation, greatest: index of
+    its first rotation} over ``orders``: the two extreme keys of
+    :func:`_profile` and their first indices, by the same DP with a fold
+    that keeps four ints per state.
+
+    They are the least closed-face count with the smallest index there and
+    the greatest with the smallest index there, and that is exact: a
+    rotation at the global minimum reaches each state at that state's least
+    count, or a partial rotation with fewer closed faces and the same
+    completion would beat it; and indices add over placements, so the
+    smallest partial index gives the smallest total.  The same holds for
+    the maximum.
+    """
+    states: dict[tuple[int, ...], list[int]] = {(): [0, 0, 0, 0]}
+    for placement in _plan(graph, orders):
+        composed: dict[tuple[int, ...], list[int]] = {}
+        for key, (lo, lo_first, hi, hi_first), closed, offset in _compose(placement, states):
+            lo += closed
+            hi += closed
+            lo_first += offset
+            hi_first += offset
+            t = composed.get(key)
+            if t is None:
+                composed[key] = [lo, lo_first, hi, hi_first]
+                continue
+            if lo < t[0] or lo == t[0] and lo_first < t[1]:
+                t[0], t[1] = lo, lo_first
+            if hi > t[2] or hi == t[2] and hi_first < t[3]:
+                t[2], t[3] = hi, hi_first
+        states = composed
+    lo, lo_first, hi, hi_first = states[()]
+    return {lo: lo_first, hi: hi_first}
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:

@@ -133,15 +133,15 @@ def test_analyze_text_names_an_unknown_tree_count(capsys):
 
 
 def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
-    # a profile that lost its minimum entry still gave a plausible report
-    profile = moves._profile
+    # extremes that lost their minimum entry still gave a plausible report
+    extremes = moves._extremes
 
     def without_minimum(graph, orders):
-        counts = profile(graph, orders)
+        counts = extremes(graph, orders)
         del counts[min(counts)]
         return counts
 
-    monkeypatch.setattr(moves, "_profile", without_minimum)
+    monkeypatch.setattr(moves, "_extremes", without_minimum)
     assert main(["analyze", graph_file(K4)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -244,12 +244,10 @@ def test_embed_minimal_verifies(graph_file, tmp_path, capsys):
     assert "certified" in capsys.readouterr().err
 
 
-def test_connectivity_is_searched_once_per_embed_and_per_verify(
-    graph_file, tmp_path, capsys, monkeypatch
-):
-    # parse_graph, the schema builder and the verifier each searched the
-    # embedded graph; now they read its cached connectivity.  The pieces'
-    # own search, with the bridges cut, is not counted.
+def _count_searches(monkeypatch) -> tuple[list[int], list[list[bool]]]:
+    """Wrap ``graph._components``: (the edge count of each search with
+    nothing cut, the bridge flags of each pieces' search).  The pieces' own
+    search, with the bridges cut, is not counted."""
     bridge_flags, searches = [], []
     bridges, components = graph_module._bridges, graph_module._components
 
@@ -264,6 +262,15 @@ def test_connectivity_is_searched_once_per_embed_and_per_verify(
 
     monkeypatch.setattr(graph_module, "_bridges", flagged)
     monkeypatch.setattr(graph_module, "_components", counted)
+    return searches, bridge_flags
+
+
+def test_connectivity_is_searched_once_per_embed_and_per_verify(
+    graph_file, tmp_path, capsys, monkeypatch
+):
+    # parse_graph, the schema builder and the verifier each searched the
+    # embedded graph; now they read its cached connectivity
+    searches, bridge_flags = _count_searches(monkeypatch)
     out_path = tmp_path / "schema.json"
     assert main(["embed", graph_file(K4), "-o", str(out_path)]) == 0
     assert searches == [6]
@@ -271,6 +278,16 @@ def test_connectivity_is_searched_once_per_embed_and_per_verify(
     assert main(["verify", str(out_path)]) == 0
     assert searches == [6]
     assert bridge_flags  # the pieces were searched too, and left out of the count
+
+
+def test_smoothing_hands_on_the_known_connectivity(graph_file, tmp_path, capsys, monkeypatch):
+    # the smoothed graph of a subdivided K4 is connected because the parsed
+    # one is, so embed searches once, on the 7 parsed edges
+    searches, bridge_flags = _count_searches(monkeypatch)
+    subdivided = K4.replace("edge e01 v0 v1 1.0\n", "edge e01a v0 m 0.5\nedge e01b m v1 0.5\n")
+    assert main(["embed", graph_file(subdivided), "-o", str(tmp_path / "schema.json")]) == 0
+    assert searches == [7]
+    assert bridge_flags
 
 
 def test_embed_stdout_and_determinism(graph_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from collections import Counter
@@ -499,13 +500,13 @@ def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
 
         return wrapper
 
-    for module in (moves, rotation):
-        monkeypatch.setattr(module, "_profile", counted("_profile", rotation._profile))
+    # one plan per DP pass, whichever fold runs over it
+    monkeypatch.setattr(rotation, "_plan", counted("_plan", rotation._plan))
     monkeypatch.setattr(moves, "_tree_count", counted("_tree_count", invariants._tree_count))
     rep = analyze(STALLS_AT_THREE_WALKS, tree_cap=tree_cap)
     assert (rep.zeta, rep.ge_max_exact) == (0, 5)
     assert rep.tree_count == (None if tree_cap == 17 else 18)
-    assert calls == {"_profile": 1, "_tree_count": 1}
+    assert calls == {"_plan": 1, "_tree_count": 1}
 
 
 @pytest.mark.parametrize("seed", [27, 65, 142, 229, None])
@@ -542,7 +543,25 @@ def test_capped_genus_never_falls_as_the_walk_count_rises(theta, bouquet2, k4, k
 def test_analyze_json_and_text(k4):
     rep = analyze(k4)
     d = rep.to_json_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(rep)]
+    assert d == {**vars(rep), "ge_max_bound": "4"}
     assert d["essential_genus"] == 3
     assert d["ge_max_bound"] == "4"
     text = rep.to_text()
     assert "essential_genus" in text and "zeta" in text
+
+
+def test_girth_is_searched_once_per_graph(monkeypatch):
+    # the report, the girth bound and the walk bound read one search
+    k4 = parse_graph(K4)  # not the shared fixture, whose girth may be known
+    calls = []
+    search = graph_module._shortest_cycle
+
+    def counted(graph):
+        calls.append(graph.edge_count)
+        return search(graph)
+
+    monkeypatch.setattr(graph_module, "_shortest_cycle", counted)
+    assert analyze(k4).girth == 3
+    assert maximize_boundaries(k4).certified
+    assert calls == [6]

@@ -247,13 +247,13 @@ def test_maximize_runs_the_dp_only_where_its_climb_misses_the_bound(monkeypatch)
     # they reach the bound, the uncapped search is that result with no DP
     # pass, and elsewhere it runs the one pass within the cap
     calls = []
-    profile = moves._profile
+    plan = rotation._plan  # one plan per DP pass, whichever fold runs over it
 
     def counted(*args):
         calls.append(args)
-        return profile(*args)
+        return plan(*args)
 
-    monkeypatch.setattr(moves, "_profile", counted)
+    monkeypatch.setattr(rotation, "_plan", counted)
     graphs = [random_multigraph(seed) for seed in range(200)]
     graphs += [_cubic(seed, 10 + 2 * (seed % 3)) for seed in range(20)]
     reached = []
@@ -275,13 +275,13 @@ def test_the_certificate_names_the_rung_that_settled_the_optimum(monkeypatch):
     # pass, the DP in one pass at the profile's extreme, the tree search
     # only past the rotation cap, at 1 + zeta; no rung, no optimum
     calls = []
-    profile = moves._profile
+    plan = rotation._plan  # one plan per DP pass, whichever fold runs over it
 
     def counted(*args):
         calls.append(args)
-        return profile(*args)
+        return plan(*args)
 
-    monkeypatch.setattr(moves, "_profile", counted)
+    monkeypatch.setattr(rotation, "_plan", counted)
     tally = Counter()
     for seed in range(150):
         g = random_multigraph(seed)
@@ -549,11 +549,11 @@ def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
     # rung's graphs, and a maximize whose ascent stalls below the maximum,
     # counted over the whole call, where the target comes from that pass
     calls = []
-    profile, search = rotation._profile, moves._search
+    plan, search = rotation._plan, moves._search  # one plan per DP pass
 
     def counted(*args):
         calls.append(args)
-        return profile(*args)
+        return plan(*args)
 
     runs = []
 
@@ -562,8 +562,7 @@ def test_an_enumerating_search_runs_the_dp_once(monkeypatch):
         runs.append((res.certificate == "dp", res.certified))
         return res
 
-    monkeypatch.setattr(rotation, "_profile", counted)
-    monkeypatch.setattr(moves, "_profile", counted)
+    monkeypatch.setattr(rotation, "_plan", counted)
     monkeypatch.setattr(moves, "_search", recorded)
     passes = []
     for seed in (27, 65, 142, 229):

@@ -19,7 +19,9 @@ from ribbon_embed import (
     vertex_boundary_incidence,
 )
 from ribbon_embed.rotation import (
+    _extremes,
     _faces,
+    _plan,
     _profile,
     _rotation_at,
     _vertex_orders,
@@ -206,6 +208,32 @@ def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, d
         assert profile.keys() == first.keys()
         for count, r in first.items():
             assert _rotation_at(orders, profile[count][1]) == r, (g, count)
+
+
+def test_extremes_are_the_extreme_buckets_of_the_profile(theta, bouquet2, k4, k5, dumbbell):
+    # the searches' fold keeps the least and the greatest key of the whole
+    # histogram, each with its first index, and that index decodes to a
+    # rotation the tracer counts as many walks
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    for g in graphs:
+        orders = _vertex_orders(g, count_rotations(g))
+        profile = _profile(g, orders)
+        lo, hi = min(profile), max(profile)
+        assert _extremes(g, orders) == {lo: profile[lo][1], hi: profile[hi][1]}, g
+        for count in (lo, hi):
+            witness = _rotation_at(orders, profile[count][1])
+            assert _faces(g.dart_count, witness.cycles)[1] == count, (g, count)
+
+
+def test_placements_keep_the_cut_of_a_prism_narrow():
+    # least cut growth walks round a prism: the states never hold more
+    # than six open paths, whatever its size
+    for rungs in (3, 10, 30, 200):
+        g = prism(rungs)
+        widths = [len(p.layout) for p in _plan(g, _vertex_orders(g, count_rotations(g)))]
+        assert len(widths) == g.vertex_count and widths[-1] == 0
+        assert max(widths) <= 6, rungs
 
 
 def test_rotation_at_decodes_the_enumeration_index(theta, bouquet2, k4, k5, dumbbell):
