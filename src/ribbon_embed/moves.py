@@ -22,9 +22,15 @@ the optimum is named by the result's ``certificate``:
    (:func:`~ribbon_embed.invariants.zeta_floor`, linear time), ``"floor"``;
    maximizing, :func:`_walk_bound` (genus 0, or every walk as long as the
    girth), ``"walk-bound"``.
-2. Short of it, one pass of the frontier DP, within the rotation cap,
-   decides the optimum and gives the first rotation at it: ``"dp"``.
-3. Past the rotation cap, minimizing only, Xuong's spanning-tree search
+2. For g_e^max, which is a genus, not a count (:func:`analyze` and
+   :func:`ge_max_exact` only), and within the rotation cap: the plateau.
+   One ascent whose count has the capped genus of :func:`_walk_bound`
+   pins g_e^max with no DP pass (:func:`_ge_max`).  No search result
+   names it: it settles a genus, not a walk count.
+3. Short of the bound (or the plateau), one pass of the frontier DP,
+   within the rotation cap, decides the optimum and gives the first
+   rotation at it: ``"dp"``.
+4. Past the rotation cap, minimizing only, Xuong's spanning-tree search
    (:func:`~ribbon_embed.invariants.betti_deficiency`) gives 1 + zeta when
    Kirchhoff's count puts the trees within the tree cap
    (:func:`_minimize`): ``"trees"``.  Within the rotation cap no tree is
@@ -34,8 +40,10 @@ With no rung in reach, ``certificate`` and ``optimum`` are None.
 
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse;
-:func:`analyze` hands the ladder the tree count and the DP pass it needs
-itself, so each runs at most once.
+:func:`analyze` hands the ladder the tree count it reports and a memoised
+DP pass, which zeta and g_e^max share, so each runs at most once, and the
+pass only where the descent misses the floor or the ascent the plateau.
+Past the rotation cap g_e^max stays unknown.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
 once from one successor table, rewritten only at the vertices whose cycle
@@ -54,7 +62,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import _lru_cache_wrapper, cache, partial
 from typing import Callable, Sequence
 
 from . import rotation as rotation_module
@@ -475,16 +483,42 @@ def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     return capped_genus(graph, 1 + _zeta(graph, cap, DEFAULT_ROTATION_CAP))
 
 
+def _ge_max(
+    graph: MetricGraph, rotation_cap: int, frontier: _lru_cache_wrapper[_Frontier | None]
+) -> int | None:
+    """g_e^max of a connected graph, or None above ``rotation_cap``
+    rotations.  ``frontier`` gives the DP pass as :func:`_frontier` does,
+    memoised by :func:`functools.cache`, so it runs at most once.
+
+    If the pass has run, its maximum is read.  Otherwise one ascent from
+    the file-order rotation (:func:`_climb`, no restarts) comes first: when
+    its count has the capped genus of :func:`_walk_bound`, that is
+    g_e^max, the plateau.  Every walk count shares chi's parity, the most
+    walks lie between the ascent's count and the bound, and the capped
+    genus never falls as the count rises by 2, so equal ends pin the
+    middle.  Only short of the plateau is the pass asked for.
+    """
+    if count_rotations(graph) > rotation_cap:
+        return None
+    if not frontier.cache_info().currsize:
+        top = capped_genus(graph, _walk_bound(graph))
+        if capped_genus(graph, _climb(graph, default_rotation(graph, 0), +2)[1]) == top:
+            return top
+    return capped_genus(graph, max(frontier()[1]))  # within the cap, never None
+
+
 def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     """Adversarial genus: the largest :func:`capped_genus` over all
     rotations, which is that of the most walks, since the capped genus
     never falls as the walk count rises by 2.  Raises
     :class:`~ribbon_embed.errors.GraphValidationError` on a graph that is
     not connected and :class:`CapExceededError` above ``cap`` rotations.
-    The most walks come from the DP's extremes fold
-    (:func:`~ribbon_embed.rotation._extremes`)."""
+    As :func:`analyze` reads it (:func:`_ge_max`): the plateau of one
+    ascent, else the DP's extremes fold
+    (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
     graph._require_connected()
-    return capped_genus(graph, max(_extremes(graph, _vertex_orders(graph, cap))))
+    orders = _vertex_orders(graph, cap)  # CapExceededError above the cap
+    return _ge_max(graph, cap, cache(lambda: (orders, _extremes(graph, orders))))
 
 
 def analyze(
@@ -495,34 +529,33 @@ def analyze(
     """The invariant report of one connected graph, smoothed first so that
     subdividing edges changes nothing.
 
-    Kirchhoff's count and the frontier DP pass run once each, and the
-    ladder reads both: zeta comes from :func:`_zeta` with the same caps,
-    so a graph no rung settles raises :class:`CapExceededError`.
-    ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact``, read
-    off the DP's maximum as :func:`ge_max_exact` reads it, above
-    ``rotation_cap``.  zeta must share beta's parity and be one less than
-    the DP's minimum, and ``ge_max_exact`` keep within the girth bound, or
-    :class:`InternalInvariantError` is raised.
+    Kirchhoff's count runs once, and the frontier DP pass at most once,
+    only where a rung asks for it: zeta comes from :func:`_zeta` with the
+    same caps, so a graph no rung settles raises
+    :class:`CapExceededError`, and ``ge_max_exact`` from :func:`_ge_max`,
+    as :func:`ge_max_exact` reads it, by the plateau or the pass.
+    ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact`` above
+    ``rotation_cap``.  zeta must share beta's parity and, wherever the
+    pass ran, be one less than its minimum, and ``ge_max_exact`` keep
+    within the girth bound, or :class:`InternalInvariantError` is raised.
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
     trees = _tree_count(smoothed_graph, tree_cap)
-    dp = _frontier(smoothed_graph, rotation_cap)
-    z = _zeta(smoothed_graph, tree_cap, rotation_cap, trees=lambda: trees, frontier=lambda: dp)
+    frontier = cache(partial(_frontier, smoothed_graph, rotation_cap))
+    z = _zeta(smoothed_graph, tree_cap, rotation_cap, trees=lambda: trees, frontier=frontier)
     if (b - z) % 2:
         raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)
     bound = ge_max_bound(smoothed_graph)
-    exact = None
-    if dp is not None:
-        extremes = dp[1]
-        if min(extremes) != 1 + z:
-            raise InternalInvariantError(
-                f"minimum walk count {min(extremes)} differs from 1 + zeta = {1 + z}"
-            )
-        exact = capped_genus(smoothed_graph, max(extremes))
-        if exact > bound:
-            raise InternalInvariantError("adversarial genus exceeds the girth bound")
+    exact = _ge_max(smoothed_graph, rotation_cap, frontier)
+    dp = frontier() if frontier.cache_info().currsize else None  # the pass, if one ran
+    if dp is not None and min(dp[1]) != 1 + z:
+        raise InternalInvariantError(
+            f"minimum walk count {min(dp[1])} differs from 1 + zeta = {1 + z}"
+        )
+    if exact is not None and exact > bound:
+        raise InternalInvariantError("adversarial genus exceeds the girth bound")
 
     return InvariantReport(
         graph_hash=graph_hash(smoothed_graph),

@@ -39,6 +39,19 @@ every walk count (:func:`_rotation_at` decodes it).  Two folds share the
 kernel: :func:`_profile` keeps the whole histogram, and :func:`_extremes`
 only its least and greatest buckets, which is all the searches of
 :mod:`ribbon_embed.moves` read.
+
+The DP runs over half the rotations, wherever some vertex has degree 3
+or more.  Reversing every cyclic order keeps
+the walk count: prev becomes prev^-1, so the face permutation
+mate . prev becomes mate . prev^-1 = mate . phi^-1 . mate, conjugate to
+phi^-1, with as many orbits as phi (the mirror image of the surface).  Let
+v* be the smallest vertex id of degree 3 or more (:func:`_mirror_vertex`).
+Reversal pairs v*'s orders with no fixed point, and every vertex before v*
+has degree at most 2 and one order, so of a rotation and its mirror image
+the one whose order at v* comes first in ``orders[v*]`` has the smaller
+:func:`enumerate_rotations` index.  :func:`_plan` places only that one of
+each pair at v*, at its own index offset: every first index stays exact,
+and :func:`_profile` counts each partial rotation twice.
 """
 
 from __future__ import annotations
@@ -308,12 +321,25 @@ class _Placement(NamedTuple):
     outs: list[int]  # ~mate of each fresh dart: the exits its code resolves to
 
 
+def _mirror_vertex(graph: MetricGraph) -> int | None:
+    """v*, the smallest vertex id of degree 3 or more, or None."""
+    return next((v for v in range(graph.vertex_count) if graph.degree(v) >= 3), None)
+
+
 def _plan(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> list[_Placement]:
     """The placements of the frontier DP over ``orders``, in the order
-    :func:`_profile` describes, each as the tables :func:`_compose` reads."""
+    :func:`_profile` describes, each as the tables :func:`_compose` reads.
+
+    At v* (:func:`_mirror_vertex`) only one order of each mirror pair has a
+    step table: the one before its reverse in ``orders[v*]``, at its own
+    position's offset; the module docstring proves that exact.  So
+    ``orders[v*]`` must be closed under reversal, with each order and its
+    reverse led by the same dart, as every :func:`_vertex_orders` list is.
+    """
     vertex_of = graph.vertex_of
     n = graph.vertex_count
     strides = _strides(orders)
+    star = _mirror_vertex(graph)
     placed = [False] * n
     into = [0] * n  # edges from each vertex into S
     base = [sum(vertex_of[d ^ 1] != v for d in graph.darts_at(v)) for v in range(n)]
@@ -344,8 +370,11 @@ def _plan(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> li
         code = {d: i for i, d in enumerate(darts)}  # a dart of w: its local index
         code.update((entries[p], len(darts) + k) for k, p in enumerate(removed))
         code.update((d ^ 1, len(darts) + len(removed) + k) for k, d in enumerate(fresh))
+        position = {order: i for i, order in enumerate(orders[w])} if w == star else {}
         steps = []
         for i, order in enumerate(orders[w]):
+            if position and position[order[:1] + order[:0:-1]] < i:
+                continue  # its mirror image comes first
             step = [0] * len(darts)
             for d, p in zip(order, order[-1:] + order[:-1]):
                 step[code[d]] = code[p ^ 1]  # the face goes from d to mate(prev(d))
@@ -414,6 +443,7 @@ def _profile(
     rotations that take each vertex's cyclic order from ``orders[v]``, by a
     frontier DP over vertex placements; the index is the rotation's
     position in :func:`enumerate_rotations` order (:func:`_strides`).
+    ``orders[v*]`` must be closed under reversal (:func:`_plan`).
 
     The next vertex placed is the one that adds the fewest cut edges: its
     darts to other unplaced vertices less its edges into the placed set S,
@@ -439,8 +469,13 @@ def _profile(
     kept exactly: the first rotation at a count extends the first partial
     rotation of every bucket it passes through.  The order of placement
     changes the cost, never the result.
+
+    Where v* exists, :func:`_plan` places one order of each mirror pair
+    there, so every partial rotation also stands for its mirror image,
+    which has as many walks: each count starts at 2, not 1.
     """
-    states: dict[tuple[int, ...], dict[int, list[int]]] = {(): {0: [1, 0]}}
+    mirrored = 2 if _mirror_vertex(graph) is not None else 1
+    states: dict[tuple[int, ...], dict[int, list[int]]] = {(): {0: [mirrored, 0]}}
     for placement in _plan(graph, orders):
         composed: dict[tuple[int, ...], dict[int, list[int]]] = {}
         for key, counts, closed, offset in _compose(placement, states):

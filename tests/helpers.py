@@ -174,6 +174,19 @@ def random_multigraph(seed: int, max_edges: int = 12) -> MetricGraph:
         return graph
 
 
+def random_cubic(seed: int, n: int) -> MetricGraph:
+    """A connected cubic multigraph on n vertices by stub pairing, loops allowed."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        m = len(stubs) // 2
+        names = tuple(f"e{i}" for i in range(m)), tuple(f"v{i}" for i in range(n))
+        g = MetricGraph(tuple(stubs), (1.0,) * m, *names)
+        if len(connected_components(g)) == 1:
+            return g
+
+
 def two_thetas() -> MetricGraph:
     """Edges a b c between u and v, d e f between x and y: two components."""
     return MetricGraph((0, 1) * 3 + (2, 3) * 3, (1.0,) * 6, tuple("abcdef"), tuple("uvxy"))

@@ -406,6 +406,11 @@ def test_ge_max_exact(theta, bouquet2, k4, k5):
     assert ge_max_exact(bouquet2) == 2
     assert ge_max_exact(k4) == 3
     assert ge_max_exact(k5) == 5
+    # the cap is checked before the plateau's ascent, which K4 would pass
+    with pytest.raises(CapExceededError, match=r"^7776 rotation systems exceed the cap of 100$"):
+        ge_max_exact(k5, 100)
+    with pytest.raises(CapExceededError, match=r"^16 rotation systems exceed the cap of 15$"):
+        ge_max_exact(k4, 15)
 
 
 def test_ge_max_exact_within_bound():

@@ -15,7 +15,7 @@ from ribbon_embed import (
     betti_deficiency,
     boundary_count,
     boundary_profile,
-    connected_components,
+    capped_genus,
     count_rotations,
     default_rotation,
     enumerate_rotations,
@@ -57,7 +57,7 @@ from ribbon_embed.rotation import (
     canonical_cycle,
 )
 
-from helpers import prism, random_multigraph, single_dart_relocations
+from helpers import prism, random_cubic, random_multigraph, single_dart_relocations
 
 # Loops mixed with ordinary edges can strand the greedy descent: all four
 # vertices meet <= 2 walks at a 3-walk rotation whose graph admits a
@@ -255,7 +255,7 @@ def test_maximize_runs_the_dp_only_where_its_climb_misses_the_bound(monkeypatch)
 
     monkeypatch.setattr(rotation, "_plan", counted)
     graphs = [random_multigraph(seed) for seed in range(200)]
-    graphs += [_cubic(seed, 10 + 2 * (seed % 3)) for seed in range(20)]
+    graphs += [random_cubic(seed, 10 + 2 * (seed % 3)) for seed in range(20)]
     reached = []
     for i, g in enumerate(graphs):
         climbed = maximize_boundaries(g, restarts=8, rotation_cap=0)
@@ -377,24 +377,11 @@ def test_floor_first_search_matches_the_eager_target():
             assert res.certified >= certified, case
 
 
-def _cubic(seed, n):
-    """A connected cubic multigraph on n vertices by stub pairing, loops allowed."""
-    rng = random.Random(seed)
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        m = len(stubs) // 2
-        names = tuple(f"e{i}" for i in range(m)), tuple(f"v{i}" for i in range(n))
-        g = MetricGraph(tuple(stubs), (1.0,) * m, *names)
-        if len(connected_components(g)) == 1:
-            return g
-
-
 def test_kirchhoff_count_before_the_tree_search_changes_no_result(monkeypatch):
     # past the tree cap a tree search can only stop early at the bridge
     # floor, which the descent has missed, so knowing it certifies nothing
     graphs = [random_multigraph(seed) for seed in range(200)]
-    graphs += [_cubic(seed, 8 + 2 * (seed % 5)) for seed in range(30)]
+    graphs += [random_cubic(seed, 8 + 2 * (seed % 5)) for seed in range(30)]
     grid = [(tree_cap, restarts) for tree_cap in (1, 3, 20, 300) for restarts in (0, 2)]
 
     def results():
@@ -429,6 +416,34 @@ def test_analyze_zeta_matches_the_tree_search(tree_cap):
     graphs += [prism(rungs) for rungs in range(3, 11)]
     for g in graphs:
         assert analyze(g, tree_cap=tree_cap).zeta == betti_deficiency(smooth(g))
+
+
+def test_analyze_asks_the_dp_only_where_the_floor_or_the_plateau_misses(k4, k5, monkeypatch):
+    # zeta's descent and g_e^max's one ascent come first; the DP pass runs
+    # at most once, and only where either misses, within the rotation cap
+    calls = []
+    plan = rotation._plan  # one plan per DP pass, whichever fold runs over it
+
+    def counted(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(rotation, "_plan", counted)
+    assert (analyze(k4).ge_max_exact, analyze(PETERSEN).ge_max_exact, calls) == (3, 5, [])
+    # K5's ascent stalls at 3 walks (genus 4), short of the bound's 5 (genus 5)
+    assert analyze(k5).ge_max_exact == 5 and len(calls) == 1
+    graphs = [random_multigraph(seed) for seed in range(300)]
+    graphs += [prism(rungs) for rungs in range(3, 13)]
+    for i, g in enumerate(map(smooth, graphs)):
+        restarts = moves.DEFAULT_RESTARTS
+        descent = minimize_boundaries(g, restarts=restarts, tree_cap=0, rotation_cap=0)
+        top = capped_genus(g, _walk_bound(g))
+        ascent = _climb(g, default_rotation(g, 0), +2)[1]
+        hit = descent.certificate == "floor" and capped_genus(g, ascent) == top
+        for cap in (10, 2000, 10**6):
+            del calls[:]
+            analyze(g, rotation_cap=cap)
+            assert len(calls) == (count_rotations(g) <= cap and not hit), (i, cap)
 
 
 def test_public_invariants_read_the_ladder():

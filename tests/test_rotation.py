@@ -5,14 +5,17 @@ import pytest
 from ribbon_embed import (
     CapExceededError,
     GraphFormatError,
+    analyze,
     boundary_count,
     boundary_profile,
     boundary_walks,
+    capped_genus,
     count_rotations,
     default_rotation,
     enumerate_rotations,
     euler_char,
     fat_genus,
+    ge_max_exact,
     make_rotation,
     parse_graph,
     rotation,
@@ -21,6 +24,7 @@ from ribbon_embed import (
 from ribbon_embed.rotation import (
     _extremes,
     _faces,
+    _mirror_vertex,
     _plan,
     _profile,
     _rotation_at,
@@ -32,7 +36,7 @@ from ribbon_embed.rotation import (
 )
 from ribbon_embed.moves import _walk_bound
 
-from helpers import prism, random_multigraph
+from helpers import prism, random_cubic, random_multigraph
 
 # Frozen by exhaustive enumeration, cross-checked against an independent
 # tracer for both walk conventions (the multiset is convention-invariant).
@@ -194,18 +198,55 @@ def test_walk_bound_holds_the_profile_maximum(theta, bouquet2, k4, k5, dumbbell)
         assert _walk_bound(g) == 2 - euler_char(g), rungs
 
 
-def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
-    # the DP's first index at each count picks what a scan in enumeration
-    # order picks
+def test_ge_max_exact_is_the_genus_of_the_profile_maximum(theta, bouquet2, k4, k5, dumbbell):
+    # the plateau settles g_e^max with no DP pass wherever one ascent has
+    # the capped genus of the walk bound; analyze and ge_max_exact must
+    # still give what the whole profile gives, on every graph within the
+    # cap, among them cubics on 12 vertices where that genus lies above it
     graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    graphs += [random_multigraph(seed) for seed in range(300)]
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    graphs += [random_cubic(seed, 12) for seed in range(20)]
+    for g in graphs:
+        cap = count_rotations(g)
+        want = max(capped_genus(g, b) for b in boundary_profile(g, cap))
+        assert analyze(g, rotation_cap=cap).ge_max_exact == want, g
+        assert ge_max_exact(g, cap) == want, g
+
+
+def _mirror_graphs(theta, bouquet2, k4, k5, dumbbell):
+    # the profile graphs, a graph whose vertex 0 has degree 2, so v* is not
+    # the first vertex, and a loop, with no vertex of degree 3 at all
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    return graphs + [_edges([("p", "u"), ("p", "v"), ("u", "v"), ("u", "v")]), bouquet(1)]
+
+
+def test_plan_steps_through_half_the_orders_at_the_mirror_vertex(theta, bouquet2, k4, k5, dumbbell):
+    for g in _mirror_graphs(theta, bouquet2, k4, k5, dumbbell):
+        orders = _vertex_orders(g, 10**6)
+        star = _mirror_vertex(g)
+        halved = 0 if star is None else len(orders[star]) // 2
+        assert star is None or all(g.degree(v) <= 2 for v in range(star)), g
+        assert sum(len(p.steps) for p in _plan(g, orders)) == sum(map(len, orders)) - halved, g
+
+
+def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
+    # the DP's count and first index at each walk count, in both folds, are
+    # what a scan in enumeration order finds; the scan shares no code with
+    # the DP but the orders, so it also checks the mirror half: the doubled
+    # counts, and that the member of each pair kept at v* is the first
+    graphs = _mirror_graphs(theta, bouquet2, k4, k5, dumbbell)
     assert max(map(count_rotations, graphs)) <= 2 * 10**4
     for g in graphs:
-        first = {}
-        for r in enumerate_rotations(g):
+        scan, first = {}, {}
+        for index, r in enumerate(enumerate_rotations(g)):
+            scan.setdefault(boundary_count(g, r), [0, index])[0] += 1
             first.setdefault(boundary_count(g, r), r)
         orders = _vertex_orders(g, 10**6)
         profile = _profile(g, orders)
-        assert profile.keys() == first.keys()
+        assert profile == scan, g
+        lo, hi = min(scan), max(scan)
+        assert _extremes(g, orders) == {lo: scan[lo][1], hi: scan[hi][1]}, g
         for count, r in first.items():
             assert _rotation_at(orders, profile[count][1]) == r, (g, count)
 
