@@ -988,7 +988,6 @@ def schema_from_json(text: str) -> SurfaceSchema:
         gluing_docs = _array(doc["gluings"], "gluings")
         s = doc["summary"]
         where, i = "blocks", None
-        blocks = []
         for i, b in enumerate(block_docs):
             j = None  # the boundary being read
             bid = b["id"]

@@ -117,8 +117,11 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     Every spanning tree holds every bridge, so the count is the product of
     the counts of the pieces between the bridges, the graph's
     :attr:`~ribbon_embed.graph.MetricGraph._pieces`, each in breadth-first
-    order; the running product stops at the first piece that takes it
-    above ``cap``.  A graph that is not connected has none.
+    order.  The pieces are taken smallest first, and the running product
+    stops at the first piece that takes it above ``cap``, so where small
+    pieces alone pass the cap no large one is counted; no piece counts
+    less than 1, so the answer does not depend on the order.  A graph
+    that is not connected has none.
 
     Each piece is counted by Kirchhoff's matrix-tree theorem: its
     Laplacian with the row and column of its first vertex deleted, as a
@@ -148,7 +151,7 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
         return 0
     bridge, pieces = graph._pieces
     count = 1
-    for piece in pieces:
+    for piece in sorted(pieces, key=len):
         position: dict[int, int] = {}
         rows: list[list[int]] = []  # rows[k][t]: entry (k, t) after t elimination steps
         pivots = [1]

@@ -39,11 +39,13 @@ the optimum is named by the result's ``certificate``:
 With no rung in reach, ``certificate`` and ``optimum`` are None.
 
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
-from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse;
-:func:`analyze` hands the ladder the tree count it reports and a memoised
-DP pass, which zeta and g_e^max share, so each runs at most once, and the
-pass only where the descent misses the floor or the ascent the plateau.
-Past the rotation cap g_e^max stays unknown.
+from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
+The costly inputs of the ladder are one call's record (:class:`_Rungs`):
+whether the DP is admitted within the rotation cap, the DP pass, and
+Kirchhoff's tree count, each asked for at most once and only when a rung
+first needs it.  :func:`analyze` reads zeta, g_e^max and its report off one
+record, so the pass runs only where the descent misses the floor or the
+ascent the plateau.  Past the rotation cap g_e^max stays unknown.
 
 :func:`oracle` re-verifies the theory by brute force, tracing every rotation
 once from one successor table, rewritten only at the vertices whose cycle
@@ -62,8 +64,8 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import _lru_cache_wrapper, cache, partial
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from . import rotation as rotation_module
 from .errors import (
@@ -93,6 +95,7 @@ from .rotation import (
     _rotation_at,
     _set_succ,
     _strides,
+    _too_many,
     _vertex_orders,
     count_rotations,
     dart_label,
@@ -290,38 +293,55 @@ def _climb(
         records.append(record)
 
 
-_Frontier = tuple[list[list[tuple[int, ...]]], dict[int, int]]
+class _Rungs:
+    """The costly inputs of one call's ladder over ``graph``, each asked
+    for at most once and only when a rung first needs it.
 
+    :attr:`admitted`: the frontier DP may run, within ``rotation_cap``
+    rotations (:attr:`rotations`).  :meth:`dp`: the one pass, or None where
+    it is not admitted; once it has run, ``orders`` holds the cyclic orders
+    at each vertex and ``extremes`` :func:`_extremes` over them (the least
+    and the greatest walk count, each with the index of its first
+    rotation), and both are None until then.  :attr:`trees`: Kirchhoff's
+    count, or None above ``tree_cap``.
+    """
 
-def _frontier(graph: MetricGraph, rotation_cap: int) -> _Frontier | None:
-    """One frontier DP pass: (the cyclic orders at each vertex,
-    :func:`_extremes` over them: the least and the greatest walk count,
-    each with the index of its first rotation), or None when the rotations
-    exceed ``rotation_cap``."""
-    try:
-        orders = _vertex_orders(graph, rotation_cap)
-    except CapExceededError:
-        return None
-    return orders, _extremes(graph, orders)
+    orders = extremes = None
+
+    def __init__(self, graph: MetricGraph, tree_cap: int, rotation_cap: int) -> None:
+        self.graph, self.tree_cap, self.rotation_cap = graph, tree_cap, rotation_cap
+
+    @cached_property
+    def rotations(self) -> int:
+        return count_rotations(self.graph)
+
+    @cached_property
+    def admitted(self) -> bool:
+        return self.rotations <= self.rotation_cap
+
+    @cached_property
+    def trees(self) -> int | None:
+        return _tree_count(self.graph, self.tree_cap)
+
+    def dp(self) -> dict[int, int] | None:
+        if self.extremes is None and self.admitted:
+            self.orders = _vertex_orders(self.graph, self.rotation_cap)
+            self.extremes = _extremes(self.graph, self.orders)
+        return self.extremes
 
 
 def _search(
-    graph: MetricGraph,
-    start: RotationSystem | None,
-    restarts: int,
-    seed: int,
-    delta: int,
-    bound: int,
-    frontier: Callable[[], _Frontier | None],
+    rungs: _Rungs, start: RotationSystem | None, restarts: int, seed: int, delta: int, bound: int
 ) -> SearchResult:
-    """Greedy climb in direction ``delta`` towards ``bound``, then seeded
-    restarts, then the frontier DP over every rotation: the ladder of the
-    module docstring, but for the spanning-tree rung.
+    """Greedy climb over ``rungs.graph`` in direction ``delta`` towards
+    ``bound``, then seeded restarts, then the frontier DP over every
+    rotation: the ladder of the module docstring, but for the
+    spanning-tree rung.
 
     ``bound`` is a count no rotation can beat, so reaching it certifies the
     result at once, as ``"floor"`` descending and ``"walk-bound"``
     ascending.  Only when the climb and the restarts end short of it is
-    ``frontier()`` asked for one DP pass (:func:`_frontier`; None above the
+    ``rungs`` asked for the DP pass (:meth:`_Rungs.dp`; None above the
     rotation cap), which decides the optimum (``"dp"``) and gives the first
     rotation, in enumeration order, at the least and the greatest count
     (:func:`~ribbon_embed.rotation._extremes`); a best count short of
@@ -329,6 +349,7 @@ def _search(
     no ``optimum`` and no ``certificate``.  A graph that is not connected
     raises :class:`~ribbon_embed.errors.GraphValidationError` first.
     """
+    graph = rungs.graph
     graph._require_connected()
 
     def beats(a: int, b: int) -> bool:
@@ -356,11 +377,10 @@ def _search(
     optimum = certificate = None
     if best[0] == bound:
         optimum, certificate = bound, "floor" if delta < 0 else "walk-bound"
-    elif (dp := frontier()) is not None:
-        orders, extremes = dp
+    elif (extremes := rungs.dp()) is not None:
         optimum, certificate = (max if delta > 0 else min)(extremes), "dp"
         if beats(optimum, best[0]):
-            witness = _rotation_at(orders, extremes[optimum])
+            witness = _rotation_at(rungs.orders, extremes[optimum])
             count = _faces(graph.dart_count, witness.cycles)[1]
             if count != optimum:
                 raise InternalInvariantError(f"witness has {count} walks, not {optimum}")
@@ -396,31 +416,21 @@ def minimize_boundaries(
     rotation found is certified when it attains the optimum a rung
     settles; with no rung in reach it has no ``optimum``.
     """
-    return _minimize(graph, start, restarts, seed, tree_cap, rotation_cap)
+    return _minimize(_Rungs(graph, tree_cap, rotation_cap), start, restarts, seed)
 
 
 def _minimize(
-    graph: MetricGraph,
-    start: RotationSystem | None,
-    restarts: int,
-    seed: int,
-    tree_cap: int,
-    rotation_cap: int,
-    trees: Callable[[], int | None] | None = None,
-    frontier: Callable[[], _Frontier | None] | None = None,
+    rungs: _Rungs, start: RotationSystem | None, restarts: int, seed: int
 ) -> SearchResult:
-    """:func:`minimize_boundaries`, where a caller that needs the inputs of
-    the last two rungs itself hands them in, so that neither runs twice:
-    ``frontier()``, the DP pass (:func:`_frontier`), and ``trees()``,
-    Kirchhoff's count (None above ``tree_cap``), asked only when
-    :func:`_search` returns no ``optimum``.  Left out, each is computed
-    here, and only if its rung is reached."""
-    trees = trees or partial(_tree_count, graph, tree_cap)
-    frontier = frontier or partial(_frontier, graph, rotation_cap)
-    result = _search(graph, start, restarts, seed, -2, 1 + zeta_floor(graph), frontier)
-    if result.optimum is not None or trees() is None:
+    """:func:`minimize_boundaries` over the costly rungs of one call, which
+    a caller that reads them itself shares, so that none runs twice:
+    ``rungs.trees``, Kirchhoff's count, is asked only when :func:`_search`
+    returns no ``optimum``."""
+    graph = rungs.graph
+    result = _search(rungs, start, restarts, seed, -2, 1 + zeta_floor(graph))
+    if result.optimum is not None or rungs.trees is None:
         return result
-    return replace(result, optimum=1 + betti_deficiency(graph, tree_cap), certificate="trees")
+    return replace(result, optimum=1 + betti_deficiency(graph, rungs.tree_cap), certificate="trees")
 
 
 def _walk_bound(graph: MetricGraph) -> int:
@@ -449,20 +459,20 @@ def maximize_boundaries(
     gates the frontier DP; with the DP capped out, the best rotation found
     is returned uncertified, with no ``optimum``.
     """
-    frontier = partial(_frontier, graph, rotation_cap)
-    return _search(graph, start, restarts, seed, +2, _walk_bound(graph), frontier)
+    rungs = _Rungs(graph, DEFAULT_TREE_CAP, rotation_cap)  # no tree rung here
+    return _search(rungs, start, restarts, seed, +2, _walk_bound(graph))
 
 
-def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int, **rungs: Callable) -> int:
+def _zeta(rungs: _Rungs) -> int:
     """zeta, one less than the ``optimum`` :func:`minimize_boundaries`
-    settles with :data:`DEFAULT_RESTARTS` restarts from seed 0 and these
-    caps, reached by its search or not; where no rung settles it,
-    :class:`CapExceededError` is raised.  ``rungs`` are the ``trees`` and
-    ``frontier`` a caller hands :func:`_minimize`."""
-    optimum = _minimize(graph, None, DEFAULT_RESTARTS, 0, tree_cap, rotation_cap, **rungs).optimum
+    settles with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the
+    caps of ``rungs``, reached by its search or not; where no rung settles
+    it, :class:`CapExceededError` is raised."""
+    optimum = _minimize(rungs, None, DEFAULT_RESTARTS, 0).optimum
     if optimum is None:
         raise CapExceededError(
-            f"zeta not certified within the caps of {tree_cap} trees and {rotation_cap} rotations"
+            f"zeta not certified within the caps of {rungs.tree_cap} trees and "
+            f"{rungs.rotation_cap} rotations"
         )
     return optimum - 1
 
@@ -470,7 +480,7 @@ def _zeta(graph: MetricGraph, tree_cap: int, rotation_cap: int, **rungs: Callabl
 def max_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     """(beta - zeta) / 2: the largest genus over which some rotation fills,
     with zeta as :func:`analyze` takes it, within ``cap`` trees."""
-    return (betti(graph) - _zeta(graph, cap, DEFAULT_ROTATION_CAP)) // 2
+    return (betti(graph) - _zeta(_Rungs(graph, cap, DEFAULT_ROTATION_CAP))) // 2
 
 
 def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
@@ -480,31 +490,30 @@ def essential_genus(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
     changes no embedding; cycle graphs are rejected (they embed everywhere).
     """
     graph = smooth(graph)
-    return capped_genus(graph, 1 + _zeta(graph, cap, DEFAULT_ROTATION_CAP))
+    return capped_genus(graph, 1 + _zeta(_Rungs(graph, cap, DEFAULT_ROTATION_CAP)))
 
 
-def _ge_max(
-    graph: MetricGraph, rotation_cap: int, frontier: _lru_cache_wrapper[_Frontier | None]
-) -> int | None:
-    """g_e^max of a connected graph, or None above ``rotation_cap``
-    rotations.  ``frontier`` gives the DP pass as :func:`_frontier` does,
-    memoised by :func:`functools.cache`, so it runs at most once.
+def _ge_max(rungs: _Rungs) -> int | None:
+    """g_e^max of the connected ``rungs.graph``, or None where the DP is
+    not admitted (:attr:`_Rungs.admitted`), before anything else runs.
 
-    If the pass has run, its maximum is read.  Otherwise one ascent from
-    the file-order rotation (:func:`_climb`, no restarts) comes first: when
-    its count has the capped genus of :func:`_walk_bound`, that is
-    g_e^max, the plateau.  Every walk count shares chi's parity, the most
-    walks lie between the ascent's count and the bound, and the capped
-    genus never falls as the count rises by 2, so equal ends pin the
-    middle.  Only short of the plateau is the pass asked for.
+    If the pass has already run, for zeta, its maximum is read.  Otherwise
+    one ascent from the file-order rotation (:func:`_climb`, no restarts)
+    comes first: when its count has the capped genus of
+    :func:`_walk_bound`, that is g_e^max, the plateau.  Every walk count
+    shares chi's parity, the most walks lie between the ascent's count and
+    the bound, and the capped genus never falls as the count rises by 2,
+    so equal ends pin the middle.  Only short of the plateau is the pass
+    asked for.
     """
-    if count_rotations(graph) > rotation_cap:
+    if not rungs.admitted:
         return None
-    if not frontier.cache_info().currsize:
+    graph = rungs.graph
+    if rungs.extremes is None:
         top = capped_genus(graph, _walk_bound(graph))
         if capped_genus(graph, _climb(graph, default_rotation(graph, 0), +2)[1]) == top:
             return top
-    return capped_genus(graph, max(frontier()[1]))  # within the cap, never None
+    return capped_genus(graph, max(rungs.dp()))
 
 
 def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
@@ -517,8 +526,10 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     ascent, else the DP's extremes fold
     (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
     graph._require_connected()
-    orders = _vertex_orders(graph, cap)  # CapExceededError above the cap
-    return _ge_max(graph, cap, cache(lambda: (orders, _extremes(graph, orders))))
+    rungs = _Rungs(graph, DEFAULT_TREE_CAP, cap)
+    if (exact := _ge_max(rungs)) is None:
+        raise _too_many(rungs.rotations, cap)
+    return exact
 
 
 def analyze(
@@ -529,6 +540,7 @@ def analyze(
     """The invariant report of one connected graph, smoothed first so that
     subdividing edges changes nothing.
 
+    zeta, ``ge_max_exact`` and the report read one :class:`_Rungs`, so
     Kirchhoff's count runs once, and the frontier DP pass at most once,
     only where a rung asks for it: zeta comes from :func:`_zeta` with the
     same caps, so a graph no rung settles raises
@@ -541,18 +553,16 @@ def analyze(
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
-    trees = _tree_count(smoothed_graph, tree_cap)
-    frontier = cache(partial(_frontier, smoothed_graph, rotation_cap))
-    z = _zeta(smoothed_graph, tree_cap, rotation_cap, trees=lambda: trees, frontier=frontier)
+    rungs = _Rungs(smoothed_graph, tree_cap, rotation_cap)
+    z = _zeta(rungs)
     if (b - z) % 2:
         raise InternalInvariantError(f"beta={b} and zeta={z} disagree in parity")
     q, r = qr_split(z + 1)
     bound = ge_max_bound(smoothed_graph)
-    exact = _ge_max(smoothed_graph, rotation_cap, frontier)
-    dp = frontier() if frontier.cache_info().currsize else None  # the pass, if one ran
-    if dp is not None and min(dp[1]) != 1 + z:
+    exact = _ge_max(rungs)
+    if rungs.extremes is not None and min(rungs.extremes) != 1 + z:  # where the pass ran
         raise InternalInvariantError(
-            f"minimum walk count {min(dp[1])} differs from 1 + zeta = {1 + z}"
+            f"minimum walk count {min(rungs.extremes)} differs from 1 + zeta = {1 + z}"
         )
     if exact is not None and exact > bound:
         raise InternalInvariantError("adversarial genus exceeds the girth bound")
@@ -572,8 +582,8 @@ def analyze(
         essential_genus=capped_genus(smoothed_graph, 1 + z),
         ge_max_bound=bound,
         ge_max_exact=exact,
-        tree_count=trees,
-        rotation_count=count_rotations(smoothed_graph),
+        tree_count=rungs.trees,
+        rotation_count=rungs.rotations,
     )
 
 

@@ -246,16 +246,21 @@ def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
     return [(head, *p) for p in itertools.permutations(tail)]
 
 
+def _too_many(total: int, cap: int) -> CapExceededError:
+    """The refusal of ``total`` rotations above ``cap``; a count of 600
+    digits or more, which the interpreter's limit on decimal digits may
+    refuse to print, is named by its order of magnitude."""
+    shown = total if total < 10**600 else f"over 10^{int(math.log10(total))}"
+    return CapExceededError(f"{shown} rotation systems exceed the cap of {cap}")
+
+
 def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
     """The cyclic orders at each vertex, smallest dart first.  Raises
-    :class:`CapExceededError`, before building any, when the product of
-    their counts exceeds ``cap``; a count of 600 digits or more, which
-    the interpreter's limit on decimal digits may refuse to print, is named
-    by its order of magnitude."""
+    :class:`CapExceededError` (:func:`_too_many`), before building any,
+    when the product of their counts exceeds ``cap``."""
     total = count_rotations(graph)
     if total > cap:
-        shown = total if total < 10**600 else f"over 10^{int(math.log10(total))}"
-        raise CapExceededError(f"{shown} rotation systems exceed the cap of {cap}")
+        raise _too_many(total, cap)
     return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 

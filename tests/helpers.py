@@ -223,3 +223,19 @@ def prism(rungs: int) -> MetricGraph:
             f"edge a{i} x{i} x{j} 1.0", f"edge b{i} y{i} y{j} 1.0", f"edge r{i} x{i} y{i} 1.0"
         ]
     return parse_graph("\n".join(lines))
+
+
+def ring_of_blobs(n: int) -> MetricGraph:
+    """A cycle of n vertices, each joined by a bridge to a blob: a double
+    edge on to a vertex that carries a loop.  The cycle has n spanning
+    trees and each blob 2, so the graph has n * 2**n."""
+    lines = []
+    for i in range(n):
+        lines += [
+            f"edge c{i} v{i} v{(i + 1) % n} 1.0",
+            f"edge r{i} v{i} b{i} 1.0",
+            f"edge p{i} b{i} d{i} 1.0",
+            f"edge q{i} b{i} d{i} 1.0",
+            f"edge l{i} d{i} d{i} 1.0",
+        ]
+    return parse_graph("\n".join(lines))

@@ -46,6 +46,7 @@ from helpers import (
     kirchhoff_tree_count,
     prism,
     random_multigraph,
+    ring_of_blobs,
     two_copies,
     two_thetas,
     union_find_xi,
@@ -195,6 +196,21 @@ def test_tree_count_is_taken_between_the_bridges():
     # a product of pieces: two K4s joined by a bridge have 16 * 16 trees
     twin = parse_graph(K4 + K4.replace(" v", " w").replace(" e", " f") + "edge bridge v0 w0 1.0\n")
     assert [invariants._tree_count(twin, cap) for cap in (255, 256)] == [None, 256]
+
+
+def test_tree_count_takes_the_smallest_pieces_first():
+    # a ring of n vertices, each bridged to a blob of 2 trees, has n * 2**n;
+    # the blobs alone pass the cap, so the ring's own piece, whose count is
+    # cubic in n (about 20 s at n = 1000), is never taken
+    for n in range(3, 9):
+        g = ring_of_blobs(n)
+        count = n * 2**n
+        assert kirchhoff_tree_count(g) == count, n
+        assert [invariants._tree_count(g, cap) for cap in (count - 1, count)] == [None, count], n
+    g = ring_of_blobs(1000)
+    start = time.perf_counter()
+    assert invariants._tree_count(g, 10**6) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_disconnected_graph_has_no_spanning_tree():
@@ -401,16 +417,26 @@ def test_ge_max_bound_needs_a_cycle():
         ge_max_bound(tree)
 
 
-def test_ge_max_exact(theta, bouquet2, k4, k5):
+def test_ge_max_exact(theta, bouquet2, k4, k5, monkeypatch):
     assert ge_max_exact(theta) == 2
     assert ge_max_exact(bouquet2) == 2
     assert ge_max_exact(k4) == 3
     assert ge_max_exact(k5) == 5
-    # the cap is checked before the plateau's ascent, which K4 would pass
+
+    # the cap is checked before the plateau's ascent, which K4 would pass,
+    # and its refusal reads as the enumeration's
+    def no_climb(*args):
+        raise AssertionError("climbed")
+
+    monkeypatch.setattr(moves, "_climb", no_climb)
     with pytest.raises(CapExceededError, match=r"^7776 rotation systems exceed the cap of 100$"):
         ge_max_exact(k5, 100)
     with pytest.raises(CapExceededError, match=r"^16 rotation systems exceed the cap of 15$"):
         ge_max_exact(k4, 15)
+    dipole = parse_graph("".join(f"edge e{i} u v 1.0\n" for i in range(1000)))
+    refusal = r"^over 10\^5129 rotation systems exceed the cap of 1000000$"
+    with pytest.raises(CapExceededError, match=refusal):
+        ge_max_exact(dipole)
 
 
 def test_ge_max_exact_within_bound():
@@ -512,6 +538,26 @@ def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
     assert (rep.zeta, rep.ge_max_exact) == (0, 5)
     assert rep.tree_count == (None if tree_cap == 17 else 18)
     assert calls == {"_plan": 1, "_tree_count": 1}
+
+
+def test_analyze_past_the_rotation_cap_counts_the_trees_once(monkeypatch):
+    # zeta 3 lies above the floor of 1, and past the rotation cap only the
+    # trees rung settles it: the report reads the count that rung asked
+    # for, and no DP pass runs
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rotation, "_plan", counted("_plan", rotation._plan))
+    monkeypatch.setattr(moves, "_tree_count", counted("_tree_count", invariants._tree_count))
+    rep = analyze(random_multigraph(27), rotation_cap=1)
+    assert (rep.zeta, rep.tree_count, rep.ge_max_exact) == (3, 3, None)
+    assert calls == {"_tree_count": 1}
 
 
 @pytest.mark.parametrize("seed", [27, 65, 142, 229, None])
