@@ -142,9 +142,21 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     entry in x's column.  Each step's matrix is symmetric, its entries
     being bordered leading minors of a symmetric one, so col[t] is the
     entry (x's column, t) of a row already stored, and the row's last
-    entry is pivot k + 1.  Stopping after K rows, at the first pivot above
-    ``cap`` or at the piece's size less one, costs O(K^2) integers and
-    O(K^3) steps; no row of a vertex past the K-th is built.
+    entry is pivot k + 1.
+
+    Only each row's envelope is stored and stepped: its columns from f_k,
+    the row's first nonzero column, on (George and Liu, *Computer Solution
+    of Large Sparse Positive Definite Systems*, 1981).  After t steps entry
+    (k, c) is a (t+1)-minor, and where row k or column c is zero in the
+    first t columns that minor is A[k][c] * p[t]; so entry (k, c) starts at
+    A[k][c] * p[max(f_k, f_c)] and takes only the steps after that, and the
+    entries left of f_k stay 0.  The pivots are the same numbers, so the
+    cap stops the count at the same pivot.  Stopping after K rows, at the
+    first pivot above ``cap`` or at the piece's size less one, costs
+    O(sum_k envelope_k) integers and O(sum_k envelope_k^2) steps,
+    envelope_k = k - f_k + 1; the reverse breadth-first order keeps
+    envelopes narrow (a Cuthill-McKee order), and no row of a vertex past
+    the K-th is built.
     """
     vertex_of = graph.vertex_of
     if not graph._connected:
@@ -153,24 +165,34 @@ def _tree_count(graph: MetricGraph, cap: int) -> int | None:
     count = 1
     for piece in sorted(pieces, key=len):
         position: dict[int, int] = {}
-        rows: list[list[int]] = []  # rows[k][t]: entry (k, t) after t elimination steps
+        rows: list[list[int]] = []  # rows[k][t - f[k]]: entry (k, t) after t elimination steps
+        f: list[int] = []  # each row's first nonzero column
         pivots = [1]
         for k, u in enumerate(reversed(piece[1:])):
             position[u] = k
             darts = [d for d in graph.darts_at(u) if not bridge[d >> 1]]
-            row = [0] * k + [len(darts)]
+            ts = []  # the columns of its neighbours placed before it
+            fk = k
             for d in darts:
                 t = position.get(vertex_of[d ^ 1])  # the first vertex and later ones: None
                 if t is not None:
-                    row[t] -= 1
+                    ts.append(t)
+                    if t < fk:
+                        fk = t
+            row = [0] * (k - fk) + [len(darts)]
+            for t in ts:
+                row[t - fk] -= 1
             rows.append(row)
-            for c in range(k + 1):
-                x, col = row[c], rows[c]
-                for t in range(c):
-                    x = (x * pivots[t + 1] - row[t] * col[t]) // pivots[t]
-                row[c] = x
-            pivots.append(row[k])
-            if row[k] > cap:
+            f.append(fk)
+            for c in range(fk, k + 1):
+                fc, col = f[c], rows[c]
+                start = fk if fk > fc else fc
+                x = row[c - fk] * pivots[start]
+                for t in range(start, c):
+                    x = (x * pivots[t + 1] - row[t - fk] * col[t - fc]) // pivots[t]
+                row[c - fk] = x
+            pivots.append(row[-1])
+            if row[-1] > cap:
                 return None
         count *= pivots[-1]
         if count > cap:

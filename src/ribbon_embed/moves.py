@@ -47,13 +47,14 @@ first needs it.  :func:`analyze` reads zeta, g_e^max and its report off one
 record, so the pass runs only where the descent misses the floor or the
 ascent the plateau.  Past the rotation cap g_e^max stays unknown.
 
-:func:`oracle` re-verifies the theory by brute force, tracing every rotation
-once from one successor table, rewritten only at the vertices whose cycle
-changed since the last rotation: the profile, every reducing move and every
-greedy descent come from one pass, each descent read off the rotation its
-first move reaches, and each move is recounted by a tracer of its own,
-which follows the inverse face permutation and shares no code with the
-scoring.
+:func:`oracle` re-verifies the theory by brute force, in two passes over
+the rotations, each rewriting its table only at the vertices whose cycle
+changed since the last rotation.  The first counts every rotation once by
+a tracer of the oracle's own, which follows the inverse face permutation
+and shares no code with the kernel.  The second traces every rotation once
+by the kernel, checks its count against the first pass's, and checks every
+reducing move by the first pass's count at the rotation the move reaches;
+each greedy descent is read off the rotation its first move reaches.
 """
 
 from __future__ import annotations
@@ -587,27 +588,43 @@ def analyze(
     )
 
 
-def _link(following: list[int], cycle: Sequence[int]) -> None:
-    """Point each dart of one vertex cycle at the dart after it."""
+def _link(inverse: list[int], cycle: Sequence[int]) -> None:
+    """Write d -> next(mate(d)), the inverse face permutation, at the mates
+    of the darts of one vertex cycle."""
     a = cycle[-1]
     for b in cycle:
-        following[a] = b
+        inverse[a ^ 1] = b
         a = b
 
 
-def _orbits(following: Sequence[int]) -> int:
-    """The orbits of d -> next(mate(d)), the inverse face permutation:
-    the walk count, traced apart from the kernel it checks."""
-    seen = [False] * len(following)
+def _orbits(inverse: Sequence[int]) -> int:
+    """The orbits of the inverse face permutation (:func:`_link`): the
+    walk count, traced apart from the kernel it checks."""
+    seen = [False] * len(inverse)
     walks = 0
-    for start in range(len(following)):
+    for start in range(len(inverse)):
         if not seen[start]:
             walks += 1
             d = start
             while not seen[d]:
                 seen[d] = True
-                d = following[d ^ 1]
+                d = inverse[d]
     return walks
+
+
+def _turns(orders: Sequence[Sequence[tuple[int, ...]]]) -> array:
+    """For each rotation over ``orders``, in :func:`enumerate_rotations`
+    order, the first vertex whose order may have changed since the last
+    rotation, 0 at the first.  The enumeration is an odometer: the last
+    vertex turns at every step, and vertex v with it wherever the index is
+    a multiple of v's stride, so every vertex after the first turned may
+    have changed too."""
+    stride = _strides(orders)
+    total = stride[0] * len(orders[0])
+    turns = array("i", [len(orders) - 1]) * total
+    for v in range(len(orders) - 2, -1, -1):
+        turns[:: stride[v]] = array("i", [v]) * (total // stride[v])
+    return turns
 
 
 def oracle(
@@ -618,68 +635,85 @@ def oracle(
     """Re-verify the boundary-walk theory on the smoothed graph by brute force:
     (report lines, whether every check passed).
 
-    One pass over the rotations in :func:`enumerate_rotations` order gives
-    the walk-count profile, checked against 1 + zeta and Euler parity.
-    Each rotation is traced once, by the one kernel
-    :func:`~ribbon_embed.rotation._trace`, from a successor table that
-    :func:`~ribbon_embed.rotation._set_succ` rewrites only at the vertices
-    whose cycle changed from the last rotation.  At each vertex meeting
-    three or more walks (:func:`~ribbon_embed.rotation._crowded`) the
-    reducing relocation (:func:`_relocated_cycle`) must exist and drop the
-    oracle's own walk count by exactly 2: a table of its own
-    (:func:`_link`, counted by :func:`_orbits`), relinked at the same
-    vertices, is patched with the moved cycle, counted and restored.  The
-    move at the first such vertex is the first step of :func:`_climb`, and
-    reaches another rotation of the pass, with two fewer walks; the greedy
-    descent from each rotation ends where the descent from that one ends.
-    So the pass keeps each rotation's walk count and the index of the
-    rotation its first move reaches, and the ends are read off those
-    pointers afterwards, fewest walks first, with no descent traced again.
-    Stalls above the minimum are reported, not failed (loop-carrying graphs
-    can stall with every vertex meeting at most two walks).  Both caps are
-    checked before the tree search for zeta, the tree count first, and
-    raise :class:`CapExceededError`.
+    Two passes run over the rotations in :func:`enumerate_rotations`
+    order.  Each rewrites its table only at the vertices whose cycle
+    changed from the last rotation, which :func:`_turns` names.  The first
+    pass is the recount: it links a table of the oracle's own
+    (:func:`_link`) and counts it by :func:`_orbits`, which follows the
+    inverse face permutation, once per rotation; no function of the kernel
+    runs in it.  Its counts give the walk-count profile, checked against
+    1 + zeta and Euler parity.  The second pass traces each rotation once,
+    by the one kernel :func:`~ribbon_embed.rotation._trace`, from a
+    successor table that :func:`~ribbon_embed.rotation._set_succ` rewrites,
+    and fails where the kernel's count differs from the recount's, naming
+    the first such rotation.  At each vertex meeting three or more walks
+    (:func:`~ribbon_embed.rotation._crowded`; none where the recount is
+    below 3) the reducing relocation (:func:`_relocated_cycle`) must exist
+    and reach a rotation whose recount is exactly 2 below the kernel's
+    count here.  That rotation differs from this one at the vertex alone,
+    so its index is this one's plus the change in the offset of the
+    vertex's order (its position times the vertex's stride).  The move at
+    the first such vertex is the first step of :func:`_climb`, and the
+    greedy descent from each rotation ends where the descent from the
+    rotation it reaches ends.  So the pass keeps the index each first move
+    reaches, and the ends are read off those pointers afterwards, fewest
+    walks first, with no descent traced again.  Stalls above the minimum
+    are reported, not failed (loop-carrying graphs can stall with every
+    vertex meeting at most two walks).  The passes keep 16 bytes per
+    rotation: its recount, the index its first move reaches and the first
+    vertex that turned.  Both caps are checked before the tree search for
+    zeta, the tree count first, and raise :class:`CapExceededError`.
     """
     graph = smooth(graph)
     if _tree_count(graph, tree_cap) is None:
         raise CapExceededError(f"spanning tree count exceeds the cap of {tree_cap}")
     orders = _vertex_orders(graph, rotation_cap)
     z = betti_deficiency(graph, tree_cap)
-    position = [{order: i for i, order in enumerate(choices)} for choices in orders]
-    stride = _strides(orders)
+    n = graph.vertex_count
     total = count_rotations(graph)
-    ends = array("i", [0]) * total  # each rotation's walk count, then its descent's end
+    ends = array("i", [0]) * total  # each rotation's recount, then its descent's end
+    turns = _turns(orders)
+    inverse = [0] * graph.dart_count  # the recount's table
+    for index, (turned, cycles) in enumerate(zip(turns, itertools.product(*orders))):
+        for v in range(turned, n):
+            _link(inverse, cycles[v])
+        ends[index] = _orbits(inverse)
+
+    # each order's share of a rotation's index: its position times the vertex's stride
+    offset = [
+        {order: i * step for i, order in enumerate(choices)}
+        for choices, step in zip(orders, _strides(orders))
+    ]
     firsts = array("q", [-1]) * total  # the index its first reducing move reaches, or -1
     move_cases = 0
     move_failures = []
+    mismatches, mismatch = 0, ""  # rotations the kernel miscounts, and the first
     trace = rotation_module._trace  # the one kernel, looked up when the pass starts
-    succ = [0] * graph.dart_count  # the face permutation, patched per rotation
-    following = [0] * graph.dart_count  # the recount's table, patched per rotation
-    linked: list[Sequence[int]] = [()] * graph.vertex_count  # the cycle linked at each vertex
-    for index, cycles in enumerate(itertools.product(*orders)):
-        for v, cycle in enumerate(cycles):
-            if cycle is not linked[v]:
-                _set_succ(succ, (cycle,))
-                _link(following, cycle)
-                linked[v] = cycle
+    succ = [0] * graph.dart_count  # the face permutation
+    for index, (turned, cycles) in enumerate(zip(turns, itertools.product(*orders))):
+        _set_succ(succ, cycles[turned:])
         face, base = trace(succ)
-        ends[index] = base
-        for v, cycle in enumerate(cycles):
-            if not _crowded(cycle, face):
-                continue
+        recount = ends[index]
+        if base != recount:
+            if not mismatches:
+                mismatch = f"rotation {index} has {recount} walks, the kernel counts {base}"
+            mismatches += 1
+        if recount < 3:  # no vertex meets three of fewer than three walks
+            continue
+        for v in itertools.compress(range(n), map(_crowded, cycles, itertools.repeat(face))):
+            cycle = cycles[v]
             move_cases += 1
             moved = _relocated_cycle(cycle, -2, face, succ)
             if moved is None:
                 raise _no_reducing_move(graph, v, _incidence(cycle, face))
-            _link(following, moved)
-            got = _orbits(following)
-            _link(following, cycle)
-            if got != base - 2:
+            reached = index + offset[v][moved] - offset[v][cycle]
+            if ends[reached] != base - 2:
                 move_failures.append(
-                    f"reduce_move at vertex {v} changed {base} -> {got}, not -2"
+                    f"reduce_move at vertex {v} changed {base} -> {ends[reached]}, not -2, "
+                    f"from rotation {index} to {reached}"
                 )
             if firsts[index] < 0:
-                firsts[index] = index + (position[v][moved] - position[v][cycle]) * stride[v]
+                firsts[index] = reached
 
     counts = Counter(ends)
     for index in sorted(range(total), key=ends.__getitem__):  # fewest walks first
@@ -695,6 +729,8 @@ def oracle(
         failures.append(f"minimum {lo} differs from 1 + zeta = {1 + z}")
     if bad_parity:
         failures.append(f"walk counts with wrong parity: {bad_parity}")
+    if mismatches:
+        failures.append(f"{mismatch}; the kernel miscounts {mismatches} of {total} rotations")
     failures += move_failures
     stalls = total - ends.count(lo)
     lines = [

@@ -239,3 +239,17 @@ def ring_of_blobs(n: int) -> MetricGraph:
             f"edge l{i} d{i} d{i} 1.0",
         ]
     return parse_graph("\n".join(lines))
+
+
+def ring_of_loops(n: int) -> MetricGraph:
+    """A cycle of n vertices, each joined by a bridge to a vertex that
+    carries one loop.  The cycle is the one piece with more than one
+    vertex, and has all n spanning trees."""
+    lines = []
+    for i in range(n):
+        lines += [
+            f"edge c{i} v{i} v{(i + 1) % n} 1.0",
+            f"edge r{i} v{i} b{i} 1.0",
+            f"edge l{i} b{i} b{i} 1.0",
+        ]
+    return parse_graph("\n".join(lines))

@@ -674,6 +674,33 @@ def test_oracle_recount_does_not_share_the_kernel(graph_file, capsys, monkeypatc
     assert "fail: reduce_move at vertex 0 changed 2 -> 2, not -2" in out
 
 
+def test_oracle_checks_the_kernel_count_at_every_rotation(graph_file, capsys, monkeypatch):
+    # a tracer that over-counts by 2 only the first rotation where no vertex
+    # meets three walks leaves every move check sound: only the recount of
+    # every rotation sees it
+    trace = rotation._trace
+    for text, first, walks, total in ((K4, 0, 2, 16), (K5, 1, 1, 7776)):
+        g = parse_graph(text)
+        rotations = list(rotation.enumerate_rotations(g))
+        faces = [rotation._faces(g.dart_count, r.cycles)[0] for r in rotations]
+        calm = [not any(rotation._crowded(c, f) for c in r.cycles) for r, f in zip(rotations, faces)]
+        assert calm.index(True) == first
+        miscounted = rotation._succ(g.dart_count, rotations[first].cycles)
+
+        def overcount(succ):
+            face, count = trace(succ)
+            return face, count + 2 * (succ == miscounted)
+
+        monkeypatch.setattr(rotation, "_trace", overcount)
+        assert main(["oracle", graph_file(text)]) == 6
+        out = capsys.readouterr().out.splitlines()
+        assert out[6] == "move check: FAIL"
+        assert out[-1] == (
+            f"fail: rotation {first} has {walks} walks, the kernel counts {walks + 2}; "
+            f"the kernel miscounts 1 of {total} rotations"
+        )
+
+
 def test_cli_imports_no_private_names():
     # the demos are read as user code too: they show the public API only
     sources = [Path(cli.__file__), *sorted(DEMO_GRAPHS.parent.glob("*.py"))]

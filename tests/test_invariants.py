@@ -47,6 +47,7 @@ from helpers import (
     prism,
     random_multigraph,
     ring_of_blobs,
+    ring_of_loops,
     two_copies,
     two_thetas,
     union_find_xi,
@@ -210,6 +211,24 @@ def test_tree_count_takes_the_smallest_pieces_first():
     g = ring_of_blobs(1000)
     start = time.perf_counter()
     assert invariants._tree_count(g, 10**6) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tree_count_steps_only_each_rows_envelope():
+    # each row is stored and stepped from its first nonzero column on; the
+    # count and the cap's verdict match the dense reference, and a ring of
+    # 2000, all one piece within the cap, is counted in full at once (a
+    # ring of 800 took 10 s when every row ran through every earlier step)
+    graphs = [(f"blobs{n}", ring_of_blobs(n)) for n in range(3, 12)]
+    graphs += [(f"loops{n}", ring_of_loops(n)) for n in range(3, 41)]
+    for name, g in graphs:
+        count = kirchhoff_tree_count(g)
+        for cap in (1, 10, 10**3, 10**6, 10**30, count - 1, count):
+            expected = count if count <= cap else None
+            assert invariants._tree_count(g, cap) == expected, (name, cap)
+    g = ring_of_loops(2000)
+    start = time.perf_counter()
+    assert invariants._tree_count(g, 10**6) == 2000
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -52,8 +53,10 @@ from ribbon_embed.rotation import (
     _cyclic_orders,
     _faces,
     _incidence,
+    _rotation_at,
     _succ,
     _trace,
+    _vertex_orders,
     canonical_cycle,
 )
 
@@ -750,35 +753,68 @@ def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4,
     assert found[-2] and found[2]
 
 
-def test_oracle_patches_its_recount_table_for_each_move(k5, monkeypatch):
-    # after every move case of K5's pass, the table the recount reads equals
-    # one built from scratch for the moved rotation: the rotation read back
-    # from the successor table the scorer gets, then the moved cycle
-    relocated_cycle, orbits = moves._relocated_cycle, moves._orbits
+def test_oracle_reads_each_moves_recount_at_the_rotation_it_reaches(k5, monkeypatch):
+    # a kernel that under-counts every rotation by 2 fails every move check
+    # of K5's pass, so each names the rotation it starts from and the one
+    # it reaches: that one is the start with v's cycle replaced by the
+    # moved one, and the count read there is the recount of a table
+    # linked from scratch
+    trace, relocated_cycle = rotation._trace, moves._relocated_cycle
     moved = []
-    checked = []
+
+    def undercount(succ):
+        face, count = trace(succ)
+        return face, count - 2
 
     def relocated_cycle_spy(cycle, delta, face, succ):
-        new_cycle = relocated_cycle(cycle, delta, face, succ)
-        if new_cycle is not None:
-            rebuilt = [None] * k5.dart_count
-            for d, s in enumerate(succ):  # succ[d] = mate(prev(d))
-                rebuilt[s ^ 1] = d
-            _link(rebuilt, new_cycle)
-            moved.append(rebuilt)
-        return new_cycle
+        moved.append((cycle, relocated_cycle(cycle, delta, face, succ)))
+        return moved[-1][1]
 
-    def orbits_spy(following):
-        assert following == moved[-1]
-        checked.append(moved[-1])
-        return orbits(following)
-
+    monkeypatch.setattr(rotation, "_trace", undercount)
     monkeypatch.setattr(moves, "_relocated_cycle", relocated_cycle_spy)
-    monkeypatch.setattr(moves, "_orbits", orbits_spy)
     lines, passed = oracle(k5)
-    assert passed
-    assert f"ok ({len(checked)} reducing moves, every delta -2)" in lines[6]
-    assert len(checked) > 1000
+    line = re.compile(
+        r"fail: reduce_move at vertex (\d+) changed (\d+) -> (\d+), not -2, "
+        r"from rotation (\d+) to (\d+)"
+    )
+    cases = [tuple(map(int, m.groups())) for m in map(line.fullmatch, lines) if m]
+    assert not passed
+    assert len(cases) == len(moved) == 16350
+    orders = _vertex_orders(k5, 10**6)
+    for (v, base, got, index, reached), (cycle, new_cycle) in zip(cases, moved):
+        start = _rotation_at(orders, index).cycles
+        end = _rotation_at(orders, reached).cycles
+        assert start[v] == cycle
+        assert end == start[:v] + (new_cycle,) + start[v + 1 :]
+        table = [0] * k5.dart_count
+        for cycle in end:
+            _link(table, cycle)
+        assert got == _orbits(table) == base  # the kernel's count here is 2 short
+
+
+def test_oracle_recounts_each_rotation_once_before_the_kernel_runs(k4, k5, monkeypatch):
+    # the recount pass counts every rotation once, and no function of the
+    # kernel runs until it is done
+    calls = []
+
+    def logged(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(moves, "_orbits", logged("_orbits", moves._orbits))
+    for name in ("_set_succ", "_crowded", "_relocated_cycle"):
+        monkeypatch.setattr(moves, name, logged(name, getattr(moves, name)))
+    monkeypatch.setattr(rotation, "_trace", logged("_trace", rotation._trace))
+    for g in (k4, k5, PETERSEN):
+        calls.clear()
+        assert oracle(g)[1]
+        total = count_rotations(g)
+        assert calls[:total] == ["_orbits"] * total
+        assert "_orbits" not in calls[total:]
+        assert calls.count("_trace") == total
 
 
 def test_oracle_traces_a_table_equal_to_one_built_from_scratch(k4, k5, monkeypatch):
