@@ -25,7 +25,7 @@ theta = parse_graph((HERE / "graphs" / "theta.graph").read_text())
 # all six darts.
 rot = make_rotation(theta, [(0, 2, 4), (1, 3, 5)])
 for walk in boundary_walks(theta, rot):
-    print("walk:", " ".join(dart_label(theta, d) for d in walk.darts))
+    print("walk:", " ".join(dart_label(theta, d) for d in walk))
 
 # Swapping two darts at one vertex splits it into three walks.
 rot2 = make_rotation(theta, [(0, 4, 2), (1, 3, 5)])

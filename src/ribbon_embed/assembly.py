@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NoReturn
@@ -69,6 +70,7 @@ from .rotation import (
 
 SCHEMA_VERSION = 1
 _F_MIN_STORED = float(f"{F_MIN:.12g}")  # as a schema stores it, to 12 significant digits
+_MAX = sys.float_info.max  # a JSON number within +-_MAX is a finite float
 LENGTH_TOLERANCE = 1e-9  # relative to the expected length, absolute below 1
 
 SURFACE = "surface"
@@ -205,7 +207,7 @@ def _spine_block(graph: MetricGraph, rotation: RotationSystem) -> dict:
         "genus": (2 - euler_char(graph) - len(walks)) // 2,
         "layer": SURFACE,
         "boundaries": [{"label": f"w{i}", "length": f"sym:w{i}"} for i in range(len(walks))],
-        "payload": {"walks": [list(w.darts) for w in walks]},
+        "payload": {"walks": [list(w) for w in walks]},
     }
 
 
@@ -705,10 +707,10 @@ def _join(items, pad: str, brackets: str) -> str:
 def _value(value, pad: str) -> str:
     """Any JSON value as ``json.dumps(indent=2)`` writes it on a line
     indented by ``pad``; dict keys are converted as ``json.dumps`` does.
-    No value is an instance of two of dict, list or tuple, str and float,
-    so a payload's dict is tested first; its items of the exact types
-    ``json.loads`` yields are written without a call each, and a list of
-    ints (a spine walk) or of strings in one join."""
+    A payload's dict is tested first, and its items of the exact types
+    ``json.loads`` yields are written without a call each; a list of ints
+    (a spine walk) or of strings is written in one join, and a scalar by
+    :func:`_scalar`."""
     inner = pad + "  "
     if isinstance(value, dict):
         items = []
@@ -724,10 +726,6 @@ def _value(value, pad: str) -> str:
         if kinds == {str}:
             return _join(map(_string, value), pad, "[]")
         return _join([_value(v, inner) for v in value], pad, "[]")
-    if isinstance(value, str):
-        return _string(value)
-    if isinstance(value, float):
-        return _number(value)
     return _scalar(value)
 
 
@@ -824,14 +822,20 @@ def schema_to_json(schema: SurfaceSchema) -> str:
     )
 
 
+def _refuse(what: str, kind: str, value) -> NoReturn:
+    raise SchemaFormatError(f"{what} is not {kind}: {_quote(value)}")
+
+
 def _finite(value, what: str):
-    """``value`` unchanged if it is a finite JSON number, an int or a float.
-    A bool is an int to Python and ``float()`` parses a string, so both are
-    refused by type; NaN and infinities are rejected, since every
-    comparison the verifier makes with them is false."""
+    """``value`` unchanged if it is a JSON number, an int or a float, within
+    the float range.  A bool is an int to Python and ``float()`` parses a
+    string, so both are refused by type.  The one range test refuses NaN,
+    since every comparison with it is false, the infinities, and an int
+    past the largest float, which ``float()`` cannot convert; it converts
+    nothing itself."""
     if type(value) is not float and type(value) is not int:
-        raise SchemaFormatError(f"{what} is not a number: {_quote(value)}")
-    if not math.isfinite(value):
+        _refuse(what, "a number", value)
+    if not -_MAX <= value <= _MAX:
         raise SchemaFormatError(f"non-finite number {_quote(value)}")
     return value
 
@@ -845,47 +849,9 @@ def _positive(value, what: str):
     return value
 
 
-def _name(value, what: str) -> str:
-    """``value`` unchanged if it is a string; names and labels are compared
-    and hashed, and a list or an object cannot be hashed."""
-    if not isinstance(value, str):
-        raise SchemaFormatError(f"{what} is not a string: {_quote(value)}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """``value`` unchanged if it is a JSON integer; ``int()`` would truncate a
-    genus of 2.9 to 2, and a JSON ``true`` is an int to Python."""
-    if type(value) is not int:
-        raise SchemaFormatError(f"{what} is not an integer: {_quote(value)}")
-    return value
-
-
-def _layer(value) -> str:
-    """``value`` unchanged if it names a layer; chi additivity sums the
-    surface layer only, so an unknown layer would drop a block from it."""
-    if value not in (SURFACE, CONSTRUCTION):
-        raise SchemaFormatError(f"unknown block layer {_quote(value)}")
-    return value
-
-
-def _array(value, what: str) -> list:
-    """``value`` unchanged if it is a JSON array; an object or a string
-    would be iterated as one, by key or by character."""
-    if type(value) is not list:
-        raise SchemaFormatError(f"{what} is not a JSON array: {_quote(value)}")
-    return value
-
-
 def _side(value) -> NoReturn:
     raise SchemaFormatError(
         f"gluing side {_quote(value)} is not a [block id, label] pair of strings"
-    )
-
-
-def _is_dart_lists(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(walk, list) and all(type(d) is int for d in walk) for walk in value
     )
 
 
@@ -894,14 +860,15 @@ def _per_name(
 ) -> dict[int, float]:
     """One number per name of ``ids`` (each a ``noun`` of the graph), from
     the ``key`` object of ``meta``, which ``number`` (:func:`_finite` or
-    :func:`_positive`) admits."""
-    low = 0.0 if number is _positive else -math.inf
+    :func:`_positive`) admits: the range test of :func:`_finite`, with the
+    least positive float as its floor for :func:`_positive`."""
+    low = math.ulp(0.0) if number is _positive else -_MAX
     entries = meta[key]
     if type(entries) is not dict:
-        raise SchemaFormatError(f"meta {key} is not a JSON object: {_quote(entries)}")
+        _refuse(f"meta {key}", "a JSON object", entries)
     try:
         values = {
-            ids[k]: float(v) if type(v) in (float, int) and low < v < math.inf else number(v, key)
+            ids[k]: float(v) if type(v) in (float, int) and low <= v <= _MAX else number(v, key)
             for k, v in entries.items()
         }
     except KeyError as exc:  # only ids[k] can miss
@@ -915,8 +882,10 @@ def _per_name(
 
 def _graph_from_meta(stored: dict) -> MetricGraph:
     """The graph of the ``edges`` records of ``meta.graph``."""
-    records = []
-    for record in _array(stored["edges"], "meta graph edges"):
+    records, edges = [], stored["edges"]
+    if type(edges) is not list:
+        _refuse("meta graph edges", "a JSON array", edges)
+    for record in edges:
         if not (type(record) is list and len(record) == 4 and {*map(type, record[:3])} == {str}):
             raise SchemaFormatError(
                 f"edge record {_quote(record)} is not [name, u, v, length] with string names"
@@ -933,8 +902,10 @@ def schema_from_json(text: str) -> SurfaceSchema:
     :func:`verify_schema`'s question: the JSON, the schema version, the
     graph records against their hash, f_min, the rotation records, and the
     type of every field the verifier reads.  A stored number must be a
-    JSON int or float (never a bool or a string) and finite, and positive
-    for an edge length, waist or margin; a walk dart an int, never a bool;
+    JSON int or float (never a bool or a string) within the float range,
+    ``-MAX <= x <= MAX`` for the largest float MAX (so no NaN, no infinity
+    and no int that ``float()`` cannot convert), and positive for an edge
+    length, waist or margin; a walk dart an int, never a bool;
     ``summary.minimal`` true, false or null; ``meta.graph.edges``,
     ``meta.rotation``, ``blocks``, each block's ``boundaries`` and
     ``gluings`` JSON arrays, tested before they are iterated.  Raises
@@ -942,17 +913,23 @@ def schema_from_json(text: str) -> SurfaceSchema:
     the first offending value; a missing key is named with the object it
     is missing from (the document, ``meta``, ``meta graph``, a block, a
     boundary of a block, a gluing or ``summary``; blocks, boundaries and
-    gluings counted from 0).  One loop checks the blocks and one the
-    gluings; the helpers above are called only on a value that fails its
-    inline test, to raise their message, and the handler of a missing key
-    reads where it is from the loop indices.  The schema's blocks and
-    gluings are the records ``json.loads`` built, with ``payload`` set to
-    ``{}`` and ``twist`` to 0.0 where the document leaves them out.
+    gluings counted from 0).  An integer longer than the interpreter's
+    limit on decimal digits is refused as too long to read.  One loop
+    checks the blocks and one the gluings; where a value fails its inline
+    test, a refusal that only raises (:func:`_refuse`, :func:`_side`) or
+    :func:`_finite` names it, and the handler of a missing key reads where
+    it is from the loop indices.  The schema's blocks and gluings are the
+    records ``json.loads`` built, with ``payload`` set to ``{}`` and
+    ``twist`` to 0.0 where the document leaves them out.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaFormatError(f"not valid JSON: {exc}") from None
+    except ValueError:  # the one other error of the decoder: an int past the digit limit
+        raise SchemaFormatError(
+            f"JSON integer too long to read: more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise SchemaFormatError("JSON nested too deeply to decode") from None
     where, held = "the document", doc  # what is being read, for the handlers
@@ -975,7 +952,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError("meta graph repeats an edge name")
         if meta.get("rotation") is None:
             raise SchemaFormatError("meta has no rotation")
-        rotation = rotation_from_lines(graph, _array(meta["rotation"], "meta rotation"))
+        if type(meta["rotation"]) is not list:
+            _refuse("meta rotation", "a JSON array", meta["rotation"])
+        rotation = rotation_from_lines(graph, meta["rotation"])
         scale = ScaleParams(
             t=float(_finite(meta["t"], "t")),
             margin=float(_positive(meta["margin"], "margin")),
@@ -984,42 +963,47 @@ def schema_from_json(text: str) -> SurfaceSchema:
             waist=_per_name(meta, "waist", graph.edge_ids, "edge", _positive),
         )
         where, held = "the document", doc
-        block_docs = _array(doc["blocks"], "blocks")
-        gluing_docs = _array(doc["gluings"], "gluings")
+        for key in ("blocks", "gluings"):
+            if type(doc[key]) is not list:
+                _refuse(key, "a JSON array", doc[key])
+        block_docs, gluing_docs = doc["blocks"], doc["gluings"]
         s = doc["summary"]
         where, i = "blocks", None
         for i, b in enumerate(block_docs):
             j = None  # the boundary being read
             bid = b["id"]
             if type(bid) is not str:  # json.loads yields exact types
-                _name(bid, "block id")
+                _refuse("block id", "a string", bid)
             kind, genus = b["kind"], b["genus"]
-            if type(genus) is not int:
-                _integer(genus, "block genus")
+            if type(genus) is not int:  # int() would truncate 2.9, and True is an int
+                _refuse("block genus", "an integer", genus)
             layer = b["layer"]
-            if layer not in (SURFACE, CONSTRUCTION):
-                _layer(layer)
+            if layer not in (SURFACE, CONSTRUCTION):  # chi additivity sums the surface layer
+                raise SchemaFormatError(f"unknown block layer {_quote(layer)}")
             boundary_docs = b["boundaries"]
-            if type(boundary_docs) is not list:
-                _array(boundary_docs, f"block {i} boundaries")
+            if type(boundary_docs) is not list:  # an object would be iterated by key
+                _refuse(f"block {i} boundaries", "a JSON array", boundary_docs)
             for j, bd in enumerate(boundary_docs):
                 label = bd["label"]
                 if type(label) is not str:
-                    _name(label, "boundary label")
+                    _refuse("boundary label", "a string", label)
                 length = bd["length"]
                 if type(length) is not str and not (
-                    type(length) in (float, int) and math.isfinite(length)
+                    type(length) in (float, int) and -_MAX <= length <= _MAX
                 ):
                     _finite(length, "boundary length")
             payload = b.setdefault("payload", {})
             if type(payload) is not dict:
                 raise SchemaFormatError(f"block {_quote(bid)}: payload is not an object")
             if type(payload.get("vertex", "")) is not str:
-                _name(payload["vertex"], "payload vertex")
+                _refuse("payload vertex", "a string", payload["vertex"])
             if type(payload.get("edge", "")) is not str:
-                _name(payload["edge"], "payload edge")
+                _refuse("payload edge", "a string", payload["edge"])
             walks = payload.get("walks")
-            if kind == "spine_surface" and walks is not None and not _is_dart_lists(walks):
+            if kind == "spine_surface" and walks is not None and not (
+                type(walks) is list
+                and all(type(w) is list and all(type(d) is int for d in w) for w in walks)
+            ):
                 raise SchemaFormatError(
                     f"block {_quote(bid)}: payload walks are not lists of darts"
                 )
@@ -1032,17 +1016,18 @@ def schema_from_json(text: str) -> SurfaceSchema:
             if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
                 _side(b)
             twist = g.setdefault("twist", 0.0)
-            if type(twist) not in (float, int) or not math.isfinite(twist):
+            if type(twist) not in (float, int) or not -_MAX <= twist <= _MAX:
                 _finite(twist, "gluing twist")
         where, held = "summary", s
-        genus = _integer(s["genus"], "summary genus")
-        boundary_count = _integer(s["boundary_count"], "summary boundary_count")
+        for key in ("genus", "boundary_count"):
+            if type(s[key]) is not int:
+                _refuse(f"summary {key}", "an integer", s[key])
         minimal = s["minimal"]
         if minimal is not None and type(minimal) is not bool:  # 1 == True to Python
             raise SchemaFormatError(
                 f"summary minimal is not true, false or null: {_quote(minimal)}"
             )
-        summary = Summary(genus, boundary_count, minimal, s["construction"])
+        summary = Summary(s["genus"], s["boundary_count"], minimal, s["construction"])
     except SchemaFormatError:
         raise
     except GraphFormatError as exc:  # a bad rotation record; its message is ours, whole

@@ -657,7 +657,8 @@ def oracle(
     greedy descent from each rotation ends where the descent from the
     rotation it reaches ends.  So the pass keeps the index each first move
     reaches, and the ends are read off those pointers afterwards, fewest
-    walks first, with no descent traced again.  Stalls above the minimum
+    walks first (one pass over the rotations per walk count, listing
+    none), with no descent traced again.  Stalls above the minimum
     are reported, not failed (loop-carrying graphs can stall with every
     vertex meeting at most two walks).  The passes keep 16 bytes per
     rotation: its recount, the index its first move reaches and the first
@@ -716,9 +717,12 @@ def oracle(
                 firsts[index] = reached
 
     counts = Counter(ends)
-    for index in sorted(range(total), key=ends.__getitem__):  # fewest walks first
-        if firsts[index] >= 0:  # two fewer walks there, so its end is settled
-            ends[index] = ends[firsts[index]]
+    # fewest walks first: an unsettled rotation still holds its recount, and a
+    # settled one an end below it, so one pass per count finds the count's own
+    for count in sorted(counts):
+        for index in itertools.compress(range(total), map(count.__eq__, ends)):
+            if firsts[index] >= 0:  # two fewer walks there, so its end is settled
+                ends[index] = ends[firsts[index]]
 
     profile = dict(sorted(counts.items()))
     lo, hi = min(profile), max(profile)

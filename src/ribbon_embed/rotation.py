@@ -87,16 +87,6 @@ class RotationSystem:
     cycles: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class BoundaryWalk:
-    """One boundary component as the cyclic dart sequence it traverses."""
-
-    darts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.darts)
-
-
 def make_rotation(graph: MetricGraph, cycles: Iterable[Sequence[int]]) -> RotationSystem:
     """Build a rotation system from per-vertex dart sequences."""
     rotation = RotationSystem(tuple(canonical_cycle(c) for c in cycles))
@@ -177,8 +167,9 @@ def _faces(dart_count: int, cycles: Sequence[Sequence[int]]) -> tuple[list[int],
     return face, count, succ
 
 
-def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[BoundaryWalk]:
-    """The boundary components of the thickened fat graph.
+def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[tuple[int, ...]]:
+    """The boundary components of the thickened fat graph, each the tuple
+    of darts it traverses in cyclic order.
 
     Walks are returned sorted by their smallest dart, each starting at that
     dart, so the list (and the labels derived from it) is canonical.
@@ -189,13 +180,13 @@ def boundary_walks(graph: MetricGraph, rotation: RotationSystem) -> list[Boundar
         raise InternalInvariantError(
             f"walk count {count} breaks Euler parity for chi={euler_char(graph)}"
         )
-    walks: list[BoundaryWalk] = []
+    walks: list[tuple[int, ...]] = []
     for start, f in enumerate(face):
         if f == len(walks):  # the smallest dart of the next face
             orbit = [start]
             while (d := succ[orbit[-1]]) != start:  # around the walk, back to its start
                 orbit.append(d)
-            walks.append(BoundaryWalk(tuple(orbit)))
+            walks.append(tuple(orbit))
     return walks
 
 

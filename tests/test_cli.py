@@ -701,6 +701,29 @@ def test_oracle_checks_the_kernel_count_at_every_rotation(graph_file, capsys, mo
         )
 
 
+# The oracle's two checks from the theory, each failed by K4's sweep once
+# the number it is checked against is off: the minimum walk count against
+# 1 + zeta, and every walk count's parity against chi.
+THEORY_FAULTS = {
+    "zeta": ("betti_deficiency", 2, ["fail: minimum 2 differs from 1 + zeta = 4"]),
+    "chi": (
+        "euler_char",
+        1,
+        ["parity check: FAIL", "fail: walk counts with wrong parity: [2, 4]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THEORY_FAULTS))
+def test_oracle_fails_a_count_the_theory_rules_out(case, graph_file, capsys, monkeypatch):
+    name, shift, expected = THEORY_FAULTS[case]
+    right = getattr(moves, name)
+    monkeypatch.setattr(moves, name, lambda *args: right(*args) + shift)
+    assert main(["oracle", graph_file(K4)]) == 6
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in expected if line not in out] == []
+
+
 def test_cli_imports_no_private_names():
     # the demos are read as user code too: they show the public API only
     sources = [Path(cli.__file__), *sorted(DEMO_GRAPHS.parent.glob("*.py"))]
@@ -770,6 +793,18 @@ NON_FINITE_MUTATIONS = {
     "edge length": lambda doc: doc["meta"]["graph"]["edges"][0].__setitem__(3, math.nan),
     "boundary length": lambda doc: _first_numeric_boundary(doc).update(length=math.nan),
     "twist": lambda doc: doc["gluings"][0].update(twist=math.nan),
+    # 400 digits, past the largest float: float() and math.isfinite() raised
+    # OverflowError on them, and the reader said "of the wrong JSON type"
+    "t past the float range": lambda doc: doc["meta"].update(t=10**399),
+    "margin past the float range": lambda doc: doc["meta"].update(margin=10**399),
+    "foot past the float range": lambda doc: doc["meta"]["foot"].update(u=10**399),
+    "edge length past the float range": (
+        lambda doc: doc["meta"]["graph"]["edges"][0].__setitem__(3, 10**399)
+    ),
+    "boundary length past the float range": (
+        lambda doc: _first_numeric_boundary(doc).update(length=10**399)
+    ),
+    "twist past the float range": lambda doc: doc["gluings"][0].update(twist=10**399),
 }
 
 
@@ -962,6 +997,55 @@ def test_reader_names_a_container_of_the_wrong_type(case, graph_file, tmp_path, 
     capsys.readouterr()
     assert main(["verify", str(out_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _largest_edge_length(doc):
+    """Set the theta's first edge length to 10**308, with the graph hash to match."""
+    doc["meta"]["graph"]["edges"][0][3] = 10**308
+    edited = THETA.replace("edge a u v 1.0", "edge a u v 1e308")
+    doc["meta"]["graph"]["hash"] = graph_hash(parse_graph(edited))
+
+
+# 10**308, an int within the float range, wherever the reader takes a float
+LARGEST_FLOATS = {
+    "t": lambda doc: doc["meta"].update(t=10**308),
+    "margin": lambda doc: doc["meta"].update(margin=10**308),
+    "foot": lambda doc: doc["meta"]["foot"].update(u=10**308),
+    "clearance": lambda doc: doc["meta"]["clearance"].update(a=10**308),
+    "waist": lambda doc: doc["meta"]["waist"].update(a=10**308),
+    "edge length": _largest_edge_length,
+    "boundary length": lambda doc: _first_numeric_boundary(doc).update(length=10**308),
+    "twist": lambda doc: doc["gluings"][0].update(twist=10**308),
+}
+
+
+def test_reader_accepts_the_largest_numbers_a_float_holds(graph_file, tmp_path, capsys):
+    # read, then judged by the verifier: exit 1, not 2
+    out_path = tmp_path / "schema.json"
+    assert main(["embed", graph_file(THETA), "-o", str(out_path)]) == 0
+    text = out_path.read_text()
+    for case, mutate in LARGEST_FLOATS.items():
+        doc = json.loads(text)
+        mutate(doc)
+        out_path.write_text(json.dumps(doc))
+        assert main(["verify", str(out_path)]) == 1, case
+        assert "fail:" in capsys.readouterr().out, case
+
+
+def test_reader_names_an_integer_too_long_to_parse(graph_file, tmp_path, capsys):
+    # json.loads refuses an integer of more digits than the interpreter
+    # converts with a plain ValueError, which is no JSONDecodeError
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    doc = json.loads(text)
+    doc["summary"]["genus"] = "GENUS"
+    out_path.write_text(json.dumps(doc).replace('"GENUS"', "9" * 5001))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == (
+        "",
+        f"error: JSON integer too long to read: more than {limit} digits\n",
+    )
 
 
 # A rotation record naming no dart or no vertex of the graph is refused

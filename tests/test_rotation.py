@@ -95,7 +95,7 @@ def test_theta_one_walk_orbit(theta):
     rot = make_rotation(theta, [(0, 2, 4), (1, 3, 5)])
     walks = boundary_walks(theta, rot)
     assert len(walks) == 1
-    assert walks[0].darts == (0, 5, 2, 1, 4, 3)
+    assert walks[0] == (0, 5, 2, 1, 4, 3)
 
 
 def test_k4_planar_rotation(k4):
@@ -108,12 +108,12 @@ def test_walks_partition_darts(k4):
     for seed in range(5):
         rot = default_rotation(k4, seed)
         walks = boundary_walks(k4, rot)
-        darts = sorted(d for w in walks for d in w.darts)
+        darts = sorted(d for w in walks for d in w)
         assert darts == list(range(k4.dart_count))
         # canonical ordering: walks sorted by smallest dart, starting at it
-        mins = [min(w.darts) for w in walks]
+        mins = [min(w) for w in walks]
         assert mins == sorted(mins)
-        assert all(w.darts[0] == min(w.darts) for w in walks)
+        assert all(w[0] == min(w) for w in walks)
 
 
 def test_count_rotations(theta, bouquet2, k4, k5):
