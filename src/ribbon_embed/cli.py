@@ -20,6 +20,7 @@ and flags, the emitted schema is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import sys
@@ -35,6 +36,7 @@ from .assembly import (
 from .errors import (
     CapExceededError,
     CycleGraphError,
+    GraphFormatError,
     InternalInvariantError,
     TargetGenusError,
 )
@@ -56,9 +58,24 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _quote(value: object) -> str:
+    """``repr(value)`` cut to its first 40 characters, as every message of
+    the package quotes a value (``graph._quote``), for the refusals of the
+    argument types; the CLI imports no private name, so it keeps this copy."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "\u2026"
+
+
 def _load_graph(path: str) -> MetricGraph:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-        return parse_graph(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is dropped
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte and a stand-in for it, split as parse_graph splits lines
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise GraphFormatError(f"not UTF-8 text at byte 0x{data[exc.start]:02x}", line) from None
+    return parse_graph(text)
 
 
 def _target_kind(value: str):
@@ -69,10 +86,10 @@ def _target_kind(value: str):
             return ("genus", int(value[len("genus="):]))
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"bad genus in target {value!r}; expected genus=<int>"
+                f"bad genus in target {_quote(value)}; expected genus=<int>"
             ) from None
     raise argparse.ArgumentTypeError(
-        f"unknown target {value!r}; expected minimal, maximal or genus=<int>"
+        f"unknown target {_quote(value)}; expected minimal, maximal or genus=<int>"
     )
 
 
@@ -81,9 +98,9 @@ def _count(value: str) -> int:
     try:
         number = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(value)}") from None
     if number < 0:
-        raise argparse.ArgumentTypeError(f"negative count {number}; expected 0 or more")
+        raise argparse.ArgumentTypeError(f"negative count {_quote(number)}; expected 0 or more")
     return number
 
 

@@ -185,7 +185,7 @@ def parse_graph(text: str) -> MetricGraph:
     tokens.  Vertices come into existence the first time they are named;
     edges and darts are numbered in file order.  Raises
     :class:`GraphFormatError` with the offending line number on syntax
-    errors, non-positive lengths and duplicate edge names, and
+    errors, non-finite or non-positive lengths and duplicate edge names, and
     :class:`GraphValidationError` if the result is not connected.
     """
     records: list[tuple[str, str, str, float]] = []
@@ -209,7 +209,9 @@ def parse_graph(text: str) -> MetricGraph:
             length = float(length_text)
         except ValueError:
             raise GraphFormatError(f"bad length {_clip(length_text)!r}", lineno) from None
-        if not math.isfinite(length) or length <= 0.0:
+        if not math.isfinite(length):
+            raise GraphFormatError(f"edge length must be finite, got {_clip(length_text)}", lineno)
+        if length <= 0.0:
             raise GraphFormatError(
                 f"edge length must be positive, got {_clip(length_text)}", lineno
             )

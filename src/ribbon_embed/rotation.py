@@ -32,12 +32,14 @@ doubles with each placed vertex, so even where the cut never narrows
 (one-vertex bouquets, dipoles) it makes fewer than twice as many
 compositions as there are rotations.  Placing a vertex changes only the
 paths through its ports, so one kernel (:func:`_compose`) traces those and
-copies every other exit.  The DP runs over given per-vertex orders, and
-each bucket also keeps the smallest :func:`enumerate_rotations` index
-among its partial rotations, so the same pass gives the first rotation at
-every walk count (:func:`_rotation_at` decodes it).  Two folds share the
-kernel: :func:`_profile` keeps the whole histogram, and :func:`_extremes`
-only its least and greatest buckets, which is all the searches of
+copies every other exit, and one driver (:func:`_frontier`) runs it over
+the placements, merging the payloads that meet with a fold it is given.
+The DP runs over given per-vertex orders, and each bucket also keeps the
+smallest :func:`enumerate_rotations` index among its partial rotations,
+so the same pass gives the first rotation at every walk count
+(:func:`_rotation_at` decodes it).  Two folds run on the driver:
+:func:`_profile` keeps the whole histogram, and :func:`_extremes` only its
+least and greatest buckets, which is all the searches of
 :mod:`ribbon_embed.moves` read.
 
 The DP runs over half the rotations, wherever some vertex has degree 3
@@ -61,12 +63,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, GraphFormatError, InternalInvariantError
 from .graph import MetricGraph, _clip, _quote, edge_of, euler_char
 
 DEFAULT_ROTATION_CAP = 10**6
+
+_Orders = Sequence[Sequence[tuple[int, ...]]]  # cyclic orders to choose from, per vertex
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -280,7 +284,7 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
     return {walks: profile[walks][0] for walks in sorted(profile)}
 
 
-def _strides(orders: Sequence[Sequence[tuple[int, ...]]]) -> list[int]:
+def _strides(orders: _Orders) -> list[int]:
     """The :func:`enumerate_rotations` index step of one order at each
     vertex: mixed radix, vertex 0 most significant, the last fastest."""
     strides = [1] * len(orders)
@@ -289,7 +293,7 @@ def _strides(orders: Sequence[Sequence[tuple[int, ...]]]) -> list[int]:
     return strides
 
 
-def _rotation_at(orders: Sequence[Sequence[tuple[int, ...]]], index: int) -> RotationSystem:
+def _rotation_at(orders: _Orders, index: int) -> RotationSystem:
     """The rotation at ``index`` in :func:`enumerate_rotations` order over
     ``orders``."""
     steps = zip(orders, _strides(orders))
@@ -322,9 +326,9 @@ def _mirror_vertex(graph: MetricGraph) -> int | None:
     return next((v for v in range(graph.vertex_count) if graph.degree(v) >= 3), None)
 
 
-def _plan(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> list[_Placement]:
+def _plan(graph: MetricGraph, orders: _Orders) -> list[_Placement]:
     """The placements of the frontier DP over ``orders``, in the order
-    :func:`_profile` describes, each as the tables :func:`_compose` reads.
+    :func:`_frontier` describes, each as the tables :func:`_compose` reads.
 
     At v* (:func:`_mirror_vertex`) only one order of each mirror pair has a
     step table: the one before its reverse in ``orders[v*]``, at its own
@@ -386,11 +390,14 @@ def _plan(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> li
 
 
 def _compose(
-    placement: _Placement, states: dict[tuple[int, ...], Any]
-) -> Iterator[tuple[tuple[int, ...], Any, int, int]]:
-    """(new state, the old state's payload, faces closed, index offset) for
-    every state of ``states`` and every order of the placed vertex: the one
-    composition kernel of the frontier DP (:func:`_profile`).
+    placement: _Placement, states: dict[tuple[int, ...], Any], fold: Callable
+) -> dict[tuple[int, ...], Any]:
+    """The states after placing one vertex, each with its payload: the one
+    composition kernel of the frontier DP (:func:`_frontier`).  Every state
+    of ``states`` and every order of the placed vertex make a new state,
+    whose payload becomes ``fold(its payload so far or None, the old
+    state's payload, faces closed, index offset)``; a payload merged in
+    place comes back as it went in and is not stored again.
 
     Per state, ``res`` resolves each code (:class:`_Placement`) to a local
     index or, complemented, an outside dart: a removed entry's code to
@@ -403,6 +410,7 @@ def _compose(
     ids = list(range(degree))
     every = (1 << degree) - 1
     at_w = dict(exits_at_w)
+    composed: dict[tuple[int, ...], Any] = {}
     for state, payload in states.items():
         padded = state + (0,)  # a fresh dart's slot copies the 0, then is traced
         base = [padded[p] for p in layout]
@@ -429,16 +437,16 @@ def _compose(
                         while not seen >> i & 1:
                             seen |= 1 << i
                             i = res[step[i]]
-            yield tuple(new), payload, closed, offset
+            target = composed.get(key := tuple(new))
+            if (merged := fold(target, payload, closed, offset)) is not target:
+                composed[key] = merged
+    return composed
 
 
-def _profile(
-    graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]
-) -> dict[int, list[int]]:
-    """{walk count: [rotation count, index of the first rotation]} over the
-    rotations that take each vertex's cyclic order from ``orders[v]``, by a
-    frontier DP over vertex placements; the index is the rotation's
-    position in :func:`enumerate_rotations` order (:func:`_strides`).
+def _frontier(graph: MetricGraph, orders: _Orders, start: Any, fold: Callable) -> Any:
+    """The payload left once every vertex is placed, by the frontier DP
+    over the rotations that take each vertex's cyclic order from
+    ``orders[v]``, starting from ``start`` before any vertex is placed.
     ``orders[v*]`` must be closed under reversal (:func:`_plan`).
 
     The next vertex placed is the one that adds the fewest cut edges: its
@@ -450,51 +458,64 @@ def _profile(
     state is the tuple of those exits, aligned with ``entries``.
 
     Placing w (:func:`_compose`) composes each of its orders into each
-    state, adding the order's position times w's stride to the index.  Only
-    w's ports change: the entries whose edges end at w leave the state, the
-    paths exiting at a dart of w go on through w, and w's other darts enter.
-    So only the paths through w are traced, alternating w's order with the
-    state at the removed entries, and every other exit is copied to its new
-    position.  With every vertex placed the one state left is empty.
+    state, adding the order's position times w's stride to the index
+    (:func:`_strides`), the rotation's position in
+    :func:`enumerate_rotations` order.  Only w's ports change: the entries
+    whose edges end at w leave the state, the paths exiting at a dart of w
+    go on through w, and w's other darts enter.  So only the paths through
+    w are traced, alternating w's order with the state at the removed
+    entries, and every other exit is copied to its new position.  With
+    every vertex placed the one state left is empty.
 
-    Each state carries a payload, and a fold merges the payloads that meet.
-    Here the fold keeps a histogram {closed faces: [partial rotations,
-    smallest index among them]}; :func:`_extremes` keeps only its two
-    extreme buckets.  Partial rotations that share a state and a
-    closed-face count have the same completions, so the smallest index is
-    kept exactly: the first rotation at a count extends the first partial
-    rotation of every bucket it passes through.  The order of placement
-    changes the cost, never the result.
-
-    Where v* exists, :func:`_plan` places one order of each mirror pair
-    there, so every partial rotation also stands for its mirror image,
-    which has as many walks: each count starts at 2, not 1.
+    Each state carries a payload, and ``fold`` merges the payloads that
+    meet: ``fold(target, payload, closed, offset)`` is the new state's
+    payload, given ``target``, its payload so far (None for a new state),
+    and a state's ``payload`` carried by one more order that closes
+    ``closed`` faces and adds ``offset`` to every index.  A fold builds a
+    fresh payload for a new state and never changes the payload it reads,
+    which the other orders read too.  Where v* exists, :func:`_plan` places
+    one order of each mirror pair there, so every partial rotation also
+    stands for its mirror image, which has as many walks.  The order of
+    placement changes the cost, never the result.
     """
-    mirrored = 2 if _mirror_vertex(graph) is not None else 1
-    states: dict[tuple[int, ...], dict[int, list[int]]] = {(): {0: [mirrored, 0]}}
+    states = {(): start}
     for placement in _plan(graph, orders):
-        composed: dict[tuple[int, ...], dict[int, list[int]]] = {}
-        for key, counts, closed, offset in _compose(placement, states):
-            target = composed.get(key)
-            if target is None:
-                target = composed[key] = {}
-            for faces, (rotations, first) in counts.items():
-                bucket = target.get(faces + closed)
-                if bucket is None:
-                    target[faces + closed] = [rotations, first + offset]
-                else:
-                    bucket[0] += rotations
-                    if first + offset < bucket[1]:
-                        bucket[1] = first + offset
-        states = composed
+        states = _compose(placement, states, fold)
     return states[()]
 
 
-def _extremes(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -> dict[int, int]:
+def _profile(graph: MetricGraph, orders: _Orders) -> dict[int, list[int]]:
+    """{walk count: [rotation count, index of the first rotation]} over
+    ``orders``, by :func:`_frontier` with a fold that keeps a histogram
+    {closed faces: [partial rotations, smallest index among them]}.
+
+    Partial rotations that share a state and a closed-face count have the
+    same completions, so the smallest index is kept exactly: the first
+    rotation at a count extends the first partial rotation of every bucket
+    it passes through.  Where v* exists each partial rotation also stands
+    for its mirror image, so each count starts at 2, not 1.
+    """
+
+    def histogram(target: dict | None, counts: dict, closed: int, offset: int) -> dict:
+        target = {} if target is None else target
+        for faces, (rotations, first) in counts.items():
+            bucket = target.get(faces + closed)
+            if bucket is None:
+                target[faces + closed] = [rotations, first + offset]
+            else:
+                bucket[0] += rotations
+                if first + offset < bucket[1]:
+                    bucket[1] = first + offset
+        return target
+
+    return _frontier(graph, orders, {0: [1 if _mirror_vertex(graph) is None else 2, 0]}, histogram)
+
+
+def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, int]:
     """{least walk count: index of its first rotation, greatest: index of
     its first rotation} over ``orders``: the two extreme keys of
-    :func:`_profile` and their first indices, by the same DP with a fold
-    that keeps four ints per state.
+    :func:`_profile` and their first indices, by :func:`_frontier` with a
+    fold that keeps four ints per state.
 
     They are the least closed-face count with the smallest index there and
     the greatest with the smallest index there, and that is exact: a
@@ -504,39 +525,28 @@ def _extremes(graph: MetricGraph, orders: Sequence[Sequence[tuple[int, ...]]]) -
     smallest partial index gives the smallest total.  The same holds for
     the maximum.
     """
-    states: dict[tuple[int, ...], list[int]] = {(): [0, 0, 0, 0]}
-    for placement in _plan(graph, orders):
-        composed: dict[tuple[int, ...], list[int]] = {}
-        for key, (lo, lo_first, hi, hi_first), closed, offset in _compose(placement, states):
-            lo += closed
-            hi += closed
-            lo_first += offset
-            hi_first += offset
-            t = composed.get(key)
-            if t is None:
-                composed[key] = [lo, lo_first, hi, hi_first]
-                continue
-            if lo < t[0] or lo == t[0] and lo_first < t[1]:
-                t[0], t[1] = lo, lo_first
-            if hi > t[2] or hi == t[2] and hi_first < t[3]:
-                t[2], t[3] = hi, hi_first
-        states = composed
-    lo, lo_first, hi, hi_first = states[()]
+
+    def bounds(t: list[int] | None, payload: list[int], closed: int, offset: int) -> list[int]:
+        lo, lo_first, hi, hi_first = payload
+        lo += closed
+        hi += closed
+        lo_first += offset
+        hi_first += offset
+        if t is None:
+            return [lo, lo_first, hi, hi_first]
+        if lo < t[0] or lo == t[0] and lo_first < t[1]:
+            t[0], t[1] = lo, lo_first
+        if hi > t[2] or hi == t[2] and hi_first < t[3]:
+            t[2], t[3] = hi, hi_first
+        return t
+
+    lo, lo_first, hi, hi_first = _frontier(graph, orders, [0, 0, 0, 0], bounds)
     return {lo: lo_first, hi: hi_first}
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:
     """``<edge>+`` for the file-direction dart, ``<edge>-`` for its mate."""
     return graph.edge_names[edge_of(dart)] + ("+" if dart % 2 == 0 else "-")
-
-
-def _dart_from_label(edge_ids: dict[str, int], label: str) -> int:
-    if len(label) < 2 or label[-1] not in "+-":
-        raise GraphFormatError(f"bad dart label {_quote(label)}")
-    name = label[:-1]
-    if name not in edge_ids:
-        raise GraphFormatError(f"unknown edge {_quote(name)} in dart label")
-    return 2 * edge_ids[name] + (0 if label[-1] == "+" else 1)
 
 
 def rotation_to_lines(graph: MetricGraph, rotation: RotationSystem) -> list[str]:
@@ -550,7 +560,7 @@ def rotation_to_lines(graph: MetricGraph, rotation: RotationSystem) -> list[str]
 
 def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSystem:
     """Parse the output of :func:`rotation_to_lines`."""
-    darts = {}  # every label _dart_from_label accepts, to its dart
+    darts = {}  # every dart label, to its dart
     for e, name in enumerate(graph.edge_names):
         if isinstance(name, str) and name:
             darts[name + "+"], darts[name + "-"] = 2 * e, 2 * e + 1
@@ -571,8 +581,11 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
             raise GraphFormatError(f"vertex {_quote(parts[1])} listed twice")
         try:
             cycles[v] = tuple([darts[label] for label in parts[2:]])
-        except KeyError:  # raise for the first label that names no dart
-            cycles[v] = tuple(_dart_from_label(graph.edge_ids, label) for label in parts[2:])
+        except KeyError as exc:  # the first label that names no dart
+            label = exc.args[0]
+            if len(label) < 2 or label[-1] not in "+-":
+                raise GraphFormatError(f"bad dart label {_quote(label)}") from None
+            raise GraphFormatError(f"unknown edge {_quote(label[:-1])} in dart label") from None
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
         raise GraphFormatError(f"missing rotation for vertices {_quote(missing)}")

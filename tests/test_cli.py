@@ -105,6 +105,56 @@ def test_parse_errors_quote_a_long_token_cut_short(case, graph_file, capsys):
     assert len(err) < 200
 
 
+# Each length reads as a float that is not finite: a 5001-digit one as inf.
+NON_FINITE_LENGTHS = {"1e400": "1e400", "nan": "nan", "inf": "inf", "5001 digits": "9" * 5001}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_LENGTHS))
+def test_a_non_finite_edge_length_is_refused_as_not_finite(case, graph_file, capsys):
+    # it was refused as "edge length must be positive"
+    length = NON_FINITE_LENGTHS[case]
+    path = graph_file(f"edge a u v {length}\nedge b u v 1.0\nedge c u v 1.0\n")
+    assert main(["analyze", path]) == 2
+    quoted = graph_module._clip(length)
+    assert capsys.readouterr() == ("", f"error: line 1: edge length must be finite, got {quoted}\n")
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+def test_a_graph_file_that_is_not_utf8_is_refused_at_its_line(bom, tmp_path, capsys):
+    # it was refused in the codec's words, with a byte offset and no line
+    path = tmp_path / "latin1.graph"
+    text = "edge a u v 1.0\nedge b u v 1.0\r\nedge c u v 1.0 # café\n"
+    path.write_bytes(bom + text.encode("latin-1"))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured == ("", "error: line 3: not UTF-8 text at byte 0xe9\n")
+    assert "codec" not in captured.err
+
+
+# A flag value each refusal quotes, of thousands of characters.
+LONG_FLAG_VALUES = {
+    "count": ("analyze", "--max-trees", "9" * 5001),
+    "negative count": ("analyze", "--max-rotations", "-" + "9" * 4000),
+    "genus target": ("embed", "--target", "genus=" + "9" * 5001),
+    "unknown target": ("embed", "--target", "x" * 5001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_FLAG_VALUES))
+def test_flag_refusals_quote_a_long_value_cut_short(case, graph_file, capsys):
+    # they quoted the whole value; the usage lines above the refusal are
+    # argparse's and hold no value
+    command, flag, value = LONG_FLAG_VALUES[case]
+    assert main([command, graph_file(K4), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refusal = captured.err[captured.err.index(f"ribbon-embed {command}: error: "):]
+    assert f"argument {flag}: " in refusal and "…" in refusal
+    assert len(refusal.encode()) < 300
+    if command == "analyze":
+        assert len(captured.err.encode()) < 300
+
+
 def test_analyze_cycle(graph_file, capsys):
     assert main(["analyze", graph_file(CYCLE)]) == 3
     assert "every surface" in capsys.readouterr().err

@@ -230,6 +230,21 @@ def test_plan_steps_through_half_the_orders_at_the_mirror_vertex(theta, bouquet2
         assert sum(len(p.steps) for p in _plan(g, orders)) == sum(map(len, orders)) - halved, g
 
 
+def test_a_fold_passed_to_the_frontier_counts_every_rotation(theta, bouquet2, k4, k5, dumbbell):
+    # the driver runs any fold over the placements: one that only counts
+    # partial rotations, each standing for its mirror image too where v*
+    # exists, counts every rotation
+    def count(total, rotations, closed, offset):
+        return rotations if total is None else total + rotations
+
+    graphs = _mirror_graphs(theta, bouquet2, k4, k5, dumbbell)
+    assert len(graphs) == 164
+    for g in graphs:
+        start = 1 if _mirror_vertex(g) is None else 2
+        orders = _vertex_orders(g, count_rotations(g))
+        assert rotation._frontier(g, orders, start, count) == count_rotations(g), g
+
+
 def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
     # the DP's count and first index at each walk count, in both folds, are
     # what a scan in enumeration order finds; the scan shares no code with
