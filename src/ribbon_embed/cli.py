@@ -7,10 +7,11 @@ Four subcommands:
 * ``oracle``   brute-force re-verification of the theory on one graph
 * ``verify``   recheck a schema document produced by ``embed``
 
-Exit codes: 0 success, 1 verification found errors, 2 bad input,
-3 cycle graph, 4 unreachable target genus, 5 enumeration cap exceeded,
-6 internal invariant violation or any other unexpected exception (always
-a bug).
+Exit codes: 0 success, 1 verification found errors, 2 bad input (a file
+that cannot be read included), 3 cycle graph, 4 unreachable target genus,
+5 enumeration cap exceeded, 6 internal invariant violation or any other
+unexpected exception (always a bug), 141 stdout closed by its reader,
+with nothing more printed.
 
 Human-oriented chatter goes to stderr; stdout carries only the payload
 (report or schema), so output can be piped.  For a fixed input file, seed
@@ -20,9 +21,9 @@ and flags, the emitted schema is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
+import os
 import sys
 
 from .assembly import (
@@ -36,11 +37,10 @@ from .assembly import (
 from .errors import (
     CapExceededError,
     CycleGraphError,
-    GraphFormatError,
     InternalInvariantError,
     TargetGenusError,
 )
-from .graph import MetricGraph, parse_graph, smooth
+from .graph import parse_graph, smooth
 from .invariants import DEFAULT_TREE_CAP
 from .moves import DEFAULT_RESTARTS, analyze, maximize_boundaries, minimize_boundaries, oracle
 from .rotation import DEFAULT_ROTATION_CAP
@@ -66,16 +66,18 @@ def _quote(value: object) -> str:
     return text if len(text) <= 40 else text[:40] + "\u2026"
 
 
-def _load_graph(path: str) -> MetricGraph:
+def _read_text(path: str) -> str:
+    """The text of an input file, a graph or a schema: UTF-8, with a leading
+    byte-order mark dropped.  A byte that is not UTF-8 is refused at its
+    line: the text before it, and a stand-in for it, split as
+    :func:`parse_graph` splits lines."""
     with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)  # a leading byte-order mark is dropped
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the text before the bad byte and a stand-in for it, split as parse_graph splits lines
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise GraphFormatError(f"not UTF-8 text at byte 0x{data[exc.start]:02x}", line) from None
-    return parse_graph(text)
+        raise ValueError(f"line {line}: not UTF-8 text at byte 0x{data[exc.start]:02x}") from None
 
 
 def _target_kind(value: str):
@@ -93,19 +95,25 @@ def _target_kind(value: str):
     )
 
 
+def _typed(to: type, value: str) -> int | float:
+    """``value`` converted by ``to``, int or float: the one conversion of a
+    typed flag.  Its refusal is worded as argparse's own, but quotes the
+    value short."""
+    try:
+        return to(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {to.__name__} value: {_quote(value)}") from None
+
+
 def _count(value: str) -> int:
     """A count of restarts, trees or rotations: an int, 0 or more."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(value)}") from None
-    if number < 0:
+    if (number := _typed(int, value)) < 0:
         raise argparse.ArgumentTypeError(f"negative count {_quote(number)}; expected 0 or more")
     return number
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = parse_graph(_read_text(args.graph))
     report = analyze(graph, tree_cap=args.max_trees, rotation_cap=args.max_rotations)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # rotation_count can pass it
     if limit:
@@ -119,7 +127,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    graph = smooth(_load_graph(args.graph))
+    graph = smooth(parse_graph(_read_text(args.graph)))
     target = args.target
     search = {"restarts": args.restarts, "seed": args.seed, "rotation_cap": args.max_rotations}
     if target == "maximal":
@@ -174,14 +182,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    lines, passed = oracle(_load_graph(args.graph), args.max_trees, args.max_rotations)
+    lines, passed = oracle(parse_graph(_read_text(args.graph)), args.max_trees, args.max_rotations)
     print("\n".join(lines))
     return OK if passed else INVARIANT_VIOLATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.schema, encoding="utf-8") as fh:
-        schema = schema_from_json(fh.read())
+    schema = schema_from_json(_read_text(args.schema))
     diagnostics = verify_schema(schema)
     for note in diagnostics.notes:
         print(f"note: {note}")
@@ -234,8 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimal (essential genus), maximal, or genus=<int>",
     )
     p_embed.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p_embed.add_argument("--margin", type=float, default=0.1, help="scaling slack, > 0")
-    p_embed.add_argument("--seed", type=int, default=0, help="seed for restart rotations")
+    real, integer = functools.partial(_typed, float), functools.partial(_typed, int)
+    p_embed.add_argument("--margin", type=real, default=0.1, help="scaling slack, > 0")
+    p_embed.add_argument("--seed", type=integer, default=0, help="seed for restart rotations")
     p_embed.add_argument(
         "--restarts", type=_count, default=DEFAULT_RESTARTS,
         help="random restarts before the frontier DP decides the optimum",
@@ -261,11 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # refused as parse_args refuses them, but quoted short
+            parser.error(f"unrecognized arguments: {_quote(' '.join(extras))}")
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe meets us here, not at exit; None is skipped
+        return code
     except CycleGraphError as exc:
         _say(f"cycle graph: {exc}")
         return CYCLE_GRAPH
@@ -278,7 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         _say(f"internal invariant violation: {exc}")
         return INVARIANT_VIOLATION
-    except (ValueError, OSError) as exc:  # every input error class is a ValueError
+    except BrokenPipeError:  # the reader of stdout has gone: exit as SIGPIPE would end us
+        if sys.stdout is sys.__stdout__ is not None:  # the process's own, not a caller's
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
+        return 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe ended
+    except OSError as exc:  # a file that cannot be read or written, named short
+        path = "" if exc.filename is None else f": {_quote(exc.filename)}"
+        _say(f"error: {exc.strerror or exc}{path}")
+        return BAD_INPUT
+    except ValueError as exc:  # every input error class is a ValueError
         _say(f"error: {exc}")
         return BAD_INPUT
     except Exception as exc:  # a bug; keep it apart from exit 1, "verification failed"

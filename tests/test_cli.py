@@ -1,10 +1,13 @@
 import ast
+import errno
 import functools
 import hashlib
 import json
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -119,13 +122,18 @@ def test_a_non_finite_edge_length_is_refused_as_not_finite(case, graph_file, cap
     assert capsys.readouterr() == ("", f"error: line 1: edge length must be finite, got {quoted}\n")
 
 
-@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
-def test_a_graph_file_that_is_not_utf8_is_refused_at_its_line(bom, tmp_path, capsys):
-    # it was refused in the codec's words, with a byte offset and no line
+@pytest.mark.parametrize(
+    ("bom", "command"),
+    [(b"", "analyze"), (b"\xef\xbb\xbf", "analyze"), (b"", "verify"), (b"\xef\xbb\xbf", "verify")],
+    ids=["plain", "byte-order mark", "plain, verify", "byte-order mark, verify"],
+)
+def test_a_graph_file_that_is_not_utf8_is_refused_at_its_line(bom, command, tmp_path, capsys):
+    # it was refused in the codec's words, with a byte offset and no line;
+    # verify reads its schema as a graph file is read
     path = tmp_path / "latin1.graph"
     text = "edge a u v 1.0\nedge b u v 1.0\r\nedge c u v 1.0 # café\n"
     path.write_bytes(bom + text.encode("latin-1"))
-    assert main(["analyze", str(path)]) == 2
+    assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured == ("", "error: line 3: not UTF-8 text at byte 0xe9\n")
     assert "codec" not in captured.err
@@ -137,6 +145,8 @@ LONG_FLAG_VALUES = {
     "negative count": ("analyze", "--max-rotations", "-" + "9" * 4000),
     "genus target": ("embed", "--target", "genus=" + "9" * 5001),
     "unknown target": ("embed", "--target", "x" * 5001),
+    "seed": ("embed", "--seed", "9" * 5001),
+    "margin": ("embed", "--margin", "x" * 5001),
 }
 
 
@@ -153,6 +163,175 @@ def test_flag_refusals_quote_a_long_value_cut_short(case, graph_file, capsys):
     assert len(refusal.encode()) < 300
     if command == "analyze":
         assert len(captured.err.encode()) < 300
+
+
+@pytest.mark.parametrize(("flag", "kind"), [("--seed", "int"), ("--margin", "float")])
+def test_seed_and_margin_refusals_keep_argparse_words(flag, kind, graph_file, capsys):
+    assert main(["embed", graph_file(K4), flag, "x"]) == 2
+    refusal = f"ribbon-embed embed: error: argument {flag}: invalid {kind} value: 'x'\n"
+    assert capsys.readouterr().err.endswith(refusal)
+
+
+def test_unrecognized_arguments_are_quoted_short(graph_file, capsys):
+    # argparse echoed them whole: 5114 bytes for the long one
+    assert main(["analyze", graph_file(K4), "extra"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: 'extra'\n")
+    assert main(["analyze", graph_file(K4), "--bogus", "x" * 5001]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: '--bogus " + "x" * 31 + "…\n")
+    assert len(err.encode()) < 300
+
+
+# Files that cannot be opened, each with its errno: the refusal names the
+# error and the path, cut short, and no "[Errno N]".
+UNREADABLE_FILES = {
+    "missing": ("analyze", "missing.graph", errno.ENOENT),
+    "directory": ("verify", ".", errno.EISDIR),
+    "5001-character path": ("analyze", "x" * 5001, errno.ENAMETOOLONG),
+    "output in a missing directory": ("embed", "missing/k4.json", errno.ENOENT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_a_file_that_cannot_be_opened_is_named_short(case, graph_file, tmp_path, capsys):
+    # it was worded as "[Errno 2] No such file or directory: '<the whole path>'"
+    command, name, code = UNREADABLE_FILES[case]
+    path = str(tmp_path / name)
+    argv = ["embed", graph_file(K4), "-o", path] if command == "embed" else [command, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {os.strerror(code)}: {cli._quote(path)}\n"
+    assert "Errno" not in err and len(err.encode()) < 300
+
+
+def test_a_schema_may_open_with_a_byte_order_mark(graph_file, tmp_path, capsys):
+    # it was refused as "not valid JSON: Unexpected UTF-8 BOM"
+    out_path, text = _k4_schema(graph_file, tmp_path)
+    out_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr() == ("ok: genus 3, 0 boundary circle(s), construction sigma\n", "")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["analyze", "embed"])
+def test_a_closed_stdout_exits_141_with_nothing_printed(command, buffered, graph_file):
+    # it exited 2 with "error: [Errno 32] Broken pipe", or, where the report
+    # waited in the buffer, 120 with "Exception ignored ... BrokenPipeError"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    script = "import sys; from ribbon_embed.cli import main; sys.exit(main())"
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, graph_file(K4)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_closed_stdout_in_process_exits_141(graph_file, capsys, monkeypatch):
+    # a caller's own stdout, here capsys's, is left as it is, and nothing raises
+    def closed(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cli, "analyze", closed)
+    assert main(["analyze", graph_file(K4)]) == 141
+    assert capsys.readouterr() == ("", "")
+
+
+# The length grammar is Python's float(): each spelling either reads as the
+# plain length beside it (the report is the same, graph_hash included) or is
+# refused with exit 2 in the words given.
+LENGTH_SPELLINGS = {
+    "underscore": ("1_0", 0, "10"),
+    "Arabic-Indic digit": ("\u0661", 0, "1"),
+    "fullwidth digit": ("\uff11", 0, "1"),
+    "hex float": ("0x1p3", 2, "bad length '0x1p3'"),
+    "inf": ("inf", 2, "edge length must be finite, got inf"),
+    "nan": ("nan", 2, "edge length must be finite, got nan"),
+    "past the float range": ("1e400", 2, "edge length must be finite, got 1e400"),
+    "below the least float": ("1e-400", 2, "edge length must be positive, got 1e-400"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENGTH_SPELLINGS))
+def test_the_length_grammar_is_floats(case, tmp_path, capsys):
+    spelled, code, want = LENGTH_SPELLINGS[case]
+    path = tmp_path / "theta.graph"
+    path.write_bytes(f"edge a u v {spelled}\nedge b u v 1.0\nedge c u v 1.0\n".encode())
+    assert main(["analyze", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured == ("", f"error: line 1: {want}\n")
+        return
+    assert captured.err == ""
+    path.write_bytes(f"edge a u v {want}\nedge b u v 1.0\nedge c u v 1.0\n".encode())
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr() == captured
+
+
+# Tokens each written in place of one token of a graph file's records.
+HOSTILE_TOKENS = (
+    "1e400", "-1e400", "9" * 400, "nan", "-NaN", "inf",  # past the float range, NaN
+    "+1.0", "-1.0", "-0", "+0",  # signs
+    "1_0", "_1", "1__0", "1_",  # underscores
+    "\u0661", "\uff11", "\u00b2", "\u0967",  # non-ASCII digits
+    "\x00", "1\x00", "\ufeff", "\ufeff1.0",  # NUL, a byte-order mark
+    "a\tb", "\t", "1.0\r\n", "a#b",  # a tab, CRLF, a comment mid-record
+    "x" * 5001, "9" * 5001,
+)  # fmt: skip
+
+
+def _graph_file_mutations():
+    """Each demo graph file with one token of one record replaced by a
+    hostile token or by the previous record's, dropped or doubled, or the
+    record commented out; then the whole file with a byte-order mark, CRLF
+    or CR line ends, tabs, a NUL, a Latin-1 byte or a line separator, and
+    the empty file."""
+    for path in sorted(DEMO_GRAPHS.glob("*.graph")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        records = [i for i, line in enumerate(lines) if line.startswith("edge")]
+        for k, i in enumerate(records):
+            parts, other = lines[i].split(), lines[records[k - 1]].split()
+            for j in range(5):
+                for edit in [[t] for t in HOSTILE_TOKENS] + [[other[j]], [], [parts[j]] * 2]:
+                    line = " ".join(parts[:j] + edit + parts[j + 1:]) + "\n"
+                    yield text.replace(lines[i], line, 1).encode()
+            yield text.replace(lines[i], "# " + lines[i], 1).encode()
+        data = text.encode()
+        yield from (b"\xef\xbb\xbf" + data, b"\xef\xbb\xbf" * 2 + data)
+        yield from (data.replace(b"\n", b"\r\n"), data.replace(b"\n", b"\r"))
+        yield from (data.replace(b" ", b"\t"), data + b"\x00")
+        yield from (data.replace(b"\n", b" \xe9\n", 1), data.replace(b"\n", "\u2028".encode()), b"")
+
+
+# The sha256 of every (exit code, stdout, stderr) of the graph-file corpus, in order.
+GRAPH_CORPUS_DIGEST = "61a7ec272449dd178ccd014e0bfa813e4850add4c94dab684e3caebce535f2e0"
+
+
+def test_analyze_is_total_on_graph_file_mutations(tmp_path, capsys):
+    # every mutated file gets a verdict in the package's own words: exit 0,
+    # 2 (bad input), 3 (a cycle) or 5, never 6, and no interpreter wording
+    path = tmp_path / "mutated.graph"
+    exits = Counter()
+    digest = hashlib.sha256()
+    for data in _graph_file_mutations():
+        path.write_bytes(data)
+        code = main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 5), (data[:80], err)
+        assert not any(word in err for word in ("Errno", "codec", "Traceback")), err
+        exits[code] += 1
+        digest.update(repr((code, out, err)).encode())
+    assert exits == {2: 3264, 0: 520, 3: 5}
+    assert digest.hexdigest() == GRAPH_CORPUS_DIGEST
 
 
 def test_analyze_cycle(graph_file, capsys):
