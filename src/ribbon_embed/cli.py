@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from .assembly import (
     assemble_sigma_surface,
@@ -54,6 +55,9 @@ CAP_EXCEEDED = 5
 INVARIANT_VIOLATION = 6
 
 
+_COMMANDS = ("analyze", "embed", "oracle", "verify")
+
+
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -66,17 +70,18 @@ def _quote(value: object) -> str:
     return text if len(text) <= 40 else text[:40] + "\u2026"
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, split: Callable[[str], list[str]] = str.splitlines) -> str:
     """The text of an input file, a graph or a schema: UTF-8, with a leading
     byte-order mark dropped.  A byte that is not UTF-8 is refused at its
-    line: the text before it, and a stand-in for it, split as
-    :func:`parse_graph` splits lines."""
+    line: the text before it, and a stand-in for it, split into lines by
+    ``split``, the file format's own rule (:func:`parse_graph` splits by
+    ``str.splitlines``; JSON counts only ``\\n``)."""
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(b"\xef\xbb\xbf")  # the UTF-8 byte-order mark
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        line = len(split(data[: exc.start].decode("utf-8") + "?"))
         raise ValueError(f"line {line}: not UTF-8 text at byte 0x{data[exc.start]:02x}") from None
 
 
@@ -166,7 +171,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         return INVARIANT_VIOLATION
     text = schema_to_json(schema)
     if args.output is None or args.output == "-":
-        sys.stdout.write(text)
+        print(text, end="")  # skipped, as every report is, where stdout was closed at start
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -188,7 +193,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    schema = schema_from_json(_read_text(args.schema))
+    schema = schema_from_json(_read_text(args.schema, lambda text: text.split("\n")))
     diagnostics = verify_schema(schema)
     for note in diagnostics.notes:
         print(f"note: {note}")
@@ -266,9 +271,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(argv: list[str]) -> str | None:
+    """The subcommand argparse reads from ``argv``, its first argument not
+    led by '-'; None where there is none, or where a help flag comes first,
+    which argparse answers before it reads the subcommand."""
+    for arg in argv:
+        if arg == "-h" or len(arg) > 2 and "--help".startswith(arg):
+            return None
+        if not arg.startswith("-"):
+            return arg
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if (command := _command(argv)) not in (None, *_COMMANDS):
+            # argparse's own refusal, but quoted short: argparse quotes it whole
+            choices = ", ".join(map(repr, _COMMANDS))
+            parser.error(
+                f"argument command: invalid choice: {_quote(command)} (choose from {choices})"
+            )
         args, extras = parser.parse_known_args(argv)
         if extras:  # refused as parse_args refuses them, but quoted short
             parser.error(f"unrecognized arguments: {_quote(' '.join(extras))}")

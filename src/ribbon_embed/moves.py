@@ -55,6 +55,10 @@ and shares no code with the kernel.  The second traces every rotation once
 by the kernel, checks its count against the first pass's, and checks every
 reducing move by the first pass's count at the rotation the move reaches;
 each greedy descent is read off the rotation its first move reaches.
+The second pass finds each rotation's crowded vertices in one call
+(:func:`~ribbon_embed.rotation._crowded_vertices`, a vertex of three darts
+tested inline), and every move scan, the oracle's and the climbs', scores a
+vertex of three darts by its one relocation, once (:func:`_relocated_cycle`).
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
     _crowded,
+    _crowded_vertices,
     _extremes,
     _faces,
     _incidence,
@@ -161,8 +166,17 @@ def _relocated_cycle(
     already turned down.  The smallest dart leads ``cycle``, so the moved
     cycle is built canonical: led by x when x is that dart, ending in x
     when x lands just before it, and led by it otherwise.
+
+    A cycle of three darts (a, b, c) is scored once, by its first
+    candidate (a moved before c).  Every candidate of the scan moves one
+    dart into the one slot left to it, and each reaches the same cycle,
+    (a, c, b), so each has the same delta, loops included: that one score
+    decides the scan exactly, in both directions.
     """
     k = len(cycle)
+    if k == 3:
+        a, b, c = cycle
+        return (a, c, b) if _relocation_delta(face, succ, b, a, c) == delta else None
     for i, x in enumerate(cycle):
         n = cycle[(i + 1) % k]
         if (face[n] == face[x]) == (delta < 0):
@@ -647,10 +661,12 @@ def oracle(
     successor table that :func:`~ribbon_embed.rotation._set_succ` rewrites,
     and fails where the kernel's count differs from the recount's, naming
     the first such rotation.  At each vertex meeting three or more walks
-    (:func:`~ribbon_embed.rotation._crowded`; none where the recount is
-    below 3) the reducing relocation (:func:`_relocated_cycle`) must exist
-    and reach a rotation whose recount is exactly 2 below the kernel's
-    count here.  That rotation differs from this one at the vertex alone,
+    (:func:`~ribbon_embed.rotation._crowded_vertices`, one call per
+    rotation; none where the recount is below 3) the reducing relocation
+    (:func:`_relocated_cycle`) must exist and reach a rotation whose
+    recount is exactly 2 below the kernel's count here; a vertex of three
+    darts has one such relocation to score.  That rotation differs from
+    this one at the vertex alone,
     so its index is this one's plus the change in the offset of the
     vertex's order (its position times the vertex's stride).  The move at
     the first such vertex is the first step of :func:`_climb`, and the
@@ -701,7 +717,7 @@ def oracle(
             mismatches += 1
         if recount < 3:  # no vertex meets three of fewer than three walks
             continue
-        for v in itertools.compress(range(n), map(_crowded, cycles, itertools.repeat(face))):
+        for v in _crowded_vertices(cycles, face):
             cycle = cycles[v]
             move_cases += 1
             moved = _relocated_cycle(cycle, -2, face, succ)

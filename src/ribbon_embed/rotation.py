@@ -210,7 +210,9 @@ def _incidence(cycle: Sequence[int], face: Sequence[int]) -> int:
 
 def _crowded(cycle: Sequence[int], face: Sequence[int]) -> bool:
     """Whether the darts of one vertex cycle lie on three or more distinct
-    faces: :func:`_incidence` ``>= 3``, stopping at the third face."""
+    faces: :func:`_incidence` ``>= 3``, stopping at the third face.  It is
+    the rule for a cycle of any length; :func:`_crowded_vertices` applies it
+    to every cycle but those of three darts."""
     first = face[cycle[0]]
     second = -1  # face ids are never negative
     for d in cycle:
@@ -221,6 +223,22 @@ def _crowded(cycle: Sequence[int], face: Sequence[int]) -> bool:
             elif f != second:
                 return True
     return False
+
+
+def _crowded_vertices(cycles: Sequence[Sequence[int]], face: Sequence[int]) -> list[int]:
+    """The vertices, in id order, whose cycles are :func:`_crowded` under
+    ``face``, in one pass over ``cycles``.  A cycle of three darts is
+    crowded exactly when its three faces differ, which is tested inline, so
+    a cubic rotation costs one call; any other cycle goes to :func:`_crowded`."""
+    return [
+        v
+        for v, cycle in enumerate(cycles)
+        if (
+            face[cycle[0]] != face[cycle[1]] != face[cycle[2]] != face[cycle[0]]
+            if len(cycle) == 3
+            else _crowded(cycle, face)
+        )
+    ]
 
 
 def vertex_boundary_incidence(graph: MetricGraph, rotation: RotationSystem) -> dict[int, int]:

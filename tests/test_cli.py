@@ -139,6 +139,16 @@ def test_a_graph_file_that_is_not_utf8_is_refused_at_its_line(bom, command, tmp_
     assert "codec" not in captured.err
 
 
+@pytest.mark.parametrize(("command", "line"), [("analyze", 2), ("verify", 1)])
+def test_a_bad_byte_is_refused_at_the_line_its_format_counts(command, line, tmp_path, capsys):
+    # a line separator ends a line of a graph file, as parse_graph splits
+    # it, but not of a schema: JSON counts only "\n".  verify said line 2.
+    path = tmp_path / "separator.json"
+    path.write_bytes('{"a": "\u2028", "b": "'.encode() + b'\xe9"}')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: not UTF-8 text at byte 0xe9\n")
+
+
 # A flag value each refusal quotes, of thousands of characters.
 LONG_FLAG_VALUES = {
     "count": ("analyze", "--max-trees", "9" * 5001),
@@ -180,6 +190,34 @@ def test_unrecognized_arguments_are_quoted_short(graph_file, capsys):
     err = capsys.readouterr().err
     assert err.endswith("error: unrecognized arguments: '--bogus " + "x" * 31 + "…\n")
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "argv", [["x" * 5001], ["x" * 5001, "k4.graph"], ["--bogus", "x" * 5001]],
+    ids=["alone", "with a graph", "after an unknown flag"],
+)
+def test_an_unknown_subcommand_is_quoted_short(argv, capsys):
+    # argparse quoted it whole: 5171 bytes for the one with a graph
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    refusal = captured.err.splitlines()[-1]
+    choices = "(choose from 'analyze', 'embed', 'oracle', 'verify')"
+    quoted = cli._quote("x" * 5001)
+    assert refusal == f"ribbon-embed: error: argument command: invalid choice: {quoted} {choices}"
+    assert captured.out == "" and len(refusal.encode()) < 300
+
+
+def test_a_short_unknown_subcommand_keeps_argparse_words(capsys):
+    assert main(["bogus"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "ribbon-embed: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'analyze', 'embed', 'oracle', 'verify')\n"
+    )
+    # the refusal names the parser's own subcommands, and a help flag still
+    # comes first
+    assert "{analyze,embed,oracle,verify}" in cli._build_parser().format_usage()
+    assert main(["--help", "bogus"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ribbon-embed ")
 
 
 # Files that cannot be opened, each with its errno: the refusal names the
@@ -243,6 +281,20 @@ def test_a_closed_stdout_in_process_exits_141(graph_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "analyze", closed)
     assert main(["analyze", graph_file(K4)]) == 141
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed", "oracle"])
+def test_a_stdout_closed_before_the_run_exits_as_the_run_does(command, graph_file):
+    # Python sets sys.stdout to None; embed wrote to it and exited 6 with
+    # "internal error: AttributeError: 'NoneType' object has no attribute 'write'"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = "import sys; from ribbon_embed.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -c "$1" "$2" "$3" >&-', sys.executable, script, command, graph_file(K4)],
+        stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"error" not in proc.stderr
 
 
 # The length grammar is Python's float(): each spelling either reads as the

@@ -51,6 +51,7 @@ from ribbon_embed.moves import (
 from ribbon_embed.rotation import (
     RotationSystem,
     _crowded,
+    _crowded_vertices,
     _cyclic_orders,
     _faces,
     _incidence,
@@ -715,6 +716,9 @@ def test_relocated_cycle_and_crowded_match_their_references():
                 succ = _succ(dart_count, cycles)
                 face = _trace(succ)[0]
                 assert _crowded(cycle, face) == (_incidence(cycle, face) >= 3), (cycles, face)
+                assert _crowded_vertices(cycles, face) == [
+                    v for v, c in enumerate(cycles) if _incidence(c, face) >= 3
+                ], (cycles, face)
                 for delta in (-2, 2):
                     want, first, to_front = _canonicalized_relocation(cycle, delta, face, succ)
                     assert _relocated_cycle(cycle, delta, face, succ) == want, (cycles, delta)
@@ -806,7 +810,7 @@ def test_oracle_recounts_each_rotation_once_before_the_kernel_runs(k4, k5, monke
         return wrapper
 
     monkeypatch.setattr(moves, "_orbits", logged("_orbits", moves._orbits))
-    for name in ("_set_succ", "_crowded", "_relocated_cycle"):
+    for name in ("_set_succ", "_crowded", "_crowded_vertices", "_relocated_cycle"):
         monkeypatch.setattr(moves, name, logged(name, getattr(moves, name)))
     monkeypatch.setattr(rotation, "_trace", logged("_trace", rotation._trace))
     for g in (k4, k5, PETERSEN):
@@ -816,6 +820,26 @@ def test_oracle_recounts_each_rotation_once_before_the_kernel_runs(k4, k5, monke
         assert calls[:total] == ["_orbits"] * total
         assert "_orbits" not in calls[total:]
         assert calls.count("_trace") == total
+
+
+def test_oracle_scans_a_cubic_rotation_without_calling_crowded(k4, monkeypatch):
+    # a cycle of three darts is tested inline by _crowded_vertices, so on a
+    # cubic graph the oracle never calls _crowded, which is the rule for
+    # other degrees (one call per vertex of every rotation with three or
+    # more walks, were it the scan)
+    calls = Counter()
+
+    def counted(cycle, face):
+        calls[len(cycle)] += 1
+        return _crowded(cycle, face)
+
+    monkeypatch.setattr(rotation, "_crowded", counted)
+    monkeypatch.setattr(moves, "_crowded", counted)
+    for g in (k4, PETERSEN):
+        assert oracle(g)[1]
+    assert not calls, calls
+    assert oracle(parse_graph("edge a u v 1\nedge b u v 1\nedge c u v 1\nedge d u u 1\n"))[1]
+    assert set(calls) == {5}, calls
 
 
 def test_oracle_traces_a_table_equal_to_one_built_from_scratch(k4, k5, monkeypatch):
