@@ -47,12 +47,12 @@ from .errors import (
     GraphValidationError,
     SchemaFormatError,
     TargetGenusError,
+    clip,
+    quote,
 )
 from .graph import (
     MetricGraph,
-    _clip,
     _from_records,
-    _quote,
     betti,
     euler_char,
     graph_hash,
@@ -120,7 +120,7 @@ def _require_embeddable(graph: MetricGraph) -> None:
     graph._require_connected()
     bad = [v for v in range(graph.vertex_count) if graph.degree(v) < 3]
     if bad:
-        names = _clip(", ".join(graph.vertex_names[v] for v in bad))
+        names = clip(", ".join(graph.vertex_names[v] for v in bad))
         raise GraphValidationError(
             f"schema construction needs minimum degree 3; offending vertices: {names} "
             "(smooth degree-2 vertices first)"
@@ -352,7 +352,7 @@ def _off(x: float, w: float) -> bool:
 
 def _named(a: tuple[str, str], b: tuple[str, str]) -> str:
     """A gluing of sides ``a`` and ``b`` as its messages name it."""
-    return f"gluing {_quote(a)} ~ {_quote(b)}"
+    return f"gluing {quote(a)} ~ {quote(b)}"
 
 
 def _gluing_index(
@@ -369,7 +369,7 @@ def _gluing_index(
         for bd in block["boundaries"]:
             key = (bid, bd["label"])
             if key in lengths:
-                errors.append(f"block {_clip(bid)}: duplicate boundary label {_clip(bd['label'])}")
+                errors.append(f"block {clip(bid)}: duplicate boundary label {clip(bd['label'])}")
             lengths[key] = bd["length"]
     partner: dict[tuple[str, str], tuple[str, str]] = {}
     for g in schema.gluings:
@@ -378,9 +378,9 @@ def _gluing_index(
         if x is None or w is None or a in partner or b in partner or a == b:
             for side, other in ((a, b), (b, a)):  # the side at fault, in this order
                 if side not in lengths:
-                    errors.append(f"gluing references missing boundary {_quote(side)}")
+                    errors.append(f"gluing references missing boundary {quote(side)}")
                 elif side in partner:
-                    errors.append(f"boundary {_quote(side)} appears in more than one gluing")
+                    errors.append(f"boundary {quote(side)} appears in more than one gluing")
                 else:
                     partner[side] = other
         else:
@@ -391,7 +391,7 @@ def _gluing_index(
             continue
         if isinstance(x, str) or isinstance(w, str):
             if x != w:
-                errors.append(f"{_named(a, b)}: symbolic lengths {_quote(x)} vs {_quote(w)}")
+                errors.append(f"{_named(a, b)}: symbolic lengths {quote(x)} vs {quote(w)}")
         elif _off(x, w):
             errors.append(f"{_named(a, b)}: lengths {x:.12g} vs {w:.12g}")
     return partner
@@ -405,23 +405,23 @@ def _check_sphere(
     bid, payload = block["id"], block["payload"]
     v = schema.graph.vertex_ids.get(payload.get("vertex"))
     if v is None:
-        errors.append(f"block {_clip(bid)}: unknown vertex {_quote(payload.get('vertex'))}")
+        errors.append(f"block {clip(bid)}: unknown vertex {quote(payload.get('vertex'))}")
         return None
     x, w = payload.get("foot"), schema.scale.foot[v]
     if not isinstance(x, float) or _off(x, w):
-        errors.append(f"block {_clip(bid)}: foot {_quote(x)}, expected {w:.12g}")
+        errors.append(f"block {clip(bid)}: foot {quote(x)}, expected {w:.12g}")
     if block["genus"] != 0:
-        errors.append(f"block {_clip(bid)}: vertex sphere must have genus 0")
+        errors.append(f"block {clip(bid)}: vertex sphere must have genus 0")
     got = []
     for bd in block["boundaries"]:
         label, x = bd["label"], bd["length"]
         if not isinstance(x, float) or _off(x, 1.0):
-            errors.append(f"block {_clip(bid)}: cuff {_clip(label)} is not unit length")
+            errors.append(f"block {clip(bid)}: cuff {clip(label)} is not unit length")
         got.append(label)
     want = [darts[d] for d in schema.rotation.cycles[v]]
     if got != want:
         errors.append(
-            f"block {_clip(bid)}: cuff order {_quote(tuple(got))} "
+            f"block {clip(bid)}: cuff order {quote(tuple(got))} "
             f"differs from rotation order {tuple(want)}"
         )
     return v
@@ -441,25 +441,25 @@ def _check_pants(
     name = payload.get("edge")
     e = graph.edge_ids.get(name)
     if e is None:
-        errors.append(f"block {_clip(bid)}: unknown edge {_quote(name)}")
+        errors.append(f"block {clip(bid)}: unknown edge {quote(name)}")
         return None
     x, w = payload.get("scaled_length"), schema.scale.t * graph.lengths[e]
     if not isinstance(x, float) or _off(x, w):
         errors.append(
-            f"block {_clip(bid)}: scaled length {_quote(x)}, expected t * length = {w:.12g}"
+            f"block {clip(bid)}: scaled length {quote(x)}, expected t * length = {w:.12g}"
         )
     if block["genus"] != 0 or len(block["boundaries"]) != 3:
-        errors.append(f"block {_clip(bid)}: edge pants must be a genus-0 3-holed sphere")
+        errors.append(f"block {clip(bid)}: edge pants must be a genus-0 3-holed sphere")
         return e
     waist = 2.0 * schema.scale.waist[e]
     for bd in block["boundaries"]:
         label, x = bd["label"], bd["length"]
         w = 1.0 if label == "end0" or label == "end1" else waist if label == "waist" else None
         if w is None:
-            errors.append(f"block {_clip(bid)}: unexpected cuff {_clip(label)}")
+            errors.append(f"block {clip(bid)}: unexpected cuff {clip(label)}")
         elif not isinstance(x, float) or _off(x, w):
             errors.append(
-                f"block {_clip(bid)}: cuff {_clip(label)} has length {_quote(x)}, "
+                f"block {clip(bid)}: cuff {clip(label)} has length {quote(x)}, "
                 f"expected {w:.12g}"
             )
     darts, spheres = labels
@@ -467,8 +467,8 @@ def _check_pants(
         u = graph.vertex_of[dart]
         if partner.get((bid, end_label)) != (spheres[u], darts[dart]):
             errors.append(
-                f"edge {_clip(name)}: cuff {end_label} is not glued to dart {dart} "
-                f"of vertex {_clip(graph.vertex_names[u])}"
+                f"edge {clip(name)}: cuff {end_label} is not glued to dart {dart} "
+                f"of vertex {clip(graph.vertex_names[u])}"
             )
     return e
 
@@ -480,11 +480,11 @@ def _check_cap(
     the cap is glued to: spine walks, or the waist of a naive cap's edge."""
     bid, kind, genus, holes = block["id"], block["kind"], block["genus"], len(block["boundaries"])
     if kind == "cap_pants" and (genus != 0 or holes != 3):
-        errors.append(f"block {_clip(bid)}: three-holed cap must have genus 0")
+        errors.append(f"block {clip(bid)}: three-holed cap must have genus 0")
     elif kind == "cap_torus" and (genus != 1 or holes != 1):
-        errors.append(f"block {_clip(bid)}: torus cap must be one-holed genus 1")
+        errors.append(f"block {clip(bid)}: torus cap must be one-holed genus 1")
     elif kind == "cap_surface" and (genus < 1 or holes not in (1, 3)):
-        errors.append(f"block {_clip(bid)}: upgraded cap must have genus >= 1 and 1 or 3 holes")
+        errors.append(f"block {clip(bid)}: upgraded cap must have genus >= 1 and 1 or 3 holes")
     sides = [partner.get((bid, bd["label"])) for bd in block["boundaries"]]
     if len(sides) == 1 and sides[0] is not None and sides[0][1] == "waist":
         want = {"fills": "waist", "edge": sides[0][0].removeprefix("pants:")}
@@ -493,8 +493,8 @@ def _check_cap(
     got = {key: block["payload"].get(key) for key in want}
     if got != want:
         errors.append(
-            f"block {_clip(bid)}: payload {_quote(got)} does not match its gluings, "
-            f"{_quote(want)}"
+            f"block {clip(bid)}: payload {quote(got)} does not match its gluings, "
+            f"{quote(want)}"
         )
 
 
@@ -503,7 +503,7 @@ def _check_spine(schema: SurfaceSchema, spine: dict, errors: list[str]) -> None:
     :func:`_spine_block` rebuilds from the recorded rotation."""
     chi, euler = euler_char(schema.graph), _euler(spine)
     if euler != chi:
-        errors.append(f"block {_clip(spine['id'])}: chi {euler} differs from the graph's {chi}")
+        errors.append(f"block {clip(spine['id'])}: chi {euler} differs from the graph's {chi}")
     want = _spine_block(schema.graph, schema.rotation)
     got, expected = spine["boundaries"], want["boundaries"]
     if len(got) != len(expected):
@@ -538,18 +538,18 @@ def _check_scale(schema: SurfaceSchema, errors: list[str]) -> None:
     for v, w in derived.foot.items():
         x = scale.foot[v]
         if _off(x, w):
-            errors.append(f"vertex {_clip(graph.vertex_names[v])}: foot {x!r}, expected {w:.12g}")
+            errors.append(f"vertex {clip(graph.vertex_names[v])}: foot {x!r}, expected {w:.12g}")
     for e, length in enumerate(graph.lengths):
         x, w = scale.clearance[e], derived.clearance[e]
         if _off(x, w):
             errors.append(
-                f"edge {_clip(graph.edge_names[e])}: clearance {x!r}, "
+                f"edge {clip(graph.edge_names[e])}: clearance {x!r}, "
                 f"expected the two feet {w:.12g}"
             )
         x, w = waist_distance(scale.waist[e]), derived.t * length - derived.clearance[e]
         if _off(x, w):
             errors.append(
-                f"edge {_clip(graph.edge_names[e])}: waist does not invert the cuff distance"
+                f"edge {clip(graph.edge_names[e])}: waist does not invert the cuff distance"
             )
 
 
@@ -601,16 +601,16 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
             if _euler(block) != -1:
                 heavy.append(block)
         else:
-            errors.append(f"block {_clip(block['id'])}: unknown kind {_clip(str(kind))}")
+            errors.append(f"block {clip(block['id'])}: unknown kind {clip(str(kind))}")
 
     spheres, pants = Counter(sphere_of), Counter(pants_of)
     if spheres or pants:
         for v, name in enumerate(graph.vertex_names):
             if spheres[v] != 1:
-                errors.append(f"vertex {_clip(name)} has {spheres[v]} vertex spheres, not 1")
+                errors.append(f"vertex {clip(name)} has {spheres[v]} vertex spheres, not 1")
         for e, name in enumerate(graph.edge_names):
             if pants[e] != 1:
-                errors.append(f"edge {_clip(name)} has {pants[e]} edge pants, not 1")
+                errors.append(f"edge {clip(name)} has {pants[e]} edge pants, not 1")
     if spines > 1:
         errors.append("more than one spine block")
 
@@ -622,33 +622,33 @@ def verify_schema(schema: SurfaceSchema) -> Diagnostics:
         construction = f"sigma_target({summary.genus})"
     if summary.construction != construction:
         errors.append(
-            f"construction {_quote(summary.construction)} does not match the blocks, "
+            f"construction {quote(summary.construction)} does not match the blocks, "
             f"which build {construction!r}"
         )
     expected_chi = 2 - 2 * summary.genus - summary.boundary_count
     if surface_chi != expected_chi:
         errors.append(
-            f"chi additivity broken: surface blocks sum to {_quote(surface_chi)}, "
-            f"summary implies {_quote(expected_chi)}"
+            f"chi additivity broken: surface blocks sum to {quote(surface_chi)}, "
+            f"summary implies {quote(expected_chi)}"
         )
     if free != summary.boundary_count:
         errors.append(
-            f"{free} unglued surface boundaries, summary says {_quote(summary.boundary_count)}"
+            f"{free} unglued surface boundaries, summary says {quote(summary.boundary_count)}"
         )
     if summary.construction == "naive":
         want = graph.edge_count + betti(graph)
         if summary.genus != want:
-            errors.append(f"naive genus {_quote(summary.genus)}, expected |E| + beta = {want}")
+            errors.append(f"naive genus {quote(summary.genus)}, expected |E| + beta = {want}")
         if summary.minimal:
             errors.append("naive construction must not claim minimality")
     elif summary.boundary_count == 0:
         if summary.minimal != (not heavy):
             errors.append(
-                f"summary.minimal={_quote(summary.minimal)} but caps "
+                f"summary.minimal={quote(summary.minimal)} but caps "
                 f"{'do not all have' if heavy else 'all have'} chi = -1"
             )
         for c in heavy:
-            notes.append(f"non-minimal cap {_clip(c['id'])}: chi = {_euler(c)} (genus upgrade)")
+            notes.append(f"non-minimal cap {clip(c['id'])}: chi = {_euler(c)} (genus upgrade)")
     if summary.boundary_count > 0 and summary.minimal is not None:
         errors.append("bordered schema must leave minimality undecided")
     _check_scale(schema, errors)
@@ -823,7 +823,7 @@ def schema_to_json(schema: SurfaceSchema) -> str:
 
 
 def _refuse(what: str, kind: str, value) -> NoReturn:
-    raise SchemaFormatError(f"{what} is not {kind}: {_quote(value)}")
+    raise SchemaFormatError(f"{what} is not {kind}: {quote(value)}")
 
 
 def _finite(value, what: str):
@@ -836,7 +836,7 @@ def _finite(value, what: str):
     if type(value) is not float and type(value) is not int:
         _refuse(what, "a number", value)
     if not -_MAX <= value <= _MAX:
-        raise SchemaFormatError(f"non-finite number {_quote(value)}")
+        raise SchemaFormatError(f"non-finite number {quote(value)}")
     return value
 
 
@@ -845,13 +845,13 @@ def _positive(value, what: str):
     length, waist and margin of a schema is; the scaling and the pants
     trigonometry reject the others."""
     if not _finite(value, what) > 0.0:
-        raise SchemaFormatError(f"non-positive number {_quote(value)}")
+        raise SchemaFormatError(f"non-positive number {quote(value)}")
     return value
 
 
 def _side(value) -> NoReturn:
     raise SchemaFormatError(
-        f"gluing side {_quote(value)} is not a [block id, label] pair of strings"
+        f"gluing side {quote(value)} is not a [block id, label] pair of strings"
     )
 
 
@@ -872,11 +872,11 @@ def _per_name(
             for k, v in entries.items()
         }
     except KeyError as exc:  # only ids[k] can miss
-        name = _quote(exc.args[0])
+        name = quote(exc.args[0])
         raise SchemaFormatError(f"{key} names no {noun} of the graph: {name}") from None
     missing = [name for name, i in ids.items() if i not in values]
     if missing:
-        raise SchemaFormatError(f"{key} has no entry for {_clip(', '.join(missing))}")
+        raise SchemaFormatError(f"{key} has no entry for {clip(', '.join(missing))}")
     return values
 
 
@@ -888,7 +888,7 @@ def _graph_from_meta(stored: dict) -> MetricGraph:
     for record in edges:
         if not (type(record) is list and len(record) == 4 and {*map(type, record[:3])} == {str}):
             raise SchemaFormatError(
-                f"edge record {_quote(record)} is not [name, u, v, length] with string names"
+                f"edge record {quote(record)} is not [name, u, v, length] with string names"
             )
         name, u, v, length = record
         records.append((name, u, v, float(_positive(length, "edge length"))))
@@ -936,7 +936,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
     try:
         if type(doc["schema_version"]) is bool or doc["schema_version"] != SCHEMA_VERSION:
             raise SchemaFormatError(
-                f"unsupported schema_version {_quote(doc['schema_version'])}"
+                f"unsupported schema_version {quote(doc['schema_version'])}"
             )
         meta = doc["meta"]
         where, held = "meta", meta
@@ -947,7 +947,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             raise SchemaFormatError("meta graph hash does not match the graph's edges")
         where, held = "meta", meta
         if float(_finite(meta["f_min"], "f_min")) != _F_MIN_STORED:
-            raise SchemaFormatError(f"f_min {_quote(meta['f_min'])} is not {_F_MIN_STORED!r}")
+            raise SchemaFormatError(f"f_min {quote(meta['f_min'])} is not {_F_MIN_STORED!r}")
         if len(graph.edge_ids) != graph.edge_count:
             raise SchemaFormatError("meta graph repeats an edge name")
         if meta.get("rotation") is None:
@@ -979,7 +979,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 _refuse("block genus", "an integer", genus)
             layer = b["layer"]
             if layer not in (SURFACE, CONSTRUCTION):  # chi additivity sums the surface layer
-                raise SchemaFormatError(f"unknown block layer {_quote(layer)}")
+                raise SchemaFormatError(f"unknown block layer {quote(layer)}")
             boundary_docs = b["boundaries"]
             if type(boundary_docs) is not list:  # an object would be iterated by key
                 _refuse(f"block {i} boundaries", "a JSON array", boundary_docs)
@@ -994,7 +994,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                     _finite(length, "boundary length")
             payload = b.setdefault("payload", {})
             if type(payload) is not dict:
-                raise SchemaFormatError(f"block {_quote(bid)}: payload is not an object")
+                raise SchemaFormatError(f"block {quote(bid)}: payload is not an object")
             if type(payload.get("vertex", "")) is not str:
                 _refuse("payload vertex", "a string", payload["vertex"])
             if type(payload.get("edge", "")) is not str:
@@ -1005,7 +1005,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 and all(type(w) is list and all(type(d) is int for d in w) for w in walks)
             ):
                 raise SchemaFormatError(
-                    f"block {_quote(bid)}: payload walks are not lists of darts"
+                    f"block {quote(bid)}: payload walks are not lists of darts"
                 )
         where, k = "gluings", None
         for k, g in enumerate(gluing_docs):
@@ -1025,7 +1025,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
         minimal = s["minimal"]
         if minimal is not None and type(minimal) is not bool:  # 1 == True to Python
             raise SchemaFormatError(
-                f"summary minimal is not true, false or null: {_quote(minimal)}"
+                f"summary minimal is not true, false or null: {quote(minimal)}"
             )
         summary = Summary(s["genus"], s["boundary_count"], minimal, s["construction"])
     except SchemaFormatError:
@@ -1038,9 +1038,9 @@ def schema_from_json(text: str) -> SurfaceSchema:
         elif where == "gluings" and k is not None:
             where, held = f"gluing {k}", g
         if isinstance(exc, KeyError):
-            raise SchemaFormatError(f"{where} has no key {_quote(exc.args[0])}") from None
+            raise SchemaFormatError(f"{where} has no key {quote(exc.args[0])}") from None
         if type(held) is not dict:
-            raise SchemaFormatError(f"{where} is not a JSON object: {_quote(held)}") from None
+            raise SchemaFormatError(f"{where} is not a JSON object: {quote(held)}") from None
         raise SchemaFormatError(f"{where} holds a value of the wrong JSON type") from None
     return SurfaceSchema(
         graph=graph,

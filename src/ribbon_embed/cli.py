@@ -40,6 +40,7 @@ from .errors import (
     CycleGraphError,
     InternalInvariantError,
     TargetGenusError,
+    quote,
 )
 from .graph import parse_graph, smooth
 from .invariants import DEFAULT_TREE_CAP
@@ -60,14 +61,6 @@ _COMMANDS = ("analyze", "embed", "oracle", "verify")
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _quote(value: object) -> str:
-    """``repr(value)`` cut to its first 40 characters, as every message of
-    the package quotes a value (``graph._quote``), for the refusals of the
-    argument types; the CLI imports no private name, so it keeps this copy."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "\u2026"
 
 
 def _read_text(path: str, split: Callable[[str], list[str]] = str.splitlines) -> str:
@@ -93,10 +86,10 @@ def _target_kind(value: str):
             return ("genus", int(value[len("genus="):]))
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"bad genus in target {_quote(value)}; expected genus=<int>"
+                f"bad genus in target {quote(value)}; expected genus=<int>"
             ) from None
     raise argparse.ArgumentTypeError(
-        f"unknown target {_quote(value)}; expected minimal, maximal or genus=<int>"
+        f"unknown target {quote(value)}; expected minimal, maximal or genus=<int>"
     )
 
 
@@ -107,13 +100,13 @@ def _typed(to: type, value: str) -> int | float:
     try:
         return to(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {to.__name__} value: {_quote(value)}") from None
+        raise argparse.ArgumentTypeError(f"invalid {to.__name__} value: {quote(value)}") from None
 
 
 def _count(value: str) -> int:
     """A count of restarts, trees or rotations: an int, 0 or more."""
     if (number := _typed(int, value)) < 0:
-        raise argparse.ArgumentTypeError(f"negative count {_quote(number)}; expected 0 or more")
+        raise argparse.ArgumentTypeError(f"negative count {quote(number)}; expected 0 or more")
     return number
 
 
@@ -227,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_count,
             default=DEFAULT_ROTATION_CAP,
             help="refuse the exhaustive rotation stages (frontier DP, oracle pass) "
-            "above this many rotations",
+            "above this many rotations, or where they would list more than 10^6 "
+            "cyclic orders",
         )
 
     p_analyze = sub.add_parser("analyze", help="print the invariant report")
@@ -291,11 +285,11 @@ def main(argv: list[str] | None = None) -> int:
             # argparse's own refusal, but quoted short: argparse quotes it whole
             choices = ", ".join(map(repr, _COMMANDS))
             parser.error(
-                f"argument command: invalid choice: {_quote(command)} (choose from {choices})"
+                f"argument command: invalid choice: {quote(command)} (choose from {choices})"
             )
         args, extras = parser.parse_known_args(argv)
         if extras:  # refused as parse_args refuses them, but quoted short
-            parser.error(f"unrecognized arguments: {_quote(' '.join(extras))}")
+            parser.error(f"unrecognized arguments: {quote(' '.join(extras))}")
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
     try:
@@ -319,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
         return 141  # 128 + SIGPIPE, as a shell reports a writer a closed pipe ended
     except OSError as exc:  # a file that cannot be read or written, named short
-        path = "" if exc.filename is None else f": {_quote(exc.filename)}"
+        path = "" if exc.filename is None else f": {quote(exc.filename)}"
         _say(f"error: {exc.strerror or exc}{path}")
         return BAD_INPUT
     except ValueError as exc:  # every input error class is a ValueError

@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule by which
+every message quotes a value: :func:`clip` cuts a token read from input,
+and :func:`quote` cuts the ``repr`` of any value, so a one-line file or a
+flag of any size gives a short message.  Both are module-level helpers
+of the package, not part of its exported API."""
+
+
+def clip(token: str) -> str:
+    """``token`` cut to its first 40 characters, as an error message quotes it."""
+    return token if len(token) <= 40 else token[:40] + "\u2026"
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` cut by :func:`clip`: how an error message quotes a
+    value read from a document of any size."""
+    try:
+        return clip(repr(value))
+    except ValueError:  # an int past the interpreter's limit on decimal digits
+        return f"<{type(value).__name__} too long to print>"
 
 
 class GraphFormatError(ValueError):

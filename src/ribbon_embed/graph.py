@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CycleGraphError, GraphFormatError, GraphValidationError
+from .errors import CycleGraphError, GraphFormatError, GraphValidationError, clip
 
 
 def mate(dart: int) -> int:
@@ -159,21 +159,6 @@ def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph
     return MetricGraph(tuple(vertex_of), tuple(lengths), tuple(edge_names), tuple(vertex_ids))
 
 
-def _clip(token: str) -> str:
-    """``token`` as an error message quotes it: cut to its first 40
-    characters, so a one-line file of any size gives a short message."""
-    return token if len(token) <= 40 else token[:40] + "\u2026"
-
-
-def _quote(value: object) -> str:
-    """``repr(value)`` cut by :func:`_clip`: how an error message quotes a
-    value read from a document of any size."""
-    try:
-        return _clip(repr(value))
-    except ValueError:  # an int past the interpreter's limit on decimal digits
-        return f"<{type(value).__name__} too long to print>"
-
-
 def parse_graph(text: str) -> MetricGraph:
     """Parse the edge-list file format.
 
@@ -196,24 +181,24 @@ def parse_graph(text: str) -> MetricGraph:
             continue
         parts = line.split()
         if parts[0] != "edge":
-            raise GraphFormatError(f"unknown record type {_clip(parts[0])!r}", lineno)
+            raise GraphFormatError(f"unknown record type {clip(parts[0])!r}", lineno)
         if len(parts) != 5:
             raise GraphFormatError("expected: edge <name> <u> <v> <length>", lineno)
         _, name, u, v, length_text = parts
         for token in (name, u, v):
             if not token.isalnum():
-                raise GraphFormatError(f"name {_clip(token)!r} is not alphanumeric", lineno)
+                raise GraphFormatError(f"name {clip(token)!r} is not alphanumeric", lineno)
         if name in edge_names:
-            raise GraphFormatError(f"duplicate edge name {_clip(name)!r}", lineno)
+            raise GraphFormatError(f"duplicate edge name {clip(name)!r}", lineno)
         try:
             length = float(length_text)
         except ValueError:
-            raise GraphFormatError(f"bad length {_clip(length_text)!r}", lineno) from None
+            raise GraphFormatError(f"bad length {clip(length_text)!r}", lineno) from None
         if not math.isfinite(length):
-            raise GraphFormatError(f"edge length must be finite, got {_clip(length_text)}", lineno)
+            raise GraphFormatError(f"edge length must be finite, got {clip(length_text)}", lineno)
         if length <= 0.0:
             raise GraphFormatError(
-                f"edge length must be positive, got {_clip(length_text)}", lineno
+                f"edge length must be positive, got {clip(length_text)}", lineno
             )
         records.append((name, u, v, length))
         edge_names.add(name)
@@ -380,7 +365,7 @@ def smooth(graph: MetricGraph) -> MetricGraph:
     for v in range(graph.vertex_count):
         if graph.degree(v) < 2:
             raise GraphValidationError(
-                f"vertex {_clip(graph.vertex_names[v])} has degree {graph.degree(v)}; "
+                f"vertex {clip(graph.vertex_names[v])} has degree {graph.degree(v)}; "
                 "smoothing requires every degree to be at least 2"
             )
     if all(graph.degree(v) >= 3 for v in range(graph.vertex_count)):

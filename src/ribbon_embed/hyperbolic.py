@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import MetricGraph, _clip
+from .errors import clip
+from .graph import MetricGraph
 
 _COSH_SQ_HALF = math.cosh(0.5) ** 2
 _SINH_SQ_HALF = math.sinh(0.5) ** 2
@@ -114,7 +115,7 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     t = need[shortest]
     if t == math.inf:
         raise ValueError(
-            f"edge {_clip(graph.edge_names[shortest])} of length {graph.lengths[shortest]!r} "
+            f"edge {clip(graph.edge_names[shortest])} of length {graph.lengths[shortest]!r} "
             f"needs a scale beyond double precision at margin {margin!r}"
         )
     gap = {e: t * graph.lengths[e] - clearance[e] for e in range(graph.edge_count)}
@@ -122,14 +123,14 @@ def choose_scale(graph: MetricGraph, margin: float = 0.1) -> ScaleParams:
     if gap[binding] <= F_MIN:
         raise ValueError(
             f"margin {margin!r} is too small: in double precision it leaves edge "
-            f"{_clip(graph.edge_names[binding])} a gap of {gap[binding]!r}, not above "
+            f"{clip(graph.edge_names[binding])} a gap of {gap[binding]!r}, not above "
             f"f_min={F_MIN:.9f}"
         )
     waist = {e: f_inv(d) for e, d in gap.items()}
     longest = max(waist, key=waist.__getitem__)
     if 2.0 * waist[longest] == math.inf:
         raise ValueError(
-            f"margin {margin!r} gives edge {_clip(graph.edge_names[longest])} a waist cuff "
+            f"margin {margin!r} gives edge {clip(graph.edge_names[longest])} a waist cuff "
             "beyond double precision"
         )
     return ScaleParams(t=t, margin=margin, foot=foot, clearance=clearance, waist=waist)

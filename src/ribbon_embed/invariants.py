@@ -21,7 +21,8 @@ Which rung certifies zeta is decided by the certificate ladder of
 :mod:`ribbon_embed.moves`, which also holds the public readers of zeta,
 ``essential_genus`` and ``max_genus``, and ``ge_max_exact``, the reader
 of the profile's maximum; the tree search :func:`betti_deficiency` is
-the ladder's last rung, past the rotation cap, and its independent check.
+the ladder's last rung, where the rotation gate refuses the DP, and its
+independent check.
 
 The essential genus is the smallest genus of a closed hyperbolic surface
 admitting an essential isometric embedding of the (rescaled) graph, and

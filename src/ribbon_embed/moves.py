@@ -23,17 +23,17 @@ the optimum is named by the result's ``certificate``:
    maximizing, :func:`_walk_bound` (genus 0, or every walk as long as the
    girth), ``"walk-bound"``.
 2. For g_e^max, which is a genus, not a count (:func:`analyze` and
-   :func:`ge_max_exact` only), and within the rotation cap: the plateau.
+   :func:`ge_max_exact` only), and where the DP is admitted: the plateau.
    One ascent whose count has the capped genus of :func:`_walk_bound`
    pins g_e^max with no DP pass (:func:`_ge_max`).  No search result
    names it: it settles a genus, not a walk count.
 3. Short of the bound (or the plateau), one pass of the frontier DP,
-   within the rotation cap, decides the optimum and gives the first
-   rotation at it: ``"dp"``.
-4. Past the rotation cap, minimizing only, Xuong's spanning-tree search
-   (:func:`~ribbon_embed.invariants.betti_deficiency`) gives 1 + zeta when
-   Kirchhoff's count puts the trees within the tree cap
-   (:func:`_minimize`): ``"trees"``.  Within the rotation cap no tree is
+   where the rotation gate admits it, decides the optimum and gives the
+   first rotation at it: ``"dp"``.
+4. Where the gate refuses the DP, minimizing only, Xuong's spanning-tree
+   search (:func:`~ribbon_embed.invariants.betti_deficiency`) gives
+   1 + zeta when Kirchhoff's count puts the trees within the tree cap
+   (:func:`_minimize`): ``"trees"``.  Where the DP is admitted no tree is
    enumerated but by :func:`oracle`.
 
 With no rung in reach, ``certificate`` and ``optimum`` are None.
@@ -41,11 +41,12 @@ With no rung in reach, ``certificate`` and ``optimum`` are None.
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
 The costly inputs of the ladder are one call's record (:class:`_Rungs`):
-whether the DP is admitted within the rotation cap, the DP pass, and
-Kirchhoff's tree count, each asked for at most once and only when a rung
-first needs it.  :func:`analyze` reads zeta, g_e^max and its report off one
-record, so the pass runs only where the descent misses the floor or the
-ascent the plateau.  Past the rotation cap g_e^max stays unknown.
+the answer of the rotation gate (:func:`~ribbon_embed.rotation._refusal`),
+the DP pass, and Kirchhoff's tree count, each asked for at most once and
+only when a rung first needs it.  :func:`analyze` reads zeta, g_e^max and
+its report off one record, so the pass runs only where the descent misses
+the floor or the ascent the plateau.  Where the gate refuses the DP,
+g_e^max stays unknown.
 
 :func:`oracle` re-verifies the theory by brute force, in two passes over
 the rotations, each rewriting its table only at the vertices whose cycle
@@ -78,8 +79,9 @@ from .errors import (
     InternalInvariantError,
     MovePreconditionError,
     NoIncreasingMoveError,
+    clip,
 )
-from .graph import MetricGraph, _clip, betti, euler_char, girth, graph_hash, smooth
+from .graph import MetricGraph, betti, euler_char, girth, graph_hash, smooth
 from .invariants import (
     DEFAULT_TREE_CAP,
     InvariantReport,
@@ -93,15 +95,12 @@ from .invariants import (
 from .rotation import (
     DEFAULT_ROTATION_CAP,
     RotationSystem,
-    _crowded,
     _crowded_vertices,
     _extremes,
     _faces,
     _incidence,
-    _rotation_at,
     _set_succ,
     _strides,
-    _too_many,
     _vertex_orders,
     count_rotations,
     dart_label,
@@ -216,7 +215,7 @@ def _relocate(
 
 def _no_reducing_move(graph: MetricGraph, vertex: int, walks: int) -> InternalInvariantError:
     return InternalInvariantError(
-        f"no reducing relocation at vertex {_clip(graph.vertex_names[vertex])} although it "
+        f"no reducing relocation at vertex {clip(graph.vertex_names[vertex])} although it "
         f"meets {walks} walks"
     )
 
@@ -234,7 +233,7 @@ def reduce_move(
     walks = _incidence(rotation.cycles[vertex], face)
     if walks < 3:
         raise MovePreconditionError(
-            f"vertex {_clip(graph.vertex_names[vertex])} meets {walks} walks; "
+            f"vertex {clip(graph.vertex_names[vertex])} meets {walks} walks; "
             "a reducing move needs at least 3"
         )
     step = _relocate(rotation, vertex, -2, face, succ)
@@ -287,21 +286,23 @@ def _climb(
     """Apply relocations changing the walk count by ``delta`` (-2 or +2)
     until none is found; return the final rotation, its count and the moves.
 
-    Descending tries only the first vertex meeting three or more walks,
+    Descending tries only the first vertex meeting three or more walks
+    (:func:`~ribbon_embed.rotation._crowded_vertices`, the oracle's scan),
     where a reducing relocation must exist; ascending scans every vertex by
     id, as :func:`increase_move` does.
     """
     records = []
     while True:
         face, count, succ = _faces(graph.dart_count, rotation.cycles)
-        for v, cycle in enumerate(rotation.cycles):
-            if delta < 0 and not _crowded(cycle, face):
-                continue
+        vertices = (
+            _crowded_vertices(rotation.cycles, face)[:1] if delta < 0 else range(graph.vertex_count)
+        )
+        for v in vertices:
             step = _relocate(rotation, v, delta, face, succ)
             if step is not None:
                 break
             if delta < 0:
-                raise _no_reducing_move(graph, v, _incidence(cycle, face))
+                raise _no_reducing_move(graph, v, _incidence(rotation.cycles[v], face))
         else:
             return rotation, count, records
         rotation, record = step
@@ -312,36 +313,36 @@ class _Rungs:
     """The costly inputs of one call's ladder over ``graph``, each asked
     for at most once and only when a rung first needs it.
 
-    :attr:`admitted`: the frontier DP may run, within ``rotation_cap``
-    rotations (:attr:`rotations`).  :meth:`dp`: the one pass, or None where
-    it is not admitted; once it has run, ``orders`` holds the cyclic orders
-    at each vertex and ``extremes`` :func:`_extremes` over them (the least
-    and the greatest walk count, each with the index of its first
-    rotation), and both are None until then.  :attr:`trees`: Kirchhoff's
-    count, or None above ``tree_cap``.
+    :attr:`refusal`: the answer of the one gate,
+    :func:`~ribbon_embed.rotation._refusal`, at ``rotation_cap``, and
+    :attr:`admitted` whether it was None: whether the frontier DP may run.
+    :meth:`dp`: the one pass, or None where it is not admitted; once it has
+    run, ``extremes`` holds :func:`_extremes` (the least and the greatest
+    walk count, each with its first rotation in enumeration order), None
+    until then.  :attr:`trees`: Kirchhoff's count, or None above
+    ``tree_cap``.
     """
 
-    orders = extremes = None
+    extremes = None
 
     def __init__(self, graph: MetricGraph, tree_cap: int, rotation_cap: int) -> None:
         self.graph, self.tree_cap, self.rotation_cap = graph, tree_cap, rotation_cap
 
     @cached_property
-    def rotations(self) -> int:
-        return count_rotations(self.graph)
+    def refusal(self) -> CapExceededError | None:
+        return rotation_module._refusal(self.graph, self.rotation_cap)
 
-    @cached_property
+    @property
     def admitted(self) -> bool:
-        return self.rotations <= self.rotation_cap
+        return self.refusal is None
 
     @cached_property
     def trees(self) -> int | None:
         return _tree_count(self.graph, self.tree_cap)
 
-    def dp(self) -> dict[int, int] | None:
+    def dp(self) -> dict[int, RotationSystem] | None:
         if self.extremes is None and self.admitted:
-            self.orders = _vertex_orders(self.graph, self.rotation_cap)
-            self.extremes = _extremes(self.graph, self.orders)
+            self.extremes = _extremes(self.graph, _vertex_orders(self.graph, None))
         return self.extremes
 
 
@@ -356,13 +357,14 @@ def _search(
     ``bound`` is a count no rotation can beat, so reaching it certifies the
     result at once, as ``"floor"`` descending and ``"walk-bound"``
     ascending.  Only when the climb and the restarts end short of it is
-    ``rungs`` asked for the DP pass (:meth:`_Rungs.dp`; None above the
-    rotation cap), which decides the optimum (``"dp"``) and gives the first
+    ``rungs`` asked for the DP pass (:meth:`_Rungs.dp`; None where the gate
+    refuses it), which decides the optimum (``"dp"``) and gives the first
     rotation, in enumeration order, at the least and the greatest count
-    (:func:`~ribbon_embed.rotation._extremes`); a best count short of
-    the optimum gives way to the one at it.  With no pass, the result has
-    no ``optimum`` and no ``certificate``.  A graph that is not connected
-    raises :class:`~ribbon_embed.errors.GraphValidationError` first.
+    (:func:`~ribbon_embed.rotation._extremes`): a best count short of the
+    optimum gives way to that rotation, the witness, retraced here.  With
+    no pass, the result has no ``optimum`` and no ``certificate``.  A graph
+    that is not connected raises
+    :class:`~ribbon_embed.errors.GraphValidationError` first.
     """
     graph = rungs.graph
     graph._require_connected()
@@ -395,7 +397,7 @@ def _search(
     elif (extremes := rungs.dp()) is not None:
         optimum, certificate = (max if delta > 0 else min)(extremes), "dp"
         if beats(optimum, best[0]):
-            witness = _rotation_at(rungs.orders, extremes[optimum])
+            witness = extremes[optimum]
             count = _faces(graph.dart_count, witness.cycles)[1]
             if count != optimum:
                 raise InternalInvariantError(f"witness has {count} walks, not {optimum}")
@@ -427,8 +429,8 @@ def minimize_boundaries(
     Applies reducing moves until no vertex meets three walks, then retries
     from seeded random rotations; reaching the floor stops both.
     ``rotation_cap`` gates the frontier DP, and ``tree_cap`` the
-    spanning-tree rung, which runs only past the rotation cap.  The best
-    rotation found is certified when it attains the optimum a rung
+    spanning-tree rung, which runs only where the gate refuses the DP.  The
+    best rotation found is certified when it attains the optimum a rung
     settles; with no rung in reach it has no ``optimum``.
     """
     return _minimize(_Rungs(graph, tree_cap, rotation_cap), start, restarts, seed)
@@ -536,14 +538,14 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     rotations, which is that of the most walks, since the capped genus
     never falls as the walk count rises by 2.  Raises
     :class:`~ribbon_embed.errors.GraphValidationError` on a graph that is
-    not connected and :class:`CapExceededError` above ``cap`` rotations.
-    As :func:`analyze` reads it (:func:`_ge_max`): the plateau of one
-    ascent, else the DP's extremes fold
-    (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
+    not connected and, where the gate refuses the DP at ``cap``, its
+    refusal (:attr:`_Rungs.refusal`).  As :func:`analyze` reads it
+    (:func:`_ge_max`): the plateau of one ascent, else the DP's extremes
+    fold (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
     graph._require_connected()
     rungs = _Rungs(graph, DEFAULT_TREE_CAP, cap)
     if (exact := _ge_max(rungs)) is None:
-        raise _too_many(rungs.rotations, cap)
+        raise rungs.refusal
     return exact
 
 
@@ -561,10 +563,11 @@ def analyze(
     same caps, so a graph no rung settles raises
     :class:`CapExceededError`, and ``ge_max_exact`` from :func:`_ge_max`,
     as :func:`ge_max_exact` reads it, by the plateau or the pass.
-    ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact`` above
-    ``rotation_cap``.  zeta must share beta's parity and, wherever the
-    pass ran, be one less than its minimum, and ``ge_max_exact`` keep
-    within the girth bound, or :class:`InternalInvariantError` is raised.
+    ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact`` where
+    the gate refuses the DP at ``rotation_cap``.  zeta must share beta's
+    parity and, wherever the pass ran, be one less than its minimum, and
+    ``ge_max_exact`` keep within the girth bound, or
+    :class:`InternalInvariantError` is raised.
     """
     smoothed_graph = smooth(graph)
     b = betti(smoothed_graph)
@@ -598,7 +601,7 @@ def analyze(
         ge_max_bound=bound,
         ge_max_exact=exact,
         tree_count=rungs.trees,
-        rotation_count=rungs.rotations,
+        rotation_count=count_rotations(smoothed_graph),
     )
 
 
@@ -678,8 +681,9 @@ def oracle(
     are reported, not failed (loop-carrying graphs can stall with every
     vertex meeting at most two walks).  The passes keep 16 bytes per
     rotation: its recount, the index its first move reaches and the first
-    vertex that turned.  Both caps are checked before the tree search for
-    zeta, the tree count first, and raise :class:`CapExceededError`.
+    vertex that turned.  The tree cap, then the rotation gate
+    (:func:`~ribbon_embed.rotation._refusal`), are checked before the tree
+    search for zeta, and each refusal raises :class:`CapExceededError`.
     """
     graph = smooth(graph)
     if _tree_count(graph, tree_cap) is None:

@@ -39,8 +39,17 @@ smallest :func:`enumerate_rotations` index among its partial rotations,
 so the same pass gives the first rotation at every walk count
 (:func:`_rotation_at` decodes it).  Two folds run on the driver:
 :func:`_profile` keeps the whole histogram, and :func:`_extremes` only its
-least and greatest buckets, which is all the searches of
-:mod:`ribbon_embed.moves` read.
+least and greatest buckets, each with its first rotation decoded, which is
+all the searches of :mod:`ribbon_embed.moves` read.
+
+The exhaustive stages (:func:`enumerate_rotations`,
+:func:`boundary_profile`, the DP pass of the searches and the oracle) run
+only where one gate, :func:`_refusal`, admits the graph: at most ``cap``
+rotations, and at most :data:`DEFAULT_ROTATION_CAP` cyclic orders to list
+(the sum of (deg - 1)! over the vertices of degree 3 or more, which
+:func:`_vertex_orders` would build).  Each such term is at least 2, so
+the sum never passes the product, the rotation count, and at the default
+cap only the rotation count refuses.
 
 The DP runs over half the rotations, wherever some vertex has degree 3
 or more.  Reversing every cyclic order keeps
@@ -65,8 +74,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, GraphFormatError, InternalInvariantError
-from .graph import MetricGraph, _clip, _quote, edge_of, euler_char
+from .errors import CapExceededError, GraphFormatError, InternalInvariantError, clip, quote
+from .graph import MetricGraph, edge_of, euler_char
 
 DEFAULT_ROTATION_CAP = 10**6
 
@@ -107,7 +116,7 @@ def validate_rotation(graph: MetricGraph, rotation: RotationSystem) -> None:
     for v, cycle in enumerate(rotation.cycles):
         if sorted(cycle) != list(graph.darts_at(v)):
             raise GraphFormatError(
-                f"cycle at vertex {_clip(graph.vertex_names[v])} is not a permutation "
+                f"cycle at vertex {clip(graph.vertex_names[v])} is not a permutation "
                 f"of the darts at that vertex"
             )
 
@@ -259,21 +268,29 @@ def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
     return [(head, *p) for p in itertools.permutations(tail)]
 
 
-def _too_many(total: int, cap: int) -> CapExceededError:
-    """The refusal of ``total`` rotations above ``cap``; a count of 600
-    digits or more, which the interpreter's limit on decimal digits may
-    refuse to print, is named by its order of magnitude."""
-    shown = total if total < 10**600 else f"over 10^{int(math.log10(total))}"
-    return CapExceededError(f"{shown} rotation systems exceed the cap of {cap}")
+def _refusal(graph: MetricGraph, cap: int) -> CapExceededError | None:
+    """Why the exhaustive stages may not run over ``graph`` at ``cap``, or
+    None where they may: the one gate of the package (module docstring).
+    A count of 600 digits or more, which the interpreter's limit on decimal
+    digits may refuse to print, is named by its order of magnitude."""
+    degrees = [graph.degree(v) for v in range(graph.vertex_count)]
+    listed = sum(math.factorial(d - 1) for d in degrees if d >= 3)
+    for count, limit, what in (
+        (count_rotations(graph), cap, "rotation systems exceed the cap"),
+        (listed, DEFAULT_ROTATION_CAP, "cyclic orders to list exceed the limit"),
+    ):
+        if count > limit:
+            shown = count if count < 10**600 else f"over 10^{int(math.log10(count))}"
+            return CapExceededError(f"{shown} {what} of {limit}")
+    return None
 
 
-def _vertex_orders(graph: MetricGraph, cap: int) -> list[list[tuple[int, ...]]]:
-    """The cyclic orders at each vertex, smallest dart first.  Raises
-    :class:`CapExceededError` (:func:`_too_many`), before building any,
-    when the product of their counts exceeds ``cap``."""
-    total = count_rotations(graph)
-    if total > cap:
-        raise _too_many(total, cap)
+def _vertex_orders(graph: MetricGraph, cap: int | None) -> list[list[tuple[int, ...]]]:
+    """The cyclic orders at each vertex, smallest dart first.  The refusal
+    of :func:`_refusal` at ``cap`` is raised before any is built; ``cap``
+    None lists them at once, for a caller that has asked the gate itself."""
+    if cap is not None and (refusal := _refusal(graph, cap)) is not None:
+        raise refusal
     return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 
@@ -285,8 +302,8 @@ def enumerate_rotations(
     The smallest dart at each vertex is pinned first, which quotients out
     rotations of each cycle; what remains is the product of the per-vertex
     (deg - 1)! tail permutations, streamed in lexicographic order with the
-    last vertex varying fastest.  Raises :class:`CapExceededError` up front
-    when the total exceeds ``cap``.
+    last vertex varying fastest.  Raises the refusal of :func:`_refusal` at
+    ``cap`` up front.
     """
     for combo in itertools.product(*_vertex_orders(graph, cap)):
         yield RotationSystem(combo)
@@ -295,8 +312,8 @@ def enumerate_rotations(
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
     """Histogram {walk count: rotation count} over all rotation systems.
 
-    Raises :class:`CapExceededError` when there are more than ``cap``
-    rotations, before any work; :func:`_profile` computes it.
+    Raises the refusal of :func:`_refusal` at ``cap`` before any work;
+    :func:`_profile` computes it.
     """
     profile = _profile(graph, _vertex_orders(graph, cap))
     return {walks: profile[walks][0] for walks in sorted(profile)}
@@ -529,11 +546,12 @@ def _profile(graph: MetricGraph, orders: _Orders) -> dict[int, list[int]]:
     return _frontier(graph, orders, {0: [1 if _mirror_vertex(graph) is None else 2, 0]}, histogram)
 
 
-def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, int]:
-    """{least walk count: index of its first rotation, greatest: index of
-    its first rotation} over ``orders``: the two extreme keys of
-    :func:`_profile` and their first indices, by :func:`_frontier` with a
-    fold that keeps four ints per state.
+def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, RotationSystem]:
+    """{least walk count: its first rotation, greatest: its first rotation}
+    over ``orders``, in :func:`enumerate_rotations` order: the two extreme
+    keys of :func:`_profile`, each with its first index decoded by
+    :func:`_rotation_at`, by :func:`_frontier` with a fold that keeps four
+    ints per state.
 
     They are the least closed-face count with the smallest index there and
     the greatest with the smallest index there, and that is exact: a
@@ -559,7 +577,7 @@ def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, int]:
         return t
 
     lo, lo_first, hi, hi_first = _frontier(graph, orders, [0, 0, 0, 0], bounds)
-    return {lo: lo_first, hi: hi_first}
+    return {lo: _rotation_at(orders, lo_first), hi: _rotation_at(orders, hi_first)}
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:
@@ -585,26 +603,26 @@ def rotation_from_lines(graph: MetricGraph, lines: Iterable[str]) -> RotationSys
     cycles: dict[int, tuple[int, ...]] = {}
     for raw in lines:
         if type(raw) is not str:
-            raise GraphFormatError(f"bad rotation record {_quote(raw)}")
+            raise GraphFormatError(f"bad rotation record {quote(raw)}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] != "rot" or len(parts) < 3:
-            raise GraphFormatError(f"bad rotation record {_quote(raw)}")
+            raise GraphFormatError(f"bad rotation record {quote(raw)}")
         v = graph.vertex_ids.get(parts[1])
         if v is None:
-            raise GraphFormatError(f"unknown vertex {_quote(parts[1])}")
+            raise GraphFormatError(f"unknown vertex {quote(parts[1])}")
         if v in cycles:
-            raise GraphFormatError(f"vertex {_quote(parts[1])} listed twice")
+            raise GraphFormatError(f"vertex {quote(parts[1])} listed twice")
         try:
             cycles[v] = tuple([darts[label] for label in parts[2:]])
         except KeyError as exc:  # the first label that names no dart
             label = exc.args[0]
             if len(label) < 2 or label[-1] not in "+-":
-                raise GraphFormatError(f"bad dart label {_quote(label)}") from None
-            raise GraphFormatError(f"unknown edge {_quote(label[:-1])} in dart label") from None
+                raise GraphFormatError(f"bad dart label {quote(label)}") from None
+            raise GraphFormatError(f"unknown edge {quote(label[:-1])} in dart label") from None
     missing = [graph.vertex_names[v] for v in range(graph.vertex_count) if v not in cycles]
     if missing:
-        raise GraphFormatError(f"missing rotation for vertices {_quote(missing)}")
+        raise GraphFormatError(f"missing rotation for vertices {quote(missing)}")
     return make_rotation(graph, [cycles[v] for v in range(graph.vertex_count)])

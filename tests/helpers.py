@@ -23,7 +23,7 @@ from ribbon_embed import (
     is_cycle_graph,
     parse_graph,
 )
-from ribbon_embed.rotation import canonical_cycle
+from ribbon_embed.rotation import _cyclic_orders, canonical_cycle
 
 
 # 4 vertices, 9 edges: the descent and every restart of the ladder's search
@@ -253,3 +253,20 @@ def ring_of_loops(n: int) -> MetricGraph:
             f"edge l{i} b{i} b{i} 1.0",
         ]
     return parse_graph("\n".join(lines))
+
+
+def wheel(spokes: int) -> MetricGraph:
+    """A hub joined by ``spokes`` spokes to a rim cycle of as many vertices:
+    the hub has degree ``spokes`` and every rim vertex degree 3."""
+    lines = []
+    for i in range(spokes):
+        lines += [f"edge s{i} h r{i} 1.0", f"edge c{i} r{i} r{(i + 1) % spokes} 1.0"]
+    return parse_graph("\n".join(lines))
+
+
+def short_order_lists(darts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``rotation._cyclic_orders`` for a test to patch in: a vertex of more
+    than 12 darts fails at once, where a gate that let it through would
+    list its 12! cyclic orders or more."""
+    assert len(darts) <= 12, "the gate let a vertex of more than 12 darts through"
+    return _cyclic_orders(darts)

@@ -23,6 +23,7 @@ from ribbon_embed import (
     analyze,
     cli,
     default_rotation,
+    errors,
     format_graph,
     graph_hash,
     invariants,
@@ -38,7 +39,14 @@ from ribbon_embed import graph as graph_module
 from ribbon_embed.cli import main
 
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
-from helpers import STALLS_AT_THREE_WALKS, prism, random_multigraph, two_thetas_schema
+from helpers import (
+    STALLS_AT_THREE_WALKS,
+    prism,
+    random_multigraph,
+    short_order_lists,
+    two_thetas_schema,
+    wheel,
+)
 
 CYCLE = "edge a u v 1.0\nedge b v u 2.0\n"
 DANGLING = "edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0\n"
@@ -118,7 +126,7 @@ def test_a_non_finite_edge_length_is_refused_as_not_finite(case, graph_file, cap
     length = NON_FINITE_LENGTHS[case]
     path = graph_file(f"edge a u v {length}\nedge b u v 1.0\nedge c u v 1.0\n")
     assert main(["analyze", path]) == 2
-    quoted = graph_module._clip(length)
+    quoted = errors.clip(length)
     assert capsys.readouterr() == ("", f"error: line 1: edge length must be finite, got {quoted}\n")
 
 
@@ -202,7 +210,7 @@ def test_an_unknown_subcommand_is_quoted_short(argv, capsys):
     captured = capsys.readouterr()
     refusal = captured.err.splitlines()[-1]
     choices = "(choose from 'analyze', 'embed', 'oracle', 'verify')"
-    quoted = cli._quote("x" * 5001)
+    quoted = errors.quote("x" * 5001)
     assert refusal == f"ribbon-embed: error: argument command: invalid choice: {quoted} {choices}"
     assert captured.out == "" and len(refusal.encode()) < 300
 
@@ -238,7 +246,7 @@ def test_a_file_that_cannot_be_opened_is_named_short(case, graph_file, tmp_path,
     argv = ["embed", graph_file(K4), "-o", path] if command == "embed" else [command, path]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {os.strerror(code)}: {cli._quote(path)}\n"
+    assert err == f"error: {os.strerror(code)}: {errors.quote(path)}\n"
     assert "Errno" not in err and len(err.encode()) < 300
 
 
@@ -474,7 +482,7 @@ INVARIANT_CHECKS = {
         "count 2 lies beyond the bound 6",
     ),
     "dp witness": (
-        (moves, "_rotation_at", lambda orders, index: rotation._rotation_at(orders, 0)),
+        (rotation, "_rotation_at", lambda orders, index, at=rotation._rotation_at: at(orders, 0)),
         lambda: analyze(STALLS_AT_THREE_WALKS),
         "witness has 5 walks, not 1",
     ),
@@ -829,6 +837,19 @@ def test_oracle_checks_the_rotation_cap_before_the_tree_search(graph_file, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "7776 rotation systems exceed the cap of 100" in captured.err
+
+
+def test_a_raised_rotation_cap_refuses_listing_a_hubs_orders(graph_file, capsys, monkeypatch):
+    # it exited 6 with MemoryError: the wheel's 12! * 2^13 rotations lie
+    # within the cap, but listing its hub's 12! cyclic orders does not fit
+    monkeypatch.setattr(rotation, "_cyclic_orders", short_order_lists)
+    path, cap = graph_file(format_graph(wheel(13))), str(10**21)
+    assert main(["analyze", path, "--json", "--max-rotations", cap]) == 0
+    assert json.loads(capsys.readouterr().out)["ge_max_exact"] is None
+    assert main(["oracle", path, "--max-rotations", cap]) == 5
+    assert capsys.readouterr() == (
+        "", "error: 479001626 cyclic orders to list exceed the limit of 1000000\n"
+    )
 
 
 def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):

@@ -622,6 +622,38 @@ def test_climb_matches_single_moves(theta, bouquet2, k4):
                 assert _climb(g, rot, delta) == _climb_by_single_moves(g, rot, delta)
 
 
+def test_a_descent_scans_by_crowded_vertices_once_per_move(k5, monkeypatch):
+    # the descent finds the vertex to move at by the oracle's one scan,
+    # once per move and once where it stops, and never tests a vertex
+    # with _crowded itself: every _crowded call comes from inside the scan
+    scans, inside, tested = [], [], []
+    crowded, crowded_vertices = rotation._crowded, rotation._crowded_vertices
+
+    def scan(cycles, face):
+        scans.append(cycles)
+        inside.append(True)
+        try:
+            return crowded_vertices(cycles, face)
+        finally:
+            inside.pop()
+
+    def checked(cycle, face):
+        assert inside, "_crowded called outside _crowded_vertices"
+        tested.append(len(cycle))
+        return crowded(cycle, face)
+
+    monkeypatch.setattr(moves, "_crowded_vertices", scan)
+    monkeypatch.setattr(rotation, "_crowded", checked)
+    moved = 0
+    for g in (k5, PETERSEN, STALLING, *map(random_multigraph, range(20))):
+        for seed in range(4):
+            del scans[:]
+            records = _climb(g, default_rotation(g, seed), -2)[2]
+            assert len(scans) == len(records) + 1, (g, seed)
+            moved += len(records)
+    assert moved > 0 and 4 in tested  # K5's cycles of four darts go to _crowded
+
+
 def test_no_reducing_relocation_where_fewer_than_three_walks_meet(theta, bouquet2, k4):
     # why the descent tries only vertices meeting >= 3 walks; the converse,
     # that a reducing relocation exists there, is test_reduce_move_sweep_fixtures
@@ -810,7 +842,7 @@ def test_oracle_recounts_each_rotation_once_before_the_kernel_runs(k4, k5, monke
         return wrapper
 
     monkeypatch.setattr(moves, "_orbits", logged("_orbits", moves._orbits))
-    for name in ("_set_succ", "_crowded", "_crowded_vertices", "_relocated_cycle"):
+    for name in ("_set_succ", "_crowded_vertices", "_relocated_cycle"):
         monkeypatch.setattr(moves, name, logged(name, getattr(moves, name)))
     monkeypatch.setattr(rotation, "_trace", logged("_trace", rotation._trace))
     for g in (k4, k5, PETERSEN):
@@ -834,7 +866,6 @@ def test_oracle_scans_a_cubic_rotation_without_calling_crowded(k4, monkeypatch):
         return _crowded(cycle, face)
 
     monkeypatch.setattr(rotation, "_crowded", counted)
-    monkeypatch.setattr(moves, "_crowded", counted)
     for g in (k4, PETERSEN):
         assert oracle(g)[1]
     assert not calls, calls

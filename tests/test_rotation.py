@@ -34,9 +34,16 @@ from ribbon_embed.rotation import (
     rotation_to_lines,
     validate_rotation,
 )
-from ribbon_embed.moves import _walk_bound
+from ribbon_embed.moves import _walk_bound, oracle
 
-from helpers import prism, random_cubic, random_multigraph
+from helpers import (
+    STALLS_AT_THREE_WALKS,
+    prism,
+    random_cubic,
+    random_multigraph,
+    short_order_lists,
+    wheel,
+)
 
 # Frozen by exhaustive enumeration, cross-checked against an independent
 # tracer for both walk conventions (the multiset is convention-invariant).
@@ -261,24 +268,24 @@ def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, d
         profile = _profile(g, orders)
         assert profile == scan, g
         lo, hi = min(scan), max(scan)
-        assert _extremes(g, orders) == {lo: scan[lo][1], hi: scan[hi][1]}, g
+        assert _extremes(g, orders) == {lo: first[lo], hi: first[hi]}, g
         for count, r in first.items():
             assert _rotation_at(orders, profile[count][1]) == r, (g, count)
 
 
 def test_extremes_are_the_extreme_buckets_of_the_profile(theta, bouquet2, k4, k5, dumbbell):
     # the searches' fold keeps the least and the greatest key of the whole
-    # histogram, each with its first index, and that index decodes to a
-    # rotation the tracer counts as many walks
+    # histogram, each with the rotation its first index decodes to, which
+    # the tracer counts as many walks
     graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
     graphs += [prism(rungs) for rungs in range(3, 31)]
     for g in graphs:
         orders = _vertex_orders(g, count_rotations(g))
         profile = _profile(g, orders)
         lo, hi = min(profile), max(profile)
-        assert _extremes(g, orders) == {lo: profile[lo][1], hi: profile[hi][1]}, g
-        for count in (lo, hi):
-            witness = _rotation_at(orders, profile[count][1])
+        extremes = _extremes(g, orders)
+        assert extremes == {c: _rotation_at(orders, profile[c][1]) for c in (lo, hi)}, g
+        for count, witness in extremes.items():
             assert _faces(g.dart_count, witness.cycles)[1] == count, (g, count)
 
 
@@ -365,3 +372,82 @@ def test_euler_parity_guard_is_internal():
     g = random_multigraph(3)
     for s in range(4):
         boundary_walks(g, default_rotation(g, s))
+
+
+def test_every_exhaustive_stage_raises_the_gates_refusal(k4, monkeypatch):
+    # one gate decides for every exhaustive stage: where it refuses, the
+    # soft readers give no exact answer and the hard ones raise its refusal
+    refusal = CapExceededError("refused by the gate")
+    asked = []
+
+    def refuse(graph, cap):
+        asked.append(cap)
+        return refusal
+
+    monkeypatch.setattr(rotation, "_refusal", refuse)
+    assert analyze(k4).ge_max_exact is None
+    # the descent misses the floor here, so the search, then g_e^max, read
+    # the answer; the gate is asked once per analyze all the same
+    report = analyze(STALLS_AT_THREE_WALKS)
+    assert (report.zeta, report.ge_max_exact, asked) == (0, None, [10**6] * 2)
+    stages = [
+        lambda: ge_max_exact(k4),
+        lambda: boundary_profile(k4),
+        lambda: list(enumerate_rotations(k4)),
+        lambda: oracle(k4),
+    ]
+    for stage in stages:
+        with pytest.raises(CapExceededError) as info:
+            stage()
+        assert info.value is refusal
+
+
+def test_the_gate_admits_exactly_the_graphs_within_the_cap(theta, bouquet2, k4, k5, dumbbell):
+    # up to the default cap the rotation count alone decides: the orders
+    # to list never outnumber the rotations
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    graphs += [random_multigraph(seed) for seed in range(300)]
+    for g in graphs:
+        total = count_rotations(g)
+        caps = {0, 1, total - 1, total, total + 1, 10**6}
+        for cap in sorted(c for c in caps if 0 <= c <= 10**6):
+            refusal = rotation._refusal(g, cap)
+            assert (refusal is None) == (total <= cap), (g, cap)
+            if refusal is not None:
+                assert str(refusal) == f"{total} rotation systems exceed the cap of {cap}"
+
+
+def test_a_raised_cap_never_lists_a_hubs_orders(monkeypatch):
+    # the wheel's 12! * 2^13 rotations lie within 10^21, but its hub alone
+    # has 12! cyclic orders: the gate refuses what would list them
+    monkeypatch.setattr(rotation, "_cyclic_orders", short_order_lists)
+    g, cap = wheel(13), 10**21
+    assert count_rotations(g) <= cap
+    assert analyze(g, rotation_cap=cap).ge_max_exact is None
+    refusal = "^479001626 cyclic orders to list exceed the limit of 1000000$"
+    stages = [
+        lambda: ge_max_exact(g, cap),
+        lambda: boundary_profile(g, cap),
+        lambda: list(enumerate_rotations(g, cap)),
+        lambda: oracle(g, rotation_cap=cap),
+    ]
+    for stage in stages:
+        with pytest.raises(CapExceededError, match=refusal):
+            stage()
+    # a 10-dart hub has 9! orders, within the limit, and an 11-dart one 10!
+    assert rotation._refusal(wheel(10), 10**21) is None
+    assert str(rotation._refusal(wheel(11), 10**21)).startswith("3628822 cyclic orders ")
+
+
+def test_the_orders_limit_admits_a_graph_exactly_at_it(k4, k5, monkeypatch):
+    # K4 lists 4 * 2! = 8 orders, K5 5 * 3! = 30, whatever the cap
+    monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 8)
+    assert rotation._refusal(k4, 10**6) is None
+    assert boundary_profile(k4, 10**6) == PROFILES["k4"]
+    with pytest.raises(CapExceededError, match="^30 cyclic orders to list exceed the limit of 8$"):
+        boundary_profile(k5, 10**6)
+    monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 7)
+    refusal = rotation._refusal(k4, 10**6)
+    assert str(refusal) == "8 cyclic orders to list exceed the limit of 7"
+    # the rotation count is asked first
+    assert str(rotation._refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
