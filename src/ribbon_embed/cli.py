@@ -45,7 +45,7 @@ from .errors import (
 from .graph import parse_graph, smooth
 from .invariants import DEFAULT_TREE_CAP
 from .moves import DEFAULT_RESTARTS, analyze, maximize_boundaries, minimize_boundaries, oracle
-from .rotation import DEFAULT_ROTATION_CAP
+from .rotation import DEFAULT_ROTATION_CAP, OrdersRefusal, refusal
 
 OK = 0
 VERIFY_FAILED = 1
@@ -132,16 +132,21 @@ def cmd_embed(args: argparse.Namespace) -> int:
         result = maximize_boundaries(graph, **search)
     else:
         result = minimize_boundaries(graph, tree_cap=args.max_trees, **search)
-    if not result.certified:
+    if not result.certified:  # so the gate refused the DP, which certifies wherever it runs
+        refused = refusal(graph, args.max_rotations)
+        lifted = not isinstance(refused, OrdersRefusal)  # by a larger --max-rotations
+        rotations = " / --max-rotations" if lifted else ""
         if result.optimum is None:  # maximize has no tree rung for --max-trees to reach
             flag = "--restarts" if target == "maximal" else "--max-trees"
-            gap, flags = "within the enumeration caps", f"{flag} / --max-rotations"
+            gap, flags = "within the enumeration caps", flag + rotations
         else:  # a rung knows the optimum, but the search's rotation misses it
             gap = (
                 f"at {result.boundary_count} walk(s); the {result.certificate} rung "
                 f"settles the optimum at {result.optimum}"
             )
-            flags = "--restarts / --max-rotations"
+            flags = "--restarts" + rotations
+        if not lifted:  # name the refusal that no flag lifts
+            gap += f" ({refused})"
         if isinstance(target, tuple):  # refused before anything is built
             _say(
                 f"error: optimum not certified {gap}; an exact genus target needs a "

@@ -277,12 +277,16 @@ def ge_max_bound(graph: MetricGraph) -> Fraction:
 class InvariantReport:
     """Everything :func:`~ribbon_embed.moves.analyze` knows about one graph.
 
-    ``ge_max_exact`` is None when the rotation enumeration would exceed its
-    cap, ``tree_count`` when the spanning trees exceed theirs; the rational
-    ``ge_max_bound`` is always present.  Counts are post-smoothing.  The
-    hash and the smoothed flag describe how the graph was presented, not
-    what it is, so they stay out of equality: a subdivided graph and its
-    smoothing produce equal reports.
+    ``ge_max_exact`` is None where the rotation gate refuses the DP, for
+    the rotation count at the cap or for the cyclic orders it would list
+    (:func:`~ribbon_embed.rotation.refusal`), and ``tree_count`` where the
+    spanning trees exceed their cap; the rational ``ge_max_bound`` is
+    always present.  The text names a refusal for the cyclic orders, which
+    no rotation cap lifts, in the gate's words, kept out of the fields
+    (:attr:`_ge_max_unknown`).  Counts are post-smoothing.  The hash and
+    the smoothed flag describe how the graph was presented, not what it
+    is, so they stay out of equality: a subdivided graph and its smoothing
+    produce equal reports.
     """
 
     graph_hash: str = field(compare=False)
@@ -302,6 +306,11 @@ class InvariantReport:
     tree_count: int | None
     rotation_count: int
 
+    # why ge_max_exact is unknown, as the text says it; analyze words a
+    # refusal for the cyclic orders as the gate did.  Not a field, so
+    # neither the JSON nor equality reads it.
+    _ge_max_unknown = "rotation cap exceeded"
+
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}  # keys in field order
         out["ge_max_bound"] = str(self.ge_max_bound)
@@ -311,7 +320,7 @@ class InvariantReport:
         rows = self.to_json_dict()
         rows["ge_max_bound"] = f"{self.ge_max_bound} (~{float(self.ge_max_bound):.4f})"
         if self.ge_max_exact is None:
-            rows["ge_max_exact"] = "unknown (rotation cap exceeded; bound still holds)"
+            rows["ge_max_exact"] = f"unknown ({self._ge_max_unknown}; bound still holds)"
         if self.tree_count is None:
             rows["tree_count"] = "unknown (tree cap exceeded)"
         width = max(len(k) for k in rows)

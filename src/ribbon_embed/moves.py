@@ -15,7 +15,11 @@ reducing relocation would disprove the underlying theory and raises
 
 One search (:func:`_search`) climbs in either direction and certifies its
 result by a ladder of certificates, cheapest first; the rung that settles
-the optimum is named by the result's ``certificate``:
+the optimum is named by the result's ``certificate``.  A climb
+(:func:`_climb`) keeps one list of cycles and one successor table, which
+each move rewrites at the moved vertex alone, and builds its rotation
+once, at the end; :func:`reduce_move` and :func:`increase_move` trace
+afresh and make one move each, its reference.  The ladder:
 
 1. A count no rotation can beat, reached by the climb, is optimal on
    sight: minimizing, 1 plus the bridge floor of zeta
@@ -41,7 +45,7 @@ With no rung in reach, ``certificate`` and ``optimum`` are None.
 :func:`analyze`, :func:`essential_genus` and :func:`max_genus` take zeta
 from the minimum a rung settles, by one policy (:func:`_zeta`), or refuse.
 The costly inputs of the ladder are one call's record (:class:`_Rungs`):
-the answer of the rotation gate (:func:`~ribbon_embed.rotation._refusal`),
+the answer of the rotation gate (:func:`~ribbon_embed.rotation.refusal`),
 the DP pass, and Kirchhoff's tree count, each asked for at most once and
 only when a rung first needs it.  :func:`analyze` reads zeta, g_e^max and
 its report off one record, so the pass runs only where the descent misses
@@ -94,6 +98,7 @@ from .invariants import (
 )
 from .rotation import (
     DEFAULT_ROTATION_CAP,
+    OrdersRefusal,
     RotationSystem,
     _crowded_vertices,
     _extremes,
@@ -101,6 +106,7 @@ from .rotation import (
     _incidence,
     _set_succ,
     _strides,
+    _succ,
     _vertex_orders,
     count_rotations,
     dart_label,
@@ -192,27 +198,6 @@ def _relocated_cycle(
     return None
 
 
-def _relocate(
-    rotation: RotationSystem,
-    vertex: int,
-    delta: int,
-    face: Sequence[int],
-    succ: Sequence[int],
-) -> tuple[RotationSystem, MoveRecord] | None:
-    """The first relocation at ``vertex`` changing the walk count by
-    ``delta``, as the moved rotation and its record, or None; the scan is
-    :func:`_relocated_cycle`'s over one trace (``face``, ``succ``) of
-    ``rotation``.
-    """
-    cycle = rotation.cycles[vertex]
-    moved = _relocated_cycle(cycle, delta, face, succ)
-    if moved is None:
-        return None
-    cycles = list(rotation.cycles)
-    cycles[vertex] = moved
-    return RotationSystem(tuple(cycles)), MoveRecord(vertex, cycle, moved, delta)
-
-
 def _no_reducing_move(graph: MetricGraph, vertex: int, walks: int) -> InternalInvariantError:
     return InternalInvariantError(
         f"no reducing relocation at vertex {clip(graph.vertex_names[vertex])} although it "
@@ -236,10 +221,12 @@ def reduce_move(
             f"vertex {clip(graph.vertex_names[vertex])} meets {walks} walks; "
             "a reducing move needs at least 3"
         )
-    step = _relocate(rotation, vertex, -2, face, succ)
-    if step is None:
+    cycle = rotation.cycles[vertex]
+    moved = _relocated_cycle(cycle, -2, face, succ)
+    if moved is None:
         raise _no_reducing_move(graph, vertex, walks)
-    return step
+    cycles = rotation.cycles[:vertex] + (moved,) + rotation.cycles[vertex + 1 :]
+    return RotationSystem(cycles), MoveRecord(vertex, cycle, moved, -2)
 
 
 def increase_move(
@@ -247,10 +234,11 @@ def increase_move(
 ) -> tuple[RotationSystem, MoveRecord]:
     """Raise the boundary-walk count by exactly 2, scanning vertices by id."""
     face, _, succ = _faces(graph.dart_count, rotation.cycles)
-    for vertex in range(graph.vertex_count):
-        step = _relocate(rotation, vertex, +2, face, succ)
-        if step is not None:
-            return step
+    for vertex, cycle in enumerate(rotation.cycles):
+        moved = _relocated_cycle(cycle, +2, face, succ)
+        if moved is not None:
+            cycles = rotation.cycles[:vertex] + (moved,) + rotation.cycles[vertex + 1 :]
+            return RotationSystem(cycles), MoveRecord(vertex, cycle, moved, +2)
     raise NoIncreasingMoveError("no single-dart relocation increases the walk count")
 
 
@@ -286,27 +274,35 @@ def _climb(
     """Apply relocations changing the walk count by ``delta`` (-2 or +2)
     until none is found; return the final rotation, its count and the moves.
 
-    Descending tries only the first vertex meeting three or more walks
+    The climb keeps one list of cycles and one successor table for its
+    whole run: a move rewrites the table at the moved vertex alone
+    (:func:`~ribbon_embed.rotation._set_succ`), the one kernel
+    :func:`~ribbon_embed.rotation._trace` traces it after every move, and
+    the :class:`RotationSystem` is built once, at the end.  Descending
+    tries only the first vertex meeting three or more walks
     (:func:`~ribbon_embed.rotation._crowded_vertices`, the oracle's scan),
     where a reducing relocation must exist; ascending scans every vertex by
     id, as :func:`increase_move` does.
     """
+    cycles = list(rotation.cycles)
+    succ = _succ(graph.dart_count, cycles)
+    trace = rotation_module._trace  # the one kernel, looked up when the climb starts
     records = []
     while True:
-        face, count, succ = _faces(graph.dart_count, rotation.cycles)
-        vertices = (
-            _crowded_vertices(rotation.cycles, face)[:1] if delta < 0 else range(graph.vertex_count)
-        )
+        face, count = trace(succ)
+        vertices = _crowded_vertices(cycles, face)[:1] if delta < 0 else range(graph.vertex_count)
         for v in vertices:
-            step = _relocate(rotation, v, delta, face, succ)
-            if step is not None:
+            cycle = cycles[v]
+            moved = _relocated_cycle(cycle, delta, face, succ)
+            if moved is not None:
                 break
             if delta < 0:
-                raise _no_reducing_move(graph, v, _incidence(rotation.cycles[v], face))
+                raise _no_reducing_move(graph, v, _incidence(cycle, face))
         else:
-            return rotation, count, records
-        rotation, record = step
-        records.append(record)
+            return RotationSystem(tuple(cycles)), count, records
+        cycles[v] = moved
+        _set_succ(succ, (moved,))
+        records.append(MoveRecord(v, cycle, moved, delta))
 
 
 class _Rungs:
@@ -314,7 +310,7 @@ class _Rungs:
     for at most once and only when a rung first needs it.
 
     :attr:`refusal`: the answer of the one gate,
-    :func:`~ribbon_embed.rotation._refusal`, at ``rotation_cap``, and
+    :func:`~ribbon_embed.rotation.refusal`, at ``rotation_cap``, and
     :attr:`admitted` whether it was None: whether the frontier DP may run.
     :meth:`dp`: the one pass, or None where it is not admitted; once it has
     run, ``extremes`` holds :func:`_extremes` (the least and the greatest
@@ -330,7 +326,7 @@ class _Rungs:
 
     @cached_property
     def refusal(self) -> CapExceededError | None:
-        return rotation_module._refusal(self.graph, self.rotation_cap)
+        return rotation_module.refusal(self.graph, self.rotation_cap)
 
     @property
     def admitted(self) -> bool:
@@ -484,13 +480,16 @@ def _zeta(rungs: _Rungs) -> int:
     """zeta, one less than the ``optimum`` :func:`minimize_boundaries`
     settles with :data:`DEFAULT_RESTARTS` restarts from seed 0 and the
     caps of ``rungs``, reached by its search or not; where no rung settles
-    it, :class:`CapExceededError` is raised."""
+    it, :class:`CapExceededError` is raised, naming both caps, or, where
+    the gate refused the DP for its cyclic orders, the tree cap and that
+    refusal."""
     optimum = _minimize(rungs, None, DEFAULT_RESTARTS, 0).optimum
     if optimum is None:
-        raise CapExceededError(
-            f"zeta not certified within the caps of {rungs.tree_cap} trees and "
-            f"{rungs.rotation_cap} rotations"
-        )
+        if isinstance(rungs.refusal, OrdersRefusal):  # no rotation cap lifts it
+            caps = f"the cap of {rungs.tree_cap} trees; {rungs.refusal}"
+        else:
+            caps = f"the caps of {rungs.tree_cap} trees and {rungs.rotation_cap} rotations"
+        raise CapExceededError(f"zeta not certified within {caps}")
     return optimum - 1
 
 
@@ -564,7 +563,8 @@ def analyze(
     :class:`CapExceededError`, and ``ge_max_exact`` from :func:`_ge_max`,
     as :func:`ge_max_exact` reads it, by the plateau or the pass.
     ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact`` where
-    the gate refuses the DP at ``rotation_cap``.  zeta must share beta's
+    the gate refuses the DP at ``rotation_cap``; a refusal for the cyclic
+    orders, which no cap lifts, is kept for the report's text.  zeta must share beta's
     parity and, wherever the pass ran, be one less than its minimum, and
     ``ge_max_exact`` keep within the girth bound, or
     :class:`InternalInvariantError` is raised.
@@ -585,7 +585,7 @@ def analyze(
     if exact is not None and exact > bound:
         raise InternalInvariantError("adversarial genus exceeds the girth bound")
 
-    return InvariantReport(
+    report = InvariantReport(
         graph_hash=graph_hash(smoothed_graph),
         vertex_count=smoothed_graph.vertex_count,
         edge_count=smoothed_graph.edge_count,
@@ -603,6 +603,9 @@ def analyze(
         tree_count=rungs.trees,
         rotation_count=count_rotations(smoothed_graph),
     )
+    if isinstance(rungs.refusal, OrdersRefusal):  # no rotation cap lifts it: name it
+        object.__setattr__(report, "_ge_max_unknown", str(rungs.refusal))
+    return report
 
 
 def _link(inverse: list[int], cycle: Sequence[int]) -> None:
@@ -682,7 +685,7 @@ def oracle(
     vertex meeting at most two walks).  The passes keep 16 bytes per
     rotation: its recount, the index its first move reaches and the first
     vertex that turned.  The tree cap, then the rotation gate
-    (:func:`~ribbon_embed.rotation._refusal`), are checked before the tree
+    (:func:`~ribbon_embed.rotation.refusal`), are checked before the tree
     search for zeta, and each refusal raises :class:`CapExceededError`.
     """
     graph = smooth(graph)

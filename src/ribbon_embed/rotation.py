@@ -17,7 +17,10 @@ and one writer, :func:`_set_succ`, fills that table in at the vertex
 cycles it is given.  Only the oracle (:func:`ribbon_embed.moves.oracle`)
 and the tests walk through every rotation in :func:`enumerate_rotations`
 order; the oracle traces each one from a table it rewrites only at the
-vertices whose cycle changed, and no search walks them at all.
+vertices whose cycle changed, and no search walks them at all.  A climb
+of moves (:func:`ribbon_embed.moves._climb`) keeps one table the same
+way, rewritten at each moved vertex.  Which vertices meet three or more
+faces is one scan, :func:`_crowded_vertices`.
 
 :func:`boundary_profile` needs only how many rotations give each walk
 count, and takes it from a frontier DP that places one vertex at a time
@@ -44,12 +47,13 @@ all the searches of :mod:`ribbon_embed.moves` read.
 
 The exhaustive stages (:func:`enumerate_rotations`,
 :func:`boundary_profile`, the DP pass of the searches and the oracle) run
-only where one gate, :func:`_refusal`, admits the graph: at most ``cap``
+only where one gate, :func:`refusal`, admits the graph: at most ``cap``
 rotations, and at most :data:`DEFAULT_ROTATION_CAP` cyclic orders to list
 (the sum of (deg - 1)! over the vertices of degree 3 or more, which
 :func:`_vertex_orders` would build).  Each such term is at least 2, so
 the sum never passes the product, the rotation count, and at the default
-cap only the rotation count refuses.
+cap only the rotation count refuses.  A refusal for the orders is an
+:class:`OrdersRefusal`, which no cap lifts, so no message advises one.
 
 The DP runs over half the rotations, wherever some vertex has degree 3
 or more.  Reversing every cyclic order keeps
@@ -217,35 +221,19 @@ def _incidence(cycle: Sequence[int], face: Sequence[int]) -> int:
     return len({face[d] for d in cycle})
 
 
-def _crowded(cycle: Sequence[int], face: Sequence[int]) -> bool:
-    """Whether the darts of one vertex cycle lie on three or more distinct
-    faces: :func:`_incidence` ``>= 3``, stopping at the third face.  It is
-    the rule for a cycle of any length; :func:`_crowded_vertices` applies it
-    to every cycle but those of three darts."""
-    first = face[cycle[0]]
-    second = -1  # face ids are never negative
-    for d in cycle:
-        f = face[d]
-        if f != first:
-            if second < 0:
-                second = f
-            elif f != second:
-                return True
-    return False
-
-
 def _crowded_vertices(cycles: Sequence[Sequence[int]], face: Sequence[int]) -> list[int]:
-    """The vertices, in id order, whose cycles are :func:`_crowded` under
-    ``face``, in one pass over ``cycles``.  A cycle of three darts is
-    crowded exactly when its three faces differ, which is tested inline, so
-    a cubic rotation costs one call; any other cycle goes to :func:`_crowded`."""
+    """The vertices, in id order, whose cycles meet three or more faces
+    under ``face`` (:func:`_incidence` ``>= 3``), in one pass over
+    ``cycles``.  A cycle of three darts is crowded exactly when its three
+    faces differ, which is tested inline, so a cubic rotation costs one
+    call; any other cycle goes to :func:`_incidence`."""
     return [
         v
         for v, cycle in enumerate(cycles)
         if (
             face[cycle[0]] != face[cycle[1]] != face[cycle[2]] != face[cycle[0]]
             if len(cycle) == 3
-            else _crowded(cycle, face)
+            else _incidence(cycle, face) >= 3
         )
     ]
 
@@ -268,29 +256,37 @@ def _cyclic_orders(darts: Sequence[int]) -> list[tuple[int, ...]]:
     return [(head, *p) for p in itertools.permutations(tail)]
 
 
-def _refusal(graph: MetricGraph, cap: int) -> CapExceededError | None:
+class OrdersRefusal(CapExceededError):
+    """The gate's refusal of a graph for the cyclic orders it would list,
+    which no rotation cap lifts."""
+
+
+def refusal(graph: MetricGraph, cap: int) -> CapExceededError | None:
     """Why the exhaustive stages may not run over ``graph`` at ``cap``, or
     None where they may: the one gate of the package (module docstring).
-    A count of 600 digits or more, which the interpreter's limit on decimal
-    digits may refuse to print, is named by its order of magnitude."""
+    The rotation count is asked first; a refusal for the cyclic orders is
+    an :class:`OrdersRefusal`.  Public but not exported, as the CLI words
+    its advice from it.  A count of 600 digits or more, which the
+    interpreter's limit on decimal digits may refuse to print, is named by
+    its order of magnitude."""
     degrees = [graph.degree(v) for v in range(graph.vertex_count)]
     listed = sum(math.factorial(d - 1) for d in degrees if d >= 3)
-    for count, limit, what in (
-        (count_rotations(graph), cap, "rotation systems exceed the cap"),
-        (listed, DEFAULT_ROTATION_CAP, "cyclic orders to list exceed the limit"),
+    for count, limit, what, error in (
+        (count_rotations(graph), cap, "rotation systems exceed the cap", CapExceededError),
+        (listed, DEFAULT_ROTATION_CAP, "cyclic orders to list exceed the limit", OrdersRefusal),
     ):
         if count > limit:
             shown = count if count < 10**600 else f"over 10^{int(math.log10(count))}"
-            return CapExceededError(f"{shown} {what} of {limit}")
+            return error(f"{shown} {what} of {limit}")
     return None
 
 
 def _vertex_orders(graph: MetricGraph, cap: int | None) -> list[list[tuple[int, ...]]]:
     """The cyclic orders at each vertex, smallest dart first.  The refusal
-    of :func:`_refusal` at ``cap`` is raised before any is built; ``cap``
+    of :func:`refusal` at ``cap`` is raised before any is built; ``cap``
     None lists them at once, for a caller that has asked the gate itself."""
-    if cap is not None and (refusal := _refusal(graph, cap)) is not None:
-        raise refusal
+    if cap is not None and (refused := refusal(graph, cap)) is not None:
+        raise refused
     return [_cyclic_orders(graph.darts_at(v)) for v in range(graph.vertex_count)]
 
 
@@ -302,7 +298,7 @@ def enumerate_rotations(
     The smallest dart at each vertex is pinned first, which quotients out
     rotations of each cycle; what remains is the product of the per-vertex
     (deg - 1)! tail permutations, streamed in lexicographic order with the
-    last vertex varying fastest.  Raises the refusal of :func:`_refusal` at
+    last vertex varying fastest.  Raises the refusal of :func:`refusal` at
     ``cap`` up front.
     """
     for combo in itertools.product(*_vertex_orders(graph, cap)):
@@ -312,7 +308,7 @@ def enumerate_rotations(
 def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dict[int, int]:
     """Histogram {walk count: rotation count} over all rotation systems.
 
-    Raises the refusal of :func:`_refusal` at ``cap`` before any work;
+    Raises the refusal of :func:`refusal` at ``cap`` before any work;
     :func:`_profile` computes it.
     """
     profile = _profile(graph, _vertex_orders(graph, cap))

@@ -124,8 +124,8 @@ def single_dart_relocations(cycle: tuple[int, ...]):
 
     Scan order is deterministic: source position ascending, then insertion
     slot ascending; cyclic duplicates and the identity are skipped.  This
-    is the order ``moves._relocated_cycle`` scans in, for ``_relocate``
-    and the oracle alike.
+    is the order ``moves._relocated_cycle`` scans in, for the climbs, the
+    single moves and the oracle alike.
     """
     seen = {canonical_cycle(cycle)}
     for i in range(len(cycle)):

@@ -852,6 +852,29 @@ def test_a_raised_rotation_cap_refuses_listing_a_hubs_orders(graph_file, capsys,
     )
 
 
+def test_a_refusal_for_the_orders_is_named_not_blamed_on_the_rotation_cap(
+    graph_file, tmp_path, capsys, monkeypatch
+):
+    # no --max-rotations lifts a refusal for the cyclic orders, so the text
+    # report names it in the gate's words and embed does not advise the
+    # flag; where the rotation count refused, the words stay as they were
+    # (test_analyze_text_names_an_unknown_ge_max_exact)
+    monkeypatch.setattr(rotation, "_cyclic_orders", short_order_lists)
+    path, cap = graph_file(format_graph(wheel(13))), str(10**21)
+    orders = "479001626 cyclic orders to list exceed the limit of 1000000"
+    assert main(["analyze", path, "--max-rotations", cap]) == 0
+    assert f"\nge_max_exact     unknown ({orders}; bound still holds)\n" in capsys.readouterr().out
+    argv = ["embed", path, "--target", "maximal", "--max-rotations", cap,
+            "-o", str(tmp_path / "schema.json")]  # fmt: skip
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"warning: optimum not certified within the enumeration caps ({orders}); "
+        "using the best rotation found; raise --restarts"
+    )
+    assert "--max-rotations" not in err
+
+
 def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):
     # the 1000-edge dipole has (999!)**2 rotations, 5130 digits, and the
     # 900-loop bouquet 1799!, 5077: past the interpreter's default limit of
@@ -985,7 +1008,10 @@ def test_oracle_checks_the_kernel_count_at_every_rotation(graph_file, capsys, mo
         g = parse_graph(text)
         rotations = list(rotation.enumerate_rotations(g))
         faces = [rotation._faces(g.dart_count, r.cycles)[0] for r in rotations]
-        calm = [not any(rotation._crowded(c, f) for c in r.cycles) for r, f in zip(rotations, faces)]
+        calm = [
+            not any(rotation._incidence(c, f) >= 3 for c in r.cycles)
+            for r, f in zip(rotations, faces)
+        ]
         assert calm.index(True) == first
         miscounted = rotation._succ(g.dart_count, rotations[first].cycles)
 

@@ -535,6 +535,24 @@ def test_analyze_takes_the_tree_target_the_search_misses(tmp_path, capsys):
         analyze(g, tree_cap=17, rotation_cap=20735)
 
 
+def test_zeta_names_a_refusal_no_rotation_cap_lifts(monkeypatch):
+    # the descent stalls above the floor, the trees exceed their cap, and
+    # the gate refuses the DP: for the rotation count, the message names
+    # both caps as before; for the cyclic orders, it names the refusal
+    g = STALLS_AT_THREE_WALKS
+    with pytest.raises(CapExceededError) as info:
+        analyze(g, tree_cap=17, rotation_cap=20735)
+    assert str(info.value) == "zeta not certified within the caps of 17 trees and 20735 rotations"
+    monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 7)
+    refusal = rotation.refusal(g, 10**6)
+    assert isinstance(refusal, rotation.OrdersRefusal)
+    with pytest.raises(CapExceededError) as info:
+        analyze(g, tree_cap=17)
+    assert str(info.value) == f"zeta not certified within the cap of 17 trees; {refusal}"
+    assert str(refusal).endswith("cyclic orders to list exceed the limit of 7")
+    assert not isinstance(rotation.refusal(g, 20735), rotation.OrdersRefusal)
+
+
 @pytest.mark.parametrize("tree_cap", [17, 10**6])
 def test_analyze_runs_kirchhoff_and_the_dp_once(tree_cap, monkeypatch):
     # the search misses the floor, so the DP settles zeta at either tree

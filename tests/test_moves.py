@@ -39,7 +39,6 @@ from ribbon_embed import (
 from ribbon_embed.moves import (
     MoveRecord,
     _climb,
-    _relocate,
     _relocated_cycle,
     _link,
     _no_reducing_move,
@@ -50,7 +49,6 @@ from ribbon_embed.moves import (
 )
 from ribbon_embed.rotation import (
     RotationSystem,
-    _crowded,
     _crowded_vertices,
     _cyclic_orders,
     _faces,
@@ -620,14 +618,29 @@ def test_climb_matches_single_moves(theta, bouquet2, k4):
         for rot in enumerate_rotations(g, 10**6):
             for delta in (-2, 2):
                 assert _climb(g, rot, delta) == _climb_by_single_moves(g, rot, delta)
+    # long climbs, whose one successor table is rewritten many times over:
+    # 3104 climbs making 2386 moves
+    graphs = [smooth(random_multigraph(seed)) for seed in range(300)]
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    graphs += [random_cubic(seed, 8 + 2 * (seed % 20)) for seed in range(60)]
+    climbs = moved = 0
+    for g in graphs:
+        for seed in range(4):
+            for delta in (-2, 2):
+                rot = default_rotation(g, seed)
+                climbed = _climb(g, rot, delta)
+                assert climbed == _climb_by_single_moves(g, rot, delta), (g, seed, delta)
+                climbs += 1
+                moved += len(climbed[2])
+    assert (climbs, moved) == (3104, 2386)
 
 
 def test_a_descent_scans_by_crowded_vertices_once_per_move(k5, monkeypatch):
     # the descent finds the vertex to move at by the oracle's one scan,
-    # once per move and once where it stops, and never tests a vertex
-    # with _crowded itself: every _crowded call comes from inside the scan
+    # once per move and once where it stops, and never counts a vertex's
+    # faces itself: every _incidence call comes from inside the scan
     scans, inside, tested = [], [], []
-    crowded, crowded_vertices = rotation._crowded, rotation._crowded_vertices
+    incidence, crowded_vertices = rotation._incidence, rotation._crowded_vertices
 
     def scan(cycles, face):
         scans.append(cycles)
@@ -638,12 +651,12 @@ def test_a_descent_scans_by_crowded_vertices_once_per_move(k5, monkeypatch):
             inside.pop()
 
     def checked(cycle, face):
-        assert inside, "_crowded called outside _crowded_vertices"
+        assert inside, "_incidence called outside _crowded_vertices"
         tested.append(len(cycle))
-        return crowded(cycle, face)
+        return incidence(cycle, face)
 
     monkeypatch.setattr(moves, "_crowded_vertices", scan)
-    monkeypatch.setattr(rotation, "_crowded", checked)
+    monkeypatch.setattr(rotation, "_incidence", checked)
     moved = 0
     for g in (k5, PETERSEN, STALLING, *map(random_multigraph, range(20))):
         for seed in range(4):
@@ -651,7 +664,7 @@ def test_a_descent_scans_by_crowded_vertices_once_per_move(k5, monkeypatch):
             records = _climb(g, default_rotation(g, seed), -2)[2]
             assert len(scans) == len(records) + 1, (g, seed)
             moved += len(records)
-    assert moved > 0 and 4 in tested  # K5's cycles of four darts go to _crowded
+    assert moved > 0 and 4 in tested  # K5's cycles of four darts go to _incidence
 
 
 def test_no_reducing_relocation_where_fewer_than_three_walks_meet(theta, bouquet2, k4):
@@ -747,7 +760,6 @@ def test_relocated_cycle_and_crowded_match_their_references():
                     others = others[size:]
                 succ = _succ(dart_count, cycles)
                 face = _trace(succ)[0]
-                assert _crowded(cycle, face) == (_incidence(cycle, face) >= 3), (cycles, face)
                 assert _crowded_vertices(cycles, face) == [
                     v for v, c in enumerate(cycles) if _incidence(c, face) >= 3
                 ], (cycles, face)
@@ -777,15 +789,14 @@ def test_relocate_picks_the_first_relocation_with_the_delta(theta, bouquet2, k4,
     for g, counts in _delta_cases(theta, bouquet2, k4, k5, dumbbell):
         for cycles, base in counts.items():
             face, _, succ = _faces(g.dart_count, cycles)
-            rotation = RotationSystem(cycles)
             for v, cycle in enumerate(cycles):
                 if cycle not in relocations:
                     relocations[cycle] = list(single_dart_relocations(cycle))
                 trials = [_moved(cycles, v, c) for c in relocations[cycle]]
                 for delta in (-2, 2):
                     trial = next((t for t in trials if counts[t] == base + delta), None)
-                    want = trial and (RotationSystem(trial), MoveRecord(v, cycle, trial[v], delta))
-                    assert _relocate(rotation, v, delta, face, succ) == want, (cycles, v, delta)
+                    want = trial and trial[v]
+                    assert _relocated_cycle(cycle, delta, face, succ) == want, (cycles, v, delta)
                     found[delta] += want is not None
     assert found[-2] and found[2]
 
@@ -856,16 +867,17 @@ def test_oracle_recounts_each_rotation_once_before_the_kernel_runs(k4, k5, monke
 
 def test_oracle_scans_a_cubic_rotation_without_calling_crowded(k4, monkeypatch):
     # a cycle of three darts is tested inline by _crowded_vertices, so on a
-    # cubic graph the oracle never calls _crowded, which is the rule for
-    # other degrees (one call per vertex of every rotation with three or
-    # more walks, were it the scan)
+    # cubic graph the oracle never counts a vertex's faces by _incidence,
+    # which is the rule for other degrees (one call per vertex of every
+    # rotation with three or more walks, were it the scan)
     calls = Counter()
+    incidence = rotation._incidence
 
     def counted(cycle, face):
         calls[len(cycle)] += 1
-        return _crowded(cycle, face)
+        return incidence(cycle, face)
 
-    monkeypatch.setattr(rotation, "_crowded", counted)
+    monkeypatch.setattr(rotation, "_incidence", counted)
     for g in (k4, PETERSEN):
         assert oracle(g)[1]
     assert not calls, calls

@@ -384,7 +384,7 @@ def test_every_exhaustive_stage_raises_the_gates_refusal(k4, monkeypatch):
         asked.append(cap)
         return refusal
 
-    monkeypatch.setattr(rotation, "_refusal", refuse)
+    monkeypatch.setattr(rotation, "refusal", refuse)
     assert analyze(k4).ge_max_exact is None
     # the descent misses the floor here, so the search, then g_e^max, read
     # the answer; the gate is asked once per analyze all the same
@@ -411,7 +411,7 @@ def test_the_gate_admits_exactly_the_graphs_within_the_cap(theta, bouquet2, k4, 
         total = count_rotations(g)
         caps = {0, 1, total - 1, total, total + 1, 10**6}
         for cap in sorted(c for c in caps if 0 <= c <= 10**6):
-            refusal = rotation._refusal(g, cap)
+            refusal = rotation.refusal(g, cap)
             assert (refusal is None) == (total <= cap), (g, cap)
             if refusal is not None:
                 assert str(refusal) == f"{total} rotation systems exceed the cap of {cap}"
@@ -435,19 +435,19 @@ def test_a_raised_cap_never_lists_a_hubs_orders(monkeypatch):
         with pytest.raises(CapExceededError, match=refusal):
             stage()
     # a 10-dart hub has 9! orders, within the limit, and an 11-dart one 10!
-    assert rotation._refusal(wheel(10), 10**21) is None
-    assert str(rotation._refusal(wheel(11), 10**21)).startswith("3628822 cyclic orders ")
+    assert rotation.refusal(wheel(10), 10**21) is None
+    assert str(rotation.refusal(wheel(11), 10**21)).startswith("3628822 cyclic orders ")
 
 
 def test_the_orders_limit_admits_a_graph_exactly_at_it(k4, k5, monkeypatch):
     # K4 lists 4 * 2! = 8 orders, K5 5 * 3! = 30, whatever the cap
     monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 8)
-    assert rotation._refusal(k4, 10**6) is None
+    assert rotation.refusal(k4, 10**6) is None
     assert boundary_profile(k4, 10**6) == PROFILES["k4"]
     with pytest.raises(CapExceededError, match="^30 cyclic orders to list exceed the limit of 8$"):
         boundary_profile(k5, 10**6)
     monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 7)
-    refusal = rotation._refusal(k4, 10**6)
+    refusal = rotation.refusal(k4, 10**6)
     assert str(refusal) == "8 cyclic orders to list exceed the limit of 7"
     # the rotation count is asked first
-    assert str(rotation._refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
+    assert str(rotation.refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
