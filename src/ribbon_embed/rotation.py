@@ -51,9 +51,10 @@ only where one gate, :func:`refusal`, admits the graph: at most ``cap``
 rotations, and at most :data:`DEFAULT_ROTATION_CAP` cyclic orders to list
 (the sum of (deg - 1)! over the vertices of degree 3 or more, which
 :func:`_vertex_orders` would build).  Each such term is at least 2, so
-the sum never passes the product, the rotation count, and at the default
-cap only the rotation count refuses.  A refusal for the orders is an
-:class:`OrdersRefusal`, which no cap lifts, so no message advises one.
+the sum never passes the product, the rotation count: at the default cap
+the orders refuse only where the rotation count does too.  Where both
+refuse, the gate names the orders, as an :class:`OrdersRefusal`, which no
+cap lifts, so no message advises one.
 
 The DP runs over half the rotations, wherever some vertex has degree 3
 or more.  Reversing every cyclic order keeps
@@ -264,16 +265,16 @@ class OrdersRefusal(CapExceededError):
 def refusal(graph: MetricGraph, cap: int) -> CapExceededError | None:
     """Why the exhaustive stages may not run over ``graph`` at ``cap``, or
     None where they may: the one gate of the package (module docstring).
-    The rotation count is asked first; a refusal for the cyclic orders is
-    an :class:`OrdersRefusal`.  Public but not exported, as the CLI words
-    its advice from it.  A count of 600 digits or more, which the
-    interpreter's limit on decimal digits may refuse to print, is named by
-    its order of magnitude."""
+    The cyclic orders are asked first, so that where both refuse, the one
+    no cap lifts is named: an :class:`OrdersRefusal`.  Public but not
+    exported, as the CLI words its advice from it.  A count of 600 digits
+    or more, which the interpreter's limit on decimal digits may refuse to
+    print, is named by its order of magnitude."""
     degrees = [graph.degree(v) for v in range(graph.vertex_count)]
     listed = sum(math.factorial(d - 1) for d in degrees if d >= 3)
     for count, limit, what, error in (
-        (count_rotations(graph), cap, "rotation systems exceed the cap", CapExceededError),
         (listed, DEFAULT_ROTATION_CAP, "cyclic orders to list exceed the limit", OrdersRefusal),
+        (count_rotations(graph), cap, "rotation systems exceed the cap", CapExceededError),
     ):
         if count > limit:
             shown = count if count < 10**600 else f"over 10^{int(math.log10(count))}"

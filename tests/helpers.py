@@ -1,4 +1,5 @@
-"""Independent oracles and generators used by several test modules.
+"""Independent oracles and generators used by several test modules, and
+the one runner (:func:`run`) for the CLI or a demo as a process.
 
 Everything here is deliberately written against different algorithms than
 the package under test: the tree count comes from the matrix-tree theorem
@@ -9,10 +10,16 @@ dropped, and the random graphs are built by stub pairing.
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import ribbon_embed
 from ribbon_embed import (
     MetricGraph,
     SurfaceSchema,
@@ -270,3 +277,28 @@ def short_order_lists(darts: tuple[int, ...]) -> list[tuple[int, ...]]:
     list its 12! cyclic orders or more."""
     assert len(darts) <= 12, "the gate let a vertex of more than 12 darts through"
     return _cyclic_orders(darts)
+
+
+CALL_MAIN = "import sys; from ribbon_embed.cli import main; sys.exit(main())"
+
+
+def run(argv, timeout, script=None, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``ribbon-embed *argv`` as a process of its own, or ``python script
+    *argv``, against the ``ribbon_embed`` these tests import: in CI the
+    installed package, under ``PYTHONPATH=src`` the source tree.
+    ``timeout`` is in seconds; ``env`` adds to the environment, and the
+    rest goes to :func:`subprocess.run`."""
+    program = ["-c", CALL_MAIN] if script is None else [str(script)]
+    package_dir = Path(ribbon_embed.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_dir), **(env or {})}
+    return subprocess.run([sys.executable, *program, *argv], env=env, timeout=timeout, **kwargs)
+
+
+def timed(seconds, call, *args):
+    """``call(*args)``, which must return within ``seconds``: the bound
+    :func:`run`'s timeout sets on a process, for a run in this one."""
+    start = time.perf_counter()
+    result = call(*args)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"{elapsed:.1f} s, over the bound of {seconds} s"
+    return result

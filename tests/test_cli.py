@@ -43,7 +43,11 @@ from helpers import (
     STALLS_AT_THREE_WALKS,
     prism,
     random_multigraph,
+    ring_of_blobs,
+    ring_of_loops,
+    run,
     short_order_lists,
+    timed,
     two_thetas_schema,
     wheel,
 )
@@ -264,18 +268,11 @@ def test_a_schema_may_open_with_a_byte_order_mark(graph_file, tmp_path, capsys):
 def test_a_closed_stdout_exits_141_with_nothing_printed(command, buffered, graph_file):
     # it exited 2 with "error: [Errno 32] Broken pipe", or, where the report
     # waited in the buffer, 120 with "Exception ignored ... BrokenPipeError"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    script = "import sys; from ribbon_embed.cli import main; sys.exit(main())"
+    env = {"PYTHONUNBUFFERED": "" if buffered else "1"}  # empty is unset
     read, write = os.pipe()
     os.close(read)  # the reader is gone before the command writes
     try:
-        proc = subprocess.run(
-            [sys.executable, "-c", script, command, graph_file(K4)],
-            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = run([command, graph_file(K4)], 60, env=env, stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
@@ -294,13 +291,10 @@ def test_a_closed_stdout_in_process_exits_141(graph_file, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["analyze", "embed", "oracle"])
 def test_a_stdout_closed_before_the_run_exits_as_the_run_does(command, graph_file):
     # Python sets sys.stdout to None; embed wrote to it and exited 6 with
-    # "internal error: AttributeError: 'NoneType' object has no attribute 'write'"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    script = "import sys; from ribbon_embed.cli import main; sys.exit(main())"
-    proc = subprocess.run(
-        ["sh", "-c", '"$0" -c "$1" "$2" "$3" >&-', sys.executable, script, command, graph_file(K4)],
-        stderr=subprocess.PIPE, env=env, timeout=60,
-    )
+    # "internal error: AttributeError: 'NoneType' object has no attribute 'write'".
+    # The child closes its stdout between fork and exec, as a shell's >&- does.
+    closed = functools.partial(os.close, 1)
+    proc = run([command, graph_file(K4)], 60, preexec_fn=closed, stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert b"error" not in proc.stderr
 
@@ -404,9 +398,10 @@ def test_analyze_dangling(graph_file, capsys):
 
 
 def test_analyze_rotation_cap_is_soft(graph_file, capsys):
-    assert main(["analyze", graph_file(K5), "--json", "--max-rotations", "100"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["ge_max_exact"] is None
+    for text, cap in ((K5, "100"), (K4, "1")):
+        assert main(["analyze", graph_file(text), "--json", "--max-rotations", cap]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ge_max_exact"] is None
 
 
 def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
@@ -416,9 +411,28 @@ def test_analyze_text_names_an_unknown_ge_max_exact(graph_file, capsys):
 
 
 def test_analyze_text_names_an_unknown_tree_count(capsys):
-    assert main(["analyze", str(DEMO_GRAPHS / "k5.graph"), "--max-trees", "1"]) == 0
+    path = str(DEMO_GRAPHS / "k5.graph")
+    assert main(["analyze", path, "--max-trees", "1"]) == 0
     out = capsys.readouterr().out
     assert "\ntree_count       unknown (tree cap exceeded)\n" in out
+    # the bridge floor settles zeta with no tree counted
+    assert main(["analyze", path, "--max-trees", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["tree_count"], doc["zeta"]) == (None, 0)
+
+
+def test_analyze_settles_zeta_by_the_trees_past_the_rotation_cap(graph_file, capsys):
+    # random_multigraph(27)'s zeta of 3 lies above the floor of 1, so past
+    # the rotation cap only the tree rung settles it, and no rung within
+    # one tree as well
+    path = graph_file(format_graph(random_multigraph(27)))
+    assert main(["analyze", path, "--json", "--max-rotations", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["zeta"], doc["tree_count"], doc["ge_max_exact"]) == (3, 3, None)
+    assert main(["analyze", path, "--max-rotations", "1", "--max-trees", "1"]) == 5
+    assert capsys.readouterr() == (
+        "", "error: zeta not certified within the caps of 1 trees and 1 rotations\n"
+    )
 
 
 def test_analyze_checks_the_profile_minimum_against_zeta(graph_file, capsys, monkeypatch):
@@ -591,10 +605,14 @@ def test_embed_stdout_and_determinism(graph_file, capsys):
     assert json.loads(first)["summary"]["genus"] == 3
 
 
-def test_embed_maximal(graph_file, capsys):
-    assert main(["embed", graph_file(K5), "--target", "maximal"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["genus"] == 5
+def test_embed_maximal(graph_file, tmp_path, capsys):
+    out_path = tmp_path / "schema.json"
+    for text, genus in ((K5, 5), (K4, 3)):
+        assert main(["embed", graph_file(text), "--target", "maximal", "-o", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["summary"]["genus"] == genus
+        capsys.readouterr()
+        assert main(["verify", str(out_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: genus {genus},")
 
 
 def test_embed_genus_targets(graph_file, capsys):
@@ -841,12 +859,13 @@ def test_oracle_checks_the_rotation_cap_before_the_tree_search(graph_file, capsy
 
 def test_a_raised_rotation_cap_refuses_listing_a_hubs_orders(graph_file, capsys, monkeypatch):
     # it exited 6 with MemoryError: the wheel's 12! * 2^13 rotations lie
-    # within the cap, but listing its hub's 12! cyclic orders does not fit
+    # within the cap, but listing its hub's 12! cyclic orders does not fit.
+    # Each run has 20 s.
     monkeypatch.setattr(rotation, "_cyclic_orders", short_order_lists)
     path, cap = graph_file(format_graph(wheel(13))), str(10**21)
-    assert main(["analyze", path, "--json", "--max-rotations", cap]) == 0
+    assert timed(20, main, ["analyze", path, "--json", "--max-rotations", cap]) == 0
     assert json.loads(capsys.readouterr().out)["ge_max_exact"] is None
-    assert main(["oracle", path, "--max-rotations", cap]) == 5
+    assert timed(20, main, ["oracle", path, "--max-rotations", cap]) == 5
     assert capsys.readouterr() == (
         "", "error: 479001626 cyclic orders to list exceed the limit of 1000000\n"
     )
@@ -857,29 +876,35 @@ def test_a_refusal_for_the_orders_is_named_not_blamed_on_the_rotation_cap(
 ):
     # no --max-rotations lifts a refusal for the cyclic orders, so the text
     # report names it in the gate's words and embed does not advise the
-    # flag; where the rotation count refused, the words stay as they were
-    # (test_analyze_text_names_an_unknown_ge_max_exact)
+    # flag, at a raised cap and at the default one, where the rotation count
+    # refuses too; where the rotation count alone refused, the words stay
+    # as they were (test_analyze_text_names_an_unknown_ge_max_exact).  Each
+    # run has 20 s.
     monkeypatch.setattr(rotation, "_cyclic_orders", short_order_lists)
-    path, cap = graph_file(format_graph(wheel(13))), str(10**21)
+    path = graph_file(format_graph(wheel(13)))
     orders = "479001626 cyclic orders to list exceed the limit of 1000000"
-    assert main(["analyze", path, "--max-rotations", cap]) == 0
-    assert f"\nge_max_exact     unknown ({orders}; bound still holds)\n" in capsys.readouterr().out
-    argv = ["embed", path, "--target", "maximal", "--max-rotations", cap,
-            "-o", str(tmp_path / "schema.json")]  # fmt: skip
-    assert main(argv) == 0
-    err = capsys.readouterr().err
-    assert err.splitlines()[0] == (
-        f"warning: optimum not certified within the enumeration caps ({orders}); "
-        "using the best rotation found; raise --restarts"
-    )
-    assert "--max-rotations" not in err
+    for cap in (["--max-rotations", str(10**21)], []):
+        assert timed(20, main, ["analyze", path, *cap]) == 0
+        out = capsys.readouterr().out
+        assert f"\nge_max_exact     unknown ({orders}; bound still holds)\n" in out
+        argv = ["embed", path, "--target", "maximal", *cap, "-o", str(tmp_path / "schema.json")]
+        assert timed(20, main, argv) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            f"warning: optimum not certified within the enumeration caps ({orders}); "
+            "using the best rotation found; raise --restarts"
+        )
+        assert "--max-rotations" not in err
+    assert main(["oracle", path]) == 5
+    assert capsys.readouterr() == ("", f"error: {orders}\n")
 
 
 def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):
     # the 1000-edge dipole has (999!)**2 rotations, 5130 digits, and the
     # 900-loop bouquet 1799!, 5077: past the interpreter's default limit of
     # 4300 on int -> str.  The report prints the exact count, a refusal
-    # names its order of magnitude, and main leaves the limit as it was.
+    # names its order of magnitude (the dipole's 2 * 999! cyclic orders,
+    # 2565 digits), and main leaves the limit as it was.
     limit = sys.get_int_max_str_digits()
     dipole = graph_file("".join(f"edge e{i} u v 1.0\n" for i in range(1000)), "dipole.graph")
     bouquet = graph_file("".join(f"edge e{i} w w 1.0\n" for i in range(900)), "bouquet.graph")
@@ -898,7 +923,7 @@ def test_rotation_counts_past_the_decimal_digit_limit(graph_file, capsys):
     assert main(["oracle", dipole]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: over 10^5129 rotation systems exceed the cap of 1000000\n"
+    assert captured.err == "error: over 10^2564 cyclic orders to list exceed the limit of 1000000\n"
     assert main(["embed", dipole, "--target", "maximal"]) == 0
     assert capsys.readouterr().err.endswith("not certified\n")
 
@@ -1362,18 +1387,20 @@ def test_reader_accepts_the_largest_numbers_a_float_holds(graph_file, tmp_path, 
 
 def test_reader_names_an_integer_too_long_to_parse(graph_file, tmp_path, capsys):
     # json.loads refuses an integer of more digits than the interpreter
-    # converts with a plain ValueError, which is no JSONDecodeError
+    # converts with a plain ValueError, which is no JSONDecodeError; at an
+    # integer field and at a float one alike
     out_path, text = _k4_schema(graph_file, tmp_path)
-    doc = json.loads(text)
-    doc["summary"]["genus"] = "GENUS"
-    out_path.write_text(json.dumps(doc).replace('"GENUS"', "9" * 5001))
-    capsys.readouterr()
-    assert main(["verify", str(out_path)]) == 2
     limit = sys.get_int_max_str_digits()
-    assert capsys.readouterr() == (
-        "",
-        f"error: JSON integer too long to read: more than {limit} digits\n",
-    )
+    for parent, key in (("summary", "genus"), ("meta", "t")):
+        doc = json.loads(text)
+        doc[parent][key] = "BIG"
+        out_path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5001))
+        capsys.readouterr()
+        assert main(["verify", str(out_path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: JSON integer too long to read: more than {limit} digits\n",
+        )
 
 
 # A rotation record naming no dart or no vertex of the graph is refused
@@ -1569,6 +1596,10 @@ def test_verify_fails_every_single_leaf_edit(graph_file, tmp_path, capsys):
     assert verified == []
 
 
+def _lengthen_waist(doc):
+    _block(doc, "edge_pants")["boundaries"][2]["length"] += 1e-3
+
+
 # Each of these single-leaf edits of the K4 schema verified ok while the
 # reader took the stored field on trust.
 STORED_FIELD_MUTATIONS = {
@@ -1599,6 +1630,11 @@ STORED_FIELD_MUTATIONS = {
 }
 # Failure paths of the verifier that no other test runs.
 STORED_FIELD_MUTATIONS |= {
+    "waist length": (
+        _lengthen_waist,
+        1,
+        "block pants:e01: cuff waist has length 1.35285087297, expected 1.35185087297",
+    ),
     "second spine": (
         lambda doc: doc["blocks"].append({**_spine(doc), "id": "spine2"}),
         1,
@@ -1937,3 +1973,101 @@ def test_golden_stdout(case, graph_file, capsys):
     rc = main([args[0], path, *args[1:]])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (rc, digest) == GOLDEN[case]
+
+
+
+def _json_fields(**fields):
+    """A check that stdout is a JSON object with these fields."""
+    return lambda out, err: {key: json.loads(out)[key] for key in fields} == fields
+
+
+def _certified(out, err):
+    return err.endswith(", certified\n")
+
+
+def _prints(words):
+    """A check that stdout holds ``words``."""
+    return lambda out, err: words in out
+
+
+MANY = str(2**800)
+
+# The CLI run as a process of its own, as the installed command runs, with
+# each command within its bound in seconds; most graphs here are larger
+# than the rest of this module runs.  A row is a graph and the commands run
+# on it in turn, each with its bound and a check of its stdout and stderr;
+# every command exits 0.  In the commands, {graph} is the graph's file and
+# {schema} the schema's.
+PROCESS_ROWS = {
+    # 2^800 rotations, past the default cap: the frontier DP's cut stays
+    # narrow, so analyze gives the exact adversarial genus and embed
+    # certifies it
+    "prism400 analyze": (
+        lambda: format_graph(prism(400)),
+        [(20, ["analyze", "{graph}", "--json", "--max-rotations", MANY],
+          _json_fields(ge_max_exact=268))],
+    ),
+    "prism400 maximal": (
+        lambda: format_graph(prism(400)),
+        [
+            (20, ["embed", "{graph}", "--target", "maximal", "--max-rotations", MANY,
+                  "-o", "{schema}"], _certified),
+            (20, ["verify", "{schema}"], _prints("ok: genus 268,")),
+        ],
+    ),
+    # 8000 vertices: Kirchhoff's count stops at its first pivots above the
+    # cap, and the bridge floor settles zeta
+    "prism4000 analyze": (
+        lambda: format_graph(prism(4000)),
+        [(20, ["analyze", "{graph}", "--json"], _json_fields(tree_count=None, zeta=1))],
+    ),
+    # the schema layer's cost stays linear: a 16 MB document written, then
+    # read and verified
+    "prism4000 embed": (
+        lambda: format_graph(prism(4000)),
+        [
+            (20, ["embed", "{graph}", "-o", "{schema}"], _certified),
+            (20, ["verify", "{schema}"], _prints("ok: genus 2002,")),
+        ],
+    ),
+    # a ring of 1000 vertices, each bridged to a blob of two trees:
+    # Kirchhoff's count takes the small pieces first, whose product passes
+    # the cap before the ring's piece is counted
+    "ring1000 analyze": (
+        lambda: format_graph(ring_of_blobs(1000)),
+        [(10, ["analyze", "{graph}", "--json"], _json_fields(tree_count=None))],
+    ),
+    # a ring of 2000 vertices, each bridged to a vertex with one loop: the
+    # ring is one piece of 2000 trees, within the cap, and each row of its
+    # count steps only its envelope
+    "loops2000 analyze": (
+        lambda: format_graph(ring_of_loops(2000)),
+        [(10, ["analyze", "{graph}", "--json"], _json_fields(tree_count=2000))],
+    ),
+    # 65536 rotations, each recounted once and checked against the kernel
+    "prism8 oracle": (
+        lambda: format_graph(prism(8)),
+        [(30, ["oracle", "{graph}"], _prints("\noracle: all checks passed\n"))],
+    ),
+    # an embedding at a genus above g_e = 3, read back as built for it; no
+    # bound of its own, so the 60 s of the other processes here
+    "k4 genus=5": (
+        lambda: K4,
+        [
+            (60, ["embed", "{graph}", "--target", "genus=5", "-o", "{schema}"], _certified),
+            (60, ["verify", "{schema}"], _prints("construction sigma_target(5)")),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(PROCESS_ROWS))
+def test_the_cli_as_a_process_keeps_its_bounds(row, tmp_path):
+    graph, commands = PROCESS_ROWS[row]
+    paths = {"graph": tmp_path / "g.graph", "schema": tmp_path / "schema.json"}
+    paths["graph"].write_text(graph())
+    for seconds, argv, check in commands:
+        argv = [arg.format_map(paths) for arg in argv]
+        proc = run(argv, seconds, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert check(proc.stdout, proc.stderr), (argv[0], proc.stdout[-300:], proc.stderr[-300:])

@@ -1,20 +1,15 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the package under test."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from helpers import run
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run([], 60, script=demo, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -444,10 +444,11 @@ def test_the_orders_limit_admits_a_graph_exactly_at_it(k4, k5, monkeypatch):
     monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 8)
     assert rotation.refusal(k4, 10**6) is None
     assert boundary_profile(k4, 10**6) == PROFILES["k4"]
+    assert str(rotation.refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
     with pytest.raises(CapExceededError, match="^30 cyclic orders to list exceed the limit of 8$"):
         boundary_profile(k5, 10**6)
     monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 7)
     refusal = rotation.refusal(k4, 10**6)
     assert str(refusal) == "8 cyclic orders to list exceed the limit of 7"
-    # the rotation count is asked first
-    assert str(rotation.refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
+    # the cyclic orders are asked first: where both refuse, they are named
+    assert str(rotation.refusal(k4, 15)) == str(refusal)
