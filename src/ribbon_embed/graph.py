@@ -397,8 +397,8 @@ def smooth(graph: MetricGraph) -> MetricGraph:
             chains.append((chain_names, new_id[b], new_id[end], length))
 
     # A merged edge is named by joining its chain's names, which can repeat
-    # (a + bc and ab + c); it then takes trailing x's, as subdivide's
-    # vertices do.  Edges left whole keep their names.
+    # (a + bc and ab + c); it then takes trailing x's, as subdivide's new
+    # vertices and edges do.  Edges left whole keep their names.
     taken = {names[0] for names, _, _, _ in chains if len(names) == 1}
     vertex_of: list[int] = []
     lengths: list[float] = []
@@ -428,7 +428,8 @@ def subdivide(graph: MetricGraph, edge: int, fractions: Sequence[float]) -> Metr
     ``fractions`` are strictly increasing values in (0, 1); k of them turn
     the edge into k+1 segments whose lengths sum to the original.  Inverse
     of :func:`smooth` up to naming.  New vertices are named
-    ``<edge-name>m1, ...``, new edges ``<edge-name>s0, ...``.
+    ``<edge-name>m1, ...``, new edges ``<edge-name>s0, ...``, each with
+    ``x`` appended while another vertex, or edge, has the name.
     """
     fs = list(fractions)
     if not fs:
@@ -459,7 +460,10 @@ def subdivide(graph: MetricGraph, edge: int, fractions: Sequence[float]) -> Metr
             for i in range(len(chain) - 1):
                 vertex_of.extend((chain[i], chain[i + 1]))
                 lengths.append(total * (cuts[i + 1] - cuts[i]))
-                edge_names.append(f"{ename}s{i}")
+                name = f"{ename}s{i}"
+                while name in graph.edge_names:
+                    name += "x"
+                edge_names.append(name)
         else:
             vertex_of.extend(graph.endpoints(e))
             lengths.append(graph.lengths[e])

@@ -25,25 +25,22 @@ faces is one scan, :func:`_crowded_vertices`.
 :func:`boundary_profile` needs only how many rotations give each walk
 count, and takes it from a frontier DP that places one vertex at a time
 and keeps, for each way the open face paths can cross the cut around the
-placed vertices, a histogram of the faces already closed (Gross and
-Furst's bar-amalgamation; the partitioned genus distributions of Gross,
-Khan and Poshni; run as a frontier-based search in the manner of Kawahara
-et al.).  Its cost grows with the cut width, not with the number of
-rotations, so the next vertex placed is the one that adds the fewest cut
-edges; and with minimum degree 3 the partial-rotation count at least
-doubles with each placed vertex, so even where the cut never narrows
-(one-vertex bouquets, dipoles) it makes fewer than twice as many
-compositions as there are rotations.  Placing a vertex changes only the
-paths through its ports, so one kernel (:func:`_compose`) traces those and
-copies every other exit, and one driver (:func:`_frontier`) runs it over
-the placements, merging the payloads that meet with a fold it is given.
-The DP runs over given per-vertex orders, and each bucket also keeps the
-smallest :func:`enumerate_rotations` index among its partial rotations,
-so the same pass gives the first rotation at every walk count
-(:func:`_rotation_at` decodes it).  Two folds run on the driver:
-:func:`_profile` keeps the whole histogram, and :func:`_extremes` only its
-least and greatest buckets, each with its first rotation decoded, which is
-all the searches of :mod:`ribbon_embed.moves` read.
+placed vertices, one payload over the partial rotations that cross it that
+way (Gross and Furst's bar-amalgamation; the partitioned genus
+distributions of Gross, Khan and Poshni; run as a frontier-based search in
+the manner of Kawahara et al.).  Its cost grows with the cut width, not
+with the number of rotations, so :func:`_plan` orders the placements to
+keep the cut narrow; and with minimum degree 3 the partial-rotation count
+at least doubles with each placed vertex, so even where the cut never
+narrows (one-vertex bouquets, dipoles) it makes fewer than twice as many
+compositions as there are rotations.  One driver, :func:`_frontier`, runs
+one kernel, :func:`_compose`, over those placements, and merges the
+payloads that meet with a fold it is given.  Two folds
+run on it: :func:`_profile` keeps the histogram of walk counts, and
+:func:`_extremes` only its least and greatest counts, each with the
+smallest :func:`enumerate_rotations` index that reaches it, decoded by
+:func:`_rotation_at`, which is all the searches of
+:mod:`ribbon_embed.moves` read.
 
 The exhaustive stages (:func:`enumerate_rotations`,
 :func:`boundary_profile`, the DP pass of the searches and the oracle) run
@@ -57,17 +54,17 @@ refuse, the gate names the orders, as an :class:`OrdersRefusal`, which no
 cap lifts, so no message advises one.
 
 The DP runs over half the rotations, wherever some vertex has degree 3
-or more.  Reversing every cyclic order keeps
-the walk count: prev becomes prev^-1, so the face permutation
-mate . prev becomes mate . prev^-1 = mate . phi^-1 . mate, conjugate to
-phi^-1, with as many orbits as phi (the mirror image of the surface).  Let
-v* be the smallest vertex id of degree 3 or more (:func:`_mirror_vertex`).
-Reversal pairs v*'s orders with no fixed point, and every vertex before v*
-has degree at most 2 and one order, so of a rotation and its mirror image
-the one whose order at v* comes first in ``orders[v*]`` has the smaller
-:func:`enumerate_rotations` index.  :func:`_plan` places only that one of
-each pair at v*, at its own index offset: every first index stays exact,
-and :func:`_profile` counts each partial rotation twice.
+or more.  Reversing every cyclic order keeps the walk count: prev becomes
+prev^-1, so the face permutation mate . prev becomes mate . prev^-1 =
+mate . phi^-1 . mate, conjugate to phi^-1, with as many orbits as phi (the
+mirror image of the surface).  Let v* be the smallest vertex id of degree
+3 or more (:func:`_mirror_vertex`).  Reversal pairs v*'s orders with no
+fixed point, and every vertex before v* has degree at most 2 and one
+order, so of a rotation and its mirror image the one whose order at v*
+comes first in ``orders[v*]`` has the smaller :func:`enumerate_rotations`
+index.  :func:`_plan` places only that one of each pair at v*, at its own
+index offset, so every smallest index stays exact and each partial
+rotation stands for two.
 """
 
 from __future__ import annotations
@@ -312,8 +309,7 @@ def boundary_profile(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> dic
     Raises the refusal of :func:`refusal` at ``cap`` before any work;
     :func:`_profile` computes it.
     """
-    profile = _profile(graph, _vertex_orders(graph, cap))
-    return {walks: profile[walks][0] for walks in sorted(profile)}
+    return dict(sorted(_profile(graph, _vertex_orders(graph, cap)).items()))
 
 
 def _strides(orders: _Orders) -> list[int]:
@@ -340,16 +336,16 @@ class _Placement(NamedTuple):
     below ``degree``, the local index of a dart of w (prev(d) is a loop
     dart); then one code per removed entry, in ``removed`` order, whose old
     path the state follows; then one per fresh dart's mate, an outside dart
-    where the path exits.
+    where the path exits.  The new entries are the kept ones, then the
+    fresh darts.
     """
 
     steps: list[tuple[list[int], int]]  # per order of w: (code after each local dart, offset)
     degree: int
     removed: list[int]  # old positions of the entries whose edges end at w
-    exits_at_w: list[tuple[int, int]]  # (dart of w an old path can exit at, its local index)
-    moved: list[int]  # each old entry's new position, -1 if removed
-    layout: list[int]  # each new entry's old position, len(old) for a fresh dart
-    fresh_starts: list[tuple[int, int]]  # (new position, local index) of each fresh dart of w
+    kept: list[int]  # old positions of the other entries
+    at_w: dict[int, int]  # each dart of w an old path can exit at: its local index
+    fresh: list[int]  # local index of each fresh dart of w
     outs: list[int]  # ~mate of each fresh dart: the exits its code resolves to
 
 
@@ -359,14 +355,17 @@ def _mirror_vertex(graph: MetricGraph) -> int | None:
 
 
 def _plan(graph: MetricGraph, orders: _Orders) -> list[_Placement]:
-    """The placements of the frontier DP over ``orders``, in the order
-    :func:`_frontier` describes, each as the tables :func:`_compose` reads.
+    """The placements of the frontier DP over ``orders``, one per vertex,
+    each as the tables :func:`_compose` reads.
 
-    At v* (:func:`_mirror_vertex`) only one order of each mirror pair has a
-    step table: the one before its reverse in ``orders[v*]``, at its own
-    position's offset; the module docstring proves that exact.  So
-    ``orders[v*]`` must be closed under reversal, with each order and its
-    reverse led by the same dart, as every :func:`_vertex_orders` list is.
+    The next vertex placed is the one that adds the fewest cut edges: its
+    darts to other unplaced vertices less its edges into the placed set,
+    ties to the most edges into it, then the smallest id.  At v*
+    (:func:`_mirror_vertex`) only one order of each mirror pair has a step
+    table: the one before its reverse in ``orders[v*]``, at its own
+    position's offset.  So ``orders[v*]`` must be closed under reversal,
+    with each order and its reverse led by the same dart, as every
+    :func:`_vertex_orders` list is.
     """
     vertex_of = graph.vertex_of
     n = graph.vertex_count
@@ -391,14 +390,8 @@ def _plan(graph: MetricGraph, orders: _Orders) -> list[_Placement]:
                 into[u] += 1
                 heapq.heappush(heap, (base[u] - 2 * into[u], -into[u], u))
         removed = [p for p, e in enumerate(entries) if vertex_of[e ^ 1] == w]
+        kept = [p for p, e in enumerate(entries) if vertex_of[e ^ 1] != w]
         fresh = [d for d in darts if not placed[vertex_of[d ^ 1]]]
-        new_entries = sorted([e for e in entries if vertex_of[e ^ 1] != w] + fresh)
-        at = {e: j for j, e in enumerate(new_entries)}
-        moved = [at.get(e, -1) for e in entries]
-        layout = [len(entries)] * len(new_entries)
-        for p, j in enumerate(moved):
-            if j >= 0:
-                layout[j] = p
         code = {d: i for i, d in enumerate(darts)}  # a dart of w: its local index
         code.update((entries[p], len(darts) + k) for k, p in enumerate(removed))
         code.update((d ^ 1, len(darts) + len(removed) + k) for k, d in enumerate(fresh))
@@ -411,45 +404,41 @@ def _plan(graph: MetricGraph, orders: _Orders) -> list[_Placement]:
             for d, p in zip(order, order[-1:] + order[:-1]):
                 step[code[d]] = code[p ^ 1]  # the face goes from d to mate(prev(d))
             steps.append((step, i * strides[w]))
-        exits_at_w = [(entries[p] ^ 1, code[entries[p] ^ 1]) for p in removed]
-        fresh_starts = [(at[d], code[d]) for d in fresh]
+        at_w = {entries[p] ^ 1: code[entries[p] ^ 1] for p in removed}
+        fresh_codes = [code[d] for d in fresh]
         outs = [~(d ^ 1) for d in fresh]
-        plan.append(
-            _Placement(steps, len(darts), removed, exits_at_w, moved, layout, fresh_starts, outs)
-        )
-        entries = new_entries
+        plan.append(_Placement(steps, len(darts), removed, kept, at_w, fresh_codes, outs))
+        entries = [entries[p] for p in kept] + fresh
     return plan
 
 
 def _compose(
     placement: _Placement, states: dict[tuple[int, ...], Any], fold: Callable
 ) -> dict[tuple[int, ...], Any]:
-    """The states after placing one vertex, each with its payload: the one
-    composition kernel of the frontier DP (:func:`_frontier`).  Every state
-    of ``states`` and every order of the placed vertex make a new state,
-    whose payload becomes ``fold(its payload so far or None, the old
-    state's payload, faces closed, index offset)``; a payload merged in
-    place comes back as it went in and is not stored again.
+    """The states after placing one vertex w, each with its payload: the one
+    composition kernel of :func:`_frontier`.  Every state of ``states`` and
+    every order of w make a new state, whose payload ``fold`` gives; a
+    payload merged in place comes back as it went in and is not stored
+    again.
 
     Per state, ``res`` resolves each code (:class:`_Placement`) to a local
-    index or, complemented, an outside dart: a removed entry's code to
-    where its old path exits.  The paths traced start at w's fresh darts
-    and at the darts of w where old paths from kept entries exit; every
-    other exit is copied to its new position.  Darts of w that no traced
-    path visits lie on faces closed here.
+    index or, complemented, an exit: a removed entry's code to where its
+    old path exits.  The paths traced start at w's fresh darts and at the
+    darts of w where the paths of kept entries exit; every other kept exit
+    is copied.  Darts of w that no traced path visits lie on faces closed
+    here.
     """
-    steps, degree, removed, exits_at_w, moved, layout, fresh_starts, outs = placement
+    steps, degree, removed, kept, at_w, fresh, outs = placement
     ids = list(range(degree))
     every = (1 << degree) - 1
-    at_w = dict(exits_at_w)
+    pad = [0] * len(fresh)  # the fresh entries' exits, each traced
+    fresh_starts = list(enumerate(fresh, len(kept)))
     composed: dict[tuple[int, ...], Any] = {}
     for state, payload in states.items():
-        padded = state + (0,)  # a fresh dart's slot copies the 0, then is traced
-        base = [padded[p] for p in layout]
+        base = [state[p] for p in kept]
         res = ids + [at_w.get(state[p], ~state[p]) for p in removed] + outs
-        # an exit at w held by a removed entry lies inside a path through w
-        kept = [(moved[q], i) for x, i in exits_at_w if moved[q := state.index(x)] >= 0]
-        starts = fresh_starts + kept
+        starts = [(j, at_w[x]) for j, x in enumerate(base) if x in at_w] + fresh_starts
+        base += pad
         for step, offset in steps:
             new = base.copy()
             seen = 0  # bit i: local dart i lies on a traced path
@@ -481,34 +470,26 @@ def _frontier(graph: MetricGraph, orders: _Orders, start: Any, fold: Callable) -
     ``orders[v]``, starting from ``start`` before any vertex is placed.
     ``orders[v*]`` must be closed under reversal (:func:`_plan`).
 
-    The next vertex placed is the one that adds the fewest cut edges: its
-    darts to other unplaced vertices less its edges into the placed set S,
-    ties to the most edges into S, then the smallest id.  Under a rotation
-    of S alone the face permutation splits into closed faces, which are
-    only counted, and open paths, each entering S at the S-side dart of a
-    cut edge (in ``entries``, sorted) and leaving at an outside dart.  A
-    state is the tuple of those exits, aligned with ``entries``.
+    Under a rotation of the placed set S alone the face permutation splits
+    into closed faces, which are only counted, and open paths, each
+    entering S at the S-side dart of a cut edge, its entry, and leaving at
+    an outside dart, its exit.  A state is the tuple of the exits, one per
+    entry, with the entries in the order their vertices were placed and
+    each vertex's in dart order.  With every vertex placed the one state
+    left is empty.
 
-    Placing w (:func:`_compose`) composes each of its orders into each
-    state, adding the order's position times w's stride to the index
-    (:func:`_strides`), the rotation's position in
-    :func:`enumerate_rotations` order.  Only w's ports change: the entries
-    whose edges end at w leave the state, the paths exiting at a dart of w
-    go on through w, and w's other darts enter.  So only the paths through
-    w are traced, alternating w's order with the state at the removed
-    entries, and every other exit is copied to its new position.  With
-    every vertex placed the one state left is empty.
-
-    Each state carries a payload, and ``fold`` merges the payloads that
-    meet: ``fold(target, payload, closed, offset)`` is the new state's
-    payload, given ``target``, its payload so far (None for a new state),
-    and a state's ``payload`` carried by one more order that closes
-    ``closed`` faces and adds ``offset`` to every index.  A fold builds a
-    fresh payload for a new state and never changes the payload it reads,
-    which the other orders read too.  Where v* exists, :func:`_plan` places
-    one order of each mirror pair there, so every partial rotation also
-    stands for its mirror image, which has as many walks.  The order of
-    placement changes the cost, never the result.
+    Each state carries one payload over the partial rotations that reach
+    it, which all have the same completions, and ``fold`` merges the
+    payloads that meet: ``fold(target, payload, closed, offset)`` is the
+    new state's payload, given ``target``, its payload so far (None for a
+    new state), and a state's ``payload`` carried by one more order of the
+    placed vertex, which closes ``closed`` faces and adds ``offset`` to
+    every :func:`enumerate_rotations` index (the order's position times the
+    vertex's stride, :func:`_strides`).  A fold builds a fresh payload for
+    a new state and never changes the payload it reads, which the other
+    orders read too.  Where v* exists each partial rotation stands for two:
+    itself and its mirror image (module docstring).  The order of placement
+    changes the cost, never the result.
     """
     states = {(): start}
     for placement in _plan(graph, orders):
@@ -516,47 +497,32 @@ def _frontier(graph: MetricGraph, orders: _Orders, start: Any, fold: Callable) -
     return states[()]
 
 
-def _profile(graph: MetricGraph, orders: _Orders) -> dict[int, list[int]]:
-    """{walk count: [rotation count, index of the first rotation]} over
-    ``orders``, by :func:`_frontier` with a fold that keeps a histogram
-    {closed faces: [partial rotations, smallest index among them]}.
-
-    Partial rotations that share a state and a closed-face count have the
-    same completions, so the smallest index is kept exactly: the first
-    rotation at a count extends the first partial rotation of every bucket
-    it passes through.  Where v* exists each partial rotation also stands
-    for its mirror image, so each count starts at 2, not 1.
-    """
+def _profile(graph: MetricGraph, orders: _Orders) -> dict[int, int]:
+    """{walk count: rotation count} over ``orders``, by :func:`_frontier`
+    with a fold that keeps a histogram {closed faces: partial rotations},
+    which starts at 2, not 1, where v* exists."""
 
     def histogram(target: dict | None, counts: dict, closed: int, offset: int) -> dict:
         target = {} if target is None else target
-        for faces, (rotations, first) in counts.items():
-            bucket = target.get(faces + closed)
-            if bucket is None:
-                target[faces + closed] = [rotations, first + offset]
-            else:
-                bucket[0] += rotations
-                if first + offset < bucket[1]:
-                    bucket[1] = first + offset
+        for faces, rotations in counts.items():
+            target[faces + closed] = target.get(faces + closed, 0) + rotations
         return target
 
-    return _frontier(graph, orders, {0: [1 if _mirror_vertex(graph) is None else 2, 0]}, histogram)
+    return _frontier(graph, orders, {0: 1 if _mirror_vertex(graph) is None else 2}, histogram)
 
 
 def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, RotationSystem]:
     """{least walk count: its first rotation, greatest: its first rotation}
-    over ``orders``, in :func:`enumerate_rotations` order: the two extreme
-    keys of :func:`_profile`, each with its first index decoded by
-    :func:`_rotation_at`, by :func:`_frontier` with a fold that keeps four
-    ints per state.
+    over ``orders``, in :func:`enumerate_rotations` order, each first index
+    decoded by :func:`_rotation_at`, by :func:`_frontier` with a fold that
+    keeps four ints per state: the least closed-face count with the
+    smallest index there, and the greatest with the smallest index there.
 
-    They are the least closed-face count with the smallest index there and
-    the greatest with the smallest index there, and that is exact: a
-    rotation at the global minimum reaches each state at that state's least
-    count, or a partial rotation with fewer closed faces and the same
-    completion would beat it; and indices add over placements, so the
-    smallest partial index gives the smallest total.  The same holds for
-    the maximum.
+    That is exact: a rotation at the global minimum reaches each state at
+    that state's least count, or a partial rotation with fewer closed faces
+    and the same completion would beat it; and indices add over placements,
+    so the smallest partial index gives the smallest total.  The same holds
+    for the maximum.
     """
 
     def bounds(t: list[int] | None, payload: list[int], closed: int, offset: int) -> list[int]:

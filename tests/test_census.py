@@ -18,7 +18,9 @@ upper-embeddable (Xuong, 1979) and the fewest is 1 + beta mod 2.  That
 covers K_n for n >= 5, K_m,n for m, n >= 4 and Q_d for d >= 4.
 """
 
+import hashlib
 import itertools
+from collections import Counter
 
 from ribbon_embed import maximize_boundaries, minimize_boundaries, parse_graph
 from ribbon_embed.moves import DEFAULT_RESTARTS
@@ -32,15 +34,15 @@ def _graph(edges):
 
 def _census():
     """(name, graph, gamma, whether the fewest walks is 1 + beta mod 2)."""
-    for n in range(5, 11):
+    for n in range(5, 15):
         edges = itertools.combinations(range(n), 2)
         gamma = -(-(n - 3) * (n - 4) // 12)
         yield f"K{n}", _graph((f"v{i}", f"v{j}") for i, j in edges), gamma, True
-    for m, n in itertools.combinations_with_replacement(range(3, 7), 2):
+    for m, n in itertools.combinations_with_replacement(range(3, 11), 2):
         edges = itertools.product(range(m), range(n))
         gamma = -(-(m - 2) * (n - 2) // 4)
         yield f"K{m},{n}", _graph((f"a{i}", f"b{j}") for i, j in edges), gamma, m >= 4
-    for d in range(3, 7):
+    for d in range(3, 9):
         edges = [(v, v ^ 1 << k) for v in range(2**d) for k in range(d) if not v >> k & 1]
         gamma = 1 + (d - 4) * 2 ** (d - 3)
         yield f"Q{d}", _graph((f"x{u}", f"x{v}") for u, v in edges), gamma, d >= 4
@@ -50,18 +52,29 @@ def _census():
         yield f"wheel{n}", wheel(n), 0, False
 
 
+# The sha256 of every (graph, extreme, certificate or None, gap to the
+# known optimum) of the census, in order: a change to the searches that
+# moves any result moves it.
+CENSUS_DIGEST = "e29f56bcaafa69a8f209ddde9e8bf8b1848b9f1fd5d09b5d7fb60fd1b0d8e9bc"
+
+
 def test_the_searches_meet_the_known_optima():
     # at the default caps and the CLI's restarts, no count passes the
     # optimum, and every optimum a rung settles, so every certified count,
     # is the optimum itself
-    wrong = []
+    wrong, tally = [], []
     for name, g, gamma, upper_embeddable in _census():
         chi = g.vertex_count - g.edge_count
         most, best = maximize_boundaries(g, restarts=DEFAULT_RESTARTS), 2 - chi - 2 * gamma
         if most.boundary_count > best or most.optimum not in (None, best):
             wrong.append((name, "most", most.boundary_count, most.optimum))
+        tally.append((name, "most", most.certificate, best - most.boundary_count))
         if upper_embeddable:
             fewest, least = minimize_boundaries(g, restarts=DEFAULT_RESTARTS), 1 + (1 - chi) % 2
             if fewest.boundary_count < least or fewest.optimum not in (None, least):
                 wrong.append((name, "fewest", fewest.boundary_count, fewest.optimum))
+            tally.append((name, "fewest", fewest.certificate, fewest.boundary_count - least))
     assert wrong == []
+    certificates = Counter(certificate for _, _, certificate, _ in tally)
+    assert certificates == {"floor": 43, "dp": 10, "walk-bound": 7, None: 74}
+    assert hashlib.sha256(repr(tally).encode()).hexdigest() == CENSUS_DIGEST

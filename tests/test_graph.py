@@ -228,7 +228,15 @@ def test_subdivide_rejects_bad_fractions(theta):
 
 
 def test_subdivide_name_collision():
+    # new vertices and new edges take trailing x's while their names are
+    # taken, so the file written for the result reads back as the same graph
     g = parse_graph("edge a u v 1.0\nedge am1 u v 1.0\nedge b u v 1.0")
     s = subdivide(g, 0, [0.5])
     assert len(set(s.vertex_names)) == s.vertex_count
     assert len(set(s.edge_names)) == s.edge_count
+    g = parse_graph("edge a u am1 1.0\nedge as0 u v 1.0\nedge as1 u v 1.0\nedge as1x u v 1.0")
+    s = subdivide(g, 0, [0.25, 0.5])
+    assert s.vertex_names == ("u", "am1", "v", "am1x", "am2")
+    assert s.edge_names == ("as0x", "as1xx", "as2", "as0", "as1", "as1x")
+    text = format_graph(s)
+    assert format_graph(parse_graph(text)) == text

@@ -906,15 +906,15 @@ def test_oracle_traces_a_table_equal_to_one_built_from_scratch(k4, k5, monkeypat
 def test_oracle_reads_the_descents_off_without_a_list_of_rotations():
     # the passes keep 16 bytes per rotation; the read-off, one pass per walk
     # count, adds nothing per rotation.  Sorting every rotation index by its
-    # end peaked at 4.25 MB on prism(8)'s 65 536 rotations.
-    g = prism(8)
+    # end peaked at about 65 bytes per rotation.
+    g = prism(7)
     tracemalloc.start()
     try:
         assert oracle(g)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < 32 * count_rotations(g)
 
 
 def _climbed_descent_report(g):

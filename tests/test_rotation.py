@@ -253,38 +253,45 @@ def test_a_fold_passed_to_the_frontier_counts_every_rotation(theta, bouquet2, k4
 
 
 def test_witness_is_the_first_rotation_with_its_count(theta, bouquet2, k4, k5, dumbbell):
-    # the DP's count and first index at each walk count, in both folds, are
-    # what a scan in enumeration order finds; the scan shares no code with
-    # the DP but the orders, so it also checks the mirror half: the doubled
+    # the DP's count at each walk count and the searches' extremes are what
+    # a scan in enumeration order finds; the scan shares no code with the
+    # DP but the orders, so it also checks the mirror half: the doubled
     # counts, and that the member of each pair kept at v* is the first
     graphs = _mirror_graphs(theta, bouquet2, k4, k5, dumbbell)
     assert max(map(count_rotations, graphs)) <= 2 * 10**4
     for g in graphs:
-        scan, first = {}, {}
-        for index, r in enumerate(enumerate_rotations(g)):
-            scan.setdefault(boundary_count(g, r), [0, index])[0] += 1
+        scan, first = Counter(), {}
+        for r in enumerate_rotations(g):
+            scan[boundary_count(g, r)] += 1
             first.setdefault(boundary_count(g, r), r)
         orders = _vertex_orders(g, 10**6)
-        profile = _profile(g, orders)
-        assert profile == scan, g
+        assert _profile(g, orders) == scan, g
         lo, hi = min(scan), max(scan)
         assert _extremes(g, orders) == {lo: first[lo], hi: first[hi]}, g
-        for count, r in first.items():
-            assert _rotation_at(orders, profile[count][1]) == r, (g, count)
 
 
 def test_extremes_are_the_extreme_buckets_of_the_profile(theta, bouquet2, k4, k5, dumbbell):
     # the searches' fold keeps the least and the greatest key of the whole
-    # histogram, each with the rotation its first index decodes to, which
-    # the tracer counts as many walks
+    # histogram, each with the rotation of the smallest index there, which
+    # the tracer counts as many walks; a fold run here keeps the smallest
+    # index of every bucket, exact as partial rotations that share a state
+    # and a count have the same completions
+    def firsts(target, buckets, closed, offset):
+        target = {} if target is None else target
+        for faces, first in buckets.items():
+            key = faces + closed
+            target[key] = min(target.get(key, first + offset), first + offset)
+        return target
+
     graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
     graphs += [prism(rungs) for rungs in range(3, 31)]
     for g in graphs:
         orders = _vertex_orders(g, count_rotations(g))
-        profile = _profile(g, orders)
-        lo, hi = min(profile), max(profile)
+        first = rotation._frontier(g, orders, {0: 0}, firsts)
+        assert first.keys() == _profile(g, orders).keys(), g
+        lo, hi = min(first), max(first)
         extremes = _extremes(g, orders)
-        assert extremes == {c: _rotation_at(orders, profile[c][1]) for c in (lo, hi)}, g
+        assert extremes == {c: _rotation_at(orders, first[c]) for c in (lo, hi)}, g
         for count, witness in extremes.items():
             assert _faces(g.dart_count, witness.cycles)[1] == count, (g, count)
 
@@ -294,9 +301,31 @@ def test_placements_keep_the_cut_of_a_prism_narrow():
     # than six open paths, whatever its size
     for rungs in (3, 10, 30, 200):
         g = prism(rungs)
-        widths = [len(p.layout) for p in _plan(g, _vertex_orders(g, count_rotations(g)))]
+        plan = _plan(g, _vertex_orders(g, count_rotations(g)))
+        widths = [len(p.kept) + len(p.fresh) for p in plan]
         assert len(widths) == g.vertex_count and widths[-1] == 0
         assert max(widths) <= 6, rungs
+
+
+def test_the_dp_composes_a_pinned_number_of_times(theta, bouquet2, k4, k5, dumbbell, monkeypatch):
+    # every state times every order stepped at the placed vertex, over the
+    # searches' pass: a change to the plan that moves the DP's work moves
+    # these totals, and one that only relabels its states does not
+    work = []
+    compose = rotation._compose
+
+    def counted(placement, states, fold):
+        work[-1] += len(states) * len(placement.steps)
+        return compose(placement, states, fold)
+
+    monkeypatch.setattr(rotation, "_compose", counted)
+    families = [_mirror_graphs(theta, bouquet2, k4, k5, dumbbell)]
+    families.append([prism(rungs) for rungs in range(3, 31)])
+    for graphs in families:
+        work.append(0)
+        for g in graphs:
+            _extremes(g, _vertex_orders(g, count_rotations(g)))
+    assert work == [33672, 44634]
 
 
 def test_rotation_at_decodes_the_enumeration_index(theta, bouquet2, k4, k5, dumbbell):
