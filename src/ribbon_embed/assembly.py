@@ -858,19 +858,14 @@ def _side(value) -> NoReturn:
 def _per_name(
     meta: dict, key: str, ids: dict[str, int], noun: str, number=_finite
 ) -> dict[int, float]:
-    """One number per name of ``ids`` (each a ``noun`` of the graph), from
-    the ``key`` object of ``meta``, which ``number`` (:func:`_finite` or
-    :func:`_positive`) admits: the range test of :func:`_finite`, with the
-    least positive float as its floor for :func:`_positive`."""
-    low = math.ulp(0.0) if number is _positive else -_MAX
+    """One float per name of ``ids`` (each a ``noun`` of the graph), from
+    the ``key`` object of ``meta``, every entry admitted by ``number``:
+    :func:`_finite`, or :func:`_positive`, which calls it."""
     entries = meta[key]
     if type(entries) is not dict:
         _refuse(f"meta {key}", "a JSON object", entries)
     try:
-        values = {
-            ids[k]: float(v) if type(v) in (float, int) and low <= v <= _MAX else number(v, key)
-            for k, v in entries.items()
-        }
+        values = {ids[k]: float(number(v, key)) for k, v in entries.items()}
     except KeyError as exc:  # only ids[k] can miss
         name = quote(exc.args[0])
         raise SchemaFormatError(f"{key} names no {noun} of the graph: {name}") from None
@@ -920,7 +915,12 @@ def schema_from_json(text: str) -> SurfaceSchema:
     :func:`_finite` names it, and the handler of a missing key reads where
     it is from the loop indices.  The schema's blocks and gluings are the
     records ``json.loads`` built, with ``payload`` set to ``{}`` and
-    ``twist`` to 0.0 where the document leaves them out.
+    ``twist`` to 0.0 where the document leaves them out.  Every stored
+    number is admitted by :func:`_finite`, directly or through
+    :func:`_positive`, the one place that tests the float range.  The
+    graph is read from its edge records as a graph file is, vertices
+    numbered by first mention, so :func:`schema_to_json` of what this
+    returns is ``text`` again for every document ``embed`` writes.
     """
     try:
         doc = json.loads(text)
@@ -987,10 +987,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
                 label = bd["label"]
                 if type(label) is not str:
                     _refuse("boundary label", "a string", label)
-                length = bd["length"]
-                if type(length) is not str and not (
-                    type(length) in (float, int) and -_MAX <= length <= _MAX
-                ):
+                if type(length := bd["length"]) is not str:
                     _finite(length, "boundary length")
             payload = b.setdefault("payload", {})
             if type(payload) is not dict:
@@ -1015,9 +1012,7 @@ def schema_from_json(text: str) -> SurfaceSchema:
             b = g["b"]
             if not (type(b) is list and len(b) == 2 and type(b[0]) is str and type(b[1]) is str):
                 _side(b)
-            twist = g.setdefault("twist", 0.0)
-            if type(twist) not in (float, int) or not -_MAX <= twist <= _MAX:
-                _finite(twist, "gluing twist")
+            _finite(g.setdefault("twist", 0.0), "gluing twist")
         where, held = "summary", s
         for key in ("genus", "boundary_count"):
             if type(s[key]) is not int:

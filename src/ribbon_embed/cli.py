@@ -45,7 +45,7 @@ from .errors import (
 from .graph import parse_graph, smooth
 from .invariants import DEFAULT_TREE_CAP
 from .moves import DEFAULT_RESTARTS, analyze, maximize_boundaries, minimize_boundaries, oracle
-from .rotation import DEFAULT_ROTATION_CAP, OrdersRefusal, refusal
+from .rotation import DEFAULT_ROTATION_CAP, ORDERS_LIMIT, OrdersRefusal, refusal
 
 OK = 0
 VERIFY_FAILED = 1
@@ -225,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_count,
             default=DEFAULT_ROTATION_CAP,
             help="refuse the exhaustive rotation stages (frontier DP, oracle pass) "
-            "above this many rotations, or where they would list more than 10^6 "
-            "cyclic orders",
+            "above this many rotations, or where they would list more than "
+            f"10^{len(str(ORDERS_LIMIT)) - 1} cyclic orders",
         )
 
     p_analyze = sub.add_parser("analyze", help="print the invariant report")

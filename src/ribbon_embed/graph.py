@@ -146,7 +146,11 @@ class MetricGraph:
 
 def _from_records(records: Iterable[tuple[str, str, str, float]]) -> MetricGraph:
     """Graph of trusted ``(edge name, u, v, length)`` records: vertices
-    numbered in order of first mention, edges and darts in record order."""
+    numbered in order of first mention, edges and darts in record order.
+    The one way a graph is built from names: :func:`parse_graph`, the
+    schema reader and :func:`smooth` call it, so a graph written as
+    records and read back is numbered as it was.  Only
+    :func:`subdivide`, which keeps a vertex on no edge, builds its own."""
     vertex_ids: dict[str, int] = {}
     vertex_of: list[int] = []
     lengths: list[float] = []
@@ -351,10 +355,16 @@ def smooth(graph: MetricGraph) -> MetricGraph:
     """Suppress every degree-2 vertex, concatenating the two edge lengths.
 
     Returns the graph unchanged when all degrees are at least 3, so the
-    operation is idempotent.  Raises :class:`GraphValidationError` when the
-    graph is not connected or has a degree-1 vertex, which has no sensible
-    smoothing, and :class:`CycleGraphError` when it is a single cycle
-    (there is no branch vertex to anchor the result).
+    operation is idempotent.  Otherwise the chains between branch vertices
+    become ``(name, u, v, length)`` records, walked from each branch vertex
+    in id order, and the result is :func:`_from_records` of them: its
+    vertices are numbered by first mention, as a graph file's are, so a
+    schema of it reads back to the same graph.  Raises
+    :class:`GraphValidationError` when the graph is not connected or has a
+    degree-1 vertex, which has no sensible smoothing, or, where it smooths,
+    when two vertices share a name, which records cannot tell apart (only
+    a graph built in code can); and :class:`CycleGraphError` when it is a
+    single cycle (there is no branch vertex to anchor the result).
     """
     graph._require_connected()
     if is_cycle_graph(graph):
@@ -370,13 +380,18 @@ def smooth(graph: MetricGraph) -> MetricGraph:
             )
     if all(graph.degree(v) >= 3 for v in range(graph.vertex_count)):
         return graph
+    vertex_names = graph.vertex_names
+    if len(graph.vertex_ids) < graph.vertex_count:  # vertex_ids keeps a name's last id
+        name = next(name for v, name in enumerate(vertex_names) if graph.vertex_ids[name] != v)
+        raise GraphValidationError(
+            f"vertex name {clip(name)} repeats; smoothing tells vertices apart by name"
+        )
 
-    branch = [v for v in range(graph.vertex_count) if graph.degree(v) >= 3]
-    new_id = {v: i for i, v in enumerate(branch)}
-    chains: list[tuple[list[str], int, int, float]] = []
+    chains: list[tuple[list[str], str, str, float]] = []
     seen_darts: set[int] = set()
-
-    for b in branch:
+    for b in range(graph.vertex_count):
+        if graph.degree(b) < 3:
+            continue
         for start in graph.darts_at(b):
             if start in seen_darts:
                 continue
@@ -394,30 +409,21 @@ def smooth(graph: MetricGraph) -> MetricGraph:
                     break
                 a, c = graph.darts_at(end)
                 d = c if a == mate(d) else a
-            chains.append((chain_names, new_id[b], new_id[end], length))
+            chains.append((chain_names, vertex_names[b], vertex_names[end], length))
 
     # A merged edge is named by joining its chain's names, which can repeat
     # (a + bc and ab + c); it then takes trailing x's, as subdivide's new
     # vertices and edges do.  Edges left whole keep their names.
     taken = {names[0] for names, _, _, _ in chains if len(names) == 1}
-    vertex_of: list[int] = []
-    lengths: list[float] = []
-    edge_names: list[str] = []
+    records = []
     for names, u, v, length in chains:
         name = "".join(names)
         if len(names) > 1:
             while name in taken:
                 name += "x"
             taken.add(name)
-        vertex_of.extend((u, v))
-        lengths.append(length)
-        edge_names.append(name)
-    smoothed = MetricGraph(
-        tuple(vertex_of),
-        tuple(lengths),
-        tuple(edge_names),
-        tuple(graph.vertex_names[v] for v in branch),
-    )
+        records.append((name, u, v, length))
+    smoothed = _from_records(records)
     smoothed.__dict__["_connected"] = True  # as the input is; where the cached property keeps it
     return smoothed
 
@@ -426,10 +432,13 @@ def subdivide(graph: MetricGraph, edge: int, fractions: Sequence[float]) -> Metr
     """Split one edge into segments at the given interior positions.
 
     ``fractions`` are strictly increasing values in (0, 1); k of them turn
-    the edge into k+1 segments whose lengths sum to the original.  Inverse
-    of :func:`smooth` up to naming.  New vertices are named
-    ``<edge-name>m1, ...``, new edges ``<edge-name>s0, ...``, each with
-    ``x`` appended while another vertex, or edge, has the name.
+    the edge into k+1 segments whose lengths sum to the original, and
+    none returns the graph itself.  Inverse of :func:`smooth` up to
+    naming, and to numbering, which :func:`smooth` takes from its records.
+    New vertices are named ``<edge-name>m1, ...``, new edges
+    ``<edge-name>s0, ...``, each with ``x`` appended while another vertex,
+    or edge, has the name.  The graph is built here, not from records, so
+    a vertex on no edge keeps its place.
     """
     fs = list(fractions)
     if not fs:

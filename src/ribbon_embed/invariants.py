@@ -228,11 +228,11 @@ def betti_deficiency(graph: MetricGraph, cap: int = DEFAULT_TREE_CAP) -> int:
 
     The search stops at the first tree whose value meets :func:`zeta_floor`,
     since no tree can do better.  A graph that is not connected has no
-    spanning tree and raises :class:`GraphValidationError` before the
-    search.
+    spanning tree: :meth:`~ribbon_embed.graph.MetricGraph._require_connected`
+    refuses it before the search, as every entry that needs a connected
+    graph does.
     """
-    if not graph._connected:
-        raise GraphValidationError("graph has no spanning tree; is it connected?")
+    graph._require_connected()
     floor = zeta_floor(graph)
     best = math.inf  # lowered by the first tree, which a connected graph has
     for tree in spanning_trees(graph, cap):

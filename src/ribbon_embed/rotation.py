@@ -45,11 +45,12 @@ smallest :func:`enumerate_rotations` index that reaches it, decoded by
 The exhaustive stages (:func:`enumerate_rotations`,
 :func:`boundary_profile`, the DP pass of the searches and the oracle) run
 only where one gate, :func:`refusal`, admits the graph: at most ``cap``
-rotations, and at most :data:`DEFAULT_ROTATION_CAP` cyclic orders to list
-(the sum of (deg - 1)! over the vertices of degree 3 or more, which
-:func:`_vertex_orders` would build).  Each such term is at least 2, so
-the sum never passes the product, the rotation count: at the default cap
-the orders refuse only where the rotation count does too.  Where both
+rotations, and at most :data:`ORDERS_LIMIT` cyclic orders to list (the
+sum of (deg - 1)! over the vertices of degree 3 or more, which
+:func:`_vertex_orders` would build), a memory guard that no cap moves.
+Each such term is at least 2, so the sum never passes the product, the
+rotation count: at the default cap, which equals the limit, the orders
+refuse only where the rotation count does too.  Where both
 refuse, the gate names the orders, as an :class:`OrdersRefusal`, which no
 cap lifts, so no message advises one.
 
@@ -80,6 +81,7 @@ from .errors import CapExceededError, GraphFormatError, InternalInvariantError, 
 from .graph import MetricGraph, edge_of, euler_char
 
 DEFAULT_ROTATION_CAP = 10**6
+ORDERS_LIMIT = 10**6  # cyclic orders the gate lets be listed, whatever the cap
 
 _Orders = Sequence[Sequence[tuple[int, ...]]]  # cyclic orders to choose from, per vertex
 
@@ -270,7 +272,7 @@ def refusal(graph: MetricGraph, cap: int) -> CapExceededError | None:
     degrees = [graph.degree(v) for v in range(graph.vertex_count)]
     listed = sum(math.factorial(d - 1) for d in degrees if d >= 3)
     for count, limit, what, error in (
-        (listed, DEFAULT_ROTATION_CAP, "cyclic orders to list exceed the limit", OrdersRefusal),
+        (listed, ORDERS_LIMIT, "cyclic orders to list exceed the limit", OrdersRefusal),
         (count_rotations(graph), cap, "rotation systems exceed the cap", CapExceededError),
     ):
         if count > limit:

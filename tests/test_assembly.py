@@ -149,6 +149,17 @@ def test_cap_standard_requires_bordered(theta):
         cap_standard(naive_embedding(theta))
 
 
+def test_capping_refuses_a_closed_or_spineless_schema(theta):
+    with pytest.raises(ValueError, match="^schema is already closed; nothing to cap$"):
+        cap_target_genus(naive_embedding(theta), 2, 1)
+    bordered = assemble_sigma_surface(theta, default_rotation(theta, 0))
+    spineless = replace(  # bordered, but not by the spine construction
+        bordered, blocks=tuple(b for b in bordered.blocks if b["kind"] != "spine_surface")
+    )
+    with pytest.raises(ValueError, match="^capping applies to the bordered spine construction$"):
+        cap_standard(spineless)
+
+
 def _minimal_bordered(graph):
     """The bordered schema of a certified minimum and its walk count."""
     res = minimize_boundaries(graph, restarts=2)
@@ -517,6 +528,14 @@ def test_schema_to_json_writes_what_json_dumps_writes():
     accented = parse_graph("edge \u00e9 u v 1\nedge b u v 1\nedge c u v 1")
     text = schema_to_json(naive_embedding(accented))
     assert '"\\u00e9"' in text and "\u00e9" not in text
+
+
+def test_schema_to_json_refuses_a_payload_json_cannot_hold(theta):
+    # as json.dumps refuses it, rather than write some other text
+    schema = naive_embedding(theta)
+    odd = replace(schema, blocks=({**schema.blocks[0], "payload": {"x": {1, 2}}},))
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        schema_to_json(odd)
 
 
 def test_stored_float_is_json_dumps_of_the_rounded_float():

@@ -7,6 +7,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -24,6 +25,7 @@ from ribbon_embed import (
     cli,
     default_rotation,
     errors,
+    essential_genus,
     format_graph,
     graph_hash,
     invariants,
@@ -33,6 +35,7 @@ from ribbon_embed import (
     rotation,
     schema_from_json,
     schema_to_json,
+    subdivide,
     verify_schema,
 )
 from ribbon_embed import graph as graph_module
@@ -799,6 +802,40 @@ def test_embed_names_merged_edges_apart(graph_file, tmp_path, capsys):
     assert main(["verify", str(out_path)]) == 0
     edges = json.loads(out_path.read_text())["meta"]["graph"]["edges"]
     assert sorted(name for name, *_ in edges) == ["abc", "abcx", "d", "e", "f", "g"]
+
+
+def _round_trip_inputs():
+    """(name, graph file text, targets) for every graph the round trip
+    embeds: the demo graphs at three targets, then seeded multigraphs and
+    graphs with degree-2 vertices, which embed smooths first, at two."""
+    demos = Path(__file__).resolve().parent.parent / "demos" / "graphs"
+    for path in sorted(demos.glob("*.graph")):
+        g_e = essential_genus(parse_graph(path.read_text()))
+        yield path.stem, path.read_text(), ("minimal", "maximal", f"genus={g_e + 1}")
+    graphs = {f"random{seed}": random_multigraph(seed) for seed in range(60)}
+    graphs |= {f"prism{n} subdivided": subdivide(prism(n), 0, [0.3, 0.6]) for n in (3, 5, 8, 20)}
+    graphs |= {
+        f"random{seed} subdivided": subdivide(random_multigraph(seed), 0, [0.5]) for seed in (6, 9)
+    }
+    for name, graph in graphs.items():
+        yield name, format_graph(graph), ("minimal", "maximal")
+
+
+def test_every_schema_embed_writes_reads_back_to_its_own_bytes(graph_file, tmp_path, capsys):
+    # the reader numbers vertices by first mention, so every graph embed
+    # writes, the smoothed ones too, must be numbered so, or a schema read
+    # back writes its foot, rotation and vertex spheres in another order
+    out = tmp_path / "schema.json"
+    written = 0
+    for name, text, targets in _round_trip_inputs():
+        path = graph_file(text)
+        for target in targets:
+            assert main(["embed", path, "--target", target, "-o", str(out)]) == 0, (name, target)
+            doc = out.read_text()
+            assert schema_to_json(schema_from_json(doc)) == doc, (name, target)
+            written += 1
+    capsys.readouterr()
+    assert written == 5 * 3 + 66 * 2
 
 
 def test_embed_skips_a_tree_search_kirchhoffs_count_rules_out(graph_file, capsys, monkeypatch):
@@ -1890,6 +1927,15 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed", "oracle"])
+def test_the_help_states_the_orders_limit_the_gate_applies(command, capsys):
+    # the limit has its own name, so the default cap cannot move it unseen
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    (exponent,) = re.findall(r"list more than 10\^(\d+) cyclic orders", text)
+    assert 10 ** int(exponent) == rotation.ORDERS_LIMIT
 
 
 # Golden lock: exit code and sha256 of stdout for every command on the demo

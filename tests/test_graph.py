@@ -207,6 +207,44 @@ def test_smooth_degree_one_rejected():
         smooth(parse_graph("edge a u v 1.0\nedge b u v 1.0\nedge c u w 1.0"))
 
 
+def test_smooth_numbers_vertices_by_first_mention_as_a_graph_file_does():
+    # the branch vertices are u, v, w in id order, but the chain walked
+    # first, from u through m, mentions w before v
+    g = parse_graph("edge a u m 1.0\nedge c u v 1.0\nedge b m w 2.0\nedge d u v 1.0\n"
+                    "edge e v w 1.0\nedge f w w 1.0")
+    s = smooth(g)
+    assert s.vertex_names == ("u", "w", "v")
+    assert format_graph(s).splitlines() == [
+        "edge ab u w 3", "edge c u v 1", "edge d u v 1", "edge e v w 1", "edge f w w 1"
+    ]
+    assert parse_graph(format_graph(s)) == s
+    assert s._connected
+
+
+def test_smooth_refuses_a_repeated_vertex_name():
+    # records name vertices, so two vertices of one name would merge into
+    # one; only a graph built in code can repeat a name
+    g = MetricGraph((0, 1, 0, 1, 0, 2, 2, 1), (1.0,) * 4, tuple("abcd"), ("u", "v", "u"))
+    message = "^vertex name u repeats; smoothing tells vertices apart by name$"
+    with pytest.raises(GraphValidationError, match=message):
+        smooth(g)
+
+
+@pytest.mark.parametrize(
+    "tables,message",
+    [
+        (((0, 1, 1), (1.0,), ("a",), ("u", "v")), "dart table size must be twice the edge count"),
+        (((0, 1), (1.0,), ("a", "b"), ("u", "v")), "edge name count does not match edge count"),
+        (((0, 2), (1.0,), ("a",), ("u", "v")), "dart endpoint out of range"),
+        (((0, -1), (1.0,), ("a",), ("u", "v")), "dart endpoint out of range"),
+    ],
+    ids=["darts", "edge names", "past the last vertex", "negative"],
+)
+def test_the_constructor_refuses_tables_that_disagree(tables, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MetricGraph(*tables)
+
+
 def test_subdivide_preserves_length_and_smooths_back(theta):
     g = subdivide(theta, 1, [0.25, 0.5])
     assert g.vertex_count == 4
@@ -225,6 +263,7 @@ def test_subdivide_rejects_bad_fractions(theta):
     for bad in ([0.0], [1.0], [0.5, 0.5], [0.7, 0.2], [-0.1]):
         with pytest.raises(ValueError):
             subdivide(theta, 0, bad)
+    assert subdivide(theta, 0, []) is theta  # no fraction, no cut
 
 
 def test_subdivide_name_collision():

@@ -31,3 +31,23 @@ def test_source_imports_only_the_standard_library():
                 if top != "ribbon_embed" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {module}")
     assert foreign == []
+
+
+def test_only_the_records_reader_and_subdivide_construct_a_graph():
+    # every other graph is built from (name, u, v, length) records, so its
+    # vertices are numbered by first mention; subdivide keeps its own
+    # construction for a vertex that lies on no edge, which no record names
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "MetricGraph":
+                    callers.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == ["graph._from_records", "graph.subdivide"]

@@ -470,13 +470,13 @@ def test_a_raised_cap_never_lists_a_hubs_orders(monkeypatch):
 
 def test_the_orders_limit_admits_a_graph_exactly_at_it(k4, k5, monkeypatch):
     # K4 lists 4 * 2! = 8 orders, K5 5 * 3! = 30, whatever the cap
-    monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 8)
+    monkeypatch.setattr(rotation, "ORDERS_LIMIT", 8)
     assert rotation.refusal(k4, 10**6) is None
     assert boundary_profile(k4, 10**6) == PROFILES["k4"]
     assert str(rotation.refusal(k4, 15)) == "16 rotation systems exceed the cap of 15"
     with pytest.raises(CapExceededError, match="^30 cyclic orders to list exceed the limit of 8$"):
         boundary_profile(k5, 10**6)
-    monkeypatch.setattr(rotation, "DEFAULT_ROTATION_CAP", 7)
+    monkeypatch.setattr(rotation, "ORDERS_LIMIT", 7)
     refusal = rotation.refusal(k4, 10**6)
     assert str(refusal) == "8 cyclic orders to list exceed the limit of 7"
     # the cyclic orders are asked first: where both refuse, they are named
