@@ -31,10 +31,17 @@ afresh and make one move each, its reference.  The ladder:
    One ascent whose count has the capped genus of :func:`_walk_bound`
    pins g_e^max with no DP pass (:func:`_ge_max`).  No search result
    names it: it settles a genus, not a walk count.
-3. Short of the bound (or the plateau), one pass of the frontier DP,
-   where the rotation gate admits it, decides the optimum and gives the
-   first rotation at it: ``"dp"``.
-4. Where the gate refuses the DP, minimizing only, Xuong's spanning-tree
+3. For g_e^max too, short of the plateau, where the DP is admitted: the
+   planar rung.  The left-right planarity test
+   (:func:`~ribbon_embed.rotation._planar_rotation`, near-linear time)
+   gives a genus-0 rotation of a planar graph, whose 2 - chi walks are
+   the most any rotation has; recounted by the kernel at the walk bound,
+   it pins g_e^max at the bound's capped genus (:func:`_ge_max`).  It
+   names no search result either.
+4. Short of the bound (or of the plateau and the planar rung), one pass
+   of the frontier DP, where the rotation gate admits it, decides the
+   optimum and gives the first rotation at it: ``"dp"``.
+5. Where the gate refuses the DP, minimizing only, Xuong's spanning-tree
    search (:func:`~ribbon_embed.invariants.betti_deficiency`) gives
    1 + zeta when Kirchhoff's count puts the trees within the tree cap
    (:func:`_minimize`): ``"trees"``.  Where the DP is admitted no tree is
@@ -49,8 +56,8 @@ the answer of the rotation gate (:func:`~ribbon_embed.rotation.refusal`),
 the DP pass, and Kirchhoff's tree count, each asked for at most once and
 only when a rung first needs it.  :func:`analyze` reads zeta, g_e^max and
 its report off one record, so the pass runs only where the descent misses
-the floor or the ascent the plateau.  Where the gate refuses the DP,
-g_e^max stays unknown.
+the floor, or where the ascent misses the plateau on a graph that is not
+planar.  Where the gate refuses the DP, g_e^max stays unknown.
 
 :func:`oracle` re-verifies the theory by brute force, in two passes over
 the rotations, each rewriting its table only at the vertices whose cycle
@@ -104,6 +111,7 @@ from .rotation import (
     _extremes,
     _faces,
     _incidence,
+    _planar_rotation,
     _set_succ,
     _strides,
     _succ,
@@ -519,15 +527,27 @@ def _ge_max(rungs: _Rungs) -> int | None:
     :func:`_walk_bound`, that is g_e^max, the plateau.  Every walk count
     shares chi's parity, the most walks lie between the ascent's count and
     the bound, and the capped genus never falls as the count rises by 2,
-    so equal ends pin the middle.  Only short of the plateau is the pass
-    asked for.
+    so equal ends pin the middle.  Short of the plateau the planar rung
+    (:func:`~ribbon_embed.rotation._planar_rotation`) is asked next: the
+    kernel recounts its rotation once, and a count at the bound, which no
+    rotation beats, makes the bound's capped genus g_e^max.  A planar
+    verdict whose rotation falls short raises
+    :class:`InternalInvariantError`, so a wrong test can cost time but
+    never change an answer.  Only where the graph is not planar is the
+    pass asked for.
     """
     if not rungs.admitted:
         return None
     graph = rungs.graph
     if rungs.extremes is None:
-        top = capped_genus(graph, _walk_bound(graph))
+        bound = _walk_bound(graph)
+        top = capped_genus(graph, bound)
         if capped_genus(graph, _climb(graph, default_rotation(graph, 0), +2)[1]) == top:
+            return top
+        if (planar := _planar_rotation(graph)) is not None:
+            count = _faces(graph.dart_count, planar.cycles)[1]
+            if count != bound:
+                raise InternalInvariantError(f"planar rotation has {count} walks, not {bound}")
             return top
     return capped_genus(graph, max(rungs.dp()))
 
@@ -539,8 +559,9 @@ def ge_max_exact(graph: MetricGraph, cap: int = DEFAULT_ROTATION_CAP) -> int:
     :class:`~ribbon_embed.errors.GraphValidationError` on a graph that is
     not connected and, where the gate refuses the DP at ``cap``, its
     refusal (:attr:`_Rungs.refusal`).  As :func:`analyze` reads it
-    (:func:`_ge_max`): the plateau of one ascent, else the DP's extremes
-    fold (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
+    (:func:`_ge_max`): the plateau of one ascent, else a planar graph's
+    genus-0 rotation, recounted, else the DP's extremes fold
+    (:func:`~ribbon_embed.rotation._extremes`), run at most once."""
     graph._require_connected()
     rungs = _Rungs(graph, DEFAULT_TREE_CAP, cap)
     if (exact := _ge_max(rungs)) is None:
@@ -561,7 +582,8 @@ def analyze(
     only where a rung asks for it: zeta comes from :func:`_zeta` with the
     same caps, so a graph no rung settles raises
     :class:`CapExceededError`, and ``ge_max_exact`` from :func:`_ge_max`,
-    as :func:`ge_max_exact` reads it, by the plateau or the pass.
+    as :func:`ge_max_exact` reads it, by the plateau, the planar rung or
+    the pass.
     ``tree_count`` is None above ``tree_cap``, and ``ge_max_exact`` where
     the gate refuses the DP at ``rotation_cap``; a refusal for the cyclic
     orders, which no cap lifts, is kept for the report's text.  zeta must share beta's

@@ -66,6 +66,12 @@ comes first in ``orders[v*]`` has the smaller :func:`enumerate_rotations`
 index.  :func:`_plan` places only that one of each pair at v*, at its own
 index offset, so every smallest index stays exact and each partial
 rotation stands for two.
+
+Where a graph is planar the most walks need no DP: a genus-0 rotation has
+2 - chi of them, which no rotation beats.  :func:`_planar_rotation` finds
+one in near-linear time, by the left-right planarity test, or finds the
+graph not planar; :func:`ribbon_embed.moves._ge_max` recounts its
+rotation with the kernel before reading g_e^max off it.
 """
 
 from __future__ import annotations
@@ -543,6 +549,272 @@ def _extremes(graph: MetricGraph, orders: _Orders) -> dict[int, RotationSystem]:
 
     lo, lo_first, hi, hi_first = _frontier(graph, orders, [0, 0, 0, 0], bounds)
     return {lo: _rotation_at(orders, lo_first), hi: _rotation_at(orders, hi_first)}
+
+
+def _planar_rotation(graph: MetricGraph) -> RotationSystem | None:
+    """A genus-0 rotation of the connected ``graph``, or None where it is
+    not planar, by the left-right planarity test with its embedding phase
+    (de Fraysseix and Rosenstiehl; Brandes, "The Left-Right Planarity
+    Test", 2009), run without recursion.
+
+    The test runs on the simple graph under ``graph``: loops dropped, each
+    parallel class kept as one edge, and more than 3n - 6 such edges
+    refused at once.  A depth-first search orients the edges, and each
+    edge's lowpoints and nesting depth follow, children first.  A second
+    search, in nesting order, keeps a stack of conflict pairs, each two
+    intervals of return edges that must lie on opposite sides, and refuses
+    where a pair cannot be split.  Each edge's side is then resolved along
+    its reference chain, and a third search, in the signed nesting order,
+    meets the back edges into each vertex w from below each tree edge
+    (w, c) in the order Brandes inserts them.  So w's cyclic order is its
+    tree edge up, then its edges out in that order, where a back edge out
+    stands alone and a tree edge (w, c) has the left back edges from below
+    c just before it and the right ones just after it, each side last met
+    first.
+
+    The embedding is lifted back to ``graph``: a parallel class becomes
+    consecutive darts, in reverse order at its far end, which adds one
+    face per added edge, and each loop's two darts sit side by side, which
+    adds one face per loop.  So a planar verdict's rotation has 2 - chi
+    walks; a caller recounts it rather than trusting the test.
+    """
+    n = graph.vertex_count
+    vertex_of = graph.vertex_of
+    loops: dict[int, list[int]] = {}
+    ends: dict[int, int] = {}  # a * n + b, for ends a < b: the simple edge there
+    other: list[int] = []  # per simple edge: the xor of its ends
+    near: list[list[int]] = []  # per simple edge: its darts at its source, once oriented
+    far: list[list[int]] = []  # and at its target, in reverse order
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for d in range(0, len(vertex_of), 2):
+        a, b = vertex_of[d], vertex_of[d + 1]
+        if a == b:
+            loops.setdefault(a, []).extend((d, d + 1))
+            continue
+        if a > b:
+            a, b, d = b, a, d + 1
+        e = ends.setdefault(a * n + b, len(other))
+        if e == len(other):
+            other.append(a ^ b)
+            near.append([d])
+            far.append([d ^ 1])
+            adj[a].append(e)
+            adj[b].append(e)
+        else:
+            near[e].append(d)
+            far[e].insert(0, d ^ 1)
+    m = len(other)
+    if n > 2 and m > 3 * n - 6:
+        return None
+
+    # orientation: one DFS from vertex 0 gives each vertex its height and
+    # tree edge up, each edge its target and, for a back edge, the child of
+    # its target it returns past (``via``); each vertex, once done, gives
+    # its edges out their nesting depths and its tree edge up their
+    # lowpoints.  Index m of an edge table stands for "none" (-1).
+    height = [-1] * n
+    parent = [-1] * n
+    target = [-1] * m
+    via = [0] * m
+    lowpt = [0] * m + [-1]
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]
+    height[0] = 0
+    path = [0]  # the tree path from vertex 0, by height
+    searches = [iter(adj[0])]
+    while searches:
+        v = path[-1]
+        hv = height[v]
+        edges = out[v]
+        for e in searches[-1]:
+            if target[e] >= 0:
+                continue  # oriented from its other end
+            w = other[e] ^ v
+            target[e] = w
+            edges.append(e)
+            if vertex_of[near[e][0]] != v:
+                near[e], far[e] = far[e], near[e]
+            lowpt2[e] = hv
+            if height[w] < 0:  # a tree edge
+                lowpt[e] = hv
+                parent[w] = e
+                height[w] = hv + 1
+                path.append(w)
+                searches.append(iter(adj[w]))
+                break
+            lowpt[e] = height[w]  # a back edge
+            via[e] = path[height[w] + 1]
+        else:
+            path.pop()
+            searches.pop()
+            up = parent[v]
+            for e in edges:
+                low, low2 = lowpt[e], lowpt2[e]
+                nesting[e] = 2 * low + (low2 < hv)
+                if up < 0:
+                    continue
+                if low < lowpt[up]:
+                    lowpt2[up] = min(lowpt[up], low2)
+                    lowpt[up] = low
+                elif low > lowpt[up]:
+                    lowpt2[up] = min(lowpt2[up], low)
+                else:
+                    lowpt2[up] = min(lowpt2[up], low2)
+    for edges in out:
+        if len(edges) > 1:
+            edges.sort(key=nesting.__getitem__)
+
+    # testing: conflict pairs [left low, left high, right low, right high]
+    ref = [-1] * (m + 1)
+    side = [1] * m
+    lowpt_edge = [0] * m
+    bottom: list[list[int] | None] = [None] * m  # the stack's top when each edge began
+    pairs: list[list[int]] = []
+    stack = [0]
+    pos = [0] * n
+    while stack:
+        v = stack[-1]
+        i = pos[v]
+        if i == len(out[v]):
+            stack.pop()
+            e = parent[v]
+            if e < 0:
+                continue
+            u = other[e] ^ v  # remove the back edges returning to u
+            hu = height[u]
+            while pairs:
+                p = pairs[-1]
+                if p[0] < 0 and p[1] < 0:
+                    lowest = lowpt[p[2]]
+                elif p[2] < 0 and p[3] < 0:
+                    lowest = lowpt[p[0]]
+                else:
+                    lowest = min(lowpt[p[0]], lowpt[p[2]])
+                if lowest != hu:
+                    break
+                pairs.pop()
+                if p[0] >= 0:
+                    side[p[0]] = -1
+            if pairs:
+                p = pairs[-1]
+                while p[1] >= 0 and target[p[1]] == u:
+                    p[1] = ref[p[1]]
+                if p[1] < 0 and p[0] >= 0:  # the left interval just emptied
+                    ref[p[0]] = p[2]
+                    side[p[0]] = -1
+                    p[0] = -1
+                while p[3] >= 0 and target[p[3]] == u:
+                    p[3] = ref[p[3]]
+                if p[3] < 0 and p[2] >= 0:  # the right interval just emptied
+                    ref[p[2]] = p[0]
+                    side[p[2]] = -1
+                    p[2] = -1
+            if lowpt[e] < hu:  # e's side is that of a highest return edge
+                hl, hr = pairs[-1][1], pairs[-1][3]
+                ref[e] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
+            ei, v = e, u
+        else:
+            ei = out[v][i]
+            bottom[ei] = pairs[-1] if pairs else None
+            if parent[target[ei]] == ei:
+                stack.append(target[ei])
+                continue
+            lowpt_edge[ei] = ei
+            pairs.append([-1, -1, ei, ei])
+        pos[v] += 1
+        if lowpt[ei] >= height[v]:
+            continue
+        e = parent[v]
+        if ei == out[v][0]:
+            lowpt_edge[e] = lowpt_edge[ei]
+            continue
+        # add the constraints of ei: its return edges go right ...
+        new = [-1, -1, -1, -1]
+        while True:
+            q = pairs.pop()
+            if q[0] >= 0 or q[1] >= 0:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] >= 0 or q[1] >= 0:
+                    return None
+            if lowpt[q[2]] > lowpt[e]:
+                if new[2] < 0 and new[3] < 0:
+                    new[3] = q[3]
+                else:
+                    ref[new[2]] = q[3]
+                new[2] = q[2]
+            else:
+                ref[q[2]] = lowpt_edge[e]
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+        # ... and the conflicting ones of its earlier siblings go left
+        low = lowpt[ei]
+        while pairs:
+            q = pairs[-1]
+            swap = q[3] >= 0 and lowpt[q[3]] > low
+            if not (swap or (q[1] >= 0 and lowpt[q[1]] > low)):
+                break
+            pairs.pop()
+            if swap:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[3] >= 0 and lowpt[q[3]] > low:
+                    return None
+            ref[new[2]] = q[3]
+            if q[2] >= 0:
+                new[2] = q[2]
+            if new[0] < 0 and new[1] < 0:
+                new[1] = q[1]
+            else:
+                ref[new[0]] = q[1]
+            new[0] = q[0]
+        if new != [-1, -1, -1, -1]:
+            pairs.append(new)
+
+    # each edge's side, resolved along its reference chain, signs its nesting depth
+    for e in range(m):
+        if ref[e] >= 0:
+            chain = []
+            f = e
+            while ref[f] >= 0:
+                chain.append(f)
+                f = ref[f]
+            s = side[f]
+            for f in reversed(chain):
+                s = side[f] = side[f] * s
+                ref[f] = -1
+        nesting[e] *= side[e]
+    for edges in out:
+        if len(edges) > 1:
+            edges.sort(key=nesting.__getitem__)
+
+    # embedding: the darts of the back edges into each vertex from below
+    # each of its tree edges, by side, each met by the search in signed
+    # order put first, so the last met leads
+    left: list[list[int]] = [[] for _ in range(n)]  # by the tree edge's child
+    right: list[list[int]] = [[] for _ in range(n)]
+    searches = [iter(out[0])]
+    while searches:
+        for e in searches[-1]:
+            w = target[e]
+            if parent[w] == e:
+                searches.append(iter(out[w]))
+                break
+            (right if side[e] == 1 else left)[via[e]][:0] = far[e]
+        else:
+            searches.pop()
+    cycles = []
+    for v, edges in enumerate(out):
+        cycle = loops.get(v) or []
+        if v:  # every vertex but vertex 0 has a tree edge up
+            cycle += far[parent[v]]
+        for e in edges:
+            c = target[e]
+            if parent[c] == e:
+                cycle += left[c] + near[e] + right[c]
+            else:
+                cycle += near[e]
+        cycles.append(canonical_cycle(cycle))
+    return RotationSystem(tuple(cycles))
 
 
 def dart_label(graph: MetricGraph, dart: int) -> str:

@@ -29,6 +29,7 @@ from ribbon_embed import (
     default_rotation,
     is_cycle_graph,
     parse_graph,
+    smooth,
 )
 from ribbon_embed.rotation import _cyclic_orders, canonical_cycle
 
@@ -302,3 +303,16 @@ def timed(seconds, call, *args):
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"{elapsed:.1f} s, over the bound of {seconds} s"
     return result
+
+
+def grid(rows: int, columns: int) -> MetricGraph:
+    """The rows x columns grid, smoothed: its corners, of degree 2, are
+    smoothed away, so every vertex has degree 3 or 4."""
+    lines = []
+    for i in range(rows):
+        for j in range(columns):
+            if j + 1 < columns:
+                lines.append(f"edge h{i}x{j} v{i}x{j} v{i}x{j + 1} 1.0")
+            if i + 1 < rows:
+                lines.append(f"edge u{i}x{j} v{i}x{j} v{i + 1}x{j} 1.0")
+    return smooth(parse_graph("\n".join(lines)))

@@ -44,6 +44,7 @@ from ribbon_embed.cli import main
 from conftest import BOUQUET2, DUMBBELL, K4, K5, THETA
 from helpers import (
     STALLS_AT_THREE_WALKS,
+    grid,
     prism,
     random_multigraph,
     ring_of_blobs,
@@ -2045,13 +2046,22 @@ MANY = str(2**800)
 # every command exits 0.  In the commands, {graph} is the graph's file and
 # {schema} the schema's.
 PROCESS_ROWS = {
-    # 2^800 rotations, past the default cap: the frontier DP's cut stays
-    # narrow, so analyze gives the exact adversarial genus and embed
-    # certifies it
+    # 2^800 rotations, past the default cap: analyze gives the exact
+    # adversarial genus from the planar rung, with no DP pass; the frontier
+    # DP's cut stays narrow, so embed's pass at this cap certifies it
     "prism400 analyze": (
         lambda: format_graph(prism(400)),
         [(20, ["analyze", "{graph}", "--json", "--max-rotations", MANY],
           _json_fields(ge_max_exact=268))],
+    ),
+    # the smoothed 7x7 grid: the descent reaches the floor and the ascent
+    # misses the plateau, so the planar rung settles g_e^max, 25, the
+    # capped genus of its 2 - chi = 37 walks; the DP pass it spares runs
+    # for seconds here
+    "grid7 analyze": (
+        lambda: format_graph(grid(7, 7)),
+        [(3, ["analyze", "{graph}", "--json", "--max-rotations", MANY],
+          _json_fields(ge_max_exact=25))],
     ),
     "prism400 maximal": (
         lambda: format_graph(prism(400)),

@@ -10,6 +10,7 @@ from ribbon_embed import (
     CapExceededError,
     CycleGraphError,
     GraphValidationError,
+    InternalInvariantError,
     MetricGraph,
     MovePreconditionError,
     NoIncreasingMoveError,
@@ -22,6 +23,8 @@ from ribbon_embed import (
     default_rotation,
     enumerate_rotations,
     essential_genus,
+    euler_char,
+    ge_max_exact,
     increase_move,
     invariants,
     make_rotation,
@@ -421,9 +424,14 @@ def test_analyze_zeta_matches_the_tree_search(tree_cap):
         assert analyze(g, tree_cap=tree_cap).zeta == betti_deficiency(smooth(g))
 
 
-def test_analyze_asks_the_dp_only_where_the_floor_or_the_plateau_misses(k4, k5, monkeypatch):
-    # zeta's descent and g_e^max's one ascent come first; the DP pass runs
-    # at most once, and only where either misses, within the rotation cap
+def test_analyze_asks_the_dp_only_where_the_floor_the_plateau_and_the_planar_rung_miss(
+    k4, k5, monkeypatch
+):
+    # zeta's descent, g_e^max's one ascent and then the planar rung come
+    # first; the DP pass runs at most once, and only where the descent
+    # misses the floor or both the ascent and the rung miss, within the
+    # rotation cap.  Planarity is read off the whole profile: a graph is
+    # planar exactly when some rotation has 2 - chi walks
     calls = []
     plan = rotation._plan  # one plan per DP pass, whichever fold runs over it
 
@@ -433,8 +441,13 @@ def test_analyze_asks_the_dp_only_where_the_floor_or_the_plateau_misses(k4, k5, 
 
     monkeypatch.setattr(rotation, "_plan", counted)
     assert (analyze(k4).ge_max_exact, analyze(PETERSEN).ge_max_exact, calls) == (3, 5, [])
-    # K5's ascent stalls at 3 walks (genus 4), short of the bound's 5 (genus 5)
+    # K5 is not planar, and its ascent stalls at 3 walks (genus 4), short
+    # of the bound's 5 (genus 5)
     assert analyze(k5).ge_max_exact == 5 and len(calls) == 1
+    # the triangular prism is planar, so the rung settles it although its
+    # ascent stalls at 3 walks (genus 3), short of the bound's 5 (genus 4)
+    del calls[:]
+    assert (analyze(prism(3)).ge_max_exact, calls) == (4, [])
     graphs = [random_multigraph(seed) for seed in range(300)]
     graphs += [prism(rungs) for rungs in range(3, 13)]
     for i, g in enumerate(map(smooth, graphs)):
@@ -442,11 +455,33 @@ def test_analyze_asks_the_dp_only_where_the_floor_or_the_plateau_misses(k4, k5, 
         descent = minimize_boundaries(g, restarts=restarts, tree_cap=0, rotation_cap=0)
         top = capped_genus(g, _walk_bound(g))
         ascent = _climb(g, default_rotation(g, 0), +2)[1]
-        hit = descent.certificate == "floor" and capped_genus(g, ascent) == top
+        planar = max(boundary_profile(g, count_rotations(g))) == 2 - euler_char(g)
+        hit = descent.certificate == "floor" and (capped_genus(g, ascent) == top or planar)
         for cap in (10, 2000, 10**6):
             del calls[:]
             analyze(g, rotation_cap=cap)
             assert len(calls) == (count_rotations(g) <= cap and not hit), (i, cap)
+
+
+def test_a_planar_witness_short_of_the_walk_bound_is_never_read(monkeypatch):
+    # the rung's rotation is recounted by the kernel; one with fewer walks
+    # than 2 - chi breaks the invariant instead of giving g_e^max.  The
+    # triangular prism's ascent stalls at 3 walks, so the rung is asked,
+    # and the file-order rotation has 3 walks, not 5
+    g = prism(3)
+    assert _climb(g, default_rotation(g, 0), +2)[1] == 3 and _walk_bound(g) == 5
+
+    def short_witness(graph):
+        return default_rotation(graph, 0)
+
+    monkeypatch.setattr(moves, "_planar_rotation", short_witness)
+    message = "^planar rotation has 3 walks, not 5$"
+    with pytest.raises(InternalInvariantError, match=message):
+        moves._ge_max(moves._Rungs(g, moves.DEFAULT_TREE_CAP, moves.DEFAULT_ROTATION_CAP))
+    with pytest.raises(InternalInvariantError, match=message):
+        analyze(g)
+    with pytest.raises(InternalInvariantError, match=message):
+        ge_max_exact(g)
 
 
 def test_public_invariants_read_the_ladder():

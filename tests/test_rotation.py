@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from ribbon_embed import (
     make_rotation,
     parse_graph,
     rotation,
+    smooth,
     vertex_boundary_incidence,
 )
 from ribbon_embed.rotation import (
@@ -26,6 +28,7 @@ from ribbon_embed.rotation import (
     _faces,
     _mirror_vertex,
     _plan,
+    _planar_rotation,
     _profile,
     _rotation_at,
     _vertex_orders,
@@ -38,10 +41,12 @@ from ribbon_embed.moves import _walk_bound, oracle
 
 from helpers import (
     STALLS_AT_THREE_WALKS,
+    grid,
     prism,
     random_cubic,
     random_multigraph,
     short_order_lists,
+    timed,
     wheel,
 )
 
@@ -219,6 +224,64 @@ def test_ge_max_exact_is_the_genus_of_the_profile_maximum(theta, bouquet2, k4, k
         want = max(capped_genus(g, b) for b in boundary_profile(g, cap))
         assert analyze(g, rotation_cap=cap).ge_max_exact == want, g
         assert ge_max_exact(g, cap) == want, g
+
+
+def _walks_by_next(rotation):
+    """The walk count by a tracer of this test's own: the face permutation
+    taken the other way round, d -> next(mate(d)), whose orbits are as
+    many as the kernel's."""
+    after = {}
+    for cycle in rotation.cycles:
+        after.update(zip(cycle, cycle[1:] + cycle[:1]))
+    seen, walks = set(), 0
+    for start in after:
+        if start not in seen:
+            walks += 1
+            d = start
+            while d not in seen:
+                seen.add(d)
+                d = after[d ^ 1]
+    return walks
+
+
+def test_the_planar_rung_gives_a_rotation_exactly_where_the_profile_reaches_2_minus_chi(
+    theta, bouquet2, k4, k5, dumbbell
+):
+    # a graph is planar exactly when some rotation has 2 - chi walks, as
+    # the whole profile shows, so the rung's verdict is checked against
+    # the DP's maximum, and every rotation it gives has that many walks
+    graphs = _profile_graphs(theta, bouquet2, k4, k5, dumbbell)
+    graphs += [smooth(random_multigraph(seed)) for seed in range(300)]
+    graphs += [random_cubic(seed, 12) for seed in range(40)]
+    graphs += [prism(rungs) for rungs in range(3, 31)]
+    graphs += [wheel(spokes) for spokes in range(3, 9)]
+    planar = 0
+    for g in graphs:
+        rotation = _planar_rotation(g)
+        reached = max(boundary_profile(g, count_rotations(g))) == 2 - euler_char(g)
+        assert (rotation is not None) == reached, g
+        if rotation is not None:
+            validate_rotation(g, rotation)
+            assert _walks_by_next(rotation) == 2 - euler_char(g), g
+            planar += 1
+    assert (len(graphs), planar) == (536, 524)  # both verdicts met
+    # past 8 spokes the DP is slow or its orders limit refuses the hub, and
+    # a wheel is planar: the rotation alone is checked
+    for spokes in range(9, 14):
+        g = wheel(spokes)
+        assert _walks_by_next(_planar_rotation(g)) == 2 - euler_char(g), spokes
+    k33 = _edges([(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+    assert [_planar_rotation(g) for g in (k5, k33, PETERSEN)] == [None, None, None]
+
+
+def test_the_planar_rung_keeps_its_time_bound_on_large_graphs_without_recursion():
+    # a recursive search would pass the interpreter's limit on these paths
+    # of thousands of vertices; prism10000 has 20000 vertices
+    big = prism(10000)
+    assert sys.getrecursionlimit() < big.vertex_count
+    for g, seconds in ((big, 3), (grid(20, 20), 1)):
+        rotation = timed(seconds, _planar_rotation, g)
+        assert boundary_count(g, rotation) == 2 - euler_char(g)
 
 
 def _mirror_graphs(theta, bouquet2, k4, k5, dumbbell):
